@@ -43,14 +43,14 @@ let perf_tests () =
            in
            ignore (Sim.Engine.schedule engine ~at:0 tick);
            Sim.Engine.run_all engine));
-    Test.make ~name:"pqueue:10k-mixed"
+    Test.make ~name:"wheel:10k-mixed"
       (Staged.stage (fun () ->
-           let q = Sim.Pqueue.create () in
+           let q = Sim.Wheel.create () in
            for i = 0 to 9_999 do
-             Sim.Pqueue.add q ~prio:((i * 7919) mod 1000) i
+             Sim.Wheel.add q ~prio:((i * 7919) mod 1000) i
            done;
-           while not (Sim.Pqueue.is_empty q) do
-             ignore (Sim.Pqueue.pop q)
+           while not (Sim.Wheel.is_empty q) do
+             ignore (Sim.Wheel.pop q)
            done));
     Test.make ~name:"rng:100k-draws"
       (Staged.stage (fun () ->
@@ -443,11 +443,11 @@ let run_scale_cell ~measure_live spec =
   }
 
 (* Engine-only throughput: a self-rescheduling event storm with spread
-   delays, per queue backend. *)
-let engine_micro backend =
+   delays. *)
+let engine_micro () =
   let alloc0 = Gc.allocated_bytes () in
   let t0 = Sys.time () in
-  let engine = Sim.Engine.create ~backend () in
+  let engine = Sim.Engine.create () in
   let count = ref 0 in
   let rec tick () =
     incr count;
@@ -475,16 +475,11 @@ let run_scale ~(ctx : Harness.Experiments.ctx) ~smoke ~json ~baseline () =
   in
   let report = Report.create () in
   Report.str report "schema" "daemon-sim-bench/1";
-  (* Engine micro, both backends: same event count, different queue. *)
-  let wheel_events, wheel_alloc, wheel_s = engine_micro `Wheel in
-  let heap_events, heap_alloc, heap_s = engine_micro `Heap in
-  assert (wheel_events = heap_events);
+  (* Engine micro on the timing wheel, the engine's event queue. *)
+  let wheel_events, wheel_alloc, wheel_s = engine_micro () in
   Report.int report "engine.wheel.events" wheel_events;
   Report.int report "engine.wheel.alloc_words" wheel_alloc;
   Report.float report "engine.wheel.run_seconds" wheel_s;
-  Report.int report "engine.heap.events" heap_events;
-  Report.int report "engine.heap.alloc_words" heap_alloc;
-  Report.float report "engine.heap.run_seconds" heap_s;
   (* Model-checker throughput. *)
   let mc_alloc0 = Gc.allocated_bytes () in
   let mc_t0 = Sys.time () in

@@ -70,16 +70,6 @@ let contended_arg =
 let trace_arg =
   Arg.(value & flag & info [ "trace" ] ~doc:"Print the dining-layer event trace.")
 
-let queue_arg =
-  Arg.(
-    value
-    & opt (Arg.enum [ ("wheel", (`Wheel : Sim.Engine.backend)); ("heap", `Heap) ]) `Wheel
-    & info [ "queue" ] ~docv:"BACKEND"
-        ~doc:
-          "Engine event-queue backend: $(b,wheel) (hierarchical timing wheel, the \
-           default) or $(b,heap) (binary-heap reference). Both produce bit-identical \
-           runs; the flag exists to cross-check and to measure the difference.")
-
 let dot_arg =
   Arg.(
     value
@@ -204,17 +194,14 @@ let metrics_arg =
            histograms, engine gauges) after the report.")
 
 let run_cmd =
-  let go topology seed horizon crashes detector algo contended trace show_metrics dot queue
-      shards =
+  let go topology seed horizon crashes detector algo contended trace show_metrics dot shards =
     let scenario =
       make_scenario ~name:"cli" ~topology ~seed ~horizon ~crashes ~detector ~algo ~contended
     in
-    let tracer = Sim.Trace.create () in
-    if trace then
-      Sim.Trace.on_record tracer (fun record ->
-          Format.printf "%a@." Sim.Trace.pp_record record);
+    let recorder = Obs.Recorder.create () in
+    if trace then Obs.Recorder.on_light recorder (Format.printf "%a@." Obs.Record.pp_row);
     let metrics = Obs.Metrics.create () in
-    let report = Harness.Run.run ~backend:queue ~trace:tracer ~metrics ~shards scenario in
+    let report = Harness.Run.run ~recorder ~metrics ~shards scenario in
     print_report report;
     if show_metrics then Format.printf "metrics:@.%a" Obs.Metrics.pp metrics;
     match dot with
@@ -236,7 +223,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run one dining scenario and report every paper metric.")
     Term.(
       const go $ topology_arg $ seed_arg $ horizon_arg $ crashes_arg $ detector_arg $ algo_arg
-      $ contended_arg $ trace_arg $ metrics_arg $ dot_arg $ queue_arg $ shards_arg)
+      $ contended_arg $ trace_arg $ metrics_arg $ dot_arg $ shards_arg)
 
 (* ------------------------------------------------------------------ *)
 (* experiments                                                          *)
@@ -361,23 +348,23 @@ let trace_cmd =
       & opt (some string) None
       & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the trace to $(docv) instead of stdout.")
   in
-  let go topology seed horizon crashes detector algo contended runs domains out queue shards =
+  let go topology seed horizon crashes detector algo contended runs domains out shards =
     let capture k =
       let seed = Int64.add seed (Int64.of_int k) in
       let scenario =
         make_scenario ~name:"trace" ~topology ~seed ~horizon ~crashes ~detector ~algo
           ~contended
       in
-      let tracer = Sim.Trace.collecting () in
-      let (_ : Harness.Run.report) = Harness.Run.run ~backend:queue ~trace:tracer ~shards scenario in
+      let recorder = Obs.Recorder.collecting () in
+      let (_ : Harness.Run.report) = Harness.Run.run ~recorder ~shards scenario in
       let buf = Buffer.create 65536 in
       Buffer.add_string buf
         (Printf.sprintf "# daemon_sim trace: topology=%s algo=%s detector=%s seed=%Ld horizon=%d events=%d\n"
            (Cgraph.Topology.name topology)
            (Harness.Scenario.algo_name scenario.algo)
            (Harness.Scenario.detector_name scenario.detector)
-           seed horizon (Obs.Recorder.count tracer));
-      Obs.Recorder.iter tracer (fun r -> Obs.Jsonl.append buf r);
+           seed horizon (Obs.Recorder.count recorder));
+      Obs.Recorder.iter recorder (fun r -> Obs.Jsonl.append buf r);
       Buffer.contents buf
     in
     (* Each run is a share-nothing world, so capture fans out across
@@ -402,7 +389,7 @@ let trace_cmd =
           $(b,tracediff).")
     Term.(
       const go $ topology_arg $ seed_arg $ horizon_arg $ crashes_arg $ detector_arg $ algo_arg
-      $ contended_arg $ runs_arg $ domains_arg $ out_arg $ queue_arg $ shards_arg)
+      $ contended_arg $ runs_arg $ domains_arg $ out_arg $ shards_arg)
 
 let tracediff_cmd =
   let file_arg pos_i docv =

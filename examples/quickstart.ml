@@ -28,15 +28,15 @@ let () =
     }
   in
   (* A trace sink prints the first part of the timeline live. *)
-  let trace = Sim.Trace.create () in
+  let recorder = Obs.Recorder.create () in
   let printed = ref 0 in
-  Sim.Trace.on_record trace (fun r ->
-      if r.Sim.Trace.time < 400 || (r.time >= 1_400 && r.time < 1_900) then begin
+  Obs.Recorder.on_light recorder (fun r ->
+      if r.time < 400 || (r.time >= 1_400 && r.time < 1_900) then begin
         incr printed;
-        Format.printf "%a@." Sim.Trace.pp_record r
+        Format.printf "%a@." Obs.Record.pp_row r
       end);
   Format.printf "--- timeline excerpts (start of run, and around the crash) ---@.";
-  let r = Harness.Run.run ~trace scenario in
+  let r = Harness.Run.run ~recorder scenario in
   Format.printf "--- end of excerpts (%d lines) ---@.@." !printed;
 
   let summary = Monitor.Response.summary r.response in

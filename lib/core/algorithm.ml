@@ -46,7 +46,6 @@ type t = {
   absorbed_in : int array; (* crash absorptions, at slot (dst, src) * 4 + kind_index *)
   mutable net : message Net.Network.t option; (* set once in create *)
   mutable listeners : (pid -> phase -> unit) list;
-  trace : Sim.Trace.t;
   acks_per_session : int;
 }
 
@@ -62,7 +61,8 @@ let set_flag t s bit on =
   let cur = Char.code (Bytes.get t.flags s) in
   Bytes.set t.flags s (Char.unsafe_chr (if on then cur lor bit else cur land lnot bit))
 
-let emit t i tag detail = Sim.Trace.emit t.trace ~time:(now t) ~subject:i ~tag detail
+let recorder t = Sim.Engine.recorder t.engine
+let mark t i tag = Obs.Recorder.mark (recorder t) ~time:(now t) ~subject:i ~tag ""
 
 (* [slot] is the directed slot of (src, dst) — the caller always has it
    in hand, either from its CSR iteration or via [rev]. *)
@@ -73,7 +73,7 @@ let send t ~slot ~src ~dst msg =
 
 let notify_phase t i =
   let p = phase t i in
-  Obs.Recorder.phase t.trace ~time:(now t) ~pid:i ~phase:(Types.phase_to_string p);
+  Obs.Recorder.phase (recorder t) ~time:(now t) ~pid:i ~phase:(Types.phase_to_string p);
   List.iter (fun f -> f i p) t.listeners
 
 (* ------------------------------------------------------------------ *)
@@ -110,7 +110,7 @@ let try_actions t i =
             set_flag t s ack_bit false;
             t.granted.(s) <- 0
           done;
-          emit t i "enter_doorway" ""
+          mark t i "enter_doorway"
         end
       end;
       if inside t i then begin
@@ -242,8 +242,8 @@ let stop_eating t i =
 (* Construction.                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let create ~engine ~faults ~graph ~delay ~rng ~detector ?colors ?(trace = Sim.Trace.create ())
-    ?metrics ?(acks_per_session = 1) () =
+let create ~engine ~faults ~graph ~delay ~rng ~detector ?colors ?metrics ?(acks_per_session = 1)
+    () =
   if acks_per_session < 1 then invalid_arg "Algorithm.create: acks_per_session must be >= 1";
   let n = Cgraph.Graph.n graph in
   let colors =
@@ -293,7 +293,6 @@ let create ~engine ~faults ~graph ~delay ~rng ~detector ?colors ?(trace = Sim.Tr
       absorbed_in = Array.make (slots * message_kind_count) 0;
       net = None;
       listeners = [];
-      trace;
       acks_per_session;
     }
   in

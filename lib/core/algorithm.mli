@@ -44,7 +44,6 @@ val create :
   rng:Sim.Rng.t ->
   detector:Fd.Detector.t ->
   ?colors:int array ->
-  ?trace:Sim.Trace.t ->
   ?metrics:Obs.Metrics.t ->
   ?acks_per_session:int ->
   unit ->
@@ -58,7 +57,9 @@ val create :
     session. The paper's Algorithm 1 is the default 1, which yields
     eventual 2-bounded waiting; a budget of m yields eventual
     (m+1)-bounded waiting, trading fairness for doorway throughput
-    (experiment E11). Creates the dining layer's own network overlay. *)
+    (experiment E11). Creates the dining layer's own network overlay.
+    Phase transitions and the ["enter_doorway"] mark go to the engine's
+    recorder ({!Sim.Engine.recorder}). *)
 
 val become_hungry : t -> Types.pid -> unit
 val stop_eating : t -> Types.pid -> unit

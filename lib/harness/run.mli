@@ -36,14 +36,12 @@ type report = World.report = {
 }
 
 val run :
-  ?backend:Sim.Engine.backend ->
-  ?trace:Sim.Trace.t ->
+  ?recorder:Obs.Recorder.t ->
   ?metrics:Obs.Metrics.t ->
   ?shards:int ->
   Scenario.t ->
   report
-(** Execute the scenario to its horizon. Deterministic in the scenario
-    (and identical for either engine queue backend). *)
+(** Execute the scenario to its horizon. Deterministic in the scenario. *)
 
 val throughput : report -> float
 (** Eats per 1000 ticks. *)

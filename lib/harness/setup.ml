@@ -56,13 +56,13 @@ let make_detector (s : Scenario.t) ~engine ~faults ~graph ~rng ?metrics () =
           ~period ~duration ~horizon:s.horizon (),
         `Static Sim.Time.infinity )
 
-let make_instance (s : Scenario.t) ~engine ~faults ~graph ~detector ~rng ~trace ?metrics () =
+let make_instance (s : Scenario.t) ~engine ~faults ~graph ~detector ~rng ?metrics () =
   let net_rng = Sim.Rng.split_named rng "dining-net" in
   match s.algo with
   | Scenario.Song_pike ->
       let algo =
         Dining.Algorithm.create ~engine ~faults ~graph ~delay:s.delay ~rng:net_rng ~detector
-          ~trace ?metrics ~acks_per_session:s.acks_per_session ()
+          ?metrics ~acks_per_session:s.acks_per_session ()
       in
       (Dining.Algorithm.instance algo, Dining.Algorithm.network_stats algo, Some algo)
   | Scenario.Fork_only ->
@@ -82,10 +82,10 @@ let make_instance (s : Scenario.t) ~engine ~faults ~graph ~detector ~rng ~trace 
       in
       (Baselines.Ordered.instance algo, Baselines.Ordered.network_stats algo, None)
 
-let build ?backend ?(trace = Sim.Trace.create ()) ?metrics ?(shards = 0) (s : Scenario.t) =
+let build ?recorder ?metrics ?(shards = 0) (s : Scenario.t) =
   let graph = Cgraph.Topology.build s.topology in
   let n = Cgraph.Graph.n graph in
-  let engine = Sim.Engine.create ?backend ~recorder:trace () in
+  let engine = Sim.Engine.create ?recorder () in
   (* Sequential staged stepping: same results and traces as the legacy
      fire loop, for any shard count (see Sim.Engine). *)
   if shards > 0 then Sim.Engine.set_sharding engine ~shards ~n ();
@@ -94,7 +94,7 @@ let build ?backend ?(trace = Sim.Trace.create ()) ?metrics ?(shards = 0) (s : Sc
   let crashed = realise_crashes s (Sim.Rng.split_named rng "crashes") n in
   let detector, detector_state = make_detector s ~engine ~faults ~graph ~rng ?metrics () in
   let instance, link_stats, song_pike =
-    make_instance s ~engine ~faults ~graph ~detector ~rng ~trace ?metrics ()
+    make_instance s ~engine ~faults ~graph ~detector ~rng ?metrics ()
   in
   List.iter
     (fun (pid, at) ->

@@ -18,19 +18,17 @@ type parts = {
 }
 
 val build :
-  ?backend:Sim.Engine.backend ->
-  ?trace:Sim.Trace.t ->
+  ?recorder:Obs.Recorder.t ->
   ?metrics:Obs.Metrics.t ->
   ?shards:int ->
   Scenario.t ->
   parts
 (** Builds everything and schedules the crash plan (victims are watched in
-    [link_stats]). The engine has not run yet. [backend] selects the
-    engine's event-queue implementation (default: the engine's own
-    default, the timing wheel) — both backends produce bit-identical
-    runs. [trace] becomes the engine's recorder, so structural
-    event/message records flow into it under full tracing; [metrics] is
-    threaded to the dining and heartbeat overlays' link statistics.
+    [link_stats]). The engine has not run yet. [recorder] becomes the
+    engine's recorder, which every component of the world emits into
+    (structural event/message records only under full tracing);
+    [metrics] is threaded to the dining and heartbeat overlays' link
+    statistics.
     [shards > 0] switches the engine to staged stepping with that many
     shards (default 0, the legacy fire loop) — runs and traces are
     bit-identical either way and for any shard count. *)

@@ -1,7 +1,6 @@
 type t = {
   scenario : Scenario.t;
   parts : Setup.parts;
-  trace : Sim.Trace.t;
   metrics : Obs.Metrics.t;
   exclusion : Monitor.Exclusion.t;
   fairness : Monitor.Fairness.t;
@@ -50,15 +49,14 @@ let watch_invariants ~engine ~horizon ~every (instance : Dining.Instance.t) =
   ignore (Sim.Engine.schedule_after engine ~delay:every check);
   error
 
-let create ?backend ?(trace = Sim.Trace.create ()) ?(metrics = Obs.Metrics.create ())
-    ?shards (s : Scenario.t) =
-  let parts = Setup.build ?backend ~trace ~metrics ?shards s in
+let create ?recorder ?(metrics = Obs.Metrics.create ()) ?shards (s : Scenario.t) =
+  let parts = Setup.build ?recorder ~metrics ?shards s in
   let { Setup.engine; faults; graph; rng; instance; _ } = parts in
   let n = Cgraph.Graph.n graph in
   let exclusion = Monitor.Exclusion.attach engine graph faults instance in
   let fairness = Monitor.Fairness.attach engine graph faults instance in
   let response = Monitor.Response.attach engine faults instance in
-  let phases = Monitor.Phases.attach ~metrics engine trace instance in
+  let phases = Monitor.Phases.attach ~metrics engine instance in
   let eats_per_process = Array.make n 0 in
   let m_eats = Obs.Metrics.counter metrics "daemon.eats" in
   let m_hungry = Obs.Metrics.counter metrics "daemon.hungry_sessions" in
@@ -82,7 +80,6 @@ let create ?backend ?(trace = Sim.Trace.create ()) ?(metrics = Obs.Metrics.creat
   {
     scenario = s;
     parts;
-    trace;
     metrics;
     exclusion;
     fairness;
@@ -140,8 +137,8 @@ let report (w : t) =
     metrics = w.metrics;
   }
 
-let run ?backend ?trace ?metrics ?shards (s : Scenario.t) =
-  let w = create ?backend ?trace ?metrics ?shards s in
+let run ?recorder ?metrics ?shards (s : Scenario.t) =
+  let w = create ?recorder ?metrics ?shards s in
   advance w ~until:s.horizon;
   report w
 

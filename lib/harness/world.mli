@@ -50,17 +50,15 @@ type report = {
 }
 
 val create :
-  ?backend:Sim.Engine.backend ->
-  ?trace:Sim.Trace.t ->
+  ?recorder:Obs.Recorder.t ->
   ?metrics:Obs.Metrics.t ->
   ?shards:int ->
   Scenario.t ->
   t
 (** Build a fresh world: engine, network, detector, daemon, monitors and
     workload, with the crash plan scheduled and the invariant watcher
-    armed. Virtual time has not advanced yet. [backend] selects the
-    engine's event-queue implementation (default: the timing wheel; both
-    backends are bit-identical). [trace] becomes the engine's recorder
+    armed. Virtual time has not advanced yet. [recorder] becomes the
+    engine's recorder, the one every component of the world emits into
     (capture it with {!Obs.Recorder.collecting} for JSONL export);
     [metrics] is the registry every component registers into (default: a
     fresh private one, available via the report). [shards > 0] runs the
@@ -81,15 +79,13 @@ val report : t -> report
     scenario horizon. *)
 
 val run :
-  ?backend:Sim.Engine.backend ->
-  ?trace:Sim.Trace.t ->
+  ?recorder:Obs.Recorder.t ->
   ?metrics:Obs.Metrics.t ->
   ?shards:int ->
   Scenario.t ->
   report
 (** [create |> advance ~until:horizon |> report] — deterministic in the
-    scenario: same scenario, same report, on any domain and with either
-    queue backend. *)
+    scenario: same scenario, same report, on any domain. *)
 
 val throughput : report -> float
 (** Eats per 1000 ticks. *)

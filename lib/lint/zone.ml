@@ -8,8 +8,8 @@
    the timing-wheel queue (lib/sim/wheel.ml) and the scale-free
    generator (lib/graph/topology.ml) fall under lib/sim and lib/graph —
    both must stay free of wall-clock, global RNG and unordered
-   iteration, since either can silently break heap/wheel trace
-   equality. bench/ stays out on purpose: it measures wall-clock. *)
+   iteration, since either can silently break trace
+   determinism. bench/ stays out on purpose: it measures wall-clock. *)
 let default_dirs =
   [
     "lib/obs";

@@ -8,7 +8,7 @@ type t = {
   h_fork : Obs.Metrics.histogram;
 }
 
-let attach ?metrics engine trace (instance : Dining.Instance.t) =
+let attach ?metrics engine (instance : Dining.Instance.t) =
   let metrics = match metrics with Some m -> m | None -> Obs.Metrics.create () in
   let t =
     {
@@ -21,15 +21,16 @@ let attach ?metrics engine trace (instance : Dining.Instance.t) =
       h_fork = Obs.Metrics.histogram metrics "daemon.fork_wait";
     }
   in
-  Sim.Trace.on_record trace (fun r ->
-      if r.Sim.Trace.tag = "enter_doorway" then begin
-        match Hashtbl.find_opt t.hungry_at r.subject with
-        | Some started ->
-            Hashtbl.replace t.entered_at r.subject r.time;
-            t.doorway <- (r.time - started) :: t.doorway;
-            Obs.Metrics.observe t.h_doorway (r.time - started)
-        | None -> ()
-      end);
+  Obs.Recorder.on_light (Sim.Engine.recorder engine) (fun r ->
+      match r.kind with
+      | Obs.Record.Mark { tag = "enter_doorway"; subject; _ } -> (
+          match Hashtbl.find_opt t.hungry_at subject with
+          | Some started ->
+              Hashtbl.replace t.entered_at subject r.time;
+              t.doorway <- (r.time - started) :: t.doorway;
+              Obs.Metrics.observe t.h_doorway (r.time - started)
+          | None -> ())
+      | _ -> ());
   instance.add_listener (fun pid phase ->
       let now = Sim.Engine.now engine in
       match phase with

@@ -3,20 +3,21 @@
     Algorithm 1 splits a hungry session into phase 1 (outside the doorway,
     collecting acks) and phase 2 (inside, collecting forks). This monitor
     splits every completed session's latency at the doorway-entry event
-    (which the algorithm emits on its trace) into a {e doorway wait} and a
-    {e fork wait} — the data behind experiment E12's breakdown of what the
-    doorway costs on each topology.
+    (which the algorithm marks on its engine's recorder) into a {e doorway
+    wait} and a {e fork wait} — the data behind experiment E12's breakdown
+    of what the doorway costs on each topology.
 
-    Only daemons that emit ["enter_doorway"] trace records (the Song-Pike
-    core) produce samples; on other daemons both sample sets stay empty. *)
+    Only daemons that emit ["enter_doorway"] marks (the Song-Pike core)
+    produce samples; on other daemons both sample sets stay empty. *)
 
 type t
 
-val attach : ?metrics:Obs.Metrics.t -> Sim.Engine.t -> Sim.Trace.t -> Dining.Instance.t -> t
-(** Subscribes to the instance's transitions and the trace. Attaching
-    enables the trace's light channel. Every completed wait is also
-    observed into the [daemon.doorway_wait] / [daemon.fork_wait]
-    histograms of [metrics] (default: a private registry). *)
+val attach : ?metrics:Obs.Metrics.t -> Sim.Engine.t -> Dining.Instance.t -> t
+(** Subscribes to the instance's transitions and to the engine's
+    recorder. Attaching enables the recorder's light channel. Every
+    completed wait is also observed into the [daemon.doorway_wait] /
+    [daemon.fork_wait] histograms of [metrics] (default: a private
+    registry). *)
 
 val doorway_waits : t -> int list
 (** Hungry -> doorway-entry latencies of completed phases, in ticks. *)

@@ -52,3 +52,18 @@ let pp ppf r =
   | Crash { pid } -> Format.fprintf ppf "crash   p%d" pid
   | Mark { subject; tag; detail } ->
       Format.fprintf ppf "mark    p%d %s%s" subject tag (if detail = "" then "" else " " ^ detail)
+
+(* Rows keep the tags printed traces have always used: phases as
+   "eat"/"think", not "eating"/"thinking". *)
+let pp_row ppf r =
+  let tag, detail =
+    match r.kind with
+    | Phase { phase = "eating"; _ } -> ("eat", "")
+    | Phase { phase = "thinking"; _ } -> ("think", "")
+    | Phase { phase; _ } -> (phase, "")
+    | Suspect { target; on; _ } ->
+        ((if on then "suspect" else "unsuspect"), Printf.sprintf "p%d" target)
+    | Mark { tag; detail; _ } -> (tag, detail)
+    | k -> (label k, "")
+  in
+  Format.fprintf ppf "[%8d] p%-3d %-14s %s" r.time (subject r.kind) tag detail

@@ -3,9 +3,9 @@
     One constructor per thing the simulator does: engine events being
     scheduled, fired and cancelled; messages being sent, delivered and
     absorbed; dining-phase transitions; suspicion flips; crashes; and
-    free-form marks (the legacy {!Sim.Trace} channel). Records carry the
-    virtual time at which they were emitted plus a per-recorder sequence
-    number, so two runs can be compared event-by-event. *)
+    free-form marks. Records carry the virtual time at which they were
+    emitted plus a per-recorder sequence number, so two runs can be
+    compared event-by-event. *)
 
 type kind =
   | Sched of { id : int; at : int }
@@ -25,8 +25,8 @@ type kind =
           stops suspecting [target]. *)
   | Crash of { pid : int }  (** Crash-stop fault realised. *)
   | Mark of { subject : int; tag : string; detail : string }
-      (** Free-form annotation; the compatibility image of
-          {!Sim.Trace.emit}. *)
+      (** Free-form annotation, e.g. the dining core's
+          ["enter_doorway"]. *)
 
 type t = { seq : int; time : int; kind : kind }
 
@@ -34,7 +34,7 @@ val structural : kind -> bool
 (** Whether the record belongs to the high-volume structural category
     (engine and network internals) that only full tracing captures, as
     opposed to the light category (phase, suspicion, crash, mark) that
-    legacy sinks also observe. *)
+    light sinks also observe. *)
 
 val label : kind -> string
 (** Short machine-readable constructor name, e.g. ["send"]. *)
@@ -43,3 +43,9 @@ val subject : kind -> int
 (** Process id the record is about, or [-1] for engine-global records. *)
 
 val pp : Format.formatter -> t -> unit
+
+val pp_row : Format.formatter -> t -> unit
+(** The one-line human-readable row [\[time\] pN tag detail] printed by
+    [daemon_sim run --trace]: phase tags shortened to ["eat"]/["think"],
+    suspicion flips as ["suspect"]/["unsuspect"] with detail [pT], marks
+    as their own tag and detail, anything else under its {!label}. *)

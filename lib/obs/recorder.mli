@@ -9,8 +9,7 @@
 
     - {e light} records (phase transitions, suspicion flips, crashes,
       marks) flow whenever any sink is attached or collection is on —
-      this is the legacy {!Sim.Trace} channel that monitors and the CLI
-      [--trace] flag use;
+      the channel monitors and the CLI [--trace] flag use;
     - {e structural} records (engine schedule/fire/cancel, message
       send/deliver/drop) are high-volume and flow only under {e full}
       tracing: a collecting recorder or an {!on_record} sink.

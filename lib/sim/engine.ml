@@ -1,8 +1,3 @@
-(* Compile-time proof that both queue backends satisfy the contract the
-   engine programs against. *)
-module _ : Queue_sig.S = Pqueue
-module _ : Queue_sig.S = Wheel
-
 (* [state] packs the event id, the owning process and the lifecycle
    flags so the record stays at two fields — bit 0 = cancelled, bit 1 =
    fired, bits 2..22 = owner + 1 (0 = ownerless), bits 23.. = id.
@@ -29,8 +24,6 @@ let noop () = ()
 
 type event_id = event option
 
-type backend = [ `Heap | `Wheel ]
-
 (* An effect buffered during a sharded step: an event scheduled while
    the step's batch was firing, remembered with the pop rank of the
    event that scheduled it. The rank is what makes the end-of-step merge
@@ -45,14 +38,9 @@ type svec = { mutable sa : staged array; mutable sn : int }
    nested [schedule]/[cancel] calls without touching shared state. *)
 type fire_ctx = { mutable rank : int; mutable shard : int }
 
-(* Runtime switch rather than a functor: worlds pick their backend per
-   engine (CLI flag, differential tests), and the one-branch dispatch is
-   noise next to the queue operation itself. *)
-type queue = Q_heap of event Pqueue.t | Q_wheel of event Wheel.t
-
 type t = {
   mutable clock : Time.t;
-  queue : queue;
+  queue : event Wheel.t;
   mutable processed : int;
   mutable next_id : int;
   recorder : Obs.Recorder.t;
@@ -79,19 +67,11 @@ type t = {
   ctx_key : fire_ctx Domain.DLS.key;
 }
 
-let default_backend : backend = `Wheel
-
-let create ?(backend = default_backend) ?recorder () =
+let create ?recorder () =
   let recorder = match recorder with Some r -> r | None -> Obs.Recorder.create () in
-  let dead ev = ev.state land cancelled_bit <> 0 in
-  let queue =
-    match backend with
-    | `Heap -> Q_heap (Pqueue.create ~dead ())
-    | `Wheel -> Q_wheel (Wheel.create ~dead ())
-  in
   {
     clock = Time.zero;
-    queue;
+    queue = Wheel.create ~dead:(fun ev -> ev.state land cancelled_bit <> 0) ();
     processed = 0;
     next_id = 0;
     recorder;
@@ -116,23 +96,8 @@ let create ?(backend = default_backend) ?recorder () =
     ctx_key = Domain.DLS.new_key (fun () -> { rank = -1; shard = -1 });
   }
 
-let backend t = match t.queue with Q_heap _ -> `Heap | Q_wheel _ -> `Wheel
 let now t = t.clock
 let recorder t = t.recorder
-
-let q_add t ~prio ev =
-  match t.queue with
-  | Q_heap q -> Pqueue.add q ~prio ev
-  | Q_wheel q -> Wheel.add q ~prio ev
-
-let q_note_dead t =
-  match t.queue with Q_heap q -> Pqueue.note_dead q | Q_wheel q -> Wheel.note_dead q
-
-let q_peek_prio t =
-  match t.queue with Q_heap q -> Pqueue.peek_prio q | Q_wheel q -> Wheel.peek_prio q
-
-let q_pop t = match t.queue with Q_heap q -> Pqueue.pop q | Q_wheel q -> Wheel.pop q
-let q_size t = match t.queue with Q_heap q -> Pqueue.size q | Q_wheel q -> Wheel.size q
 
 let set_sharding t ?pool ?(parallel = false) ~shards ~n () =
   if t.in_step then invalid_arg "Engine.set_sharding: cannot reconfigure inside a step";
@@ -204,7 +169,7 @@ let schedule t ?(owner = -1) ~at f =
     else begin
       let ev = { state = (t.next_id lsl id_shift) lor pack_owner owner; action = f } in
       t.next_id <- t.next_id + 1;
-      q_add t ~prio:at ev;
+      Wheel.add t.queue ~prio:at ev;
       (* Call-site guard: the emission call is skipped entirely when full
          tracing is off, keeping the hot path at one load + branch. *)
       if !(t.tracing) then
@@ -235,7 +200,7 @@ let cancel t id =
           let sh = if ctx.shard >= 0 then ctx.shard else 0 in
           t.deferred_dead.(sh) <- t.deferred_dead.(sh) + 1
         end
-        else q_note_dead t;
+        else Wheel.note_dead t.queue;
         if !(t.tracing) then
           Obs.Recorder.cancel t.recorder ~time:t.clock ~id:(id_of_state ev.state)
       end
@@ -245,11 +210,11 @@ let cancel t id =
    it allocation-free means the only heap traffic per fired event is
    whatever the action itself does (plus the queue's own pop result). *)
 let[@lint.hot] rec fire_loop t ~until =
-  match q_peek_prio t with
+  match Wheel.peek_prio t.queue with
   | None -> ()
   | Some at when at > until -> ()
   | Some _ -> (
-      match q_pop t with
+      match Wheel.pop t.queue with
       | None -> ()
       | Some (at, ev) ->
           let st = ev.state in
@@ -389,12 +354,12 @@ let merge_subround t tick =
           ev.state <- ev.state lor (t.next_id lsl id_shift);
           t.next_id <- t.next_id + 1
         end;
-        if stg.s_at = tick then batch_push t ev else q_add t ~prio:stg.s_at ev)
+        if stg.s_at = tick then batch_push t ev else Wheel.add t.queue ~prio:stg.s_at ev)
       merged
   end;
   for sh = 0 to t.shards - 1 do
     for _ = 1 to t.deferred_dead.(sh) do
-      q_note_dead t
+      Wheel.note_dead t.queue
     done;
     t.deferred_dead.(sh) <- 0
   done;
@@ -409,15 +374,15 @@ let merge_subround t tick =
    byte-identical traces to shards = 0. *)
 let staged_loop t ~until =
   let rec step () =
-    match q_peek_prio t with
+    match Wheel.peek_prio t.queue with
     | None -> ()
     | Some at when at > until -> ()
     | Some tick ->
         t.batch_len <- 0;
         let rec drain () =
-          match q_peek_prio t with
+          match Wheel.peek_prio t.queue with
           | Some p when p = tick -> (
-              match q_pop t with
+              match Wheel.pop t.queue with
               | Some (_, ev) ->
                   batch_push t ev;
                   drain ()
@@ -450,5 +415,5 @@ let staged_loop t ~until =
 let run t ~until = if t.shards > 0 then staged_loop t ~until else fire_loop t ~until
 
 let run_all t = run t ~until:Time.infinity
-let pending t = q_size t
+let pending t = Wheel.size t.queue
 let processed t = t.processed

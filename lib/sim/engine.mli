@@ -27,22 +27,12 @@ type t
 type event_id
 (** Handle for cancelling a scheduled event. *)
 
-type backend = [ `Heap | `Wheel ]
-(** Event-queue implementation behind the engine, both satisfying
-    {!Queue_sig.S} with identical observable behaviour: [`Wheel] is the
-    hierarchical timing wheel ({!Wheel}, amortised O(1), the default);
-    [`Heap] is the reference binary heap ({!Pqueue}). *)
-
-val create : ?backend:backend -> ?recorder:Obs.Recorder.t -> unit -> t
-(** [create ~backend ~recorder ()] wires the engine's structural
-    observability hooks — a record per event scheduled, fired or
-    cancelled — into the given recorder (see {!Obs.Recorder}; defaults
-    to a disabled one, in which case each hook costs a single branch).
-    [backend] selects the event queue (default [`Wheel]); traces are
-    bit-identical either way. *)
-
-val backend : t -> backend
-(** Which queue backend this engine runs on. *)
+val create : ?recorder:Obs.Recorder.t -> unit -> t
+(** [create ~recorder ()] wires the engine's structural observability
+    hooks — a record per event scheduled, fired or cancelled — into the
+    given recorder (see {!Obs.Recorder}; defaults to a disabled one, in
+    which case each hook costs a single branch). The event queue is the
+    hierarchical timing wheel {!Wheel}. *)
 
 val now : t -> Time.t
 (** Current virtual time. *)

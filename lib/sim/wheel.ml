@@ -16,12 +16,11 @@
      global FIFO order for that tick, even though insertion happened
      across different floor epochs.
 
-   Same-tick FIFO order among equal priorities therefore matches
-   {!Pqueue} exactly; the dead-husk accounting and compaction threshold
-   below are copied from it verbatim, so the two backends produce
-   identical pop streams — husks included — for any interleaving of
-   add/cancel/pop. The differential tests in test/test_sim.ml hold both
-   implementations to that. *)
+   Same-tick order among equal priorities is therefore global FIFO. The
+   differential tests in test/test_sim.ml hold the wheel to a reference
+   binary heap (test/pqueue.ml) with the same dead-husk accounting and
+   compaction threshold: identical pop streams, husks included, for any
+   interleaving of add/cancel/pop. *)
 
 type 'a entry = { prio : int; seq : int; value : 'a }
 
@@ -32,7 +31,7 @@ let slot_mask = slots_per_level - 1
 let words_per_level = slots_per_level / 32
 
 (* Below this size a rebuild costs more than the husks it reclaims.
-   Must match Pqueue.compaction_floor for identical pop streams. *)
+   The reference heap in the tests uses the same threshold. *)
 let compaction_floor = 16
 
 type 'a t = {

@@ -8,12 +8,10 @@
     level-0 slot at a time into a FIFO buffer, occasionally cascading a
     higher-level slot down one level.
 
-    The observable behaviour — pop order among equal ticks, husk
-    handling for cancelled entries, the compaction threshold — matches
-    {!Pqueue} exactly (see {!Queue_sig.S}), so the engine can switch
-    between the two without changing a single trace. The extra
-    constraints the wheel imposes, priorities non-negative and never
-    below the last popped one, are precisely the discipline a
+    Pop order among equal ticks is FIFO, and cancelled entries stay as
+    husks until popped or compacted away; the tests hold the wheel to a
+    reference binary heap on both. Priorities must be non-negative and
+    never below the last popped one — precisely the discipline a
     virtual-time engine already follows; violations raise
     [Invalid_argument]. *)
 

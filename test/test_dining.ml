@@ -362,6 +362,36 @@ let message_kind_labels () =
     (Dining.Types.message_bits ~n:1024 Dining.Types.Fork
     > Dining.Types.message_bits ~n:4 Dining.Types.Fork)
 
+(* Regression: the algorithm used to emit its phase records and its
+   "enter_doorway" mark to a private disabled recorder unless handed one
+   explicitly, so an engine collecting its world's trace silently lost
+   them. One recorder per world: the engine's. *)
+let emits_to_engine_recorder () =
+  let graph = Cgraph.Graph.of_edges ~n:2 [ (0, 1) ] in
+  let engine = Sim.Engine.create ~recorder:(Obs.Recorder.collecting ()) () in
+  let faults = Net.Faults.create engine ~n:2 in
+  let algo =
+    Dining.Algorithm.create ~engine ~faults ~graph ~delay:(Net.Delay.Fixed 3)
+      ~rng:(Sim.Rng.create 2L) ~detector:(Fd.Never.create ()) ()
+  in
+  (Dining.Algorithm.instance algo).become_hungry 0;
+  Sim.Engine.run engine ~until:100;
+  let records = Obs.Recorder.records (Sim.Engine.recorder engine) in
+  let phases =
+    List.filter_map
+      (fun (r : Obs.Record.t) ->
+        match r.kind with Obs.Record.Phase { pid = 0; phase } -> Some phase | _ -> None)
+      records
+  in
+  check (Alcotest.list Alcotest.string) "phase records" [ "hungry"; "eating" ] phases;
+  check bool "doorway mark" true
+    (List.exists
+       (fun (r : Obs.Record.t) ->
+         match r.kind with
+         | Obs.Record.Mark { subject = 0; tag = "enter_doorway"; _ } -> true
+         | _ -> false)
+       records)
+
 let suite =
   [
     Alcotest.test_case "initial fork/token placement" `Quick initial_placement;
@@ -389,4 +419,5 @@ let suite =
     Alcotest.test_case "ack budget: m = 3 gives k = 4" `Quick ack_budget_relaxed_bound;
     Alcotest.test_case "ack budget: validation" `Quick ack_budget_validated;
     Alcotest.test_case "message kinds and sizes" `Quick message_kind_labels;
+    Alcotest.test_case "emits to the engine's recorder" `Quick emits_to_engine_recorder;
   ]

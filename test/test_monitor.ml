@@ -174,12 +174,12 @@ let response_series_buckets () =
 
 let phases_split () =
   let m = mock ~n:2 ~edges:[ (0, 1) ] () in
-  let trace = Sim.Trace.create () in
-  let ph = Monitor.Phases.attach m.engine trace m.inst in
+  let ph = Monitor.Phases.attach m.engine m.inst in
   let enter pid t =
     ignore
       (Sim.Engine.schedule m.engine ~at:t (fun () ->
-           Sim.Trace.emit trace ~time:t ~subject:pid ~tag:"enter_doorway" ""))
+           Obs.Recorder.mark (Sim.Engine.recorder m.engine) ~time:t ~subject:pid
+             ~tag:"enter_doorway" ""))
   in
   at m 10 0 Dining.Types.Hungry;
   enter 0 40;
@@ -198,14 +198,13 @@ let phases_real_algorithm () =
   let graph = Cgraph.Graph.of_edges ~n:2 [ (0, 1) ] in
   let engine = Sim.Engine.create () in
   let faults = Net.Faults.create engine ~n:2 in
-  let trace = Sim.Trace.create () in
   let algo =
     Dining.Algorithm.create ~engine ~faults ~graph ~delay:(Net.Delay.Fixed 5)
-      ~rng:(Sim.Rng.create 1L) ~detector:(Fd.Never.create ()) ~trace ()
+      ~rng:(Sim.Rng.create 1L) ~detector:(Fd.Never.create ()) ()
   in
   let inst = Dining.Algorithm.instance algo in
   let resp = Monitor.Response.attach engine faults inst in
-  let ph = Monitor.Phases.attach engine trace inst in
+  let ph = Monitor.Phases.attach engine inst in
   inst.become_hungry 0;
   Sim.Engine.run engine ~until:200;
   match

@@ -187,9 +187,9 @@ let scenario seed =
   }
 
 let capture_jsonl seed =
-  let tracer = Sim.Trace.collecting () in
-  let (_ : Harness.Run.report) = Harness.Run.run ~trace:tracer (scenario seed) in
-  Obs.Jsonl.of_records (Obs.Recorder.records tracer)
+  let recorder = Obs.Recorder.collecting () in
+  let (_ : Harness.Run.report) = Harness.Run.run ~recorder (scenario seed) in
+  Obs.Jsonl.of_records (Obs.Recorder.records recorder)
 
 let trace_deterministic_across_domains () =
   let capture_all domains =
