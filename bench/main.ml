@@ -50,7 +50,7 @@ let perf_tests () =
              Sim.Wheel.add q ~prio:((i * 7919) mod 1000) i
            done;
            while not (Sim.Wheel.is_empty q) do
-             ignore (Sim.Wheel.pop q)
+             ignore (Sim.Wheel.pop q : int)
            done));
     Test.make ~name:"rng:100k-draws"
       (Staged.stage (fun () ->

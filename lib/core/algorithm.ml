@@ -29,7 +29,9 @@ type t = {
   off : int array; (* CSR offsets, owned by the graph *)
   nbr : pid array; (* CSR targets, owned by the graph *)
   rev : int array; (* slot (i,j) -> slot (j,i) *)
-  color : int array;
+  color : int array; (* a private copy: the caller's array may change after create *)
+  max_color : int;
+  color_bits : int; (* bits to store any color, at least 1 *)
   phase_a : Bytes.t; (* pid -> phase code *)
   inside_a : Bytes.t; (* pid -> 0/1 *)
   flags : Bytes.t; (* slot -> pinged/ack/deferred/fork/token bits *)
@@ -71,10 +73,18 @@ let send t ~slot ~src ~dst msg =
   t.fly_out.(w) <- t.fly_out.(w) + 1;
   Net.Network.send (net t) ~src ~dst msg
 
+(* A toplevel recursion rather than [List.iter (fun f -> f i p)]: no
+   closure per phase transition. *)
+let rec fire_listeners i p = function
+  | [] -> ()
+  | f :: rest ->
+      f i p;
+      fire_listeners i p rest
+
 let notify_phase t i =
   let p = phase t i in
   Obs.Recorder.phase (recorder t) ~time:(now t) ~pid:i ~phase:(Types.phase_to_string p);
-  List.iter (fun f -> f i p) t.listeners
+  fire_listeners i p t.listeners
 
 (* ------------------------------------------------------------------ *)
 (* Guarded internal actions (Actions 2, 5, 6, 9).                      *)
@@ -242,6 +252,11 @@ let stop_eating t i =
 (* Construction.                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* Bits needed to store the values 0..v, at least 1. *)
+let bit_width v =
+  let rec go acc v = if v <= 0 then max acc 1 else go (acc + 1) (v lsr 1) in
+  go 0 v
+
 let create ~engine ~faults ~graph ~delay ~rng ~detector ?colors ?metrics ?(acks_per_session = 1)
     () =
   if acks_per_session < 1 then invalid_arg "Algorithm.create: acks_per_session must be >= 1";
@@ -251,9 +266,10 @@ let create ~engine ~faults ~graph ~delay ~rng ~detector ?colors ?metrics ?(acks_
     | Some c ->
         if not (Cgraph.Coloring.is_proper graph c) then
           invalid_arg "Algorithm.create: colors must be a proper coloring";
-        c
+        Array.copy c
     | None -> Cgraph.Coloring.greedy graph
   in
+  let max_color = Array.fold_left max 0 colors in
   let off = Cgraph.Graph.csr_offsets graph in
   let nbr = Cgraph.Graph.csr_targets graph in
   let slots = Cgraph.Graph.dir_count graph in
@@ -283,6 +299,8 @@ let create ~engine ~faults ~graph ~delay ~rng ~detector ?colors ?metrics ?(acks_
       nbr;
       rev;
       color = colors;
+      max_color;
+      color_bits = bit_width max_color;
       phase_a = Bytes.make n '\000';
       inside_a = Bytes.make n '\000';
       flags;
@@ -325,22 +343,13 @@ let total_eats t = Array.fold_left ( + ) 0 t.eats
 let add_listener t f = t.listeners <- t.listeners @ [ f ]
 let network_stats t = Net.Network.stats (net t)
 
-let max_color t =
-  let best = ref 0 in
-  for i = 0 to t.n - 1 do
-    if t.color.(i) > !best then best := t.color.(i)
-  done;
-  !best
-
-let footprint_bits t i =
-  let rec bits acc v = if v <= 0 then max acc 1 else bits (acc + 1) (v lsr 1) in
-  2 + 1 + bits 0 (max_color t) + (6 * Cgraph.Graph.degree t.graph i)
+let footprint_bits t i = 2 + 1 + t.color_bits + (6 * Cgraph.Graph.degree t.graph i)
 
 let max_message_bits t =
   List.fold_left
     (fun acc m -> max acc (message_bits ~n:t.n m))
     0
-    [ Ping; Ack; Request (max_color t); Fork ]
+    [ Ping; Ack; Request t.max_color; Fork ]
 
 (* ------------------------------------------------------------------ *)
 (* Executable lemmas.                                                  *)

@@ -56,7 +56,7 @@ let create ?recorder ?(metrics = Obs.Metrics.create ()) ?shards (s : Scenario.t)
   let exclusion = Monitor.Exclusion.attach engine graph faults instance in
   let fairness = Monitor.Fairness.attach engine graph faults instance in
   let response = Monitor.Response.attach engine faults instance in
-  let phases = Monitor.Phases.attach ~metrics engine instance in
+  let phases = Monitor.Phases.attach ~metrics ~n engine instance in
   let eats_per_process = Array.make n 0 in
   let m_eats = Obs.Metrics.counter metrics "daemon.eats" in
   let m_hungry = Obs.Metrics.counter metrics "daemon.hungry_sessions" in

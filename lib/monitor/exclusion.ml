@@ -2,33 +2,40 @@ type violation = { time : Sim.Time.t; eater : Dining.Types.pid; neighbor : Dinin
 
 type t = {
   engine : Sim.Engine.t;
-  graph : Cgraph.Graph.t;
   faults : Net.Faults.t;
+  off : int array; (* CSR offsets, owned by the graph *)
+  nbr : Dining.Types.pid array; (* CSR targets, owned by the graph *)
   eating : bool array;
   mutable violations : violation list; (* newest first *)
 }
+
+let[@lint.hot] on_phase t pid phase =
+  match phase with
+  | Dining.Types.Eating ->
+      t.eating.(pid) <- true;
+      for s = t.off.(pid) to t.off.(pid + 1) - 1 do
+        let j = t.nbr.(s) in
+        if t.eating.(j) && not (Net.Faults.is_crashed t.faults j) then
+          (* The violation log is this monitor's output, kept by design:
+             one record per violation. *)
+          t.violations <-
+            ({ time = Sim.Engine.now t.engine; eater = pid; neighbor = j } :: t.violations
+            [@lint.allow "hot-path-alloc"])
+      done
+  | Dining.Types.Thinking | Dining.Types.Hungry -> t.eating.(pid) <- false
 
 let attach engine graph faults (instance : Dining.Instance.t) =
   let t =
     {
       engine;
-      graph;
       faults;
+      off = Cgraph.Graph.csr_offsets graph;
+      nbr = Cgraph.Graph.csr_targets graph;
       eating = Array.make (Cgraph.Graph.n graph) false;
       violations = [];
     }
   in
-  instance.add_listener (fun pid phase ->
-      match phase with
-      | Dining.Types.Eating ->
-          t.eating.(pid) <- true;
-          Array.iter
-            (fun j ->
-              if t.eating.(j) && not (Net.Faults.is_crashed t.faults j) then
-                t.violations <-
-                  { time = Sim.Engine.now engine; eater = pid; neighbor = j } :: t.violations)
-            (Cgraph.Graph.neighbors graph pid)
-      | Thinking | Hungry -> t.eating.(pid) <- false);
+  instance.add_listener (on_phase t);
   t
 
 let violations t = List.rev t.violations

@@ -6,49 +6,63 @@ type overtake = {
   count : int;
 }
 
+(* Per-transition state is flat: [counts] is indexed by the directed
+   slot (victim, overtaker), so the reset when a victim eats zeroes the
+   victim's own CSR row, and [hungry_since] marks "not hungry" with -1
+   because 0 is a valid session start. *)
 type t = {
   engine : Sim.Engine.t;
   graph : Cgraph.Graph.t;
   faults : Net.Faults.t;
-  hungry_since : Sim.Time.t option array;
-  counts : (Dining.Types.pid * Dining.Types.pid, int) Hashtbl.t;
-      (* (overtaker, victim) -> consecutive count in the victim's current session *)
+  off : int array; (* CSR offsets, owned by the graph *)
+  nbr : Dining.Types.pid array; (* CSR targets, owned by the graph *)
+  hungry_since : Sim.Time.t array; (* pid -> start of its hungry session, -1 = not hungry *)
+  counts : int array; (* slot (victim, overtaker) -> consecutive count in the victim's session *)
   mutable log : overtake list; (* newest first *)
 }
 
+let[@lint.hot] on_phase t pid phase =
+  match phase with
+  | Dining.Types.Hungry -> t.hungry_since.(pid) <- Sim.Engine.now t.engine
+  | Dining.Types.Eating ->
+      let lo = t.off.(pid) and hi = t.off.(pid + 1) in
+      (* The eater's own hungry session ends: counts against it reset. *)
+      t.hungry_since.(pid) <- -1;
+      for s = lo to hi - 1 do
+        t.counts.(s) <- 0
+      done;
+      (* And it overtakes every currently hungry live neighbor. *)
+      let now = Sim.Engine.now t.engine in
+      for s = lo to hi - 1 do
+        let victim = t.nbr.(s) in
+        let session_start = t.hungry_since.(victim) in
+        if session_start >= 0 && not (Net.Faults.is_crashed t.faults victim) then begin
+          let k = Cgraph.Graph.dir_index_opt t.graph victim pid in
+          let count = t.counts.(k) + 1 in
+          t.counts.(k) <- count;
+          (* The overtake log is this monitor's output, kept by design:
+             one record per overtake. *)
+          t.log <-
+            ({ time = now; overtaker = pid; victim; session_start; count } :: t.log
+            [@lint.allow "hot-path-alloc"])
+        end
+      done
+  | Dining.Types.Thinking -> t.hungry_since.(pid) <- -1
+
 let attach engine graph faults (instance : Dining.Instance.t) =
-  let n = Cgraph.Graph.n graph in
   let t =
     {
       engine;
       graph;
       faults;
-      hungry_since = Array.make n None;
-      counts = Hashtbl.create 64;
+      off = Cgraph.Graph.csr_offsets graph;
+      nbr = Cgraph.Graph.csr_targets graph;
+      hungry_since = Array.make (Cgraph.Graph.n graph) (-1);
+      counts = Array.make (Cgraph.Graph.dir_count graph) 0;
       log = [];
     }
   in
-  instance.add_listener (fun pid phase ->
-      let now = Sim.Engine.now engine in
-      match phase with
-      | Dining.Types.Hungry -> t.hungry_since.(pid) <- Some now
-      | Dining.Types.Eating ->
-          (* The eater's own hungry session ends: counts against it reset. *)
-          t.hungry_since.(pid) <- None;
-          Array.iter (fun j -> Hashtbl.remove t.counts (j, pid)) (Cgraph.Graph.neighbors graph pid);
-          (* And it overtakes every currently hungry live neighbor. *)
-          Array.iter
-            (fun victim ->
-              match t.hungry_since.(victim) with
-              | Some session_start when not (Net.Faults.is_crashed t.faults victim) ->
-                  let key = (pid, victim) in
-                  let c = 1 + Option.value (Hashtbl.find_opt t.counts key) ~default:0 in
-                  Hashtbl.replace t.counts key c;
-                  t.log <-
-                    { time = now; overtaker = pid; victim; session_start; count = c } :: t.log
-              | _ -> ())
-            (Cgraph.Graph.neighbors graph pid)
-      | Dining.Types.Thinking -> t.hungry_since.(pid) <- None);
+  instance.add_listener (on_phase t);
   t
 
 let overtakes t = List.rev t.log

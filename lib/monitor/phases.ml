@@ -1,51 +1,59 @@
 type t = {
   engine : Sim.Engine.t;
-  hungry_at : (int, Sim.Time.t) Hashtbl.t;
-  entered_at : (int, Sim.Time.t) Hashtbl.t;
+  hungry_at : Sim.Time.t array; (* pid -> start of its hungry session, -1 = none *)
+  entered_at : Sim.Time.t array; (* pid -> doorway entry in that session, -1 = none *)
   mutable doorway : int list;
   mutable fork : int list;
   h_doorway : Obs.Metrics.histogram;
   h_fork : Obs.Metrics.histogram;
 }
 
-let attach ?metrics engine (instance : Dining.Instance.t) =
+let[@lint.hot] on_mark t (r : Obs.Record.t) =
+  match r.kind with
+  | Obs.Record.Mark { tag = "enter_doorway"; subject; _ }
+    when subject >= 0 && subject < Array.length t.hungry_at ->
+      let started = t.hungry_at.(subject) in
+      if started >= 0 then begin
+        let wait = r.time - started in
+        t.entered_at.(subject) <- r.time;
+        (* The sample list is this monitor's output, kept by design. *)
+        t.doorway <- (wait :: t.doorway [@lint.allow "hot-path-alloc"]);
+        Obs.Metrics.observe t.h_doorway wait
+      end
+  | _ -> ()
+
+let[@lint.hot] on_phase t pid phase =
+  match phase with
+  | Dining.Types.Hungry -> t.hungry_at.(pid) <- Sim.Engine.now t.engine
+  | Dining.Types.Eating ->
+      t.hungry_at.(pid) <- -1;
+      let entered = t.entered_at.(pid) in
+      if entered >= 0 then begin
+        let wait = Sim.Engine.now t.engine - entered in
+        t.entered_at.(pid) <- -1;
+        (* The sample list is this monitor's output, kept by design. *)
+        t.fork <- (wait :: t.fork [@lint.allow "hot-path-alloc"]);
+        Obs.Metrics.observe t.h_fork wait
+      end
+  | Dining.Types.Thinking ->
+      t.hungry_at.(pid) <- -1;
+      t.entered_at.(pid) <- -1
+
+let attach ?metrics ~n engine (instance : Dining.Instance.t) =
   let metrics = match metrics with Some m -> m | None -> Obs.Metrics.create () in
   let t =
     {
       engine;
-      hungry_at = Hashtbl.create 16;
-      entered_at = Hashtbl.create 16;
+      hungry_at = Array.make n (-1);
+      entered_at = Array.make n (-1);
       doorway = [];
       fork = [];
       h_doorway = Obs.Metrics.histogram metrics "daemon.doorway_wait";
       h_fork = Obs.Metrics.histogram metrics "daemon.fork_wait";
     }
   in
-  Obs.Recorder.on_light (Sim.Engine.recorder engine) (fun r ->
-      match r.kind with
-      | Obs.Record.Mark { tag = "enter_doorway"; subject; _ } -> (
-          match Hashtbl.find_opt t.hungry_at subject with
-          | Some started ->
-              Hashtbl.replace t.entered_at subject r.time;
-              t.doorway <- (r.time - started) :: t.doorway;
-              Obs.Metrics.observe t.h_doorway (r.time - started)
-          | None -> ())
-      | _ -> ());
-  instance.add_listener (fun pid phase ->
-      let now = Sim.Engine.now engine in
-      match phase with
-      | Dining.Types.Hungry -> Hashtbl.replace t.hungry_at pid now
-      | Dining.Types.Eating -> (
-          Hashtbl.remove t.hungry_at pid;
-          match Hashtbl.find_opt t.entered_at pid with
-          | Some entered ->
-              Hashtbl.remove t.entered_at pid;
-              t.fork <- (now - entered) :: t.fork;
-              Obs.Metrics.observe t.h_fork (now - entered)
-          | None -> ())
-      | Dining.Types.Thinking ->
-          Hashtbl.remove t.hungry_at pid;
-          Hashtbl.remove t.entered_at pid);
+  Obs.Recorder.on_light (Sim.Engine.recorder engine) (on_mark t);
+  instance.add_listener (on_phase t);
   t
 
 let doorway_waits t = List.rev t.doorway

@@ -12,9 +12,10 @@
 
 type t
 
-val attach : ?metrics:Obs.Metrics.t -> Sim.Engine.t -> Dining.Instance.t -> t
+val attach : ?metrics:Obs.Metrics.t -> n:int -> Sim.Engine.t -> Dining.Instance.t -> t
 (** Subscribes to the instance's transitions and to the engine's
-    recorder. Attaching enables the recorder's light channel. Every
+    recorder, tracking pids [0, n). Attaching enables the recorder's
+    light channel. Every
     completed wait is also observed into the [daemon.doorway_wait] /
     [daemon.fork_wait] histograms of [metrics] (default: a private
     registry). *)

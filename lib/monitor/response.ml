@@ -3,36 +3,42 @@ type session = { pid : Dining.Types.pid; started : Sim.Time.t; served : Sim.Time
 type t = {
   engine : Sim.Engine.t;
   faults : Net.Faults.t;
-  open_since : (Dining.Types.pid, Sim.Time.t) Hashtbl.t;
+  open_since : Sim.Time.t array; (* pid -> start of its open session, -1 = none *)
   mutable completed : session list; (* newest first *)
 }
 
+let[@lint.hot] on_phase t pid phase =
+  match phase with
+  | Dining.Types.Hungry -> t.open_since.(pid) <- Sim.Engine.now t.engine
+  | Dining.Types.Eating ->
+      let started = t.open_since.(pid) in
+      if started >= 0 then begin
+        t.open_since.(pid) <- -1;
+        (* The session log is this monitor's output, kept by design: one
+           record per completed session. *)
+        t.completed <-
+          ({ pid; started; served = Sim.Engine.now t.engine } :: t.completed
+          [@lint.allow "hot-path-alloc"])
+      end
+  | Dining.Types.Thinking -> ()
+
 let attach engine faults (instance : Dining.Instance.t) =
-  let t = { engine; faults; open_since = Hashtbl.create 16; completed = [] } in
-  instance.add_listener (fun pid phase ->
-      let now = Sim.Engine.now engine in
-      match phase with
-      | Dining.Types.Hungry -> Hashtbl.replace t.open_since pid now
-      | Dining.Types.Eating -> (
-          match Hashtbl.find_opt t.open_since pid with
-          | Some started ->
-              Hashtbl.remove t.open_since pid;
-              t.completed <- { pid; started; served = now } :: t.completed
-          | None -> ())
-      | Dining.Types.Thinking -> ());
+  let t = { engine; faults; open_since = Array.make (Net.Faults.n faults) (-1); completed = [] } in
+  instance.add_listener (on_phase t);
   t
 
 let completed t = List.rev t.completed
 let durations t = List.rev_map (fun s -> s.served - s.started) t.completed
 let summary t = Stats.Summary.of_ints (durations t)
 
+(* Walking pids downwards while consing yields ascending pid order. *)
 let open_sessions t =
-  (* The sort is load-bearing: the fold enumerates in hash order. *)
-  Hashtbl.fold
-    (fun pid started acc ->
-      if Net.Faults.is_crashed t.faults pid then acc else (pid, started) :: acc)
-    t.open_since []
-  |> List.sort compare
+  let acc = ref [] in
+  for pid = Array.length t.open_since - 1 downto 0 do
+    let started = t.open_since.(pid) in
+    if started >= 0 && not (Net.Faults.is_crashed t.faults pid) then acc := (pid, started) :: !acc
+  done;
+  !acc
 
 let starved t ~older_than =
   let now = Sim.Engine.now t.engine in

@@ -5,9 +5,9 @@ type t = {
   mutable collect : bool;
   mutable buf : Record.t array;
   mutable len : int;
-  (* Sinks are stored newest-first (cons on subscribe) and fired in
-     subscription order (reverse at fire) — O(1) registration, and the
-     fire order is load-bearing for deterministic traces. *)
+  (* Sinks are kept in subscription order, the order they fire in (which
+     is load-bearing for deterministic traces). The lists are rebuilt on
+     the rare subscribe so the per-record fan-out is a plain walk. *)
   mutable full_sinks : sink list;
   mutable light_sinks : sink list;
   (* Cached enablement so every emission is one mutable-field test. The
@@ -41,11 +41,11 @@ let collecting () =
   t
 
 let on_record t f =
-  t.full_sinks <- f :: t.full_sinks;
+  t.full_sinks <- t.full_sinks @ [ f ];
   refresh t
 
 let on_light t f =
-  t.light_sinks <- f :: t.light_sinks;
+  t.light_sinks <- t.light_sinks @ [ f ];
   refresh t
 
 let enabled t = t.light_on
@@ -62,11 +62,19 @@ let append t r =
   t.buf.(t.len) <- r;
   t.len <- t.len + 1
 
+(* A toplevel recursion rather than [List.iter (fun f -> f r)]: no
+   closure per record. *)
+let rec fan_out r = function
+  | [] -> ()
+  | f :: rest ->
+      f r;
+      fan_out r rest
+
 let push t time kind =
   let r = { Record.seq = t.seq; time; kind } in
   t.seq <- t.seq + 1;
   if t.collect then append t r;
-  List.iter (fun f -> f r) (List.rev t.full_sinks);
+  fan_out r t.full_sinks;
   r
 
 let emit_structural t ~time kind = if !(t.full_on) then ignore (push t time kind)
@@ -74,7 +82,7 @@ let emit_structural t ~time kind = if !(t.full_on) then ignore (push t time kind
 let emit_light t ~time kind =
   if t.light_on then begin
     let r = push t time kind in
-    List.iter (fun f -> f r) (List.rev t.light_sinks)
+    fan_out r t.light_sinks
   end
 
 (* Structural emissions: one branch when full tracing is off, and the

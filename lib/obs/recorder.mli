@@ -14,9 +14,9 @@
       send/deliver/drop) are high-volume and flow only under {e full}
       tracing: a collecting recorder or an {!on_record} sink.
 
-    Sinks registered with {!on_record}/{!on_light} are stored by
-    consing and reversed at fire time, so they run in subscription
-    order — O(1) per registration, and deterministic fan-out order. *)
+    Sinks registered with {!on_record}/{!on_light} run in subscription
+    order — deterministic fan-out order. Registration rebuilds the sink
+    list (O(sinks)); emission walks it without allocating. *)
 
 type t
 

@@ -208,28 +208,26 @@ let cancel t id =
 (* The fire loop is a toplevel tail recursion rather than a [ref]-driven
    while: it runs once per event over the whole simulation, and keeping
    it allocation-free means the only heap traffic per fired event is
-   whatever the action itself does (plus the queue's own pop result). *)
+   whatever the action itself does. [Wheel.next_tick] is [Time.infinity]
+   (max_int) on an empty queue, a tick no event is ever queued at. *)
 let[@lint.hot] rec fire_loop t ~until =
-  match Wheel.peek_prio t.queue with
-  | None -> ()
-  | Some at when at > until -> ()
-  | Some _ -> (
-      match Wheel.pop t.queue with
-      | None -> ()
-      | Some (at, ev) ->
-          let st = ev.state in
-          ev.state <- st lor fired_bit;
-          if st land cancelled_bit = 0 then begin
-            t.clock <- at;
-            t.processed <- t.processed + 1;
-            if !(t.tracing) then Obs.Recorder.fire t.recorder ~time:at ~id:(id_of_state st);
-            let action = ev.action in
-            (* Release the closure before running it: the caller may
-               hold the event_id long after the event fires. *)
-            ev.action <- noop;
-            action ()
-          end;
-          fire_loop t ~until)
+  let at = Wheel.next_tick t.queue in
+  if at <> Time.infinity && at <= until then begin
+    let ev = Wheel.pop t.queue in
+    let st = ev.state in
+    ev.state <- st lor fired_bit;
+    if st land cancelled_bit = 0 then begin
+      t.clock <- at;
+      t.processed <- t.processed + 1;
+      if !(t.tracing) then Obs.Recorder.fire t.recorder ~time:at ~id:(id_of_state st);
+      let action = ev.action in
+      (* Release the closure before running it: the caller may hold the
+         event_id long after the event fires. *)
+      ev.action <- noop;
+      action ()
+    end;
+    fire_loop t ~until
+  end
 
 (* ---- Sharded stepping ------------------------------------------------ *)
 
@@ -372,43 +370,37 @@ let merge_subround t tick =
    pop order is preserved, and merged insertion order equals program
    order (see merge_by) — the sequential staged path produces
    byte-identical traces to shards = 0. *)
+let rec drain_tick t tick =
+  if Wheel.next_tick t.queue = tick then begin
+    batch_push t (Wheel.pop t.queue);
+    drain_tick t tick
+  end
+
 let staged_loop t ~until =
   let rec step () =
-    match Wheel.peek_prio t.queue with
-    | None -> ()
-    | Some at when at > until -> ()
-    | Some tick ->
-        t.batch_len <- 0;
-        let rec drain () =
-          match Wheel.peek_prio t.queue with
-          | Some p when p = tick -> (
-              match Wheel.pop t.queue with
-              | Some (_, ev) ->
-                  batch_push t ev;
-                  drain ()
-              | None -> ())
-          | _ -> ()
-        in
-        drain ();
-        t.in_step <- true;
-        t.par_step <-
-          t.parallel && t.shards > 1 && t.pool <> None && not !(t.tracing);
-        t.base_rank <- 0;
-        let rec subround () =
-          if t.batch_len > 0 then begin
-            let len = t.batch_len in
-            (match t.pool with
-            | Some pool when t.par_step -> fire_batch_par t tick pool
-            | _ -> fire_batch_seq t tick);
-            t.base_rank <- t.base_rank + len;
-            t.batch_len <- 0;
-            merge_subround t tick;
-            subround ()
-          end
-        in
-        subround ();
-        t.in_step <- false;
-        step ()
+    let tick = Wheel.next_tick t.queue in
+    if tick <> Time.infinity && tick <= until then begin
+      t.batch_len <- 0;
+      drain_tick t tick;
+      t.in_step <- true;
+      t.par_step <- t.parallel && t.shards > 1 && t.pool <> None && not !(t.tracing);
+      t.base_rank <- 0;
+      let rec subround () =
+        if t.batch_len > 0 then begin
+          let len = t.batch_len in
+          (match t.pool with
+          | Some pool when t.par_step -> fire_batch_par t tick pool
+          | _ -> fire_batch_seq t tick);
+          t.base_rank <- t.base_rank + len;
+          t.batch_len <- 0;
+          merge_subround t tick;
+          subround ()
+        end
+      in
+      subround ();
+      t.in_step <- false;
+      step ()
+    end
   in
   step ()
 

@@ -155,10 +155,11 @@ let buf_append t e =
 
 let add t ~prio value =
   if prio < 0 then invalid_arg "Wheel.add: negative priority";
-  (* [max_int] is [Sim.Time.infinity], the "never" sentinel ([find_min]
-     also uses it as a fold seed); an entry at that tick would mean a
-     saturated [Time.add] silently became a real event at the end of
-     time. Every finite tick up to [max_int - 1] is representable. *)
+  (* [max_int] is [Sim.Time.infinity], the "never" sentinel ([next_tick]
+     returns it for an empty wheel, [find_min] uses it as a fold seed);
+     an entry at that tick would mean a saturated [Time.add] silently
+     became a real event at the end of time. Every finite tick up to
+     [max_int - 1] is representable. *)
   if prio = max_int then
     invalid_arg "Wheel.add: prio = max_int is Time.infinity (event would never fire)";
   if prio < t.floor then
@@ -226,44 +227,43 @@ let[@lint.hot] cascade t l s =
 (* Find the frontier slot: levels are scanned lowest first because a
    level-l entry shares all bytes above l with the floor, so anything at
    a lower level is earlier. Within a level the first occupied slot at
-   or after the floor's byte is earliest. *)
-let frontier t =
-  let rec find l =
-    if l >= levels then invalid_arg "Wheel: corrupt structure (size > 0 but no occupied slot)"
-    else begin
-      let cursor = (t.floor lsr (l * slot_bits)) land slot_mask in
-      let s = next_slot t l cursor in
-      if s < 0 then find (l + 1) else (l, s)
-    end
-  in
-  find 0
+   or after the floor's byte is earliest. The result is the slot's index
+   in [slots], (level lsl slot_bits) lor slot: an int, so returning it
+   allocates nothing. *)
+let rec frontier_from t l =
+  if l >= levels then invalid_arg "Wheel: corrupt structure (size > 0 but no occupied slot)"
+  else begin
+    let cursor = (t.floor lsr (l * slot_bits)) land slot_mask in
+    let s = next_slot t l cursor in
+    if s < 0 then frontier_from t (l + 1) else (l lsl slot_bits) lor s
+  end
 
 let rec advance t =
-  let l, s = frontier t in
-  if l = 0 then drain_slot t s
+  let idx = frontier_from t 0 in
+  let l = idx lsr slot_bits in
+  if l = 0 then drain_slot t idx
   else begin
-    cascade t l s;
+    cascade t l (idx land slot_mask);
     advance t
   end
 
 (* Min priority over wheel slots without mutating; the frontier slot at
    a level >= 1 spans a range of ticks, hence the fold. *)
 let find_min t =
-  let l, s = frontier t in
   List.fold_left
     (fun acc e -> if e.prio < acc then e.prio else acc)
     max_int
-    t.slots.((l lsl slot_bits) lor s)
+    t.slots.(frontier_from t 0)
 
-let peek_prio t =
-  if buf_active t then Some t.current_tick
-  else if t.size = 0 then None
+let[@lint.hot] next_tick t =
+  if buf_active t then t.current_tick
+  else if t.size = 0 then max_int
   else begin
     if t.cached_min < 0 then t.cached_min <- find_min t;
-    Some t.cached_min
+    t.cached_min
   end
 
-let rec pop t =
+let[@lint.hot] rec pop t =
   if buf_active t then begin
     let e = t.buf.(t.buf_head) in
     t.buf_head <- t.buf_head + 1;
@@ -273,9 +273,9 @@ let rec pop t =
     (match t.dead with
     | Some is_dead when is_dead e.value -> t.dead_count <- max 0 (t.dead_count - 1)
     | _ -> ());
-    Some (e.prio, e.value)
+    e.value
   end
-  else if t.size = 0 then None
+  else if t.size = 0 then invalid_arg "Wheel.pop: empty wheel"
   else begin
     advance t;
     pop t

@@ -39,14 +39,19 @@ val compact : 'a t -> unit
 (** Force a sweep dropping dead entries now. No-op without a [dead]
     predicate. O(n + slots). *)
 
-val pop : 'a t -> (int * 'a) option
-(** Remove and return the minimum entry, FIFO among equal priorities.
-    Amortised O(1). Dead entries are returned like any other (the
-    caller skips them); popping one decrements the dead-entry count. *)
+val pop : 'a t -> 'a
+(** Remove and return the minimum entry, FIFO among equal priorities;
+    its priority is {!floor} afterwards. Amortised O(1). A pop
+    allocates only when it reaches a new tick, whose entries it then
+    moves into the FIFO buffer. Dead entries are returned like any other
+    (the caller skips them); popping one decrements the dead-entry
+    count.
+    @raise Invalid_argument if the wheel is empty. *)
 
-val peek_prio : 'a t -> int option
-(** Priority of the minimum entry without removing it. Does not
-    advance the wheel. *)
+val next_tick : 'a t -> int
+(** Priority of the minimum entry without removing it, or [max_int]
+    when the wheel is empty ([max_int] is never a queued priority, see
+    {!add}). Does not advance the wheel, and allocates nothing. *)
 
 val size : 'a t -> int
 (** Entries currently queued, including dead husks not yet reclaimed

@@ -392,6 +392,19 @@ let emits_to_engine_recorder () =
          | _ -> false)
        records)
 
+(* Regression: [create] used to keep the caller's colors array, so a
+   later write to that array changed the algorithm's priorities, and
+   its footprint, under it. *)
+let colors_are_copied () =
+  let colors = [| 0; 1 |] in
+  let r = rig ~colors () in
+  let footprint = Dining.Algorithm.footprint_bits r.algo 0 in
+  colors.(0) <- 6;
+  colors.(1) <- 7;
+  check int "color 0 unchanged" 0 (Dining.Algorithm.color r.algo 0);
+  check int "color 1 unchanged" 1 (Dining.Algorithm.color r.algo 1);
+  check int "footprint unchanged" footprint (Dining.Algorithm.footprint_bits r.algo 0)
+
 let suite =
   [
     Alcotest.test_case "initial fork/token placement" `Quick initial_placement;
@@ -420,4 +433,5 @@ let suite =
     Alcotest.test_case "ack budget: validation" `Quick ack_budget_validated;
     Alcotest.test_case "message kinds and sizes" `Quick message_kind_labels;
     Alcotest.test_case "emits to the engine's recorder" `Quick emits_to_engine_recorder;
+    Alcotest.test_case "create copies the colors" `Quick colors_are_copied;
   ]

@@ -410,6 +410,23 @@ let phases_in_report () =
   in
   check int "no doorway samples for baselines" 0 (Monitor.Phases.doorway_summary rb.phases).count
 
+(* The report's footprint is Section 7's closed form at the busiest
+   process, 3 + bits(max color) + 6 * max degree. A scale-free graph puts
+   that maximum at a hub far above the mean degree. *)
+let footprint_closed_form_at_hub () =
+  let n = 300 in
+  let r =
+    Harness.Run.run (scenario ~topology:(Cgraph.Topology.Scale_free (n, 2, 5L)) ~horizon:2_000 ())
+  in
+  let max_color = Array.fold_left max 0 (Cgraph.Coloring.greedy r.graph) in
+  let rec bits acc v = if v <= 0 then max acc 1 else bits (acc + 1) (v lsr 1) in
+  let delta = Cgraph.Graph.max_degree r.graph in
+  let mean_degree = 2 * Cgraph.Graph.edge_count r.graph / n in
+  check bool "the hub's degree is far above the mean" true (delta > 4 * mean_degree);
+  check (Alcotest.option int) "max footprint bits"
+    (Some (3 + bits 0 max_color + (6 * delta)))
+    r.max_footprint_bits
+
 let experiments_registry () =
   check int "eighteen experiments" 18 (List.length Harness.Experiments.all);
   check bool "find e1" true (Harness.Experiments.find "E1" <> None);
@@ -450,4 +467,6 @@ let suite =
     Alcotest.test_case "world: staged advance = one-shot run" `Quick world_staged_advance;
     QCheck_alcotest.to_alcotest replay_property;
     Alcotest.test_case "experiment registry" `Quick experiments_registry;
+    Alcotest.test_case "report: footprint is the closed form at the hub" `Quick
+      footprint_closed_form_at_hub;
   ]

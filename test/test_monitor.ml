@@ -38,6 +38,13 @@ let mock ?(n = 3) ?(edges = [ (0, 1); (1, 2) ]) () =
 (* Schedule a scripted transition at a virtual time. *)
 let at m t pid phase = ignore (Sim.Engine.schedule m.engine ~at:t (fun () -> m.fire pid phase))
 
+(* Schedule the doorway-entry mark the Song-Pike core emits. *)
+let enter_doorway m pid t =
+  ignore
+    (Sim.Engine.schedule m.engine ~at:t (fun () ->
+         Obs.Recorder.mark (Sim.Engine.recorder m.engine) ~time:t ~subject:pid ~tag:"enter_doorway"
+           ""))
+
 (* ----------------------------- Exclusion --------------------------- *)
 
 let exclusion_detects_overlap () =
@@ -174,15 +181,9 @@ let response_series_buckets () =
 
 let phases_split () =
   let m = mock ~n:2 ~edges:[ (0, 1) ] () in
-  let ph = Monitor.Phases.attach m.engine m.inst in
-  let enter pid t =
-    ignore
-      (Sim.Engine.schedule m.engine ~at:t (fun () ->
-           Obs.Recorder.mark (Sim.Engine.recorder m.engine) ~time:t ~subject:pid
-             ~tag:"enter_doorway" ""))
-  in
+  let ph = Monitor.Phases.attach ~n:2 m.engine m.inst in
   at m 10 0 Dining.Types.Hungry;
-  enter 0 40;
+  enter_doorway m 0 40;
   at m 55 0 Dining.Types.Eating;
   at m 60 0 Dining.Types.Thinking;
   (* A second session that never completes. *)
@@ -204,7 +205,7 @@ let phases_real_algorithm () =
   in
   let inst = Dining.Algorithm.instance algo in
   let resp = Monitor.Response.attach engine faults inst in
-  let ph = Monitor.Phases.attach engine inst in
+  let ph = Monitor.Phases.attach ~n:2 engine inst in
   inst.become_hungry 0;
   Sim.Engine.run engine ~until:200;
   match
@@ -214,6 +215,76 @@ let phases_real_algorithm () =
       check int "splits sum to the response" total (d + f);
       check bool "doorway took the ping round trip" true (d >= 10)
   | _ -> Alcotest.fail "expected exactly one completed session"
+
+(* ----------------------- Slot-indexed state ------------------------ *)
+
+(* A hub overtaken by several leaves: each (victim, overtaker) pair keeps
+   its own count, and every one of them resets when the hub eats. *)
+let fairness_star_pairs_counted_apart () =
+  let m = mock ~n:4 ~edges:[ (0, 1); (0, 2); (0, 3) ] () in
+  let fair = Monitor.Fairness.attach m.engine m.graph m.faults m.inst in
+  let eat leaf t =
+    at m t leaf Dining.Types.Eating;
+    at m (t + 1) leaf Dining.Types.Thinking
+  in
+  at m 10 0 Dining.Types.Hungry;
+  List.iter (fun (leaf, t) -> eat leaf t) [ (1, 20); (2, 22); (3, 24); (1, 26); (3, 28); (3, 30) ];
+  at m 40 0 Dining.Types.Eating;
+  at m 45 0 Dining.Types.Thinking;
+  at m 50 0 Dining.Types.Hungry;
+  List.iter (fun (leaf, t) -> eat leaf t) [ (1, 60); (2, 62); (3, 64) ];
+  Sim.Engine.run_all m.engine;
+  let overtakes = Monitor.Fairness.overtakes fair in
+  let counts leaf =
+    List.filter_map
+      (fun (o : Monitor.Fairness.overtake) -> if o.overtaker = leaf then Some o.count else None)
+      overtakes
+  in
+  check bool "the hub is every victim" true
+    (List.for_all (fun (o : Monitor.Fairness.overtake) -> o.victim = 0) overtakes);
+  check (Alcotest.list int) "leaf 1" [ 1; 2; 1 ] (counts 1);
+  check (Alcotest.list int) "leaf 2" [ 1; 1 ] (counts 2);
+  check (Alcotest.list int) "leaf 3" [ 1; 2; 3; 1 ] (counts 3)
+
+(* Time 0 is a real session start, not "not hungry". *)
+let fairness_session_from_time_zero () =
+  let m = mock ~n:2 ~edges:[ (0, 1) ] () in
+  let fair = Monitor.Fairness.attach m.engine m.graph m.faults m.inst in
+  at m 0 0 Dining.Types.Hungry;
+  at m 5 1 Dining.Types.Eating;
+  Sim.Engine.run_all m.engine;
+  match Monitor.Fairness.overtakes fair with
+  | [ o ] ->
+      check int "count" 1 o.count;
+      check int "session started at 0" 0 o.session_start
+  | l -> Alcotest.failf "expected 1 overtake, got %d" (List.length l)
+
+let response_open_sessions_sorted () =
+  let m = mock ~n:4 ~edges:[ (0, 1); (1, 2); (2, 3) ] () in
+  let resp = Monitor.Response.attach m.engine m.faults m.inst in
+  List.iter (fun (pid, t) -> at m t pid Dining.Types.Hungry) [ (3, 10); (0, 20); (2, 30); (1, 40) ];
+  Net.Faults.schedule_crash m.faults ~pid:2 ~at:50;
+  ignore (Sim.Engine.schedule m.engine ~at:100 (fun () -> ()));
+  Sim.Engine.run_all m.engine;
+  check
+    (Alcotest.list (Alcotest.pair int int))
+    "ascending by pid, crashed pid skipped"
+    [ (0, 20); (1, 40); (3, 10) ]
+    (Monitor.Response.open_sessions resp)
+
+(* Thinking abandons the session: a later doorway mark has no hungry
+   start to measure from, and a later eat has no doorway entry. *)
+let phases_thinking_clears () =
+  let m = mock ~n:2 ~edges:[ (0, 1) ] () in
+  let ph = Monitor.Phases.attach ~n:2 m.engine m.inst in
+  at m 10 0 Dining.Types.Hungry;
+  enter_doorway m 0 20;
+  at m 30 0 Dining.Types.Thinking;
+  enter_doorway m 0 40;
+  at m 50 0 Dining.Types.Eating;
+  Sim.Engine.run_all m.engine;
+  check (Alcotest.list int) "only the first doorway wait" [ 10 ] (Monitor.Phases.doorway_waits ph);
+  check (Alcotest.list int) "no fork wait" [] (Monitor.Phases.fork_waits ph)
 
 let suite =
   [
@@ -229,4 +300,10 @@ let suite =
     Alcotest.test_case "response: starvation threshold" `Quick response_starvation_threshold;
     Alcotest.test_case "response: crashed processes not starved" `Quick response_crashed_not_starved;
     Alcotest.test_case "response: bucketed series" `Quick response_series_buckets;
+    Alcotest.test_case "fairness: star hub counts each overtaker apart" `Quick
+      fairness_star_pairs_counted_apart;
+    Alcotest.test_case "fairness: a session may start at time 0" `Quick
+      fairness_session_from_time_zero;
+    Alcotest.test_case "response: open sessions ascend by pid" `Quick response_open_sessions_sorted;
+    Alcotest.test_case "phases: thinking clears the session" `Quick phases_thinking_clears;
   ]

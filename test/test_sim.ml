@@ -219,17 +219,34 @@ let pqueue_compaction_agrees =
 
 (* ------------------------------ Wheel ------------------------------ *)
 
+(* The wheel's allocation-free peek and pop in the reference heap's
+   option shape, so the two can be compared pop for pop. *)
+let wheel_pop q =
+  if Sim.Wheel.is_empty q then None
+  else
+    let v = Sim.Wheel.pop q in
+    Some (Sim.Wheel.floor q, v)
+
+let wheel_peek q =
+  let p = Sim.Wheel.next_tick q in
+  if p = max_int then None else Some p
+
 let wheel_orders () =
   let q = Sim.Wheel.create () in
+  check int "empty: next_tick is max_int" max_int (Sim.Wheel.next_tick q);
   List.iter (fun p -> Sim.Wheel.add q ~prio:p p) [ 5; 1; 4; 1; 3 ];
-  let order = List.init 5 (fun _ -> fst (Option.get (Sim.Wheel.pop q))) in
+  check int "next_tick is the minimum" 1 (Sim.Wheel.next_tick q);
+  let order = List.init 5 (fun _ -> fst (Option.get (wheel_pop q))) in
   check (Alcotest.list int) "sorted" [ 1; 1; 3; 4; 5 ] order;
-  check bool "now empty" true (Sim.Wheel.is_empty q)
+  check bool "now empty" true (Sim.Wheel.is_empty q);
+  check int "empty again: next_tick is max_int" max_int (Sim.Wheel.next_tick q);
+  Alcotest.check_raises "pop on empty" (Invalid_argument "Wheel.pop: empty wheel") (fun () ->
+      ignore (Sim.Wheel.pop q))
 
 let wheel_fifo_ties () =
   let q = Sim.Wheel.create () in
   List.iteri (fun i label -> Sim.Wheel.add q ~prio:7 (i, label)) [ "a"; "b"; "c"; "d" ];
-  let labels = List.init 4 (fun _ -> snd (snd (Option.get (Sim.Wheel.pop q)))) in
+  let labels = List.init 4 (fun _ -> snd (snd (Option.get (wheel_pop q)))) in
   check (Alcotest.list Alcotest.string) "insertion order at equal prio" [ "a"; "b"; "c"; "d" ]
     labels
 
@@ -242,7 +259,7 @@ let wheel_multilevel_spans () =
   in
   List.iteri (fun i p -> Sim.Wheel.add q ~prio:p (i, p)) prios;
   let rec drain acc =
-    match Sim.Wheel.pop q with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
+    match wheel_pop q with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
   in
   check (Alcotest.list int) "global order across levels"
     (List.sort compare prios) (drain [])
@@ -261,7 +278,7 @@ let wheel_floor_rejects_past () =
   (* Adding exactly at the floor (the engine's "schedule now") is fine. *)
   Sim.Wheel.add q ~prio:100 "now";
   check (Alcotest.option int) "same-tick add lands at the floor" (Some 100)
-    (Sim.Wheel.peek_prio q)
+    (wheel_peek q)
 
 let wheel_matches_pqueue =
   (* The wheel against the reference heap: identical pop streams — husks
@@ -282,7 +299,7 @@ let wheel_matches_pqueue =
       let agree () =
         ok :=
           !ok
-          && Sim.Wheel.peek_prio w = Pqueue.peek_prio p
+          && wheel_peek w = Pqueue.peek_prio p
           && Sim.Wheel.size w = Pqueue.size p
       in
       List.iter
@@ -302,7 +319,7 @@ let wheel_matches_pqueue =
               Sim.Wheel.add w ~prio v;
               Pqueue.add p ~prio v
           | 1 -> (
-              let a = Sim.Wheel.pop w and b = Pqueue.pop p in
+              let a = wheel_pop w and b = Pqueue.pop p in
               ok := !ok && a = b;
               match a with Some (t, _) -> now := t | None -> ())
           | _ -> (
@@ -318,7 +335,7 @@ let wheel_matches_pqueue =
           agree ())
         codes;
       let rec drain () =
-        let a = Sim.Wheel.pop w and b = Pqueue.pop p in
+        let a = wheel_pop w and b = Pqueue.pop p in
         ok := !ok && a = b;
         if a <> None then drain ()
       in
@@ -452,7 +469,7 @@ let queue_rejects_infinity () =
   Sim.Wheel.add w ~prio:(max_int - 1) "last";
   check (Alcotest.option (Alcotest.pair int Alcotest.string)) "wheel pops max_int - 1"
     (Some (max_int - 1, "last"))
-    (Sim.Wheel.pop w);
+    (wheel_pop w);
   let p = Pqueue.create () in
   let rejected = match Pqueue.add p ~prio:max_int "inf" with
     | () -> false
