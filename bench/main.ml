@@ -564,39 +564,33 @@ let run_scale ~(ctx : Harness.Experiments.ctx) ~smoke ~json ~baseline () =
   Report.int report "fuzz.sound40.failures" (List.length fz.failures);
   Report.int report "fuzz.sound40.total_events" fz.total_events;
   Report.float report "fuzz.sound40.run_seconds" fz_s;
-  (* Sharded stepping on the shard-safe ping workload: the exact keys
-     must agree for every shard count (the engine's merge contract), and
-     the parallel pool run must equal the sequential one. Runs after the
-     alloc measurements above because the pool spawns domains. *)
+  (* Parallel stepping on the shard-safe ping workload: every shard
+     count's pool run must equal the engine's sequential loop exactly
+     (the merge contract). Runs after the alloc measurements above
+     because the pool spawns domains. *)
   let shard_topo = Cgraph.Topology.Ring 1_000 in
   let shard_horizon = 400 in
-  let shard_ref = ref None in
-  List.iter
-    (fun s ->
-      let r = Harness.Shard_ping.run ~shards:s ~topology:shard_topo ~horizon:shard_horizon () in
-      let prefix = Printf.sprintf "shard.ring-1000.s%d" s in
-      Report.int report (prefix ^ ".events") r.Harness.Shard_ping.events;
-      Report.int report (prefix ^ ".sent") r.sent;
-      Report.int report (prefix ^ ".checksum") r.checksum;
-      Report.int report (prefix ^ ".worst_watermark") r.worst_watermark;
-      (match !shard_ref with
-      | None -> shard_ref := Some r
-      | Some r0 -> assert (r = r0)))
-    [ 1; 2; 4 ];
-  let seq = Option.get !shard_ref in
-  let par =
-    Exec.Pool.with_pool ~domains:ctx.domains (fun pool ->
-        Harness.Shard_ping.run ~pool ~parallel:true ~shards:4 ~topology:shard_topo
-          ~horizon:shard_horizon ())
-  in
-  assert (par = seq);
+  let seq = Harness.Shard_ping.run ~topology:shard_topo ~horizon:shard_horizon () in
+  Exec.Pool.with_pool ~domains:ctx.domains (fun pool ->
+      List.iter
+        (fun s ->
+          let r =
+            Harness.Shard_ping.run ~pool ~shards:s ~topology:shard_topo ~horizon:shard_horizon ()
+          in
+          assert (r = seq);
+          let prefix = Printf.sprintf "shard.ring-1000.s%d" s in
+          Report.int report (prefix ^ ".events") r.Harness.Shard_ping.events;
+          Report.int report (prefix ^ ".sent") r.sent;
+          Report.int report (prefix ^ ".checksum") r.checksum;
+          Report.int report (prefix ^ ".worst_watermark") r.worst_watermark)
+        [ 1; 2; 4 ]);
   Report.int report "shard.ring-1000.parallel_matches" 1;
   if not smoke then begin
     (* Advisory wall-clock for the 10^6-process sharded step. *)
     let t0 = Sys.time () in
     let big =
       Exec.Pool.with_pool ~domains:ctx.domains (fun pool ->
-          Harness.Shard_ping.run ~pool ~parallel:true ~shards:(max 2 ctx.domains)
+          Harness.Shard_ping.run ~pool ~shards:(max 2 ctx.domains)
             ~topology:(Cgraph.Topology.Ring 1_000_000) ~horizon:30 ())
     in
     let dt = Sys.time () -. t0 in

@@ -103,17 +103,6 @@ let seeds_arg =
     & opt (positive_int "--seeds") 10
     & info [ "seeds" ] ~docv:"N" ~doc:"Independent seeds per multi-seed batch.")
 
-let shards_arg =
-  Arg.(
-    value
-    & opt int 0
-    & info [ "shards" ] ~docv:"S"
-        ~doc:
-          "Partition the world's process table into $(docv) shards and run the engine on \
-           staged stepping (0, the default, keeps the legacy one-event fire loop). Runs \
-           and traces are byte-identical for any value -- the knob exists to exercise \
-           and time the sharded engine.")
-
 let resolve_detector = function
   | `Oracle ->
       Harness.Scenario.Oracle
@@ -194,14 +183,14 @@ let metrics_arg =
            histograms, engine gauges) after the report.")
 
 let run_cmd =
-  let go topology seed horizon crashes detector algo contended trace show_metrics dot shards =
+  let go topology seed horizon crashes detector algo contended trace show_metrics dot =
     let scenario =
       make_scenario ~name:"cli" ~topology ~seed ~horizon ~crashes ~detector ~algo ~contended
     in
     let recorder = Obs.Recorder.create () in
     if trace then Obs.Recorder.on_light recorder (Format.printf "%a@." Obs.Record.pp_row);
     let metrics = Obs.Metrics.create () in
-    let report = Harness.Run.run ~recorder ~metrics ~shards scenario in
+    let report = Harness.Run.run ~recorder ~metrics scenario in
     print_report report;
     if show_metrics then Format.printf "metrics:@.%a" Obs.Metrics.pp metrics;
     match dot with
@@ -223,7 +212,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run one dining scenario and report every paper metric.")
     Term.(
       const go $ topology_arg $ seed_arg $ horizon_arg $ crashes_arg $ detector_arg $ algo_arg
-      $ contended_arg $ trace_arg $ metrics_arg $ dot_arg $ shards_arg)
+      $ contended_arg $ trace_arg $ metrics_arg $ dot_arg)
 
 (* ------------------------------------------------------------------ *)
 (* experiments                                                          *)
@@ -348,7 +337,7 @@ let trace_cmd =
       & opt (some string) None
       & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the trace to $(docv) instead of stdout.")
   in
-  let go topology seed horizon crashes detector algo contended runs domains out shards =
+  let go topology seed horizon crashes detector algo contended runs domains out =
     let capture k =
       let seed = Int64.add seed (Int64.of_int k) in
       let scenario =
@@ -356,7 +345,7 @@ let trace_cmd =
           ~contended
       in
       let recorder = Obs.Recorder.collecting () in
-      let (_ : Harness.Run.report) = Harness.Run.run ~recorder ~shards scenario in
+      let (_ : Harness.Run.report) = Harness.Run.run ~recorder scenario in
       let buf = Buffer.create 65536 in
       Buffer.add_string buf
         (Printf.sprintf "# daemon_sim trace: topology=%s algo=%s detector=%s seed=%Ld horizon=%d events=%d\n"
@@ -389,7 +378,7 @@ let trace_cmd =
           $(b,tracediff).")
     Term.(
       const go $ topology_arg $ seed_arg $ horizon_arg $ crashes_arg $ detector_arg $ algo_arg
-      $ contended_arg $ runs_arg $ domains_arg $ out_arg $ shards_arg)
+      $ contended_arg $ runs_arg $ domains_arg $ out_arg)
 
 let tracediff_cmd =
   let file_arg pos_i docv =

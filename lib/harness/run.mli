@@ -38,7 +38,6 @@ type report = World.report = {
 val run :
   ?recorder:Obs.Recorder.t ->
   ?metrics:Obs.Metrics.t ->
-  ?shards:int ->
   Scenario.t ->
   report
 (** Execute the scenario to its horizon. Deterministic in the scenario. *)

@@ -82,13 +82,10 @@ let make_instance (s : Scenario.t) ~engine ~faults ~graph ~detector ~rng ?metric
       in
       (Baselines.Ordered.instance algo, Baselines.Ordered.network_stats algo, None)
 
-let build ?recorder ?metrics ?(shards = 0) (s : Scenario.t) =
+let build ?recorder ?metrics (s : Scenario.t) =
   let graph = Cgraph.Topology.build s.topology in
   let n = Cgraph.Graph.n graph in
   let engine = Sim.Engine.create ?recorder () in
-  (* Sequential staged stepping: same results and traces as the legacy
-     fire loop, for any shard count (see Sim.Engine). *)
-  if shards > 0 then Sim.Engine.set_sharding engine ~shards ~n ();
   let faults = Net.Faults.create engine ~n in
   let rng = Sim.Rng.create s.seed in
   let crashed = realise_crashes s (Sim.Rng.split_named rng "crashes") n in

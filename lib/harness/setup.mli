@@ -20,7 +20,6 @@ type parts = {
 val build :
   ?recorder:Obs.Recorder.t ->
   ?metrics:Obs.Metrics.t ->
-  ?shards:int ->
   Scenario.t ->
   parts
 (** Builds everything and schedules the crash plan (victims are watched in
@@ -28,10 +27,9 @@ val build :
     engine's recorder, which every component of the world emits into
     (structural event/message records only under full tracing);
     [metrics] is threaded to the dining and heartbeat overlays' link
-    statistics.
-    [shards > 0] switches the engine to staged stepping with that many
-    shards (default 0, the legacy fire loop) — runs and traces are
-    bit-identical either way and for any shard count. *)
+    statistics. The engine runs its sequential loop: the world's
+    monitors, detectors and workload are not shard-safe, so it cannot
+    fire in parallel (see {!Sim.Engine.set_sharding}). *)
 
 val convergence : parts -> Sim.Time.t * int
 (** Post-run detector convergence time and (for heartbeat) mistake count. *)

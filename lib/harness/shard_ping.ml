@@ -3,11 +3,12 @@
    (owner = the process) reads and writes its own counters and sends on
    its own CSR row; a delivery (owner = the destination, see
    Net.Network) updates the destination's counters. No monitors, no
-   tracing, no shared RNG draws after setup. That makes it legal to run
-   with [~parallel:true] on a domain pool, which the harness's full
-   dining worlds are not (their monitors and workload share state
+   tracing, no shared RNG draws after setup. That makes it legal to
+   fire its shards in parallel on a domain pool, which the harness's
+   full dining worlds are not (their monitors and workload share state
    across processes); the equality tests and the bench lean on this to
-   demonstrate that shard-parallel stepping computes the same run. *)
+   demonstrate that shard-parallel stepping computes the same run as
+   the engine's sequential loop. *)
 
 type result = { events : int; sent : int; received : int; checksum : int; worst_watermark : int }
 
@@ -18,12 +19,11 @@ let mix h v =
   let h = h lxor (h lsr 29) in
   h * 0xBF58476D1CE4E5B
 
-let run ?pool ?(parallel = false) ?(shards = 1) ?(period = 7) ?(seed = 0xACE5L)
-    ~topology ~horizon () =
+let run ?pool ?(shards = 1) ?(period = 7) ?(seed = 0xACE5L) ~topology ~horizon () =
   let graph = Cgraph.Topology.build topology in
   let n = Cgraph.Graph.n graph in
   let engine = Sim.Engine.create () in
-  Sim.Engine.set_sharding engine ?pool ~parallel ~shards ~n ();
+  Option.iter (fun pool -> Sim.Engine.set_sharding engine ~pool ~shards ~n ()) pool;
   let faults = Net.Faults.create engine ~n in
   let rng = Sim.Rng.create seed in
   (* Per-pid owned state; a cell is only ever touched by events owned by

@@ -4,11 +4,11 @@
     [shard_safe] {!Net.Network}; receivers fold the traffic into
     per-process checksums. Every handler touches only state owned by its
     event's owner pid, so the workload is legal under shard-{e parallel}
-    stepping ([~parallel:true] with a domain pool) — unlike the full
-    dining worlds, whose monitors and workload share cross-process
-    state and therefore run shards sequentially. Tests and the bench use
-    it to check (and time) that parallel sharded runs compute exactly
-    the sequential result. *)
+    stepping ({!Sim.Engine.set_sharding} with a domain pool) — unlike
+    the full dining worlds, whose monitors and workload share
+    cross-process state and therefore run on the engine's sequential
+    loop. Tests and the bench use it to check (and time) that parallel
+    runs compute exactly the sequential result. *)
 
 type result = {
   events : int;  (** Engine events processed. *)
@@ -20,7 +20,6 @@ type result = {
 
 val run :
   ?pool:Exec.Pool.t ->
-  ?parallel:bool ->
   ?shards:int ->
   ?period:int ->
   ?seed:int64 ->
@@ -28,7 +27,9 @@ val run :
   horizon:Sim.Time.t ->
   unit ->
   result
-(** Deterministic in [(topology, horizon, period, seed, shards)]:
-    [parallel] and [pool] never change the result, and neither does
-    [shards] once it is [>= 1] (all staged schedules merge in canonical
-    rank order). Defaults: sequential, [shards = 1], [period = 7]. *)
+(** Deterministic in [(topology, horizon, period, seed)]. With [pool]
+    the engine fires [shards] shards in parallel on it (one shard, the
+    default, runs sequentially); without one, [shards] is ignored and
+    the engine runs its sequential loop. [pool] and [shards] never
+    change the result: staged schedules merge in canonical rank order.
+    Default [period = 7]. *)

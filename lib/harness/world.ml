@@ -49,8 +49,8 @@ let watch_invariants ~engine ~horizon ~every (instance : Dining.Instance.t) =
   ignore (Sim.Engine.schedule_after engine ~delay:every check);
   error
 
-let create ?recorder ?(metrics = Obs.Metrics.create ()) ?shards (s : Scenario.t) =
-  let parts = Setup.build ?recorder ~metrics ?shards s in
+let create ?recorder ?(metrics = Obs.Metrics.create ()) (s : Scenario.t) =
+  let parts = Setup.build ?recorder ~metrics s in
   let { Setup.engine; faults; graph; rng; instance; _ } = parts in
   let n = Cgraph.Graph.n graph in
   let exclusion = Monitor.Exclusion.attach engine graph faults instance in
@@ -137,8 +137,8 @@ let report (w : t) =
     metrics = w.metrics;
   }
 
-let run ?recorder ?metrics ?shards (s : Scenario.t) =
-  let w = create ?recorder ?metrics ?shards s in
+let run ?recorder ?metrics (s : Scenario.t) =
+  let w = create ?recorder ?metrics s in
   advance w ~until:s.horizon;
   report w
 

@@ -52,7 +52,6 @@ type report = {
 val create :
   ?recorder:Obs.Recorder.t ->
   ?metrics:Obs.Metrics.t ->
-  ?shards:int ->
   Scenario.t ->
   t
 (** Build a fresh world: engine, network, detector, daemon, monitors and
@@ -61,10 +60,7 @@ val create :
     engine's recorder, the one every component of the world emits into
     (capture it with {!Obs.Recorder.collecting} for JSONL export);
     [metrics] is the registry every component registers into (default: a
-    fresh private one, available via the report). [shards > 0] runs the
-    engine on staged stepping with that many shards (see
-    {!Setup.build}); reports and traces are bit-identical for any
-    value. *)
+    fresh private one, available via the report). *)
 
 val advance : t -> until:Sim.Time.t -> unit
 (** Process events up to and including virtual time [until]. Advancing in
@@ -81,7 +77,6 @@ val report : t -> report
 val run :
   ?recorder:Obs.Recorder.t ->
   ?metrics:Obs.Metrics.t ->
-  ?shards:int ->
   Scenario.t ->
   report
 (** [create |> advance ~until:horizon |> report] — deterministic in the

@@ -14,9 +14,9 @@
    those arrays at query time: reads are report-rate, sends are not.
    Only the undirected-edge in-flight counters and their watermarks
    genuinely need both endpoints to write one cell in event order;
-   in sharded mode, updates to edges that cross a shard boundary are
-   buffered per shard and applied at the engine's step merge, in the
-   same canonical order every shard count produces. *)
+   while a sharded engine fires in parallel, updates to edges that cross
+   a shard boundary are buffered per shard and applied at the engine's
+   step merge, in the order the sequential loop would apply them. *)
 
 type op = { o_rank : int; o_key : int } (* key = (edge * kc + kind) * 2 + send? *)
 
@@ -119,8 +119,8 @@ let watch_dst t dst =
   if t.shards > 0 then invalid_arg "Link_stats.watch_dst: not shard-safe";
   if not (Hashtbl.mem t.watched dst) then Hashtbl.add t.watched dst (ref [])
 
-(* The one place edge/kind in-flight counters and watermarks move; in
-   sharded mode cross-shard ops arrive here via {!flush_staged}, in
+(* The one place edge/kind in-flight counters and watermarks move; in a
+   parallel step cross-shard ops arrive here via {!flush_staged}, in
    canonical rank order. *)
 let[@lint.hot] apply_edge t ~e ~ke ~send =
   if send then begin
@@ -147,8 +147,12 @@ let stage_op t ~key =
   v.oa.(v.on) <- o;
   v.on <- v.on + 1
 
+(* Staging is needed only while shards fire in parallel: on the engine's
+   sequential loop ([fire_shard] = -1, e.g. a traced run) no step hook
+   would ever flush the ops, and updates already arrive in order. *)
 let edge_update t ~src ~dst ~e ~ke ~send =
-  if t.shards = 0 || t.shard_of src = t.shard_of dst then apply_edge t ~e ~ke ~send
+  if t.shards = 0 || t.fire_shard () < 0 || t.shard_of src = t.shard_of dst then
+    apply_edge t ~e ~ke ~send
   else stage_op t ~key:((ke lsl 1) lor if send then 1 else 0)
 
 let flush_staged t =

@@ -14,10 +14,11 @@
     the slot's source (sends) or destination (deliveries/drops), and
     aggregates that used to be running scalars are derived from them at
     query time. The undirected-edge in-flight counters genuinely take
-    writes from both endpoints; {!set_sharding} makes cross-shard
-    updates to them stage per shard and apply at the engine's step merge
-    in canonical rank order, so every count is independent of the shard
-    split. *)
+    writes from both endpoints; after {!set_sharding}, cross-shard
+    updates to them made while the engine fires shards in parallel stage
+    per shard and apply at the engine's step merge in canonical rank
+    order — the order the sequential loop applies them in place — so
+    every count is independent of the shard split. *)
 
 type t
 
@@ -97,9 +98,12 @@ val set_sharding :
   fire_rank:(unit -> int) ->
   fire_shard:(unit -> int) ->
   unit
-(** Switch cross-shard edge-counter updates to per-shard staging.
-    [shard_of] maps a pid to its shard; [fire_rank] / [fire_shard] probe
-    the engine's current fire context (see {!Sim.Engine.fire_rank}).
+(** Switch cross-shard edge-counter updates to per-shard staging
+    whenever [fire_shard ()] is non-negative, i.e. while the engine fires
+    shards in parallel; on the engine's sequential loop updates still
+    apply in place. [shard_of] maps a pid to its shard; [fire_rank] /
+    [fire_shard] probe the engine's current fire context (see
+    {!Sim.Engine.fire_rank}).
     Live metrics bumps are disabled — call {!sync_metrics} at report
     time. Raises [Invalid_argument] if any destination is watched. *)
 

@@ -52,9 +52,11 @@ val create :
     per-source split of [rng] (so the draw sequence is independent of
     cross-source interleaving — note this changes delivery times relative
     to the default shared stream), and when the engine is sharded the
-    overlay's {!Link_stats} stages cross-shard edge-counter updates and
-    flushes them at the engine's step merge. Delivery events are owned by
-    their destination either way, so a sharded engine fires them on the
+    overlay's {!Link_stats} stages cross-shard edge-counter updates made
+    during parallel steps and flushes them at the engine's step merge
+    (a traced run, which the engine keeps on its sequential loop,
+    updates them in place). Delivery events are owned by their
+    destination either way, so a sharded engine fires them on the
     destination's shard. *)
 
 val send : 'msg t -> src:int -> dst:int -> 'msg -> unit

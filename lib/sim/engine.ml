@@ -3,9 +3,9 @@
    fired, bits 2..22 = owner + 1 (0 = ownerless), bits 23.. = id.
    Keeping the per-event allocation small matters: the engine allocates
    one of these per scheduled event on the hot path. The owner is what
-   sharded stepping partitions on; owners above {!owner_limit} are
+   parallel stepping partitions on; owners above {!owner_limit} are
    silently treated as ownerless (set_sharding rejects such process
-   counts, so only legacy runs — where the owner is unused — ever get
+   counts, so only unsharded runs — where the owner is unused — ever get
    there). [action] is mutable so cancel/fire can drop the closure: a
    cancelled husk may sit in the queue until its tick is reached, and it
    must not retain the closure's environment for all that time. *)
@@ -24,11 +24,11 @@ let noop () = ()
 
 type event_id = event option
 
-(* An effect buffered during a sharded step: an event scheduled while
+(* An effect buffered during a parallel step: an event scheduled while
    the step's batch was firing, remembered with the pop rank of the
    event that scheduled it. The rank is what makes the end-of-step merge
-   canonical: the batch fires in pop order whatever the shard count, so
-   (rank, per-shard program order) is a total order independent of S. *)
+   canonical: (rank, per-shard program order) is the order [fire_loop]
+   would have scheduled in, whatever the shard count. *)
 type staged = { s_at : Time.t; s_rank : int; s_ev : event }
 
 type svec = { mutable sa : staged array; mutable sn : int }
@@ -45,16 +45,13 @@ type t = {
   mutable next_id : int;
   recorder : Obs.Recorder.t;
   tracing : bool ref; (* the recorder's live full-tracing flag *)
-  (* Sharded stepping (shards = 0: the legacy one-event-at-a-time fire
-     loop, byte-identical to what it always was). *)
+  (* Parallel stepping (shards = 0: never configured). *)
   mutable shards : int;
   mutable shard_n : int; (* process count the partition covers *)
   mutable pool : Exec.Pool.t option;
-  mutable parallel : bool; (* caller asserts shard-safe handlers *)
   mutable staging : svec array; (* per shard, reused across steps *)
   mutable deferred_dead : int array; (* per shard: husk notes owed to the queue *)
-  mutable in_step : bool;
-  mutable par_step : bool; (* this step fires its batches on the pool *)
+  mutable in_step : bool; (* a parallel step is running *)
   mutable base_rank : int; (* rank of the current sub-round's first event *)
   mutable batch_ev : event array; (* the tick's events in pop order *)
   mutable batch_len : int;
@@ -79,11 +76,9 @@ let create ?recorder () =
     shards = 0;
     shard_n = 0;
     pool = None;
-    parallel = false;
     staging = [||];
     deferred_dead = [||];
     in_step = false;
-    par_step = false;
     base_rank = 0;
     batch_ev = [||];
     batch_len = 0;
@@ -99,7 +94,7 @@ let create ?recorder () =
 let now t = t.clock
 let recorder t = t.recorder
 
-let set_sharding t ?pool ?(parallel = false) ~shards ~n () =
+let set_sharding t ~pool ~shards ~n () =
   if t.in_step then invalid_arg "Engine.set_sharding: cannot reconfigure inside a step";
   if n <= 0 then invalid_arg "Engine.set_sharding: n must be positive";
   if n > owner_limit then
@@ -109,8 +104,7 @@ let set_sharding t ?pool ?(parallel = false) ~shards ~n () =
   let shards = min shards n in
   t.shards <- shards;
   t.shard_n <- n;
-  t.pool <- pool;
-  t.parallel <- parallel;
+  t.pool <- Some pool;
   t.staging <- Array.init shards (fun _ -> { sa = [||]; sn = 0 });
   t.deferred_dead <- Array.make shards 0;
   t.pb_off <- Array.make (shards + 1) 0;
@@ -119,8 +113,9 @@ let set_sharding t ?pool ?(parallel = false) ~shards ~n () =
 
 let shards t = t.shards
 
-(* Contiguous partition of [0, shard_n) into [shards] ranges; ownerless
-   events (and any owner outside the partition) fall into shard 0. *)
+(* Contiguous partition of [0, shard_n) into [shards] ranges. Ownerless
+   events (owner -1) fall into shard 0; owners at or beyond [shard_n]
+   are clamped to the last pid, hence the last shard. *)
 let shard_of t owner =
   if t.shards <= 1 || owner <= 0 then 0
   else
@@ -131,10 +126,16 @@ let fire_rank t = (Domain.DLS.get t.ctx_key).rank
 let fire_shard t = (Domain.DLS.get t.ctx_key).shard
 let add_step_hook t f = t.step_hooks <- t.step_hooks @ [ f ]
 
+(* Fill values for the reused step buffers: a buffer slot that is not
+   in use must hold one of these, never a real event, or the buffer pins
+   that event after its step is over. *)
+let dummy_ev = { state = cancelled_bit lor fired_bit; action = noop }
+let dummy_staged = { s_at = 0; s_rank = 0; s_ev = dummy_ev }
+
 let stage_push t shard stg =
   let v = t.staging.(shard) in
   if v.sn >= Array.length v.sa then begin
-    let na = Array.make (max 8 (2 * Array.length v.sa)) stg in
+    let na = Array.make (max 8 (2 * Array.length v.sa)) dummy_staged in
     Array.blit v.sa 0 na 0 v.sn;
     v.sa <- na
   end;
@@ -149,20 +150,15 @@ let schedule t ?(owner = -1) ~at f =
       invalid_arg
         (Printf.sprintf "Engine.schedule: at=%d is in the past (now=%d)" at t.clock);
     if t.in_step then begin
-      (* Staged stepping: the new event goes into the firing shard's
+      (* Parallel step: the new event goes into the firing shard's
          staging buffer and reaches the queue at the sub-round's merge
-         point, in canonical (rank, program-order) order. In a parallel
-         step the id is also assigned at the merge — [next_id] must not
-         be touched from worker domains — which lands on the same values
-         in the same order as the sequential path does eagerly. *)
+         point, in canonical (rank, program-order) order. Its id is
+         assigned at the merge too — [next_id] must not be touched from
+         worker domains — which lands on the values [fire_loop] would
+         have handed out, in the same order. No sched record: tracing is
+         off in a parallel step. *)
       let ctx = Domain.DLS.get t.ctx_key in
       let ev = { state = pack_owner owner; action = f } in
-      if not t.par_step then begin
-        ev.state <- ev.state lor (t.next_id lsl id_shift);
-        t.next_id <- t.next_id + 1;
-        if !(t.tracing) then
-          Obs.Recorder.sched t.recorder ~time:t.clock ~id:(id_of_state ev.state) ~at
-      end;
       stage_push t (if ctx.shard >= 0 then ctx.shard else 0) { s_at = at; s_rank = ctx.rank; s_ev = ev };
       Some ev
     end
@@ -193,9 +189,9 @@ let cancel t id =
         ev.action <- noop;
         if t.in_step then begin
           (* Deferred husk note: mid-step the event may live in a staging
-             buffer or the current batch rather than the queue, and in a
-             parallel step the queue must not be touched from worker
-             domains. Settled at the sub-round merge. *)
+             buffer or the current batch rather than the queue, and the
+             queue must not be touched from worker domains. Settled at
+             the sub-round merge. *)
           let ctx = Domain.DLS.get t.ctx_key in
           let sh = if ctx.shard >= 0 then ctx.shard else 0 in
           t.deferred_dead.(sh) <- t.deferred_dead.(sh) + 1
@@ -229,48 +225,22 @@ let[@lint.hot] rec fire_loop t ~until =
     fire_loop t ~until
   end
 
-(* ---- Sharded stepping ------------------------------------------------ *)
+(* ---- Parallel stepping ----------------------------------------------- *)
 
 let batch_push t ev =
   if t.batch_len >= Array.length t.batch_ev then begin
-    let na = Array.make (max 16 (2 * Array.length t.batch_ev)) ev in
+    let na = Array.make (max 16 (2 * Array.length t.batch_ev)) dummy_ev in
     Array.blit t.batch_ev 0 na 0 t.batch_len;
     t.batch_ev <- na
   end;
   t.batch_ev.(t.batch_len) <- ev;
   t.batch_len <- t.batch_len + 1
 
-let[@lint.hot] fire_event_seq t at ev =
-  let st = ev.state in
-  ev.state <- st lor fired_bit;
-  if st land cancelled_bit = 0 then begin
-    t.clock <- at;
-    t.processed <- t.processed + 1;
-    if !(t.tracing) then Obs.Recorder.fire t.recorder ~time:at ~id:(id_of_state st);
-    let action = ev.action in
-    ev.action <- noop;
-    action ()
-  end
-
-(* Sequential staged fire: pop order, exactly the order the legacy loop
-   would have fired — shard labels only route staging buffers. *)
-let fire_batch_seq t tick =
-  let ctx = Domain.DLS.get t.ctx_key in
-  for r = 0 to t.batch_len - 1 do
-    let ev = t.batch_ev.(r) in
-    ctx.rank <- t.base_rank + r;
-    ctx.shard <- shard_of t (owner_of_state ev.state);
-    fire_event_seq t tick ev
-  done;
-  ctx.rank <- -1;
-  ctx.shard <- -1
-
-(* Parallel staged fire: group the batch by shard (preserving pop order
-   within each shard) and fire the shards on the pool. Only reached when
-   the caller asserted shard-safe handlers and tracing is off; worker
-   domains never touch the queue, the recorder, or [next_id] — their
-   only shared-state writes go through the per-shard staging buffers. *)
-let fire_batch_par t tick pool =
+(* Fire one batch: group it by shard (preserving pop order within each
+   shard) and fire the shards on the pool. Worker domains never touch
+   the queue, the recorder, or [next_id] — their only shared-state
+   writes go through the per-shard staging buffers. *)
+let fire_batch t tick pool =
   let s = t.shards in
   let off = t.pb_off and cur = t.pb_cur in
   Array.fill off 0 (s + 1) 0;
@@ -283,7 +253,7 @@ let fire_batch_par t tick pool =
     cur.(i) <- off.(i)
   done;
   if Array.length t.pb_ev < t.batch_len then begin
-    t.pb_ev <- Array.make (2 * t.batch_len) t.batch_ev.(0);
+    t.pb_ev <- Array.make (2 * t.batch_len) dummy_ev;
     t.pb_rank <- Array.make (2 * t.batch_len) 0
   end;
   let any_live = ref false in
@@ -321,10 +291,10 @@ let fire_batch_par t tick pool =
   for sh = 0 to s - 1 do
     t.processed <- t.processed + t.shard_fired.(sh);
     t.shard_fired.(sh) <- 0
-  done
-
-let dummy_staged =
-  { s_at = 0; s_rank = 0; s_ev = { state = cancelled_bit lor fired_bit; action = noop } }
+  done;
+  (* The batch buffers outlive the step: drop the fired events now. *)
+  Array.fill t.batch_ev 0 t.batch_len dummy_ev;
+  Array.fill t.pb_ev 0 t.batch_len dummy_ev
 
 (* Merge one sub-round's staged effects back into the step: schedules in
    canonical order (same-tick ones refill the batch for the next
@@ -348,10 +318,8 @@ let merge_subround t tick =
     Array.iter
       (fun stg ->
         let ev = stg.s_ev in
-        if t.par_step then begin
-          ev.state <- ev.state lor (t.next_id lsl id_shift);
-          t.next_id <- t.next_id + 1
-        end;
+        ev.state <- ev.state lor (t.next_id lsl id_shift);
+        t.next_id <- t.next_id + 1;
         if stg.s_at = tick then batch_push t ev else Wheel.add t.queue ~prio:stg.s_at ev)
       merged
   end;
@@ -363,34 +331,30 @@ let merge_subround t tick =
   done;
   List.iter (fun f -> f ()) t.step_hooks
 
-(* Staged stepping: drain every event of the frontier tick into a batch,
-   fire the batch (sequentially in pop order, or shard-parallel on the
-   pool), merge staged effects, and repeat sub-rounds while the firing
-   keeps scheduling into the same tick. Equivalent to the legacy loop:
-   pop order is preserved, and merged insertion order equals program
-   order (see merge_by) — the sequential staged path produces
-   byte-identical traces to shards = 0. *)
+(* Parallel stepping: drain every event of the frontier tick into a
+   batch, fire the batch shard-parallel on the pool, merge staged
+   effects, and repeat sub-rounds while the firing keeps scheduling
+   into the same tick. Equivalent to [fire_loop]: pop order is
+   preserved, and merged insertion order equals program order (see
+   merge_by). *)
 let rec drain_tick t tick =
   if Wheel.next_tick t.queue = tick then begin
     batch_push t (Wheel.pop t.queue);
     drain_tick t tick
   end
 
-let staged_loop t ~until =
+let parallel_loop t pool ~until =
   let rec step () =
     let tick = Wheel.next_tick t.queue in
     if tick <> Time.infinity && tick <= until then begin
       t.batch_len <- 0;
       drain_tick t tick;
       t.in_step <- true;
-      t.par_step <- t.parallel && t.shards > 1 && t.pool <> None && not !(t.tracing);
       t.base_rank <- 0;
       let rec subround () =
         if t.batch_len > 0 then begin
           let len = t.batch_len in
-          (match t.pool with
-          | Some pool when t.par_step -> fire_batch_par t tick pool
-          | _ -> fire_batch_seq t tick);
+          fire_batch t tick pool;
           t.base_rank <- t.base_rank + len;
           t.batch_len <- 0;
           merge_subround t tick;
@@ -404,7 +368,13 @@ let staged_loop t ~until =
   in
   step ()
 
-let run t ~until = if t.shards > 0 then staged_loop t ~until else fire_loop t ~until
+(* Staging pays off only when shards really fire in parallel, and the
+   recorder is not shard-safe: everything else runs the one sequential
+   loop. *)
+let run t ~until =
+  match t.pool with
+  | Some pool when t.shards > 1 && not !(t.tracing) -> parallel_loop t pool ~until
+  | _ -> fire_loop t ~until
 
 let run_all t = run t ~until:Time.infinity
 let pending t = Wheel.size t.queue

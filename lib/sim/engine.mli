@@ -5,22 +5,21 @@
     equal times fire in scheduling order. Handlers run instantaneously in
     virtual time and may schedule further events.
 
-    {2 Sharded stepping}
+    {2 Sequential and parallel stepping}
 
-    {!set_sharding} switches the engine from the legacy
-    one-event-at-a-time fire loop to staged stepping: each step drains
-    every event of the frontier tick into a batch, fires the batch, and
-    merges the events scheduled during the firing back into the queue in
-    a canonical order — sorted by the pop rank of the scheduling event,
-    program order within a rank. Because pop order does not depend on
-    the shard count, the merged schedule (and hence the trace) is
-    bit-identical for any [shards]; the sequential staged path is
-    furthermore byte-identical to the legacy loop. When a pool is
-    attached and [parallel] is set, each shard's slice of the batch
-    fires on its own domain — only sound when every handler touches
-    state of its own shard exclusively (cross-shard effects must go
-    through [schedule] or a staged component such as
-    [Net.Link_stats]); full tracing must be off. *)
+    {!run} has one sequential loop: pop the next event, fire it, repeat.
+    Every run, traced or not, sharded or not, goes through it unless
+    {!set_sharding} attached a pool, [shards > 1] and full tracing is
+    off. Then each step drains every event of the frontier tick into a
+    batch, fires each shard's slice of the batch on its own domain of
+    the pool, and merges the events scheduled during the firing back
+    into the queue in a canonical order — sorted by the pop rank of the
+    scheduling event, program order within a rank. That is the order
+    the sequential loop schedules in, so a parallel run is bit-identical
+    to the sequential one for any [shards]. Attaching the pool is the
+    caller's assertion that every handler touches state of its own
+    shard exclusively (cross-shard effects must go through [schedule] or
+    a staged component such as [Net.Link_stats]). *)
 
 type t
 
@@ -45,7 +44,7 @@ val schedule : t -> ?owner:int -> at:Time.t -> (unit -> unit) -> event_id
 (** [schedule t ~owner ~at f] runs [f] when the clock reaches [at]. [at]
     must not be in the past. Scheduling at [Time.infinity] is a no-op
     that returns a dead id. [owner] is the process the event belongs to
-    (default: ownerless); sharded stepping partitions the batch on it.
+    (default: ownerless); parallel stepping partitions the batch on it.
     Owners outside the 21-bit field are treated as ownerless. *)
 
 val schedule_after : t -> ?owner:int -> delay:Time.t -> (unit -> unit) -> event_id
@@ -72,35 +71,35 @@ val pending : t -> int
 val processed : t -> int
 (** Total number of events fired so far. *)
 
-val set_sharding : t -> ?pool:Exec.Pool.t -> ?parallel:bool -> shards:int -> n:int -> unit -> unit
-(** [set_sharding t ~pool ~parallel ~shards ~n ()] enables staged
-    stepping with [shards] contiguous shards over owner pids [0, n)
-    (clamped to [n]). Without [pool] (or with [parallel] false, the
-    default) batches still fire sequentially in pop order — same
-    results, same traces, any [shards]. With a pool and [~parallel:true]
-    batches fire shard-parallel whenever full tracing is off; the caller
-    thereby asserts every handler is shard-safe. Call before running;
-    raises [Invalid_argument] mid-step or if [n] exceeds the owner
-    field. *)
+val set_sharding : t -> pool:Exec.Pool.t -> shards:int -> n:int -> unit -> unit
+(** [set_sharding t ~pool ~shards ~n ()] partitions owner pids [0, n)
+    into [shards] contiguous shards (clamped to [n]) and attaches [pool]:
+    from then on every step with full tracing off fires its shards in
+    parallel on the pool when [shards > 1]; a traced run, or
+    [shards = 1], stays on the sequential loop. The caller thereby
+    asserts every handler is shard-safe. Call before running; raises
+    [Invalid_argument] mid-step or if [n] exceeds the owner field. *)
 
 val shards : t -> int
-(** Number of shards staged stepping partitions into; 0 when the engine
-    is on the legacy fire loop. *)
+(** Number of shards set by {!set_sharding}; 0 when it was never
+    called. *)
 
 val shard_of : t -> int -> int
 (** [shard_of t owner] is the shard owning that pid under the current
-    partition (0 for ownerless / unsharded). *)
+    partition: 0 for ownerless events (owner [-1]) and on an unsharded
+    engine; owners at or beyond [n] fall into the last shard. *)
 
 val fire_rank : t -> int
-(** Pop rank of the event currently firing on this domain, -1 outside a
-    fire phase. The canonical-merge key for staged per-shard effects. *)
+(** Pop rank of the event currently firing on this domain in a parallel
+    step, -1 elsewhere (including the whole sequential loop). The
+    canonical-merge key for staged per-shard effects. *)
 
 val fire_shard : t -> int
-(** Shard of the event currently firing on this domain, -1 outside a
-    fire phase. *)
+(** Shard of the event currently firing on this domain in a parallel
+    step, -1 elsewhere (including the whole sequential loop). *)
 
 val add_step_hook : t -> (unit -> unit) -> unit
-(** Register a hook run (on the submitting domain) after every staged
-    sub-round merge — where components with their own per-shard staging
-    (e.g. [Net.Link_stats]) apply buffered cross-shard effects in
-    canonical order. Never called on the legacy fire loop. *)
+(** Register a hook run (on the submitting domain) after every
+    sub-round merge of a parallel step — where components with their own
+    per-shard staging (e.g. [Net.Link_stats]) apply buffered cross-shard
+    effects in canonical order. Never called by the sequential loop. *)

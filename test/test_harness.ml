@@ -83,59 +83,66 @@ let workload_drives_everyone () =
   check bool "every process ate" true (Array.for_all (fun e -> e > 0) r.eats_per_process);
   check bool "hungry transitions >= eats" true (r.hungry_transitions >= r.total_eats)
 
-(* Sharded stepping is an engine implementation detail: the same
-   scenario must produce a bit-identical execution — report and full
-   JSONL trace, structural records included — for the legacy fire loop
-   and for staged stepping at any shard count. The heartbeat + crashes
-   scenario routes real message traffic, detector timers and
-   cancellations through the staged path. *)
-let shard_equivalence () =
-  let s =
-    scenario ~topology:(Cgraph.Topology.Random_gnp (14, 0.25, 2L))
-      ~detector:(Harness.Scenario.Heartbeat { period = 20; initial_timeout = 30; bump = 25 })
-      ~crashes:(Harness.Scenario.Random_crashes { count = 2; from_t = 1_000; to_t = 9_000 })
-      ~horizon:20_000 ()
-  in
-  let run shards =
+(* Tracing keeps a sharded engine on its sequential loop, so a
+   [shard_safe] network on it must account exactly like one on an
+   unsharded engine: cross-shard edge updates apply in place, since no
+   parallel step is there to stage and flush them. *)
+let sharded_network_traced_fallback () =
+  let graph = Cgraph.Topology.build (Cgraph.Topology.Random_gnp (24, 0.2, 3L)) in
+  let n = Cgraph.Graph.n graph in
+  let off = Cgraph.Graph.csr_offsets graph in
+  let tgt = Cgraph.Graph.csr_targets graph in
+  let run ?pool () =
     let recorder = Obs.Recorder.collecting () in
-    let r = Harness.Run.run ~recorder ~shards s in
-    (r, Obs.Jsonl.of_records (Obs.Recorder.records recorder))
+    let engine = Sim.Engine.create ~recorder () in
+    Option.iter (fun pool -> Sim.Engine.set_sharding engine ~pool ~shards:4 ~n ()) pool;
+    let faults = Net.Faults.create engine ~n in
+    let network =
+      Net.Network.create ~engine ~graph ~delay:(Net.Delay.Uniform (1, 6)) ~faults
+        ~rng:(Sim.Rng.create 9L) ~shard_safe:true ~handler:(fun ~dst:_ ~src:_ () -> ()) ()
+    in
+    for i = 0 to n - 1 do
+      let rec beat k () =
+        for s = off.(i) to off.(i + 1) - 1 do
+          Net.Network.send network ~src:i ~dst:tgt.(s) ()
+        done;
+        if k > 0 then
+          ignore (Sim.Engine.schedule_after engine ~owner:i ~delay:(1 + (i mod 3)) (beat (k - 1)))
+      in
+      ignore (Sim.Engine.schedule engine ~owner:i ~at:(i mod 4) (beat 20))
+    done;
+    Sim.Engine.run engine ~until:60;
+    let stats = Net.Network.stats network in
+    ( ( Net.Link_stats.total_sent stats,
+        Net.Link_stats.total_delivered stats,
+        Net.Link_stats.per_edge_watermarks stats ),
+      Obs.Jsonl.of_records (Obs.Recorder.records recorder) )
   in
-  let a, ta = run 0 in
-  List.iter
-    (fun shards ->
-      let b, tb = run shards in
-      check int (Printf.sprintf "same eats at shards=%d" shards) a.total_eats b.total_eats;
-      check int "same events" a.events_processed b.events_processed;
-      check int "same convergence" a.convergence b.convergence;
-      check int "same detector mistakes" a.detector_mistakes b.detector_mistakes;
-      check bool "same per-process eats" true (a.eats_per_process = b.eats_per_process);
-      check bool "same crash plan" true (a.crashed = b.crashed);
-      check bool "no invariant failures" true (b.invariant_error = None);
-      check bool (Printf.sprintf "identical traces at shards=%d" shards) true (ta = tb))
-    [ 1; 2; 4 ]
+  let (sent, delivered, marks), trace = run () in
+  check bool "traffic flowed, some still in flight" true (sent > delivered && delivered > 0);
+  Exec.Pool.with_pool ~domains:4 (fun pool ->
+      let (sent', delivered', marks'), trace' = run ~pool () in
+      check int "same sent total" sent sent';
+      check int "same delivered total" delivered delivered';
+      check bool "same edge watermarks" true (marks = marks');
+      check bool "identical traces" true (trace = trace'))
 
 (* The shard-safe ping workload is where sharding buys real parallelism:
-   shard-parallel execution on a domain pool must equal the sequential
-   run exactly, and the result must not depend on the shard count. *)
+   shard-parallel execution on a domain pool must equal the engine's
+   sequential loop exactly, at every shard count. *)
 let shard_ping_parallel_equality () =
   let topology = Cgraph.Topology.Random_gnp (48, 0.12, 5L) in
   let horizon = 1_500 in
-  let seq = Harness.Shard_ping.run ~shards:1 ~topology ~horizon () in
+  let seq = Harness.Shard_ping.run ~topology ~horizon () in
   check bool "traffic flowed" true (seq.Harness.Shard_ping.sent > 0 && seq.received > 0);
-  List.iter
-    (fun shards ->
-      let r = Harness.Shard_ping.run ~shards ~topology ~horizon () in
-      check bool (Printf.sprintf "shards=%d equals shards=1" shards) true (r = seq))
-    [ 2; 3; 8 ];
   Exec.Pool.with_pool ~domains:4 (fun pool ->
       List.iter
         (fun shards ->
-          let r = Harness.Shard_ping.run ~pool ~parallel:true ~shards ~topology ~horizon () in
+          let r = Harness.Shard_ping.run ~pool ~shards ~topology ~horizon () in
           check bool
             (Printf.sprintf "parallel shards=%d equals sequential" shards)
             true (r = seq))
-        [ 2; 4 ])
+        [ 2; 3; 4; 8 ])
 
 (* ----------------------- theorem-shaped checks --------------------- *)
 
@@ -443,7 +450,8 @@ let suite =
     Alcotest.test_case "seed sensitivity" `Quick seed_changes_run;
     Alcotest.test_case "crash plans" `Quick crash_plans;
     Alcotest.test_case "workload drives everyone" `Quick workload_drives_everyone;
-    Alcotest.test_case "sharded stepping is trace-identical" `Quick shard_equivalence;
+    Alcotest.test_case "traced sharded network falls back in place" `Quick
+      sharded_network_traced_fallback;
     Alcotest.test_case "shard_ping: parallel = sequential for any shards" `Quick
       shard_ping_parallel_equality;
     QCheck_alcotest.to_alcotest wait_freedom_property;

@@ -502,86 +502,95 @@ let engine_saturated_delay_noop ~behind () =
   check int "clock stops at the last finite event" (List.fold_left max 10 behind)
     (Sim.Engine.now engine)
 
-(* ------------------------- Sharded stepping ------------------------- *)
+(* ------------------------- Parallel stepping ------------------------ *)
 
-(* A workload that exercises everything staged stepping must get right:
-   nested scheduling, same-tick scheduling (sub-rounds), cancellation of
-   both queued and same-tick events, owner tags spread over processes. *)
-let staged_workload ~shards () =
+(* [fire_loop] is the reference; a parallel run must reproduce it. *)
+let with_sharding ?pool ~shards ~n engine =
+  Option.iter (fun pool -> Sim.Engine.set_sharding engine ~pool ~shards ~n ()) pool
+
+(* A shard-safe workload that exercises everything parallel stepping must
+   get right: nested scheduling, same-tick chains that cross shards
+   (sub-rounds), cancellation of both queued and same-tick events, owner
+   tags spread over processes. Every handler writes only its owner's
+   log, and canceller and victim share an owner, so the workload stays
+   legal at any shard count. *)
+let staged_workload ?pool ~shards () =
   let engine = Sim.Engine.create () in
-  if shards > 0 then Sim.Engine.set_sharding engine ~shards ~n:8 ();
-  let log = ref [] in
-  let victim = ref None in
-  let note tag () = log := (tag, Sim.Engine.now engine) :: !log in
+  with_sharding ?pool ~shards ~n:8 engine;
+  let logs = Array.make 8 [] in
+  let note owner tag () = logs.(owner) <- (tag, Sim.Engine.now engine) :: logs.(owner) in
+  let snapshot () = Array.map List.rev logs in
   let rec chain owner n () =
-    note (100 + n) ();
+    note owner (100 + n) ();
     if n > 0 then
       ignore (Sim.Engine.schedule_after engine ~owner ~delay:(1 + (n mod 3)) (chain owner (n - 1)))
   in
   for owner = 0 to 7 do
     ignore (Sim.Engine.schedule engine ~owner ~at:(owner mod 3) (chain owner 5))
   done;
-  (* Same-tick scheduling: fires in the same step, a sub-round later. *)
+  (* Same-tick scheduling across shards: fires in the same step, a
+     sub-round later. *)
   ignore
     (Sim.Engine.schedule engine ~owner:1 ~at:4 (fun () ->
-         note 1 ();
+         note 1 1 ();
          ignore
            (Sim.Engine.schedule engine ~owner:6 ~at:4 (fun () ->
-                note 2 ();
-                ignore (Sim.Engine.schedule engine ~owner:3 ~at:4 (note 3))))));
-  (* Cancel a queued event from another shard's handler... *)
-  victim := Some (Sim.Engine.schedule engine ~owner:7 ~at:9 (fun () -> note 666 ()));
-  ignore
-    (Sim.Engine.schedule engine ~owner:0 ~at:6 (fun () ->
-         Sim.Engine.cancel engine (Option.get !victim)));
+                note 6 2 ();
+                ignore (Sim.Engine.schedule engine ~owner:3 ~at:4 (note 3 3))))));
+  (* Cancel a queued event from a handler of the same owner... *)
+  let victim = Sim.Engine.schedule engine ~owner:7 ~at:9 (note 7 666) in
+  ignore (Sim.Engine.schedule engine ~owner:7 ~at:6 (fun () -> Sim.Engine.cancel engine victim));
   (* ...and a same-tick one later in the same batch: the canceller pops
      first (earlier schedule order), so the victim must not fire even
      though it was drained into the batch alongside it. *)
   let batch_victim = ref None in
   ignore
-    (Sim.Engine.schedule engine ~owner:2 ~at:2 (fun () ->
+    (Sim.Engine.schedule engine ~owner:5 ~at:2 (fun () ->
          Sim.Engine.cancel engine (Option.get !batch_victim)));
-  batch_victim := Some (Sim.Engine.schedule engine ~owner:5 ~at:2 (fun () -> note 667 ()));
+  batch_victim := Some (Sim.Engine.schedule engine ~owner:5 ~at:2 (note 5 667));
   Sim.Engine.run engine ~until:12;
-  let mid = (List.rev !log, Sim.Engine.now engine, Sim.Engine.processed engine) in
+  let mid = (snapshot (), Sim.Engine.now engine, Sim.Engine.processed engine) in
   Sim.Engine.run_all engine;
-  (mid, List.rev !log, Sim.Engine.now engine, Sim.Engine.processed engine)
+  (mid, snapshot (), Sim.Engine.now engine, Sim.Engine.processed engine)
 
-let engine_staged_matches_legacy () =
-  let reference = staged_workload ~shards:0 () in
-  List.iter
-    (fun shards ->
-      let r = staged_workload ~shards () in
-      check bool (Printf.sprintf "shards=%d equals the legacy loop" shards) true
-        (r = reference))
-    [ 1; 2; 3; 8 ];
+let engine_parallel_matches_fire_loop () =
+  let reference = staged_workload ~shards:1 () in
+  Exec.Pool.with_pool ~domains:4 (fun pool ->
+      List.iter
+        (fun shards ->
+          let r = staged_workload ~pool ~shards () in
+          check bool (Printf.sprintf "parallel shards=%d equals fire_loop" shards) true
+            (r = reference))
+        [ 2; 3; 4; 8 ]);
   (* Sanity on the reference itself: the cancelled events never fired. *)
-  let _, log, _, _ = reference in
-  check bool "cancelled queued event never fired" true
-    (not (List.mem_assoc 666 log));
-  check bool "cancelled same-tick event never fired" true
-    (not (List.mem_assoc 667 log))
+  let _, logs, _, _ = reference in
+  check bool "cancelled queued event never fired" true (not (List.mem_assoc 666 logs.(7)));
+  check bool "cancelled same-tick event never fired" true (not (List.mem_assoc 667 logs.(5)))
 
 let engine_staged_until_boundary () =
-  let engine = Sim.Engine.create () in
-  Sim.Engine.set_sharding engine ~shards:4 ~n:4 ();
-  let fired = ref [] in
-  List.iter
-    (fun t ->
-      ignore
-        (Sim.Engine.schedule engine ~owner:(t mod 4) ~at:t (fun () -> fired := t :: !fired)))
-    [ 5; 10; 15 ];
-  Sim.Engine.run engine ~until:10;
-  check (Alcotest.list int) "staged run ~until fires only <= until" [ 5; 10 ]
-    (List.rev !fired);
-  check int "staged clock at last fired event" 10 (Sim.Engine.now engine);
-  check int "later event still pending" 1 (Sim.Engine.pending engine)
+  Exec.Pool.with_pool ~domains:4 (fun pool ->
+      let engine = Sim.Engine.create () in
+      Sim.Engine.set_sharding engine ~pool ~shards:4 ~n:4 ();
+      let fired = Array.make 4 [] in
+      List.iter
+        (fun t ->
+          let o = t mod 4 in
+          ignore
+            (Sim.Engine.schedule engine ~owner:o ~at:t (fun () -> fired.(o) <- t :: fired.(o))))
+        [ 5; 10; 15 ];
+      Sim.Engine.run engine ~until:10;
+      check (Alcotest.list int) "parallel run ~until fires only <= until" [ 5; 10 ]
+        (List.sort compare (List.concat (Array.to_list fired)));
+      check int "parallel clock at last fired event" 10 (Sim.Engine.now engine);
+      check int "later event still pending" 1 (Sim.Engine.pending engine))
 
+(* Tracing forces [fire_loop]: a traced run with a pool attached is the
+   sequential run, record for record. *)
 let engine_staged_traces_identical () =
-  let capture shards =
+  let capture ?pool shards =
     let recorder = Obs.Recorder.collecting () in
     let engine = Sim.Engine.create ~recorder () in
-    if shards > 0 then Sim.Engine.set_sharding engine ~shards ~n:4 ();
+    with_sharding ?pool ~shards ~n:4 engine;
     let rec tick owner n () =
       if n > 0 then
         ignore (Sim.Engine.schedule_after engine ~owner ~delay:(1 + owner) (tick owner (n - 1)))
@@ -594,13 +603,45 @@ let engine_staged_traces_identical () =
     Obs.Recorder.iter recorder (fun r -> Obs.Jsonl.append buf r);
     Buffer.contents buf
   in
-  let reference = capture 0 in
-  List.iter
-    (fun s ->
-      check Alcotest.string
-        (Printf.sprintf "full trace identical at shards=%d" s)
-        reference (capture s))
-    [ 1; 2; 4 ]
+  let reference = capture 1 in
+  Exec.Pool.with_pool ~domains:4 (fun pool ->
+      List.iter
+        (fun s ->
+          check Alcotest.string
+            (Printf.sprintf "full trace identical with a pool at shards=%d" s)
+            reference (capture ~pool s))
+        [ 2; 4 ])
+
+(* Regression: the step's batch arrays kept the last step's event
+   records alive until a later step overwrote them. The id is an option
+   over the engine's event record; the weak slot watches that record. *)
+let engine_step_releases_events () =
+  Exec.Pool.with_pool ~domains:2 (fun pool ->
+      let engine = Sim.Engine.create () in
+      Sim.Engine.set_sharding engine ~pool ~shards:2 ~n:2 ();
+      let weak = Weak.create 1 in
+      let () =
+        let id = Sim.Engine.schedule engine ~owner:1 ~at:5 (fun () -> ()) in
+        Weak.set weak 0 (Some (Obj.field (Obj.repr id) 0))
+      in
+      ignore (Sim.Engine.schedule engine ~owner:0 ~at:10 (fun () -> ()));
+      Sim.Engine.run engine ~until:5;
+      check int "the step fired" 1 (Sim.Engine.processed engine);
+      Gc.full_major ();
+      check bool "fired event is collectable after its step" true (Weak.get weak 0 = None);
+      (* The engine, and with it every buffer it owns, is still live. *)
+      Sim.Engine.run_all engine;
+      check int "the later event fired" 2 (Sim.Engine.processed engine))
+
+let engine_shard_of () =
+  Exec.Pool.with_pool ~domains:1 (fun pool ->
+      let engine = Sim.Engine.create () in
+      check int "unsharded: shard 0" 0 (Sim.Engine.shard_of engine 5);
+      Sim.Engine.set_sharding engine ~pool ~shards:4 ~n:10 ();
+      check int "ownerless: shard 0" 0 (Sim.Engine.shard_of engine (-1));
+      check int "first pid: shard 0" 0 (Sim.Engine.shard_of engine 0);
+      check int "last pid: last shard" 3 (Sim.Engine.shard_of engine 9);
+      check int "beyond the partition: last shard" 3 (Sim.Engine.shard_of engine 15))
 
 (* ------------------------------ Trace ------------------------------ *)
 
@@ -687,11 +728,14 @@ let suite =
       (engine_saturated_delay_noop ~behind:[ 70_000; 12; 300 ]);
     Alcotest.test_case "engine: saturated delay is a no-op (when idle)" `Quick
       (engine_saturated_delay_noop ~behind:[]);
-    Alcotest.test_case "engine: staged stepping equals the legacy loop" `Quick
-      engine_staged_matches_legacy;
+    Alcotest.test_case "engine: parallel stepping equals fire_loop" `Quick
+      engine_parallel_matches_fire_loop;
     Alcotest.test_case "engine: staged run ~until boundary" `Quick engine_staged_until_boundary;
     Alcotest.test_case "engine: staged traces byte-identical" `Quick
       engine_staged_traces_identical;
+    Alcotest.test_case "engine: a parallel step releases its events" `Quick
+      engine_step_releases_events;
+    Alcotest.test_case "engine: shard_of at the partition edges" `Quick engine_shard_of;
     Alcotest.test_case "engine: cancel releases the closure (high wheel level)" `Quick
       (engine_cancel_releases_closure ~at:1_000_000);
     Alcotest.test_case "engine: cancel releases the closure (within level 0)" `Quick
