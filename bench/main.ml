@@ -45,7 +45,7 @@ let perf_tests () =
            Sim.Engine.run_all engine));
     Test.make ~name:"wheel:10k-mixed"
       (Staged.stage (fun () ->
-           let q = Sim.Wheel.create () in
+           let q = Sim.Wheel.create ~dummy:0 () in
            for i = 0 to 9_999 do
              Sim.Wheel.add q ~prio:((i * 7919) mod 1000) i
            done;
@@ -403,12 +403,31 @@ type scale_cell = {
   seconds : float;
 }
 
-let words_of_bytes b = int_of_float (b /. float_of_int (Sys.word_size / 8))
+(* Words allocated so far by this process. Not [Gc.allocated_bytes]:
+   in OCaml 5.1 its minor part, read from [Gc.counters], under-reads the
+   minor heap's current contents until the next minor collection, so a
+   delta moved by up to a minor heap's worth of words with the GC timing,
+   that is with whatever ran before. [Gc.minor_words] is exact. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
 
-(* Cells run sequentially on the calling domain: Gc counters are the
-   measurement, and only a single-domain run keeps the allocation deltas
-   exact and reproducible. *)
-let run_scale_cell ~measure_live spec =
+let words_since w0 = int_of_float (allocated_words () -. w0)
+
+let kind_name = function `Ring -> "ring" | `Grid -> "grid" | `Scale_free -> "sf"
+
+let kind_of_name = function
+  | "ring" -> Some `Ring
+  | "grid" -> Some `Grid
+  | "sf" -> Some `Scale_free
+  | _ -> None
+
+(* One cell, measured in the calling process, single-domain: the Gc
+   counters are the measurement. [run_scale_cell] runs it in a fresh
+   child process ([main.exe --scale-cell KIND N LIVE]), so that neither
+   the allocation count nor the live-heap delta depends on what ran
+   before the cell. *)
+let measure_scale_cell ~measure_live spec =
   let scenario = scale_scenario spec in
   let live0 =
     if measure_live then begin
@@ -417,13 +436,13 @@ let run_scale_cell ~measure_live spec =
     end
     else 0
   in
-  let alloc0 = Gc.allocated_bytes () in
+  let alloc0 = allocated_words () in
   let t0 = Sys.time () in
   let w = Harness.World.create scenario in
   Harness.World.advance w ~until:scenario.horizon;
   let r = Harness.World.report w in
   let seconds = Sys.time () -. t0 in
-  let alloc_words = words_of_bytes (Gc.allocated_bytes () -. alloc0) in
+  let alloc_words = words_since alloc0 in
   let live_words =
     if measure_live then begin
       Gc.full_major ();
@@ -442,10 +461,31 @@ let run_scale_cell ~measure_live spec =
     seconds;
   }
 
+(* One line, read back by [run_scale_cell]; %h keeps the float exact. *)
+let print_scale_cell c =
+  Printf.printf "%s %d %d %d %d %d %d %h" c.label c.cell_n c.cell_edges c.cell_events c.cell_eats
+    c.alloc_words c.live_words c.seconds;
+  print_newline ()
+
+(* Run one cell in a child process and read back the line it prints. *)
+let run_scale_cell ~measure_live kind n =
+  let args =
+    [| Sys.executable_name; "--scale-cell"; kind_name kind; string_of_int n;
+       (if measure_live then "1" else "0") |]
+  in
+  let ic = Unix.open_process_args_in Sys.executable_name args in
+  let line = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED 0 ->
+      Scanf.sscanf line "%s %d %d %d %d %d %d %h "
+        (fun label cell_n cell_edges cell_events cell_eats alloc_words live_words seconds ->
+          { label; cell_n; cell_edges; cell_events; cell_eats; alloc_words; live_words; seconds })
+  | _ -> failwith (Printf.sprintf "scale cell %s-%d: child process failed" (kind_name kind) n)
+
 (* Engine-only throughput: a self-rescheduling event storm with spread
    delays. *)
 let engine_micro () =
-  let alloc0 = Gc.allocated_bytes () in
+  let alloc0 = allocated_words () in
   let t0 = Sys.time () in
   let engine = Sim.Engine.create () in
   let count = ref 0 in
@@ -457,7 +497,7 @@ let engine_micro () =
   ignore (Sim.Engine.schedule engine ~at:0 tick);
   Sim.Engine.run_all engine;
   let seconds = Sys.time () -. t0 in
-  (Sim.Engine.processed engine, words_of_bytes (Gc.allocated_bytes () -. alloc0), seconds)
+  (Sim.Engine.processed engine, words_since alloc0, seconds)
 
 let run_scale ~(ctx : Harness.Experiments.ctx) ~smoke ~json ~baseline () =
   print_endline
@@ -466,12 +506,10 @@ let run_scale ~(ctx : Harness.Experiments.ctx) ~smoke ~json ~baseline () =
      else "### SCALE — simulator-core scaling sweep\n");
   let sizes = if smoke then [ 100; 1_000 ] else [ 100; 1_000; 10_000; 100_000 ] in
   let cells =
-    List.concat_map
-      (fun kind -> List.map (fun n -> scale_spec kind n) sizes)
-      [ `Ring; `Grid; `Scale_free ]
+    List.concat_map (fun kind -> List.map (fun n -> (kind, n)) sizes) [ `Ring; `Grid; `Scale_free ]
     (* The 10^6 step, ring only: the constant-degree topology isolates
        pure table scaling. *)
-    @ (if smoke then [] else [ scale_spec `Ring 1_000_000 ])
+    @ (if smoke then [] else [ (`Ring, 1_000_000) ])
   in
   let report = Report.create () in
   Report.str report "schema" "daemon-sim-bench/1";
@@ -481,7 +519,7 @@ let run_scale ~(ctx : Harness.Experiments.ctx) ~smoke ~json ~baseline () =
   Report.int report "engine.wheel.alloc_words" wheel_alloc;
   Report.float report "engine.wheel.run_seconds" wheel_s;
   (* Model-checker throughput. *)
-  let mc_alloc0 = Gc.allocated_bytes () in
+  let mc_alloc0 = allocated_words () in
   let mc_t0 = Sys.time () in
   let mc =
     Mcheck.Explore.bfs
@@ -497,7 +535,7 @@ let run_scale ~(ctx : Harness.Experiments.ctx) ~smoke ~json ~baseline () =
   Report.int report "mcheck.pair2.states" mc.Mcheck.Explore.states;
   Report.int report "mcheck.pair2.transitions" mc.transitions;
   Report.int report "mcheck.pair2.alloc_words"
-    (words_of_bytes (Gc.allocated_bytes () -. mc_alloc0));
+    (words_since mc_alloc0);
   Report.float report "mcheck.pair2.run_seconds" mc_s;
   (* The sweep itself. *)
   let columns =
@@ -520,8 +558,8 @@ let run_scale ~(ctx : Harness.Experiments.ctx) ~smoke ~json ~baseline () =
   in
   let table = Stats.Table.create ~title:"SCALE: one world per cell, hot path only" ~columns in
   List.iter
-    (fun spec ->
-      let c = run_scale_cell ~measure_live:(not smoke) spec in
+    (fun (kind, n) ->
+      let c = run_scale_cell ~measure_live:(not smoke) kind n in
       let prefix = Printf.sprintf "scale.%s" c.label in
       Report.int report (prefix ^ ".n") c.cell_n;
       Report.int report (prefix ^ ".edges") c.cell_edges;
@@ -550,13 +588,14 @@ let run_scale ~(ctx : Harness.Experiments.ctx) ~smoke ~json ~baseline () =
             Printf.sprintf "%.2f s" c.seconds;
           ]))
     cells;
-  (* Fuzzing throughput, last: it runs on the context's domain count, and
-     once a domain has been spawned and joined, OCaml 5's GC merges the
-     dead domain's counters into [Gc.allocated_bytes] at an arbitrary
-     later point — so every exact allocation delta above must be measured
-     before the first spawn. The campaign counts themselves are identical
-     for any --domains (the pool's contract), so no allocation metric is
-     recorded for this section. *)
+  (* Fuzzing throughput, after the in-process engine and model-checker
+     measurements: it runs on the context's domain count, and once a
+     domain has been spawned and joined, OCaml 5's GC merges the dead
+     domain's counters into this process's counters at an arbitrary
+     later point — so every exact allocation delta measured in this
+     process must come before the first spawn. The campaign counts
+     themselves are identical for any --domains (the pool's contract),
+     so no allocation metric is recorded for this section. *)
   let fz_t0 = Sys.time () in
   let fz = Fuzz.Campaign.run ~domains:ctx.domains ~profile:Fuzz.Gen.Sound ~seed:11L ~cases:40 () in
   let fz_s = Sys.time () -. fz_t0 in
@@ -639,6 +678,14 @@ let usage () =
 type opts = { smoke : bool; json : string option; baseline : string option }
 
 let () =
+  (match Array.to_list Sys.argv with
+  | [ _; "--scale-cell"; kind; n; live ] -> (
+      match (kind_of_name kind, int_of_string_opt n, live) with
+      | Some kind, Some n, ("0" | "1") ->
+          print_scale_cell (measure_scale_cell ~measure_live:(live = "1") (scale_spec kind n));
+          exit 0
+      | _ -> usage ())
+  | _ -> ());
   let default = Harness.Experiments.default_ctx () in
   let rec parse args (ctx : Harness.Experiments.ctx) (opts : opts) ids =
     match args with

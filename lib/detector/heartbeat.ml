@@ -25,6 +25,33 @@ let[@lint.hot] slot t observer target =
 
 let suspected t s = Bytes.unsafe_get t.hb_suspected s <> '\000'
 
+(* Monitoring side: while [observer] does not suspect [target], exactly one
+   check event is pending; a suspicion freezes checking until a heartbeat
+   arrives and resets it. Toplevel, so that the closure each check event
+   carries captures only [t] and the pair. *)
+let rec schedule_check t observer target at =
+  ignore
+    (Sim.Engine.schedule_owned t.engine ~owner:observer ~at (fun () -> check t observer target))
+
+and check t observer target =
+  if not (Net.Faults.is_crashed t.faults observer) then begin
+    let s = slot t observer target in
+    if not (suspected t s) then begin
+      let deadline = Sim.Time.add t.hb_last.(s) t.hb_timeout.(s) in
+      let now = Sim.Engine.now t.engine in
+      if now >= deadline then begin
+        Bytes.unsafe_set t.hb_suspected s '\001';
+        if not (Net.Faults.is_crashed t.faults target) then begin
+          t.mistakes <- t.mistakes + 1;
+          t.last_mistake <- Some now
+        end;
+        Obs.Recorder.suspect (Sim.Engine.recorder t.engine) ~time:now ~observer ~target ~on:true;
+        Detector.notify t.listeners observer
+      end
+      else schedule_check t observer target deadline
+    end
+  end
+
 let create ~engine ~faults ~graph ~delay ~rng ?(period = 20) ?(initial_timeout = 30)
     ?(bump = 25) ?metrics () =
   if period <= 0 || initial_timeout <= 0 || bump <= 0 then
@@ -48,31 +75,6 @@ let create ~engine ~faults ~graph ~delay ~rng ?(period = 20) ?(initial_timeout =
     }
   in
   let n = Cgraph.Graph.n graph in
-  (* Monitoring side: while [observer] does not suspect [target], exactly one
-     check event is pending; a suspicion freezes checking until a heartbeat
-     arrives and resets it. *)
-  let rec schedule_check observer target at =
-    ignore
-      (Sim.Engine.schedule engine ~owner:observer ~at (fun () ->
-           if not (Net.Faults.is_crashed faults observer) then begin
-             let s = slot t observer target in
-             if not (suspected t s) then begin
-               let deadline = Sim.Time.add t.hb_last.(s) t.hb_timeout.(s) in
-               let now = Sim.Engine.now engine in
-               if now >= deadline then begin
-                 Bytes.unsafe_set t.hb_suspected s '\001';
-                 if not (Net.Faults.is_crashed faults target) then begin
-                   t.mistakes <- t.mistakes + 1;
-                   t.last_mistake <- Some now
-                 end;
-                 Obs.Recorder.suspect (Sim.Engine.recorder engine) ~time:now ~observer
-                   ~target ~on:true;
-                 Detector.notify t.listeners observer
-               end
-               else schedule_check observer target deadline
-             end
-           end))
-  in
   let[@lint.hot] handler ~dst ~src () =
     let s = slot t dst src in
     t.hb_last.(s) <- Sim.Engine.now engine;
@@ -82,7 +84,7 @@ let create ~engine ~faults ~graph ~delay ~rng ?(period = 20) ?(initial_timeout =
       Obs.Recorder.suspect (Sim.Engine.recorder engine) ~time:t.hb_last.(s) ~observer:dst
         ~target:src ~on:false;
       Detector.notify t.listeners dst;
-      schedule_check dst src (Sim.Time.add t.hb_last.(s) t.hb_timeout.(s))
+      schedule_check t dst src (Sim.Time.add t.hb_last.(s) t.hb_timeout.(s))
     end
   in
   let net =
@@ -92,17 +94,21 @@ let create ~engine ~faults ~graph ~delay ~rng ?(period = 20) ?(initial_timeout =
   in
   (* Sending side: each process broadcasts a heartbeat to its neighborhood
      every [period] ticks, with a per-process phase jitter. *)
+  let off = Cgraph.Graph.csr_offsets graph and nbr = Cgraph.Graph.csr_targets graph in
   for i = 0 to n - 1 do
     let rec beat () =
       if not (Net.Faults.is_crashed faults i) then begin
-        Array.iter (fun j -> Net.Network.send net ~src:i ~dst:j ()) (Cgraph.Graph.neighbors graph i);
-        ignore (Sim.Engine.schedule_after engine ~owner:i ~delay:period beat)
+        for s = off.(i) to off.(i + 1) - 1 do
+          Net.Network.send net ~src:i ~dst:nbr.(s) ()
+        done;
+        let at = Sim.Time.add (Sim.Engine.now engine) period in
+        ignore (Sim.Engine.schedule_owned engine ~owner:i ~at beat)
       end
     in
     ignore (Sim.Engine.schedule_after engine ~owner:i ~delay:(Sim.Rng.int rng period) beat);
-    Array.iter
-      (fun j -> schedule_check i j (Sim.Time.add now0 initial_timeout))
-      (Cgraph.Graph.neighbors graph i)
+    for s = off.(i) to off.(i + 1) - 1 do
+      schedule_check t i nbr.(s) (Sim.Time.add now0 initial_timeout)
+    done
   done;
   let detector =
     {

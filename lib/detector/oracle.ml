@@ -1,18 +1,24 @@
 type fp = { observer : int; target : int; from_t : Sim.Time.t; till_t : Sim.Time.t }
 
+(* Suspicion state is per directed slot (observer's CSR row, slot for
+   target), as in Heartbeat: [suspects] sits inside the algorithm's
+   guard loops, once per neighbor, so a query must not allocate a key. *)
 type t = {
   engine : Sim.Engine.t;
   faults : Net.Faults.t;
+  graph : Cgraph.Graph.t;
   detection_delay : int;
   false_positives : fp list;
-  fp_active : (int * int, int) Hashtbl.t; (* (observer, target) -> open window count *)
-  permanent : (int * int, unit) Hashtbl.t; (* completeness suspicions, never removed *)
+  fp_active : int array; (* slot -> open window count *)
+  permanent : Bytes.t; (* slot -> 1 once a completeness suspicion is set; never cleared *)
   listeners : (int -> unit) list ref;
 }
 
+let suspected t s = Bytes.unsafe_get t.permanent s <> '\000' || t.fp_active.(s) > 0
+
 let suspects t ~observer ~target =
-  Hashtbl.mem t.permanent (observer, target)
-  || Option.value (Hashtbl.find_opt t.fp_active (observer, target)) ~default:0 > 0
+  let s = Cgraph.Graph.dir_index_opt t.graph observer target in
+  s >= 0 && suspected t s
 
 let validate_fp graph fp =
   if fp.from_t >= fp.till_t then invalid_arg "Oracle: empty false-positive window";
@@ -21,33 +27,38 @@ let validate_fp graph fp =
 
 let create engine faults graph ?(detection_delay = 50) ?(false_positives = []) () =
   List.iter (validate_fp graph) false_positives;
+  let dirs = Cgraph.Graph.dir_count graph in
   let t =
     {
       engine;
       faults;
+      graph;
       detection_delay;
       false_positives;
-      fp_active = Hashtbl.create 16;
-      permanent = Hashtbl.create 16;
+      fp_active = Array.make dirs 0;
+      permanent = Bytes.make dirs '\000';
       listeners = ref [];
     }
   in
-  let bump key delta =
-    let before = suspects t ~observer:(fst key) ~target:(snd key) in
-    let count = Option.value (Hashtbl.find_opt t.fp_active key) ~default:0 in
-    Hashtbl.replace t.fp_active key (count + delta);
-    let after = suspects t ~observer:(fst key) ~target:(snd key) in
+  let bump observer target s delta =
+    let before = suspected t s in
+    t.fp_active.(s) <- t.fp_active.(s) + delta;
+    let after = suspected t s in
     if before <> after then begin
-      Obs.Recorder.suspect (Sim.Engine.recorder engine) ~time:(Sim.Engine.now engine)
-        ~observer:(fst key) ~target:(snd key) ~on:after;
-      Detector.notify t.listeners (fst key)
+      Obs.Recorder.suspect (Sim.Engine.recorder engine) ~time:(Sim.Engine.now engine) ~observer
+        ~target ~on:after;
+      Detector.notify t.listeners observer
     end
   in
   List.iter
     (fun fp ->
-      let key = (fp.observer, fp.target) in
-      ignore (Sim.Engine.schedule engine ~owner:fp.observer ~at:fp.from_t (fun () -> bump key 1));
-      ignore (Sim.Engine.schedule engine ~owner:fp.observer ~at:fp.till_t (fun () -> bump key (-1))))
+      let s = Cgraph.Graph.dir_index graph fp.observer fp.target in
+      ignore
+        (Sim.Engine.schedule engine ~owner:fp.observer ~at:fp.from_t (fun () ->
+             bump fp.observer fp.target s 1));
+      ignore
+        (Sim.Engine.schedule engine ~owner:fp.observer ~at:fp.till_t (fun () ->
+             bump fp.observer fp.target s (-1))))
     false_positives;
   Net.Faults.on_crash faults (fun crashed ->
       Array.iter
@@ -55,10 +66,10 @@ let create engine faults graph ?(detection_delay = 50) ?(false_positives = []) (
           ignore
             (Sim.Engine.schedule_after engine ~owner:neighbor ~delay:detection_delay (fun () ->
                  if not (Net.Faults.is_crashed faults neighbor) then begin
-                   let key = (neighbor, crashed) in
-                   if not (Hashtbl.mem t.permanent key) then begin
-                     let before = suspects t ~observer:neighbor ~target:crashed in
-                     Hashtbl.add t.permanent key ();
+                   let s = Cgraph.Graph.dir_index graph neighbor crashed in
+                   if Bytes.get t.permanent s = '\000' then begin
+                     let before = suspected t s in
+                     Bytes.set t.permanent s '\001';
                      if not before then begin
                        Obs.Recorder.suspect (Sim.Engine.recorder engine)
                          ~time:(Sim.Engine.now engine) ~observer:neighbor ~target:crashed

@@ -12,16 +12,16 @@ let attach ~engine ~faults ~n ~rng ~workload (instance : Dining.Instance.t) =
       match phase with
       | Dining.Types.Hungry -> t.hungry_transitions <- t.hungry_transitions + 1
       | Dining.Types.Eating ->
-          ignore
-            (Sim.Engine.schedule_after engine ~owner:pid ~delay:(eat_delay ()) (fun () ->
-                 instance.stop_eating pid))
+          let at = Sim.Time.add (Sim.Engine.now engine) (eat_delay ()) in
+          ignore (Sim.Engine.schedule_owned engine ~owner:pid ~at (fun () -> instance.stop_eating pid))
       | Dining.Types.Thinking ->
+          let at = Sim.Time.add (Sim.Engine.now engine) (think_delay ()) in
           ignore
-            (Sim.Engine.schedule_after engine ~owner:pid ~delay:(think_delay ()) (fun () ->
+            (Sim.Engine.schedule_owned engine ~owner:pid ~at (fun () ->
                  if not (Net.Faults.is_crashed faults pid) then instance.become_hungry pid)));
   for pid = 0 to n - 1 do
     ignore
-      (Sim.Engine.schedule engine ~owner:pid ~at:(think_delay ()) (fun () ->
+      (Sim.Engine.schedule_owned engine ~owner:pid ~at:(think_delay ()) (fun () ->
            if not (Net.Faults.is_crashed faults pid) then instance.become_hungry pid))
   done;
   t

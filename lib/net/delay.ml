@@ -6,19 +6,20 @@ type t =
 
 let clamp_pos d = if d < 1 then 1 else d
 
-let uniform rng (lo, hi) =
+let uniform rng lo hi =
   if lo > hi then invalid_arg "Delay: empty uniform range";
   clamp_pos (Sim.Rng.int_in rng lo hi)
 
 let sample t rng ~now =
   match t with
   | Fixed d -> clamp_pos d
-  | Uniform (lo, hi) -> uniform rng (lo, hi)
+  | Uniform (lo, hi) -> uniform rng lo hi
   | Exponential (mean, cap) ->
       let d = int_of_float (Float.round (Sim.Rng.exponential rng ~mean)) in
       clamp_pos (min d cap)
   | Partial_synchrony { gst; pre; post } ->
-      if now < gst then uniform rng pre else uniform rng post
+      let lo, hi = if now < gst then pre else post in
+      uniform rng lo hi
 
 let upper_bound_after t after =
   match t with

@@ -56,34 +56,37 @@ let create ~engine ~graph ~delay ~faults ~rng ?(kind = fun _ -> "msg")
     last_delivery = Array.make (Cgraph.Graph.dir_count graph) Sim.Time.zero;
   }
 
+(* A delivery fires at its own delivery time, so the engine clock is
+   [at], and the kind is recomputed from the message: the closure [send]
+   allocates captures only the network, the endpoints and the message. *)
+let deliver t ~src ~dst msg =
+  let at = Sim.Engine.now t.engine in
+  let kind = t.kind_index msg in
+  if Faults.is_crashed t.faults dst then begin
+    Link_stats.record_drop t.stats ~src ~dst ~kind ~at;
+    if !(t.tracing) then Obs.Recorder.drop t.recorder ~time:at ~src ~dst ~tag:(t.kind msg);
+    t.on_drop ~src ~dst msg
+  end
+  else begin
+    Link_stats.record_delivery t.stats ~src ~dst ~kind ~at;
+    if !(t.tracing) then Obs.Recorder.deliver t.recorder ~time:at ~src ~dst ~tag:(t.kind msg);
+    t.handler ~dst ~src msg
+  end
+
 let send t ~src ~dst msg =
   let slot = Cgraph.Graph.dir_index_opt t.graph src dst in
   if slot < 0 then
     invalid_arg (Printf.sprintf "Network.send: %d and %d are not neighbors" src dst);
   if not (Faults.is_crashed t.faults src) then begin
     let now = Sim.Engine.now t.engine in
-    let kind = t.kind_index msg in
-    Link_stats.record_send t.stats ~src ~dst ~kind ~at:now;
+    Link_stats.record_send t.stats ~src ~dst ~kind:(t.kind_index msg) ~at:now;
     let rng = if Array.length t.src_rngs = 0 then t.rng else t.src_rngs.(src) in
     let raw = Sim.Time.add now (Delay.sample t.delay rng ~now) in
     let at = Sim.Time.max raw t.last_delivery.(slot) in
     t.last_delivery.(slot) <- at;
     if !(t.tracing) then
       Obs.Recorder.send t.recorder ~time:now ~src ~dst ~tag:(t.kind msg) ~deliver_at:at;
-    ignore
-      (Sim.Engine.schedule t.engine ~owner:dst ~at (fun () ->
-           if Faults.is_crashed t.faults dst then begin
-             Link_stats.record_drop t.stats ~src ~dst ~kind ~at;
-             if !(t.tracing) then
-               Obs.Recorder.drop t.recorder ~time:at ~src ~dst ~tag:(t.kind msg);
-             t.on_drop ~src ~dst msg
-           end
-           else begin
-             Link_stats.record_delivery t.stats ~src ~dst ~kind ~at;
-             if !(t.tracing) then
-               Obs.Recorder.deliver t.recorder ~time:at ~src ~dst ~tag:(t.kind msg);
-             t.handler ~dst ~src msg
-           end))
+    ignore (Sim.Engine.schedule_owned t.engine ~owner:dst ~at (fun () -> deliver t ~src ~dst msg))
   end
 
 let stats t = t.stats

@@ -22,7 +22,15 @@ let owner_of_state st = ((st lsr 2) land owner_mask) - 1
 let pack_owner owner = (owner + 1) lsl 2
 let noop () = ()
 
-type event_id = event option
+(* An id is the event itself: no box per [schedule]. *)
+type event_id = event
+
+(* Fill value for the queue's vacated cells and the reused step
+   buffers: a slot that is not in use must hold this, never a real
+   event, or it pins that event after it has left. Its state is
+   cancelled and fired, so it is also the id of an event scheduled at
+   [Time.infinity]: [cancel] on it is a no-op, and nothing writes it. *)
+let dummy_ev = { state = cancelled_bit lor fired_bit; action = noop }
 
 (* An effect buffered during a parallel step: an event scheduled while
    the step's batch was firing, remembered with the pop rank of the
@@ -68,7 +76,7 @@ let create ?recorder () =
   let recorder = match recorder with Some r -> r | None -> Obs.Recorder.create () in
   {
     clock = Time.zero;
-    queue = Wheel.create ~dead:(fun ev -> ev.state land cancelled_bit <> 0) ();
+    queue = Wheel.create ~dead:(fun ev -> ev.state land cancelled_bit <> 0) ~dummy:dummy_ev ();
     processed = 0;
     next_id = 0;
     recorder;
@@ -126,10 +134,6 @@ let fire_rank t = (Domain.DLS.get t.ctx_key).rank
 let fire_shard t = (Domain.DLS.get t.ctx_key).shard
 let add_step_hook t f = t.step_hooks <- t.step_hooks @ [ f ]
 
-(* Fill values for the reused step buffers: a buffer slot that is not
-   in use must hold one of these, never a real event, or the buffer pins
-   that event after its step is over. *)
-let dummy_ev = { state = cancelled_bit lor fired_bit; action = noop }
 let dummy_staged = { s_at = 0; s_rank = 0; s_ev = dummy_ev }
 
 let stage_push t shard stg =
@@ -142,9 +146,9 @@ let stage_push t shard stg =
   v.sa.(v.sn) <- stg;
   v.sn <- v.sn + 1
 
-let schedule t ?(owner = -1) ~at f =
+let schedule_owned t ~owner ~at f =
   let owner = if owner < -1 || owner > owner_limit then -1 else owner in
-  if at = Time.infinity then None
+  if at = Time.infinity then dummy_ev
   else begin
     if at < t.clock then
       invalid_arg
@@ -160,7 +164,7 @@ let schedule t ?(owner = -1) ~at f =
       let ctx = Domain.DLS.get t.ctx_key in
       let ev = { state = pack_owner owner; action = f } in
       stage_push t (if ctx.shard >= 0 then ctx.shard else 0) { s_at = at; s_rank = ctx.rank; s_ev = ev };
-      Some ev
+      ev
     end
     else begin
       let ev = { state = (t.next_id lsl id_shift) lor pack_owner owner; action = f } in
@@ -170,36 +174,34 @@ let schedule t ?(owner = -1) ~at f =
          tracing is off, keeping the hot path at one load + branch. *)
       if !(t.tracing) then
         Obs.Recorder.sched t.recorder ~time:t.clock ~id:(id_of_state ev.state) ~at;
-      Some ev
+      ev
     end
   end
 
+let schedule t ?(owner = -1) ~at f = schedule_owned t ~owner ~at f
 let schedule_after t ?owner ~delay f = schedule t ?owner ~at:(Time.add t.clock delay) f
 
-let cancel t id =
-  match id with
-  | None -> ()
-  | Some ev ->
-      (* Count each still-queued event as dead at most once; cancelling a
-         fired event must not skew the queue's husk accounting. *)
-      if ev.state land (cancelled_bit lor fired_bit) = 0 then begin
-        ev.state <- ev.state lor cancelled_bit;
-        (* The husk stays queued until popped or compacted away; drop the
-           closure now so it doesn't pin its environment until then. *)
-        ev.action <- noop;
-        if t.in_step then begin
-          (* Deferred husk note: mid-step the event may live in a staging
-             buffer or the current batch rather than the queue, and the
-             queue must not be touched from worker domains. Settled at
-             the sub-round merge. *)
-          let ctx = Domain.DLS.get t.ctx_key in
-          let sh = if ctx.shard >= 0 then ctx.shard else 0 in
-          t.deferred_dead.(sh) <- t.deferred_dead.(sh) + 1
-        end
-        else Wheel.note_dead t.queue;
-        if !(t.tracing) then
-          Obs.Recorder.cancel t.recorder ~time:t.clock ~id:(id_of_state ev.state)
-      end
+let cancel t ev =
+  (* Count each still-queued event as dead at most once; cancelling a
+     fired event must not skew the queue's husk accounting. *)
+  if ev.state land (cancelled_bit lor fired_bit) = 0 then begin
+    ev.state <- ev.state lor cancelled_bit;
+    (* The husk stays queued until popped or compacted away; drop the
+       closure now so it doesn't pin its environment until then. *)
+    ev.action <- noop;
+    if t.in_step then begin
+      (* Deferred husk note: mid-step the event may live in a staging
+         buffer or the current batch rather than the queue, and the
+         queue must not be touched from worker domains. Settled at
+         the sub-round merge. *)
+      let ctx = Domain.DLS.get t.ctx_key in
+      let sh = if ctx.shard >= 0 then ctx.shard else 0 in
+      t.deferred_dead.(sh) <- t.deferred_dead.(sh) + 1
+    end
+    else Wheel.note_dead t.queue;
+    if !(t.tracing) then
+      Obs.Recorder.cancel t.recorder ~time:t.clock ~id:(id_of_state ev.state)
+  end
 
 (* The fire loop is a toplevel tail recursion rather than a [ref]-driven
    while: it runs once per event over the whole simulation, and keeping

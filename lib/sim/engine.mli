@@ -47,6 +47,11 @@ val schedule : t -> ?owner:int -> at:Time.t -> (unit -> unit) -> event_id
     (default: ownerless); parallel stepping partitions the batch on it.
     Owners outside the 21-bit field are treated as ownerless. *)
 
+val schedule_owned : t -> owner:int -> at:Time.t -> (unit -> unit) -> event_id
+(** [schedule] with a required owner ([-1] = ownerless). An optional
+    argument costs its caller a [Some] box per call, so the per-event
+    callers (message deliveries, detector and workload timers) use this. *)
+
 val schedule_after : t -> ?owner:int -> delay:Time.t -> (unit -> unit) -> event_id
 (** [schedule_after t ~delay f] = [schedule t ~at:(now t + delay) f]. *)
 

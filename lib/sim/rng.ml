@@ -1,43 +1,55 @@
-type t = { mutable state : int64 }
+(* The state lives in an 8-byte buffer rather than a [mutable int64]
+   field: a boxed field costs a fresh Int64 block per draw, while the
+   native compiler reads and writes the buffer unboxed. [next] is inlined
+   into the samplers below, so a draw allocates nothing. *)
+type t = { state : Bytes.t }
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 (* splitmix64 finalizer (Steele, Lea, Flood 2014). *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = seed }
+let create seed =
+  let state = Bytes.create 8 in
+  set64 state 0 seed;
+  { state }
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] next t =
+  let s = Int64.add (get64 t.state 0) golden_gamma in
+  set64 t.state 0 s;
+  mix s
 
-let split t = create (bits64 t)
+let bits64 t = next t
+let split t = create (next t)
 
 let split_named t label =
   (* Hash the label into the current seed without advancing [t]. *)
-  let h = ref t.state in
+  let h = ref (get64 t.state 0) in
   String.iter (fun c -> h := mix (Int64.add !h (Int64.of_int (Char.code c)))) label;
   create (mix !h)
 
 let int t bound =
   assert (bound > 0);
-  let mask = Int64.shift_right_logical (bits64 t) 1 in
+  let mask = Int64.shift_right_logical (next t) 1 in
   Int64.to_int (Int64.rem mask (Int64.of_int bound))
 
 let int_in t lo hi =
   assert (lo <= hi);
   lo + int t (hi - lo + 1)
 
-let float t =
-  let bits53 = Int64.shift_right_logical (bits64 t) 11 in
+let[@inline] float t =
+  let bits53 = Int64.shift_right_logical (next t) 11 in
   Int64.to_float bits53 /. 9007199254740992.0 (* 2^53 *)
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
-let exponential t ~mean =
+let[@inline] exponential t ~mean =
   let u = float t in
   let u = if u <= 0.0 then epsilon_float else u in
   -.mean *. log u

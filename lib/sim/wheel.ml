@@ -10,19 +10,27 @@
    rest of the module relies on:
 
    - at each level, occupied slots sit at or above the floor's byte for
-     that level, so a forward bitmap scan finds the frontier;
-   - all entries for one tick are always co-located, so draining one
-     level-0 slot and sorting it by (prio, seq) yields exactly the
-     global FIFO order for that tick, even though insertion happened
-     across different floor epochs.
+     that level, so a forward bitmap scan finds the frontier, and the
+     frontier is the lowest occupied level: every level below it is
+     empty;
+   - a level-0 slot holds exactly one tick, the floor's upper bytes
+     plus the slot index, so level 0 stores bare values.
 
-   Same-tick order among equal priorities is therefore global FIFO. The
-   differential tests in test/test_sim.ml hold the wheel to a reference
-   binary heap (test/pqueue.ml) with the same dead-husk accounting and
-   compaction threshold: identical pop streams, husks included, for any
-   interleaving of add/cancel/pop. *)
+   Same-tick order is global FIFO without sequence numbers: a slot only
+   cascades when it is the frontier, so the slots it feeds are empty at
+   that moment, and every slot holds one cascade's entries (oldest
+   first) followed by direct inserts, in insertion order. Level-0 slots
+   are FIFO value arrays; popping swaps the frontier slot's array in as
+   the FIFO buffer, with no sort and no allocation. Levels >= 1 keep
+   newest-first cell lists, which a cascade reverses in place and
+   relinks oldest-first.
 
-type 'a entry = { prio : int; seq : int; value : 'a }
+   The differential tests in test/test_sim.ml hold the wheel to a
+   reference binary heap (test/pqueue.ml) with the same dead-husk
+   accounting and compaction threshold: identical pop streams, husks
+   included, for any interleaving of add/cancel/pop. *)
+
+type 'a cells = Nil | Cons of { prio : int; value : 'a; mutable next : 'a cells }
 
 let levels = 8
 let slot_bits = 8
@@ -36,33 +44,39 @@ let compaction_floor = 16
 
 type 'a t = {
   mutable floor : int; (* last popped tick; no queued entry is below it *)
-  slots : 'a entry list array; (* levels * 256, index = (level lsl 8) lor slot *)
+  upper : 'a cells array; (* levels 1..7 x 256, index = ((level - 1) lsl 8) lor slot *)
+  l0 : 'a array array; (* level-0 slot values in FIFO order, [||] when empty *)
+  l0_len : int array; (* fill of each level-0 array *)
   bitmap : int array; (* levels * 8 words, 32 occupancy bits per word *)
-  (* Entries for the tick currently being fired, in FIFO order;
-     active iff buf_head < buf_len. *)
-  mutable buf : 'a entry array;
+  dummy : 'a; (* fills every vacated array cell *)
+  mutable spare : 'a array; (* one emptied array kept for reuse, or [||] *)
+  (* Values of tick [floor] still to pop, in FIFO order; active iff
+     buf_head < buf_len. *)
+  mutable buf : 'a array;
   mutable buf_head : int;
   mutable buf_len : int;
-  mutable current_tick : int; (* tick of the buffered entries *)
   mutable cached_min : int; (* min prio over wheel slots (buffer excluded); -1 = unknown *)
   mutable size : int;
-  mutable next_seq : int;
   dead : ('a -> bool) option;
   mutable dead_count : int; (* upper bound on dead entries still queued *)
 }
 
-let create ?dead () =
+let no_values = [||]
+
+let create ?dead ~dummy () =
   {
     floor = 0;
-    slots = Array.make (levels * slots_per_level) [];
+    upper = Array.make ((levels - 1) * slots_per_level) Nil;
+    l0 = Array.make slots_per_level no_values;
+    l0_len = Array.make slots_per_level 0;
     bitmap = Array.make (levels * words_per_level) 0;
-    buf = [||];
+    dummy;
+    spare = no_values;
+    buf = no_values;
     buf_head = 0;
     buf_len = 0;
-    current_tick = 0;
     cached_min = -1;
     size = 0;
-    next_seq = 0;
     dead;
     dead_count = 0;
   }
@@ -119,39 +133,89 @@ let level_of x =
   let rec go l x = if x < slots_per_level then l else go (l + 1) (x lsr slot_bits) in
   go 0 x
 
-let[@lint.hot] wheel_insert t e =
-  let l = level_of (e.prio lxor t.floor) in
-  let s = (e.prio lsr (l * slot_bits)) land slot_mask in
-  let idx = (l lsl slot_bits) lor s in
-  (match t.slots.(idx) with [] -> set_bit t l s | _ -> ());
-  (* Slots are intrusive-free lists by design: one cons per insert is
-     the structure's storage, not incidental garbage. *)
-  t.slots.(idx) <- (e :: t.slots.(idx) [@lint.allow "hot-path-alloc"])
+let upper_index l s = ((l - 1) lsl slot_bits) lor s
 
-(* Cascade re-inserts a drained slot's entries; a toplevel recursion
-   instead of List.iter keeps the cascade path closure-free. *)
-let[@lint.hot] rec reinsert t es =
-  match es with
-  | [] -> ()
-  | e :: tl ->
-      wheel_insert t e;
-      reinsert t tl
+(* Append [v] to a FIFO array holding [n] values, returning the array
+   that now holds it. An empty array takes the spare when there is one. *)
+let[@lint.hot] push t a n v =
+  let a =
+    if n < Array.length a then a
+    else if n = 0 && Array.length t.spare > 0 then begin
+      let s = t.spare in
+      t.spare <- no_values;
+      s
+    end
+    else begin
+      (* Doubling growth, amortised O(1) per value: the array is the
+         slot's storage. The fill is [dummy], which is old after the
+         first minor collection, so a major-heap array does not force
+         one the way a young initial value would. The outgrown array is
+         released. *)
+      let b = (Array.make (max 4 (2 * n)) t.dummy [@lint.allow "hot-path-alloc"]) in
+      Array.blit a 0 b 0 n;
+      b
+    end
+  in
+  a.(n) <- v;
+  a
+
+let[@lint.hot] l0_push t s v =
+  let n = t.l0_len.(s) in
+  if n = 0 then set_bit t 0 s;
+  t.l0.(s) <- push t t.l0.(s) n v;
+  t.l0_len.(s) <- n + 1
+
+(* Push [cell] onto the level-l (l >= 1) slot s list, newest first. *)
+let[@lint.hot] link t l s cell =
+  match cell with
+  | Nil -> ()
+  | Cons c ->
+      let idx = upper_index l s in
+      (match t.upper.(idx) with Nil -> set_bit t l s | Cons _ -> ());
+      c.next <- t.upper.(idx);
+      t.upper.(idx) <- cell
+
+let[@lint.hot] insert t prio value =
+  let l = level_of (prio lxor t.floor) in
+  let s = (prio lsr (l * slot_bits)) land slot_mask in
+  if l = 0 then l0_push t s value
+  else
+    (* Upper slots are intrusive lists by design: one cell per insert
+       is the structure's storage, and cascades relink it in place. *)
+    link t l s (Cons { prio; value; next = Nil } [@lint.allow "hot-path-alloc"])
+
+let[@lint.hot] rec rev_cells acc cells =
+  match cells with
+  | Nil -> acc
+  | Cons c ->
+      let next = c.next in
+      c.next <- acc;
+      rev_cells cells next
+
+(* Cascade re-inserts a drained slot's cells oldest-first, each at its
+   canonical place under the current floor: relinked onto a lower
+   upper-level list, or its value pushed onto a level-0 array (the cell
+   is then dropped). [next] is read before [link] overwrites it; a
+   toplevel recursion keeps the cascade path closure-free. *)
+let[@lint.hot] rec relink_all t cells =
+  match cells with
+  | Nil -> ()
+  | Cons c ->
+      let next = c.next in
+      let l = level_of (c.prio lxor t.floor) in
+      let s = (c.prio lsr (l * slot_bits)) land slot_mask in
+      if l = 0 then l0_push t s c.value else link t l s cells;
+      relink_all t next
 
 let buf_active t = t.buf_head < t.buf_len
 
-let buf_reset t =
-  t.buf <- [||];
+(* The buffer is spent: keep its array (all cells [dummy] by now) as
+   the spare, releasing the previous one. *)
+let release_buf t =
+  t.spare <- t.buf;
+  t.buf <- no_values;
   t.buf_head <- 0;
   t.buf_len <- 0
-
-let buf_append t e =
-  if t.buf_len >= Array.length t.buf then begin
-    let nbuf = Array.make (max 4 (2 * Array.length t.buf)) e in
-    Array.blit t.buf 0 nbuf 0 t.buf_len;
-    t.buf <- nbuf
-  end;
-  t.buf.(t.buf_len) <- e;
-  t.buf_len <- t.buf_len + 1
 
 let add t ~prio value =
   if prio < 0 then invalid_arg "Wheel.add: negative priority";
@@ -165,45 +229,29 @@ let add t ~prio value =
   if prio < t.floor then
     invalid_arg
       (Printf.sprintf "Wheel.add: prio=%d is below the last popped tick (%d)" prio t.floor);
-  let e = { prio; seq = t.next_seq; value } in
-  t.next_seq <- t.next_seq + 1;
   t.size <- t.size + 1;
-  if buf_active t && prio = t.current_tick then buf_append t e
-  else if (not (buf_active t)) && prio = t.floor then begin
-    t.current_tick <- t.floor;
-    buf_append t e
+  (* The buffer only ever holds tick [floor], whose wheel slots are
+     empty, so an entry for it goes behind the buffered ones. *)
+  if prio = t.floor then begin
+    t.buf <- push t t.buf t.buf_len value;
+    t.buf_len <- t.buf_len + 1
   end
   else begin
-    wheel_insert t e;
+    insert t prio value;
     if t.cached_min >= 0 && prio < t.cached_min then t.cached_min <- prio
   end
 
-let entry_compare a b = if a.prio <> b.prio then compare a.prio b.prio else compare a.seq b.seq
-
-(* Move the frontier level-0 slot into the FIFO buffer. *)
+(* Swap the frontier level-0 slot's array in as the FIFO buffer. The
+   buffer is spent, and the slot's tick becomes the floor. *)
 let drain_slot t s =
-  let entries = t.slots.(s) in
-  t.slots.(s) <- [];
+  t.buf <- t.l0.(s);
+  t.buf_head <- 0;
+  t.buf_len <- t.l0_len.(s);
+  t.l0.(s) <- no_values;
+  t.l0_len.(s) <- 0;
   clear_bit t 0 s;
   t.cached_min <- -1;
-  let arr = Array.of_list entries in
-  Array.sort entry_compare arr;
-  let tick = arr.(0).prio in
-  let n = Array.length arr in
-  let k = ref 1 in
-  while !k < n && arr.(!k).prio = tick do incr k done;
-  if !k < n then begin
-    (* Defensive: canonical placement keeps one tick per level-0 slot,
-       but if later ticks ever cohabit, hand them back to the wheel. *)
-    for i = !k to n - 1 do
-      wheel_insert t arr.(i)
-    done;
-    t.buf <- Array.sub arr 0 !k
-  end
-  else t.buf <- arr;
-  t.buf_head <- 0;
-  t.buf_len <- !k;
-  t.current_tick <- tick
+  t.floor <- (t.floor land lnot slot_mask) lor s
 
 (* Distribute a level-l slot into lower levels. Re-anchoring the floor
    at the slot's window start is what keeps the redistributed entries
@@ -213,23 +261,23 @@ let drain_slot t s =
    queued is at or beyond the window start, and the floor is observed
    externally only after [pop] restores it to a fired tick. *)
 let[@lint.hot] cascade t l s =
-  let idx = (l lsl slot_bits) lor s in
-  let entries = t.slots.(idx) in
-  t.slots.(idx) <- [];
+  let idx = upper_index l s in
+  let cells = t.upper.(idx) in
+  t.upper.(idx) <- Nil;
   clear_bit t l s;
   let above =
     if (l + 1) * slot_bits >= Sys.int_size - 1 then 0
     else t.floor land lnot ((1 lsl ((l + 1) * slot_bits)) - 1)
   in
   t.floor <- above lor (s lsl (l * slot_bits));
-  reinsert t entries
+  relink_all t (rev_cells Nil cells)
 
 (* Find the frontier slot: levels are scanned lowest first because a
    level-l entry shares all bytes above l with the floor, so anything at
    a lower level is earlier. Within a level the first occupied slot at
-   or after the floor's byte is earliest. The result is the slot's index
-   in [slots], (level lsl slot_bits) lor slot: an int, so returning it
-   allocates nothing. *)
+   or after the floor's byte is earliest. The result is
+   (level lsl slot_bits) lor slot: an int, so returning it allocates
+   nothing. *)
 let rec frontier_from t l =
   if l >= levels then invalid_arg "Wheel: corrupt structure (size > 0 but no occupied slot)"
   else begin
@@ -239,24 +287,28 @@ let rec frontier_from t l =
   end
 
 let rec advance t =
-  let idx = frontier_from t 0 in
-  let l = idx lsr slot_bits in
-  if l = 0 then drain_slot t idx
+  let f = frontier_from t 0 in
+  let l = f lsr slot_bits in
+  if l = 0 then drain_slot t f
   else begin
-    cascade t l (idx land slot_mask);
+    cascade t l (f land slot_mask);
     advance t
   end
 
-(* Min priority over wheel slots without mutating; the frontier slot at
+let rec min_prio acc = function
+  | Nil -> acc
+  | Cons c -> min_prio (if c.prio < acc then c.prio else acc) c.next
+
+(* Min priority over wheel slots without mutating; a frontier slot at
    a level >= 1 spans a range of ticks, hence the fold. *)
 let find_min t =
-  List.fold_left
-    (fun acc e -> if e.prio < acc then e.prio else acc)
-    max_int
-    t.slots.(frontier_from t 0)
+  let f = frontier_from t 0 in
+  let l = f lsr slot_bits in
+  if l = 0 then (t.floor land lnot slot_mask) lor f
+  else min_prio max_int t.upper.(upper_index l (f land slot_mask))
 
 let[@lint.hot] next_tick t =
-  if buf_active t then t.current_tick
+  if buf_active t then t.floor
   else if t.size = 0 then max_int
   else begin
     if t.cached_min < 0 then t.cached_min <- find_min t;
@@ -264,16 +316,17 @@ let[@lint.hot] next_tick t =
   end
 
 let[@lint.hot] rec pop t =
-  if buf_active t then begin
-    let e = t.buf.(t.buf_head) in
-    t.buf_head <- t.buf_head + 1;
-    if t.buf_head = t.buf_len then buf_reset t;
-    t.floor <- t.current_tick;
+  let h = t.buf_head in
+  if h < t.buf_len then begin
+    let v = t.buf.(h) in
+    t.buf.(h) <- t.dummy;
+    t.buf_head <- h + 1;
+    if h + 1 = t.buf_len then release_buf t;
     t.size <- t.size - 1;
     (match t.dead with
-    | Some is_dead when is_dead e.value -> t.dead_count <- max 0 (t.dead_count - 1)
+    | Some is_dead when is_dead v -> t.dead_count <- max 0 (t.dead_count - 1)
     | _ -> ());
-    e.value
+    v
   end
   else if t.size = 0 then invalid_arg "Wheel.pop: empty wheel"
   else begin
@@ -281,36 +334,68 @@ let[@lint.hot] rec pop t =
     pop t
   end
 
+(* Keep the live values of [a.(lo..hi-1)] at [a.(0..k-1)], in order,
+   and return k; every other cell below [hi] gets [dummy]. *)
+let compact_values is_dead dummy a lo hi =
+  let k = ref 0 in
+  for i = lo to hi - 1 do
+    let v = a.(i) in
+    if not (is_dead v) then begin
+      a.(!k) <- v;
+      incr k
+    end
+  done;
+  Array.fill a !k (hi - !k) dummy;
+  !k
+
+let rec skip_dead is_dead = function
+  | Cons c when is_dead c.value -> skip_dead is_dead c.next
+  | cells -> cells
+
+(* Unlink dead cells in place, preserving order; returns the new head
+   and the number of cells kept. *)
+let compact_cells is_dead cells =
+  let head = skip_dead is_dead cells in
+  let rec go n = function
+    | Nil -> n
+    | Cons c ->
+        c.next <- skip_dead is_dead c.next;
+        go (n + 1) c.next
+  in
+  (head, go 0 head)
+
 let compact t =
   match t.dead with
   | None -> ()
   | Some is_dead ->
       let live = ref 0 in
-      for idx = 0 to (levels * slots_per_level) - 1 do
-        match t.slots.(idx) with
-        | [] -> ()
-        | entries ->
-            let kept = List.filter (fun e -> not (is_dead e.value)) entries in
-            t.slots.(idx) <- kept;
-            (match kept with
-            | [] -> clear_bit t (idx lsr slot_bits) (idx land slot_mask)
-            | _ -> ());
-            live := !live + List.length kept
+      for s = 0 to slots_per_level - 1 do
+        let n = t.l0_len.(s) in
+        if n > 0 then begin
+          let k = compact_values is_dead t.dummy t.l0.(s) 0 n in
+          t.l0_len.(s) <- k;
+          if k = 0 then begin
+            t.l0.(s) <- no_values;
+            clear_bit t 0 s
+          end;
+          live := !live + k
+        end
+      done;
+      for idx = 0 to Array.length t.upper - 1 do
+        match t.upper.(idx) with
+        | Nil -> ()
+        | cells ->
+            let head, k = compact_cells is_dead cells in
+            t.upper.(idx) <- head;
+            if k = 0 then clear_bit t ((idx lsr slot_bits) + 1) (idx land slot_mask);
+            live := !live + k
       done;
       if buf_active t then begin
-        let kept = ref [] in
-        for i = t.buf_len - 1 downto t.buf_head do
-          let e = t.buf.(i) in
-          if not (is_dead e.value) then kept := e :: !kept
-        done;
-        match !kept with
-        | [] -> buf_reset t
-        | es ->
-            let arr = Array.of_list es in
-            t.buf <- arr;
-            t.buf_head <- 0;
-            t.buf_len <- Array.length arr;
-            live := !live + Array.length arr
+        let k = compact_values is_dead t.dummy t.buf t.buf_head t.buf_len in
+        t.buf_head <- 0;
+        t.buf_len <- k;
+        if k = 0 then release_buf t;
+        live := !live + k
       end;
       t.size <- !live;
       t.dead_count <- 0;
@@ -323,13 +408,3 @@ let note_dead t =
 let size t = t.size
 let is_empty t = t.size = 0
 let floor t = t.floor
-
-let clear t =
-  Array.fill t.slots 0 (Array.length t.slots) [];
-  Array.fill t.bitmap 0 (Array.length t.bitmap) 0;
-  buf_reset t;
-  t.floor <- 0;
-  t.current_tick <- 0;
-  t.cached_min <- -1;
-  t.size <- 0;
-  t.dead_count <- 0

@@ -6,7 +6,9 @@
     tick differs from the wheel's floor (the last popped tick).
     Schedule, fire and cancel are amortised O(1): popping drains one
     level-0 slot at a time into a FIFO buffer, occasionally cascading a
-    higher-level slot down one level.
+    higher-level slot down one level. A level-0 slot holds a single
+    tick's values in a FIFO array, so draining it is a swap: no sort,
+    no allocation.
 
     Pop order among equal ticks is FIFO, and cancelled entries stay as
     husks until popped or compacted away; the tests hold the wheel to a
@@ -17,11 +19,16 @@
 
 type 'a t
 
-val create : ?dead:('a -> bool) -> unit -> 'a t
-(** [create ~dead ()] makes an empty wheel. [dead v] must answer
+val create : ?dead:('a -> bool) -> dummy:'a -> unit -> 'a t
+(** [create ~dead ~dummy ()] makes an empty wheel. [dead v] must answer
     whether entry [v] has been logically cancelled; it is consulted
     during compaction and on {!pop} to maintain the dead-entry count.
-    Without [dead], the wheel never compacts. *)
+    Without [dead], the wheel never compacts. [dummy] fills every array
+    cell the wheel vacates (by {!pop}, a cascade or {!compact}), so the
+    wheel never retains a value it no longer holds; it is never
+    returned by {!pop}. Pass a long-lived value: a young one costs a
+    forced minor collection the first time a slot array outgrows the
+    minor heap. *)
 
 val add : 'a t -> prio:int -> 'a -> unit
 (** Insert an element with the given priority (tick). Amortised O(1).
@@ -41,9 +48,11 @@ val compact : 'a t -> unit
 
 val pop : 'a t -> 'a
 (** Remove and return the minimum entry, FIFO among equal priorities;
-    its priority is {!floor} afterwards. Amortised O(1). A pop
-    allocates only when it reaches a new tick, whose entries it then
-    moves into the FIFO buffer. Dead entries are returned like any other
+    its priority is {!floor} afterwards. Amortised O(1). Reaching a
+    new tick swaps that tick's slot array in as the FIFO buffer, which
+    allocates nothing; a cascade relinks existing cells, and allocates
+    only when it outgrows a level-0 array (doubling, as {!add} does).
+    Dead entries are returned like any other
     (the caller skips them); popping one decrements the dead-entry
     count.
     @raise Invalid_argument if the wheel is empty. *)
@@ -62,5 +71,3 @@ val is_empty : 'a t -> bool
 val floor : 'a t -> int
 (** The last popped tick — no queued entry is below it. Exposed for
     tests and diagnostics. *)
-
-val clear : 'a t -> unit

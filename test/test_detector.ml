@@ -260,6 +260,28 @@ let unreliable_validates () =
         (Fd.Unreliable.create engine faults graph (Sim.Rng.create 1L) ~period:10 ~duration:10
            ~horizon:100 ()))
 
+(* Regression: the oracle kept its suspicions in Hashtbls keyed on an
+   (observer, target) tuple, so every query, made once per neighbor in
+   each of the algorithm's guard loops, allocated 8 words. *)
+let oracle_suspects_allocates_nothing () =
+  let engine = Sim.Engine.create () in
+  let graph = ring 4 in
+  let faults = Net.Faults.create engine ~n:4 in
+  let fps = [ { Fd.Oracle.observer = 0; target = 1; from_t = 10; till_t = 50 } ] in
+  let _, d = Fd.Oracle.create engine faults graph ~false_positives:fps () in
+  Net.Faults.schedule_crash faults ~pid:2 ~at:5;
+  Sim.Engine.run engine ~until:100;
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    if d.Fd.Detector.suspects ~observer:0 ~target:1 then incr hits;
+    if d.Fd.Detector.suspects ~observer:1 ~target:2 then incr hits;
+    if d.Fd.Detector.suspects ~observer:0 ~target:2 then incr hits
+  done;
+  let words = Gc.minor_words () -. before in
+  check int "only the crashed neighbor is suspected" 1000 !hits;
+  check (Alcotest.float 0.) "minor words for 3000 queries" 0. words
+
 let suite =
   [
     Alcotest.test_case "never: constant output" `Quick never_suspects_nothing;
@@ -283,4 +305,6 @@ let suite =
       heartbeat_on_advanced_engine;
     Alcotest.test_case "heartbeat: behaviour independent of creation time" `Quick
       heartbeat_offset_invariant;
+    Alcotest.test_case "oracle: suspects allocates nothing" `Quick
+      oracle_suspects_allocates_nothing;
   ]

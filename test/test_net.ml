@@ -97,6 +97,21 @@ let delay_partial_synchrony () =
   check (Alcotest.option int) "upper bound before GST" (Some 50)
     (Net.Delay.upper_bound_after model 0)
 
+(* Regression: a uniform draw built a (lo, hi) tuple on top of the
+   generator's own boxing, once per message sent. *)
+let delay_sample_allocates_nothing () =
+  let rng = Sim.Rng.create 4L in
+  let uniform = Net.Delay.Uniform (1, 8) in
+  let psync = Net.Delay.Partial_synchrony { gst = 100; pre = (1, 50); post = (1, 5) } in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for now = 1 to 1000 do
+    acc := !acc + Net.Delay.sample uniform rng ~now + Net.Delay.sample psync rng ~now:(now mod 200)
+  done;
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity !acc);
+  check (Alcotest.float 0.) "minor words for 2000 draws" 0. words
+
 (* ----------------------------- Network ----------------------------- *)
 
 let network_delivers () =
@@ -105,6 +120,30 @@ let network_delivers () =
   Net.Network.send net ~src:0 ~dst:1 "hello";
   Sim.Engine.run_all engine;
   check bool "delivered once" true (!got = [ (1, 0, "hello") ])
+
+(* A message costs the engine's event record (3 words) and one closure
+   over four values (7 words). Regression: the closure captured six
+   values (9 words) and the optional [?owner] boxed the owner in a
+   [Some] (2 more). A fixed delay keeps every event in the wheel's level
+   0, whose arrays are reused once grown. *)
+let network_message_allocation () =
+  let got = ref 0 in
+  let engine, _, net =
+    make_net ~delay:(Net.Delay.Fixed 2) ~handler:(fun ~dst:_ ~src:_ () -> incr got) ()
+  in
+  let round () =
+    for i = 0 to 99 do
+      Net.Network.send net ~src:(i land 3) ~dst:((i + 1) land 3) ()
+    done;
+    Sim.Engine.run_all engine
+  in
+  round ();
+  let before = Gc.minor_words () in
+  round ();
+  let per_message = (Gc.minor_words () -. before) /. 100. in
+  check int "all delivered" 200 !got;
+  check bool (Printf.sprintf "%.2f words per message <= 10.5" per_message) true
+    (per_message <= 10.5)
 
 let network_fifo_per_channel () =
   let got = ref [] in
@@ -240,4 +279,7 @@ let suite =
     Alcotest.test_case "link_stats: watermarks" `Quick link_stats_watermarks;
     Alcotest.test_case "link_stats: watched windows" `Quick link_stats_watched_windows;
     Alcotest.test_case "link_stats: last send" `Quick link_stats_last_send;
+    Alcotest.test_case "delay: sampling allocates nothing" `Quick delay_sample_allocates_nothing;
+    Alcotest.test_case "network: a message allocates its event and one closure" `Quick
+      network_message_allocation;
   ]

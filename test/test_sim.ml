@@ -76,6 +76,28 @@ let rng_shuffle_permutes () =
   check bool "shuffle is a permutation" true (sorted = Array.init 100 Fun.id);
   check bool "shuffle moved something" true (a <> Array.init 100 Fun.id)
 
+(* The stream is pinned to the values the generator produced when its
+   state was a [mutable int64] field: every golden depends on it. *)
+let rng_stream_pinned () =
+  let r = Sim.Rng.create 42L in
+  check Alcotest.int64 "first bits64" (-4767286540954276203L) (Sim.Rng.bits64 r);
+  check int "then int 1000" 145 (Sim.Rng.int r 1000);
+  check (Alcotest.float 0.) "then float" 0.27860113025513866 (Sim.Rng.float r)
+
+(* Regression: with the state in a [mutable int64] field every draw
+   boxed one Int64 for the store and one for the return, 6 words per
+   draw, and a network draws once per message. *)
+let rng_draws_allocate_nothing () =
+  let r = Sim.Rng.create 3L in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    acc := !acc + Sim.Rng.int r 100 + Sim.Rng.int_in r 1 6
+  done;
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity !acc);
+  check (Alcotest.float 0.) "minor words for 2000 draws" 0. words
+
 let rng_split_independent () =
   let parent = Sim.Rng.create 9L in
   let child = Sim.Rng.split parent in
@@ -232,7 +254,7 @@ let wheel_peek q =
   if p = max_int then None else Some p
 
 let wheel_orders () =
-  let q = Sim.Wheel.create () in
+  let q = Sim.Wheel.create ~dummy:0 () in
   check int "empty: next_tick is max_int" max_int (Sim.Wheel.next_tick q);
   List.iter (fun p -> Sim.Wheel.add q ~prio:p p) [ 5; 1; 4; 1; 3 ];
   check int "next_tick is the minimum" 1 (Sim.Wheel.next_tick q);
@@ -244,7 +266,7 @@ let wheel_orders () =
       ignore (Sim.Wheel.pop q))
 
 let wheel_fifo_ties () =
-  let q = Sim.Wheel.create () in
+  let q = Sim.Wheel.create ~dummy:(-1, "") () in
   List.iteri (fun i label -> Sim.Wheel.add q ~prio:7 (i, label)) [ "a"; "b"; "c"; "d" ];
   let labels = List.init 4 (fun _ -> snd (snd (Option.get (wheel_pop q)))) in
   check (Alcotest.list Alcotest.string) "insertion order at equal prio" [ "a"; "b"; "c"; "d" ]
@@ -253,7 +275,7 @@ let wheel_fifo_ties () =
 (* Priorities spanning every wheel level, including ticks far beyond the
    low levels' horizon, drain in global order with ties FIFO. *)
 let wheel_multilevel_spans () =
-  let q = Sim.Wheel.create () in
+  let q = Sim.Wheel.create ~dummy:(-1, -1) () in
   let prios =
     [ 0; 255; 256; 257; 65_535; 65_536; 1; 16_777_215; 16_777_216; (1 lsl 40) + 3; 1 lsl 40 ]
   in
@@ -265,7 +287,7 @@ let wheel_multilevel_spans () =
     (List.sort compare prios) (drain [])
 
 let wheel_floor_rejects_past () =
-  let q = Sim.Wheel.create () in
+  let q = Sim.Wheel.create ~dummy:"" () in
   Sim.Wheel.add q ~prio:100 "x";
   ignore (Sim.Wheel.pop q);
   check int "floor tracks the last popped tick" 100 (Sim.Wheel.floor q);
@@ -290,7 +312,7 @@ let wheel_matches_pqueue =
     (fun (codes, salt) ->
       let dead = Hashtbl.create 16 in
       let is_dead (i, _) = Hashtbl.mem dead i in
-      let w = Sim.Wheel.create ~dead:is_dead () in
+      let w = Sim.Wheel.create ~dead:is_dead ~dummy:(-1, -1) () in
       let p = Pqueue.create ~dead:is_dead () in
       let now = ref 0 in
       let idx = ref 0 in
@@ -341,6 +363,116 @@ let wheel_matches_pqueue =
       in
       drain ();
       !ok)
+
+(* Regression: draining a tick built its FIFO buffer with Array.of_list
+   over young list entries. Past 256 entries that array is allocated in
+   the major heap, where a young initial value forces a minor collection
+   (no major-to-minor pointer may exist): one forced minor GC per busy
+   tick, plus a sort. Draining is now a swap of the slot's array. *)
+let wheel_drain_no_minor_gc () =
+  let q = Sim.Wheel.create ~dummy:(-1) () in
+  Gc.minor ();
+  for i = 0 to 999 do
+    Sim.Wheel.add q ~prio:5 i
+  done;
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  let first = Sim.Wheel.pop q in
+  let after = (Gc.quick_stat ()).Gc.minor_collections in
+  check int "FIFO head of the tick" 0 first;
+  check int "no minor collection while draining a 1000-entry tick" before after
+
+(* The wheel holds each value in one place, and every cell that [pop], a
+   cascade or [compact] vacates gets the dummy, so a value that has left
+   the wheel is collectable while the wheel lives on. Watched values are
+   built in a non-inlined function so the weak slot is their only other
+   reference; a value is dead once its first byte is 'd'. *)
+let[@inline never] add_watched q weak i ~prio =
+  let v = Bytes.make 64 'x' in
+  Weak.set weak i (Some v);
+  Sim.Wheel.add q ~prio v
+
+let[@inline never] kill weak i =
+  match Weak.get weak i with Some v -> Bytes.set v 0 'd' | None -> ()
+
+let wheel_releases_vacated_values () =
+  let is_dead v = Bytes.length v > 0 && Bytes.get v 0 = 'd' in
+  let q = Sim.Wheel.create ~dead:is_dead ~dummy:Bytes.empty () in
+  let weak = Weak.create 6 in
+  let keep () = Bytes.make 64 'k' in
+  let collected i =
+    Gc.full_major ();
+    Weak.get weak i = None
+  in
+  Sim.Wheel.add q ~prio:1_000_000_000 (keep ());
+  (* pop: the popped value's buffer cell, with the tick still active. *)
+  add_watched q weak 0 ~prio:5;
+  Sim.Wheel.add q ~prio:5 (keep ());
+  ignore (Sim.Wheel.pop q : Bytes.t);
+  check bool "popped value released (tick still buffered)" true (collected 0);
+  ignore (Sim.Wheel.pop q : Bytes.t);
+  (* cascade: a level-2 entry moves down through levels 1 and 0. *)
+  add_watched q weak 1 ~prio:70_000;
+  Sim.Wheel.add q ~prio:70_001 (keep ());
+  ignore (Sim.Wheel.pop q : Bytes.t);
+  check int "cascaded entry popped at its tick" 70_000 (Sim.Wheel.floor q);
+  check bool "cascaded value released" true (collected 1);
+  ignore (Sim.Wheel.pop q : Bytes.t);
+  (* compact: a dead value next to a live one in a level-0 array, in an
+     upper-level list and in the active buffer. *)
+  add_watched q weak 2 ~prio:70_010;
+  Sim.Wheel.add q ~prio:70_010 (keep ());
+  add_watched q weak 3 ~prio:900_000;
+  Sim.Wheel.add q ~prio:900_000 (keep ());
+  Sim.Wheel.add q ~prio:70_001 (keep ());
+  add_watched q weak 4 ~prio:70_001;
+  Sim.Wheel.add q ~prio:70_001 (keep ());
+  List.iter (kill weak) [ 2; 3; 4 ];
+  Sim.Wheel.compact q;
+  check int "compaction keeps the live entries" 5 (Sim.Wheel.size q);
+  check bool "compacted level-0 value released" true (collected 2);
+  check bool "compacted upper-level value released" true (collected 3);
+  check bool "compacted buffer value released" true (collected 4);
+  List.iter
+    (fun at ->
+      ignore (Sim.Wheel.pop q : Bytes.t);
+      check int "live entries pop in order" at (Sim.Wheel.floor q))
+    [ 70_001; 70_001; 70_010; 900_000 ];
+  check int "the far keeper is still queued" 1 (Sim.Wheel.size (Sys.opaque_identity q))
+
+(* Same-tick FIFO across floor epochs: entries for one tick added while
+   it sits at level 2, then level 1, then level 0, then in the active
+   buffer, with compactions in between, pop in insertion order. *)
+let wheel_fifo_across_epochs () =
+  let dead = Hashtbl.create 4 in
+  let q = Sim.Wheel.create ~dead:(Hashtbl.mem dead) ~dummy:"" () in
+  let tick = (3 lsl 16) + (5 lsl 8) + 7 in
+  let add ?(at = tick) v = Sim.Wheel.add q ~prio:at v in
+  let kill v =
+    Hashtbl.replace dead v ();
+    Sim.Wheel.note_dead q
+  in
+  let pop () = Sim.Wheel.pop q in
+  add "a1";
+  add "d1";
+  add ~at:(3 lsl 16) "m1";
+  check Alcotest.string "level-2 epoch ends" "m1" (pop ());
+  add "a2";
+  add ~at:((3 lsl 16) + (5 lsl 8)) "m2";
+  check Alcotest.string "level-1 epoch ends" "m2" (pop ());
+  add "d2";
+  add "a3";
+  kill "d1";
+  kill "d2";
+  Sim.Wheel.compact q;
+  check Alcotest.string "tick drains into the buffer" "a1" (pop ());
+  add "a4";
+  add "d3";
+  kill "d3";
+  Sim.Wheel.compact q;
+  add "a5";
+  let rest = List.init (Sim.Wheel.size q) (fun _ -> pop ()) in
+  check (Alcotest.list Alcotest.string) "insertion order" [ "a2"; "a3"; "a4"; "a5" ] rest;
+  check int "all at one tick" tick (Sim.Wheel.floor q)
 
 (* ------------------------------ Engine ----------------------------- *)
 
@@ -460,7 +592,7 @@ let engine_cancel_releases_closure ~at () =
    The wheel (and the reference heap) must reject it outright, while
    every finite tick up to [max_int - 1] stays representable. *)
 let queue_rejects_infinity () =
-  let w = Sim.Wheel.create () in
+  let w = Sim.Wheel.create ~dummy:"" () in
   let rejected = match Sim.Wheel.add w ~prio:max_int "inf" with
     | () -> false
     | exception Invalid_argument _ -> true
@@ -613,8 +745,8 @@ let engine_staged_traces_identical () =
         [ 2; 4 ])
 
 (* Regression: the step's batch arrays kept the last step's event
-   records alive until a later step overwrote them. The id is an option
-   over the engine's event record; the weak slot watches that record. *)
+   records alive until a later step overwrote them. The id is the
+   engine's event record itself; the weak slot watches that record. *)
 let engine_step_releases_events () =
   Exec.Pool.with_pool ~domains:2 (fun pool ->
       let engine = Sim.Engine.create () in
@@ -622,7 +754,7 @@ let engine_step_releases_events () =
       let weak = Weak.create 1 in
       let () =
         let id = Sim.Engine.schedule engine ~owner:1 ~at:5 (fun () -> ()) in
-        Weak.set weak 0 (Some (Obj.field (Obj.repr id) 0))
+        Weak.set weak 0 (Some (Obj.repr id))
       in
       ignore (Sim.Engine.schedule engine ~owner:0 ~at:10 (fun () -> ()));
       Sim.Engine.run engine ~until:5;
@@ -714,6 +846,10 @@ let suite =
     Alcotest.test_case "wheel: spans every level" `Quick wheel_multilevel_spans;
     Alcotest.test_case "wheel: rejects below the floor" `Quick wheel_floor_rejects_past;
     QCheck_alcotest.to_alcotest wheel_matches_pqueue;
+    Alcotest.test_case "wheel: draining a tick forces no minor GC" `Quick wheel_drain_no_minor_gc;
+    Alcotest.test_case "wheel: vacated values are released" `Quick
+      wheel_releases_vacated_values;
+    Alcotest.test_case "wheel: same-tick FIFO across epochs" `Quick wheel_fifo_across_epochs;
     Alcotest.test_case "engine: fires in time order" `Quick engine_fires_in_order;
     Alcotest.test_case "engine: FIFO at equal times" `Quick engine_same_time_fifo;
     Alcotest.test_case "engine: run ~until" `Quick engine_until_bound;
@@ -743,4 +879,6 @@ let suite =
     Alcotest.test_case "trace: disabled by default" `Quick trace_disabled_by_default;
     Alcotest.test_case "trace: collects records" `Quick trace_collects;
     Alcotest.test_case "trace: callback sink" `Quick trace_sink;
+    Alcotest.test_case "rng: stream pinned" `Quick rng_stream_pinned;
+    Alcotest.test_case "rng: draws allocate nothing" `Quick rng_draws_allocate_nothing;
   ]
