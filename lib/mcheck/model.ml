@@ -6,133 +6,7 @@ type config = {
   fp_budget : int;
 }
 
-type msg = P | A | R of int | F
-
-type pstate = {
-  phase : int; (* 0 = thinking, 1 = hungry, 2 = eating *)
-  inside : bool;
-  pinged : bool array;
-  ack : bool array;
-  replied : bool array;
-  deferred : bool array;
-  fork : bool array;
-  token : bool array;
-  sessions_left : int;
-}
-
-(* absorbed message counts per directed pair, by kind *)
-type absorbed = { ab_p : int; ab_a : int; ab_r : int; ab_f : int }
-
-type state = {
-  procs : pstate array;
-  chans : msg list array array; (* chans.(i).(k) = queue i -> its k-th neighbor *)
-  susp : bool array array;      (* susp.(i).(k) = i suspects its k-th neighbor *)
-  crashed : bool array;
-  crash_budget_left : int;
-  fp_budget_left : int;
-  absorbed : absorbed array array; (* absorbed.(i).(k): dropped on channel i -> k-th nbr *)
-}
-
-let no_absorbed = { ab_p = 0; ab_a = 0; ab_r = 0; ab_f = 0 }
-
-let copy_p p =
-  {
-    p with
-    pinged = Array.copy p.pinged;
-    ack = Array.copy p.ack;
-    replied = Array.copy p.replied;
-    deferred = Array.copy p.deferred;
-    fork = Array.copy p.fork;
-    token = Array.copy p.token;
-  }
-
-let copy_state s =
-  {
-    procs = Array.map copy_p s.procs;
-    chans = Array.map (fun row -> Array.copy row) s.chans;
-    susp = Array.map Array.copy s.susp;
-    crashed = Array.copy s.crashed;
-    crash_budget_left = s.crash_budget_left;
-    fp_budget_left = s.fp_budget_left;
-    absorbed = Array.map Array.copy s.absorbed;
-  }
-
-let nbrs cfg i = Cgraph.Graph.neighbors cfg.graph i
-
-let nbr_index cfg i j =
-  let row = nbrs cfg i in
-  let rec go k = if row.(k) = j then k else go (k + 1) in
-  go 0
-
-let initial cfg =
-  let n = Cgraph.Graph.n cfg.graph in
-  if not (Cgraph.Coloring.is_proper cfg.graph cfg.colors) then
-    invalid_arg "Mcheck: colors must be proper";
-  {
-    procs =
-      Array.init n (fun i ->
-          let row = nbrs cfg i in
-          let deg = Array.length row in
-          {
-            phase = 0;
-            inside = false;
-            pinged = Array.make deg false;
-            ack = Array.make deg false;
-            replied = Array.make deg false;
-            deferred = Array.make deg false;
-            fork = Array.map (fun j -> cfg.colors.(i) > cfg.colors.(j)) row;
-            token = Array.map (fun j -> cfg.colors.(i) < cfg.colors.(j)) row;
-            sessions_left = cfg.sessions;
-          });
-    chans = Array.init n (fun i -> Array.make (Array.length (nbrs cfg i)) []);
-    susp = Array.init n (fun i -> Array.make (Array.length (nbrs cfg i)) false);
-    crashed = Array.make n false;
-    crash_budget_left = cfg.crash_budget;
-    fp_budget_left = cfg.fp_budget;
-    absorbed = Array.init n (fun i -> Array.make (Array.length (nbrs cfg i)) no_absorbed);
-  }
-
-let push cfg s ~src ~dst m =
-  let k = nbr_index cfg src dst in
-  s.chans.(src).(k) <- s.chans.(src).(k) @ [ m ]
-
-(* ------------------------------------------------------------------ *)
-(* Delivery handlers (Actions 3, 4, 7, 8), mutating a fresh copy.      *)
-(* ------------------------------------------------------------------ *)
-
 exception Model_violation of string
-
-let handle cfg s ~dst ~src m =
-  let p = s.procs.(dst) in
-  let k = nbr_index cfg dst src in
-  match m with
-  | P ->
-      if p.inside || p.replied.(k) then p.deferred.(k) <- true
-      else begin
-        push cfg s ~src:dst ~dst:src A;
-        p.replied.(k) <- p.phase = 1
-      end
-  | A ->
-      p.ack.(k) <- p.phase = 1 && not p.inside;
-      p.pinged.(k) <- false
-  | R c ->
-      if not p.fork.(k) then
-        raise (Model_violation (Printf.sprintf "Lemma 1.1: %d requested fork %d lacks" src dst));
-      p.token.(k) <- true;
-      if (not p.inside) || (p.phase = 1 && cfg.colors.(dst) < c) then begin
-        p.fork.(k) <- false;
-        push cfg s ~src:dst ~dst:src F
-      end
-  | F ->
-      if p.token.(k) then
-        raise (Model_violation (Printf.sprintf "Lemma 1.1: %d got fork holding token" dst));
-      if p.fork.(k) then
-        raise (Model_violation (Printf.sprintf "Lemma 1.2: duplicated fork at %d" dst));
-      p.fork.(k) <- true
-
-(* ------------------------------------------------------------------ *)
-(* Transition enumeration.                                             *)
-(* ------------------------------------------------------------------ *)
 
 type action =
   | Act_local of { pid : int; tag : string }
@@ -142,151 +16,373 @@ type action =
   | Act_detect of { observer : int; target : int }
   | Act_fp of { observer : int; target : int }
 
-let successors_tagged cfg s =
-  let n = Array.length s.procs in
-  let out = ref [] in
-  let add act label next = out := (act, label, next) :: !out in
-  let fresh () = copy_state s in
+(* ------------------------------------------------------------------ *)
+(* Layout. A state is one immutable string whose fields sit at fixed   *)
+(* offsets computed once per config. Directed slots are the graph's   *)
+(* CSR positions: slot s is the pair (i, dst.(s)) for the i owning s.  *)
+(*                                                                    *)
+(*   0            crash budget left                       uint16      *)
+(*   2            fp budget left                          uint16      *)
+(*   4 + 3i       process i: phase (bits 0-1), inside (4), crashed (8)*)
+(*   5 + 3i       process i: sessions left                uint16      *)
+(*   slots_at+s   slot s flags: pinged, ack, replied, deferred, fork, *)
+(*                token, susp (bits 0-6)                              *)
+(*   chans_at+2s  channel s: length (bits 0-2), then a 2-bit code per *)
+(*                message from bit 3, head first          uint16      *)
+(*   abs_at+4s+c  messages of code c absorbed on channel s  uint8     *)
+(*                                                                    *)
+(* Every bit is either meaningful or zero, so equal states are equal   *)
+(* strings and the string is its own canonical key.                   *)
+(* ------------------------------------------------------------------ *)
+
+type layout = {
+  n : int;
+  colors : int array;
+  fp_accurate : bool; (* fp budget 0: weak exclusion is asserted *)
+  off : int array; (* CSR row offsets, length n + 1 *)
+  dst : int array; (* slot -> destination *)
+  rev : int array; (* slot -> slot of the reverse pair *)
+  eu : int array; (* edges in Graph.iter_edges order: endpoints ... *)
+  ev : int array;
+  esu : int array; (* ... and the slots (u, v) and (v, u) *)
+  esv : int array;
+  local : (action * string) array; (* pid * n_local + local kind *)
+  per_slot : (action * string) array; (* slot * n_slot + slot kind *)
+  slots_at : int;
+  chans_at : int;
+  abs_at : int;
+  size : int;
+}
+
+type state = { lay : layout; bytes : string }
+
+(* process flag bits *)
+let phase_mask = 3
+let inside_bit = 4
+let crashed_bit = 8
+
+(* slot flag bits *)
+let pinged = 1
+let ack = 2
+let replied = 4
+let deferred = 8
+let fork = 16
+let token = 32
+let susp = 64
+
+(* message codes; R carries no payload: its colour is the sender's *)
+let code_p = 0
+let code_a = 1
+let code_r = 2
+let code_f = 3
+let chan_capacity = 6 (* 3 length bits + 6 * 2 code bits fit in 16 *)
+let max_absorbed = 255
+let max_counter = 0xFFFF
+
+(* local transition kinds, in enumeration order *)
+let local_tags = [| "hungry"; "a2"; "a5"; "a6"; "a9"; "a10" |]
+let n_local = Array.length local_tags + 1 (* + crash *)
+let k_hungry = 0
+let k_a2 = 1
+let k_a5 = 2
+let k_a6 = 3
+let k_a9 = 4
+let k_a10 = 5
+let k_crash = 6
+
+(* per-slot transition kinds *)
+let n_slot = 4
+let k_detect = 0
+let k_fp = 1
+let k_drop = 2
+let k_deliver = 3
+let proc_at i = 4 + (3 * i)
+
+let make_layout cfg =
+  let g = cfg.graph in
+  let n = Cgraph.Graph.n g in
+  let off = Cgraph.Graph.csr_offsets g and dst = Cgraph.Graph.csr_targets g in
+  let d = Array.length dst in
+  let src = Array.make d 0 in
   for i = 0 to n - 1 do
-    let p = s.procs.(i) in
-    let row = nbrs cfg i in
-    let deg = Array.length row in
-    if not s.crashed.(i) then begin
+    Array.fill src off.(i) (off.(i + 1) - off.(i)) i
+  done;
+  let rev = Array.init d (fun s -> Cgraph.Graph.dir_index g dst.(s) src.(s)) in
+  let edges = ref [] in
+  Cgraph.Graph.iter_edges g (fun u v -> edges := (u, v) :: !edges);
+  let edges = Array.of_list (List.rev !edges) in
+  let eu = Array.map fst edges and ev = Array.map snd edges in
+  let local =
+    Array.init (n * n_local) (fun x ->
+        let pid = x / n_local and k = x mod n_local in
+        if k = k_crash then (Act_crash { pid }, Printf.sprintf "crash(%d)" pid)
+        else
+          let tag = local_tags.(k) in
+          (Act_local { pid; tag }, Printf.sprintf "%s(%d)" tag pid))
+  in
+  let per_slot =
+    Array.init (d * n_slot) (fun x ->
+        let s = x / n_slot in
+        let i = src.(s) and j = dst.(s) in
+        match x mod n_slot with
+        | 0 -> (Act_detect { observer = i; target = j }, Printf.sprintf "detect(%d,%d)" i j)
+        | 1 -> (Act_fp { observer = i; target = j }, Printf.sprintf "fp(%d,%d)" i j)
+        | 2 -> (Act_drop { src = i; dst = j }, Printf.sprintf "drop(%d->%d)" i j)
+        | _ -> (Act_deliver { src = i; dst = j }, Printf.sprintf "deliver(%d->%d)" i j))
+  in
+  let slots_at = proc_at n in
+  let chans_at = slots_at + d in
+  let abs_at = chans_at + (2 * d) in
+  {
+    n;
+    colors = Array.copy cfg.colors;
+    fp_accurate = cfg.fp_budget = 0;
+    off;
+    dst;
+    rev;
+    eu;
+    ev;
+    esu = Array.map2 (Cgraph.Graph.dir_index g) eu ev;
+    esv = Array.map2 (Cgraph.Graph.dir_index g) ev eu;
+    local;
+    per_slot;
+    slots_at;
+    chans_at;
+    abs_at;
+    size = abs_at + (4 * d);
+  }
+
+let initial cfg =
+  if not (Cgraph.Coloring.is_proper cfg.graph cfg.colors) then
+    invalid_arg "Mcheck: colors must be proper";
+  if max cfg.sessions (max cfg.crash_budget cfg.fp_budget) > max_counter then
+    invalid_arg "Mcheck: sessions and budgets must be at most 65535";
+  let lay = make_layout cfg in
+  let b = Bytes.make lay.size '\000' in
+  (* Only [> 0] is ever asked of a counter, so a negative one is 0. *)
+  Bytes.set_uint16_le b 0 (max 0 cfg.crash_budget);
+  Bytes.set_uint16_le b 2 (max 0 cfg.fp_budget);
+  for i = 0 to lay.n - 1 do
+    Bytes.set_uint16_le b (proc_at i + 1) (max 0 cfg.sessions);
+    for s = lay.off.(i) to lay.off.(i + 1) - 1 do
+      let ci = lay.colors.(i) and cj = lay.colors.(lay.dst.(s)) in
+      Bytes.set_uint8 b (lay.slots_at + s) (if ci > cj then fork else token)
+    done
+  done;
+  { lay; bytes = Bytes.unsafe_to_string b }
+
+(* ------------------------------------------------------------------ *)
+(* Field access. Successors are built by copying the parent's string,  *)
+(* writing the copy, and freezing it: a published state is never      *)
+(* written again (visited sets keep its bytes as the key).             *)
+(* ------------------------------------------------------------------ *)
+
+let pflags st i = String.get_uint8 st (proc_at i)
+let flags lay st s = String.get_uint8 st (lay.slots_at + s)
+let set_flags lay b s v = Bytes.set_uint8 b (lay.slots_at + s) v
+let chan lay st s = String.get_uint16_le st (lay.chans_at + (2 * s))
+let absorbed lay st s code = String.get_uint8 st (lay.abs_at + (4 * s) + code)
+let src_of lay s = lay.dst.(lay.rev.(s))
+let local lay pid k = lay.local.((pid * n_local) + k)
+let slot_act lay s k = lay.per_slot.((s * n_slot) + k)
+
+let push lay b s code =
+  let at = lay.chans_at + (2 * s) in
+  let ch = Bytes.get_uint16_le b at in
+  let len = ch land 7 in
+  if len >= chan_capacity then
+    raise
+      (Model_violation
+         (Printf.sprintf "channel %d->%d: more than %d messages queued" (src_of lay s)
+            lay.dst.(s) chan_capacity));
+  Bytes.set_uint16_le b at (ch + 1 + (code lsl (3 + (2 * len))))
+
+(* Remove the head of a non-empty channel, returning its code. *)
+let pop lay b s =
+  let at = lay.chans_at + (2 * s) in
+  let ch = Bytes.get_uint16_le b at in
+  Bytes.set_uint16_le b at ((ch land 7) - 1 + ((ch lsr 5) lsl 3));
+  (ch lsr 3) land 3
+
+let absorb lay b s code =
+  let at = lay.abs_at + (4 * s) + code in
+  let c = Bytes.get_uint8 b at in
+  if c >= max_absorbed then
+    raise
+      (Model_violation
+         (Printf.sprintf "channel %d->%d: more than %d messages absorbed" (src_of lay s)
+            lay.dst.(s) max_absorbed));
+  Bytes.set_uint8 b at (c + 1)
+
+(* ------------------------------------------------------------------ *)
+(* Delivery handlers (Actions 3, 4, 7, 8) of a message on slot s,      *)
+(* written into a fresh copy [b].                                       *)
+(* ------------------------------------------------------------------ *)
+
+let handle lay b s code =
+  let r = lay.rev.(s) in
+  let dst = lay.dst.(s) and src = lay.dst.(r) in
+  let pf = Bytes.get_uint8 b (proc_at dst) in
+  let phase = pf land phase_mask and inside = pf land inside_bit <> 0 in
+  let f = Bytes.get_uint8 b (lay.slots_at + r) in
+  if code = code_p then begin
+    if inside || f land replied <> 0 then set_flags lay b r (f lor deferred)
+    else begin
+      push lay b r code_a;
+      if phase = 1 then set_flags lay b r (f lor replied)
+    end
+  end
+  else if code = code_a then
+    set_flags lay b r
+      ((f land lnot (pinged lor ack)) lor if phase = 1 && not inside then ack else 0)
+  else if code = code_r then begin
+    if f land fork = 0 then
+      raise (Model_violation (Printf.sprintf "Lemma 1.1: %d requested fork %d lacks" src dst));
+    if (not inside) || (phase = 1 && lay.colors.(dst) < lay.colors.(src)) then begin
+      set_flags lay b r ((f lor token) land lnot fork);
+      push lay b r code_f
+    end
+    else set_flags lay b r (f lor token)
+  end
+  else begin
+    if f land token <> 0 then
+      raise (Model_violation (Printf.sprintf "Lemma 1.1: %d got fork holding token" dst));
+    if f land fork <> 0 then
+      raise (Model_violation (Printf.sprintf "Lemma 1.2: duplicated fork at %d" dst));
+    set_flags lay b r (f lor fork)
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Transition enumeration.                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* true iff some slot of [lo, hi) has [flags land mask = want] *)
+let rec exists_slot lay st lo hi mask want =
+  lo < hi && (flags lay st lo land mask = want || exists_slot lay st (lo + 1) hi mask want)
+
+let successors_tagged _cfg s =
+  let lay = s.lay and st = s.bytes in
+  let out = ref [] in
+  let add (act, label) b = out := (act, label, { lay; bytes = Bytes.unsafe_to_string b }) :: !out in
+  let crash_left = String.get_uint16_le st 0 and fp_left = String.get_uint16_le st 2 in
+  for i = 0 to lay.n - 1 do
+    let pa = proc_at i in
+    let pf = pflags st i in
+    let phase = pf land phase_mask and inside = pf land inside_bit <> 0 in
+    let lo = lay.off.(i) and hi = lay.off.(i + 1) in
+    if pf land crashed_bit = 0 then begin
       (* Action 1: become hungry (budgeted). *)
-      if p.phase = 0 && p.sessions_left > 0 then begin
-        let s' = fresh () in
-        s'.procs.(i) <-
-          { (s'.procs.(i)) with phase = 1; sessions_left = p.sessions_left - 1 };
-        add (Act_local { pid = i; tag = "hungry" }) (Printf.sprintf "hungry(%d)" i) s'
+      let sessions = String.get_uint16_le st (pa + 1) in
+      if phase = 0 && sessions > 0 then begin
+        let b = Bytes.of_string st in
+        Bytes.set_uint8 b pa (pf lor 1);
+        Bytes.set_uint16_le b (pa + 1) (sessions - 1);
+        add (local lay i k_hungry) b
       end;
-      if p.phase = 1 && not p.inside then begin
+      if phase = 1 && not inside then begin
         (* Action 2: ping neighbors lacking an ack and a pending ping. *)
-        let targets = ref [] in
-        for k = 0 to deg - 1 do
-          if (not p.pinged.(k)) && not p.ack.(k) then targets := k :: !targets
-        done;
-        if !targets <> [] then begin
-          let s' = fresh () in
-          let p' = s'.procs.(i) in
-          List.iter
-            (fun k ->
-              p'.pinged.(k) <- true;
-              push cfg s' ~src:i ~dst:row.(k) P)
-            !targets;
-          add (Act_local { pid = i; tag = "a2" }) (Printf.sprintf "a2(%d)" i) s'
+        if exists_slot lay st lo hi (pinged lor ack) 0 then begin
+          let b = Bytes.of_string st in
+          for x = hi - 1 downto lo do
+            let f = flags lay st x in
+            if f land (pinged lor ack) = 0 then begin
+              set_flags lay b x (f lor pinged);
+              push lay b x code_p
+            end
+          done;
+          add (local lay i k_a2) b
         end;
         (* Action 5: enter the doorway. *)
-        let ok = ref true in
-        for k = 0 to deg - 1 do
-          if not (p.ack.(k) || s.susp.(i).(k)) then ok := false
-        done;
-        if !ok then begin
-          let s' = fresh () in
-          let p' = s'.procs.(i) in
-          Array.fill p'.ack 0 deg false;
-          Array.fill p'.replied 0 deg false;
-          s'.procs.(i) <- { p' with inside = true };
-          add (Act_local { pid = i; tag = "a5" }) (Printf.sprintf "a5(%d)" i) s'
+        if not (exists_slot lay st lo hi (ack lor susp) 0) then begin
+          let b = Bytes.of_string st in
+          for x = lo to hi - 1 do
+            set_flags lay b x (flags lay st x land lnot (ack lor replied))
+          done;
+          Bytes.set_uint8 b pa (pf lor inside_bit);
+          add (local lay i k_a5) b
         end
       end;
-      if p.phase = 1 && p.inside then begin
+      if phase = 1 && inside then begin
         (* Action 6: request missing forks. *)
-        let targets = ref [] in
-        for k = 0 to deg - 1 do
-          if p.token.(k) && not p.fork.(k) then targets := k :: !targets
-        done;
-        if !targets <> [] then begin
-          let s' = fresh () in
-          let p' = s'.procs.(i) in
-          List.iter
-            (fun k ->
-              p'.token.(k) <- false;
-              push cfg s' ~src:i ~dst:row.(k) (R cfg.colors.(i)))
-            !targets;
-          add (Act_local { pid = i; tag = "a6" }) (Printf.sprintf "a6(%d)" i) s'
+        if exists_slot lay st lo hi (token lor fork) token then begin
+          let b = Bytes.of_string st in
+          for x = hi - 1 downto lo do
+            let f = flags lay st x in
+            if f land (token lor fork) = token then begin
+              set_flags lay b x (f land lnot token);
+              push lay b x code_r
+            end
+          done;
+          add (local lay i k_a6) b
         end;
         (* Action 9: eat. *)
-        let ok = ref true in
-        for k = 0 to deg - 1 do
-          if not (p.fork.(k) || s.susp.(i).(k)) then ok := false
-        done;
-        if !ok then begin
-          let s' = fresh () in
-          s'.procs.(i) <- { (s'.procs.(i)) with phase = 2 };
-          add (Act_local { pid = i; tag = "a9" }) (Printf.sprintf "a9(%d)" i) s'
+        if not (exists_slot lay st lo hi (fork lor susp) 0) then begin
+          let b = Bytes.of_string st in
+          Bytes.set_uint8 b pa (pf land lnot phase_mask lor 2);
+          add (local lay i k_a9) b
         end
       end;
       (* Action 10: exit. *)
-      if p.phase = 2 then begin
-        let s' = fresh () in
-        let p' = s'.procs.(i) in
-        for k = 0 to deg - 1 do
-          if p'.token.(k) && p'.fork.(k) then begin
-            p'.fork.(k) <- false;
-            push cfg s' ~src:i ~dst:row.(k) F
+      if phase = 2 then begin
+        let b = Bytes.of_string st in
+        for x = lo to hi - 1 do
+          let f = flags lay st x in
+          if f land (token lor fork) = token lor fork then begin
+            set_flags lay b x (f land lnot fork);
+            push lay b x code_f
           end
         done;
-        for k = 0 to deg - 1 do
-          if p'.deferred.(k) then begin
-            p'.deferred.(k) <- false;
-            push cfg s' ~src:i ~dst:row.(k) A
+        for x = lo to hi - 1 do
+          let f = Bytes.get_uint8 b (lay.slots_at + x) in
+          if f land deferred <> 0 then begin
+            set_flags lay b x (f land lnot deferred);
+            push lay b x code_a
           end
         done;
-        s'.procs.(i) <- { p' with phase = 0; inside = false };
-        add (Act_local { pid = i; tag = "a10" }) (Printf.sprintf "a10(%d)" i) s'
+        Bytes.set_uint8 b pa (pf land lnot (phase_mask lor inside_bit));
+        add (local lay i k_a10) b
       end;
       (* Crash fault. *)
-      if s.crash_budget_left > 0 then begin
-        let s' = fresh () in
-        s'.crashed.(i) <- true;
-        add (Act_crash { pid = i })
-          (Printf.sprintf "crash(%d)" i)
-          { s' with crash_budget_left = s.crash_budget_left - 1 }
+      if crash_left > 0 then begin
+        let b = Bytes.of_string st in
+        Bytes.set_uint8 b pa (pf lor crashed_bit);
+        Bytes.set_uint16_le b 0 (crash_left - 1);
+        add (local lay i k_crash) b
       end;
       (* Oracle output changes at observer i. *)
-      for k = 0 to deg - 1 do
-        let j = row.(k) in
-        if s.crashed.(j) then begin
-          if not s.susp.(i).(k) then begin
+      for x = lo to hi - 1 do
+        let f = flags lay st x in
+        if pflags st lay.dst.(x) land crashed_bit <> 0 then begin
+          if f land susp = 0 then begin
             (* Completeness: suspicion of a crashed neighbor can switch on
                (and, being justified, never off). *)
-            let s' = fresh () in
-            s'.susp.(i).(k) <- true;
-            add (Act_detect { observer = i; target = j }) (Printf.sprintf "detect(%d,%d)" i j) s'
+            let b = Bytes.of_string st in
+            set_flags lay b x (f lor susp);
+            add (slot_act lay x k_detect) b
           end
         end
-        else if s.fp_budget_left > 0 then begin
-          let s' = fresh () in
-          s'.susp.(i).(k) <- not s.susp.(i).(k);
-          add
-              (Act_fp { observer = i; target = j })
-              (Printf.sprintf "fp(%d,%d)" i j)
-              { s' with fp_budget_left = s.fp_budget_left - 1 }
+        else if fp_left > 0 then begin
+          let b = Bytes.of_string st in
+          set_flags lay b x (f lxor susp);
+          Bytes.set_uint16_le b 2 (fp_left - 1);
+          add (slot_act lay x k_fp) b
         end
       done
     end;
     (* Message deliveries on channels i -> each neighbor. *)
-    for k = 0 to deg - 1 do
-      match s.chans.(i).(k) with
-      | [] -> ()
-      | m :: rest -> (
-          let j = row.(k) in
-          let s' = fresh () in
-          s'.chans.(i).(k) <- rest;
-          if s.crashed.(j) then begin
-            let ab = s'.absorbed.(i).(k) in
-            s'.absorbed.(i).(k) <-
-              (match m with
-              | P -> { ab with ab_p = ab.ab_p + 1 }
-              | A -> { ab with ab_a = ab.ab_a + 1 }
-              | R _ -> { ab with ab_r = ab.ab_r + 1 }
-              | F -> { ab with ab_f = ab.ab_f + 1 });
-            add (Act_drop { src = i; dst = j }) (Printf.sprintf "drop(%d->%d)" i j) s'
-          end
-          else begin
-            handle cfg s' ~dst:j ~src:i m;
-            add (Act_deliver { src = i; dst = j }) (Printf.sprintf "deliver(%d->%d)" i j) s'
-          end)
+    for x = lo to hi - 1 do
+      if chan lay st x land 7 > 0 then begin
+        let b = Bytes.of_string st in
+        let code = pop lay b x in
+        if pflags st lay.dst.(x) land crashed_bit <> 0 then begin
+          absorb lay b x code;
+          add (slot_act lay x k_drop) b
+        end
+        else begin
+          handle lay b x code;
+          add (slot_act lay x k_deliver) b
+        end
+      end
     done
   done;
   List.rev !out
@@ -337,156 +433,109 @@ let independent cfg a b =
 (* Invariants.                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let count_kind pred queue = List.length (List.filter pred queue)
+exception Violated of string
 
-let check cfg s =
-  let violation = ref None in
-  let fail fmt = Format.kasprintf (fun m -> if !violation = None then violation := Some m) fmt in
-  let n = Array.length s.procs in
-  (* Eating implies inside. *)
-  for i = 0 to n - 1 do
-    let p = s.procs.(i) in
-    if p.phase = 2 && not p.inside then fail "p%d eats outside doorway" i
-  done;
-  (* Weak exclusion among live neighbors holds outright when the oracle
-     never lies (fp budget 0 in the whole run). *)
-  if cfg.fp_budget = 0 then
-    Cgraph.Graph.iter_edges cfg.graph (fun i j ->
-        if
-          s.procs.(i).phase = 2 && s.procs.(j).phase = 2
-          && (not s.crashed.(i))
-          && not s.crashed.(j)
-        then fail "exclusion: %d and %d eat simultaneously" i j);
-  Cgraph.Graph.iter_edges cfg.graph (fun i j ->
-      let ki = nbr_index cfg i j and kj = nbr_index cfg j i in
-      let ci = s.chans.(i).(ki) and cj = s.chans.(j).(kj) in
-      let abi = s.absorbed.(i).(ki) and abj = s.absorbed.(j).(kj) in
-      (* Fork conservation (Lemma 1.2 + crash absorption). *)
-      let forks =
-        (if s.procs.(i).fork.(ki) then 1 else 0)
-        + (if s.procs.(j).fork.(kj) then 1 else 0)
-        + count_kind (fun m -> m = F) ci
-        + count_kind (fun m -> m = F) cj
-        + abi.ab_f + abj.ab_f
-      in
-      if forks <> 1 then fail "edge(%d,%d): %d forks" i j forks;
-      (* Token conservation. *)
-      let tokens =
-        (if s.procs.(i).token.(ki) then 1 else 0)
-        + (if s.procs.(j).token.(kj) then 1 else 0)
-        + count_kind (function R _ -> true | _ -> false) ci
-        + count_kind (function R _ -> true | _ -> false) cj
-        + abi.ab_r + abj.ab_r
-      in
-      if tokens <> 1 then fail "edge(%d,%d): %d tokens" i j tokens;
-      (* Lemma 2.2 (ping-pipeline consistency), in both directions. *)
-      let ping_pipeline a b ka kb ca cb ab_a ab_b =
-        let artifacts =
-          count_kind (fun m -> m = P) ca
-          + ab_a.ab_p
-          + (if s.procs.(b).deferred.(kb) then 1 else 0)
-          + count_kind (fun m -> m = A) cb
-          + ab_b.ab_a
-        in
-        let expected = if s.procs.(a).pinged.(ka) then 1 else 0 in
-        if artifacts <> expected then
-          fail "pair(%d,%d): pinged=%b with %d ping artifacts" a b s.procs.(a).pinged.(ka)
-            artifacts
-      in
-      ping_pipeline i j ki kj ci cj abi abj;
-      ping_pipeline j i kj ki cj ci abj abi;
-      (* Section 7: channel capacity. *)
-      let in_transit = List.length ci + List.length cj in
-      if in_transit > 4 then fail "edge(%d,%d): %d messages in transit" i j in_transit);
-  !violation
+let fail fmt = Printf.ksprintf (fun m -> raise (Violated m)) fmt
+let bit f mask = if f land mask <> 0 then 1 else 0
 
-(* Canonical key: a compact byte encoding driven purely by structure,
-   iterated in a fixed order (process, then neighbor index), with
-   explicit length prefixes so the encoding is injective. [Marshal]
-   output depends on in-memory sharing, which both risks duplicate
-   visited-set entries for structurally equal states and costs ~10x the
-   bytes. *)
-let add_bits b arr =
-  let n = Array.length arr in
-  let byte = ref 0 and nb = ref 0 in
-  for k = 0 to n - 1 do
-    if arr.(k) then byte := !byte lor (1 lsl !nb);
-    incr nb;
-    if !nb = 8 then begin
-      Buffer.add_uint8 b !byte;
-      byte := 0;
-      nb := 0
-    end
-  done;
-  if !nb > 0 then Buffer.add_uint8 b !byte
+(* messages of [code] among the first [len] of channel value [ch] *)
+let rec count_prefix ch code len =
+  if len = 0 then 0
+  else
+    count_prefix ch code (len - 1)
+    + if (ch lsr (1 + (2 * len))) land 3 = code then 1 else 0
 
-let add_msg b = function
-  | P -> Buffer.add_uint8 b 0
-  | A -> Buffer.add_uint8 b 1
-  | F -> Buffer.add_uint8 b 2
-  | R c ->
-      Buffer.add_uint8 b 3;
-      Buffer.add_uint16_le b c
+let count_code ch code = count_prefix ch code (ch land 7)
 
-let key s =
-  let b = Buffer.create 64 in
-  Buffer.add_uint16_le b s.crash_budget_left;
-  Buffer.add_uint16_le b s.fp_budget_left;
-  add_bits b s.crashed;
-  Array.iter
-    (fun p ->
-      (* phase (2 bits) and inside share a byte; sessions_left is small. *)
-      Buffer.add_uint8 b (p.phase lor if p.inside then 4 else 0);
-      Buffer.add_uint16_le b p.sessions_left;
-      add_bits b p.pinged;
-      add_bits b p.ack;
-      add_bits b p.replied;
-      add_bits b p.deferred;
-      add_bits b p.fork;
-      add_bits b p.token)
-    s.procs;
-  Array.iter (fun row -> add_bits b row) s.susp;
-  Array.iter
-    (fun row ->
-      Array.iter
-        (fun q ->
-          Buffer.add_uint8 b (List.length q);
-          List.iter (add_msg b) q)
-        row)
-    s.chans;
-  Array.iter
-    (fun row ->
-      Array.iter
-        (fun ab ->
-          Buffer.add_uint16_le b ab.ab_p;
-          Buffer.add_uint16_le b ab.ab_a;
-          Buffer.add_uint16_le b ab.ab_r;
-          Buffer.add_uint16_le b ab.ab_f)
-        row)
-    s.absorbed;
-  Buffer.contents b
+(* messages of [code] held in, or absorbed from, either channel of an edge *)
+let in_flight lay st si sj code =
+  count_code (chan lay st si) code
+  + count_code (chan lay st sj) code
+  + absorbed lay st si code + absorbed lay st sj code
+
+(* Lemma 2.2 for a's pings to b: a ping pending on slot sa = (a, b) has
+   exactly one artifact — the ping itself, b's deferred reply, or the
+   ack on sb = (b, a) — counting absorbed copies. *)
+let ping_pipeline lay st a b sa sb =
+  let fa = flags lay st sa in
+  let artifacts =
+    count_code (chan lay st sa) code_p
+    + absorbed lay st sa code_p
+    + bit (flags lay st sb) deferred
+    + count_code (chan lay st sb) code_a
+    + absorbed lay st sb code_a
+  in
+  if artifacts <> bit fa pinged then
+    fail "pair(%d,%d): pinged=%b with %d ping artifacts" a b (fa land pinged <> 0) artifacts
+
+let check_edge lay st e =
+  let i = lay.eu.(e) and j = lay.ev.(e) in
+  let si = lay.esu.(e) and sj = lay.esv.(e) in
+  (* Fork conservation (Lemma 1.2 + crash absorption). *)
+  let forks = bit (flags lay st si) fork + bit (flags lay st sj) fork + in_flight lay st si sj code_f in
+  if forks <> 1 then fail "edge(%d,%d): %d forks" i j forks;
+  (* Token conservation. *)
+  let tokens =
+    bit (flags lay st si) token + bit (flags lay st sj) token + in_flight lay st si sj code_r
+  in
+  if tokens <> 1 then fail "edge(%d,%d): %d tokens" i j tokens;
+  (* Lemma 2.2 (ping-pipeline consistency), in both directions. *)
+  ping_pipeline lay st i j si sj;
+  ping_pipeline lay st j i sj si;
+  (* Section 7: channel capacity. *)
+  let in_transit = (chan lay st si land 7) + (chan lay st sj land 7) in
+  if in_transit > 4 then fail "edge(%d,%d): %d messages in transit" i j in_transit
+
+let eating st i = pflags st i land phase_mask = 2
+let live st i = pflags st i land crashed_bit = 0
+
+let check _cfg s =
+  let lay = s.lay and st = s.bytes in
+  try
+    (* Eating implies inside. *)
+    for i = 0 to lay.n - 1 do
+      if eating st i && pflags st i land inside_bit = 0 then fail "p%d eats outside doorway" i
+    done;
+    (* Weak exclusion among live neighbors holds outright when the oracle
+       never lies (fp budget 0 in the whole run). *)
+    if lay.fp_accurate then
+      for e = 0 to Array.length lay.eu - 1 do
+        let i = lay.eu.(e) and j = lay.ev.(e) in
+        if eating st i && eating st j && live st i && live st j then
+          fail "exclusion: %d and %d eat simultaneously" i j
+      done;
+    for e = 0 to Array.length lay.eu - 1 do
+      check_edge lay st e
+    done;
+    None
+  with Violated m -> Some m
+
+let key s = s.bytes
 
 let hungry_live_process _cfg s =
-  let found = ref None in
-  Array.iteri
-    (fun i p -> if !found = None && p.phase = 1 && not s.crashed.(i) then found := Some i)
-    s.procs;
-  !found
+  let rec go i =
+    if i >= s.lay.n then None
+    else
+      let pf = pflags s.bytes i in
+      if pf land phase_mask = 1 && pf land crashed_bit = 0 then Some i else go (i + 1)
+  in
+  go 0
 
 let phase s i =
-  match s.procs.(i).phase with 0 -> `Thinking | 1 -> `Hungry | _ -> `Eating
+  match pflags s.bytes i land phase_mask with 0 -> `Thinking | 1 -> `Hungry | _ -> `Eating
 
-let inside s i = s.procs.(i).inside
-let crashed s i = s.crashed.(i)
+let inside s i = pflags s.bytes i land inside_bit <> 0
+let crashed s i = pflags s.bytes i land crashed_bit <> 0
 
 let describe s =
   let b = Buffer.create 256 in
-  Array.iteri
-    (fun i p ->
-      Buffer.add_string b
-        (Printf.sprintf "p%d:%s%s%s " i
-           (match p.phase with 0 -> "T" | 1 -> "H" | _ -> "E")
-           (if p.inside then "+in" else "")
-           (if s.crashed.(i) then "+crashed" else "")))
-    s.procs;
+  for i = 0 to s.lay.n - 1 do
+    Buffer.add_char b 'p';
+    Buffer.add_string b (string_of_int i);
+    Buffer.add_string b
+      (match phase s i with `Thinking -> ":T" | `Hungry -> ":H" | `Eating -> ":E");
+    if inside s i then Buffer.add_string b "+in";
+    if crashed s i then Buffer.add_string b "+crashed";
+    Buffer.add_char b ' '
+  done;
   Buffer.contents b

@@ -32,12 +32,29 @@ type config = {
 }
 
 type state
+(** One immutable string in a fixed layout that {!initial} computes once
+    per config: the two budgets; per process its phase, inside and
+    crashed bits and its sessions left; per directed slot one flag byte
+    (pinged, ack, replied, deferred, fork, token, suspicion); per
+    directed channel its length and a 2-bit code per queued message;
+    per channel and message kind the count absorbed by a crashed
+    destination. Every state carries a pointer to that layout, which
+    also holds each transition's precomputed action and label, so no
+    function below consults a global table. Nothing writes a state
+    once it is returned. *)
 
 val initial : config -> state
+(** Raises [Invalid_argument] when the colouring is not proper, or when
+    [sessions], [crash_budget] or [fp_budget] exceeds 65535 (the width
+    of their fields). *)
 
 exception Model_violation of string
 (** Raised when a delivery handler itself detects a violated lemma (a
-    fork request arriving at a non-holder, a duplicated fork). *)
+    fork request arriving at a non-holder, a duplicated fork), or when a
+    fixed-width field would overflow: more than 6 messages queued on one
+    directed channel or more than 255 of one kind absorbed from it. A
+    sound run queues at most 4 and absorbs at most 1, so neither
+    overflow is reachable there. *)
 
 val successors : config -> state -> (string * state) list
 (** All one-step successor states with human-readable transition labels.
@@ -83,14 +100,13 @@ val check : config -> state -> string option
 (** First violated invariant of the state, if any. *)
 
 val key : state -> string
-(** Canonical compact byte encoding for visited-set hashing:
-    structurally equal states yield equal keys regardless of how they
-    were built (unlike [Marshal], whose output depends on in-memory
-    sharing), and the encoding is injective, so distinct states never
-    collide. Roughly half the size of a marshalled state on the smallest
-    instances and shrinking relative to it as [n] grows (bools are
-    bit-packed, no per-block headers) — the interning substrate for
-    large explorations. *)
+(** The state's own bytes, returned without a copy: the visited-set key.
+    Canonical and injective by construction, since the layout is fixed
+    per config and every bit is either meaningful or zero: structurally
+    equal states yield equal keys however they were built (unlike
+    [Marshal], whose output depends on in-memory sharing), and distinct
+    states never collide. Keys of states from different configs are not
+    comparable. *)
 
 val hungry_live_process : config -> state -> int option
 (** Some live process currently hungry, if any (deadlock detection in

@@ -46,6 +46,15 @@ let rejects_improper_colors () =
   Alcotest.check_raises "improper coloring" (Invalid_argument "Mcheck: colors must be proper")
     (fun () -> ignore (Mcheck.Model.initial cfg))
 
+let rejects_unrepresentable_counters () =
+  (* sessions and budgets live in 16-bit fields of the packed state *)
+  let too_big = Invalid_argument "Mcheck: sessions and budgets must be at most 65535" in
+  Alcotest.check_raises "sessions" too_big (fun () ->
+      ignore (Mcheck.Model.initial (pair_cfg ~sessions:65536 ())));
+  Alcotest.check_raises "fp budget" too_big (fun () ->
+      ignore (Mcheck.Model.initial (pair_cfg ~fp_budget:65536 ())));
+  ignore (Mcheck.Model.initial (pair_cfg ~sessions:65535 ~crash_budget:65535 ()))
+
 (* ------------------------ exhaustive checking ---------------------- *)
 
 let exhaustive_pair_accurate () =
@@ -461,12 +470,133 @@ let key_path_independent () =
   let via10 = step (step init "hungry(1)") "hungry(0)" in
   check bool "commuted paths, one key" true
     (Mcheck.Model.key via01 = Mcheck.Model.key via10);
-  (* And the canonical encoding is smaller than Marshal even on the
-     smallest instance (the gap widens with n: Marshal spends a header
-     and block tags per field, the encoding packs bools into bits). *)
-  check bool "compact" true
-    (String.length (Mcheck.Model.key init)
-    < String.length (Marshal.to_string init []))
+  (* And the key is the packed state: on the pair, 2 budgets (4 bytes),
+     2 processes (3 bytes each), 2 slot flag bytes, 2 channels (2 bytes
+     each) and 2 x 4 absorbed counts — 24 bytes. *)
+  check int "compact" 24 (String.length (Mcheck.Model.key init))
+
+(* ------------------------- pinned exhaustive results --------------- *)
+
+let triangle_cfg () =
+  {
+    Mcheck.Model.graph = Cgraph.Graph.of_edges ~n:3 [ (0, 1); (1, 2); (0, 2) ];
+    colors = [| 0; 1; 2 |];
+    sessions = 1;
+    crash_budget = 0;
+    fp_budget = 0;
+  }
+
+(* Every count a complete, clean exploration reports, pinned so that a
+   change to the state representation cannot alter the explored space
+   unnoticed. BFS and the frontier at any domain count agree on states,
+   transitions and depth; DPOR reaches the same states through fewer
+   transitions and reports its deepest stack as the depth. *)
+let pin_counts cfg ~states ~transitions ~depth ~dpor_transitions ~dpor_depth =
+  let expect tag (r : Mcheck.Explore.result) ~transitions ~depth =
+    check int (tag ^ " states") states r.states;
+    check int (tag ^ " transitions") transitions r.transitions;
+    check int (tag ^ " depth") depth r.depth;
+    check int (tag ^ " deadlocks") 0 r.deadlocks;
+    check bool (tag ^ " complete") true r.complete;
+    check bool (tag ^ " clean") true (r.violation = None)
+  in
+  expect "bfs" (Mcheck.Explore.bfs cfg) ~transitions ~depth;
+  expect "frontier d1" (Mcheck.Frontier.explore ~domains:1 cfg) ~transitions ~depth;
+  expect "frontier d2" (Mcheck.Frontier.explore ~domains:2 cfg) ~transitions ~depth;
+  expect "dpor" (Mcheck.Dpor.explore cfg) ~transitions:dpor_transitions ~depth:dpor_depth
+
+let pinned_pair () =
+  pin_counts (pair_cfg ~sessions:2 ()) ~states:738 ~transitions:1233 ~depth:34
+    ~dpor_transitions:1233 ~dpor_depth:43
+
+let pinned_path3 () =
+  pin_counts (path3_cfg ()) ~states:6381 ~transitions:16540 ~depth:34
+    ~dpor_transitions:15448 ~dpor_depth:37
+
+let pinned_path3_fp () =
+  pin_counts (path3_cfg ~fp_budget:1 ()) ~states:61377 ~transitions:212188 ~depth:35
+    ~dpor_transitions:201718 ~dpor_depth:38
+
+let pinned_triangle () =
+  pin_counts (triangle_cfg ()) ~states:45711 ~transitions:137673 ~depth:42
+    ~dpor_transitions:136313 ~dpor_depth:51
+
+(* ------------------------- purity ---------------------------------- *)
+
+(* States are values: nothing that reads a state may change it, and a
+   visited set may keep a state's key. [fresh_copy] duplicates the key's
+   bytes, so a later write through the state would show as a mismatch. *)
+let fresh_copy k = Bytes.to_string (Bytes.of_string k)
+
+let readers_leave_states_unchanged () =
+  let cfg = pair_cfg ~crash_budget:1 ~fp_budget:2 () in
+  let seen = Hashtbl.create 4096 in
+  let visited = ref [] in
+  let rec visit s =
+    let k = Mcheck.Model.key s in
+    if not (Hashtbl.mem seen k) then begin
+      Hashtbl.add seen k ();
+      let before = fresh_copy k in
+      visited := (s, before) :: !visited;
+      let succs = Mcheck.Model.successors_tagged cfg s in
+      ignore (Mcheck.Model.check cfg s);
+      ignore (Mcheck.Model.describe s);
+      ignore (Mcheck.Model.hungry_live_process cfg s);
+      ignore (Mcheck.Model.key s);
+      if Mcheck.Model.key s <> before then Alcotest.fail "a reader changed its argument";
+      List.iter (fun (_, _, next) -> visit next) succs
+    end
+  in
+  visit (Mcheck.Model.initial cfg);
+  check int "whole space visited" 18019 (List.length !visited);
+  List.iter
+    (fun (s, before) ->
+      if Mcheck.Model.key s <> before then Alcotest.fail "a visited state changed later")
+    !visited
+
+let commuted_paths_agree () =
+  (* For every state and every pair of enabled independent transitions,
+     [a;b] and [b;a] must reach one state: one key, and from it one
+     successor stream, label for label and key for key. *)
+  let cfg = path3_cfg ~crash_budget:1 ~fp_budget:1 () in
+  let succ_view s =
+    List.map (fun (_, l, next) -> (l, Mcheck.Model.key next)) (Mcheck.Model.successors_tagged cfg s)
+  in
+  let step s label =
+    match
+      List.find_opt (fun (_, l, _) -> l = label) (Mcheck.Model.successors_tagged cfg s)
+    with
+    | Some (_, _, next) -> next
+    | None -> Alcotest.failf "independent transition %s disabled" label
+  in
+  let seen = Hashtbl.create 4096 in
+  let queue = Queue.create () in
+  Queue.add (Mcheck.Model.initial cfg) queue;
+  let pairs = ref 0 in
+  while (not (Queue.is_empty queue)) && Hashtbl.length seen < 1500 do
+    let s = Queue.pop queue in
+    if not (Hashtbl.mem seen (Mcheck.Model.key s)) then begin
+      Hashtbl.add seen (Mcheck.Model.key s) ();
+      let succs = Mcheck.Model.successors_tagged cfg s in
+      List.iteri
+        (fun ia (a, la, sa) ->
+          Queue.add sa queue;
+          List.iteri
+            (fun ib (b, lb, sb) ->
+              if ia < ib && Mcheck.Model.independent cfg a b then begin
+                incr pairs;
+                let ab = step sa lb and ba = step sb la in
+                check Alcotest.string (la ^ ";" ^ lb ^ " key") (Mcheck.Model.key ab)
+                  (Mcheck.Model.key ba);
+                check
+                  (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
+                  (la ^ ";" ^ lb ^ " successors") (succ_view ab) (succ_view ba)
+              end)
+            succs)
+        succs
+    end
+  done;
+  check bool "independent pairs exercised" true (!pairs > 1000)
 
 let describe_mentions_phases () =
   let cfg = pair_cfg () in
@@ -523,4 +653,12 @@ let suite =
     Alcotest.test_case "canonical keys: path independent and compact" `Quick
       key_path_independent;
     Alcotest.test_case "describe" `Quick describe_mentions_phases;
+    Alcotest.test_case "pinned: pair, two sessions" `Quick pinned_pair;
+    Alcotest.test_case "pinned: path-3" `Quick pinned_path3;
+    Alcotest.test_case "pinned: path-3, one false suspicion" `Slow pinned_path3_fp;
+    Alcotest.test_case "pinned: triangle" `Slow pinned_triangle;
+    Alcotest.test_case "purity: readers leave states unchanged" `Quick
+      readers_leave_states_unchanged;
+    Alcotest.test_case "purity: commuted paths agree" `Quick commuted_paths_agree;
+    Alcotest.test_case "validates counter widths" `Quick rejects_unrepresentable_counters;
   ]
