@@ -12,7 +12,7 @@ open Bechamel
 open Toolkit
 
 let scenario_bench name scenario =
-  Test.make ~name (Staged.stage (fun () -> ignore (Harness.Run.run scenario)))
+  Test.make ~name (Staged.stage (fun () -> ignore (Harness.World.run scenario)))
 
 let quiet_oracle : Harness.Scenario.detector_kind =
   Harness.Scenario.Oracle { detection_delay = 50; fp_per_edge = 0; fp_window = 0; fp_max_len = 1 }

@@ -139,7 +139,7 @@ let make_scenario ~name ~topology ~seed ~horizon ~crashes ~detector ~algo ~conte
 (* run                                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let print_report (r : Harness.Run.report) =
+let print_report (r : Harness.World.report) =
   let summary = Monitor.Response.summary r.response in
   Printf.printf "scenario        : %s on %s, seed %Ld, horizon %d\n" r.scenario.name
     (Cgraph.Topology.name r.scenario.topology)
@@ -151,11 +151,11 @@ let print_report (r : Harness.Run.report) =
     (if r.crashed = [] then "none"
      else String.concat ", " (List.map (fun (p, t) -> Printf.sprintf "p%d@%d" p t) r.crashed));
   Printf.printf "eats            : %d (%.1f per ktick), hungry sessions served %d\n" r.total_eats
-    (Harness.Run.throughput r)
+    (Harness.World.throughput r)
     (Monitor.Response.served_count r.response);
   Printf.printf "response (ticks): mean %.1f  p95 %.1f  p99 %.1f  max %.1f\n" summary.mean
     summary.p95 summary.p99 summary.max;
-  let starved = Harness.Run.starved r ~older_than:10_000 in
+  let starved = Harness.World.starved r ~older_than:10_000 in
   Printf.printf "starved         : %s\n"
     (if starved = [] then "none (wait-free)"
      else "PROCESSES " ^ String.concat "," (List.map string_of_int starved));
@@ -190,7 +190,7 @@ let run_cmd =
     let recorder = Obs.Recorder.create () in
     if trace then Obs.Recorder.on_light recorder (Format.printf "%a@." Obs.Record.pp_row);
     let metrics = Obs.Metrics.create () in
-    let report = Harness.Run.run ~recorder ~metrics scenario in
+    let report = Harness.World.run ~recorder ~metrics scenario in
     print_report report;
     if show_metrics then Format.printf "metrics:@.%a" Obs.Metrics.pp metrics;
     match dot with
@@ -345,7 +345,7 @@ let trace_cmd =
           ~contended
       in
       let recorder = Obs.Recorder.collecting () in
-      let (_ : Harness.Run.report) = Harness.Run.run ~recorder scenario in
+      let (_ : Harness.World.report) = Harness.World.run ~recorder scenario in
       let buf = Buffer.create 65536 in
       Buffer.add_string buf
         (Printf.sprintf "# daemon_sim trace: topology=%s algo=%s detector=%s seed=%Ld horizon=%d events=%d\n"

@@ -26,7 +26,7 @@ let duel algo label =
       horizon = 60_000;
     }
   in
-  (scenario, Harness.Run.run scenario)
+  (scenario, Harness.World.run scenario)
 
 let () =
   print_endline "Saturated 6-clique, 60k ticks: every diner is hungry again immediately.\n";
@@ -44,7 +44,7 @@ let () =
   List.iter
     (fun (algo, label) ->
       let _, r = duel algo label in
-      let starved = Harness.Run.starved r ~older_than:10_000 in
+      let starved = Harness.World.starved r ~older_than:10_000 in
       Stats.Table.add_row table
         [
           label;

@@ -30,12 +30,12 @@ let () =
     }
   in
   Printf.printf "Storm: %d processes, %d crashes, GST at %d, horizon %d.\n\n" n 13 gst horizon;
-  let r = Harness.Run.run scenario in
+  let r = Harness.World.run scenario in
   Printf.printf "crashes         : %s\n"
     (String.concat ", " (List.map (fun (p, t) -> Printf.sprintf "p%d@%d" p t) r.crashed));
   Printf.printf "meals served    : %d across %d survivors\n" r.total_eats
     (n - List.length r.crashed);
-  let starved = Harness.Run.starved r ~older_than:15_000 in
+  let starved = Harness.World.starved r ~older_than:15_000 in
   Printf.printf "starved         : %s\n"
     (if starved = [] then "none — wait-free through the storm"
      else String.concat "," (List.map string_of_int starved));

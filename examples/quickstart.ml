@@ -36,7 +36,7 @@ let () =
         Format.printf "%a@." Obs.Record.pp_row r
       end);
   Format.printf "--- timeline excerpts (start of run, and around the crash) ---@.";
-  let r = Harness.Run.run ~recorder scenario in
+  let r = Harness.World.run ~recorder scenario in
   Format.printf "--- end of excerpts (%d lines) ---@.@." !printed;
 
   let summary = Monitor.Response.summary r.response in
@@ -44,7 +44,7 @@ let () =
   Format.printf "meals served    : %d (per philosopher: %s)@." r.total_eats
     (String.concat ", " (Array.to_list (Array.map string_of_int r.eats_per_process)));
   Format.printf "hungry -> eating: mean %.0f ticks, worst %.0f@." summary.mean summary.max;
-  (match Harness.Run.starved r ~older_than:2_000 with
+  (match Harness.World.starved r ~older_than:2_000 with
   | [] -> Format.printf "starvation      : none — the daemon is wait-free@."
   | l ->
       Format.printf "starvation      : %s (unexpected!)@."

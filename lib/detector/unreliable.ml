@@ -1,18 +1,22 @@
+(* Suspicion state is per directed slot (observer's CSR row, slot for
+   target), as in Oracle: [suspects] sits inside the algorithm's guard
+   loops, so a query must not allocate a key. *)
 let create engine faults graph rng ?(detection_delay = 50) ?(period = 2_000) ?(duration = 150)
     ~horizon () =
   if period <= 0 || duration <= 0 || duration >= period then
     invalid_arg "Unreliable.create: need 0 < duration < period";
   let listeners = ref [] in
-  let fp_active : (int * int, bool) Hashtbl.t = Hashtbl.create 64 in
-  let permanent : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let set key v =
-    let cur = Option.value (Hashtbl.find_opt fp_active key) ~default:false in
-    if cur <> v then begin
-      Hashtbl.replace fp_active key v;
-      if not (Hashtbl.mem permanent key) then begin
-        Obs.Recorder.suspect (Sim.Engine.recorder engine) ~time:(Sim.Engine.now engine)
-          ~observer:(fst key) ~target:(snd key) ~on:v;
-        Detector.notify listeners (fst key)
+  let dirs = Cgraph.Graph.dir_count graph in
+  let fp_active = Bytes.make dirs '\000' in (* slot -> 1 inside a false-suspicion wave *)
+  let permanent = Bytes.make dirs '\000' in (* slot -> 1 once the target's crash is detected *)
+  let on b s = Bytes.get b s <> '\000' in
+  let set observer target s v =
+    if on fp_active s <> v then begin
+      Bytes.set fp_active s (if v then '\001' else '\000');
+      if not (on permanent s) then begin
+        Obs.Recorder.suspect (Sim.Engine.recorder engine) ~time:(Sim.Engine.now engine) ~observer
+          ~target ~on:v;
+        Detector.notify listeners observer
       end
     end
   in
@@ -21,17 +25,18 @@ let create engine faults graph rng ?(detection_delay = 50) ?(period = 2_000) ?(d
   Cgraph.Graph.iter_edges graph (fun a b ->
       List.iter
         (fun (observer, target) ->
+          let s = Cgraph.Graph.dir_index graph observer target in
           let phase = Sim.Rng.int rng period in
           let rec wave start =
             if start <= horizon then begin
               ignore
                 (Sim.Engine.schedule engine ~owner:observer ~at:start (fun () ->
                      if not (Net.Faults.is_crashed faults observer) then
-                       set (observer, target) true));
+                       set observer target s true));
               ignore
                 (Sim.Engine.schedule engine ~owner:observer
                    ~at:(Sim.Time.add start duration)
-                   (fun () -> set (observer, target) false));
+                   (fun () -> set observer target s false));
               wave (Sim.Time.add start period)
             end
           in
@@ -44,11 +49,10 @@ let create engine faults graph rng ?(detection_delay = 50) ?(period = 2_000) ?(d
           ignore
             (Sim.Engine.schedule_after engine ~owner:neighbor ~delay:detection_delay (fun () ->
                  if not (Net.Faults.is_crashed faults neighbor) then begin
-                   let key = (neighbor, crashed) in
-                   if not (Hashtbl.mem permanent key) then begin
-                     let before = Option.value (Hashtbl.find_opt fp_active key) ~default:false in
-                     Hashtbl.add permanent key ();
-                     if not before then begin
+                   let s = Cgraph.Graph.dir_index graph neighbor crashed in
+                   if not (on permanent s) then begin
+                     Bytes.set permanent s '\001';
+                     if not (on fp_active s) then begin
                        Obs.Recorder.suspect (Sim.Engine.recorder engine)
                          ~time:(Sim.Engine.now engine) ~observer:neighbor ~target:crashed
                          ~on:true;
@@ -61,7 +65,7 @@ let create engine faults graph rng ?(detection_delay = 50) ?(period = 2_000) ?(d
     Detector.name = "unreliable-forever";
     suspects =
       (fun ~observer ~target ->
-        Hashtbl.mem permanent (observer, target)
-        || Option.value (Hashtbl.find_opt fp_active (observer, target)) ~default:false);
+        let s = Cgraph.Graph.dir_index_opt graph observer target in
+        s >= 0 && (on permanent s || on fp_active s));
     subscribe = (fun f -> listeners := f :: !listeners);
   }

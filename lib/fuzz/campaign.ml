@@ -38,7 +38,7 @@ let run ?(domains = 1) ?(profile = Gen.Sound) ?(properties = Property.all)
       | Gen.Sound -> List.filter (fun (p : Property.t) -> p.applicable s) properties
       | Gen.Hostile -> properties
     in
-    let r = Harness.Run.run s in
+    let r = Harness.World.run s in
     let fails = Property.failures props r in
     let failures =
       (* Only the case's first failing property is minimized: under
@@ -49,11 +49,11 @@ let run ?(domains = 1) ?(profile = Gen.Sound) ?(properties = Property.all)
           let p = List.find (fun (p : Property.t) -> p.name = name) props in
           if shrink && i = 0 then (
             let still_failing s' =
-              p.Property.check (Harness.Run.run s') <> None
+              p.Property.check (Harness.World.run s') <> None
             in
             let m = Shrink.minimize ~still_failing s in
             let shrunk_message =
-              match p.Property.check (Harness.Run.run m.Shrink.scenario) with
+              match p.Property.check (Harness.World.run m.Shrink.scenario) with
               | Some msg -> msg
               | None -> message
             in
@@ -83,8 +83,8 @@ let run ?(domains = 1) ?(profile = Gen.Sound) ?(properties = Property.all)
     {
       cr_checked = List.map (fun (p : Property.t) -> p.name) props;
       cr_failures = failures;
-      cr_eats = r.Harness.Run.total_eats;
-      cr_events = r.Harness.Run.events_processed;
+      cr_eats = r.Harness.World.total_eats;
+      cr_events = r.Harness.World.events_processed;
     }
   in
   let results =

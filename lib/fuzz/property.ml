@@ -2,7 +2,7 @@ type t = {
   name : string;
   claim : string;
   applicable : Harness.Scenario.t -> bool;
-  check : Harness.Run.report -> string option;
+  check : Harness.World.report -> string option;
 }
 
 (* ------------------------- hypothesis helpers ---------------------- *)
@@ -43,7 +43,7 @@ let song_pike (s : Harness.Scenario.t) = s.algo = Harness.Scenario.Song_pike
    before the detector settles still has its consequences (a yielded
    fork, a granted overlap) in flight, and the theorems only promise the
    properties eventually after settling. *)
-let settle_cutoff (r : Harness.Run.report) =
+let settle_cutoff (r : Harness.World.report) =
   if Sim.Time.is_finite r.convergence && r.convergence < r.horizon then
     r.convergence + (r.horizon / 16)
   else 2 * r.horizon / 3
@@ -94,7 +94,7 @@ let wait_freedom =
     check =
       (fun r ->
         let patience = max 1 (r.horizon / 4) in
-        match Harness.Run.starved r ~older_than:patience with
+        match Harness.World.starved r ~older_than:patience with
         | [] -> None
         | pids ->
             Some

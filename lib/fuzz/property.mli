@@ -19,7 +19,7 @@ type t = {
   applicable : Harness.Scenario.t -> bool;
       (** The theorem's hypotheses: does this scenario's (algo, detector,
           crash plan, ack budget) combination promise the property? *)
-  check : Harness.Run.report -> string option;
+  check : Harness.World.report -> string option;
       (** [None] = the property held on this run; [Some msg] = violated,
           with a human-readable account of the evidence. Total on any
           report, including out-of-hypothesis ones. *)
@@ -70,6 +70,6 @@ val find : string -> t option
 val applicable : Harness.Scenario.t -> t list
 (** The subset of {!all} whose hypotheses the scenario satisfies. *)
 
-val failures : t list -> Harness.Run.report -> (string * string) list
+val failures : t list -> Harness.World.report -> (string * string) list
 (** [(name, message)] for every given oracle whose [check] fires on the
     report, in the given order. *)

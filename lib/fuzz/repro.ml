@@ -237,7 +237,7 @@ type outcome =
   | Clean of { property : string }
 
 let replay (p : Property.t) s =
-  let r = Harness.Run.run s in
+  let r = Harness.World.run s in
   match p.check r with
   | Some message -> Reproduced { property = p.name; message }
   | None -> Clean { property = p.name }

@@ -20,7 +20,7 @@ let run ?(seeds = 10) ?domains ?patience (scenario : Scenario.t) =
   let reports =
     Exec.Pool.with_pool ?domains (fun pool ->
         Exec.Pool.init pool seeds (fun k ->
-            Run.run { scenario with seed = Int64.of_int (k + 1) }))
+            World.run { scenario with seed = Int64.of_int (k + 1) }))
     |> Array.to_list
   in
   let patience =
@@ -29,7 +29,7 @@ let run ?(seeds = 10) ?domains ?patience (scenario : Scenario.t) =
   let per f = List.map f reports in
   {
     runs = seeds;
-    total_eats = Stats.Summary.of_ints (per (fun (r : Run.report) -> r.total_eats));
+    total_eats = Stats.Summary.of_ints (per (fun (r : World.report) -> r.total_eats));
     response_mean =
       Stats.Summary.of_floats (per (fun r -> (Monitor.Response.summary r.response).mean));
     response_p99 =
@@ -42,10 +42,10 @@ let run ?(seeds = 10) ?domains ?patience (scenario : Scenario.t) =
       List.fold_left max 0
         (per (fun r -> Monitor.Fairness.max_consecutive_for_sessions_from r.fairness r.convergence));
     starved_total =
-      List.fold_left ( + ) 0 (per (fun r -> List.length (Run.starved r ~older_than:patience)));
+      List.fold_left ( + ) 0 (per (fun r -> List.length (World.starved r ~older_than:patience)));
     worst_edge_watermark =
       List.fold_left max 0 (per (fun r -> Net.Link_stats.max_edge_watermark r.link_stats));
-    invariant_errors = List.filter_map (fun (r : Run.report) -> r.invariant_error) reports;
+    invariant_errors = List.filter_map (fun (r : World.report) -> r.invariant_error) reports;
   }
 
 let pp ppf a =

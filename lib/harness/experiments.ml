@@ -32,7 +32,7 @@ let base : Scenario.t =
     check_every = Some 193;
   }
 
-let inv_cell (r : Run.report) = Option.value r.invariant_error ~default:"ok"
+let inv_cell (r : World.report) = Option.value r.invariant_error ~default:"ok"
 
 (* ------------------------------------------------------------------ *)
 (* E1 — Theorem 1: eventual weak exclusion.                            *)
@@ -78,7 +78,7 @@ let e1 (ctx : ctx) =
         seed = 11L;
       }
     in
-    let r = Run.run s in
+    let r = World.run s in
     [
       Cgraph.Topology.name topology;
       det_label;
@@ -142,7 +142,7 @@ let e2 (_ : ctx) =
                   seed = 23L;
                 }
               in
-              let r = Run.run s in
+              let r = World.run s in
               let summary = Monitor.Response.summary r.response in
               Stats.Table.add_row table
                 [
@@ -150,7 +150,7 @@ let e2 (_ : ctx) =
                   Stats.Table.cell_int f;
                   label;
                   Stats.Table.cell_int (Monitor.Response.served_count r.response);
-                  Stats.Table.cell_int (List.length (Run.starved r ~older_than:10_000));
+                  Stats.Table.cell_int (List.length (World.starved r ~older_than:10_000));
                   Stats.Table.cell_float summary.mean;
                   Stats.Table.cell_float summary.p99;
                   Stats.Table.cell_float summary.max;
@@ -210,7 +210,7 @@ let e3 (_ : ctx) =
               seed = 37L;
             }
           in
-          let r = Run.run s in
+          let r = World.run s in
           let after = Monitor.Fairness.max_consecutive_for_sessions_from r.fairness r.convergence in
           Stats.Table.add_row table
             [
@@ -220,7 +220,7 @@ let e3 (_ : ctx) =
               Stats.Table.cell_int (Monitor.Fairness.max_consecutive r.fairness);
               Stats.Table.cell_int after;
               Stats.Table.cell_bool (after <= 2);
-              Stats.Table.cell_int (List.length (Run.starved r ~older_than:10_000));
+              Stats.Table.cell_int (List.length (World.starved r ~older_than:10_000));
             ])
         cases;
       Stats.Table.add_rule table)
@@ -266,7 +266,7 @@ let e4 (ctx : ctx) =
         seed = 5L;
       }
     in
-    let r = Run.run s in
+    let r = World.run s in
     let kind_wm kind =
       Option.value
         (List.assoc_opt kind (Net.Link_stats.max_edge_watermark_by_kind r.link_stats))
@@ -312,7 +312,7 @@ let e5 (_ : ctx) =
       seed = 71L;
     }
   in
-  let r = Run.run s in
+  let r = World.run s in
   let table =
     Stats.Table.create ~title:"E5: messages sent to a crashed process (quiescence)"
       ~columns:
@@ -374,7 +374,7 @@ let e6 (_ : ctx) =
   List.iter
     (fun topology ->
       let s = { base with name = "e6"; topology; horizon = 5_000; seed = 3L } in
-      let r = Run.run s in
+      let r = World.run s in
       let delta = Cgraph.Graph.max_degree r.graph in
       let colors = Cgraph.Coloring.greedy r.graph in
       let max_color = Array.fold_left max 0 colors in
@@ -516,17 +516,17 @@ let e8 (_ : ctx) =
               seed = 13L;
             }
           in
-          let r = Run.run s in
+          let r = World.run s in
           let summary = Monitor.Response.summary r.response in
           Stats.Table.add_row table
             [
               label;
               Cgraph.Topology.name topology;
-              Stats.Table.cell_float (Run.throughput r);
+              Stats.Table.cell_float (World.throughput r);
               Stats.Table.cell_float summary.mean;
               Stats.Table.cell_float summary.p99;
               Stats.Table.cell_int (Monitor.Fairness.max_consecutive r.fairness);
-              Stats.Table.cell_int (List.length (Run.starved r ~older_than:10_000));
+              Stats.Table.cell_int (List.length (World.starved r ~older_than:10_000));
             ])
         cases;
       Stats.Table.add_rule table)
@@ -587,8 +587,8 @@ let e9 (_ : ctx) =
           seed = 101L;
         }
       in
-      let r = Run.run s in
-      let starved = List.length (Run.starved r ~older_than:10_000) in
+      let r = World.run s in
+      let starved = List.length (World.starved r ~older_than:10_000) in
       let late = Monitor.Exclusion.count_after r.exclusion (2 * horizon / 3) in
       let verdict =
         match (starved > 0, late > 0) with
@@ -814,7 +814,7 @@ let e12 (_ : ctx) =
           seed = 59L;
         }
       in
-      let r = Run.run s in
+      let r = World.run s in
       let d = Monitor.Phases.doorway_summary r.phases in
       let f = Monitor.Phases.fork_summary r.phases in
       let share =
@@ -871,9 +871,9 @@ let f5 (ctx : ctx) =
         check_every = None;
       }
     in
-    let r = Run.run s in
+    let r = World.run s in
     let summary = Monitor.Response.summary r.response in
-    (float_of_int n, summary.p95, Run.throughput r)
+    (float_of_int n, summary.p95, World.throughput r)
   in
   let points = sweep ~domains:ctx.domains sizes point in
   List.iter (fun (x, p95, _) -> Stats.Series.add_point series ~x ~y:p95) points;
@@ -907,7 +907,7 @@ let f1 (_ : ctx) =
       seed = 29L;
     }
   in
-  let r = Run.run s in
+  let r = World.run s in
   let series =
     Stats.Series.create ~title:"F1: mean response time vs service time (GST = 30000)"
       ~x_label:"time (ticks)" ~y_label:"mean response (ticks)"
@@ -943,7 +943,7 @@ let f2 (_ : ctx) =
       seed = 41L;
     }
   in
-  let r = Run.run s in
+  let r = World.run s in
   let series =
     Stats.Series.create
       ~title:(Printf.sprintf "F2: messages to the crashed process (crash at %d)" crash_t)
@@ -986,7 +986,7 @@ let f3 (_ : ctx) =
       seed = 53L;
     }
   in
-  let r = Run.run s in
+  let r = World.run s in
   let series =
     Stats.Series.create
       ~title:
@@ -1050,7 +1050,7 @@ let f6 (_ : ctx) =
   let horizon = 60_000 in
   let patience = 3_000 in
   let run_one detector =
-    Run.run
+    World.run
       {
         base with
         name = "f6";
@@ -1066,7 +1066,7 @@ let f6 (_ : ctx) =
      been open for more than [patience] at t. The starvation radius at t
      is the greatest conflict-graph distance from the crash site of any
      starving process (0 = nobody starves). *)
-  let radius_series (r : Run.report) =
+  let radius_series (r : World.report) =
     let dists = Cgraph.Graph.distances_from r.graph crash_pid in
     let sessions =
       List.map

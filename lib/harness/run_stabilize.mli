@@ -19,7 +19,7 @@ type spec = {
 type report = {
   spec : spec;
   outcome : Stabilize.Scheduler.outcome;
-  convergence : Sim.Time.t;  (** detector convergence, as in {!Run.report} *)
+  convergence : Sim.Time.t;  (** detector convergence, as in {!World.report} *)
   crashed : (int * Sim.Time.t) list;
   total_eats : int;
   invariant_error : string option;

@@ -58,6 +58,13 @@ let make_detector (s : Scenario.t) ~engine ~faults ~graph ~rng ?metrics () =
 
 let make_instance (s : Scenario.t) ~engine ~faults ~graph ~detector ~rng ?metrics () =
   let net_rng = Sim.Rng.split_named rng "dining-net" in
+  let baseline rule =
+    let algo =
+      Baselines.Forks.create ~rule ~engine ~faults ~graph ~delay:s.delay ~rng:net_rng ~detector
+        ?metrics ()
+    in
+    (Baselines.Forks.instance algo, Baselines.Forks.network_stats algo, None)
+  in
   match s.algo with
   | Scenario.Song_pike ->
       let algo =
@@ -65,22 +72,9 @@ let make_instance (s : Scenario.t) ~engine ~faults ~graph ~detector ~rng ?metric
           ?metrics ~acks_per_session:s.acks_per_session ()
       in
       (Dining.Algorithm.instance algo, Dining.Algorithm.network_stats algo, Some algo)
-  | Scenario.Fork_only ->
-      let algo =
-        Baselines.Fork_only.create ~engine ~faults ~graph ~delay:s.delay ~rng:net_rng ~detector ()
-      in
-      (Baselines.Fork_only.instance algo, Baselines.Fork_only.network_stats algo, None)
-  | Scenario.Chandy_misra ->
-      let algo =
-        Baselines.Chandy_misra.create ~engine ~faults ~graph ~delay:s.delay ~rng:net_rng
-          ~detector ()
-      in
-      (Baselines.Chandy_misra.instance algo, Baselines.Chandy_misra.network_stats algo, None)
-  | Scenario.Ordered ->
-      let algo =
-        Baselines.Ordered.create ~engine ~faults ~graph ~delay:s.delay ~rng:net_rng ~detector ()
-      in
-      (Baselines.Ordered.instance algo, Baselines.Ordered.network_stats algo, None)
+  | Scenario.Fork_only -> baseline Baselines.Forks.Fork_only
+  | Scenario.Chandy_misra -> baseline Baselines.Forks.Chandy_misra
+  | Scenario.Ordered -> baseline Baselines.Forks.Ordered
 
 let build ?recorder ?metrics (s : Scenario.t) =
   let graph = Cgraph.Topology.build s.topology in

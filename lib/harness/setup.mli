@@ -1,4 +1,4 @@
-(** Shared scenario wiring used by {!Run} and {!Run_stabilize}: builds
+(** Shared scenario wiring used by {!World} and {!Run_stabilize}: builds
     engine, crash plan, detector and daemon instance from a scenario. *)
 
 type detector_state =

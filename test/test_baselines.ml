@@ -1,11 +1,12 @@
-(* Tests for the baseline daemons: Fork_only (doorway ablation) and
-   Chandy_misra (hygienic dining). *)
+(* Tests for the baseline daemons, the three rules of Baselines.Forks:
+   Fork_only (doorway ablation), Chandy_misra (hygienic dining) and
+   Ordered (hierarchical total-order allocation). *)
 
 let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
 
-type which = FO | CM | OR
+module Forks = Baselines.Forks
 
 type rig = {
   engine : Sim.Engine.t;
@@ -14,7 +15,7 @@ type rig = {
   eats : int array;
 }
 
-let rig which ?(edges = [ (0, 1) ]) ?(n = 2) ?(delay = Net.Delay.Fixed 3) ?(detector = `Never) ()
+let rig rule ?(edges = [ (0, 1) ]) ?(n = 2) ?(delay = Net.Delay.Fixed 3) ?(detector = `Never) ()
     =
   let graph = Cgraph.Graph.of_edges ~n edges in
   let engine = Sim.Engine.create () in
@@ -26,16 +27,7 @@ let rig which ?(edges = [ (0, 1) ]) ?(n = 2) ?(delay = Net.Delay.Fixed 3) ?(dete
   in
   let rng = Sim.Rng.create 3L in
   let inst =
-    match which with
-    | FO ->
-        Baselines.Fork_only.instance
-          (Baselines.Fork_only.create ~engine ~faults ~graph ~delay ~rng ~detector:det ())
-    | CM ->
-        Baselines.Chandy_misra.instance
-          (Baselines.Chandy_misra.create ~engine ~faults ~graph ~delay ~rng ~detector:det ())
-    | OR ->
-        Baselines.Ordered.instance
-          (Baselines.Ordered.create ~engine ~faults ~graph ~delay ~rng ~detector:det ())
+    Forks.instance (Forks.create ~rule ~engine ~faults ~graph ~delay ~rng ~detector:det ())
   in
   let eats = Array.make n 0 in
   inst.add_listener (fun pid phase ->
@@ -73,7 +65,7 @@ let exclusion_holds r graph_edges horizon =
 (* ----------------------------- Fork_only --------------------------- *)
 
 let fork_only_progress_and_exclusion () =
-  let r = rig FO () in
+  let r = rig Fork_only () in
   auto_stop r;
   auto_rehungry r 0;
   auto_rehungry r 1;
@@ -90,7 +82,7 @@ let fork_only_unbounded_overtaking () =
      alternation — overtaking far beyond Algorithm 1's bound of 2. (On a
      pair the deferred fork is flushed at exit, so >= 3 diners are needed
      to expose this.) *)
-  let r = rig FO ~edges:[ (0, 1); (1, 2); (0, 2) ] ~n:3 () in
+  let r = rig Fork_only ~edges:[ (0, 1); (1, 2); (0, 2) ] ~n:3 () in
   auto_stop ~duration:5 r;
   List.iter (fun p -> auto_rehungry ~gap:1 r p) [ 0; 1; 2 ];
   let hungry0 = ref false and streak = ref 0 and worst = ref 0 in
@@ -112,7 +104,7 @@ let fork_only_unbounded_overtaking () =
   check bool "lowest priority squeezed" true (r.eats.(0) * 4 < r.eats.(2))
 
 let fork_only_crash_tolerant_with_oracle () =
-  let r = rig FO ~detector:`Oracle () in
+  let r = rig Fork_only ~detector:`Oracle () in
   auto_stop r;
   Net.Faults.schedule_crash r.faults ~pid:1 ~at:5;
   ignore (Sim.Engine.schedule r.engine ~at:10 (fun () -> r.inst.become_hungry 0));
@@ -122,7 +114,7 @@ let fork_only_crash_tolerant_with_oracle () =
 (* ---------------------------- Chandy-Misra -------------------------- *)
 
 let cm_progress_and_exclusion () =
-  let r = rig CM ~edges:[ (0, 1); (1, 2); (0, 2) ] ~n:3 () in
+  let r = rig Chandy_misra ~edges:[ (0, 1); (1, 2); (0, 2) ] ~n:3 () in
   auto_stop r;
   List.iter (fun p -> auto_rehungry r p) [ 0; 1; 2 ];
   List.iter r.inst.become_hungry [ 0; 1; 2 ];
@@ -134,7 +126,7 @@ let cm_progress_and_exclusion () =
 let cm_fair_under_saturation () =
   (* Dynamic priorities: under saturation, neither neighbor can be
      overtaken more than a constant number of times. *)
-  let r = rig CM () in
+  let r = rig Chandy_misra () in
   auto_stop ~duration:5 r;
   auto_rehungry ~gap:1 r 0;
   auto_rehungry ~gap:1 r 1;
@@ -162,13 +154,13 @@ let cm_initial_forks_acyclic () =
   let engine = Sim.Engine.create () in
   let faults = Net.Faults.create engine ~n:3 in
   let cm =
-    Baselines.Chandy_misra.create ~engine ~faults ~graph ~delay:(Net.Delay.Fixed 1)
+    Forks.create ~rule:Chandy_misra ~engine ~faults ~graph ~delay:(Net.Delay.Fixed 1)
       ~rng:(Sim.Rng.create 1L) ~detector:(Fd.Never.create ()) ()
   in
   (* Forks start at the lower-id endpoint, dirty. *)
-  check bool "fork at lower id" true (Baselines.Chandy_misra.holds_fork cm 0 1);
-  check bool "dirty initially" false (Baselines.Chandy_misra.fork_clean cm 0 1);
-  check bool "not at higher id" false (Baselines.Chandy_misra.holds_fork cm 1 0)
+  check bool "fork at lower id" true (Forks.holds_fork cm 0 1);
+  check bool "dirty initially" false (Forks.fork_clean cm 0 1);
+  check bool "not at higher id" false (Forks.holds_fork cm 1 0)
 
 let cm_hygiene_cycle () =
   (* Watch one fork's hygiene through a full request cycle on a pair. *)
@@ -176,24 +168,24 @@ let cm_hygiene_cycle () =
   let engine = Sim.Engine.create () in
   let faults = Net.Faults.create engine ~n:2 in
   let cm =
-    Baselines.Chandy_misra.create ~engine ~faults ~graph ~delay:(Net.Delay.Fixed 2)
+    Forks.create ~rule:Chandy_misra ~engine ~faults ~graph ~delay:(Net.Delay.Fixed 2)
       ~rng:(Sim.Rng.create 1L) ~detector:(Fd.Never.create ()) ()
   in
-  let inst = Baselines.Chandy_misra.instance cm in
+  let inst = Forks.instance cm in
   (* Fork starts dirty at 0 (lower id). 1 gets hungry and requests it. *)
   inst.become_hungry 1;
   Sim.Engine.run engine ~until:3;
   (* Request delivered at t=2: the dirty fork must be yielded... *)
-  check bool "dirty fork yielded" false (Baselines.Chandy_misra.holds_fork cm 0 1);
+  check bool "dirty fork yielded" false (Forks.holds_fork cm 0 1);
   Sim.Engine.run engine ~until:5;
   (* The fork arrived (clean) and enabled eating in the same instant;
      eating immediately soils it again. *)
   check bool "holder eats on arrival" true (inst.phase 1 = Dining.Types.Eating);
-  check bool "eating soils the fork" false (Baselines.Chandy_misra.fork_clean cm 1 0);
+  check bool "eating soils the fork" false (Forks.fork_clean cm 1 0);
   (* While eating, a request from 0 is deferred; after exit it is granted. *)
   inst.become_hungry 0;
   Sim.Engine.run engine ~until:12;
-  check bool "request deferred while eating" true (Baselines.Chandy_misra.holds_fork cm 1 0);
+  check bool "request deferred while eating" true (Forks.holds_fork cm 1 0);
   inst.stop_eating 1;
   Sim.Engine.run engine ~until:20;
   check bool "deferred grant after exit" true (inst.phase 0 = Dining.Types.Eating)
@@ -205,20 +197,20 @@ let ordered_suspicion_skips_rank () =
   let faults = Net.Faults.create engine ~n:3 in
   let _, detector = Fd.Oracle.create engine faults graph ~detection_delay:10 () in
   let algo =
-    Baselines.Ordered.create ~engine ~faults ~graph ~delay:(Net.Delay.Fixed 3)
+    Forks.create ~rule:Ordered ~engine ~faults ~graph ~delay:(Net.Delay.Fixed 3)
       ~rng:(Sim.Rng.create 1L) ~detector ()
   in
-  let inst = Baselines.Ordered.instance algo in
+  let inst = Forks.instance algo in
   (* 0 holds fork (0,1); 1 needs both its forks; crash 0 so rank-first
      edge (0,1) can only be passed by suspicion. *)
   Net.Faults.schedule_crash faults ~pid:0 ~at:2;
   ignore (Sim.Engine.schedule engine ~at:5 (fun () -> inst.become_hungry 1));
   Sim.Engine.run engine ~until:100;
-  check Alcotest.int "prefix covers both edges" 2 (Baselines.Ordered.progress algo 1);
+  check Alcotest.int "prefix covers both edges" 2 (Forks.progress algo 1);
   check bool "eats past the crash" true (inst.phase 1 = Dining.Types.Eating)
 
 let cm_starves_without_oracle_on_crash () =
-  let r = rig CM () in
+  let r = rig Chandy_misra () in
   auto_stop r;
   (* 0 holds both forks initially in a pair; crash it so 1 can never
      collect. *)
@@ -230,7 +222,7 @@ let cm_starves_without_oracle_on_crash () =
 (* ------------------------------ Ordered ----------------------------- *)
 
 let ordered_progress_and_exclusion () =
-  let r = rig OR ~edges:[ (0, 1); (1, 2); (0, 2); (2, 3) ] ~n:4 () in
+  let r = rig Ordered ~edges:[ (0, 1); (1, 2); (0, 2); (2, 3) ] ~n:4 () in
   auto_stop r;
   List.iter (fun p -> auto_rehungry r p) [ 0; 1; 2; 3 ];
   List.iter r.inst.become_hungry [ 0; 1; 2; 3 ];
@@ -243,7 +235,7 @@ let ordered_progress_and_exclusion () =
 let ordered_no_starvation_under_saturation () =
   (* Unlike fork-only, the total-order scheme serves everyone even when
      saturated — locks are released after every meal. *)
-  let r = rig OR ~edges:[ (0, 1); (1, 2); (0, 2) ] ~n:3 () in
+  let r = rig Ordered ~edges:[ (0, 1); (1, 2); (0, 2) ] ~n:3 () in
   auto_stop ~duration:5 r;
   List.iter (fun p -> auto_rehungry ~gap:1 r p) [ 0; 1; 2 ];
   List.iter r.inst.become_hungry [ 0; 1; 2 ];
@@ -256,20 +248,20 @@ let ordered_acquires_in_rank_order () =
   let engine = Sim.Engine.create () in
   let faults = Net.Faults.create engine ~n:3 in
   let algo =
-    Baselines.Ordered.create ~engine ~faults ~graph ~delay:(Net.Delay.Fixed 3)
+    Forks.create ~rule:Ordered ~engine ~faults ~graph ~delay:(Net.Delay.Fixed 3)
       ~rng:(Sim.Rng.create 1L) ~detector:(Fd.Never.create ()) ()
   in
-  let inst = Baselines.Ordered.instance algo in
+  let inst = Forks.instance algo in
   inst.become_hungry 1;
   (* Edge (0,1) outranks (1,2); process 1 starts with fork (1,2) only
      (forks start at lower endpoints), so it must fetch (0,1) first and
      only then lock both. *)
   Sim.Engine.run engine ~until:100;
-  check Alcotest.int "locked both in order" 2 (Baselines.Ordered.progress algo 1);
+  check Alcotest.int "locked both in order" 2 (Forks.progress algo 1);
   check bool "eating" true (inst.phase 1 = Dining.Types.Eating)
 
 let ordered_crash_tolerant_with_oracle () =
-  let r = rig OR ~detector:`Oracle () in
+  let r = rig Ordered ~detector:`Oracle () in
   auto_stop r;
   Net.Faults.schedule_crash r.faults ~pid:0 ~at:5;
   ignore (Sim.Engine.schedule r.engine ~at:10 (fun () -> r.inst.become_hungry 1));
@@ -277,12 +269,41 @@ let ordered_crash_tolerant_with_oracle () =
   check bool "eats past the crash via suspicion" true (r.eats.(1) >= 1)
 
 let ordered_starves_without_oracle_on_crash () =
-  let r = rig OR () in
+  let r = rig Ordered () in
   auto_stop r;
   Net.Faults.schedule_crash r.faults ~pid:0 ~at:5;
   ignore (Sim.Engine.schedule r.engine ~at:10 (fun () -> r.inst.become_hungry 1));
   Sim.Engine.run r.engine ~until:10_000;
   check Alcotest.int "starves like every oracle-less scheme" 0 r.eats.(1)
+
+(* ------------------------------ Metrics ----------------------------- *)
+
+let traffic_reaches_world_metrics () =
+  (* The quiet oracle sends nothing, so the world's net.sent counter is
+     exactly the daemon's own dining traffic. *)
+  List.iter
+    (fun algo ->
+      let r =
+        Harness.World.run
+          {
+            Harness.Scenario.default with
+            topology = Cgraph.Topology.Ring 6;
+            seed = 3L;
+            algo;
+            detector =
+              Harness.Scenario.Oracle
+                { detection_delay = 50; fp_per_edge = 0; fp_window = 0; fp_max_len = 1 };
+            crashes = Harness.Scenario.No_crashes;
+            horizon = 8_000;
+          }
+      in
+      let sent = Net.Link_stats.total_sent r.link_stats in
+      check bool "daemon sends" true (sent > 0);
+      check bool
+        (Harness.Scenario.algo_name algo ^ ": net.sent counts the daemon's traffic")
+        true
+        (Obs.Metrics.find r.metrics "net.sent" = Some (Obs.Metrics.Count sent)))
+    [ Harness.Scenario.Fork_only; Chandy_misra; Ordered ]
 
 let suite =
   [
@@ -307,4 +328,6 @@ let suite =
       ordered_suspicion_skips_rank;
     Alcotest.test_case "chandy-misra: crash-intolerant without oracle" `Quick
       cm_starves_without_oracle_on_crash;
+    Alcotest.test_case "baselines: traffic reaches the world's metrics" `Quick
+      traffic_reaches_world_metrics;
   ]

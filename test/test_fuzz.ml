@@ -51,7 +51,7 @@ let exclusion_oracle_fires () =
       ()
   in
   check bool "out of hypothesis" false (Fuzz.Property.eventual_weak_exclusion.applicable s);
-  fires "unreliable detector" Fuzz.Property.eventual_weak_exclusion (Harness.Run.run s)
+  fires "unreliable detector" Fuzz.Property.eventual_weak_exclusion (Harness.World.run s)
 
 (* With the Never detector (the Choy-Singh model) a crash wedges the
    victim's neighborhood: wait-freedom breaks. *)
@@ -61,7 +61,7 @@ let wait_freedom_oracle_fires () =
       ~crashes:(Harness.Scenario.Crash_at [ (2, 3_000) ])
       ()
   in
-  fires "never + crash" Fuzz.Property.wait_freedom (Harness.Run.run s)
+  fires "never + crash" Fuzz.Property.wait_freedom (Harness.World.run s)
 
 (* No simulated daemon keeps sending to a dead process (even the
    baselines request forks at most once per session), so prove the
@@ -70,7 +70,8 @@ let wait_freedom_oracle_fires () =
    period — onto a real report. *)
 let quiescence_oracle_fires () =
   let r =
-    Harness.Run.run (scenario ~crashes:(Harness.Scenario.Crash_at [ (2, 3_000) ]) ~horizon:20_000 ())
+    Harness.World.run
+      (scenario ~crashes:(Harness.Scenario.Crash_at [ (2, 3_000) ]) ~horizon:20_000 ())
   in
   holds "a sound run" Fuzz.Property.quiescence r;
   let noisy =
@@ -92,20 +93,20 @@ let bounded_waiting_oracle_fires () =
       ~crashes:(Harness.Scenario.Random_crashes { count = 1; from_t = 5_000; to_t = 15_000 })
       ~seed:37L ~horizon:60_000 ()
   in
-  fires "fork-only under contention" Fuzz.Property.bounded_waiting (Harness.Run.run s)
+  fires "fork-only under contention" Fuzz.Property.bounded_waiting (Harness.World.run s)
 
 (* No real scenario violates the channel bound (that is Section 7's
    point), so prove the oracle reads real traffic by tightening the
    bound to an impossible 0 on a busy run. *)
 let channel_bound_oracle_reads_traffic () =
-  let r = Harness.Run.run (scenario ~horizon:10_000 ()) in
+  let r = Harness.World.run (scenario ~horizon:10_000 ()) in
   holds "a sound run" Fuzz.Property.channel_bound r;
   fires "bound 0" (Fuzz.Property.channel_bound_with ~bound:0) r
 
 (* Same for the lemma watcher: synthesize a report carrying an
    invariant error. *)
 let lemmas_oracle_fires () =
-  let r = Harness.Run.run (scenario ~horizon:5_000 ()) in
+  let r = Harness.World.run (scenario ~horizon:5_000 ()) in
   holds "a sound run" Fuzz.Property.lemmas r;
   fires "synthetic error" Fuzz.Property.lemmas
     { r with invariant_error = Some "synthetic: lemma 1.1" }
@@ -121,7 +122,7 @@ let oracles_hold_in_hypothesis () =
   in
   let props = Fuzz.Property.applicable s in
   check bool "several oracles apply" true (List.length props >= 4);
-  let r = Harness.Run.run s in
+  let r = Harness.World.run s in
   List.iter (fun p -> holds "heartbeat + crash" p r) props
 
 (* ----------------------------- gen --------------------------------- *)
@@ -188,7 +189,7 @@ let shrinker_regression () =
       ~crashes:(Harness.Scenario.Crash_at [ (2, 3_000) ])
       ()
   in
-  let still_failing s = p.check (Harness.Run.run s) <> None in
+  let still_failing s = p.check (Harness.World.run s) <> None in
   check bool "starting point fails" true (still_failing s0);
   let m = Fuzz.Shrink.minimize ~still_failing s0 in
   check bool "took shrink steps" true (m.steps > 0);
@@ -215,7 +216,7 @@ let shrinker_is_deterministic () =
       ~crashes:(Harness.Scenario.Crash_at [ (2, 3_000) ])
       ()
   in
-  let still_failing s = p.check (Harness.Run.run s) <> None in
+  let still_failing s = p.check (Harness.World.run s) <> None in
   let a = Fuzz.Shrink.minimize ~still_failing s0 in
   let b = Fuzz.Shrink.minimize ~still_failing s0 in
   check bool "same reproducer" true (a.scenario = b.scenario);

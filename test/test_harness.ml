@@ -36,7 +36,7 @@ let deterministic_replay () =
       ~crashes:(Harness.Scenario.Random_crashes { count = 2; from_t = 1_000; to_t = 9_000 })
       ()
   in
-  let a = Harness.Run.run s and b = Harness.Run.run s in
+  let a = Harness.World.run s and b = Harness.World.run s in
   check int "same eats" a.total_eats b.total_eats;
   check int "same events" a.events_processed b.events_processed;
   check int "same violations" (Monitor.Exclusion.count a.exclusion) (Monitor.Exclusion.count b.exclusion);
@@ -52,7 +52,7 @@ let trace_replay () =
   in
   let run () =
     let recorder = Obs.Recorder.collecting () in
-    ignore (Harness.Run.run ~recorder s);
+    ignore (Harness.World.run ~recorder s);
     Obs.Jsonl.of_records (Obs.Recorder.records recorder)
   in
   let a = run () and b = run () in
@@ -61,25 +61,25 @@ let trace_replay () =
 
 let seed_changes_run () =
   let s1 = scenario ~seed:1L () and s2 = scenario ~seed:2L () in
-  let a = Harness.Run.run s1 and b = Harness.Run.run s2 in
+  let a = Harness.World.run s1 and b = Harness.World.run s2 in
   check bool "different seeds differ" true (a.events_processed <> b.events_processed)
 
 let crash_plans () =
   let explicit =
     scenario ~crashes:(Harness.Scenario.Crash_at [ (3, 1_000); (0, 500) ]) ()
   in
-  let r = Harness.Run.run explicit in
+  let r = Harness.World.run explicit in
   check bool "explicit plan sorted" true (r.crashed = [ (0, 500); (3, 1_000) ]);
   let random =
     scenario ~crashes:(Harness.Scenario.Random_crashes { count = 3; from_t = 100; to_t = 5_000 }) ()
   in
-  let r2 = Harness.Run.run random in
+  let r2 = Harness.World.run random in
   check int "three victims" 3 (List.length r2.crashed);
   let pids = List.map fst r2.crashed in
   check int "distinct victims" 3 (List.length (List.sort_uniq compare pids))
 
 let workload_drives_everyone () =
-  let r = Harness.Run.run (scenario ()) in
+  let r = Harness.World.run (scenario ()) in
   check bool "every process ate" true (Array.for_all (fun e -> e > 0) r.eats_per_process);
   check bool "hungry transitions >= eats" true (r.hungry_transitions >= r.total_eats)
 
@@ -163,8 +163,8 @@ let wait_freedom_property =
              else Harness.Scenario.Random_crashes { count = crash_count; from_t = 1_000; to_t = 15_000 })
           ~horizon:50_000 ()
       in
-      let r = Harness.Run.run s in
-      Harness.Run.starved r ~older_than:10_000 = [] && r.invariant_error = None)
+      let r = Harness.World.run s in
+      Harness.World.starved r ~older_than:10_000 = [] && r.invariant_error = None)
 
 let safety_property =
   QCheck.Test.make ~name:"harness: no violations after convergence (Theorem 1)" ~count:15
@@ -182,7 +182,7 @@ let safety_property =
           ~workload:{ think = (0, 100); eat = (5, 30) }
           ~horizon:40_000 ()
       in
-      let r = Harness.Run.run s in
+      let r = Harness.World.run s in
       Monitor.Exclusion.count_after r.exclusion r.convergence = 0)
 
 let bounded_waiting_property =
@@ -193,7 +193,7 @@ let bounded_waiting_property =
         scenario ~topology:(Cgraph.Topology.Clique 5) ~seed:(Int64.of_int seed)
           ~detector:noisy_oracle ~workload:Harness.Scenario.contended_workload ~horizon:40_000 ()
       in
-      let r = Harness.Run.run s in
+      let r = Harness.World.run s in
       Monitor.Fairness.max_consecutive_for_sessions_from r.fairness r.convergence <= 2)
 
 let channel_capacity_property =
@@ -212,7 +212,7 @@ let channel_capacity_property =
           ~crashes:(Harness.Scenario.Random_crashes { count = 1; from_t = 500; to_t = 5_000 })
           ~horizon:20_000 ()
       in
-      let r = Harness.Run.run s in
+      let r = Harness.World.run s in
       Net.Link_stats.max_edge_watermark r.link_stats <= 4)
 
 let heartbeat_end_to_end () =
@@ -224,33 +224,33 @@ let heartbeat_end_to_end () =
       ~horizon:60_000 ()
   in
   let s = { s with delay = Net.Delay.Partial_synchrony { gst = 15_000; pre = (1, 100); post = (1, 8) } } in
-  let r = Harness.Run.run s in
-  check bool "wait-free" true (Harness.Run.starved r ~older_than:10_000 = []);
+  let r = Harness.World.run s in
+  check bool "wait-free" true (Harness.World.starved r ~older_than:10_000 = []);
   check int "safe after measured convergence" 0
     (Monitor.Exclusion.count_after r.exclusion r.convergence);
   check bool "invariants held" true (r.invariant_error = None)
 
 let choy_singh_baseline_contrast () =
   let crashes = Harness.Scenario.Crash_at [ (2, 3_000) ] in
-  let ours = Harness.Run.run (scenario ~detector:quiet_oracle ~crashes ()) in
-  let baseline = Harness.Run.run (scenario ~detector:Harness.Scenario.Never ~crashes ()) in
-  check bool "ours wait-free" true (Harness.Run.starved ours ~older_than:10_000 = []);
-  check bool "baseline starves" true (Harness.Run.starved baseline ~older_than:10_000 <> []);
+  let ours = Harness.World.run (scenario ~detector:quiet_oracle ~crashes ()) in
+  let baseline = Harness.World.run (scenario ~detector:Harness.Scenario.Never ~crashes ()) in
+  check bool "ours wait-free" true (Harness.World.starved ours ~older_than:10_000 = []);
+  check bool "baseline starves" true (Harness.World.starved baseline ~older_than:10_000 <> []);
   check bool "baseline still safe" true (Monitor.Exclusion.count baseline.exclusion = 0)
 
 let perfect_detector_is_perpetually_safe () =
   let r =
-    Harness.Run.run
+    Harness.World.run
       (scenario ~detector:Harness.Scenario.Perfect
          ~crashes:(Harness.Scenario.Random_crashes { count = 3; from_t = 1_000; to_t = 10_000 })
          ~workload:Harness.Scenario.contended_workload ())
   in
   check int "zero violations ever" 0 (Monitor.Exclusion.count r.exclusion);
-  check bool "wait-free" true (Harness.Run.starved r ~older_than:10_000 = [])
+  check bool "wait-free" true (Harness.World.starved r ~older_than:10_000 = [])
 
 let throughput_sane () =
-  let r = Harness.Run.run (scenario ()) in
-  check bool "throughput positive" true (Harness.Run.throughput r > 0.0);
+  let r = Harness.World.run (scenario ()) in
+  check bool "throughput positive" true (Harness.World.throughput r > 0.0);
   check bool "eats within horizon" true (r.total_eats > 0)
 
 (* ------------------------- stabilize harness ----------------------- *)
@@ -297,8 +297,8 @@ let unreliable_detector_breaks_safety_not_liveness () =
       ~crashes:(Harness.Scenario.Crash_at [ (1, 5_000) ])
       ~horizon:40_000 ()
   in
-  let r = Harness.Run.run s in
-  check bool "still wait-free" true (Harness.Run.starved r ~older_than:10_000 = []);
+  let r = Harness.World.run s in
+  check bool "still wait-free" true (Harness.World.starved r ~older_than:10_000 = []);
   check bool "violations never stop (accuracy is load-bearing)" true
     (Monitor.Exclusion.count_after r.exclusion (2 * 40_000 / 3) > 0);
   check bool "structural lemmas still hold" true (r.invariant_error = None)
@@ -358,7 +358,7 @@ let world_staged_advance () =
   Harness.World.advance w ~until:(s.horizon / 3);
   Harness.World.advance w ~until:s.horizon;
   let staged = Harness.World.report w in
-  let oneshot = Harness.Run.run s in
+  let oneshot = Harness.World.run s in
   check int "same eats" oneshot.total_eats staged.total_eats;
   check int "same events" oneshot.events_processed staged.events_processed;
   check int "same hungry transitions" oneshot.hungry_transitions staged.hungry_transitions;
@@ -381,7 +381,7 @@ let replay_property =
           ~crashes:(Harness.Scenario.Random_crashes { count = 1; from_t = 500; to_t = 8_000 })
           ~horizon:15_000 ()
       in
-      let a = Harness.Run.run s and b = Harness.Run.run s in
+      let a = Harness.World.run s and b = Harness.World.run s in
       a.total_eats = b.total_eats
       && a.events_processed = b.events_processed
       && a.hungry_transitions = b.hungry_transitions
@@ -405,14 +405,14 @@ let names_stable () =
     (Harness.Run_stabilize.protocol_name Harness.Run_stabilize.Bfs_tree)
 
 let phases_in_report () =
-  let r = Harness.Run.run (scenario ~workload:Harness.Scenario.contended_workload ()) in
+  let r = Harness.World.run (scenario ~workload:Harness.Scenario.contended_workload ()) in
   let d = Monitor.Phases.doorway_summary r.phases in
   let f = Monitor.Phases.fork_summary r.phases in
   check bool "doorway samples collected" true (d.count > 100);
   check bool "phase means are plausible" true (d.mean >= 0.0 && f.mean >= 0.0);
   (* Baselines produce no doorway samples. *)
   let rb =
-    Harness.Run.run
+    Harness.World.run
       (scenario ~algo:Harness.Scenario.Chandy_misra ~detector:Harness.Scenario.Never ())
   in
   check int "no doorway samples for baselines" 0 (Monitor.Phases.doorway_summary rb.phases).count
@@ -423,7 +423,7 @@ let phases_in_report () =
 let footprint_closed_form_at_hub () =
   let n = 300 in
   let r =
-    Harness.Run.run (scenario ~topology:(Cgraph.Topology.Scale_free (n, 2, 5L)) ~horizon:2_000 ())
+    Harness.World.run (scenario ~topology:(Cgraph.Topology.Scale_free (n, 2, 5L)) ~horizon:2_000 ())
   in
   let max_color = Array.fold_left max 0 (Cgraph.Coloring.greedy r.graph) in
   let rec bits acc v = if v <= 0 then max acc 1 else bits (acc + 1) (v lsr 1) in

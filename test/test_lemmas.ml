@@ -15,7 +15,7 @@ let int = Alcotest.int
 let run_checked ?(topology = Cgraph.Topology.Clique 6) ?(seed = 1L) ?(horizon = 30_000)
     ?(delay = Net.Delay.Uniform (1, 40)) ?(crashes = Harness.Scenario.No_crashes)
     ?(fp_per_edge = 3) () =
-  Harness.Run.run
+  Harness.World.run
     {
       Harness.Scenario.default with
       name = "lemmas";

@@ -188,7 +188,7 @@ let scenario seed =
 
 let capture_jsonl seed =
   let recorder = Obs.Recorder.collecting () in
-  let (_ : Harness.Run.report) = Harness.Run.run ~recorder (scenario seed) in
+  let (_ : Harness.World.report) = Harness.World.run ~recorder (scenario seed) in
   Obs.Jsonl.of_records (Obs.Recorder.records recorder)
 
 let trace_deterministic_across_domains () =
@@ -214,7 +214,7 @@ let tracediff_pinpoints_seed_divergence () =
       check bool "divergent line has a time field" true (Obs.Jsonl.field_int line "t" <> None)
 
 let report_carries_metrics () =
-  let r = Harness.Run.run (scenario 5L) in
+  let r = Harness.World.run (scenario 5L) in
   let count name =
     match Obs.Metrics.find r.metrics name with
     | Some (Obs.Metrics.Count c) -> c

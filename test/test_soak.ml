@@ -13,7 +13,7 @@ let int = Alcotest.int
 (* Run the scenario and assert every oracle whose hypotheses it
    satisfies. *)
 let assert_clean label (s : Harness.Scenario.t) =
-  let r = Harness.Run.run s in
+  let r = Harness.World.run s in
   (match Fuzz.Property.failures (Fuzz.Property.applicable s) r with
   | [] -> ()
   | fails ->
