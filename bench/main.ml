@@ -367,9 +367,11 @@ let run_fuzz () =
 
 (* Scenario for the scaling table: no crashes, no invariant polling, a
    scripted detector — the run exercises exactly the engine + network +
-   daemon hot path. The horizon gives every process a handful of
-   complete think/eat sessions. *)
-let scale_scenario topology : Harness.Scenario.t =
+   daemon hot path. The default horizon gives every process a handful
+   of complete think/eat sessions. *)
+let scale_horizon = 1_200
+
+let scale_scenario ~horizon topology : Harness.Scenario.t =
   {
     Harness.Scenario.default with
     name = "scale";
@@ -380,7 +382,7 @@ let scale_scenario topology : Harness.Scenario.t =
     algo = Harness.Scenario.Song_pike;
     workload = Harness.Scenario.default_workload;
     crashes = Harness.Scenario.No_crashes;
-    horizon = 1_200;
+    horizon;
     check_every = None;
   }
 
@@ -400,6 +402,7 @@ type scale_cell = {
   cell_eats : int;
   alloc_words : int;  (* words allocated by create+run+report: exact *)
   live_words : int;   (* live-heap delta while the world is alive: advisory *)
+  reachable_words : int;  (* the world's reachable heap after report: exact *)
   seconds : float;
 }
 
@@ -424,11 +427,12 @@ let kind_of_name = function
 
 (* One cell, measured in the calling process, single-domain: the Gc
    counters are the measurement. [run_scale_cell] runs it in a fresh
-   child process ([main.exe --scale-cell KIND N LIVE]), so that neither
-   the allocation count nor the live-heap delta depends on what ran
-   before the cell. *)
-let measure_scale_cell ~measure_live spec =
-  let scenario = scale_scenario spec in
+   child process ([main.exe --scale-cell KIND N HORIZON LIVE]), so that
+   neither the allocation count nor the live-heap delta depends on what
+   ran before the cell. Without [measure_live] the cell counts the
+   world's reachable words instead: exact, and cheap at smoke sizes. *)
+let measure_scale_cell ~measure_live ~horizon spec =
+  let scenario = scale_scenario ~horizon spec in
   let live0 =
     if measure_live then begin
       Gc.full_major ();
@@ -450,36 +454,51 @@ let measure_scale_cell ~measure_live spec =
     end
     else 0
   in
+  let reachable_words = if measure_live then 0 else Obj.reachable_words (Obj.repr w) in
   {
-    label = Cgraph.Topology.name spec;
+    label =
+      (if horizon = scale_horizon then Cgraph.Topology.name spec
+       else Printf.sprintf "%s-h%d" (Cgraph.Topology.name spec) horizon);
     cell_n = Cgraph.Graph.n r.graph;
     cell_edges = Cgraph.Graph.edge_count r.graph;
     cell_events = r.events_processed;
     cell_eats = r.total_eats;
     alloc_words;
     live_words;
+    reachable_words;
     seconds;
   }
 
 (* One line, read back by [run_scale_cell]; %h keeps the float exact. *)
 let print_scale_cell c =
-  Printf.printf "%s %d %d %d %d %d %d %h" c.label c.cell_n c.cell_edges c.cell_events c.cell_eats
-    c.alloc_words c.live_words c.seconds;
+  Printf.printf "%s %d %d %d %d %d %d %d %h" c.label c.cell_n c.cell_edges c.cell_events c.cell_eats
+    c.alloc_words c.live_words c.reachable_words c.seconds;
   print_newline ()
 
 (* Run one cell in a child process and read back the line it prints. *)
-let run_scale_cell ~measure_live kind n =
+let run_scale_cell ~measure_live (kind, n, horizon) =
   let args =
-    [| Sys.executable_name; "--scale-cell"; kind_name kind; string_of_int n;
+    [| Sys.executable_name; "--scale-cell"; kind_name kind; string_of_int n; string_of_int horizon;
        (if measure_live then "1" else "0") |]
   in
   let ic = Unix.open_process_args_in Sys.executable_name args in
   let line = In_channel.input_all ic in
   match Unix.close_process_in ic with
   | Unix.WEXITED 0 ->
-      Scanf.sscanf line "%s %d %d %d %d %d %d %h "
-        (fun label cell_n cell_edges cell_events cell_eats alloc_words live_words seconds ->
-          { label; cell_n; cell_edges; cell_events; cell_eats; alloc_words; live_words; seconds })
+      Scanf.sscanf line "%s %d %d %d %d %d %d %d %h "
+        (fun label cell_n cell_edges cell_events cell_eats alloc_words live_words reachable_words
+             seconds ->
+          {
+            label;
+            cell_n;
+            cell_edges;
+            cell_events;
+            cell_eats;
+            alloc_words;
+            live_words;
+            reachable_words;
+            seconds;
+          })
   | _ -> failwith (Printf.sprintf "scale cell %s-%d: child process failed" (kind_name kind) n)
 
 (* Engine-only throughput: a self-rescheduling event storm with spread
@@ -506,10 +525,15 @@ let run_scale ~(ctx : Harness.Experiments.ctx) ~smoke ~json ~baseline () =
      else "### SCALE — simulator-core scaling sweep\n");
   let sizes = if smoke then [ 100; 1_000 ] else [ 100; 1_000; 10_000; 100_000 ] in
   let cells =
-    List.concat_map (fun kind -> List.map (fun n -> (kind, n)) sizes) [ `Ring; `Grid; `Scale_free ]
+    List.concat_map
+      (fun kind -> List.map (fun n -> (kind, n, scale_horizon)) sizes)
+      [ `Ring; `Grid; `Scale_free ]
+    (* Memory must not grow with run length: ring-1000 again at 16x the
+       horizon, whose reachable words must match the short cell's. *)
+    @ [ (`Ring, 1_000, 16 * scale_horizon) ]
     (* The 10^6 step, ring only: the constant-degree topology isolates
        pure table scaling. *)
-    @ (if smoke then [] else [ (`Ring, 1_000_000) ])
+    @ if smoke then [] else [ (`Ring, 1_000_000, scale_horizon) ]
   in
   let report = Report.create () in
   Report.str report "schema" "daemon-sim-bench/1";
@@ -548,7 +572,7 @@ let run_scale ~(ctx : Harness.Experiments.ctx) ~smoke ~json ~baseline () =
       ("alloc w/proc", Stats.Table.Right);
     ]
     @
-    if smoke then []
+    if smoke then [ ("reach B/proc", Stats.Table.Right) ]
     else
       [
         ("events/s", Stats.Table.Right);
@@ -558,8 +582,8 @@ let run_scale ~(ctx : Harness.Experiments.ctx) ~smoke ~json ~baseline () =
   in
   let table = Stats.Table.create ~title:"SCALE: one world per cell, hot path only" ~columns in
   List.iter
-    (fun (kind, n) ->
-      let c = run_scale_cell ~measure_live:(not smoke) kind n in
+    (fun cell ->
+      let c = run_scale_cell ~measure_live:(not smoke) cell in
       let prefix = Printf.sprintf "scale.%s" c.label in
       Report.int report (prefix ^ ".n") c.cell_n;
       Report.int report (prefix ^ ".edges") c.cell_edges;
@@ -569,7 +593,8 @@ let run_scale ~(ctx : Harness.Experiments.ctx) ~smoke ~json ~baseline () =
       Report.float report (prefix ^ ".run_seconds") c.seconds;
       Report.float report (prefix ^ ".events_per_sec")
         (if c.seconds > 0.0 then float_of_int c.cell_events /. c.seconds else 0.0);
-      if not smoke then Report.int report (prefix ^ ".live_words") c.live_words;
+      if smoke then Report.int report (prefix ^ ".reachable_words") c.reachable_words
+      else Report.int report (prefix ^ ".live_words") c.live_words;
       Stats.Table.add_row table
         ([
            c.label;
@@ -580,7 +605,7 @@ let run_scale ~(ctx : Harness.Experiments.ctx) ~smoke ~json ~baseline () =
            Stats.Table.cell_int (c.alloc_words / max 1 c.cell_n);
          ]
         @
-        if smoke then []
+        if smoke then [ Stats.Table.cell_int (8 * c.reachable_words / max 1 c.cell_n) ]
         else
           [
             Printf.sprintf "%.0f" (float_of_int c.cell_events /. Float.max 1e-9 c.seconds);
@@ -679,10 +704,11 @@ type opts = { smoke : bool; json : string option; baseline : string option }
 
 let () =
   (match Array.to_list Sys.argv with
-  | [ _; "--scale-cell"; kind; n; live ] -> (
-      match (kind_of_name kind, int_of_string_opt n, live) with
-      | Some kind, Some n, ("0" | "1") ->
-          print_scale_cell (measure_scale_cell ~measure_live:(live = "1") (scale_spec kind n));
+  | [ _; "--scale-cell"; kind; n; horizon; live ] -> (
+      match (kind_of_name kind, int_of_string_opt n, int_of_string_opt horizon, live) with
+      | Some kind, Some n, Some horizon, ("0" | "1") ->
+          print_scale_cell
+            (measure_scale_cell ~measure_live:(live = "1") ~horizon (scale_spec kind n));
           exit 0
       | _ -> usage ())
   | _ -> ());

@@ -907,14 +907,15 @@ let f1 (_ : ctx) =
       seed = 29L;
     }
   in
-  let r = World.run s in
+  let w = World.create s in
+  let response_series = Monitor.Response.response_series (World.response w) ~bucket:2_000 in
+  World.advance w ~until:s.horizon;
+  let r = World.report w in
   let series =
     Stats.Series.create ~title:"F1: mean response time vs service time (GST = 30000)"
       ~x_label:"time (ticks)" ~y_label:"mean response (ticks)"
   in
-  List.iter
-    (fun (x, y) -> Stats.Series.add_point series ~x ~y)
-    (Monitor.Response.response_series r.response ~bucket:2_000);
+  List.iter (fun (x, y) -> Stats.Series.add_point series ~x ~y) (response_series ());
   [
     Series series;
     Note
@@ -986,16 +987,19 @@ let f3 (_ : ctx) =
       seed = 53L;
     }
   in
-  let r = World.run s in
+  let w = World.create s in
+  let windowed_max =
+    Monitor.Fairness.windowed_max (World.fairness w) ~window:2_000 ~horizon:s.horizon
+  in
+  World.advance w ~until:s.horizon;
+  let r = World.report w in
   let series =
     Stats.Series.create
       ~title:
         (Printf.sprintf "F3: max consecutive overtakes per window (conv = %d)" r.convergence)
       ~x_label:"time (ticks)" ~y_label:"max overtakes / 2k window"
   in
-  List.iter
-    (fun (x, y) -> Stats.Series.add_point series ~x ~y)
-    (Monitor.Fairness.windowed_max r.fairness ~window:2_000 ~horizon:s.horizon);
+  List.iter (fun (x, y) -> Stats.Series.add_point series ~x ~y) (windowed_max ());
   [
     Series series;
     Note
@@ -1049,8 +1053,15 @@ let f6 (_ : ctx) =
   let crash_pid = 16 and crash_t = 5_000 in
   let horizon = 60_000 in
   let patience = 3_000 in
-  let run_one detector =
-    World.run
+  let windows = horizon / 2_000 in
+  (* A process is starving at time t if some hungry session of its has
+     been open for more than [patience] at t. The starvation radius at t
+     is the greatest conflict-graph distance from the crash site of any
+     starving process (0 = nobody starves). Completed sessions are
+     folded in as they are served; sessions still open at the horizon
+     are folded in after the run. *)
+  let radius_series detector =
+    let s =
       {
         base with
         name = "f6";
@@ -1061,36 +1072,27 @@ let f6 (_ : ctx) =
         horizon;
         seed = 83L;
       }
-  in
-  (* A process is starving at time t if some hungry session of its has
-     been open for more than [patience] at t. The starvation radius at t
-     is the greatest conflict-graph distance from the crash site of any
-     starving process (0 = nobody starves). *)
-  let radius_series (r : World.report) =
-    let dists = Cgraph.Graph.distances_from r.graph crash_pid in
-    let sessions =
-      List.map
-        (fun (s : Monitor.Response.session) -> (s.pid, s.started, Some s.served))
-        (Monitor.Response.completed r.response)
-      @ List.map (fun (pid, started) -> (pid, started, None)) (Monitor.Response.open_sessions r.response)
     in
-    let radius t =
-      List.fold_left
-        (fun acc (pid, started, served) ->
-          let starving =
-            pid <> crash_pid
-            && started + patience <= t
-            && (match served with None -> true | Some at -> at > t)
-          in
-          if starving then max acc dists.(pid) else acc)
-        0 sessions
+    let w = World.create s in
+    let dists = Cgraph.Graph.distances_from (World.graph w) crash_pid in
+    let radius = Array.make windows 0 in
+    let starving pid started served =
+      if pid <> crash_pid then
+        for i = 0 to windows - 1 do
+          let t = i * 2_000 in
+          if started + patience <= t && t < served then radius.(i) <- max radius.(i) dists.(pid)
+        done
     in
-    List.init (horizon / 2_000) (fun w ->
-        let t = w * 2_000 in
-        (float_of_int t, float_of_int (radius t)))
+    Monitor.Response.on_served (World.response w) starving;
+    World.advance w ~until:horizon;
+    let r = World.report w in
+    List.iter
+      (fun (pid, started) -> starving pid started max_int)
+      (Monitor.Response.open_sessions r.response);
+    List.init windows (fun i -> (float_of_int (i * 2_000), float_of_int radius.(i)))
   in
-  let ours = run_one oracle_quiet in
-  let baseline = run_one Scenario.Never in
+  let ours = radius_series oracle_quiet in
+  let baseline = radius_series Scenario.Never in
   let series =
     Stats.Series.create
       ~title:
@@ -1098,8 +1100,8 @@ let f6 (_ : ctx) =
            crash_pid crash_t)
       ~x_label:"time (ticks)" ~y_label:"radius, song-pike+evp-P1"
   in
-  List.iter (fun (x, y) -> Stats.Series.add_point series ~x ~y) (radius_series ours);
-  Stats.Series.add_series series ~name:"radius, choy-singh (never)" (radius_series baseline);
+  List.iter (fun (x, y) -> Stats.Series.add_point series ~x ~y) ours;
+  Stats.Series.add_series series ~name:"radius, choy-singh (never)" baseline;
   [
     Series series;
     Note

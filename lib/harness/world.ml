@@ -91,6 +91,9 @@ let create ?recorder ?(metrics = Obs.Metrics.create ()) (s : Scenario.t) =
   }
 
 let now (w : t) = Sim.Engine.now w.parts.engine
+let graph (w : t) = w.parts.graph
+let fairness (w : t) = w.fairness
+let response (w : t) = w.response
 let advance (w : t) ~until = Sim.Engine.run w.parts.engine ~until
 
 let report (w : t) =

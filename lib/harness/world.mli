@@ -69,6 +69,14 @@ val advance : t -> until:Sim.Time.t -> unit
 val now : t -> Sim.Time.t
 (** Current virtual time of this world's engine. *)
 
+val graph : t -> Cgraph.Graph.t
+
+val fairness : t -> Monitor.Fairness.t
+val response : t -> Monitor.Response.t
+(** The world's monitors, for registering series readers and callbacks
+    between {!create} and the first {!advance} (see
+    {!Monitor.Fairness.windowed_max}, {!Monitor.Response.on_served}). *)
+
 val report : t -> report
 (** Run the final invariant check and assemble the report for whatever
     has executed so far. Normally called once [advance] reached the

@@ -5,7 +5,12 @@
     within one hungry session of the victim [i] and resets when [i] eats.
     Theorem 3 predicts that every run has a suffix in which no count
     exceeds 2 (for hungry sessions starting after detector convergence);
-    doorway-less priority schemes have unbounded counts. *)
+    doorway-less priority schemes have unbounded counts.
+
+    The monitor streams: it keeps exact aggregates, not one record per
+    overtake, so its memory does not grow with the run's length. Every
+    query below is exact over the whole run except {!overtakes}, which
+    keeps a fixed recent window. *)
 
 type overtake = {
   time : Sim.Time.t;
@@ -19,8 +24,13 @@ type t
 
 val attach : Sim.Engine.t -> Cgraph.Graph.t -> Net.Faults.t -> Dining.Instance.t -> t
 
+val recent_size : int
+(** How many of the latest overtakes {!overtakes} keeps: 32. *)
+
 val overtakes : t -> overtake list
-(** All overtake events, oldest first. *)
+(** The last [recent_size] overtakes (fewer if the run had fewer),
+    oldest first. A window for inspection, not the run's history: the
+    whole-run aggregates are the queries below. *)
 
 val max_consecutive : t -> int
 (** Highest consecutive count observed anywhere in the run. *)
@@ -38,6 +48,11 @@ val max_consecutive_after : t -> Sim.Time.t -> int
     the whole run, invisible to the sessions-from variant but unbounded
     in this one. The suffix form of Theorem 3's bound. *)
 
-val windowed_max : t -> window:int -> horizon:Sim.Time.t -> (float * float) list
-(** For figure F3: per time window \[w*window, (w+1)*window), the maximum
-    consecutive count of overtakes occurring in that window (0 when none). *)
+val windowed_max : t -> window:int -> horizon:Sim.Time.t -> unit -> (float * float) list
+(** For figure F3: per time window \[w*window, (w+1)*window) up to the
+    one holding [horizon], the maximum consecutive count of overtakes
+    occurring in that window (0 when none). Register before the run:
+    [windowed_max t ~window ~horizon] starts the series and returns its
+    reader, which gives the windows so far whenever it is called.
+    @raise Invalid_argument if [window <= 0] or an overtake has already
+    been recorded. *)

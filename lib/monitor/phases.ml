@@ -2,8 +2,8 @@ type t = {
   engine : Sim.Engine.t;
   hungry_at : Sim.Time.t array; (* pid -> start of its hungry session, -1 = none *)
   entered_at : Sim.Time.t array; (* pid -> doorway entry in that session, -1 = none *)
-  mutable doorway : int list;
-  mutable fork : int list;
+  doorway : Stats.Multiset.t;
+  fork : Stats.Multiset.t;
   h_doorway : Obs.Metrics.histogram;
   h_fork : Obs.Metrics.histogram;
 }
@@ -16,8 +16,7 @@ let[@lint.hot] on_mark t (r : Obs.Record.t) =
       if started >= 0 then begin
         let wait = r.time - started in
         t.entered_at.(subject) <- r.time;
-        (* The sample list is this monitor's output, kept by design. *)
-        t.doorway <- (wait :: t.doorway [@lint.allow "hot-path-alloc"]);
+        Stats.Multiset.add t.doorway wait;
         Obs.Metrics.observe t.h_doorway wait
       end
   | _ -> ()
@@ -31,8 +30,7 @@ let[@lint.hot] on_phase t pid phase =
       if entered >= 0 then begin
         let wait = Sim.Engine.now t.engine - entered in
         t.entered_at.(pid) <- -1;
-        (* The sample list is this monitor's output, kept by design. *)
-        t.fork <- (wait :: t.fork [@lint.allow "hot-path-alloc"]);
+        Stats.Multiset.add t.fork wait;
         Obs.Metrics.observe t.h_fork wait
       end
   | Dining.Types.Thinking ->
@@ -46,8 +44,8 @@ let attach ?metrics ~n engine (instance : Dining.Instance.t) =
       engine;
       hungry_at = Array.make n (-1);
       entered_at = Array.make n (-1);
-      doorway = [];
-      fork = [];
+      doorway = Stats.Multiset.create ();
+      fork = Stats.Multiset.create ();
       h_doorway = Obs.Metrics.histogram metrics "daemon.doorway_wait";
       h_fork = Obs.Metrics.histogram metrics "daemon.fork_wait";
     }
@@ -56,7 +54,7 @@ let attach ?metrics ~n engine (instance : Dining.Instance.t) =
   instance.add_listener (on_phase t);
   t
 
-let doorway_waits t = List.rev t.doorway
-let fork_waits t = List.rev t.fork
-let doorway_summary t = Stats.Summary.of_ints t.doorway
-let fork_summary t = Stats.Summary.of_ints t.fork
+let doorway_waits t = Stats.Multiset.to_list t.doorway
+let fork_waits t = Stats.Multiset.to_list t.fork
+let doorway_summary t = Stats.Multiset.summary t.doorway
+let fork_summary t = Stats.Multiset.summary t.fork

@@ -8,7 +8,10 @@
     of what the doorway costs on each topology.
 
     Only daemons that emit ["enter_doorway"] marks (the Song-Pike core)
-    produce samples; on other daemons both sample sets stay empty. *)
+    produce samples; on other daemons both sample sets stay empty.
+
+    Samples are kept as exact value -> count multisets, so memory tracks
+    the number of distinct waits, not the number of sessions. *)
 
 type t
 
@@ -21,10 +24,11 @@ val attach : ?metrics:Obs.Metrics.t -> n:int -> Sim.Engine.t -> Dining.Instance.
     registry). *)
 
 val doorway_waits : t -> int list
-(** Hungry -> doorway-entry latencies of completed phases, in ticks. *)
+(** Hungry -> doorway-entry latencies of completed phases, in ticks,
+    ascending. *)
 
 val fork_waits : t -> int list
-(** Doorway-entry -> eating latencies, in ticks. *)
+(** Doorway-entry -> eating latencies, in ticks, ascending. *)
 
 val doorway_summary : t -> Stats.Summary.t
 val fork_summary : t -> Stats.Summary.t

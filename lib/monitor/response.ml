@@ -1,11 +1,56 @@
 type session = { pid : Dining.Types.pid; started : Sim.Time.t; served : Sim.Time.t }
 
+(* A registered F1 series: per-bucket latency sums and counts, indexed
+   by [served / bucket] and grown as service time advances. *)
+type series = { bucket : int; mutable sums : int array; mutable counts : int array }
+
+let recent_size = 32
+
+(* Fields per record in the recent ring: pid, started, served. *)
+let recent_stride = 3
+
+(* No session log: latencies go to an exact multiset, registered
+   readers and callbacks see each session as it completes, and a ring
+   keeps the last [recent_size] sessions, allocated at the first. *)
 type t = {
   engine : Sim.Engine.t;
   faults : Net.Faults.t;
   open_since : Sim.Time.t array; (* pid -> start of its open session, -1 = none *)
-  mutable completed : session list; (* newest first *)
+  latencies : Stats.Multiset.t;
+  mutable served : int;
+  mutable on_served : (Dining.Types.pid -> Sim.Time.t -> Sim.Time.t -> unit) list;
+  mutable series : series list;
+  mutable recent : int array;
 }
+
+let grow_series s b =
+  let size = max 8 (max (b + 1) (2 * Array.length s.sums)) in
+  let grown a =
+    let g = Array.make size 0 in
+    Array.blit a 0 g 0 (Array.length a);
+    g
+  in
+  s.sums <- grown s.sums;
+  s.counts <- grown s.counts
+
+let first_session t = t.recent <- Array.make (recent_size * recent_stride) 0
+
+let[@lint.hot] rec feed_series started served list =
+  match list with
+  | [] -> ()
+  | s :: rest ->
+      let b = served / s.bucket in
+      if b >= Array.length s.sums then grow_series s b;
+      s.sums.(b) <- s.sums.(b) + (served - started);
+      s.counts.(b) <- s.counts.(b) + 1;
+      feed_series started served rest
+
+let[@lint.hot] rec notify pid started served list =
+  match list with
+  | [] -> ()
+  | f :: rest ->
+      f pid started served;
+      notify pid started served rest
 
 let[@lint.hot] on_phase t pid phase =
   match phase with
@@ -13,23 +58,51 @@ let[@lint.hot] on_phase t pid phase =
   | Dining.Types.Eating ->
       let started = t.open_since.(pid) in
       if started >= 0 then begin
+        let served = Sim.Engine.now t.engine in
         t.open_since.(pid) <- -1;
-        (* The session log is this monitor's output, kept by design: one
-           record per completed session. *)
-        t.completed <-
-          ({ pid; started; served = Sim.Engine.now t.engine } :: t.completed
-          [@lint.allow "hot-path-alloc"])
+        if t.served = 0 then first_session t;
+        let base = t.served mod recent_size * recent_stride in
+        t.recent.(base) <- pid;
+        t.recent.(base + 1) <- started;
+        t.recent.(base + 2) <- served;
+        t.served <- t.served + 1;
+        Stats.Multiset.add t.latencies (served - started);
+        feed_series started served t.series;
+        notify pid started served t.on_served
       end
   | Dining.Types.Thinking -> ()
 
 let attach engine faults (instance : Dining.Instance.t) =
-  let t = { engine; faults; open_since = Array.make (Net.Faults.n faults) (-1); completed = [] } in
+  let t =
+    {
+      engine;
+      faults;
+      open_since = Array.make (Net.Faults.n faults) (-1);
+      latencies = Stats.Multiset.create ();
+      served = 0;
+      on_served = [];
+      series = [];
+      recent = [||];
+    }
+  in
   instance.add_listener (on_phase t);
   t
 
-let completed t = List.rev t.completed
-let durations t = List.rev_map (fun s -> s.served - s.started) t.completed
-let summary t = Stats.Summary.of_ints (durations t)
+let before_first_session t fn =
+  if t.served > 0 then invalid_arg (Printf.sprintf "Response.%s: register before the first session" fn)
+
+let on_served t f =
+  before_first_session t "on_served";
+  t.on_served <- t.on_served @ [ f ]
+
+let completed t =
+  let kept = min t.served recent_size in
+  List.init kept (fun i ->
+      let base = (t.served - kept + i) mod recent_size * recent_stride in
+      { pid = t.recent.(base); started = t.recent.(base + 1); served = t.recent.(base + 2) })
+
+let durations t = Stats.Multiset.to_list t.latencies
+let summary t = Stats.Multiset.summary t.latencies
 
 (* Walking pids downwards while consing yields ascending pid order. *)
 let open_sessions t =
@@ -46,20 +119,18 @@ let starved t ~older_than =
     (fun (pid, started) -> if now - started > older_than then Some pid else None)
     (open_sessions t)
 
-let served_count t = List.length t.completed
+let served_count t = t.served
 
 let response_series t ~bucket =
   if bucket <= 0 then invalid_arg "Response.response_series: bucket must be positive";
-  let sums = Hashtbl.create 32 in
-  List.iter
-    (fun s ->
-      let b = s.served / bucket in
-      let total, count = Option.value (Hashtbl.find_opt sums b) ~default:(0, 0) in
-      Hashtbl.replace sums b (total + (s.served - s.started), count + 1))
-    t.completed;
-  (* The sort is load-bearing: the fold enumerates buckets in hash order. *)
-  Hashtbl.fold
-    (fun b (total, count) acc ->
-      (float_of_int (b * bucket), float_of_int total /. float_of_int count) :: acc)
-    sums []
-  |> List.sort compare
+  before_first_session t "response_series";
+  let s = { bucket; sums = [||]; counts = [||] } in
+  t.series <- s :: t.series;
+  fun () ->
+    let acc = ref [] in
+    for b = Array.length s.counts - 1 downto 0 do
+      let count = s.counts.(b) in
+      if count > 0 then
+        acc := (float_of_int (b * bucket), float_of_int s.sums.(b) /. float_of_int count) :: !acc
+    done;
+    !acc

@@ -3,7 +3,12 @@
     A session runs from a process's Hungry transition to its Eating
     transition. Wait-freedom (Theorem 2) predicts that every correct
     process's session completes; a starved process is one whose session is
-    still open "long" after it began. *)
+    still open "long" after it began.
+
+    The monitor streams: latencies go to an exact multiset and to
+    whatever was registered before the run ({!on_served},
+    {!response_series}), so memory does not grow with the number of
+    sessions. Only {!completed} is a fixed recent window. *)
 
 type session = { pid : Dining.Types.pid; started : Sim.Time.t; served : Sim.Time.t }
 
@@ -11,13 +16,26 @@ type t
 
 val attach : Sim.Engine.t -> Net.Faults.t -> Dining.Instance.t -> t
 
+val on_served : t -> (Dining.Types.pid -> Sim.Time.t -> Sim.Time.t -> unit) -> unit
+(** [on_served t f] calls [f pid started served] at every session
+    completed from now on, after the monitor's own bookkeeping; callbacks
+    run in registration order. Register before the run.
+    @raise Invalid_argument if a session has already completed. *)
+
+val recent_size : int
+(** How many of the latest sessions {!completed} keeps: 32. *)
+
 val completed : t -> session list
-(** Completed sessions, oldest first. *)
+(** The last [recent_size] completed sessions (fewer if the run had
+    fewer), oldest first. A window for inspection, not the run's
+    history: use {!on_served} to see every session. *)
 
 val durations : t -> int list
-(** Completed session latencies in ticks. *)
+(** Every completed session's latency in ticks, ascending. *)
 
 val summary : t -> Stats.Summary.t
+(** Exact over every completed session: equal to
+    [Stats.Summary.of_ints (durations t)]. *)
 
 val open_sessions : t -> (Dining.Types.pid * Sim.Time.t) list
 (** Sessions of live processes still hungry now: (pid, start time). *)
@@ -28,7 +46,11 @@ val starved : t -> older_than:int -> Dining.Types.pid list
 
 val served_count : t -> int
 
-val response_series : t -> bucket:int -> (float * float) list
+val response_series : t -> bucket:int -> unit -> (float * float) list
 (** For figure F1: mean completed latency per [bucket]-tick window of the
-    {e service} time, (window start, mean latency); empty windows are
-    skipped. *)
+    {e service} time, (window start, mean latency), ascending; empty
+    windows are skipped. Register before the run: [response_series t
+    ~bucket] starts the series and returns its reader, which gives the
+    windows so far whenever it is called.
+    @raise Invalid_argument if [bucket <= 0] or a session has already
+    completed. *)

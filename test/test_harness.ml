@@ -443,6 +443,30 @@ let experiments_registry () =
       check bool (e.id ^ " nonempty") true (e.title <> "" && e.claim <> ""))
     Harness.Experiments.all
 
+(* Memory per process stays O(delta) for any run length: a world's
+   reachable heap after [report] is the same at horizon 1 200 and at
+   16x that. Logs kept per overtake or per session would grow about 7x
+   here. *)
+let memory_flat_in_run_length () =
+  let words horizon =
+    let s =
+      {
+        (scenario ~topology:(Cgraph.Topology.Ring 200) ~detector:Harness.Scenario.Never ~horizon ()) with
+        delay = Net.Delay.Uniform (1, 8);
+        check_every = None;
+      }
+    in
+    let w = Harness.World.create s in
+    Harness.World.advance w ~until:horizon;
+    ignore (Harness.World.report w);
+    Obj.reachable_words (Obj.repr w)
+  in
+  let short = words 1_200 and long = words 19_200 in
+  check bool
+    (Printf.sprintf "reachable words %d at 1 200 vs %d at 19 200 agree within 2%%" short long)
+    true
+    (50 * abs (long - short) <= short)
+
 let suite =
   [
     Alcotest.test_case "deterministic replay" `Quick deterministic_replay;
@@ -477,4 +501,6 @@ let suite =
     Alcotest.test_case "experiment registry" `Quick experiments_registry;
     Alcotest.test_case "report: footprint is the closed form at the hub" `Quick
       footprint_closed_form_at_hub;
+    Alcotest.test_case "world: memory does not grow with run length" `Quick
+      memory_flat_in_run_length;
   ]

@@ -109,12 +109,13 @@ let fairness_counts_consecutive () =
 let fairness_windowed_series () =
   let m = mock ~n:2 ~edges:[ (0, 1) ] () in
   let fair = Monitor.Fairness.attach m.engine m.graph m.faults m.inst in
+  let windowed_max = Monitor.Fairness.windowed_max fair ~window:100 ~horizon:200 in
   at m 5 0 Dining.Types.Hungry;
   at m 10 1 Dining.Types.Eating;
   at m 15 1 Dining.Types.Thinking;
   at m 110 1 Dining.Types.Eating;
   Sim.Engine.run_all m.engine;
-  let series = Monitor.Fairness.windowed_max fair ~window:100 ~horizon:200 in
+  let series = windowed_max () in
   check bool "window 0 has count 1" true (List.nth series 0 = (0.0, 1.0));
   check bool "window 1 has count 2" true (List.nth series 1 = (100.0, 2.0))
 
@@ -167,13 +168,14 @@ let response_crashed_not_starved () =
 let response_series_buckets () =
   let m = mock ~n:2 ~edges:[ (0, 1) ] () in
   let resp = Monitor.Response.attach m.engine m.faults m.inst in
+  let response_series = Monitor.Response.response_series resp ~bucket:100 in
   at m 0 0 Dining.Types.Hungry;
   at m 50 0 Dining.Types.Eating;
   at m 60 0 Dining.Types.Thinking;
   at m 100 0 Dining.Types.Hungry;
   at m 130 0 Dining.Types.Eating;
   Sim.Engine.run_all m.engine;
-  let series = Monitor.Response.response_series resp ~bucket:100 in
+  let series = response_series () in
   check bool "bucket 0 mean 50" true (List.mem (0.0, 50.0) series);
   check bool "bucket 100 mean 30" true (List.mem (100.0, 30.0) series)
 
@@ -286,6 +288,173 @@ let phases_thinking_clears () =
   check (Alcotest.list int) "only the first doorway wait" [ 10 ] (Monitor.Phases.doorway_waits ph);
   check (Alcotest.list int) "no fork wait" [] (Monitor.Phases.fork_waits ph)
 
+(* ---------------- Streaming vs log-based reference ---------------- *)
+
+(* One scripted mock drives the streaming monitors and the log-based
+   references in [Monitor_ref] side by side; every query must agree, at
+   a pause mid-run (open groups and sessions) and at the end. *)
+
+type step = Phase of int * Dining.Types.phase | Crash of int | Mark of int
+
+type script = {
+  n : int;
+  edges : (int * int) list;
+  steps : (int * step) list; (* (time, step), times ascending *)
+  pause : int;
+  cutoffs : int list;
+  windows : (int * int) list; (* (window, horizon) *)
+  buckets : int list;
+}
+
+(* Pid 0 is overtaken by 1 across Hungry -> Thinking -> Hungry, then
+   eats, thinks and turns hungry again within the same tick — a new
+   session with the same start time — and is then overtaken six times
+   in a row, more than a group keeps inline. *)
+let prelude =
+  List.map
+    (fun (pid, ph) -> (0, Phase (pid, ph)))
+    Dining.Types.(
+      [
+        (0, Hungry); (1, Eating); (1, Thinking); (0, Thinking); (0, Hungry); (1, Eating);
+        (0, Eating); (0, Thinking); (0, Hungry); (1, Eating);
+      ]
+      @ List.concat (List.init 6 (fun _ -> [ (1, Thinking); (1, Eating) ])))
+
+let gen_script =
+  let open QCheck.Gen in
+  let* n = int_range 2 6 in
+  let pairs = List.concat (List.init n (fun i -> List.init (n - i - 1) (fun d -> (i, i + d + 1)))) in
+  let* keep = list_repeat (List.length pairs) bool in
+  let edges =
+    (0, 1)
+    :: List.filter_map (fun (e, k) -> if k && e <> (0, 1) then Some e else None) (List.combine pairs keep)
+  in
+  let phase = oneofl Dining.Types.[ Hungry; Eating; Thinking ] in
+  let step =
+    frequency
+      [
+        (12, map2 (fun pid ph -> Phase (pid, ph)) (int_bound (n - 1)) phase);
+        (1, map (fun pid -> Crash pid) (int_bound (n - 1)));
+        (3, map (fun pid -> Mark pid) (int_bound (n - 1)));
+      ]
+  in
+  let gap = frequency [ (5, return 0); (3, int_range 1 3); (1, int_range 4 40) ] in
+  let* raw = list_size (int_bound 300) (pair gap step) in
+  let _, rev =
+    List.fold_left (fun (t, acc) (g, st) -> (t + g, (t + g, st) :: acc)) (0, List.rev prelude) raw
+  in
+  let steps = List.rev rev in
+  let last = List.fold_left (fun acc (t, _) -> max acc t) 0 steps in
+  let time = int_range (-1) (last + 2) in
+  let* pause = time in
+  let* cutoffs = list_size (int_range 1 6) time in
+  let* windows = list_size (int_range 1 3) (pair (int_range 1 50) (int_range 0 (last + 10))) in
+  let* buckets = list_size (int_range 1 3) (int_range 1 50) in
+  return { n; edges; steps; pause; cutoffs; windows; buckets }
+
+let show_script s =
+  let step = function
+    | Phase (pid, ph) -> Printf.sprintf "p%d:%s" pid (Dining.Types.phase_to_string ph)
+    | Crash pid -> Printf.sprintf "crash p%d" pid
+    | Mark pid -> Printf.sprintf "door p%d" pid
+  in
+  Printf.sprintf "n=%d edges=[%s] pause=%d cutoffs=[%s] windows=[%s] buckets=[%s]\n%s" s.n
+    (String.concat ";" (List.map (fun (a, b) -> Printf.sprintf "%d-%d" a b) s.edges))
+    s.pause
+    (String.concat ";" (List.map string_of_int s.cutoffs))
+    (String.concat ";" (List.map (fun (w, h) -> Printf.sprintf "%d/%d" w h) s.windows))
+    (String.concat ";" (List.map string_of_int s.buckets))
+    (String.concat " " (List.map (fun (t, st) -> Printf.sprintf "%d:%s" t (step st)) s.steps))
+
+let last_n k l =
+  let drop = List.length l - k in
+  List.filteri (fun i _ -> i >= drop) l
+
+let streaming_matches_reference =
+  QCheck.Test.make ~name:"streaming monitors = log-based reference" ~count:400
+    (QCheck.make ~print:show_script gen_script)
+    (fun s ->
+      let m = mock ~n:s.n ~edges:s.edges () in
+      let fair = Monitor.Fairness.attach m.engine m.graph m.faults m.inst in
+      let resp = Monitor.Response.attach m.engine m.faults m.inst in
+      let ph = Monitor.Phases.attach ~n:s.n m.engine m.inst in
+      let fair_ref = Monitor_ref.Fairness.attach m.engine m.graph m.faults m.inst in
+      let resp_ref = Monitor_ref.Response.attach m.engine m.faults m.inst in
+      let ph_ref = Monitor_ref.Phases.attach ~n:s.n m.engine m.inst in
+      let windowed =
+        List.map
+          (fun (window, horizon) -> (window, horizon, Monitor.Fairness.windowed_max fair ~window ~horizon))
+          s.windows
+      in
+      let series =
+        List.map (fun bucket -> (bucket, Monitor.Response.response_series resp ~bucket)) s.buckets
+      in
+      let served = ref [] in
+      Monitor.Response.on_served resp (fun pid started at ->
+          served := { Monitor.Response.pid; started; served = at } :: !served);
+      List.iter
+        (fun (t, st) ->
+          match st with
+          | Phase (pid, phase) -> at m t pid phase
+          | Crash pid -> Net.Faults.schedule_crash m.faults ~pid ~at:t
+          | Mark pid -> enter_doorway m pid t)
+        s.steps;
+      let sorted = List.sort compare in
+      let agree () =
+        Monitor.Fairness.max_consecutive fair = Monitor_ref.Fairness.max_consecutive fair_ref
+        && List.for_all
+             (fun c ->
+               Monitor.Fairness.max_consecutive_for_sessions_from fair c
+               = Monitor_ref.Fairness.max_consecutive_for_sessions_from fair_ref c
+               && Monitor.Fairness.max_consecutive_after fair c
+                  = Monitor_ref.Fairness.max_consecutive_after fair_ref c)
+             s.cutoffs
+        && List.for_all
+             (fun (window, horizon, read) ->
+               read () = Monitor_ref.Fairness.windowed_max fair_ref ~window ~horizon)
+             windowed
+        && Monitor.Fairness.overtakes fair
+           = last_n Monitor.Fairness.recent_size (Monitor_ref.Fairness.overtakes fair_ref)
+        && List.for_all
+             (fun (bucket, read) -> read () = Monitor_ref.Response.response_series resp_ref ~bucket)
+             series
+        && List.rev !served = Monitor_ref.Response.completed resp_ref
+        && Monitor.Response.completed resp
+           = last_n Monitor.Response.recent_size (Monitor_ref.Response.completed resp_ref)
+        && Monitor.Response.durations resp = sorted (Monitor_ref.Response.durations resp_ref)
+        && Monitor.Response.summary resp = Monitor_ref.Response.summary resp_ref
+        && Monitor.Response.served_count resp = Monitor_ref.Response.served_count resp_ref
+        && Monitor.Response.open_sessions resp = Monitor_ref.Response.open_sessions resp_ref
+        && Monitor.Phases.doorway_waits ph = sorted (Monitor_ref.Phases.doorway_waits ph_ref)
+        && Monitor.Phases.fork_waits ph = sorted (Monitor_ref.Phases.fork_waits ph_ref)
+        && Monitor.Phases.doorway_summary ph = Monitor_ref.Phases.doorway_summary ph_ref
+        && Monitor.Phases.fork_summary ph = Monitor_ref.Phases.fork_summary ph_ref
+      in
+      Sim.Engine.run m.engine ~until:s.pause;
+      let mid = agree () in
+      Sim.Engine.run_all m.engine;
+      mid && agree ())
+
+(* Series and callbacks see every record, so they must exist before the
+   first one. *)
+let register_before_run () =
+  let m = mock ~n:2 ~edges:[ (0, 1) ] () in
+  let fair = Monitor.Fairness.attach m.engine m.graph m.faults m.inst in
+  let resp = Monitor.Response.attach m.engine m.faults m.inst in
+  at m 10 0 Dining.Types.Hungry;
+  at m 20 1 Dining.Types.Eating;
+  at m 30 0 Dining.Types.Eating;
+  Sim.Engine.run_all m.engine;
+  Alcotest.check_raises "windowed_max after an overtake"
+    (Invalid_argument "Fairness.windowed_max: register before the first overtake") (fun () ->
+      ignore (Monitor.Fairness.windowed_max fair ~window:10 ~horizon:100 : unit -> _));
+  Alcotest.check_raises "response_series after a session"
+    (Invalid_argument "Response.response_series: register before the first session") (fun () ->
+      ignore (Monitor.Response.response_series resp ~bucket:10 : unit -> _));
+  Alcotest.check_raises "on_served after a session"
+    (Invalid_argument "Response.on_served: register before the first session") (fun () ->
+      Monitor.Response.on_served resp (fun _ _ _ -> ()))
+
 let suite =
   [
     Alcotest.test_case "exclusion: detects overlapping neighbors" `Quick exclusion_detects_overlap;
@@ -306,4 +475,6 @@ let suite =
       fairness_session_from_time_zero;
     Alcotest.test_case "response: open sessions ascend by pid" `Quick response_open_sessions_sorted;
     Alcotest.test_case "phases: thinking clears the session" `Quick phases_thinking_clears;
+    QCheck_alcotest.to_alcotest streaming_matches_reference;
+    Alcotest.test_case "series and callbacks register before the run" `Quick register_before_run;
   ]

@@ -43,6 +43,44 @@ let summary_percentiles_order =
       s.p50 <= s.p95 +. 1e-9 && s.p95 <= s.p99 +. 1e-9 && s.p99 <= s.max +. 1e-9
       && s.min <= s.p50 +. 1e-9)
 
+(* [of_counts] of a list's histogram is [of_ints] of the list, under
+   structural float equality: the same additions in the same order. *)
+let histogram l =
+  List.sort_uniq compare l |> List.map (fun v -> (v, List.length (List.filter (( = ) v) l)))
+
+let samples_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return []);
+        (2, map (fun v -> [ v ]) (int_range (-50) 5_000));
+        (4, list_size (int_range 1 300) (int_bound 4));
+        (3, list_size (int_range 1 100) (int_range (-1_000) 100_000));
+      ])
+
+let samples = QCheck.make ~print:QCheck.Print.(list int) samples_gen
+
+let summary_of_counts =
+  QCheck.Test.make ~name:"summary: of_counts (histogram l) = of_ints l" ~count:500 samples
+    (fun l -> Stats.Summary.of_counts (histogram l) = Stats.Summary.of_ints l)
+
+(* Dense and table-held values alike come back ascending, and the
+   multiset's summary is the list's. *)
+let multiset_matches_list =
+  QCheck.Test.make ~name:"multiset: to_list sorts, summary = of_ints" ~count:500 samples (fun l ->
+      let l = List.map abs l in
+      let m = Stats.Multiset.create () in
+      List.iter (Stats.Multiset.add m) l;
+      Stats.Multiset.to_list m = List.sort compare l
+      && Stats.Multiset.to_counts m = histogram l
+      && Stats.Multiset.summary m = Stats.Summary.of_ints l)
+
+let of_counts_rejects () =
+  Alcotest.check_raises "negative count" (Invalid_argument "Summary.of_counts: negative count")
+    (fun () -> ignore (Stats.Summary.of_counts [ (3, -1) ]));
+  Alcotest.check_raises "negative value" (Invalid_argument "Multiset.add: negative value") (fun () ->
+      Stats.Multiset.add (Stats.Multiset.create ()) (-1))
+
 let table_renders_aligned () =
   let t =
     Stats.Table.create ~title:"demo"
@@ -119,6 +157,9 @@ let suite =
     Alcotest.test_case "percentile: interpolation" `Quick percentile_interpolates;
     Alcotest.test_case "percentile: validation" `Quick percentile_rejects;
     QCheck_alcotest.to_alcotest summary_percentiles_order;
+    QCheck_alcotest.to_alcotest summary_of_counts;
+    QCheck_alcotest.to_alcotest multiset_matches_list;
+    Alcotest.test_case "summary: of_counts validation" `Quick of_counts_rejects;
     Alcotest.test_case "table: aligned rendering" `Quick table_renders_aligned;
     Alcotest.test_case "table: arity validation" `Quick table_rejects_bad_rows;
     Alcotest.test_case "table: csv escaping" `Quick table_csv;
