@@ -150,11 +150,10 @@ let quiescence =
         let noisy =
           List.filter_map
             (fun (pid, at) ->
-              let n =
-                Net.Link_stats.sends_to_after r.link_stats ~dst:pid
-                  ~after:(Sim.Time.add at quiescence_grace)
-              in
-              if n = 0 then None else Some (Printf.sprintf "p%d (%d sends)" pid n))
+              match Net.Link_stats.last_send_to r.link_stats pid with
+              | Some last when last > Sim.Time.add at quiescence_grace ->
+                  Some (Printf.sprintf "p%d (last send at t=%d)" pid last)
+              | _ -> None)
             r.crashed
         in
         match noisy with

@@ -56,10 +56,14 @@ val channel_bound_with : bound:int -> t
 (** {!channel_bound} with an explicit bound — the negative self-test
     tightens the bound to prove the oracle reads real traffic data. *)
 
+val quiescence_grace : Sim.Time.t
+(** 5000 ticks: how long after its crash a victim may still be sent to. *)
+
 val quiescence : t
 (** Section 7: crashed processes are eventually left alone — no
-    dining-layer message is addressed to a victim from 5000 ticks after
-    its crash. *)
+    dining-layer message is addressed to a victim later than
+    {!quiescence_grace} after its crash (read from
+    {!Net.Link_stats.last_send_to}). *)
 
 val all : t list
 (** Every oracle above, in stable report order. *)

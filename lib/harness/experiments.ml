@@ -34,6 +34,20 @@ let base : Scenario.t =
 
 let inv_cell (r : World.report) = Option.value r.invariant_error ~default:"ok"
 
+(* Messages sent to each of [dsts] up to and including each of [times],
+   read by advancing [w] through the times in ascending order (staged
+   advance equals one advance). The returned [cum ~dst t] is 0 for
+   negative [t], so a window [\[a, b)] holds [cum (b - 1) - cum (a - 1)]. *)
+let cum_sends_to w ~dsts ~times =
+  let samples =
+    List.map
+      (fun t ->
+        World.advance w ~until:t;
+        (t, List.map (fun dst -> (dst, Net.Link_stats.total_sends_to (World.link_stats w) ~dst)) dsts))
+      (List.sort_uniq compare (List.filter (fun t -> t >= 0) times))
+  in
+  fun ~dst t -> if t < 0 then 0 else List.assoc dst (List.assoc t samples)
+
 (* ------------------------------------------------------------------ *)
 (* E1 — Theorem 1: eventual weak exclusion.                            *)
 (* ------------------------------------------------------------------ *)
@@ -300,6 +314,7 @@ let e4 (ctx : ctx) =
 let e5 (_ : ctx) =
   let crash_t = 10_000 in
   let horizon = 60_000 in
+  let crashes = [ (2, crash_t); (5, crash_t + 4_000) ] in
   let s =
     {
       base with
@@ -307,12 +322,22 @@ let e5 (_ : ctx) =
       topology = Cgraph.Topology.Clique 8;
       detector = oracle_quiet;
       workload = Scenario.contended_workload;
-      crashes = Scenario.Crash_at [ (2, crash_t); (5, crash_t + 4_000) ];
+      crashes = Scenario.Crash_at crashes;
       horizon;
       seed = 71L;
     }
   in
-  let r = World.run s in
+  (* Post-crash windows [at + a, at + b), clipped to the horizon. *)
+  let windows = [ (0, 2_000); (2_000, 8_000); (8_000, horizon) ] in
+  let clip at (a, b) = (at + a, min horizon (at + b)) in
+  let edges (_, at) =
+    at :: List.concat_map (fun ab -> let a, b = clip at ab in [ a - 1; b - 1 ]) windows
+  in
+  let w = World.create s in
+  let cum =
+    cum_sends_to w ~dsts:(List.map fst crashes) ~times:(horizon :: List.concat_map edges crashes)
+  in
+  let r = World.report w in
   let table =
     Stats.Table.create ~title:"E5: messages sent to a crashed process (quiescence)"
       ~columns:
@@ -328,23 +353,21 @@ let e5 (_ : ctx) =
   in
   List.iter
     (fun (pid, at) ->
-      let w a b =
-        Net.Link_stats.sends_to_in_window r.link_stats ~dst:pid ~from_t:(at + a) ~to_t:(min horizon (at + b))
+      let in_window ab =
+        let a, b = clip at ab in
+        Stats.Table.cell_int (cum ~dst:pid (b - 1) - cum ~dst:pid (a - 1))
       in
-      let after_crash = Net.Link_stats.sends_to_after r.link_stats ~dst:pid ~after:at in
+      let after_crash = cum ~dst:pid horizon - cum ~dst:pid at in
       let degree = Cgraph.Graph.degree r.graph pid in
       Stats.Table.add_row table
-        [
-          Stats.Table.cell_int pid;
-          Stats.Table.cell_time at;
-          Stats.Table.cell_int (w 0 2_000);
-          Stats.Table.cell_int (w 2_000 8_000);
-          Stats.Table.cell_int (w 8_000 (horizon - at));
-          (match Net.Link_stats.last_send_to r.link_stats pid with
-          | Some t -> Stats.Table.cell_time t
-          | None -> "-");
-          Stats.Table.cell_bool (after_crash <= 2 * degree);
-        ])
+        ([ Stats.Table.cell_int pid; Stats.Table.cell_time at ]
+        @ List.map in_window windows
+        @ [
+            (match Net.Link_stats.last_send_to r.link_stats pid with
+            | Some t -> Stats.Table.cell_time t
+            | None -> "-");
+            Stats.Table.cell_bool (after_crash <= 2 * degree);
+          ]))
     r.crashed;
   [
     Table table;
@@ -944,24 +967,21 @@ let f2 (_ : ctx) =
       seed = 41L;
     }
   in
-  let r = World.run s in
   let series =
     Stats.Series.create
       ~title:(Printf.sprintf "F2: messages to the crashed process (crash at %d)" crash_t)
       ~x_label:"time (ticks)" ~y_label:"msgs to crashed / 1k window"
   in
   let window = 1_000 in
-  let rec windows t =
-    if t >= s.horizon then ()
-    else begin
-      let count =
-        Net.Link_stats.sends_to_in_window r.link_stats ~dst:3 ~from_t:t ~to_t:(t + window)
-      in
-      Stats.Series.add_point series ~x:(float_of_int t) ~y:(float_of_int count);
-      windows (t + window)
-    end
+  let starts = List.init (s.horizon / window) (fun k -> k * window) in
+  let cum =
+    cum_sends_to (World.create s) ~dsts:[ 3 ] ~times:(List.map (fun t -> t + window - 1) starts)
   in
-  windows 0;
+  List.iter
+    (fun t ->
+      let count = cum ~dst:3 (t + window - 1) - cum ~dst:3 (t - 1) in
+      Stats.Series.add_point series ~x:(float_of_int t) ~y:(float_of_int count))
+    starts;
   [
     Series series;
     Note

@@ -87,11 +87,7 @@ let build ?recorder ?metrics (s : Scenario.t) =
   let instance, link_stats, song_pike =
     make_instance s ~engine ~faults ~graph ~detector ~rng ?metrics ()
   in
-  List.iter
-    (fun (pid, at) ->
-      Net.Link_stats.watch_dst link_stats pid;
-      Net.Faults.schedule_crash faults ~pid ~at)
-    crashed;
+  List.iter (fun (pid, at) -> Net.Faults.schedule_crash faults ~pid ~at) crashed;
   {
     engine;
     faults;

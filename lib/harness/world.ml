@@ -94,6 +94,7 @@ let now (w : t) = Sim.Engine.now w.parts.engine
 let graph (w : t) = w.parts.graph
 let fairness (w : t) = w.fairness
 let response (w : t) = w.response
+let link_stats (w : t) = w.parts.link_stats
 let advance (w : t) ~until = Sim.Engine.run w.parts.engine ~until
 
 let report (w : t) =

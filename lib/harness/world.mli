@@ -77,6 +77,10 @@ val response : t -> Monitor.Response.t
     between {!create} and the first {!advance} (see
     {!Monitor.Fairness.windowed_max}, {!Monitor.Response.on_served}). *)
 
+val link_stats : t -> Net.Link_stats.t
+(** The dining-layer channel counters, for sampling cumulative traffic
+    (e.g. {!Net.Link_stats.total_sends_to}) between staged advances. *)
+
 val report : t -> report
 (** Run the final invariant check and assemble the report for whatever
     has executed so far. Normally called once [advance] reached the

@@ -1,8 +1,9 @@
 (* All counters live in flat arrays indexed by the graph's dense
    directed-slot / edge-id / kind indices, so a record_send on the hot
-   path touches a handful of int cells and allocates nothing. The only
-   remaining hashtable holds the (rare, experiment-driven) watched
-   destinations.
+   path touches a handful of int cells and allocates nothing. Nothing
+   is kept per message: windowed questions ("how many sends to p in
+   [a, b)?") are answered by sampling total_sends_to at the window
+   edges while the run advances.
 
    The layout is organized for sharded stepping (Sim.Engine): every
    directed-slot array is single-writer — d_sent / d_last_send are only
@@ -39,7 +40,6 @@ type t = {
   e_watermark : int array;
   k_in_flight : int array;
   k_watermark : int array;
-  watched : (int, Sim.Time.t list ref) Hashtbl.t; (* dst -> send times, newest first *)
   (* Registered in the world's metrics registry (or a private one when
      the caller passes none): a counter bump per send/delivery/drop.
      In sharded mode the live bumps are off (worker domains must not
@@ -82,7 +82,6 @@ let create ~graph ?(kinds = [| "msg" |]) ?metrics () =
     e_watermark = Array.make m 0;
     k_in_flight = Array.make (m * kc) 0;
     k_watermark = Array.make (m * kc) 0;
-    watched = Hashtbl.create 4;
     m_sent = Obs.Metrics.counter metrics "net.sent";
     m_delivered = Obs.Metrics.counter metrics "net.delivered";
     m_dropped = Obs.Metrics.counter metrics "net.dropped";
@@ -97,8 +96,6 @@ let kind_count t = Array.length t.kinds
 
 let set_sharding t ~shards ~shard_of ~fire_rank ~fire_shard =
   if shards < 1 then invalid_arg "Link_stats.set_sharding: shards must be >= 1";
-  if Hashtbl.length t.watched > 0 then
-    invalid_arg "Link_stats.set_sharding: watched destinations are not shard-safe";
   t.shards <- shards;
   t.shard_of <- shard_of;
   t.fire_rank <- fire_rank;
@@ -114,10 +111,6 @@ let slot t src dst =
 let check_kind t kind =
   if kind < 0 || kind >= kind_count t then
     invalid_arg (Printf.sprintf "Link_stats: bad kind index %d" kind)
-
-let watch_dst t dst =
-  if t.shards > 0 then invalid_arg "Link_stats.watch_dst: not shard-safe";
-  if not (Hashtbl.mem t.watched dst) then Hashtbl.add t.watched dst (ref [])
 
 (* The one place edge/kind in-flight counters and watermarks move; in a
    parallel step cross-shard ops arrive here via {!flush_staged}, in
@@ -184,12 +177,7 @@ let[@lint.hot] record_send t ~src ~dst ~kind ~at =
   t.d_sent.(s) <- t.d_sent.(s) + 1;
   t.d_last_send.(s) <- at;
   let e = Cgraph.Graph.slot_edge_id t.graph s in
-  edge_update t ~src ~dst ~e ~ke:((e * kind_count t) + kind) ~send:true;
-  match Hashtbl.find_opt t.watched dst with
-  (* Watched destinations are a rare, experiment-only probe; the cons
-     is the probe's storage and only happens for watched dsts. *)
-  | Some times -> times := (at :: !times [@lint.allow "hot-path-alloc"])
-  | None -> ()
+  edge_update t ~src ~dst ~e ~ke:((e * kind_count t) + kind) ~send:true
 
 let[@lint.hot] record_delivery t ~src ~dst ~kind ~at:_ =
   if t.shards = 0 then Obs.Metrics.incr t.m_delivered;
@@ -206,32 +194,6 @@ let record_drop t ~src ~dst ~kind ~at:_ =
   t.d_dropped.(s) <- t.d_dropped.(s) + 1;
   let e = Cgraph.Graph.slot_edge_id t.graph s in
   edge_update t ~src ~dst ~e ~ke:((e * kind_count t) + kind) ~send:false
-
-(* Query accessors tolerate non-edges (returning 0): callers probe
-   arbitrary pairs when summarizing. *)
-
-let dir_get arr t src dst =
-  let s = Cgraph.Graph.dir_index_opt t.graph src dst in
-  if s < 0 then 0 else arr.(s)
-
-let sent t ~src ~dst = dir_get t.d_sent t src dst
-let delivered t ~src ~dst = dir_get t.d_delivered t src dst
-
-let in_flight t ~src ~dst =
-  let s = Cgraph.Graph.dir_index_opt t.graph src dst in
-  if s < 0 then 0 else t.d_sent.(s) - t.d_delivered.(s) - t.d_dropped.(s)
-
-let edge_id_opt t a b =
-  let s = Cgraph.Graph.dir_index_opt t.graph a b in
-  if s < 0 then -1 else Cgraph.Graph.slot_edge_id t.graph s
-
-let edge_in_flight t a b =
-  let e = edge_id_opt t a b in
-  if e < 0 then 0 else t.e_in_flight.(e)
-
-let edge_watermark t a b =
-  let e = edge_id_opt t a b in
-  if e < 0 then 0 else t.e_watermark.(e)
 
 let max_edge_watermark t = Array.fold_left max 0 t.e_watermark
 
@@ -259,48 +221,16 @@ let max_edge_watermark_by_kind t =
   done;
   List.sort (fun (a, _) (b, _) -> compare a b) !acc
 
-(* Last-send times per process, derived from the per-slot stamps: stamps
-   are non-decreasing per slot, so the row maximum is the latest send. *)
-
-let row_max arr t pid =
-  if pid < 0 || pid + 1 >= Array.length t.off then -1
-  else begin
-    let best = ref (-1) in
-    for s = t.off.(pid) to t.off.(pid + 1) - 1 do
-      if arr.(s) > !best then best := arr.(s)
-    done;
-    !best
-  end
-
-let in_row_max arr t pid =
-  if pid < 0 || pid + 1 >= Array.length t.off then -1
-  else begin
-    let best = ref (-1) in
-    for s = t.off.(pid) to t.off.(pid + 1) - 1 do
-      let r = t.rev.(s) in
-      if arr.(r) > !best then best := arr.(r)
-    done;
-    !best
-  end
-
+(* The latest send to a process is the maximum stamp over its incoming
+   slots (the reverses of its CSR row): stamps are non-decreasing per
+   slot. *)
 let last_send_to t pid =
-  let v = in_row_max t.d_last_send t pid in
-  if v < 0 then None else Some v
-
-let last_send_involving t pid =
-  let v = max (in_row_max t.d_last_send t pid) (row_max t.d_last_send t pid) in
-  if v < 0 then None else Some v
-
-let watched_times t dst =
-  match Hashtbl.find_opt t.watched dst with
-  | Some times -> !times
-  | None -> invalid_arg (Printf.sprintf "Link_stats: dst %d is not watched" dst)
-
-let sends_to_in_window t ~dst ~from_t ~to_t =
-  List.length (List.filter (fun at -> at >= from_t && at < to_t) (watched_times t dst))
-
-let sends_to_after t ~dst ~after =
-  List.length (List.filter (fun at -> at > after) (watched_times t dst))
+  let best = ref (-1) in
+  if pid >= 0 && pid + 1 < Array.length t.off then
+    for s = t.off.(pid) to t.off.(pid + 1) - 1 do
+      best := max !best t.d_last_send.(t.rev.(s))
+    done;
+  if !best < 0 then None else Some !best
 
 let total_sent t = Array.fold_left ( + ) 0 t.d_sent
 

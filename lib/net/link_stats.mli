@@ -5,8 +5,11 @@
     undirected edge (the paper bounds this by 4), and the last send
     time. Everything is stored in flat arrays indexed by the graph's
     dense directed-slot / edge-id / kind indices, so recording a send is
-    allocation-free. Message kinds are dense indices into a
-    caller-supplied name table so experiments can break traffic down by
+    allocation-free and memory does not grow with run length: nothing is
+    kept per message. A windowed count ("sends to [p] in [\[a, b)]") is
+    the difference of {!total_sends_to} read once the run has reached
+    [b - 1] and [a - 1]. Message kinds are dense indices into a caller-supplied
+    name table so experiments can break traffic down by
     ping/ack/request/fork.
 
     The arrays are laid out single-writer for sharded stepping
@@ -36,20 +39,11 @@ val record_drop : t -> src:int -> dst:int -> kind:int -> at:Sim.Time.t -> unit
 (** A message absorbed because its destination crashed: removed from the
     in-flight count without a delivery. *)
 
-val sent : t -> src:int -> dst:int -> int
-val delivered : t -> src:int -> dst:int -> int
-val in_flight : t -> src:int -> dst:int -> int
-
-val edge_in_flight : t -> int -> int -> int
-(** Current in-flight count on the undirected edge, both directions. *)
-
-val edge_watermark : t -> int -> int -> int
-(** Historical maximum of {!edge_in_flight} for this edge. *)
-
 val max_edge_watermark : t -> int
-(** Maximum of {!edge_watermark} over all edges that ever carried
-    traffic. O(edges): derived from the per-edge table at query time so
-    the send path stays single-writer. *)
+(** Maximum over all edges of the edge's in-flight watermark: the most
+    messages ever in transit on it at once, both directions together.
+    O(edges): derived from the per-edge table at query time so the send
+    path stays single-writer. *)
 
 val per_edge_watermarks : t -> ((int * int) * int) list
 (** Every edge that ever carried traffic with its in-flight watermark,
@@ -60,29 +54,14 @@ val max_edge_watermark_by_kind : t -> (string * int) list
     per-edge in-flight watermark of messages of that kind alone, sorted
     by kind name. *)
 
-val last_send_involving : t -> int -> Sim.Time.t option
-(** Latest time any message was sent to or from the given process. *)
-
 val last_send_to : t -> int -> Sim.Time.t option
 (** Latest time any message was sent to the given process. *)
 
-val watch_dst : t -> int -> unit
-(** Start retaining individual send timestamps for messages addressed to
-    this process (needed by the windowed queries below). Quiescence
-    experiments watch the processes they are about to crash; unwatched
-    destinations only keep O(1) counters. Not available in sharded
-    mode. *)
-
-val sends_to_in_window : t -> dst:int -> from_t:Sim.Time.t -> to_t:Sim.Time.t -> int
-(** Number of messages addressed to [dst] sent in [\[from_t, to_t)].
-    Raises [Invalid_argument] unless [dst] is watched. *)
-
-val sends_to_after : t -> dst:int -> after:Sim.Time.t -> int
-(** Number of messages addressed to [dst] sent strictly after [after].
-    Raises [Invalid_argument] unless [dst] is watched. *)
-
 val total_sent : t -> int
+
 val total_sends_to : t -> dst:int -> int
+(** Messages addressed to [dst] so far, over all its incoming edges. *)
+
 val total_delivered : t -> int
 val total_dropped : t -> int
 
@@ -105,7 +84,7 @@ val set_sharding :
     [fire_shard] probe the engine's current fire context (see
     {!Sim.Engine.fire_rank}).
     Live metrics bumps are disabled — call {!sync_metrics} at report
-    time. Raises [Invalid_argument] if any destination is watched. *)
+    time. *)
 
 val flush_staged : t -> unit
 (** Apply the staged cross-shard edge updates, merged over shards in

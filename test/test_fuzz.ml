@@ -66,22 +66,33 @@ let wait_freedom_oracle_fires () =
 (* No simulated daemon keeps sending to a dead process (even the
    baselines request forks at most once per session), so prove the
    quiescence oracle reads real per-victim traffic by grafting
-   synthesized link stats — one send to the victim well past the grace
-   period — onto a real report. *)
+   synthesized link stats — one send to the victim — onto a real
+   report. The grace bound is strict: a send at exactly crash + grace
+   is allowed, one tick later is not. *)
 let quiescence_oracle_fires () =
+  let crash = 3_000 in
   let r =
     Harness.World.run
-      (scenario ~crashes:(Harness.Scenario.Crash_at [ (2, 3_000) ]) ~horizon:20_000 ())
+      (scenario ~crashes:(Harness.Scenario.Crash_at [ (2, crash) ]) ~horizon:20_000 ())
   in
   holds "a sound run" Fuzz.Property.quiescence r;
-  let noisy =
-    Net.Link_stats.create
-      ~graph:(Cgraph.Topology.build (Cgraph.Topology.Ring 8))
-      ~kinds:[| "request" |] ()
+  let sent_to_victim_at at =
+    let noisy =
+      Net.Link_stats.create
+        ~graph:(Cgraph.Topology.build (Cgraph.Topology.Ring 8))
+        ~kinds:[| "request" |] ()
+    in
+    Net.Link_stats.record_send noisy ~src:1 ~dst:2 ~kind:0 ~at;
+    { r with link_stats = noisy }
   in
-  Net.Link_stats.watch_dst noisy 2;
-  Net.Link_stats.record_send noisy ~src:1 ~dst:2 ~kind:0 ~at:15_000;
-  fires "post-grace send to a victim" Fuzz.Property.quiescence { r with link_stats = noisy }
+  let edge = crash + Fuzz.Property.quiescence_grace in
+  fires "post-grace send to a victim" Fuzz.Property.quiescence (sent_to_victim_at 15_000);
+  holds "a send at exactly crash + grace" Fuzz.Property.quiescence (sent_to_victim_at edge);
+  check (Alcotest.option Alcotest.string) "a send one tick later fires"
+    (Some
+       (Printf.sprintf "messages still addressed to victims %d ticks after crash: p2 (last send at t=%d)"
+          Fuzz.Property.quiescence_grace (edge + 1)))
+    (Fuzz.Property.quiescence.check (sent_to_victim_at (edge + 1)))
 
 (* The fork-only baseline has no doorway, so a hungry process can be
    overtaken unboundedly under contention (experiment E3's claim). *)

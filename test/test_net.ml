@@ -197,9 +197,9 @@ let network_drops_to_crashed () =
   check int "nothing delivered" 0 !delivered;
   check bool "drop hook called" true (!dropped = [ (1, "doomed") ]);
   let stats = Net.Network.stats net in
-  check int "recorded as sent" 1 (Net.Link_stats.sent stats ~src:0 ~dst:1);
-  check int "not recorded as delivered" 0 (Net.Link_stats.delivered stats ~src:0 ~dst:1);
-  check int "no longer in flight" 0 (Net.Link_stats.in_flight stats ~src:0 ~dst:1)
+  check int "recorded as sent" 1 (Net.Link_stats.total_sent stats);
+  check int "not recorded as delivered" 0 (Net.Link_stats.total_delivered stats);
+  check int "recorded as dropped, so no longer in flight" 1 (Net.Link_stats.total_dropped stats)
 
 let network_crashed_source_sends_nothing () =
   let delivered = ref 0 in
@@ -209,7 +209,7 @@ let network_crashed_source_sends_nothing () =
     (Sim.Engine.schedule engine ~at:10 (fun () -> Net.Network.send net ~src:0 ~dst:1 "ghost"));
   Sim.Engine.run_all engine;
   check int "silent after crash" 0 !delivered;
-  check int "not even counted" 0 (Net.Link_stats.sent (Net.Network.stats net) ~src:0 ~dst:1)
+  check int "not even counted" 0 (Net.Link_stats.total_sent (Net.Network.stats net))
 
 let network_in_flight_messages_survive_sender_crash () =
   let delivered = ref 0 in
@@ -229,33 +229,31 @@ let link_stats_watermarks () =
   Net.Link_stats.record_send stats ~src:0 ~dst:1 ~kind:0 ~at:1;
   Net.Link_stats.record_send stats ~src:1 ~dst:0 ~kind:1 ~at:2;
   Net.Link_stats.record_send stats ~src:0 ~dst:1 ~kind:0 ~at:3;
-  check int "edge in flight counts both directions" 3 (Net.Link_stats.edge_in_flight stats 0 1);
+  check int "edge in flight counts both directions" 3 (Net.Link_stats.max_edge_watermark stats);
   Net.Link_stats.record_delivery stats ~src:0 ~dst:1 ~kind:0 ~at:4;
-  check int "delivery decrements" 2 (Net.Link_stats.edge_in_flight stats 0 1);
-  check int "watermark keeps max" 3 (Net.Link_stats.edge_watermark stats 0 1);
-  check int "global watermark" 3 (Net.Link_stats.max_edge_watermark stats);
+  check int "watermark keeps max" 3 (Net.Link_stats.max_edge_watermark stats);
+  Net.Link_stats.record_send stats ~src:0 ~dst:1 ~kind:0 ~at:5;
+  check int "delivery decrements: back to 3, not 4" 3 (Net.Link_stats.max_edge_watermark stats);
+  check
+    (Alcotest.list (Alcotest.pair (Alcotest.pair int int) int))
+    "per edge, only edges that carried traffic" [ ((0, 1), 3) ]
+    (Net.Link_stats.per_edge_watermarks stats);
   let by_kind = Net.Link_stats.max_edge_watermark_by_kind stats in
   check (Alcotest.list (Alcotest.pair Alcotest.string int)) "per kind" [ ("a", 2); ("b", 1) ] by_kind
-
-let link_stats_watched_windows () =
-  let graph = Cgraph.Graph.of_edges ~n:2 [ (0, 1) ] in
-  let stats = Net.Link_stats.create ~graph () in
-  Net.Link_stats.watch_dst stats 1;
-  List.iter (fun at -> Net.Link_stats.record_send stats ~src:0 ~dst:1 ~kind:0 ~at) [ 5; 15; 25; 35 ];
-  check int "window [10,30)" 2 (Net.Link_stats.sends_to_in_window stats ~dst:1 ~from_t:10 ~to_t:30);
-  check int "after 20" 2 (Net.Link_stats.sends_to_after stats ~dst:1 ~after:20);
-  check int "total to dst" 4 (Net.Link_stats.total_sends_to stats ~dst:1);
-  Alcotest.check_raises "unwatched raises" (Invalid_argument "Link_stats: dst 0 is not watched")
-    (fun () -> ignore (Net.Link_stats.sends_to_after stats ~dst:0 ~after:0))
 
 let link_stats_last_send () =
   let graph = Cgraph.Graph.of_edges ~n:3 [ (0, 1); (1, 2) ] in
   let stats = Net.Link_stats.create ~graph () in
   check bool "none initially" true (Net.Link_stats.last_send_to stats 1 = None);
-  Net.Link_stats.record_send stats ~src:0 ~dst:1 ~kind:0 ~at:7;
+  Net.Link_stats.record_send stats ~src:0 ~dst:1 ~kind:0 ~at:5;
+  Net.Link_stats.record_send stats ~src:2 ~dst:1 ~kind:0 ~at:7;
   Net.Link_stats.record_send stats ~src:1 ~dst:2 ~kind:0 ~at:9;
-  check bool "last send to" true (Net.Link_stats.last_send_to stats 1 = Some 7);
-  check bool "last send involving" true (Net.Link_stats.last_send_involving stats 1 = Some 9)
+  check bool "last send to, over every incoming edge" true
+    (Net.Link_stats.last_send_to stats 1 = Some 7);
+  check bool "its own sends do not count" true (Net.Link_stats.last_send_to stats 0 = None);
+  check bool "last send to the other end" true (Net.Link_stats.last_send_to stats 2 = Some 9);
+  check int "total to dst, over every incoming edge" 2 (Net.Link_stats.total_sends_to stats ~dst:1);
+  check int "total to dst, sends from it excluded" 0 (Net.Link_stats.total_sends_to stats ~dst:0)
 
 let suite =
   [
@@ -277,7 +275,6 @@ let suite =
     Alcotest.test_case "network: in-flight survives sender crash" `Quick
       network_in_flight_messages_survive_sender_crash;
     Alcotest.test_case "link_stats: watermarks" `Quick link_stats_watermarks;
-    Alcotest.test_case "link_stats: watched windows" `Quick link_stats_watched_windows;
     Alcotest.test_case "link_stats: last send" `Quick link_stats_last_send;
     Alcotest.test_case "delay: sampling allocates nothing" `Quick delay_sample_allocates_nothing;
     Alcotest.test_case "network: a message allocates its event and one closure" `Quick
