@@ -188,7 +188,9 @@ let run_cmd =
       make_scenario ~name:"cli" ~topology ~seed ~horizon ~crashes ~detector ~algo ~contended
     in
     let recorder = Obs.Recorder.create () in
-    if trace then Obs.Recorder.on_light recorder (Format.printf "%a@." Obs.Record.pp_row);
+    if trace then
+      Obs.Recorder.on_record recorder (fun r ->
+          if not (Obs.Record.structural r.kind) then Format.printf "%a@." Obs.Record.pp_row r);
     let metrics = Obs.Metrics.create () in
     let report = Harness.World.run ~recorder ~metrics scenario in
     print_report report;

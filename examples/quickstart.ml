@@ -30,8 +30,11 @@ let () =
   (* A trace sink prints the first part of the timeline live. *)
   let recorder = Obs.Recorder.create () in
   let printed = ref 0 in
-  Obs.Recorder.on_light recorder (fun r ->
-      if r.time < 400 || (r.time >= 1_400 && r.time < 1_900) then begin
+  Obs.Recorder.on_record recorder (fun r ->
+      if
+        (not (Obs.Record.structural r.kind))
+        && (r.time < 400 || (r.time >= 1_400 && r.time < 1_900))
+      then begin
         incr printed;
         Format.printf "%a@." Obs.Record.pp_row r
       end);

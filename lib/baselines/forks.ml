@@ -205,5 +205,6 @@ let instance t =
     stop_eating = stop_eating t;
     phase = (fun i -> t.phase.(i));
     add_listener = (fun f -> t.listeners <- t.listeners @ [ f ]);
+    add_doorway_listener = (fun _ -> ());
     check_invariants = (fun () -> check_invariants t);
   }

@@ -48,6 +48,7 @@ type t = {
   absorbed_in : int array; (* crash absorptions, at slot (dst, src) * 4 + kind_index *)
   mutable net : message Net.Network.t option; (* set once in create *)
   mutable listeners : (pid -> phase -> unit) list;
+  mutable doorway_listeners : (pid -> unit) list;
   acks_per_session : int;
 }
 
@@ -80,6 +81,12 @@ let rec fire_listeners i p = function
   | f :: rest ->
       f i p;
       fire_listeners i p rest
+
+let rec fire_doorway_listeners i = function
+  | [] -> ()
+  | f :: rest ->
+      f i;
+      fire_doorway_listeners i rest
 
 let notify_phase t i =
   let p = phase t i in
@@ -120,7 +127,8 @@ let try_actions t i =
             set_flag t s ack_bit false;
             t.granted.(s) <- 0
           done;
-          mark t i "enter_doorway"
+          mark t i "enter_doorway";
+          fire_doorway_listeners i t.doorway_listeners
         end
       end;
       if inside t i then begin
@@ -311,6 +319,7 @@ let create ~engine ~faults ~graph ~delay ~rng ~detector ?colors ?metrics ?(acks_
       absorbed_in = Array.make (slots * message_kind_count) 0;
       net = None;
       listeners = [];
+      doorway_listeners = [];
       acks_per_session;
     }
   in
@@ -442,5 +451,6 @@ let instance t =
     stop_eating = stop_eating t;
     phase = phase t;
     add_listener = add_listener t;
+    add_doorway_listener = (fun f -> t.doorway_listeners <- t.doorway_listeners @ [ f ]);
     check_invariants = (fun () -> check_invariants t);
   }

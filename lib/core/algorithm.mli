@@ -59,7 +59,9 @@ val create :
     (m+1)-bounded waiting, trading fairness for doorway throughput
     (experiment E11). Creates the dining layer's own network overlay.
     Phase transitions and the ["enter_doorway"] mark go to the engine's
-    recorder ({!Sim.Engine.recorder}). *)
+    recorder ({!Sim.Engine.recorder}) when it traces; monitors listen
+    through {!add_listener} and the instance's [add_doorway_listener]
+    instead, which fires at the same point as the mark. *)
 
 val become_hungry : t -> Types.pid -> unit
 val stop_eating : t -> Types.pid -> unit

@@ -4,5 +4,6 @@ type t = {
   stop_eating : Types.pid -> unit;
   phase : Types.pid -> Types.phase;
   add_listener : (Types.pid -> Types.phase -> unit) -> unit;
+  add_doorway_listener : (Types.pid -> unit) -> unit;
   check_invariants : unit -> unit;
 }

@@ -17,6 +17,11 @@ type t = {
   add_listener : (Types.pid -> Types.phase -> unit) -> unit;
       (** Phase-transition notifications, fired synchronously (in virtual
           time) at each transition, after the state change. *)
+  add_doorway_listener : (Types.pid -> unit) -> unit;
+      (** Doorway-entry notifications (Algorithm 1's Action 5), fired
+          synchronously when a hungry process enters the doorway, in
+          registration order. Daemons without a doorway never fire
+          them. *)
   check_invariants : unit -> unit;
       (** Raises {!Types.Invariant_violation} if a structural invariant of
           the implementation fails; implementations without executable

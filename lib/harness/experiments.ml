@@ -838,8 +838,8 @@ let e12 (_ : ctx) =
         }
       in
       let r = World.run s in
-      let d = Monitor.Phases.doorway_summary r.phases in
-      let f = Monitor.Phases.fork_summary r.phases in
+      let d = Monitor.Response.doorway_summary r.response in
+      let f = Monitor.Response.fork_summary r.response in
       let share =
         if d.mean +. f.mean > 0.0 then 100.0 *. d.mean /. (d.mean +. f.mean) else 0.0
       in

@@ -24,8 +24,8 @@ val build :
   parts
 (** Builds everything and schedules the crash plan. The engine has not
     run yet. [recorder] becomes the engine's recorder, which every
-    component of the world emits into (structural event/message records
-    only under full tracing); [metrics] is threaded to the dining and
+    component of the world emits into (records flow only while it
+    traces); [metrics] is threaded to the dining and
     heartbeat overlays' link statistics. The engine runs its sequential loop: the world's
     monitors, detectors and workload are not shard-safe, so it cannot
     fire in parallel (see {!Sim.Engine.set_sharding}). *)

@@ -5,7 +5,6 @@ type t = {
   exclusion : Monitor.Exclusion.t;
   fairness : Monitor.Fairness.t;
   response : Monitor.Response.t;
-  phases : Monitor.Phases.t;
   workload : Workload.t;
   eats_per_process : int array;
   invariant_error : string option ref;
@@ -20,7 +19,6 @@ type report = {
   exclusion : Monitor.Exclusion.t;
   fairness : Monitor.Fairness.t;
   response : Monitor.Response.t;
-  phases : Monitor.Phases.t;
   link_stats : Net.Link_stats.t;
   total_eats : int;
   eats_per_process : int array;
@@ -55,8 +53,7 @@ let create ?recorder ?(metrics = Obs.Metrics.create ()) (s : Scenario.t) =
   let n = Cgraph.Graph.n graph in
   let exclusion = Monitor.Exclusion.attach engine graph faults instance in
   let fairness = Monitor.Fairness.attach engine graph faults instance in
-  let response = Monitor.Response.attach engine faults instance in
-  let phases = Monitor.Phases.attach ~metrics ~n engine instance in
+  let response = Monitor.Response.attach ~metrics engine faults instance in
   let eats_per_process = Array.make n 0 in
   let m_eats = Obs.Metrics.counter metrics "daemon.eats" in
   let m_hungry = Obs.Metrics.counter metrics "daemon.hungry_sessions" in
@@ -84,7 +81,6 @@ let create ?recorder ?(metrics = Obs.Metrics.create ()) (s : Scenario.t) =
     exclusion;
     fairness;
     response;
-    phases;
     workload;
     eats_per_process;
     invariant_error;
@@ -128,7 +124,6 @@ let report (w : t) =
     exclusion = w.exclusion;
     fairness = w.fairness;
     response = w.response;
-    phases = w.phases;
     link_stats;
     total_eats = Array.fold_left ( + ) 0 w.eats_per_process;
     eats_per_process = w.eats_per_process;

@@ -30,9 +30,9 @@ type report = {
   exclusion : Monitor.Exclusion.t;
   fairness : Monitor.Fairness.t;
   response : Monitor.Response.t;
-  phases : Monitor.Phases.t;
-      (** Doorway-vs-fork wait breakdown (Song-Pike daemons only; empty
-          for the baselines, which emit no doorway events). *)
+      (** Session latencies and their doorway-vs-fork split (the split
+          is Song-Pike only; empty for the baselines, which have no
+          doorway). *)
   link_stats : Net.Link_stats.t;  (** Dining-layer channels only. *)
   total_eats : int;
   eats_per_process : int array;

@@ -9,6 +9,10 @@ let recent_size = 32
 (* Fields per record in the recent ring: pid, started, served. *)
 let recent_stride = 3
 
+(* [entered] codes for the doorway split of the current session. *)
+let not_hungry = -2 (* latest transition is not Hungry *)
+let outside = -1 (* hungry, not yet inside the doorway *)
+
 (* No session log: latencies go to an exact multiset, registered
    readers and callbacks see each session as it completes, and a ring
    keeps the last [recent_size] sessions, allocated at the first. *)
@@ -16,7 +20,12 @@ type t = {
   engine : Sim.Engine.t;
   faults : Net.Faults.t;
   open_since : Sim.Time.t array; (* pid -> start of its open session, -1 = none *)
+  entered : Sim.Time.t array; (* pid -> doorway entry, or [not_hungry] / [outside] *)
   latencies : Stats.Multiset.t;
+  doorway : Stats.Multiset.t;
+  fork : Stats.Multiset.t;
+  h_doorway : Obs.Metrics.histogram;
+  h_fork : Obs.Metrics.histogram;
   mutable served : int;
   mutable on_served : (Dining.Types.pid -> Sim.Time.t -> Sim.Time.t -> unit) list;
   mutable series : series list;
@@ -52,10 +61,31 @@ let[@lint.hot] rec notify pid started served list =
       f pid started served;
       notify pid started served rest
 
+(* A doorway entry splits the session only while the pid's latest
+   transition is Hungry; [open_since] survives Thinking, so [entered]
+   carries that state. *)
+let[@lint.hot] on_doorway t pid =
+  if t.entered.(pid) <> not_hungry then begin
+    let now = Sim.Engine.now t.engine in
+    let wait = now - t.open_since.(pid) in
+    t.entered.(pid) <- now;
+    Stats.Multiset.add t.doorway wait;
+    Obs.Metrics.observe t.h_doorway wait
+  end
+
 let[@lint.hot] on_phase t pid phase =
   match phase with
-  | Dining.Types.Hungry -> t.open_since.(pid) <- Sim.Engine.now t.engine
+  | Dining.Types.Hungry ->
+      t.open_since.(pid) <- Sim.Engine.now t.engine;
+      if t.entered.(pid) = not_hungry then t.entered.(pid) <- outside
   | Dining.Types.Eating ->
+      let entered = t.entered.(pid) in
+      t.entered.(pid) <- not_hungry;
+      if entered >= 0 then begin
+        let wait = Sim.Engine.now t.engine - entered in
+        Stats.Multiset.add t.fork wait;
+        Obs.Metrics.observe t.h_fork wait
+      end;
       let started = t.open_since.(pid) in
       if started >= 0 then begin
         let served = Sim.Engine.now t.engine in
@@ -70,15 +100,21 @@ let[@lint.hot] on_phase t pid phase =
         feed_series started served t.series;
         notify pid started served t.on_served
       end
-  | Dining.Types.Thinking -> ()
+  | Dining.Types.Thinking -> t.entered.(pid) <- not_hungry
 
-let attach engine faults (instance : Dining.Instance.t) =
+let attach ?(metrics = Obs.Metrics.create ()) engine faults (instance : Dining.Instance.t) =
+  let n = Net.Faults.n faults in
   let t =
     {
       engine;
       faults;
-      open_since = Array.make (Net.Faults.n faults) (-1);
+      open_since = Array.make n (-1);
+      entered = Array.make n not_hungry;
       latencies = Stats.Multiset.create ();
+      doorway = Stats.Multiset.create ();
+      fork = Stats.Multiset.create ();
+      h_doorway = Obs.Metrics.histogram metrics "daemon.doorway_wait";
+      h_fork = Obs.Metrics.histogram metrics "daemon.fork_wait";
       served = 0;
       on_served = [];
       series = [];
@@ -86,6 +122,7 @@ let attach engine faults (instance : Dining.Instance.t) =
     }
   in
   instance.add_listener (on_phase t);
+  instance.add_doorway_listener (on_doorway t);
   t
 
 let before_first_session t fn =
@@ -103,6 +140,10 @@ let completed t =
 
 let durations t = Stats.Multiset.to_list t.latencies
 let summary t = Stats.Multiset.summary t.latencies
+let doorway_waits t = Stats.Multiset.to_list t.doorway
+let fork_waits t = Stats.Multiset.to_list t.fork
+let doorway_summary t = Stats.Multiset.summary t.doorway
+let fork_summary t = Stats.Multiset.summary t.fork
 
 (* Walking pids downwards while consing yields ascending pid order. *)
 let open_sessions t =

@@ -8,13 +8,28 @@
     The monitor streams: latencies go to an exact multiset and to
     whatever was registered before the run ({!on_served},
     {!response_series}), so memory does not grow with the number of
-    sessions. Only {!completed} is a fixed recent window. *)
+    sessions. Only {!completed} is a fixed recent window.
+
+    The monitor also splits each session at doorway entry, the data
+    behind experiment E12's breakdown of what the doorway costs:
+    Algorithm 1's phase 1 (outside the doorway, collecting acks) gives a
+    {e doorway wait} from Hungry to entry, and phase 2 (inside,
+    collecting forks) a {e fork wait} from entry to Eating. Entries come
+    from the instance's [add_doorway_listener]; daemons without a
+    doorway produce no split samples. An entry counts only while the
+    pid's latest transition is Hungry, and Thinking drops a pending
+    fork split. *)
 
 type session = { pid : Dining.Types.pid; started : Sim.Time.t; served : Sim.Time.t }
 
 type t
 
-val attach : Sim.Engine.t -> Net.Faults.t -> Dining.Instance.t -> t
+val attach : ?metrics:Obs.Metrics.t -> Sim.Engine.t -> Net.Faults.t -> Dining.Instance.t -> t
+(** Subscribes to the instance's transitions and doorway entries,
+    tracking every pid of [faults]. Every doorway and fork
+    wait is also observed into the [daemon.doorway_wait] /
+    [daemon.fork_wait] histograms of [metrics] (default: a private
+    registry). *)
 
 val on_served : t -> (Dining.Types.pid -> Sim.Time.t -> Sim.Time.t -> unit) -> unit
 (** [on_served t f] calls [f pid started served] at every session
@@ -54,3 +69,12 @@ val response_series : t -> bucket:int -> unit -> (float * float) list
     windows so far whenever it is called.
     @raise Invalid_argument if [bucket <= 0] or a session has already
     completed. *)
+
+val doorway_waits : t -> int list
+(** Hungry -> doorway-entry latencies, in ticks, ascending. *)
+
+val fork_waits : t -> int list
+(** Doorway-entry -> eating latencies, in ticks, ascending. *)
+
+val doorway_summary : t -> Stats.Summary.t
+val fork_summary : t -> Stats.Summary.t

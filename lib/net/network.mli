@@ -43,9 +43,9 @@ val create :
     conserve resources carried by messages (forks, tokens) account for the
     loss there. [metrics] is forwarded to the overlay's {!Link_stats} so
     its traffic counters land in the world's registry; overlays sharing a
-    registry aggregate into the same [net.*] counters. Under full tracing
-    (see {!Obs.Recorder}) every send, delivery and drop is recorded in the
-    engine's recorder.
+    registry aggregate into the same [net.*] counters. While the
+    engine's recorder traces (see {!Obs.Recorder}), every send, delivery
+    and drop is recorded there.
 
     [shard_safe] (default false) prepares the overlay for shard-parallel
     firing under {!Sim.Engine.set_sharding}: delay samples draw from a

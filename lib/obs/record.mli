@@ -32,9 +32,10 @@ type t = { seq : int; time : int; kind : kind }
 
 val structural : kind -> bool
 (** Whether the record belongs to the high-volume structural category
-    (engine and network internals) that only full tracing captures, as
-    opposed to the light category (phase, suspicion, crash, mark) that
-    light sinks also observe. *)
+    (engine and network internals) rather than the light category
+    (phase, suspicion, crash, mark). Both flow under the recorder's one
+    tracing level; the category is only a filter, e.g. for a sink that
+    prints the light rows. *)
 
 val label : kind -> string
 (** Short machine-readable constructor name, e.g. ["send"]. *)

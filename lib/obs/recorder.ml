@@ -6,33 +6,18 @@ type t = {
   mutable buf : Record.t array;
   mutable len : int;
   (* Sinks are kept in subscription order, the order they fire in (which
-     is load-bearing for deterministic traces). The lists are rebuilt on
+     is load-bearing for deterministic traces). The list is rebuilt on
      the rare subscribe so the per-record fan-out is a plain walk. *)
-  mutable full_sinks : sink list;
-  mutable light_sinks : sink list;
-  (* Cached enablement so every emission is one mutable-field test. The
-     full flag is a shared [bool ref] so hot-path callers (engine,
-     network) can hold the cell directly and guard emission with an
-     inline dereference instead of a cross-module call. *)
-  mutable light_on : bool;
-  full_on : bool ref;
+  mutable sinks : sink list;
+  (* Cached enablement so every emission is one dereference. The flag is
+     a shared [bool ref] so hot-path callers (engine, network) can hold
+     the cell directly and guard emission with an inline dereference
+     instead of a cross-module call. *)
+  tracing : bool ref;
 }
 
-let refresh t =
-  t.full_on := t.collect || t.full_sinks <> [];
-  t.light_on <- !(t.full_on) || t.light_sinks <> []
-
-let create () =
-  {
-    seq = 0;
-    collect = false;
-    buf = [||];
-    len = 0;
-    full_sinks = [];
-    light_sinks = [];
-    light_on = false;
-    full_on = ref false;
-  }
+let refresh t = t.tracing := t.collect || t.sinks <> []
+let create () = { seq = 0; collect = false; buf = [||]; len = 0; sinks = []; tracing = ref false }
 
 let collecting () =
   let t = create () in
@@ -41,16 +26,11 @@ let collecting () =
   t
 
 let on_record t f =
-  t.full_sinks <- t.full_sinks @ [ f ];
+  t.sinks <- t.sinks @ [ f ];
   refresh t
 
-let on_light t f =
-  t.light_sinks <- t.light_sinks @ [ f ];
-  refresh t
-
-let enabled t = t.light_on
-let tracing t = !(t.full_on)
-let tracing_flag t = t.full_on
+let tracing t = !(t.tracing)
+let tracing_flag t = t.tracing
 
 let append t r =
   if t.len = Array.length t.buf then begin
@@ -74,41 +54,30 @@ let push t time kind =
   let r = { Record.seq = t.seq; time; kind } in
   t.seq <- t.seq + 1;
   if t.collect then append t r;
-  fan_out r t.full_sinks;
-  r
+  fan_out r t.sinks
 
-let emit_structural t ~time kind = if !(t.full_on) then ignore (push t time kind)
-
-let emit_light t ~time kind =
-  if t.light_on then begin
-    let r = push t time kind in
-    fan_out r t.light_sinks
-  end
-
-(* Structural emissions: one branch when full tracing is off, and the
-   record is only allocated behind the branch. *)
-let sched t ~time ~id ~at = if !(t.full_on) then ignore (push t time (Record.Sched { id; at }))
-let fire t ~time ~id = if !(t.full_on) then ignore (push t time (Record.Fire { id }))
-let cancel t ~time ~id = if !(t.full_on) then ignore (push t time (Record.Cancel { id }))
+(* Every emission: one branch when tracing is off, and the record is
+   only allocated behind the branch. *)
+let sched t ~time ~id ~at = if !(t.tracing) then push t time (Record.Sched { id; at })
+let fire t ~time ~id = if !(t.tracing) then push t time (Record.Fire { id })
+let cancel t ~time ~id = if !(t.tracing) then push t time (Record.Cancel { id })
 
 let send t ~time ~src ~dst ~tag ~deliver_at =
-  if !(t.full_on) then ignore (push t time (Record.Send { src; dst; tag; deliver_at }))
+  if !(t.tracing) then push t time (Record.Send { src; dst; tag; deliver_at })
 
 let deliver t ~time ~src ~dst ~tag =
-  if !(t.full_on) then ignore (push t time (Record.Deliver { src; dst; tag }))
+  if !(t.tracing) then push t time (Record.Deliver { src; dst; tag })
 
-let drop t ~time ~src ~dst ~tag =
-  if !(t.full_on) then ignore (push t time (Record.Drop { src; dst; tag }))
-
-let phase t ~time ~pid ~phase = emit_light t ~time (Record.Phase { pid; phase })
+let drop t ~time ~src ~dst ~tag = if !(t.tracing) then push t time (Record.Drop { src; dst; tag })
+let phase t ~time ~pid ~phase = if !(t.tracing) then push t time (Record.Phase { pid; phase })
 
 let suspect t ~time ~observer ~target ~on =
-  emit_light t ~time (Record.Suspect { observer; target; on })
+  if !(t.tracing) then push t time (Record.Suspect { observer; target; on })
 
-let crash t ~time ~pid = emit_light t ~time (Record.Crash { pid })
+let crash t ~time ~pid = if !(t.tracing) then push t time (Record.Crash { pid })
 
 let mark t ~time ~subject ~tag detail =
-  emit_light t ~time (Record.Mark { subject; tag; detail })
+  if !(t.tracing) then push t time (Record.Mark { subject; tag; detail })
 
 let records t = Array.to_list (Array.sub t.buf 0 t.len)
 let iter t f =

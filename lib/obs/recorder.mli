@@ -1,22 +1,21 @@
 (** Structured, allocation-light event recorder.
 
     One recorder per simulated world. Components emit typed
-    {!Record.t}s; the recorder either drops them (disabled — one mutable
-    flag test per emission, no allocation), fans them out to sinks, or
+    {!Record.t}s; the recorder either drops them (disabled: one load and
+    one branch per emission, no allocation), fans them out to sinks, or
     retains them in a growable buffer for JSONL export and diffing.
 
-    Two enablement levels keep the common case cheap:
+    The recorder is output-only and has one enablement level: every
+    record flows when collection is on or a sink is attached, and none
+    flows otherwise. Nothing in the simulation reads it; monitors listen
+    to the daemon instead. A sink that wants only the light category
+    (phase, suspicion, crash, mark) skips {!Record.structural} kinds.
 
-    - {e light} records (phase transitions, suspicion flips, crashes,
-      marks) flow whenever any sink is attached or collection is on —
-      the channel monitors and the CLI [--trace] flag use;
-    - {e structural} records (engine schedule/fire/cancel, message
-      send/deliver/drop) are high-volume and flow only under {e full}
-      tracing: a collecting recorder or an {!on_record} sink.
-
-    Sinks registered with {!on_record}/{!on_light} run in subscription
-    order — deterministic fan-out order. Registration rebuilds the sink
-    list (O(sinks)); emission walks it without allocating. *)
+    Sinks registered with {!on_record} run in subscription order —
+    deterministic fan-out order. Registration rebuilds the sink list
+    (O(sinks)); emission walks it without allocating. Sequence numbers
+    count the records that flowed, so the first record after the first
+    sink attaches to a fresh recorder has [seq = 0]. *)
 
 type t
 
@@ -26,20 +25,13 @@ val create : unit -> t
 (** A disabled recorder: every emission is dropped. *)
 
 val collecting : unit -> t
-(** A recorder that retains every record in memory (full tracing). *)
+(** A recorder that retains every record in memory (tracing on). *)
 
 val on_record : t -> sink -> unit
-(** Attach a sink receiving {e every} record; enables full tracing. *)
-
-val on_light : t -> sink -> unit
-(** Attach a sink receiving only light records; enables light tracing
-    without paying for structural records. *)
-
-val enabled : t -> bool
-(** Whether light records currently flow. *)
+(** Attach a sink receiving every record; turns tracing on. *)
 
 val tracing : t -> bool
-(** Whether structural records currently flow (full tracing). *)
+(** Whether records currently flow. *)
 
 val tracing_flag : t -> bool ref
 (** The live cell behind {!tracing}. Hot-path emitters (the engine's
@@ -48,8 +40,8 @@ val tracing_flag : t -> bool ref
     recorder costs one load + branch per event — no cross-module call.
     Read-only for callers; the recorder updates it as sinks attach. *)
 
-(** {2 Emission} — each is a no-op at the cost of one branch when the
-    corresponding level is disabled. *)
+(** {2 Emission} — each is a no-op at the cost of one branch, with no
+    allocation, when tracing is off. *)
 
 val sched : t -> time:int -> id:int -> at:int -> unit
 val fire : t -> time:int -> id:int -> unit
@@ -61,9 +53,6 @@ val phase : t -> time:int -> pid:int -> phase:string -> unit
 val suspect : t -> time:int -> observer:int -> target:int -> on:bool -> unit
 val crash : t -> time:int -> pid:int -> unit
 val mark : t -> time:int -> subject:int -> tag:string -> string -> unit
-
-val emit_light : t -> time:int -> Record.kind -> unit
-val emit_structural : t -> time:int -> Record.kind -> unit
 
 (** {2 Collected records} *)
 

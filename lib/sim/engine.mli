@@ -9,7 +9,7 @@
 
     {!run} has one sequential loop: pop the next event, fire it, repeat.
     Every run, traced or not, sharded or not, goes through it unless
-    {!set_sharding} attached a pool, [shards > 1] and full tracing is
+    {!set_sharding} attached a pool, [shards > 1] and tracing is
     off. Then each step drains every event of the frontier tick into a
     batch, fires each shard's slice of the batch on its own domain of
     the pool, and merges the events scheduled during the firing back
@@ -79,7 +79,7 @@ val processed : t -> int
 val set_sharding : t -> pool:Exec.Pool.t -> shards:int -> n:int -> unit -> unit
 (** [set_sharding t ~pool ~shards ~n ()] partitions owner pids [0, n)
     into [shards] contiguous shards (clamped to [n]) and attaches [pool]:
-    from then on every step with full tracing off fires its shards in
+    from then on every step with tracing off fires its shards in
     parallel on the pool when [shards > 1]; a traced run, or
     [shards = 1], stays on the sequential loop. The caller thereby
     asserts every handler is shard-safe. Call before running; raises

@@ -149,16 +149,13 @@ module Phases = struct
     mutable fork : int list;
   }
 
-  let on_mark t (r : Obs.Record.t) =
-    match r.kind with
-    | Obs.Record.Mark { tag = "enter_doorway"; subject; _ }
-      when subject >= 0 && subject < Array.length t.hungry_at ->
-        let started = t.hungry_at.(subject) in
-        if started >= 0 then begin
-          t.entered_at.(subject) <- r.time;
-          t.doorway <- (r.time - started) :: t.doorway
-        end
-    | _ -> ()
+  let on_doorway t pid =
+    let started = t.hungry_at.(pid) in
+    if started >= 0 then begin
+      let now = Sim.Engine.now t.engine in
+      t.entered_at.(pid) <- now;
+      t.doorway <- (now - started) :: t.doorway
+    end
 
   let on_phase t pid phase =
     match phase with
@@ -178,8 +175,8 @@ module Phases = struct
     let t =
       { engine; hungry_at = Array.make n (-1); entered_at = Array.make n (-1); doorway = []; fork = [] }
     in
-    Obs.Recorder.on_light (Sim.Engine.recorder engine) (on_mark t);
     instance.add_listener (on_phase t);
+    instance.add_doorway_listener (on_doorway t);
     t
 
   let doorway_waits t = List.rev t.doorway

@@ -406,8 +406,8 @@ let names_stable () =
 
 let phases_in_report () =
   let r = Harness.World.run (scenario ~workload:Harness.Scenario.contended_workload ()) in
-  let d = Monitor.Phases.doorway_summary r.phases in
-  let f = Monitor.Phases.fork_summary r.phases in
+  let d = Monitor.Response.doorway_summary r.response in
+  let f = Monitor.Response.fork_summary r.response in
   check bool "doorway samples collected" true (d.count > 100);
   check bool "phase means are plausible" true (d.mean >= 0.0 && f.mean >= 0.0);
   (* Baselines produce no doorway samples. *)
@@ -415,7 +415,7 @@ let phases_in_report () =
     Harness.World.run
       (scenario ~algo:Harness.Scenario.Chandy_misra ~detector:Harness.Scenario.Never ())
   in
-  check int "no doorway samples for baselines" 0 (Monitor.Phases.doorway_summary rb.phases).count
+  check int "no doorway samples for baselines" 0 (Monitor.Response.doorway_summary rb.response).count
 
 (* The report's footprint is Section 7's closed form at the busiest
    process, 3 + bits(max color) + 6 * max degree. A scale-free graph puts
@@ -477,6 +477,18 @@ let memory_flat_in_run_length () =
       ("crash at horizon - 100", fun h -> Harness.Scenario.Crash_at [ (0, h - 100) ]);
     ]
 
+(* The recorder only counts records that flow: a world run untraced
+   leaves the sequence untouched, so a sink attached mid-run starts at
+   seq 0. *)
+let recorder_silent_until_traced () =
+  let recorder = Obs.Recorder.create () in
+  let w = Harness.World.create ~recorder (scenario ~horizon:4_000 ()) in
+  Harness.World.advance w ~until:2_000;
+  let first = ref None in
+  Obs.Recorder.on_record recorder (fun r -> if !first = None then first := Some r.seq);
+  Harness.World.advance w ~until:4_000;
+  check (Alcotest.option int) "first traced record" (Some 0) !first
+
 let suite =
   [
     Alcotest.test_case "deterministic replay" `Quick deterministic_replay;
@@ -513,4 +525,6 @@ let suite =
       footprint_closed_form_at_hub;
     Alcotest.test_case "world: memory does not grow with run length" `Quick
       memory_flat_in_run_length;
+    Alcotest.test_case "world: an untraced run leaves the recorder's sequence at 0" `Quick
+      recorder_silent_until_traced;
   ]

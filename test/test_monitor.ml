@@ -11,6 +11,7 @@ type mock = {
   graph : Cgraph.Graph.t;
   inst : Dining.Instance.t;
   fire : int -> Dining.Types.phase -> unit;
+  door : int -> unit;
 }
 
 let mock ?(n = 3) ?(edges = [ (0, 1); (1, 2) ]) () =
@@ -18,6 +19,7 @@ let mock ?(n = 3) ?(edges = [ (0, 1); (1, 2) ]) () =
   let graph = Cgraph.Graph.of_edges ~n edges in
   let faults = Net.Faults.create engine ~n in
   let listeners = ref [] in
+  let doorway_listeners = ref [] in
   let phases = Array.make n Dining.Types.Thinking in
   let inst =
     {
@@ -26,6 +28,7 @@ let mock ?(n = 3) ?(edges = [ (0, 1); (1, 2) ]) () =
       stop_eating = (fun _ -> ());
       phase = (fun pid -> phases.(pid));
       add_listener = (fun f -> listeners := !listeners @ [ f ]);
+      add_doorway_listener = (fun f -> doorway_listeners := !doorway_listeners @ [ f ]);
       check_invariants = (fun () -> ());
     }
   in
@@ -33,17 +36,14 @@ let mock ?(n = 3) ?(edges = [ (0, 1); (1, 2) ]) () =
     phases.(pid) <- phase;
     List.iter (fun f -> f pid phase) !listeners
   in
-  { engine; faults; graph; inst; fire }
+  let door pid = List.iter (fun f -> f pid) !doorway_listeners in
+  { engine; faults; graph; inst; fire; door }
 
 (* Schedule a scripted transition at a virtual time. *)
 let at m t pid phase = ignore (Sim.Engine.schedule m.engine ~at:t (fun () -> m.fire pid phase))
 
-(* Schedule the doorway-entry mark the Song-Pike core emits. *)
-let enter_doorway m pid t =
-  ignore
-    (Sim.Engine.schedule m.engine ~at:t (fun () ->
-         Obs.Recorder.mark (Sim.Engine.recorder m.engine) ~time:t ~subject:pid ~tag:"enter_doorway"
-           ""))
+(* Schedule a doorway entry, as the Song-Pike core announces it. *)
+let enter_doorway m pid t = ignore (Sim.Engine.schedule m.engine ~at:t (fun () -> m.door pid))
 
 (* ----------------------------- Exclusion --------------------------- *)
 
@@ -179,11 +179,11 @@ let response_series_buckets () =
   check bool "bucket 0 mean 50" true (List.mem (0.0, 50.0) series);
   check bool "bucket 100 mean 30" true (List.mem (100.0, 30.0) series)
 
-(* ------------------------------ Phases ----------------------------- *)
+(* -------------------------- Doorway split -------------------------- *)
 
 let phases_split () =
   let m = mock ~n:2 ~edges:[ (0, 1) ] () in
-  let ph = Monitor.Phases.attach ~n:2 m.engine m.inst in
+  let resp = Monitor.Response.attach m.engine m.faults m.inst in
   at m 10 0 Dining.Types.Hungry;
   enter_doorway m 0 40;
   at m 55 0 Dining.Types.Eating;
@@ -191,9 +191,9 @@ let phases_split () =
   (* A second session that never completes. *)
   at m 100 0 Dining.Types.Hungry;
   Sim.Engine.run_all m.engine;
-  check (Alcotest.list int) "doorway wait" [ 30 ] (Monitor.Phases.doorway_waits ph);
-  check (Alcotest.list int) "fork wait" [ 15 ] (Monitor.Phases.fork_waits ph);
-  check int "open session not sampled" 1 (Monitor.Phases.doorway_summary ph).count
+  check (Alcotest.list int) "doorway wait" [ 30 ] (Monitor.Response.doorway_waits resp);
+  check (Alcotest.list int) "fork wait" [ 15 ] (Monitor.Response.fork_waits resp);
+  check int "open session not sampled" 1 (Monitor.Response.doorway_summary resp).count
 
 let phases_real_algorithm () =
   (* End to end against the real core on a pair: both splits sum to the
@@ -207,11 +207,10 @@ let phases_real_algorithm () =
   in
   let inst = Dining.Algorithm.instance algo in
   let resp = Monitor.Response.attach engine faults inst in
-  let ph = Monitor.Phases.attach ~n:2 engine inst in
   inst.become_hungry 0;
   Sim.Engine.run engine ~until:200;
   match
-    (Monitor.Phases.doorway_waits ph, Monitor.Phases.fork_waits ph, Monitor.Response.durations resp)
+    (Monitor.Response.doorway_waits resp, Monitor.Response.fork_waits resp, Monitor.Response.durations resp)
   with
   | [ d ], [ f ], [ total ] ->
       check int "splits sum to the response" total (d + f);
@@ -278,15 +277,15 @@ let response_open_sessions_sorted () =
    start to measure from, and a later eat has no doorway entry. *)
 let phases_thinking_clears () =
   let m = mock ~n:2 ~edges:[ (0, 1) ] () in
-  let ph = Monitor.Phases.attach ~n:2 m.engine m.inst in
+  let resp = Monitor.Response.attach m.engine m.faults m.inst in
   at m 10 0 Dining.Types.Hungry;
   enter_doorway m 0 20;
   at m 30 0 Dining.Types.Thinking;
   enter_doorway m 0 40;
   at m 50 0 Dining.Types.Eating;
   Sim.Engine.run_all m.engine;
-  check (Alcotest.list int) "only the first doorway wait" [ 10 ] (Monitor.Phases.doorway_waits ph);
-  check (Alcotest.list int) "no fork wait" [] (Monitor.Phases.fork_waits ph)
+  check (Alcotest.list int) "only the first doorway wait" [ 10 ] (Monitor.Response.doorway_waits resp);
+  check (Alcotest.list int) "no fork wait" [] (Monitor.Response.fork_waits resp)
 
 (* ---------------- Streaming vs log-based reference ---------------- *)
 
@@ -377,7 +376,6 @@ let streaming_matches_reference =
       let m = mock ~n:s.n ~edges:s.edges () in
       let fair = Monitor.Fairness.attach m.engine m.graph m.faults m.inst in
       let resp = Monitor.Response.attach m.engine m.faults m.inst in
-      let ph = Monitor.Phases.attach ~n:s.n m.engine m.inst in
       let fair_ref = Monitor_ref.Fairness.attach m.engine m.graph m.faults m.inst in
       let resp_ref = Monitor_ref.Response.attach m.engine m.faults m.inst in
       let ph_ref = Monitor_ref.Phases.attach ~n:s.n m.engine m.inst in
@@ -425,10 +423,10 @@ let streaming_matches_reference =
         && Monitor.Response.summary resp = Monitor_ref.Response.summary resp_ref
         && Monitor.Response.served_count resp = Monitor_ref.Response.served_count resp_ref
         && Monitor.Response.open_sessions resp = Monitor_ref.Response.open_sessions resp_ref
-        && Monitor.Phases.doorway_waits ph = sorted (Monitor_ref.Phases.doorway_waits ph_ref)
-        && Monitor.Phases.fork_waits ph = sorted (Monitor_ref.Phases.fork_waits ph_ref)
-        && Monitor.Phases.doorway_summary ph = Monitor_ref.Phases.doorway_summary ph_ref
-        && Monitor.Phases.fork_summary ph = Monitor_ref.Phases.fork_summary ph_ref
+        && Monitor.Response.doorway_waits resp = sorted (Monitor_ref.Phases.doorway_waits ph_ref)
+        && Monitor.Response.fork_waits resp = sorted (Monitor_ref.Phases.fork_waits ph_ref)
+        && Monitor.Response.doorway_summary resp = Monitor_ref.Phases.doorway_summary ph_ref
+        && Monitor.Response.fork_summary resp = Monitor_ref.Phases.fork_summary ph_ref
       in
       Sim.Engine.run m.engine ~until:s.pause;
       let mid = agree () in

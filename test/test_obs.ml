@@ -1,4 +1,4 @@
-(* Tests for the observability subsystem: recorder enablement levels,
+(* Tests for the observability subsystem: recorder enablement,
    JSONL export, trace diffing, the metrics registry, and the end-to-end
    determinism guarantee (same scenario + seed => byte-identical trace
    at any domain count). *)
@@ -12,33 +12,19 @@ let string = Alcotest.string
 
 let recorder_disabled_drops_everything () =
   let r = Obs.Recorder.create () in
-  check bool "light off" false (Obs.Recorder.enabled r);
-  check bool "full off" false (Obs.Recorder.tracing r);
+  check bool "tracing off" false (Obs.Recorder.tracing r);
   Obs.Recorder.mark r ~time:0 ~subject:0 ~tag:"x" "";
   Obs.Recorder.sched r ~time:0 ~id:0 ~at:5;
   check int "nothing retained" 0 (Obs.Recorder.count r)
 
-let recorder_light_sink_skips_structural () =
-  let r = Obs.Recorder.create () in
-  let light = ref 0 in
-  Obs.Recorder.on_light r (fun _ -> incr light);
-  check bool "light on" true (Obs.Recorder.enabled r);
-  check bool "full still off" false (Obs.Recorder.tracing r);
-  Obs.Recorder.mark r ~time:1 ~subject:0 ~tag:"x" "";
-  Obs.Recorder.sched r ~time:1 ~id:0 ~at:5;
-  Obs.Recorder.send r ~time:1 ~src:0 ~dst:1 ~tag:"m" ~deliver_at:2;
-  check int "only the light record flowed" 1 !light
-
 let recorder_full_sink_sees_both_levels () =
   let r = Obs.Recorder.create () in
-  let light = ref 0 and full = ref 0 in
-  Obs.Recorder.on_light r (fun _ -> incr light);
+  let full = ref 0 in
   Obs.Recorder.on_record r (fun _ -> incr full);
   check bool "full tracing on" true (Obs.Recorder.tracing r);
   Obs.Recorder.sched r ~time:2 ~id:1 ~at:9;
   Obs.Recorder.phase r ~time:2 ~pid:1 ~phase:"eating";
-  check int "full sink saw structural + light" 2 !full;
-  check int "light sink saw only light" 1 !light
+  check int "full sink saw structural + light" 2 !full
 
 let recorder_collecting_retains_in_order () =
   let r = Obs.Recorder.collecting () in
@@ -55,8 +41,8 @@ let recorder_collecting_retains_in_order () =
 let recorder_sinks_fire_in_subscription_order () =
   let r = Obs.Recorder.create () in
   let order = ref [] in
-  Obs.Recorder.on_light r (fun _ -> order := "first" :: !order);
-  Obs.Recorder.on_light r (fun _ -> order := "second" :: !order);
+  Obs.Recorder.on_record r (fun _ -> order := "first" :: !order);
+  Obs.Recorder.on_record r (fun _ -> order := "second" :: !order);
   Obs.Recorder.crash r ~time:0 ~pid:0;
   check (Alcotest.list string) "subscription order" [ "first"; "second" ] (List.rev !order)
 
@@ -231,8 +217,6 @@ let suite =
   [
     Alcotest.test_case "recorder: disabled drops everything" `Quick
       recorder_disabled_drops_everything;
-    Alcotest.test_case "recorder: light sink skips structural" `Quick
-      recorder_light_sink_skips_structural;
     Alcotest.test_case "recorder: full sink sees both levels" `Quick
       recorder_full_sink_sees_both_levels;
     Alcotest.test_case "recorder: collecting retains in order" `Quick

@@ -780,7 +780,7 @@ let engine_shard_of () =
 (* An engine built without a recorder gets a disabled one. *)
 let trace_disabled_by_default () =
   let r = Sim.Engine.recorder (Sim.Engine.create ()) in
-  check bool "disabled" false (Obs.Recorder.enabled r);
+  check bool "disabled" false (Obs.Recorder.tracing r);
   Obs.Recorder.mark r ~time:1 ~subject:0 ~tag:"x" "dropped";
   check int "no records" 0 (Obs.Recorder.count r)
 
@@ -795,11 +795,14 @@ let trace_collects () =
       check int "subject" 1 m2.subject
   | l -> Alcotest.failf "expected 2 marks, got %d records" (List.length l)
 
-(* A light sink sees the rows [daemon_sim run --trace] prints. *)
+(* A sink that skips structural records sees the rows
+   [daemon_sim run --trace] prints. *)
 let trace_sink () =
   let r = Obs.Recorder.create () in
   let rows = ref [] in
-  Obs.Recorder.on_light r (fun x -> rows := Format.asprintf "%a" Obs.Record.pp_row x :: !rows);
+  Obs.Recorder.on_record r (fun x ->
+      if not (Obs.Record.structural x.kind) then
+        rows := Format.asprintf "%a" Obs.Record.pp_row x :: !rows);
   Obs.Recorder.mark r ~time:1 ~subject:0 ~tag:"hello" "";
   Obs.Recorder.sched r ~time:1 ~id:0 ~at:5;
   Obs.Recorder.phase r ~time:7 ~pid:2 ~phase:"eating";
