@@ -170,6 +170,7 @@ let create ~rule ~engine ~faults ~graph ~delay ~rng ~detector ?metrics () =
       ~kind_index:(function Req -> 0 | Fk -> 1)
       ~kind_names:[| "request"; "fork" |]
       ?metrics
+      ~codec:((function Req -> 0 | Fk -> 1), function 0 -> Req | _ -> Fk)
       ~handler:(fun ~dst ~src msg ->
         match msg with
         | Req -> receive_request t dst ~from:src

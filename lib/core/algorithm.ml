@@ -46,6 +46,7 @@ type t = {
   fly_out : int array; (* sends, at slot (src, dst) * 4 + kind_index *)
   fly_in : int array; (* receipts, at slot (dst, src) * 4 + kind_index *)
   absorbed_in : int array; (* crash absorptions, at slot (dst, src) * 4 + kind_index *)
+  requests : message array; (* color -> the one [Request color], shared by send and decode *)
   mutable net : message Net.Network.t option; (* set once in create *)
   mutable listeners : (pid -> phase -> unit) list;
   mutable doorway_listeners : (pid -> unit) list;
@@ -137,7 +138,7 @@ let try_actions t i =
         for s = lo to hi - 1 do
           if flag t s token_bit && not (flag t s fork_bit) then begin
             set_flag t s token_bit false;
-            send t ~slot:s ~src:i ~dst:t.nbr.(s) (Request t.color.(i))
+            send t ~slot:s ~src:i ~dst:t.nbr.(s) t.requests.(t.color.(i))
           end
         done;
         (* Action 9: eat once every neighbor's fork is held or the
@@ -207,6 +208,18 @@ let receive_fork t i ~from:j ~k =
     raise (Invariant_violation (Printf.sprintf "Lemma 1.2: duplicated fork on edge (%d,%d)" i j));
   set_flag t k fork_bit true;
   try_actions t i
+
+(* Messages as ints (Section 7 bounds them at O(log n) bits): Ping 0,
+   Ack 1, Fork 3 and [Request c] 2 + 4c. Decoding a request returns the
+   preallocated one for its color, so neither direction allocates. *)
+let encode = function Ping -> 0 | Ack -> 1 | Request c -> 2 + (4 * c) | Fork -> 3
+
+let decode t code =
+  match code land 3 with
+  | 0 -> Ping
+  | 1 -> Ack
+  | 2 -> t.requests.(code lsr 2)
+  | _ -> Fork
 
 let dispatch t ~dst ~src msg =
   let sd = Cgraph.Graph.dir_index t.graph src dst in
@@ -317,6 +330,7 @@ let create ~engine ~faults ~graph ~delay ~rng ~detector ?colors ?metrics ?(acks_
       fly_out = Array.make (slots * message_kind_count) 0;
       fly_in = Array.make (slots * message_kind_count) 0;
       absorbed_in = Array.make (slots * message_kind_count) 0;
+      requests = Array.init (max_color + 1) (fun c -> Request c);
       net = None;
       listeners = [];
       doorway_listeners = [];
@@ -331,6 +345,7 @@ let create ~engine ~faults ~graph ~delay ~rng ~detector ?colors ?metrics ?(acks_
         let w = (t.rev.(sd) * message_kind_count) + message_kind_index msg in
         t.absorbed_in.(w) <- t.absorbed_in.(w) + 1)
       ?metrics
+      ~codec:(encode, fun code -> decode t code)
       ~handler:(fun ~dst ~src msg -> dispatch t ~dst ~src msg)
       ()
   in
@@ -364,15 +379,60 @@ let max_message_bits t =
 (* Executable lemmas.                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let check_invariants t =
-  let fail fmt = Format.kasprintf (fun s -> raise (Invariant_violation s)) fmt in
-  let absorbed s kind = t.absorbed_in.((t.rev.(s) * message_kind_count) + kind) in
-  let flying s kind =
-    t.fly_out.((s * message_kind_count) + kind)
-    - t.fly_in.((t.rev.(s) * message_kind_count) + kind)
-    - absorbed s kind
+(* The checks are toplevel functions of [t], and the edges are walked
+   as CSR rows (each edge once, from its lower endpoint, in the
+   ascending (u, v) order of [Cgraph.Graph.iter_edges]), so a check
+   that passes allocates nothing. *)
+let fail fmt = Format.kasprintf (fun s -> raise (Invariant_violation s)) fmt
+let ping_k = 0
+let ack_k = 1
+let request_k = 2
+let fork_k = 3
+let absorbed t s kind = t.absorbed_in.((t.rev.(s) * message_kind_count) + kind)
+
+let flying t s kind =
+  t.fly_out.((s * message_kind_count) + kind)
+  - t.fly_in.((t.rev.(s) * message_kind_count) + kind)
+  - absorbed t s kind
+
+let bit t s b = if flag t s b then 1 else 0
+
+(* Lemma 2.2: [pinged] reflects exactly one pending ping. [sa] is the
+   slot (a, b) and [sb] its reverse. *)
+let check_ping t a b sa sb =
+  let pending =
+    flying t sa ping_k + absorbed t sa ping_k + bit t sb deferred_bit + flying t sb ack_k
+    + absorbed t sb ack_k
   in
-  let ping_k = 0 and ack_k = 1 and request_k = 2 and fork_k = 3 in
+  if pending <> bit t sa pinged_bit then
+    fail "pair (%d,%d): pinged=%b but %d pending ping/ack artifacts" a b (flag t sa pinged_bit)
+      pending
+
+let check_edge t i j si =
+  let sj = t.rev.(si) in
+  (* Lemma 1.2 for forks, extended to crash absorption: exactly one
+     fork per edge, wherever it is. *)
+  let forks =
+    bit t si fork_bit + bit t sj fork_bit + flying t si fork_k + flying t sj fork_k
+    + absorbed t si fork_k + absorbed t sj fork_k
+  in
+  if forks <> 1 then fail "edge (%d,%d): %d forks (expected exactly 1)" i j forks;
+  (* Same conservation for the edge token. *)
+  let tokens =
+    bit t si token_bit + bit t sj token_bit + flying t si request_k + flying t sj request_k
+    + absorbed t si request_k + absorbed t sj request_k
+  in
+  if tokens <> 1 then fail "edge (%d,%d): %d tokens (expected exactly 1)" i j tokens;
+  check_ping t i j si sj;
+  check_ping t j i sj si;
+  (* Section 7: at most 4 dining messages in transit per edge. *)
+  let in_transit = ref 0 in
+  for kind = 0 to message_kind_count - 1 do
+    in_transit := !in_transit + flying t si kind + flying t sj kind
+  done;
+  if !in_transit > 4 then fail "edge (%d,%d): %d messages in transit (> 4)" i j !in_transit
+
+let check_invariants t =
   for i = 0 to t.n - 1 do
     if phase t i = Eating && not (inside t i) then fail "process %d eats outside the doorway" i;
     for s = t.off.(i) to t.off.(i + 1) - 1 do
@@ -380,46 +440,12 @@ let check_invariants t =
         fail "process %d holds an ack while not hungry-outside" i
     done
   done;
-  Cgraph.Graph.iter_edges t.graph (fun i j ->
-      let si = Cgraph.Graph.dir_index t.graph i j in
-      let sj = t.rev.(si) in
-      (* Lemma 1.2 for forks, extended to crash absorption: exactly one
-         fork per edge, wherever it is. *)
-      let forks =
-        (if flag t si fork_bit then 1 else 0)
-        + (if flag t sj fork_bit then 1 else 0)
-        + flying si fork_k + flying sj fork_k + absorbed si fork_k + absorbed sj fork_k
-      in
-      if forks <> 1 then fail "edge (%d,%d): %d forks (expected exactly 1)" i j forks;
-      (* Same conservation for the edge token. *)
-      let tokens =
-        (if flag t si token_bit then 1 else 0)
-        + (if flag t sj token_bit then 1 else 0)
-        + flying si request_k + flying sj request_k
-        + absorbed si request_k + absorbed sj request_k
-      in
-      if tokens <> 1 then fail "edge (%d,%d): %d tokens (expected exactly 1)" i j tokens;
-      (* Lemma 2.2: [pinged] reflects exactly one pending ping. [sa] is
-         the slot (a, b) and [sb] its reverse. *)
-      let check_ping a b sa sb =
-        let pending =
-          flying sa ping_k + absorbed sa ping_k
-          + (if flag t sb deferred_bit then 1 else 0)
-          + flying sb ack_k + absorbed sb ack_k
-        in
-        let expected = if flag t sa pinged_bit then 1 else 0 in
-        if pending <> expected then
-          fail "pair (%d,%d): pinged=%b but %d pending ping/ack artifacts" a b
-            (flag t sa pinged_bit) pending
-      in
-      check_ping i j si sj;
-      check_ping j i sj si;
-      (* Section 7: at most 4 dining messages in transit per edge. *)
-      let in_transit = ref 0 in
-      for kind = 0 to message_kind_count - 1 do
-        in_transit := !in_transit + flying si kind + flying sj kind
-      done;
-      if !in_transit > 4 then fail "edge (%d,%d): %d messages in transit (> 4)" i j !in_transit)
+  for i = 0 to t.n - 1 do
+    for si = t.off.(i) to t.off.(i + 1) - 1 do
+      let j = t.nbr.(si) in
+      if j > i then check_edge t i j si
+    done
+  done
 
 let pp_process t ppf i =
   Format.fprintf ppf "p%d %s%s c=%d |" i

@@ -16,6 +16,7 @@ type t = {
   mutable last_mistake : Sim.Time.t option;
   mutable mistakes : int;
   listeners : (int -> unit) list ref;
+  mutable check_kind : int; (* engine kind of check events: owner observer, a = target *)
 }
 
 let[@lint.hot] slot t observer target =
@@ -27,13 +28,11 @@ let suspected t s = Bytes.unsafe_get t.hb_suspected s <> '\000'
 
 (* Monitoring side: while [observer] does not suspect [target], exactly one
    check event is pending; a suspicion freezes checking until a heartbeat
-   arrives and resets it. Toplevel, so that the closure each check event
-   carries captures only [t] and the pair. *)
-let rec schedule_check t observer target at =
-  ignore
-    (Sim.Engine.schedule_owned t.engine ~owner:observer ~at (fun () -> check t observer target))
+   arrives and resets it. *)
+let schedule_check t observer target at =
+  ignore (Sim.Engine.post t.engine ~kind:t.check_kind ~owner:observer ~at target 0)
 
-and check t observer target =
+let check t observer target =
   if not (Net.Faults.is_crashed t.faults observer) then begin
     let s = slot t observer target in
     if not (suspected t s) then begin
@@ -72,8 +71,10 @@ let create ~engine ~faults ~graph ~delay ~rng ?(period = 20) ?(initial_timeout =
       last_mistake = None;
       mistakes = 0;
       listeners = ref [];
+      check_kind = 0;
     }
   in
+  t.check_kind <- Sim.Engine.register engine (fun observer target _ -> check t observer target);
   let n = Cgraph.Graph.n graph in
   let[@lint.hot] handler ~dst ~src () =
     let s = slot t dst src in
@@ -90,22 +91,27 @@ let create ~engine ~faults ~graph ~delay ~rng ?(period = 20) ?(initial_timeout =
   let net =
     Net.Network.create ~engine ~graph ~delay ~faults ~rng
       ~kind:(fun () -> "heartbeat")
-      ~kind_names:[| "heartbeat" |] ?metrics ~handler ()
+      ~kind_names:[| "heartbeat" |] ?metrics
+      ~codec:((fun () -> 0), fun _ -> ())
+      ~handler ()
   in
   (* Sending side: each process broadcasts a heartbeat to its neighborhood
      every [period] ticks, with a per-process phase jitter. *)
   let off = Cgraph.Graph.csr_offsets graph and nbr = Cgraph.Graph.csr_targets graph in
+  let beat_kind = ref 0 in
+  let beat i _ _ =
+    if not (Net.Faults.is_crashed faults i) then begin
+      for s = off.(i) to off.(i + 1) - 1 do
+        Net.Network.send net ~src:i ~dst:nbr.(s) ()
+      done;
+      let at = Sim.Time.add (Sim.Engine.now engine) period in
+      ignore (Sim.Engine.post engine ~kind:!beat_kind ~owner:i ~at 0 0)
+    end
+  in
+  beat_kind := Sim.Engine.register engine beat;
   for i = 0 to n - 1 do
-    let rec beat () =
-      if not (Net.Faults.is_crashed faults i) then begin
-        for s = off.(i) to off.(i + 1) - 1 do
-          Net.Network.send net ~src:i ~dst:nbr.(s) ()
-        done;
-        let at = Sim.Time.add (Sim.Engine.now engine) period in
-        ignore (Sim.Engine.schedule_owned engine ~owner:i ~at beat)
-      end
-    in
-    ignore (Sim.Engine.schedule_after engine ~owner:i ~delay:(Sim.Rng.int rng period) beat);
+    let at = Sim.Time.add now0 (Sim.Rng.int rng period) in
+    ignore (Sim.Engine.post engine ~kind:!beat_kind ~owner:i ~at 0 0);
     for s = off.(i) to off.(i + 1) - 1 do
       schedule_check t i nbr.(s) (Sim.Time.add now0 initial_timeout)
     done

@@ -40,44 +40,47 @@ let create engine faults graph ?(detection_delay = 50) ?(false_positives = []) (
       listeners = ref [];
     }
   in
-  let bump observer target s delta =
+  (* A window opening or closing: owner = observer, a = the directed
+     slot, b = +1 / -1. *)
+  let bump observer s delta =
     let before = suspected t s in
     t.fp_active.(s) <- t.fp_active.(s) + delta;
     let after = suspected t s in
     if before <> after then begin
       Obs.Recorder.suspect (Sim.Engine.recorder engine) ~time:(Sim.Engine.now engine) ~observer
-        ~target ~on:after;
+        ~target:(Cgraph.Graph.slot_dst graph s) ~on:after;
       Detector.notify t.listeners observer
     end
   in
+  let window = Sim.Engine.register engine bump in
   List.iter
     (fun fp ->
       let s = Cgraph.Graph.dir_index graph fp.observer fp.target in
-      ignore
-        (Sim.Engine.schedule engine ~owner:fp.observer ~at:fp.from_t (fun () ->
-             bump fp.observer fp.target s 1));
-      ignore
-        (Sim.Engine.schedule engine ~owner:fp.observer ~at:fp.till_t (fun () ->
-             bump fp.observer fp.target s (-1))))
+      ignore (Sim.Engine.post engine ~kind:window ~owner:fp.observer ~at:fp.from_t s 1);
+      ignore (Sim.Engine.post engine ~kind:window ~owner:fp.observer ~at:fp.till_t s (-1)))
     false_positives;
+  (* Completeness: owner = the crashed process's neighbor, a = the
+     crashed process. *)
+  let detect neighbor crashed _ =
+    if not (Net.Faults.is_crashed faults neighbor) then begin
+      let s = Cgraph.Graph.dir_index graph neighbor crashed in
+      if Bytes.get t.permanent s = '\000' then begin
+        let before = suspected t s in
+        Bytes.set t.permanent s '\001';
+        if not before then begin
+          Obs.Recorder.suspect (Sim.Engine.recorder engine) ~time:(Sim.Engine.now engine)
+            ~observer:neighbor ~target:crashed ~on:true;
+          Detector.notify t.listeners neighbor
+        end
+      end
+    end
+  in
+  let detection = Sim.Engine.register engine detect in
   Net.Faults.on_crash faults (fun crashed ->
+      let at = Sim.Time.add (Sim.Engine.now engine) detection_delay in
       Array.iter
         (fun neighbor ->
-          ignore
-            (Sim.Engine.schedule_after engine ~owner:neighbor ~delay:detection_delay (fun () ->
-                 if not (Net.Faults.is_crashed faults neighbor) then begin
-                   let s = Cgraph.Graph.dir_index graph neighbor crashed in
-                   if Bytes.get t.permanent s = '\000' then begin
-                     let before = suspected t s in
-                     Bytes.set t.permanent s '\001';
-                     if not before then begin
-                       Obs.Recorder.suspect (Sim.Engine.recorder engine)
-                         ~time:(Sim.Engine.now engine) ~observer:neighbor ~target:crashed
-                         ~on:true;
-                       Detector.notify t.listeners neighbor
-                     end
-                   end
-                 end)))
+          ignore (Sim.Engine.post engine ~kind:detection ~owner:neighbor ~at crashed 0))
         (Cgraph.Graph.neighbors graph crashed));
   let detector =
     {

@@ -21,45 +21,50 @@ let create engine faults graph rng ?(detection_delay = 50) ?(period = 2_000) ?(d
     end
   in
   (* Recurrent false suspicion of every directed neighbor pair, forever
-     (up to the horizon), with a per-pair phase. *)
+     (up to the horizon), with a per-pair phase. A wave edge has owner =
+     observer, a = the directed slot, b = 1 (on) or 0 (off). *)
+  let wave =
+    Sim.Engine.register engine (fun observer s on ->
+        let target = Cgraph.Graph.slot_dst graph s in
+        if on = 0 then set observer target s false
+        else if not (Net.Faults.is_crashed faults observer) then set observer target s true)
+  in
   Cgraph.Graph.iter_edges graph (fun a b ->
       List.iter
         (fun (observer, target) ->
           let s = Cgraph.Graph.dir_index graph observer target in
           let phase = Sim.Rng.int rng period in
-          let rec wave start =
+          let rec waves start =
             if start <= horizon then begin
+              ignore (Sim.Engine.post engine ~kind:wave ~owner:observer ~at:start s 1);
               ignore
-                (Sim.Engine.schedule engine ~owner:observer ~at:start (fun () ->
-                     if not (Net.Faults.is_crashed faults observer) then
-                       set observer target s true));
-              ignore
-                (Sim.Engine.schedule engine ~owner:observer
-                   ~at:(Sim.Time.add start duration)
-                   (fun () -> set observer target s false));
-              wave (Sim.Time.add start period)
+                (Sim.Engine.post engine ~kind:wave ~owner:observer ~at:(Sim.Time.add start duration)
+                   s 0);
+              waves (Sim.Time.add start period)
             end
           in
-          wave phase)
+          waves phase)
         [ (a, b); (b, a) ]);
-  (* Completeness, as in the scripted oracle. *)
+  (* Completeness, as in the scripted oracle: owner = the crashed
+     process's neighbor, a = the crashed process. *)
+  let detection =
+    Sim.Engine.register engine (fun neighbor crashed _ ->
+        if not (Net.Faults.is_crashed faults neighbor) then begin
+          let s = Cgraph.Graph.dir_index graph neighbor crashed in
+          if not (on permanent s) then begin
+            Bytes.set permanent s '\001';
+            if not (on fp_active s) then begin
+              Obs.Recorder.suspect (Sim.Engine.recorder engine) ~time:(Sim.Engine.now engine)
+                ~observer:neighbor ~target:crashed ~on:true;
+              Detector.notify listeners neighbor
+            end
+          end
+        end)
+  in
   Net.Faults.on_crash faults (fun crashed ->
+      let at = Sim.Time.add (Sim.Engine.now engine) detection_delay in
       Array.iter
-        (fun neighbor ->
-          ignore
-            (Sim.Engine.schedule_after engine ~owner:neighbor ~delay:detection_delay (fun () ->
-                 if not (Net.Faults.is_crashed faults neighbor) then begin
-                   let s = Cgraph.Graph.dir_index graph neighbor crashed in
-                   if not (on permanent s) then begin
-                     Bytes.set permanent s '\001';
-                     if not (on fp_active s) then begin
-                       Obs.Recorder.suspect (Sim.Engine.recorder engine)
-                         ~time:(Sim.Engine.now engine) ~observer:neighbor ~target:crashed
-                         ~on:true;
-                       Detector.notify listeners neighbor
-                     end
-                   end
-                 end)))
+        (fun neighbor -> ignore (Sim.Engine.post engine ~kind:detection ~owner:neighbor ~at crashed 0))
         (Cgraph.Graph.neighbors graph crashed));
   {
     Detector.name = "unreliable-forever";

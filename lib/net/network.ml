@@ -1,3 +1,12 @@
+(* A codec-less network keeps each message in flight in a FIFO per
+   directed channel: its deliveries fire in send order (see
+   [last_delivery]), so a delivery pops the channel's oldest message.
+   The producer (the source's events) writes only [tail] and [first],
+   the consumer (the destination's) only [head], so the lists are
+   single-writer under sharded stepping. A message sent in one step is
+   delivered in a later one, past the step barrier. *)
+type 'msg cell = Nil | Cell of { msg : 'msg; mutable next : 'msg cell }
+
 type 'msg t = {
   engine : Sim.Engine.t;
   graph : Cgraph.Graph.t;
@@ -17,11 +26,69 @@ type 'msg t = {
      belongs to the source's CSR row, so the array is single-writer
      under sharded stepping. *)
   last_delivery : Sim.Time.t array;
+  encode : 'msg -> int;
+  decode : int -> 'msg;
+  fifo : bool; (* no codec: messages in flight wait in the per-channel lists *)
+  (* Per directed slot when [fifo], [||] otherwise. *)
+  first : 'msg cell array; (* the channel's first message ever, until delivered *)
+  tail : 'msg cell array; (* newest message sent *)
+  head : 'msg cell array; (* last message delivered; its [next] is the oldest in flight *)
+  mutable delivery : int; (* the engine kind of this network's deliveries *)
 }
+
+let push t slot msg =
+  let c = Cell { msg; next = Nil } in
+  (match t.tail.(slot) with Nil -> t.first.(slot) <- c | Cell last -> last.next <- c);
+  t.tail.(slot) <- c
+
+let pop t slot =
+  let c =
+    match t.head.(slot) with
+    | Cell h ->
+        (* Unlink the delivered cell: once promoted, it would otherwise
+           keep every later cell alive through a minor collection. *)
+        let c = h.next in
+        h.next <- Nil;
+        c
+    | Nil ->
+        let c = t.first.(slot) in
+        t.first.(slot) <- Nil;
+        c
+  in
+  match c with
+  | Cell m ->
+      t.head.(slot) <- c;
+      m.msg
+  | Nil -> invalid_arg "Network: delivery with no message in flight"
+
+(* A delivery fires at its own delivery time, so the engine clock is
+   [at]. The event carries the source and the encoded message; the kind
+   is recomputed from the decoded message. *)
+let[@lint.hot] deliver t ~src ~dst b =
+  let msg =
+    if t.fifo then pop t (Cgraph.Graph.dir_index t.graph src dst) else t.decode b
+  in
+  let at = Sim.Engine.now t.engine in
+  let kind = t.kind_index msg in
+  if Faults.is_crashed t.faults dst then begin
+    Link_stats.record_drop t.stats ~src ~dst ~kind ~at;
+    if !(t.tracing) then Obs.Recorder.drop t.recorder ~time:at ~src ~dst ~tag:(t.kind msg);
+    t.on_drop ~src ~dst msg
+  end
+  else begin
+    Link_stats.record_delivery t.stats ~src ~dst ~kind ~at;
+    if !(t.tracing) then Obs.Recorder.deliver t.recorder ~time:at ~src ~dst ~tag:(t.kind msg);
+    t.handler ~dst ~src msg
+  end
+
+let not_neighbors src dst =
+  invalid_arg (Printf.sprintf "Network.send: %d and %d are not neighbors" src dst)
+
+let no_decode _ = invalid_arg "Network: no codec"
 
 let create ~engine ~graph ~delay ~faults ~rng ?(kind = fun _ -> "msg")
     ?(kind_index = fun _ -> 0) ?(kind_names = [| "msg" |])
-    ?(on_drop = fun ~src:_ ~dst:_ _ -> ()) ?metrics ?(shard_safe = false) ~handler () =
+    ?(on_drop = fun ~src:_ ~dst:_ _ -> ()) ?metrics ?(shard_safe = false) ?codec ~handler () =
   let stats = Link_stats.create ~graph ~kinds:kind_names ?metrics () in
   let src_rngs =
     if not shard_safe then [||]
@@ -39,44 +106,44 @@ let create ~engine ~graph ~delay ~faults ~rng ?(kind = fun _ -> "msg")
       ~fire_shard:(fun () -> Sim.Engine.fire_shard engine);
     Sim.Engine.add_step_hook engine (fun () -> Link_stats.flush_staged stats)
   end;
-  {
-    engine;
-    graph;
-    delay;
-    faults;
-    rng;
-    src_rngs;
-    kind;
-    kind_index;
-    on_drop;
-    handler;
-    stats;
-    recorder = Sim.Engine.recorder engine;
-    tracing = Obs.Recorder.tracing_flag (Sim.Engine.recorder engine);
-    last_delivery = Array.make (Cgraph.Graph.dir_count graph) Sim.Time.zero;
-  }
+  let dirs = Cgraph.Graph.dir_count graph in
+  let encode, decode, fifo =
+    match codec with
+    | Some (encode, decode) -> (encode, decode, false)
+    | None -> ((fun _ -> 0), no_decode, true)
+  in
+  let channels = if fifo then dirs else 0 in
+  let t =
+    {
+      engine;
+      graph;
+      delay;
+      faults;
+      rng;
+      src_rngs;
+      kind;
+      kind_index;
+      on_drop;
+      handler;
+      stats;
+      recorder = Sim.Engine.recorder engine;
+      tracing = Obs.Recorder.tracing_flag (Sim.Engine.recorder engine);
+      last_delivery = Array.make dirs Sim.Time.zero;
+      encode;
+      decode;
+      fifo;
+      first = Array.make channels Nil;
+      tail = Array.make channels Nil;
+      head = Array.make channels Nil;
+      delivery = 0;
+    }
+  in
+  t.delivery <- Sim.Engine.register engine (fun dst src b -> deliver t ~src ~dst b);
+  t
 
-(* A delivery fires at its own delivery time, so the engine clock is
-   [at], and the kind is recomputed from the message: the closure [send]
-   allocates captures only the network, the endpoints and the message. *)
-let deliver t ~src ~dst msg =
-  let at = Sim.Engine.now t.engine in
-  let kind = t.kind_index msg in
-  if Faults.is_crashed t.faults dst then begin
-    Link_stats.record_drop t.stats ~src ~dst ~kind ~at;
-    if !(t.tracing) then Obs.Recorder.drop t.recorder ~time:at ~src ~dst ~tag:(t.kind msg);
-    t.on_drop ~src ~dst msg
-  end
-  else begin
-    Link_stats.record_delivery t.stats ~src ~dst ~kind ~at;
-    if !(t.tracing) then Obs.Recorder.deliver t.recorder ~time:at ~src ~dst ~tag:(t.kind msg);
-    t.handler ~dst ~src msg
-  end
-
-let send t ~src ~dst msg =
+let[@lint.hot] send t ~src ~dst msg =
   let slot = Cgraph.Graph.dir_index_opt t.graph src dst in
-  if slot < 0 then
-    invalid_arg (Printf.sprintf "Network.send: %d and %d are not neighbors" src dst);
+  if slot < 0 then not_neighbors src dst;
   if not (Faults.is_crashed t.faults src) then begin
     let now = Sim.Engine.now t.engine in
     Link_stats.record_send t.stats ~src ~dst ~kind:(t.kind_index msg) ~at:now;
@@ -86,7 +153,9 @@ let send t ~src ~dst msg =
     t.last_delivery.(slot) <- at;
     if !(t.tracing) then
       Obs.Recorder.send t.recorder ~time:now ~src ~dst ~tag:(t.kind msg) ~deliver_at:at;
-    ignore (Sim.Engine.schedule_owned t.engine ~owner:dst ~at (fun () -> deliver t ~src ~dst msg))
+    (* A message that never arrives is not kept. *)
+    if t.fifo && at <> Sim.Time.infinity then push t slot msg;
+    ignore (Sim.Engine.post t.engine ~kind:t.delivery ~owner:dst ~at src (t.encode msg))
   end
 
 let stats t = t.stats

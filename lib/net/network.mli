@@ -14,7 +14,15 @@
       ignored — by then the process has ceased executing anyway).
 
     Delivery of each message invokes the overlay's handler with the
-    destination, source and payload. *)
+    destination, source and payload.
+
+    A message in flight is one engine event of the overlay's delivery
+    kind (owner = destination, payload = source and the encoded
+    message; see {!Sim.Engine.post}). With a [codec] the message
+    itself is that int, and a send allocates nothing. Without one the
+    overlay keeps the message in a FIFO per directed channel, one cell
+    per message in flight; the FIFO is single-writer per end, so a
+    codec-less overlay is shard-safe too. *)
 
 type 'msg t
 
@@ -30,6 +38,7 @@ val create :
   ?on_drop:(src:int -> dst:int -> 'msg -> unit) ->
   ?metrics:Obs.Metrics.t ->
   ?shard_safe:bool ->
+  ?codec:('msg -> int) * (int -> 'msg) ->
   handler:(dst:int -> src:int -> 'msg -> unit) ->
   unit ->
   'msg t
@@ -57,7 +66,11 @@ val create :
     (a traced run, which the engine keeps on its sequential loop,
     updates them in place). Delivery events are owned by their
     destination either way, so a sharded engine fires them on the
-    destination's shard. *)
+    destination's shard.
+
+    [codec] = [(encode, decode)] turns messages into ints and back;
+    [decode (encode m)] must equal [m]. Protocols whose messages carry
+    O(log n) bits, as Section 7 bounds the dining layer's, pass one. *)
 
 val send : 'msg t -> src:int -> dst:int -> 'msg -> unit
 (** Asynchronously send a message. [src] and [dst] must be adjacent in the

@@ -1,54 +1,106 @@
-(* [state] packs the event id, the owning process and the lifecycle
-   flags so the record stays at two fields — bit 0 = cancelled, bit 1 =
-   fired, bits 2..22 = owner + 1 (0 = ownerless), bits 23.. = id.
-   Keeping the per-event allocation small matters: the engine allocates
-   one of these per scheduled event on the hot path. The owner is what
-   parallel stepping partitions on; owners above {!owner_limit} are
-   silently treated as ownerless (set_sharding rejects such process
-   counts, so only unsharded runs — where the owner is unused — ever get
-   there). [action] is mutable so cancel/fire can drop the closure: a
-   cancelled husk may sit in the queue until its tick is reached, and it
-   must not retain the closure's environment for all that time. *)
-type event = { mutable state : int; mutable action : unit -> unit }
+(* Events are data. A pending event is a pool slot of four ints:
 
-let cancelled_bit = 1
-let fired_bit = 2
+     seq   the event's sequential id (the trace id), or a state code
+           below zero once the slot is not live;
+     ko    kind lsl owner_bits lor (owner + 1): 0 in the owner field
+           means ownerless;
+     a, b  the kind's two payload words.
+
+   Its [event_id] packs the slot with the seq, and the timing wheel
+   queues those ids. Cancelling or firing an event frees its slot at
+   once; the id still queued for it is then a husk, recognised because
+   its seq no longer matches the slot's. So a stale id, even one whose
+   slot has been reused, can never touch the slot's new occupant.
+
+   A kind is a handler registered once per engine. Kind 0 is built in:
+   its [a] indexes a side table of [unit -> unit] closures, which is
+   what {!schedule} posts. The per-event callers (deliveries, detector
+   and workload timers) register their own kinds and post ints, so an
+   event allocates nothing once the pool has grown to the run's
+   high-water mark.
+
+   The pool stores slots in chunks of [chunk_slots] slots: 256 words,
+   the largest block the minor heap takes, so a chunk is born young and
+   growth never copies one. Chunk 0 starts at [first_slots] slots and
+   doubles up to a full chunk, because most small worlds keep only a
+   handful of events pending. Free slots form two lists threaded
+   through their [a] words, one below the capacity midpoint and one
+   above, and slots never used since the pool grew sit above a
+   frontier; taking from the low list first lets the high chunks empty
+   out, and [run] trims the pool on exit (see [trim]). Trimming never
+   happens per event: a run would thrash between growing and
+   shrinking. *)
+
 let owner_bits = 21
 let owner_mask = (1 lsl owner_bits) - 1
 let owner_limit = owner_mask - 1
-let id_shift = 2 + owner_bits
-let id_of_state st = st lsr id_shift
-let owner_of_state st = ((st lsr 2) land owner_mask) - 1
-let pack_owner owner = (owner + 1) lsl 2
+let slot_bits = 26
+let slot_mask = (1 lsl slot_bits) - 1
+let chunk_shift = 6
+let chunk_slots = 1 lsl chunk_shift
+let chunk_mask = chunk_slots - 1
+let first_slots = 8
+
+(* Seq-word states of a slot that holds no live event. *)
+let released = -1 (* fired or cancelled during a parallel step; freed at its merge *)
+let free = -2
+
+let closure_kind = 0
 let noop () = ()
 
-(* An id is the event itself: no box per [schedule]. *)
-type event_id = event
+type event_id = int
 
-(* Fill value for the queue's vacated cells and the reused step
-   buffers: a slot that is not in use must hold this, never a real
-   event, or it pins that event after it has left. Its state is
-   cancelled and fired, so it is also the id of an event scheduled at
-   [Time.infinity]: [cancel] on it is a no-op, and nothing writes it. *)
-let dummy_ev = { state = cancelled_bit lor fired_bit; action = noop }
+(* The id of an event scheduled at [Time.infinity], which never
+   enters the queue: [cancel] on it is a no-op. *)
+let dead_id = -1
 
-(* An effect buffered during a parallel step: an event scheduled while
-   the step's batch was firing, remembered with the pop rank of the
-   event that scheduled it. The rank is what makes the end-of-step merge
-   canonical: (rank, per-shard program order) is the order [fire_loop]
-   would have scheduled in, whatever the shard count. *)
-type staged = { s_at : Time.t; s_rank : int; s_ev : event }
+(* The id an event posted inside a parallel step gets: its slot is
+   only allocated at the step's merge, so the id cannot name it. *)
+let staged_id = -2
 
-type svec = { mutable sa : staged array; mutable sn : int }
+type pool = {
+  mutable chunks : int array array;
+  mutable cap : int; (* slots *)
+  mutable live : int;
+  mutable peak : int; (* most slots live at once since the last trim *)
+  mutable free_lo : int; (* free slots below cap / 2, -1 = none *)
+  mutable free_hi : int; (* free slots at or above cap / 2 *)
+  mutable fresh : int; (* slots [fresh, cap) are free and on neither list *)
+}
+
+(* Events posted during a parallel step, per shard: six ints per
+   event (at, the pop rank of the event that posted it, kind, owner,
+   a, b), plus the closures of closure-kind ones, whose [a] indexes
+   [sclo]. The rank makes the end-of-step merge canonical: (rank,
+   per-shard program order) is the order [fire_loop] would have posted
+   in, whatever the shard count. *)
+let staged_words = 6
+
+type staging = {
+  mutable si : int array;
+  mutable sn : int; (* staged events *)
+  mutable sclo : (unit -> unit) array;
+  mutable scn : int;
+  mutable cancelled : int array; (* slots cancelled in the step, freed at the merge *)
+  mutable cn : int;
+}
 
 (* Per-domain fire context: which shard is firing and the rank of the
    event being fired. Domain-local so the parallel fire phase can route
-   nested [schedule]/[cancel] calls without touching shared state. *)
+   nested [post]/[cancel] calls without touching shared state. *)
 type fire_ctx = { mutable rank : int; mutable shard : int }
 
 type t = {
   mutable clock : Time.t;
-  queue : event Wheel.t;
+  queue : int Wheel.t;
+  pool : pool;
+  mutable handlers : (int -> int -> int -> unit) array; (* by kind; 0 is unused *)
+  (* The closure side table: cells of closure-kind events, a free
+     list threaded through [clo_next]. *)
+  mutable closures : (unit -> unit) array;
+  mutable clo_next : int array;
+  mutable clo_free : int;
+  mutable clo_live : int;
   mutable processed : int;
   mutable next_id : int;
   recorder : Obs.Recorder.t;
@@ -56,14 +108,14 @@ type t = {
   (* Parallel stepping (shards = 0: never configured). *)
   mutable shards : int;
   mutable shard_n : int; (* process count the partition covers *)
-  mutable pool : Exec.Pool.t option;
-  mutable staging : svec array; (* per shard, reused across steps *)
+  mutable pool_exec : Exec.Pool.t option;
+  mutable staging : staging array; (* per shard, reused across steps *)
   mutable deferred_dead : int array; (* per shard: husk notes owed to the queue *)
   mutable in_step : bool; (* a parallel step is running *)
   mutable base_rank : int; (* rank of the current sub-round's first event *)
-  mutable batch_ev : event array; (* the tick's events in pop order *)
+  mutable batch : int array; (* the tick's event ids in pop order *)
   mutable batch_len : int;
-  mutable pb_ev : event array; (* parallel scatter: batch grouped by shard *)
+  mutable pb_ev : int array; (* parallel scatter: batch grouped by shard *)
   mutable pb_rank : int array;
   mutable pb_off : int array; (* shard s owns pb indices [off.(s), off.(s+1)) *)
   mutable pb_cur : int array;
@@ -72,23 +124,212 @@ type t = {
   ctx_key : fire_ctx Domain.DLS.key;
 }
 
+(* ---- The pool ------------------------------------------------------- *)
+
+(* Slot [s < cap] is words [base s .. base s + 3] of [chunk p s]; every
+   access below is to such a slot, hence unchecked. *)
+let[@inline] chunk p s = Array.unsafe_get p.chunks (s lsr chunk_shift)
+let[@inline] base s = (s land chunk_mask) lsl 2
+let[@inline] get (c : int array) o = Array.unsafe_get c o
+let[@inline] set (c : int array) o (v : int) = Array.unsafe_set c o v
+let[@inline] seq_at p s = if s < p.cap then get (chunk p s) (base s) else free
+
+let is_dead p id = id < 0 || seq_at p (id land slot_mask) <> id lsr slot_bits
+
+(* Push free slot [s] on the list for its half; [s] must be < cap. *)
+let[@inline][@lint.hot] give p s =
+  let c = chunk p s and o = base s in
+  set c o free;
+  if 2 * s < p.cap then begin
+    set c (o + 2) p.free_lo;
+    p.free_lo <- s
+  end
+  else begin
+    set c (o + 2) p.free_hi;
+    p.free_hi <- s
+  end
+
+(* New storage is filled with [free] and joins no list: [take] hands
+   out slots [fresh, cap) in order once both lists are empty, so growth
+   costs one young allocation and no per-slot work. *)
+let grow p =
+  if p.cap >= slot_mask then failwith "Engine: more than 2^26 pending events";
+  let old = p.cap in
+  if old < chunk_slots then begin
+    (* Chunk 0 doubles, by copy, until it is a full chunk. *)
+    let cap = min chunk_slots (2 * old) in
+    let c = Array.make (cap * 4) free in
+    Array.blit p.chunks.(0) 0 c 0 (old * 4);
+    p.chunks.(0) <- c;
+    p.cap <- cap
+  end
+  else begin
+    let n = old lsr chunk_shift in
+    if n = Array.length p.chunks then begin
+      (* The directory grows fourfold: its copies, not the chunks, were
+         most of the cost of growing a pool to a thousand slots. *)
+      let d = Array.make (4 * n) [||] in
+      Array.blit p.chunks 0 d 0 n;
+      p.chunks <- d
+    end;
+    p.chunks.(n) <- Array.make (chunk_slots * 4) free;
+    p.cap <- old + chunk_slots
+  end
+
+let[@inline][@lint.hot] take p =
+  let s =
+    if p.free_lo >= 0 then begin
+      let s = p.free_lo in
+      p.free_lo <- get (chunk p s) (base s + 2);
+      s
+    end
+    else if p.free_hi >= 0 then begin
+      let s = p.free_hi in
+      p.free_hi <- get (chunk p s) (base s + 2);
+      s
+    end
+    else begin
+      if p.fresh = p.cap then grow p;
+      let s = p.fresh in
+      p.fresh <- s + 1;
+      s
+    end
+  in
+  let live = p.live + 1 in
+  p.live <- live;
+  if live > p.peak then p.peak <- live;
+  s
+
+let rec free_from c o = o >= Array.length c || (get c o = free && free_from c (o + 4))
+let chunk_empty p k = free_from p.chunks.(k) 0
+
+(* Both free lists, rebuilt after the capacity changed: every free slot
+   below [fresh], lowest at the heads. *)
+let rebuild_free p =
+  p.fresh <- min p.fresh p.cap;
+  p.free_lo <- -1;
+  p.free_hi <- -1;
+  for s = p.fresh - 1 downto 0 do
+    if get (chunk p s) (base s) = free then give p s
+  done
+
+(* Called once per [run], never per event. Past chunk 0, drop trailing
+   empty chunks the last run's peak did not need: keeping the peak
+   means a world whose pending count swings within each run does not
+   regrow every run. A lone chunk 0 is cut down to half again the live
+   count (but not below its highest live slot) when that saves a
+   quarter of it, since small worlds are many and each keeps its pool
+   after its last run; regrowing it costs at most a few copies of at
+   most 256 words. *)
+let trim p =
+  if p.cap > chunk_slots then begin
+    if p.cap - chunk_slots >= p.peak then begin
+      let n = p.cap lsr chunk_shift in
+      let keep = ref n in
+      while !keep > 1 && (!keep - 1) * chunk_slots >= p.peak && chunk_empty p (!keep - 1) do
+        decr keep
+      done;
+      if !keep < n then begin
+        p.chunks <- Array.sub p.chunks 0 !keep;
+        p.cap <- !keep * chunk_slots;
+        rebuild_free p
+      end
+    end
+  end
+  else begin
+    let c = p.chunks.(0) in
+    let h = ref (min p.fresh p.cap) in
+    while !h > 0 && get c (base (!h - 1)) = free do
+      decr h
+    done;
+    let cap = max first_slots (max !h (p.live + (p.live / 2))) in
+    if 4 * cap <= 3 * p.cap then begin
+      p.chunks.(0) <- Array.sub c 0 (cap * 4);
+      p.cap <- cap;
+      rebuild_free p
+    end
+  end;
+  p.peak <- p.live
+
+(* ---- The closure side table ----------------------------------------- *)
+
+let clo_take t f =
+  if t.clo_free < 0 then begin
+    let n = Array.length t.closures in
+    let m = max 4 (2 * n) in
+    let cl = Array.make m noop and nx = Array.make m (-1) in
+    Array.blit t.closures 0 cl 0 n;
+    Array.blit t.clo_next 0 nx 0 n;
+    for i = m - 1 downto n do
+      nx.(i) <- t.clo_free;
+      t.clo_free <- i
+    done;
+    t.closures <- cl;
+    t.clo_next <- nx
+  end;
+  let i = t.clo_free in
+  t.clo_free <- t.clo_next.(i);
+  t.closures.(i) <- f;
+  t.clo_live <- t.clo_live + 1;
+  i
+
+let clo_give t i =
+  t.closures.(i) <- noop;
+  t.clo_next.(i) <- t.clo_free;
+  t.clo_free <- i;
+  t.clo_live <- t.clo_live - 1
+
+(* Free slot [s] of a fired or cancelled event, with its closure cell
+   if it has one. *)
+let[@inline][@lint.hot] free_event t s =
+  let p = t.pool in
+  let c = chunk p s in
+  let o = base s in
+  if get c (o + 1) lsr owner_bits = closure_kind then clo_give t (get c (o + 2));
+  give p s;
+  p.live <- p.live - 1
+
+(* Free a slot a parallel step released; a no-op on any other state,
+   so a slot reached twice (a husk and the event now in its slot) is
+   freed once. *)
+let release t s = if seq_at t.pool s = released then free_event t s
+
+(* ---- Construction --------------------------------------------------- *)
+
 let create ?recorder () =
   let recorder = match recorder with Some r -> r | None -> Obs.Recorder.create () in
+  let pool =
+    {
+      chunks = [| Array.make (first_slots * 4) free |];
+      cap = first_slots;
+      live = 0;
+      peak = 0;
+      free_lo = -1;
+      free_hi = -1;
+      fresh = 0;
+    }
+  in
   {
     clock = Time.zero;
-    queue = Wheel.create ~dead:(fun ev -> ev.state land cancelled_bit <> 0) ~dummy:dummy_ev ();
+    queue = Wheel.create ~dead:(fun id -> is_dead pool id) ~dummy:dead_id ();
+    pool;
+    handlers = [| (fun _ _ _ -> ()) |];
+    closures = [||];
+    clo_next = [||];
+    clo_free = -1;
+    clo_live = 0;
     processed = 0;
     next_id = 0;
     recorder;
     tracing = Obs.Recorder.tracing_flag recorder;
     shards = 0;
     shard_n = 0;
-    pool = None;
+    pool_exec = None;
     staging = [||];
     deferred_dead = [||];
     in_step = false;
     base_rank = 0;
-    batch_ev = [||];
+    batch = [||];
     batch_len = 0;
     pb_ev = [||];
     pb_rank = [||];
@@ -102,6 +343,13 @@ let create ?recorder () =
 let now t = t.clock
 let recorder t = t.recorder
 
+let register t handler =
+  if t.in_step then invalid_arg "Engine.register: cannot register inside a step";
+  let k = Array.length t.handlers in
+  if k > (max_int lsr owner_bits) then invalid_arg "Engine.register: too many kinds";
+  t.handlers <- Array.append t.handlers [| handler |];
+  k
+
 let set_sharding t ~pool ~shards ~n () =
   if t.in_step then invalid_arg "Engine.set_sharding: cannot reconfigure inside a step";
   if n <= 0 then invalid_arg "Engine.set_sharding: n must be positive";
@@ -112,8 +360,9 @@ let set_sharding t ~pool ~shards ~n () =
   let shards = min shards n in
   t.shards <- shards;
   t.shard_n <- n;
-  t.pool <- Some pool;
-  t.staging <- Array.init shards (fun _ -> { sa = [||]; sn = 0 });
+  t.pool_exec <- Some pool;
+  t.staging <-
+    Array.init shards (fun _ -> { si = [||]; sn = 0; sclo = [||]; scn = 0; cancelled = [||]; cn = 0 });
   t.deferred_dead <- Array.make shards 0;
   t.pb_off <- Array.make (shards + 1) 0;
   t.pb_cur <- Array.make shards 0;
@@ -134,120 +383,214 @@ let fire_rank t = (Domain.DLS.get t.ctx_key).rank
 let fire_shard t = (Domain.DLS.get t.ctx_key).shard
 let add_step_hook t f = t.step_hooks <- t.step_hooks @ [ f ]
 
-let dummy_staged = { s_at = 0; s_rank = 0; s_ev = dummy_ev }
+let ctx_shard t =
+  let ctx = Domain.DLS.get t.ctx_key in
+  if ctx.shard >= 0 then ctx.shard else 0
 
-let stage_push t shard stg =
-  let v = t.staging.(shard) in
-  if v.sn >= Array.length v.sa then begin
-    let na = Array.make (max 8 (2 * Array.length v.sa)) dummy_staged in
-    Array.blit v.sa 0 na 0 v.sn;
-    v.sa <- na
+(* ---- Posting -------------------------------------------------------- *)
+
+let past t at =
+  invalid_arg (Printf.sprintf "Engine.schedule: at=%d is in the past (now=%d)" at t.clock)
+
+(* A fresh slot and the next seq for an event; returns its id. *)
+let[@inline][@lint.hot] alloc_event t ~kind ~owner a b =
+  let p = t.pool in
+  let s = take p in
+  let seq = t.next_id in
+  t.next_id <- seq + 1;
+  let c = chunk p s and o = base s in
+  set c o seq;
+  set c (o + 1) ((kind lsl owner_bits) lor (owner + 1));
+  set c (o + 2) a;
+  set c (o + 3) b;
+  (seq lsl slot_bits) lor s
+
+(* Queue a validated event. *)
+let[@inline][@lint.hot] enqueue t ~kind ~owner ~at a b =
+  let id = alloc_event t ~kind ~owner a b in
+  Wheel.add t.queue ~prio:at id;
+  (* Call-site guard: the emission call is skipped entirely when full
+     tracing is off, keeping the hot path at one load + branch. *)
+  if !(t.tracing) then Obs.Recorder.sched t.recorder ~time:t.clock ~id:(id lsr slot_bits) ~at;
+  id
+
+(* Parallel step: the new event goes into the firing shard's staging
+   buffer and reaches the queue at the sub-round's merge point, in
+   canonical (rank, program-order) order. Its slot and seq are
+   assigned at the merge too, on the submitting domain: the pool and
+   [next_id] are never touched from worker domains, and the seqs land
+   on the values [fire_loop] would have handed out, in the same order.
+   No sched record: tracing is off in a parallel step. *)
+let stage t ~kind ~owner ~at a b =
+  let ctx = Domain.DLS.get t.ctx_key in
+  let v = t.staging.(if ctx.shard >= 0 then ctx.shard else 0) in
+  let i = v.sn * staged_words in
+  if i + staged_words > Array.length v.si then begin
+    let na = Array.make (max (8 * staged_words) (2 * Array.length v.si)) 0 in
+    Array.blit v.si 0 na 0 i;
+    v.si <- na
   end;
-  v.sa.(v.sn) <- stg;
-  v.sn <- v.sn + 1
+  v.si.(i) <- at;
+  v.si.(i + 1) <- ctx.rank;
+  v.si.(i + 2) <- kind;
+  v.si.(i + 3) <- owner;
+  v.si.(i + 4) <- a;
+  v.si.(i + 5) <- b;
+  v.sn <- v.sn + 1;
+  staged_id
 
-let schedule_owned t ~owner ~at f =
-  let owner = if owner < -1 || owner > owner_limit then -1 else owner in
-  if at = Time.infinity then dummy_ev
+let stage_closure t ~owner ~at f =
+  let v = t.staging.(ctx_shard t) in
+  if v.scn >= Array.length v.sclo then begin
+    let na = Array.make (max 8 (2 * v.scn)) noop in
+    Array.blit v.sclo 0 na 0 v.scn;
+    v.sclo <- na
+  end;
+  v.sclo.(v.scn) <- f;
+  v.scn <- v.scn + 1;
+  stage t ~kind:closure_kind ~owner ~at (v.scn - 1) 0
+
+let[@inline] clamp_owner owner = if owner < -1 || owner > owner_limit then -1 else owner
+
+let[@lint.hot] post t ~kind ~owner ~at a b =
+  if kind <= closure_kind || kind >= Array.length t.handlers then
+    invalid_arg "Engine.post: unregistered kind";
+  if at = Time.infinity then dead_id
   else begin
-    if at < t.clock then
-      invalid_arg
-        (Printf.sprintf "Engine.schedule: at=%d is in the past (now=%d)" at t.clock);
-    if t.in_step then begin
-      (* Parallel step: the new event goes into the firing shard's
-         staging buffer and reaches the queue at the sub-round's merge
-         point, in canonical (rank, program-order) order. Its id is
-         assigned at the merge too — [next_id] must not be touched from
-         worker domains — which lands on the values [fire_loop] would
-         have handed out, in the same order. No sched record: tracing is
-         off in a parallel step. *)
-      let ctx = Domain.DLS.get t.ctx_key in
-      let ev = { state = pack_owner owner; action = f } in
-      stage_push t (if ctx.shard >= 0 then ctx.shard else 0) { s_at = at; s_rank = ctx.rank; s_ev = ev };
-      ev
-    end
-    else begin
-      let ev = { state = (t.next_id lsl id_shift) lor pack_owner owner; action = f } in
-      t.next_id <- t.next_id + 1;
-      Wheel.add t.queue ~prio:at ev;
-      (* Call-site guard: the emission call is skipped entirely when full
-         tracing is off, keeping the hot path at one load + branch. *)
-      if !(t.tracing) then
-        Obs.Recorder.sched t.recorder ~time:t.clock ~id:(id_of_state ev.state) ~at;
-      ev
-    end
+    if at < t.clock then past t at;
+    let owner = clamp_owner owner in
+    if t.in_step then stage t ~kind ~owner ~at a b else enqueue t ~kind ~owner ~at a b
   end
 
-let schedule t ?(owner = -1) ~at f = schedule_owned t ~owner ~at f
+let schedule t ?(owner = -1) ~at f =
+  if at = Time.infinity then dead_id
+  else begin
+    if at < t.clock then past t at;
+    let owner = clamp_owner owner in
+    if t.in_step then stage_closure t ~owner ~at f
+    else enqueue t ~kind:closure_kind ~owner ~at (clo_take t f) 0
+  end
+
 let schedule_after t ?owner ~delay f = schedule t ?owner ~at:(Time.add t.clock delay) f
 
-let cancel t ev =
-  (* Count each still-queued event as dead at most once; cancelling a
-     fired event must not skew the queue's husk accounting. *)
-  if ev.state land (cancelled_bit lor fired_bit) = 0 then begin
-    ev.state <- ev.state lor cancelled_bit;
-    (* The husk stays queued until popped or compacted away; drop the
-       closure now so it doesn't pin its environment until then. *)
-    ev.action <- noop;
+let cancel t id =
+  if id = staged_id then
+    invalid_arg "Engine.cancel: the event was posted inside a parallel step";
+  let p = t.pool in
+  let s = id land slot_mask and seq = id lsr slot_bits in
+  if id >= 0 && seq_at p s = seq then begin
     if t.in_step then begin
-      (* Deferred husk note: mid-step the event may live in a staging
-         buffer or the current batch rather than the queue, and the
-         queue must not be touched from worker domains. Settled at
-         the sub-round merge. *)
-      let ctx = Domain.DLS.get t.ctx_key in
-      let sh = if ctx.shard >= 0 then ctx.shard else 0 in
+      (* Mid-step the pool belongs to the submitting domain: mark the
+         slot dead now, so neither the batch nor the queue fires it,
+         and free it at the sub-round merge with the owed husk note.
+         A closure is dropped at once, not to pin its environment. *)
+      let c = chunk p s and o = base s in
+      set c o released;
+      if get c (o + 1) lsr owner_bits = closure_kind then t.closures.(get c (o + 2)) <- noop;
+      let sh = ctx_shard t in
+      let v = t.staging.(sh) in
+      if v.cn >= Array.length v.cancelled then begin
+        let na = Array.make (max 8 (2 * v.cn)) 0 in
+        Array.blit v.cancelled 0 na 0 v.cn;
+        v.cancelled <- na
+      end;
+      v.cancelled.(v.cn) <- s;
+      v.cn <- v.cn + 1;
       t.deferred_dead.(sh) <- t.deferred_dead.(sh) + 1
     end
-    else Wheel.note_dead t.queue;
-    if !(t.tracing) then
-      Obs.Recorder.cancel t.recorder ~time:t.clock ~id:(id_of_state ev.state)
+    else begin
+      free_event t s;
+      Wheel.note_dead t.queue
+    end;
+    if !(t.tracing) then Obs.Recorder.cancel t.recorder ~time:t.clock ~id:seq
   end
+
+(* ---- The sequential loop -------------------------------------------- *)
 
 (* The fire loop is a toplevel tail recursion rather than a [ref]-driven
    while: it runs once per event over the whole simulation, and keeping
    it allocation-free means the only heap traffic per fired event is
-   whatever the action itself does. [Wheel.next_tick] is [Time.infinity]
-   (max_int) on an empty queue, a tick no event is ever queued at. *)
+   whatever the handler itself does. The slot is freed before the
+   handler runs, so the handler may post into it, and cancelling the
+   firing event's own id is a no-op. [Wheel.next_tick] is
+   [Time.infinity] (max_int) on an empty queue, a tick no event is ever
+   queued at. *)
 let[@lint.hot] rec fire_loop t ~until =
   let at = Wheel.next_tick t.queue in
   if at <> Time.infinity && at <= until then begin
-    let ev = Wheel.pop t.queue in
-    let st = ev.state in
-    ev.state <- st lor fired_bit;
-    if st land cancelled_bit = 0 then begin
+    let id = Wheel.pop t.queue in
+    let p = t.pool in
+    let s = id land slot_mask and seq = id lsr slot_bits in
+    if seq_at p s = seq then begin
+      let c = chunk p s and o = base s in
+      let ko = get c (o + 1) and a = get c (o + 2) and b = get c (o + 3) in
       t.clock <- at;
       t.processed <- t.processed + 1;
-      if !(t.tracing) then Obs.Recorder.fire t.recorder ~time:at ~id:(id_of_state st);
-      let action = ev.action in
-      (* Release the closure before running it: the caller may hold the
-         event_id long after the event fires. *)
-      ev.action <- noop;
-      action ()
+      if !(t.tracing) then Obs.Recorder.fire t.recorder ~time:at ~id:seq;
+      let kind = ko lsr owner_bits in
+      if kind = closure_kind then begin
+        let f = t.closures.(a) in
+        free_event t s;
+        f ()
+      end
+      else begin
+        free_event t s;
+        t.handlers.(kind) ((ko land owner_mask) - 1) a b
+      end
     end;
     fire_loop t ~until
   end
 
 (* ---- Parallel stepping ----------------------------------------------- *)
 
-let batch_push t ev =
-  if t.batch_len >= Array.length t.batch_ev then begin
-    let na = Array.make (max 16 (2 * Array.length t.batch_ev)) dummy_ev in
-    Array.blit t.batch_ev 0 na 0 t.batch_len;
-    t.batch_ev <- na
+let batch_push t id =
+  if t.batch_len >= Array.length t.batch then begin
+    let na = Array.make (max 16 (2 * Array.length t.batch)) dead_id in
+    Array.blit t.batch 0 na 0 t.batch_len;
+    t.batch <- na
   end;
-  t.batch_ev.(t.batch_len) <- ev;
+  t.batch.(t.batch_len) <- id;
   t.batch_len <- t.batch_len + 1
+
+(* Owner of a live queued event; husks go to shard 0. *)
+let owner_of t id =
+  let p = t.pool and s = id land slot_mask in
+  if seq_at p s = id lsr slot_bits then (get (chunk p s) (base s + 1) land owner_mask) - 1 else -1
+
+(* Fire one batch entry on a worker domain. The slot is marked
+   released, not freed: freeing touches the free lists, which belong to
+   the submitting domain, so the merge frees it. *)
+let fire_in_step t id =
+  let p = t.pool in
+  let s = id land slot_mask and seq = id lsr slot_bits in
+  if seq_at p s <> seq then false
+  else begin
+    let c = chunk p s and o = base s in
+    let ko = get c (o + 1) and a = get c (o + 2) and b = get c (o + 3) in
+    set c o released;
+    let kind = ko lsr owner_bits in
+    if kind = closure_kind then begin
+      let f = t.closures.(a) in
+      (* Drop the closure before running it: the batch outlives the
+         step's firing, and must not pin it. *)
+      t.closures.(a) <- noop;
+      f ()
+    end
+    else t.handlers.(kind) ((ko land owner_mask) - 1) a b;
+    true
+  end
 
 (* Fire one batch: group it by shard (preserving pop order within each
    shard) and fire the shards on the pool. Worker domains never touch
-   the queue, the recorder, or [next_id] — their only shared-state
-   writes go through the per-shard staging buffers. *)
+   the queue, the recorder, the pool's free lists or [next_id] — their
+   only shared-state writes are their own events' slots and the
+   per-shard staging buffers. *)
 let fire_batch t tick pool =
   let s = t.shards in
   let off = t.pb_off and cur = t.pb_cur in
   Array.fill off 0 (s + 1) 0;
   for r = 0 to t.batch_len - 1 do
-    let sh = shard_of t (owner_of_state t.batch_ev.(r).state) in
+    let sh = shard_of t (owner_of t t.batch.(r)) in
     off.(sh + 1) <- off.(sh + 1) + 1
   done;
   for i = 0 to s - 1 do
@@ -255,16 +598,16 @@ let fire_batch t tick pool =
     cur.(i) <- off.(i)
   done;
   if Array.length t.pb_ev < t.batch_len then begin
-    t.pb_ev <- Array.make (2 * t.batch_len) dummy_ev;
+    t.pb_ev <- Array.make (2 * t.batch_len) dead_id;
     t.pb_rank <- Array.make (2 * t.batch_len) 0
   end;
   let any_live = ref false in
   for r = 0 to t.batch_len - 1 do
-    let ev = t.batch_ev.(r) in
-    if ev.state land cancelled_bit = 0 then any_live := true;
-    let sh = shard_of t (owner_of_state ev.state) in
+    let id = t.batch.(r) in
+    if not (is_dead t.pool id) then any_live := true;
+    let sh = shard_of t (owner_of t id) in
     let idx = cur.(sh) in
-    t.pb_ev.(idx) <- ev;
+    t.pb_ev.(idx) <- id;
     t.pb_rank.(idx) <- t.base_rank + r;
     cur.(sh) <- idx + 1
   done;
@@ -276,16 +619,8 @@ let fire_batch t tick pool =
       ctx.shard <- sh;
       let fired = ref 0 in
       for idx = off.(sh) to off.(sh + 1) - 1 do
-        let ev = t.pb_ev.(idx) in
         ctx.rank <- t.pb_rank.(idx);
-        let st = ev.state in
-        ev.state <- st lor fired_bit;
-        if st land cancelled_bit = 0 then begin
-          incr fired;
-          let action = ev.action in
-          ev.action <- noop;
-          action ()
-        end
+        if fire_in_step t t.pb_ev.(idx) then incr fired
       done;
       ctx.rank <- -1;
       ctx.shard <- -1;
@@ -294,37 +629,64 @@ let fire_batch t tick pool =
     t.processed <- t.processed + t.shard_fired.(sh);
     t.shard_fired.(sh) <- 0
   done;
-  (* The batch buffers outlive the step: drop the fired events now. *)
-  Array.fill t.batch_ev 0 t.batch_len dummy_ev;
-  Array.fill t.pb_ev 0 t.batch_len dummy_ev
+  for r = 0 to t.batch_len - 1 do
+    release t (t.batch.(r) land slot_mask)
+  done
 
-(* Merge one sub-round's staged effects back into the step: schedules in
-   canonical order (same-tick ones refill the batch for the next
-   sub-round, later ones enter the queue), then the owed husk notes,
-   then the component flush hooks (Net.Link_stats cross-shard staging). *)
+(* Head of shard [sh]'s unmerged staged events, as a rank; max_int
+   when it has none left. *)
+let head_rank t cur sh =
+  let v = t.staging.(sh) in
+  if cur.(sh) < v.sn then v.si.((cur.(sh) * staged_words) + 1) else max_int
+
+(* Merge one sub-round's staged effects back into the step: the
+   cancelled slots are freed, posts enter in canonical order (same-tick
+   ones refill the batch for the next sub-round, later ones enter the
+   queue), then the owed husk notes, then the component flush hooks
+   (Net.Link_stats cross-shard staging). Ranks of different shards
+   never tie (a rank names one fired event, fired on one shard), so
+   always taking the lowest head rank is the stable rank sort of the
+   shard-ordered concatenation. *)
 let merge_subround t tick =
-  let total = Array.fold_left (fun acc v -> acc + v.sn) 0 t.staging in
-  if total > 0 then begin
-    let bufs =
-      Array.map
-        (fun v ->
-          let a = Array.sub v.sa 0 v.sn in
-          (* Release the staged references: the buffer keeps its capacity
-             across steps and must not pin events from finished ones. *)
-          Array.fill v.sa 0 v.sn dummy_staged;
-          v.sn <- 0;
-          a)
-        t.staging
-    in
-    let merged = Exec.Pool.merge_by ~rank:(fun stg -> stg.s_rank) bufs in
-    Array.iter
-      (fun stg ->
-        let ev = stg.s_ev in
-        ev.state <- ev.state lor (t.next_id lsl id_shift);
-        t.next_id <- t.next_id + 1;
-        if stg.s_at = tick then batch_push t ev else Wheel.add t.queue ~prio:stg.s_at ev)
-      merged
-  end;
+  let shards = Array.length t.staging in
+  Array.iter
+    (fun v ->
+      for i = 0 to v.cn - 1 do
+        release t v.cancelled.(i)
+      done;
+      v.cn <- 0)
+    t.staging;
+  let cur = t.pb_cur in
+  Array.fill cur 0 shards 0;
+  let rec next () =
+    let best = ref (-1) and best_rank = ref max_int in
+    for sh = 0 to shards - 1 do
+      let r = head_rank t cur sh in
+      if r < !best_rank then begin
+        best := sh;
+        best_rank := r
+      end
+    done;
+    if !best >= 0 then begin
+      let v = t.staging.(!best) in
+      let i = cur.(!best) * staged_words in
+      cur.(!best) <- cur.(!best) + 1;
+      let at = v.si.(i) and kind = v.si.(i + 2) and owner = v.si.(i + 3) in
+      let a = if kind = closure_kind then clo_take t v.sclo.(v.si.(i + 4)) else v.si.(i + 4) in
+      let id = alloc_event t ~kind ~owner a v.si.(i + 5) in
+      if at = tick then batch_push t id else Wheel.add t.queue ~prio:at id;
+      next ()
+    end
+  in
+  next ();
+  Array.iter
+    (fun v ->
+      v.sn <- 0;
+      (* The buffer keeps its capacity across steps and must not pin
+         closures from finished ones. *)
+      Array.fill v.sclo 0 v.scn noop;
+      v.scn <- 0)
+    t.staging;
   for sh = 0 to t.shards - 1 do
     for _ = 1 to t.deferred_dead.(sh) do
       Wheel.note_dead t.queue
@@ -337,8 +699,7 @@ let merge_subround t tick =
    batch, fire the batch shard-parallel on the pool, merge staged
    effects, and repeat sub-rounds while the firing keeps scheduling
    into the same tick. Equivalent to [fire_loop]: pop order is
-   preserved, and merged insertion order equals program order (see
-   merge_by). *)
+   preserved, and merged insertion order equals program order. *)
 let rec drain_tick t tick =
   if Wheel.next_tick t.queue = tick then begin
     batch_push t (Wheel.pop t.queue);
@@ -372,11 +733,17 @@ let parallel_loop t pool ~until =
 
 (* Staging pays off only when shards really fire in parallel, and the
    recorder is not shard-safe: everything else runs the one sequential
-   loop. *)
+   loop. The closure table is dropped when a run leaves it empty. *)
 let run t ~until =
-  match t.pool with
+  (match t.pool_exec with
   | Some pool when t.shards > 1 && not !(t.tracing) -> parallel_loop t pool ~until
-  | _ -> fire_loop t ~until
+  | _ -> fire_loop t ~until);
+  trim t.pool;
+  if t.clo_live = 0 && Array.length t.closures > 4 then begin
+    t.closures <- [||];
+    t.clo_next <- [||];
+    t.clo_free <- -1
+  end
 
 let run_all t = run t ~until:Time.infinity
 let pending t = Wheel.size t.queue

@@ -1,9 +1,14 @@
 (** Discrete-event simulation engine.
 
     The engine owns a virtual clock and a deterministic event queue.
-    Events are closures scheduled at absolute virtual times; events with
-    equal times fire in scheduling order. Handlers run instantaneously in
-    virtual time and may schedule further events.
+    Events are data: a kind, an owner and two int payload words,
+    scheduled at absolute virtual times; events with equal times fire
+    in scheduling order. A kind is a handler registered once with
+    {!register}, and {!post} queues an event of that kind without
+    allocating. {!schedule} is the closure form: one built-in kind
+    whose closures live in a side table, for tests and rare callers.
+    Handlers run instantaneously in virtual time and may schedule
+    further events.
 
     {2 Sequential and parallel stepping}
 
@@ -24,7 +29,10 @@
 type t
 
 type event_id
-(** Handle for cancelling a scheduled event. *)
+(** Handle for cancelling a scheduled event: an int that packs the
+    event's pool slot with its sequential id. The slot is freed when
+    the event fires or is cancelled, and a stale id never matches the
+    slot's next occupant, so {!cancel} with it is a no-op. *)
 
 val create : ?recorder:Obs.Recorder.t -> unit -> t
 (** [create ~recorder ()] wires the engine's structural observability
@@ -40,29 +48,50 @@ val recorder : t -> Obs.Recorder.t
 (** The recorder this engine (and every component built on it) emits
     into — one per simulated world. *)
 
+val register : t -> (int -> int -> int -> unit) -> int
+(** [register t h] adds an event kind and returns its index. [post]ing
+    an event of that kind later runs [h owner a b] at the event's time.
+    Register before running; raises [Invalid_argument] inside a
+    parallel step. *)
+
+val post : t -> kind:int -> owner:int -> at:Time.t -> int -> int -> event_id
+(** [post t ~kind ~owner ~at a b] queues an event of a registered
+    [kind] with payload [a], [b]. [owner] is as for {!schedule} ([-1] =
+    ownerless). Allocates nothing once the event pool has grown to the
+    run's high-water mark. Posting at [Time.infinity] is a no-op that
+    returns a dead id. Raises [Invalid_argument] for an unregistered
+    kind or a time in the past.
+
+    Inside a parallel step the event is staged and only gets its slot
+    at the step's merge, so the returned id cannot be cancelled:
+    {!cancel} raises [Invalid_argument] on it. Nothing cancels such an
+    id today; every cancellation names an event scheduled outside a
+    step. *)
+
 val schedule : t -> ?owner:int -> at:Time.t -> (unit -> unit) -> event_id
 (** [schedule t ~owner ~at f] runs [f] when the clock reaches [at]. [at]
     must not be in the past. Scheduling at [Time.infinity] is a no-op
     that returns a dead id. [owner] is the process the event belongs to
     (default: ownerless); parallel stepping partitions the batch on it.
-    Owners outside the 21-bit field are treated as ownerless. *)
-
-val schedule_owned : t -> owner:int -> at:Time.t -> (unit -> unit) -> event_id
-(** [schedule] with a required owner ([-1] = ownerless). An optional
-    argument costs its caller a [Some] box per call, so the per-event
-    callers (message deliveries, detector and workload timers) use this. *)
+    Owners outside the 21-bit field are treated as ownerless. The event
+    is of the built-in closure kind: [f] waits in a side table, which
+    costs the closure and a table cell, so per-event callers {!post}
+    instead. *)
 
 val schedule_after : t -> ?owner:int -> delay:Time.t -> (unit -> unit) -> event_id
 (** [schedule_after t ~delay f] = [schedule t ~at:(now t + delay) f]. *)
 
 val cancel : t -> event_id -> unit
-(** Cancel a pending event; cancelling a fired or already-cancelled event
-    is a no-op. *)
+(** Cancel a pending event and free its slot at once; cancelling a
+    fired or already-cancelled event is a no-op, even after its slot
+    has been reused. Raises [Invalid_argument] on an id {!post} or
+    {!schedule} returned inside a parallel step. *)
 
 val run : t -> until:Time.t -> unit
 (** Process events in time order until the queue is empty or the next
     event is strictly later than [until]. The clock is left at the time of
-    the last processed event (or unchanged if none fired). *)
+    the last processed event (or unchanged if none fired). On exit the
+    event pool gives back trailing chunks a burst left empty. *)
 
 val run_all : t -> unit
 (** Process events until the queue is empty. Only safe for event graphs

@@ -111,23 +111,22 @@ let ctz32 x =
   if !x land 0x1 = 0 then incr n;
   !n
 
+let rec scan_level t base w0 from w =
+  if w >= words_per_level then -1
+  else begin
+    let word = t.bitmap.(base + w) in
+    let word = if w = w0 then word land lnot ((1 lsl (from land 31)) - 1) else word in
+    if word = 0 then scan_level t base w0 from (w + 1) else (w lsl 5) lor ctz32 word
+  end
+
 (* Smallest occupied slot >= [from] at level [l], or -1. The scan is
    inclusive of [from]: mid-cascade the floor is a window start whose
    own slot may legitimately hold entries (ticks equal to the window
    start); in externally visible states the floor is a fired tick and
-   its slots are empty, so inclusivity is harmless there. *)
-let next_slot t l from =
-  let base = l * words_per_level in
-  let w0 = from lsr 5 in
-  let rec go w =
-    if w >= words_per_level then -1
-    else begin
-      let word = t.bitmap.(base + w) in
-      let word = if w = w0 then word land lnot ((1 lsl (from land 31)) - 1) else word in
-      if word = 0 then go (w + 1) else (w lsl 5) lor ctz32 word
-    end
-  in
-  go w0
+   its slots are empty, so inclusivity is harmless there. The scan is a
+   toplevel recursion, not a local closure over [t], which would cost an
+   allocation on every new tick. *)
+let next_slot t l from = scan_level t (l * words_per_level) (from lsr 5) from (from lsr 5)
 
 let level_of x =
   let rec go l x = if x < slots_per_level then l else go (l + 1) (x lsr slot_bits) in

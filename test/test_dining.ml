@@ -406,6 +406,28 @@ let colors_are_copied () =
   check int "color 1 unchanged" 1 (Dining.Algorithm.color r.algo 1);
   check int "footprint unchanged" footprint (Dining.Algorithm.footprint_bits r.algo 0)
 
+(* The invariant watcher runs every few ticks in long worlds, so a
+   passing check must allocate nothing. Regression: it built closures
+   per call and binary-searched a slot per edge (103 words a call
+   here). *)
+let check_invariants_allocates_nothing () =
+  let n = 8 in
+  let r = rig ~n ~edges:(List.init n (fun i -> (i, (i + 1) mod n))) ~delay:(Net.Delay.Uniform (1, 6)) () in
+  auto_stop ~duration:4 r;
+  for pid = 0 to n - 1 do
+    auto_rehungry ~gap:3 r pid;
+    ignore (Sim.Engine.schedule r.engine ~at:pid (fun () -> r.inst.become_hungry pid))
+  done;
+  Sim.Engine.run r.engine ~until:500;
+  Dining.Algorithm.check_invariants r.algo;
+  let before = Gc.minor_words () in
+  for _ = 1 to 10 do
+    Dining.Algorithm.check_invariants r.algo
+  done;
+  let words = Gc.minor_words () -. before in
+  check bool "the world made progress" true (Dining.Algorithm.total_eats r.algo > n);
+  check (Alcotest.float 0.) "minor words for 10 checks" 0. words
+
 let suite =
   [
     Alcotest.test_case "initial fork/token placement" `Quick initial_placement;
@@ -435,4 +457,6 @@ let suite =
     Alcotest.test_case "message kinds and sizes" `Quick message_kind_labels;
     Alcotest.test_case "emits to the engine's recorder" `Quick emits_to_engine_recorder;
     Alcotest.test_case "create copies the colors" `Quick colors_are_copied;
+    Alcotest.test_case "a passing check_invariants allocates nothing" `Quick
+      check_invariants_allocates_nothing;
   ]

@@ -6,12 +6,12 @@ let bool = Alcotest.bool
 
 let ring4 () = Cgraph.Topology.build (Cgraph.Topology.Ring 4)
 
-let make_net ?(delay = Net.Delay.Uniform (1, 10)) ?(seed = 1L) ?on_drop ~handler () =
+let make_net ?(delay = Net.Delay.Uniform (1, 10)) ?(seed = 1L) ?on_drop ?codec ~handler () =
   let engine = Sim.Engine.create () in
   let graph = ring4 () in
   let faults = Net.Faults.create engine ~n:4 in
   let rng = Sim.Rng.create seed in
-  let net = Net.Network.create ~engine ~graph ~delay ~faults ~rng ?on_drop ~handler () in
+  let net = Net.Network.create ~engine ~graph ~delay ~faults ~rng ?on_drop ?codec ~handler () in
   (engine, faults, net)
 
 (* ------------------------------ Faults ----------------------------- *)
@@ -121,15 +121,19 @@ let network_delivers () =
   Sim.Engine.run_all engine;
   check bool "delivered once" true (!got = [ (1, 0, "hello") ])
 
-(* A message costs the engine's event record (3 words) and one closure
-   over four values (7 words). Regression: the closure captured six
-   values (9 words) and the optional [?owner] boxed the owner in a
-   [Some] (2 more). A fixed delay keeps every event in the wheel's level
-   0, whose arrays are reused once grown. *)
+(* With a codec, a message is an engine event of four ints in a pooled
+   slot: once a warm-up round has grown the pool and the wheel's arrays,
+   sending and delivering it allocates nothing. Regression: the event
+   was a record plus a delivery closure (10 words a message). A fixed
+   delay keeps every event in the wheel's level 0, whose arrays are
+   reused once grown. *)
 let network_message_allocation () =
   let got = ref 0 in
   let engine, _, net =
-    make_net ~delay:(Net.Delay.Fixed 2) ~handler:(fun ~dst:_ ~src:_ () -> incr got) ()
+    make_net ~delay:(Net.Delay.Fixed 2)
+      ~codec:((fun () -> 0), fun _ -> ())
+      ~handler:(fun ~dst:_ ~src:_ () -> incr got)
+      ()
   in
   let round () =
     for i = 0 to 99 do
@@ -140,10 +144,9 @@ let network_message_allocation () =
   round ();
   let before = Gc.minor_words () in
   round ();
-  let per_message = (Gc.minor_words () -. before) /. 100. in
+  let words = Gc.minor_words () -. before in
   check int "all delivered" 200 !got;
-  check bool (Printf.sprintf "%.2f words per message <= 10.5" per_message) true
-    (per_message <= 10.5)
+  check (Alcotest.float 0.) "minor words for 100 messages" 0. words
 
 let network_fifo_per_channel () =
   let got = ref [] in
@@ -277,6 +280,6 @@ let suite =
     Alcotest.test_case "link_stats: watermarks" `Quick link_stats_watermarks;
     Alcotest.test_case "link_stats: last send" `Quick link_stats_last_send;
     Alcotest.test_case "delay: sampling allocates nothing" `Quick delay_sample_allocates_nothing;
-    Alcotest.test_case "network: a message allocates its event and one closure" `Quick
+    Alcotest.test_case "network: a message allocates nothing" `Quick
       network_message_allocation;
   ]

@@ -660,6 +660,21 @@ let staged_workload ?pool ~shards () =
   for owner = 0 to 7 do
     ignore (Sim.Engine.schedule engine ~owner ~at:(owner mod 3) (chain owner 5))
   done;
+  (* The same chains as data events: a posted kind, staged as ints
+     inside a step. *)
+  let kind = ref 0 in
+  kind :=
+    Sim.Engine.register engine (fun owner n _ ->
+        note owner (200 + n) ();
+        if n > 0 then
+          ignore
+            (Sim.Engine.post engine ~kind:!kind ~owner ~at:(Sim.Engine.now engine + 1 + (n mod 2))
+               (n - 1) 0));
+  for owner = 0 to 7 do
+    ignore (Sim.Engine.post engine ~kind:!kind ~owner ~at:(owner mod 4) 4 0)
+  done;
+  let data_victim = Sim.Engine.post engine ~kind:!kind ~owner:2 ~at:8 99 0 in
+  ignore (Sim.Engine.schedule engine ~owner:2 ~at:3 (fun () -> Sim.Engine.cancel engine data_victim));
   (* Same-tick scheduling across shards: fires in the same step, a
      sub-round later. *)
   ignore
@@ -697,7 +712,9 @@ let engine_parallel_matches_fire_loop () =
   (* Sanity on the reference itself: the cancelled events never fired. *)
   let _, logs, _, _ = reference in
   check bool "cancelled queued event never fired" true (not (List.mem_assoc 666 logs.(7)));
-  check bool "cancelled same-tick event never fired" true (not (List.mem_assoc 667 logs.(5)))
+  check bool "cancelled same-tick event never fired" true (not (List.mem_assoc 667 logs.(5)));
+  check bool "cancelled data event never fired" true (not (List.mem_assoc 299 logs.(2)));
+  check bool "data chains fired" true (List.mem_assoc 200 logs.(7))
 
 let engine_staged_until_boundary () =
   Exec.Pool.with_pool ~domains:4 (fun pool ->
@@ -744,17 +761,20 @@ let engine_staged_traces_identical () =
             reference (capture ~pool s))
         [ 2; 4 ])
 
-(* Regression: the step's batch arrays kept the last step's event
-   records alive until a later step overwrote them. The id is the
-   engine's event record itself; the weak slot watches that record. *)
+(* Regression: the step's batch arrays kept the last step's events
+   alive until a later step overwrote them. Events are pool slots now,
+   so what a step could pin is a closure-kind event's action: the weak
+   slot watches that closure. *)
 let engine_step_releases_events () =
   Exec.Pool.with_pool ~domains:2 (fun pool ->
       let engine = Sim.Engine.create () in
       Sim.Engine.set_sharding engine ~pool ~shards:2 ~n:2 ();
       let weak = Weak.create 1 in
       let () =
-        let id = Sim.Engine.schedule engine ~owner:1 ~at:5 (fun () -> ()) in
-        Weak.set weak 0 (Some (Obj.repr id))
+        let payload = Bytes.make 64 'x' in
+        let action () = ignore (Sys.opaque_identity (Bytes.length payload)) in
+        Weak.set weak 0 (Some (Obj.repr action));
+        ignore (Sim.Engine.schedule engine ~owner:1 ~at:5 action)
       in
       ignore (Sim.Engine.schedule engine ~owner:0 ~at:10 (fun () -> ()));
       Sim.Engine.run engine ~until:5;
@@ -821,6 +841,157 @@ let trace_sink () =
     ]
     (List.rev !rows)
 
+(* A stale id names a slot, and the slot is reused once its event has
+   fired: cancelling with the stale id must leave the new occupant
+   alone, for a data kind and for the closure kind. *)
+let engine_stale_cancel () =
+  let engine = Sim.Engine.create () in
+  let log = ref [] in
+  let kind = Sim.Engine.register engine (fun owner a b -> log := (owner, a, b) :: !log) in
+  let first = Sim.Engine.post engine ~kind ~owner:3 ~at:1 10 20 in
+  Sim.Engine.run_all engine;
+  let second = Sim.Engine.post engine ~kind ~owner:4 ~at:2 30 40 in
+  let closure_fired = ref false in
+  Sim.Engine.cancel engine first;
+  let third = Sim.Engine.schedule engine ~at:3 (fun () -> closure_fired := true) in
+  Sim.Engine.cancel engine second;
+  Sim.Engine.cancel engine second;
+  ignore (Sim.Engine.post engine ~kind ~owner:5 ~at:4 50 60);
+  Sim.Engine.cancel engine second;
+  Sim.Engine.cancel engine first;
+  Sim.Engine.run_all engine;
+  Sim.Engine.cancel engine third;
+  check bool "the closure event survived the stale cancels" true !closure_fired;
+  check (Alcotest.list (Alcotest.triple int int int)) "only the cancelled event was lost"
+    [ (3, 10, 20); (5, 50, 60) ] (List.rev !log);
+  check int "processed" 3 (Sim.Engine.processed engine)
+
+(* The pool grows to a burst's high-water mark and gives the memory
+   back at the next [run] once the burst has drained. *)
+let engine_pool_trims () =
+  let engine = Sim.Engine.create () in
+  let fired = ref 0 in
+  let kind = Sim.Engine.register engine (fun _ _ _ -> incr fired) in
+  ignore (Sim.Engine.post engine ~kind ~owner:0 ~at:1 0 0);
+  Sim.Engine.run_all engine;
+  let before = Obj.reachable_words (Obj.repr engine) in
+  for i = 1 to 10_000 do
+    ignore (Sim.Engine.post engine ~kind ~owner:(i land 7) ~at:(1 + i) i 0)
+  done;
+  let peak = Obj.reachable_words (Obj.repr engine) in
+  Sim.Engine.run_all engine;
+  ignore (Sim.Engine.post engine ~kind ~owner:0 ~at:(Sim.Engine.now engine + 1) 0 0);
+  Sim.Engine.run_all engine;
+  let after = Obj.reachable_words (Obj.repr engine) in
+  check int "every event fired" 10_002 !fired;
+  check bool (Printf.sprintf "the burst grew the engine (%d -> %d words)" before peak) true
+    (peak > 10 * before);
+  check bool (Printf.sprintf "trimmed back to %d words, within 2x of %d" after before) true
+    (after <= 2 * before)
+
+(* The event pool against a reference queue: random interleavings of
+   data and closure posts, handler posts (a data event with chain c > 0
+   posts its successor c ticks later), cancels of live, fired and stale
+   ids, and bounded runs, whose exits trim the pool. The reference is
+   a list ordered by (time, post order); the engine must fire the same
+   events, in the same order, with the same payloads. Posts between
+   runs start at the last run's bound: a run may pop husks past the
+   clock, and the wheel takes nothing below a popped tick. *)
+type pool_op = Post of bool * int * int | Burst of int | Cancel of int | Run of int
+
+let engine_pool_matches_reference =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map3 (fun closure d c -> Post (closure, d, c)) bool (int_range 0 300) (int_range 0 3));
+          (1, map (fun d -> Burst d) (int_range 0 300));
+          (3, map (fun i -> Cancel i) (int_bound 1000));
+          (1, map (fun d -> Run d) (int_range 0 400));
+        ])
+  in
+  QCheck.Test.make ~name:"engine: the pool matches a reference queue" ~count:300
+    QCheck.(make Gen.(list_size (int_range 0 200) op))
+    (fun ops ->
+      let engine = Sim.Engine.create () in
+      let log = ref [] and serial = ref 0 in
+      let kind = ref 0 in
+      let handler owner a b =
+        log := (Sim.Engine.now engine, owner, a, b) :: !log;
+        if b > 0 then begin
+          incr serial;
+          ignore
+            (Sim.Engine.post engine ~kind:!kind ~owner ~at:(Sim.Engine.now engine + b) !serial
+               (b - 1))
+        end
+      in
+      kind := Sim.Engine.register engine handler;
+      (* The reference: pending (at, order, owner, a, chain or -1 for a
+         closure), and the ids of the top-level posts with their order. *)
+      let module Q = Set.Make (struct
+        type t = int * int * int * int * int
+
+        let compare = compare
+      end) in
+      let pending = ref Q.empty and by_order = Hashtbl.create 64 in
+      let order = ref 0 and m_serial = ref 0 and m_log = ref [] in
+      let ids = Hashtbl.create 64 and bound = ref 0 in
+      let m_add at owner a b =
+        let ev = (at, !order, owner, a, b) in
+        pending := Q.add ev !pending;
+        Hashtbl.replace by_order !order ev;
+        incr order
+      in
+      let rec m_run until =
+        match Q.min_elt_opt !pending with
+        | Some ((at, _, owner, a, b) as ev) when at <= until ->
+            pending := Q.remove ev !pending;
+            m_log := (at, owner, a, b) :: !m_log;
+            if b > 0 then begin
+              incr m_serial;
+              m_add (at + b) owner !m_serial (b - 1)
+            end;
+            m_run until
+        | _ -> ()
+      in
+      let rec apply = function
+        | Post (closure, delay, chain) ->
+            incr serial;
+            incr m_serial;
+            let n = !serial and at = max (Sim.Engine.now engine) !bound + delay in
+            let owner = n mod 5 in
+            let id =
+              if closure then
+                Sim.Engine.schedule engine ~owner ~at (fun () ->
+                    log := (Sim.Engine.now engine, owner, n, -1) :: !log)
+              else Sim.Engine.post engine ~kind:!kind ~owner ~at n chain
+            in
+            Hashtbl.replace ids (Hashtbl.length ids) (id, !order);
+            m_add at owner !m_serial (if closure then -1 else chain)
+        | Burst d ->
+            (* Enough events to grow the pool past chunk 0, with
+               spread-out times so later runs leave stragglers in
+               high chunks. *)
+            for i = 0 to 79 do
+              apply (Post (i mod 9 = 0, d + (i * 7 mod 400), 0))
+            done
+        | Cancel i ->
+            if Hashtbl.length ids > 0 then begin
+              let id, o = Hashtbl.find ids (i mod Hashtbl.length ids) in
+              Sim.Engine.cancel engine id;
+              pending := Q.remove (Hashtbl.find by_order o) !pending
+            end
+        | Run d ->
+            let until = max (Sim.Engine.now engine) !bound + d in
+            bound := until;
+            Sim.Engine.run engine ~until;
+            m_run until
+      in
+      List.iter apply ops;
+      Sim.Engine.run_all engine;
+      m_run max_int;
+      !log = !m_log && Sim.Engine.processed engine = List.length !m_log)
+
 let suite =
   [
     Alcotest.test_case "time: saturating addition" `Quick time_add_saturates;
@@ -884,4 +1055,8 @@ let suite =
     Alcotest.test_case "trace: callback sink" `Quick trace_sink;
     Alcotest.test_case "rng: stream pinned" `Quick rng_stream_pinned;
     Alcotest.test_case "rng: draws allocate nothing" `Quick rng_draws_allocate_nothing;
+    Alcotest.test_case "engine: a stale id never cancels its slot's next event" `Quick
+      engine_stale_cancel;
+    Alcotest.test_case "engine: the event pool trims after a burst" `Quick engine_pool_trims;
+    QCheck_alcotest.to_alcotest engine_pool_matches_reference;
   ]
