@@ -39,9 +39,9 @@ let perf_tests () =
            let count = ref 0 in
            let rec tick () =
              incr count;
-             if !count < 100_000 then ignore (Sim.Engine.schedule_after engine ~delay:1 tick)
+             if !count < 100_000 then Sim.Engine.schedule_after engine ~delay:1 tick
            in
-           ignore (Sim.Engine.schedule engine ~at:0 tick);
+           Sim.Engine.schedule engine ~at:0 tick;
            Sim.Engine.run_all engine));
     Test.make ~name:"wheel:10k-mixed"
       (Staged.stage (fun () ->
@@ -511,9 +511,9 @@ let engine_micro () =
   let rec tick () =
     incr count;
     if !count < 200_000 then
-      ignore (Sim.Engine.schedule_after engine ~delay:(1 + ((!count * 7) mod 50)) tick)
+      Sim.Engine.schedule_after engine ~delay:(1 + ((!count * 7) mod 50)) tick
   in
-  ignore (Sim.Engine.schedule engine ~at:0 tick);
+  Sim.Engine.schedule engine ~at:0 tick;
   Sim.Engine.run_all engine;
   let seconds = Sys.time () -. t0 in
   (Sim.Engine.processed engine, words_since alloc0, seconds)

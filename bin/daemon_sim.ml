@@ -375,7 +375,7 @@ let trace_cmd =
     (Cmd.info "trace"
        ~doc:
          "Run scenarios under full tracing and export the structured event stream as \
-          JSONL (schedule/fire/cancel, send/deliver/drop, phases, suspicions, crashes). \
+          JSONL (schedule/fire, send/deliver/drop, phases, suspicions, crashes). \
           Byte-identical for equal seeds at any --domains; diff two exports with \
           $(b,tracediff).")
     Term.(

@@ -36,16 +36,15 @@ let run detector label =
   in
   List.iter
     (fun t ->
-      ignore
-        (Sim.Engine.schedule parts.engine ~at:t (fun () ->
-             let line =
-               String.concat ""
-                 (List.init 12 (fun pid ->
-                      if Net.Faults.is_crashed parts.faults pid then "X"
-                      else if last_eat.(pid) >= t - 1_200 then "#"
-                      else "."))
-             in
-             rows := (t, line) :: !rows)))
+      Sim.Engine.schedule parts.engine ~at:t (fun () ->
+          let line =
+            String.concat ""
+              (List.init 12 (fun pid ->
+                   if Net.Faults.is_crashed parts.faults pid then "X"
+                   else if last_eat.(pid) >= t - 1_200 then "#"
+                   else "."))
+          in
+          rows := (t, line) :: !rows))
     snapshot_times;
   Sim.Engine.run parts.engine ~until:scenario.horizon;
   Printf.printf "%s\n" label;

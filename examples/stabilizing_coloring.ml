@@ -62,9 +62,9 @@ let () =
   let rec watch () =
     snapshot "";
     if Sim.Engine.now engine < 20_000 then
-      ignore (Sim.Engine.schedule_after engine ~delay:100 watch)
+      Sim.Engine.schedule_after engine ~delay:100 watch
   in
-  ignore (Sim.Engine.schedule engine ~at:100 watch);
+  Sim.Engine.schedule engine ~at:100 watch;
   Sim.Engine.run engine ~until:20_000;
   snapshot "final";
   let o = Stabilize.Scheduler.outcome scheduler in

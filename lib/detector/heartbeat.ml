@@ -30,7 +30,7 @@ let suspected t s = Bytes.unsafe_get t.hb_suspected s <> '\000'
    check event is pending; a suspicion freezes checking until a heartbeat
    arrives and resets it. *)
 let schedule_check t observer target at =
-  ignore (Sim.Engine.post t.engine ~kind:t.check_kind ~owner:observer ~at target 0)
+  Sim.Engine.post t.engine ~kind:t.check_kind ~owner:observer ~at target 0
 
 let check t observer target =
   if not (Net.Faults.is_crashed t.faults observer) then begin
@@ -105,13 +105,13 @@ let create ~engine ~faults ~graph ~delay ~rng ?(period = 20) ?(initial_timeout =
         Net.Network.send net ~src:i ~dst:nbr.(s) ()
       done;
       let at = Sim.Time.add (Sim.Engine.now engine) period in
-      ignore (Sim.Engine.post engine ~kind:!beat_kind ~owner:i ~at 0 0)
+      Sim.Engine.post engine ~kind:!beat_kind ~owner:i ~at 0 0
     end
   in
   beat_kind := Sim.Engine.register engine beat;
   for i = 0 to n - 1 do
     let at = Sim.Time.add now0 (Sim.Rng.int rng period) in
-    ignore (Sim.Engine.post engine ~kind:!beat_kind ~owner:i ~at 0 0);
+    Sim.Engine.post engine ~kind:!beat_kind ~owner:i ~at 0 0;
     for s = off.(i) to off.(i + 1) - 1 do
       schedule_check t i nbr.(s) (Sim.Time.add now0 initial_timeout)
     done

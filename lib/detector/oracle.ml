@@ -56,8 +56,8 @@ let create engine faults graph ?(detection_delay = 50) ?(false_positives = []) (
   List.iter
     (fun fp ->
       let s = Cgraph.Graph.dir_index graph fp.observer fp.target in
-      ignore (Sim.Engine.post engine ~kind:window ~owner:fp.observer ~at:fp.from_t s 1);
-      ignore (Sim.Engine.post engine ~kind:window ~owner:fp.observer ~at:fp.till_t s (-1)))
+      Sim.Engine.post engine ~kind:window ~owner:fp.observer ~at:fp.from_t s 1;
+      Sim.Engine.post engine ~kind:window ~owner:fp.observer ~at:fp.till_t s (-1))
     false_positives;
   (* Completeness: owner = the crashed process's neighbor, a = the
      crashed process. *)
@@ -80,7 +80,7 @@ let create engine faults graph ?(detection_delay = 50) ?(false_positives = []) (
       let at = Sim.Time.add (Sim.Engine.now engine) detection_delay in
       Array.iter
         (fun neighbor ->
-          ignore (Sim.Engine.post engine ~kind:detection ~owner:neighbor ~at crashed 0))
+          Sim.Engine.post engine ~kind:detection ~owner:neighbor ~at crashed 0)
         (Cgraph.Graph.neighbors graph crashed));
   let detector =
     {

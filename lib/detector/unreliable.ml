@@ -36,10 +36,9 @@ let create engine faults graph rng ?(detection_delay = 50) ?(period = 2_000) ?(d
           let phase = Sim.Rng.int rng period in
           let rec waves start =
             if start <= horizon then begin
-              ignore (Sim.Engine.post engine ~kind:wave ~owner:observer ~at:start s 1);
-              ignore
-                (Sim.Engine.post engine ~kind:wave ~owner:observer ~at:(Sim.Time.add start duration)
-                   s 0);
+              Sim.Engine.post engine ~kind:wave ~owner:observer ~at:start s 1;
+              Sim.Engine.post engine ~kind:wave ~owner:observer ~at:(Sim.Time.add start duration)
+                s 0;
               waves (Sim.Time.add start period)
             end
           in
@@ -64,7 +63,7 @@ let create engine faults graph rng ?(detection_delay = 50) ?(period = 2_000) ?(d
   Net.Faults.on_crash faults (fun crashed ->
       let at = Sim.Time.add (Sim.Engine.now engine) detection_delay in
       Array.iter
-        (fun neighbor -> ignore (Sim.Engine.post engine ~kind:detection ~owner:neighbor ~at crashed 0))
+        (fun neighbor -> Sim.Engine.post engine ~kind:detection ~owner:neighbor ~at crashed 0)
         (Cgraph.Graph.neighbors graph crashed));
   {
     Detector.name = "unreliable-forever";

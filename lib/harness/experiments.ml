@@ -750,13 +750,11 @@ let e11_run ~m ~horizon =
   inst.add_listener (fun pid phase ->
       match phase with
       | Dining.Types.Eating ->
-          ignore
-            (Sim.Engine.schedule_after engine ~owner:pid ~delay:eat_for.(pid) (fun () ->
-                 inst.stop_eating pid))
+          Sim.Engine.schedule_after engine ~owner:pid ~delay:eat_for.(pid) (fun () ->
+              inst.stop_eating pid)
       | Dining.Types.Thinking ->
-          ignore
-            (Sim.Engine.schedule_after engine ~owner:pid ~delay:rest_for.(pid) (fun () ->
-                 inst.become_hungry pid))
+          Sim.Engine.schedule_after engine ~owner:pid ~delay:rest_for.(pid) (fun () ->
+              inst.become_hungry pid)
       | Dining.Types.Hungry -> ());
   List.iter inst.become_hungry [ 2; 0; 1 ];
   Sim.Engine.run engine ~until:horizon;

@@ -51,12 +51,12 @@ let run ?pool ?(shards = 1) ?(period = 7) ?(seed = 0xACE5L) ~topology ~horizon (
           Net.Network.send network ~src:i ~dst:j ();
           sent.(i) <- sent.(i) + 1
         done;
-        ignore (Sim.Engine.schedule_after engine ~owner:i ~delay:period beat)
+        Sim.Engine.schedule_after engine ~owner:i ~delay:period beat
       end
     in
     (* Phase jitter drawn at setup time, before any stepping: the shared
        rng is never touched once the engine runs. *)
-    ignore (Sim.Engine.schedule_after engine ~owner:i ~delay:(1 + Sim.Rng.int rng period) beat)
+    Sim.Engine.schedule_after engine ~owner:i ~delay:(1 + Sim.Rng.int rng period) beat
   done;
   Sim.Engine.run engine ~until:horizon;
   let stats = Net.Network.stats network in

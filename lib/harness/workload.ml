@@ -18,12 +18,12 @@ let attach ~engine ~faults ~n ~rng ~workload (instance : Dining.Instance.t) =
       | Dining.Types.Hungry -> t.hungry_transitions <- t.hungry_transitions + 1
       | Dining.Types.Eating ->
           let at = Sim.Time.add (Sim.Engine.now engine) (eat_delay ()) in
-          ignore (Sim.Engine.post engine ~kind:stop_eating ~owner:pid ~at 0 0)
+          Sim.Engine.post engine ~kind:stop_eating ~owner:pid ~at 0 0
       | Dining.Types.Thinking ->
           let at = Sim.Time.add (Sim.Engine.now engine) (think_delay ()) in
-          ignore (Sim.Engine.post engine ~kind:become_hungry ~owner:pid ~at 0 0));
+          Sim.Engine.post engine ~kind:become_hungry ~owner:pid ~at 0 0);
   for pid = 0 to n - 1 do
-    ignore (Sim.Engine.post engine ~kind:become_hungry ~owner:pid ~at:(think_delay ()) 0 0)
+    Sim.Engine.post engine ~kind:become_hungry ~owner:pid ~at:(think_delay ()) 0 0
   done;
   t
 

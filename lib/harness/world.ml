@@ -42,9 +42,9 @@ let watch_invariants ~engine ~horizon ~every (instance : Dining.Instance.t) =
         try instance.check_invariants ()
         with Dining.Types.Invariant_violation msg -> error := Some msg));
     if !error = None && Sim.Engine.now engine < horizon then
-      ignore (Sim.Engine.schedule_after engine ~delay:every check)
+      Sim.Engine.schedule_after engine ~delay:every check
   in
-  ignore (Sim.Engine.schedule_after engine ~delay:every check);
+  Sim.Engine.schedule_after engine ~delay:every check;
   error
 
 let create ?recorder ?(metrics = Obs.Metrics.create ()) (s : Scenario.t) =

@@ -1,16 +1,24 @@
 type t = {
   engine : Sim.Engine.t;
   crash_at : Sim.Time.t array;
-  (* The one live engine event per pending crash: rescheduling a crash
-     to an earlier time cancels the superseded event, so listeners
-     observe exactly one crash per pid. *)
-  pending : Sim.Engine.event_id option array;
+  mutable crash_kind : int; (* engine kind of crash events: owner pid, a = crash time *)
   mutable listeners : (int -> unit) list; (* newest first; fired in subscription order *)
 }
 
+(* A crash moved earlier leaves its first event queued. That event
+   fires as a no-op: only the event whose time is still [crash_at]
+   crashes the process, so listeners hear each crash exactly once. *)
+let crash t pid at =
+  if t.crash_at.(pid) = at then begin
+    Obs.Recorder.crash (Sim.Engine.recorder t.engine) ~time:at ~pid;
+    List.iter (fun f -> f pid) (List.rev t.listeners)
+  end
+
 let create engine ~n =
   if n <= 0 then invalid_arg "Faults.create: n must be positive";
-  { engine; crash_at = Array.make n Sim.Time.infinity; pending = Array.make n None; listeners = [] }
+  let t = { engine; crash_at = Array.make n Sim.Time.infinity; crash_kind = 0; listeners = [] } in
+  t.crash_kind <- Sim.Engine.register engine (fun pid at _ -> crash t pid at);
+  t
 
 let n t = Array.length t.crash_at
 
@@ -18,14 +26,8 @@ let schedule_crash t ~pid ~at =
   if pid < 0 || pid >= n t then invalid_arg "Faults.schedule_crash: bad pid";
   if at < Sim.Engine.now t.engine then invalid_arg "Faults.schedule_crash: in the past";
   if at < t.crash_at.(pid) then begin
-    Option.iter (Sim.Engine.cancel t.engine) t.pending.(pid);
     t.crash_at.(pid) <- at;
-    t.pending.(pid) <-
-      Some
-        (Sim.Engine.schedule t.engine ~owner:pid ~at (fun () ->
-             t.pending.(pid) <- None;
-             Obs.Recorder.crash (Sim.Engine.recorder t.engine) ~time:at ~pid;
-             List.iter (fun f -> f pid) (List.rev t.listeners)))
+    Sim.Engine.post t.engine ~kind:t.crash_kind ~owner:pid ~at at 0
   end
 
 let crash_time t pid = t.crash_at.(pid)

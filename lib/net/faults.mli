@@ -12,7 +12,12 @@ val create : Sim.Engine.t -> n:int -> t
 
 val schedule_crash : t -> pid:int -> at:Sim.Time.t -> unit
 (** Arrange for [pid] to crash at time [at] (idempotent; the earliest
-    scheduled time wins). Must be called before the engine reaches [at]. *)
+    scheduled time wins). Must be called before the engine reaches [at].
+
+    Moving a crash earlier does not withdraw the event queued for the
+    later time: that event stays, fires at its tick as a no-op, counts
+    in [Sim.Engine.processed] and, until then, in
+    [Sim.Engine.pending], and traces as a [fire] record. *)
 
 val is_crashed : t -> int -> bool
 (** Whether the process has crashed at the engine's current time. *)

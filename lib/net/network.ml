@@ -155,7 +155,7 @@ let[@lint.hot] send t ~src ~dst msg =
       Obs.Recorder.send t.recorder ~time:now ~src ~dst ~tag:(t.kind msg) ~deliver_at:at;
     (* A message that never arrives is not kept. *)
     if t.fifo && at <> Sim.Time.infinity then push t slot msg;
-    ignore (Sim.Engine.post t.engine ~kind:t.delivery ~owner:dst ~at src (t.encode msg))
+    Sim.Engine.post t.engine ~kind:t.delivery ~owner:dst ~at src (t.encode msg)
   end
 
 let stats t = t.stats

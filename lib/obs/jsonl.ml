@@ -47,7 +47,6 @@ let append buf (r : Record.t) =
       int buf "id" id;
       int buf "at" at
   | Record.Fire { id } -> int buf "id" id
-  | Record.Cancel { id } -> int buf "id" id
   | Record.Send { src; dst; tag; deliver_at } ->
       int buf "src" src;
       int buf "dst" dst;

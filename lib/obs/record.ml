@@ -1,7 +1,6 @@
 type kind =
   | Sched of { id : int; at : int }
   | Fire of { id : int }
-  | Cancel of { id : int }
   | Send of { src : int; dst : int; tag : string; deliver_at : int }
   | Deliver of { src : int; dst : int; tag : string }
   | Drop of { src : int; dst : int; tag : string }
@@ -13,13 +12,12 @@ type kind =
 type t = { seq : int; time : int; kind : kind }
 
 let structural = function
-  | Sched _ | Fire _ | Cancel _ | Send _ | Deliver _ | Drop _ -> true
+  | Sched _ | Fire _ | Send _ | Deliver _ | Drop _ -> true
   | Phase _ | Suspect _ | Crash _ | Mark _ -> false
 
 let label = function
   | Sched _ -> "sched"
   | Fire _ -> "fire"
-  | Cancel _ -> "cancel"
   | Send _ -> "send"
   | Deliver _ -> "deliver"
   | Drop _ -> "drop"
@@ -29,7 +27,7 @@ let label = function
   | Mark _ -> "mark"
 
 let subject = function
-  | Sched _ | Fire _ | Cancel _ -> -1
+  | Sched _ | Fire _ -> -1
   | Send { src; _ } | Deliver { src; _ } | Drop { src; _ } -> src
   | Phase { pid; _ } -> pid
   | Suspect { observer; _ } -> observer
@@ -41,7 +39,6 @@ let pp ppf r =
   match r.kind with
   | Sched { id; at } -> Format.fprintf ppf "sched   ev%d at %d" id at
   | Fire { id } -> Format.fprintf ppf "fire    ev%d" id
-  | Cancel { id } -> Format.fprintf ppf "cancel  ev%d" id
   | Send { src; dst; tag; deliver_at } ->
       Format.fprintf ppf "send    %d->%d %s (deliver %d)" src dst tag deliver_at
   | Deliver { src; dst; tag } -> Format.fprintf ppf "deliver %d->%d %s" src dst tag

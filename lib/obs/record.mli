@@ -1,7 +1,7 @@
 (** Typed observability records.
 
     One constructor per thing the simulator does: engine events being
-    scheduled, fired and cancelled; messages being sent, delivered and
+    scheduled and fired; messages being sent, delivered and
     absorbed; dining-phase transitions; suspicion flips; crashes; and
     free-form marks. Records carry the virtual time at which they were
     emitted plus a per-recorder sequence number, so two runs can be
@@ -11,7 +11,6 @@ type kind =
   | Sched of { id : int; at : int }
       (** Engine event [id] scheduled to fire at virtual time [at]. *)
   | Fire of { id : int }  (** Engine event [id] fired. *)
-  | Cancel of { id : int }  (** Engine event [id] cancelled while pending. *)
   | Send of { src : int; dst : int; tag : string; deliver_at : int }
       (** Message of kind [tag] sent on channel (src, dst); the FIFO
           delivery time is already decided at send time. *)

@@ -60,7 +60,6 @@ let push t time kind =
    only allocated behind the branch. *)
 let sched t ~time ~id ~at = if !(t.tracing) then push t time (Record.Sched { id; at })
 let fire t ~time ~id = if !(t.tracing) then push t time (Record.Fire { id })
-let cancel t ~time ~id = if !(t.tracing) then push t time (Record.Cancel { id })
 
 let send t ~time ~src ~dst ~tag ~deliver_at =
   if !(t.tracing) then push t time (Record.Send { src; dst; tag; deliver_at })

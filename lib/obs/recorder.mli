@@ -45,7 +45,6 @@ val tracing_flag : t -> bool ref
 
 val sched : t -> time:int -> id:int -> at:int -> unit
 val fire : t -> time:int -> id:int -> unit
-val cancel : t -> time:int -> id:int -> unit
 val send : t -> time:int -> src:int -> dst:int -> tag:string -> deliver_at:int -> unit
 val deliver : t -> time:int -> src:int -> dst:int -> tag:string -> unit
 val drop : t -> time:int -> src:int -> dst:int -> tag:string -> unit

@@ -1,16 +1,15 @@
 (* Events are data. A pending event is a pool slot of four ints:
 
-     seq   the event's sequential id (the trace id), or a state code
-           below zero once the slot is not live;
+     seq   the event's sequential id (the trace id), or [free] once the
+           slot holds no event;
      ko    kind lsl owner_bits lor (owner + 1): 0 in the owner field
            means ownerless;
      a, b  the kind's two payload words.
 
-   Its [event_id] packs the slot with the seq, and the timing wheel
-   queues those ids. Cancelling or firing an event frees its slot at
-   once; the id still queued for it is then a husk, recognised because
-   its seq no longer matches the slot's. So a stale id, even one whose
-   slot has been reused, can never touch the slot's new occupant.
+   The timing wheel queues bare slot indices. An event is never
+   withdrawn: every queued slot fires, and firing frees it. A caller
+   that no longer wants an event lets it fire and checks, in its
+   handler, that it still applies (see [Net.Faults]).
 
    A kind is a handler registered once per engine. Kind 0 is built in:
    its [a] indexes a side table of [unit -> unit] closures, which is
@@ -34,29 +33,16 @@
 let owner_bits = 21
 let owner_mask = (1 lsl owner_bits) - 1
 let owner_limit = owner_mask - 1
-let slot_bits = 26
-let slot_mask = (1 lsl slot_bits) - 1
 let chunk_shift = 6
 let chunk_slots = 1 lsl chunk_shift
 let chunk_mask = chunk_slots - 1
 let first_slots = 8
 
-(* Seq-word states of a slot that holds no live event. *)
-let released = -1 (* fired or cancelled during a parallel step; freed at its merge *)
-let free = -2
+(* The seq word of a slot that holds no event. *)
+let free = -1
 
 let closure_kind = 0
 let noop () = ()
-
-type event_id = int
-
-(* The id of an event scheduled at [Time.infinity], which never
-   enters the queue: [cancel] on it is a no-op. *)
-let dead_id = -1
-
-(* The id an event posted inside a parallel step gets: its slot is
-   only allocated at the step's merge, so the id cannot name it. *)
-let staged_id = -2
 
 type pool = {
   mutable chunks : int array array;
@@ -81,13 +67,11 @@ type staging = {
   mutable sn : int; (* staged events *)
   mutable sclo : (unit -> unit) array;
   mutable scn : int;
-  mutable cancelled : int array; (* slots cancelled in the step, freed at the merge *)
-  mutable cn : int;
 }
 
 (* Per-domain fire context: which shard is firing and the rank of the
    event being fired. Domain-local so the parallel fire phase can route
-   nested [post]/[cancel] calls without touching shared state. *)
+   nested [post] calls without touching shared state. *)
 type fire_ctx = { mutable rank : int; mutable shard : int }
 
 type t = {
@@ -110,16 +94,14 @@ type t = {
   mutable shard_n : int; (* process count the partition covers *)
   mutable pool_exec : Exec.Pool.t option;
   mutable staging : staging array; (* per shard, reused across steps *)
-  mutable deferred_dead : int array; (* per shard: husk notes owed to the queue *)
   mutable in_step : bool; (* a parallel step is running *)
   mutable base_rank : int; (* rank of the current sub-round's first event *)
-  mutable batch : int array; (* the tick's event ids in pop order *)
+  mutable batch : int array; (* the tick's event slots in pop order *)
   mutable batch_len : int;
   mutable pb_ev : int array; (* parallel scatter: batch grouped by shard *)
   mutable pb_rank : int array;
   mutable pb_off : int array; (* shard s owns pb indices [off.(s), off.(s+1)) *)
   mutable pb_cur : int array;
-  mutable shard_fired : int array;
   mutable step_hooks : (unit -> unit) list; (* run after each sub-round merge *)
   ctx_key : fire_ctx Domain.DLS.key;
 }
@@ -132,9 +114,6 @@ let[@inline] chunk p s = Array.unsafe_get p.chunks (s lsr chunk_shift)
 let[@inline] base s = (s land chunk_mask) lsl 2
 let[@inline] get (c : int array) o = Array.unsafe_get c o
 let[@inline] set (c : int array) o (v : int) = Array.unsafe_set c o v
-let[@inline] seq_at p s = if s < p.cap then get (chunk p s) (base s) else free
-
-let is_dead p id = id < 0 || seq_at p (id land slot_mask) <> id lsr slot_bits
 
 (* Push free slot [s] on the list for its half; [s] must be < cap. *)
 let[@inline][@lint.hot] give p s =
@@ -153,7 +132,6 @@ let[@inline][@lint.hot] give p s =
    out slots [fresh, cap) in order once both lists are empty, so growth
    costs one young allocation and no per-slot work. *)
 let grow p =
-  if p.cap >= slot_mask then failwith "Engine: more than 2^26 pending events";
   let old = p.cap in
   if old < chunk_slots then begin
     (* Chunk 0 doubles, by copy, until it is a full chunk. *)
@@ -279,8 +257,8 @@ let clo_give t i =
   t.clo_free <- i;
   t.clo_live <- t.clo_live - 1
 
-(* Free slot [s] of a fired or cancelled event, with its closure cell
-   if it has one. *)
+(* Free slot [s] of a fired event, with its closure cell if it has
+   one. *)
 let[@inline][@lint.hot] free_event t s =
   let p = t.pool in
   let c = chunk p s in
@@ -288,11 +266,6 @@ let[@inline][@lint.hot] free_event t s =
   if get c (o + 1) lsr owner_bits = closure_kind then clo_give t (get c (o + 2));
   give p s;
   p.live <- p.live - 1
-
-(* Free a slot a parallel step released; a no-op on any other state,
-   so a slot reached twice (a husk and the event now in its slot) is
-   freed once. *)
-let release t s = if seq_at t.pool s = released then free_event t s
 
 (* ---- Construction --------------------------------------------------- *)
 
@@ -311,7 +284,7 @@ let create ?recorder () =
   in
   {
     clock = Time.zero;
-    queue = Wheel.create ~dead:(fun id -> is_dead pool id) ~dummy:dead_id ();
+    queue = Wheel.create ~dummy:(-1) ();
     pool;
     handlers = [| (fun _ _ _ -> ()) |];
     closures = [||];
@@ -326,7 +299,6 @@ let create ?recorder () =
     shard_n = 0;
     pool_exec = None;
     staging = [||];
-    deferred_dead = [||];
     in_step = false;
     base_rank = 0;
     batch = [||];
@@ -335,7 +307,6 @@ let create ?recorder () =
     pb_rank = [||];
     pb_off = [||];
     pb_cur = [||];
-    shard_fired = [||];
     step_hooks = [];
     ctx_key = Domain.DLS.new_key (fun () -> { rank = -1; shard = -1 });
   }
@@ -362,11 +333,9 @@ let set_sharding t ~pool ~shards ~n () =
   t.shard_n <- n;
   t.pool_exec <- Some pool;
   t.staging <-
-    Array.init shards (fun _ -> { si = [||]; sn = 0; sclo = [||]; scn = 0; cancelled = [||]; cn = 0 });
-  t.deferred_dead <- Array.make shards 0;
+    Array.init shards (fun _ -> { si = [||]; sn = 0; sclo = [||]; scn = 0 });
   t.pb_off <- Array.make (shards + 1) 0;
-  t.pb_cur <- Array.make shards 0;
-  t.shard_fired <- Array.make shards 0
+  t.pb_cur <- Array.make shards 0
 
 let shards t = t.shards
 
@@ -392,7 +361,7 @@ let ctx_shard t =
 let past t at =
   invalid_arg (Printf.sprintf "Engine.schedule: at=%d is in the past (now=%d)" at t.clock)
 
-(* A fresh slot and the next seq for an event; returns its id. *)
+(* A fresh slot and the next seq for an event; returns the slot. *)
 let[@inline][@lint.hot] alloc_event t ~kind ~owner a b =
   let p = t.pool in
   let s = take p in
@@ -403,16 +372,15 @@ let[@inline][@lint.hot] alloc_event t ~kind ~owner a b =
   set c (o + 1) ((kind lsl owner_bits) lor (owner + 1));
   set c (o + 2) a;
   set c (o + 3) b;
-  (seq lsl slot_bits) lor s
+  s
 
 (* Queue a validated event. *)
 let[@inline][@lint.hot] enqueue t ~kind ~owner ~at a b =
-  let id = alloc_event t ~kind ~owner a b in
-  Wheel.add t.queue ~prio:at id;
+  let s = alloc_event t ~kind ~owner a b in
+  Wheel.add t.queue ~prio:at s;
   (* Call-site guard: the emission call is skipped entirely when full
      tracing is off, keeping the hot path at one load + branch. *)
-  if !(t.tracing) then Obs.Recorder.sched t.recorder ~time:t.clock ~id:(id lsr slot_bits) ~at;
-  id
+  if !(t.tracing) then Obs.Recorder.sched t.recorder ~time:t.clock ~id:(t.next_id - 1) ~at
 
 (* Parallel step: the new event goes into the firing shard's staging
    buffer and reaches the queue at the sub-round's merge point, in
@@ -436,8 +404,7 @@ let stage t ~kind ~owner ~at a b =
   v.si.(i + 3) <- owner;
   v.si.(i + 4) <- a;
   v.si.(i + 5) <- b;
-  v.sn <- v.sn + 1;
-  staged_id
+  v.sn <- v.sn + 1
 
 let stage_closure t ~owner ~at f =
   let v = t.staging.(ctx_shard t) in
@@ -455,16 +422,14 @@ let[@inline] clamp_owner owner = if owner < -1 || owner > owner_limit then -1 el
 let[@lint.hot] post t ~kind ~owner ~at a b =
   if kind <= closure_kind || kind >= Array.length t.handlers then
     invalid_arg "Engine.post: unregistered kind";
-  if at = Time.infinity then dead_id
-  else begin
+  if at <> Time.infinity then begin
     if at < t.clock then past t at;
     let owner = clamp_owner owner in
     if t.in_step then stage t ~kind ~owner ~at a b else enqueue t ~kind ~owner ~at a b
   end
 
 let schedule t ?(owner = -1) ~at f =
-  if at = Time.infinity then dead_id
-  else begin
+  if at <> Time.infinity then begin
     if at < t.clock then past t at;
     let owner = clamp_owner owner in
     if t.in_step then stage_closure t ~owner ~at f
@@ -473,118 +438,71 @@ let schedule t ?(owner = -1) ~at f =
 
 let schedule_after t ?owner ~delay f = schedule t ?owner ~at:(Time.add t.clock delay) f
 
-let cancel t id =
-  if id = staged_id then
-    invalid_arg "Engine.cancel: the event was posted inside a parallel step";
-  let p = t.pool in
-  let s = id land slot_mask and seq = id lsr slot_bits in
-  if id >= 0 && seq_at p s = seq then begin
-    if t.in_step then begin
-      (* Mid-step the pool belongs to the submitting domain: mark the
-         slot dead now, so neither the batch nor the queue fires it,
-         and free it at the sub-round merge with the owed husk note.
-         A closure is dropped at once, not to pin its environment. *)
-      let c = chunk p s and o = base s in
-      set c o released;
-      if get c (o + 1) lsr owner_bits = closure_kind then t.closures.(get c (o + 2)) <- noop;
-      let sh = ctx_shard t in
-      let v = t.staging.(sh) in
-      if v.cn >= Array.length v.cancelled then begin
-        let na = Array.make (max 8 (2 * v.cn)) 0 in
-        Array.blit v.cancelled 0 na 0 v.cn;
-        v.cancelled <- na
-      end;
-      v.cancelled.(v.cn) <- s;
-      v.cn <- v.cn + 1;
-      t.deferred_dead.(sh) <- t.deferred_dead.(sh) + 1
-    end
-    else begin
-      free_event t s;
-      Wheel.note_dead t.queue
-    end;
-    if !(t.tracing) then Obs.Recorder.cancel t.recorder ~time:t.clock ~id:seq
-  end
-
 (* ---- The sequential loop -------------------------------------------- *)
 
 (* The fire loop is a toplevel tail recursion rather than a [ref]-driven
    while: it runs once per event over the whole simulation, and keeping
    it allocation-free means the only heap traffic per fired event is
    whatever the handler itself does. The slot is freed before the
-   handler runs, so the handler may post into it, and cancelling the
-   firing event's own id is a no-op. [Wheel.next_tick] is
+   handler runs, so the handler may post into it. [Wheel.next_tick] is
    [Time.infinity] (max_int) on an empty queue, a tick no event is ever
    queued at. *)
 let[@lint.hot] rec fire_loop t ~until =
   let at = Wheel.next_tick t.queue in
   if at <> Time.infinity && at <= until then begin
-    let id = Wheel.pop t.queue in
-    let p = t.pool in
-    let s = id land slot_mask and seq = id lsr slot_bits in
-    if seq_at p s = seq then begin
-      let c = chunk p s and o = base s in
-      let ko = get c (o + 1) and a = get c (o + 2) and b = get c (o + 3) in
-      t.clock <- at;
-      t.processed <- t.processed + 1;
-      if !(t.tracing) then Obs.Recorder.fire t.recorder ~time:at ~id:seq;
-      let kind = ko lsr owner_bits in
-      if kind = closure_kind then begin
-        let f = t.closures.(a) in
-        free_event t s;
-        f ()
-      end
-      else begin
-        free_event t s;
-        t.handlers.(kind) ((ko land owner_mask) - 1) a b
-      end
+    let s = Wheel.pop t.queue in
+    let c = chunk t.pool s and o = base s in
+    let ko = get c (o + 1) and a = get c (o + 2) and b = get c (o + 3) in
+    t.clock <- at;
+    t.processed <- t.processed + 1;
+    if !(t.tracing) then Obs.Recorder.fire t.recorder ~time:at ~id:(get c o);
+    let kind = ko lsr owner_bits in
+    if kind = closure_kind then begin
+      let f = t.closures.(a) in
+      free_event t s;
+      f ()
+    end
+    else begin
+      free_event t s;
+      t.handlers.(kind) ((ko land owner_mask) - 1) a b
     end;
     fire_loop t ~until
   end
 
 (* ---- Parallel stepping ----------------------------------------------- *)
 
-let batch_push t id =
+let batch_push t s =
   if t.batch_len >= Array.length t.batch then begin
-    let na = Array.make (max 16 (2 * Array.length t.batch)) dead_id in
+    let na = Array.make (max 16 (2 * Array.length t.batch)) (-1) in
     Array.blit t.batch 0 na 0 t.batch_len;
     t.batch <- na
   end;
-  t.batch.(t.batch_len) <- id;
+  t.batch.(t.batch_len) <- s;
   t.batch_len <- t.batch_len + 1
 
-(* Owner of a live queued event; husks go to shard 0. *)
-let owner_of t id =
-  let p = t.pool and s = id land slot_mask in
-  if seq_at p s = id lsr slot_bits then (get (chunk p s) (base s + 1) land owner_mask) - 1 else -1
+let owner_of t s = (get (chunk t.pool s) (base s + 1) land owner_mask) - 1
 
-(* Fire one batch entry on a worker domain. The slot is marked
-   released, not freed: freeing touches the free lists, which belong to
-   the submitting domain, so the merge frees it. *)
-let fire_in_step t id =
-  let p = t.pool in
-  let s = id land slot_mask and seq = id lsr slot_bits in
-  if seq_at p s <> seq then false
-  else begin
-    let c = chunk p s and o = base s in
-    let ko = get c (o + 1) and a = get c (o + 2) and b = get c (o + 3) in
-    set c o released;
-    let kind = ko lsr owner_bits in
-    if kind = closure_kind then begin
-      let f = t.closures.(a) in
-      (* Drop the closure before running it: the batch outlives the
-         step's firing, and must not pin it. *)
-      t.closures.(a) <- noop;
-      f ()
-    end
-    else t.handlers.(kind) ((ko land owner_mask) - 1) a b;
-    true
+(* Fire one batch entry on a worker domain. The slot is left as it is:
+   freeing touches the free lists, which belong to the submitting
+   domain, so the batch frees it once every shard has fired. *)
+let fire_in_step t s =
+  let c = chunk t.pool s and o = base s in
+  let ko = get c (o + 1) and a = get c (o + 2) and b = get c (o + 3) in
+  let kind = ko lsr owner_bits in
+  if kind = closure_kind then begin
+    let f = t.closures.(a) in
+    (* Drop the closure before running it: the batch outlives the
+       step's firing, and must not pin it. *)
+    t.closures.(a) <- noop;
+    f ()
   end
+  else t.handlers.(kind) ((ko land owner_mask) - 1) a b
 
 (* Fire one batch: group it by shard (preserving pop order within each
-   shard) and fire the shards on the pool. Worker domains never touch
-   the queue, the recorder, the pool's free lists or [next_id] — their
-   only shared-state writes are their own events' slots and the
-   per-shard staging buffers. *)
+   shard) and fire the shards on the pool. Worker domains only read the
+   pool and never touch the queue, the recorder or [next_id]: their
+   only shared-state writes are their own events' closure cells and
+   the per-shard staging buffers. *)
 let fire_batch t tick pool =
   let s = t.shards in
   let off = t.pb_off and cur = t.pb_cur in
@@ -598,39 +516,32 @@ let fire_batch t tick pool =
     cur.(i) <- off.(i)
   done;
   if Array.length t.pb_ev < t.batch_len then begin
-    t.pb_ev <- Array.make (2 * t.batch_len) dead_id;
+    t.pb_ev <- Array.make (2 * t.batch_len) (-1);
     t.pb_rank <- Array.make (2 * t.batch_len) 0
   end;
-  let any_live = ref false in
   for r = 0 to t.batch_len - 1 do
-    let id = t.batch.(r) in
-    if not (is_dead t.pool id) then any_live := true;
-    let sh = shard_of t (owner_of t id) in
+    let ev = t.batch.(r) in
+    let sh = shard_of t (owner_of t ev) in
     let idx = cur.(sh) in
-    t.pb_ev.(idx) <- id;
+    t.pb_ev.(idx) <- ev;
     t.pb_rank.(idx) <- t.base_rank + r;
     cur.(sh) <- idx + 1
   done;
   (* The clock is advanced once, before the barrier: worker domains read
      [now] but must not write it. *)
-  if !any_live then t.clock <- tick;
+  t.clock <- tick;
   Exec.Pool.run_batch pool s (fun sh ->
       let ctx = Domain.DLS.get t.ctx_key in
       ctx.shard <- sh;
-      let fired = ref 0 in
       for idx = off.(sh) to off.(sh + 1) - 1 do
         ctx.rank <- t.pb_rank.(idx);
-        if fire_in_step t t.pb_ev.(idx) then incr fired
+        fire_in_step t t.pb_ev.(idx)
       done;
       ctx.rank <- -1;
-      ctx.shard <- -1;
-      t.shard_fired.(sh) <- !fired);
-  for sh = 0 to s - 1 do
-    t.processed <- t.processed + t.shard_fired.(sh);
-    t.shard_fired.(sh) <- 0
-  done;
+      ctx.shard <- -1);
+  t.processed <- t.processed + t.batch_len;
   for r = 0 to t.batch_len - 1 do
-    release t (t.batch.(r) land slot_mask)
+    free_event t t.batch.(r)
   done
 
 (* Head of shard [sh]'s unmerged staged events, as a rank; max_int
@@ -639,23 +550,15 @@ let head_rank t cur sh =
   let v = t.staging.(sh) in
   if cur.(sh) < v.sn then v.si.((cur.(sh) * staged_words) + 1) else max_int
 
-(* Merge one sub-round's staged effects back into the step: the
-   cancelled slots are freed, posts enter in canonical order (same-tick
-   ones refill the batch for the next sub-round, later ones enter the
-   queue), then the owed husk notes, then the component flush hooks
-   (Net.Link_stats cross-shard staging). Ranks of different shards
-   never tie (a rank names one fired event, fired on one shard), so
-   always taking the lowest head rank is the stable rank sort of the
-   shard-ordered concatenation. *)
+(* Merge one sub-round's staged effects back into the step: posts
+   enter in canonical order (same-tick ones refill the batch for the
+   next sub-round, later ones enter the queue), then the component
+   flush hooks run (Net.Link_stats cross-shard staging). Ranks of
+   different shards never tie (a rank names one fired event, fired on
+   one shard), so always taking the lowest head rank is the stable rank
+   sort of the shard-ordered concatenation. *)
 let merge_subround t tick =
   let shards = Array.length t.staging in
-  Array.iter
-    (fun v ->
-      for i = 0 to v.cn - 1 do
-        release t v.cancelled.(i)
-      done;
-      v.cn <- 0)
-    t.staging;
   let cur = t.pb_cur in
   Array.fill cur 0 shards 0;
   let rec next () =
@@ -673,8 +576,8 @@ let merge_subround t tick =
       cur.(!best) <- cur.(!best) + 1;
       let at = v.si.(i) and kind = v.si.(i + 2) and owner = v.si.(i + 3) in
       let a = if kind = closure_kind then clo_take t v.sclo.(v.si.(i + 4)) else v.si.(i + 4) in
-      let id = alloc_event t ~kind ~owner a v.si.(i + 5) in
-      if at = tick then batch_push t id else Wheel.add t.queue ~prio:at id;
+      let s = alloc_event t ~kind ~owner a v.si.(i + 5) in
+      if at = tick then batch_push t s else Wheel.add t.queue ~prio:at s;
       next ()
     end
   in
@@ -687,12 +590,6 @@ let merge_subround t tick =
       Array.fill v.sclo 0 v.scn noop;
       v.scn <- 0)
     t.staging;
-  for sh = 0 to t.shards - 1 do
-    for _ = 1 to t.deferred_dead.(sh) do
-      Wheel.note_dead t.queue
-    done;
-    t.deferred_dead.(sh) <- 0
-  done;
   List.iter (fun f -> f ()) t.step_hooks
 
 (* Parallel stepping: drain every event of the frontier tick into a

@@ -10,6 +10,12 @@
     Handlers run instantaneously in virtual time and may schedule
     further events.
 
+    An event is never withdrawn: once queued, it fires. A caller that
+    may stop wanting an event checks, in the handler, that it still
+    applies, and returns at once when not (as [Net.Faults] does for a
+    crash moved earlier, and heartbeat timeouts for a beat that came in
+    time).
+
     {2 Sequential and parallel stepping}
 
     {!run} has one sequential loop: pop the next event, fire it, repeat.
@@ -28,15 +34,9 @@
 
 type t
 
-type event_id
-(** Handle for cancelling a scheduled event: an int that packs the
-    event's pool slot with its sequential id. The slot is freed when
-    the event fires or is cancelled, and a stale id never matches the
-    slot's next occupant, so {!cancel} with it is a no-op. *)
-
 val create : ?recorder:Obs.Recorder.t -> unit -> t
 (** [create ~recorder ()] wires the engine's structural observability
-    hooks — a record per event scheduled, fired or cancelled — into the
+    hooks — a record per event scheduled or fired — into the
     given recorder (see {!Obs.Recorder}; defaults to a disabled one, in
     which case each hook costs a single branch). The event queue is the
     hierarchical timing wheel {!Wheel}. *)
@@ -54,38 +54,26 @@ val register : t -> (int -> int -> int -> unit) -> int
     Register before running; raises [Invalid_argument] inside a
     parallel step. *)
 
-val post : t -> kind:int -> owner:int -> at:Time.t -> int -> int -> event_id
+val post : t -> kind:int -> owner:int -> at:Time.t -> int -> int -> unit
 (** [post t ~kind ~owner ~at a b] queues an event of a registered
     [kind] with payload [a], [b]. [owner] is as for {!schedule} ([-1] =
     ownerless). Allocates nothing once the event pool has grown to the
-    run's high-water mark. Posting at [Time.infinity] is a no-op that
-    returns a dead id. Raises [Invalid_argument] for an unregistered
-    kind or a time in the past.
+    run's high-water mark. Posting at [Time.infinity] is a no-op.
+    Raises [Invalid_argument] for an unregistered kind or a time in the
+    past. Inside a parallel step the event is staged and gets its pool
+    slot at the step's merge. *)
 
-    Inside a parallel step the event is staged and only gets its slot
-    at the step's merge, so the returned id cannot be cancelled:
-    {!cancel} raises [Invalid_argument] on it. Nothing cancels such an
-    id today; every cancellation names an event scheduled outside a
-    step. *)
-
-val schedule : t -> ?owner:int -> at:Time.t -> (unit -> unit) -> event_id
+val schedule : t -> ?owner:int -> at:Time.t -> (unit -> unit) -> unit
 (** [schedule t ~owner ~at f] runs [f] when the clock reaches [at]. [at]
-    must not be in the past. Scheduling at [Time.infinity] is a no-op
-    that returns a dead id. [owner] is the process the event belongs to
-    (default: ownerless); parallel stepping partitions the batch on it.
-    Owners outside the 21-bit field are treated as ownerless. The event
-    is of the built-in closure kind: [f] waits in a side table, which
-    costs the closure and a table cell, so per-event callers {!post}
-    instead. *)
+    must not be in the past. Scheduling at [Time.infinity] is a no-op.
+    [owner] is the process the event belongs to (default: ownerless);
+    parallel stepping partitions the batch on it. Owners outside the
+    21-bit field are treated as ownerless. The event is of the built-in
+    closure kind: [f] waits in a side table, which costs the closure and
+    a table cell, so per-event callers {!post} instead. *)
 
-val schedule_after : t -> ?owner:int -> delay:Time.t -> (unit -> unit) -> event_id
+val schedule_after : t -> ?owner:int -> delay:Time.t -> (unit -> unit) -> unit
 (** [schedule_after t ~delay f] = [schedule t ~at:(now t + delay) f]. *)
-
-val cancel : t -> event_id -> unit
-(** Cancel a pending event and free its slot at once; cancelling a
-    fired or already-cancelled event is a no-op, even after its slot
-    has been reused. Raises [Invalid_argument] on an id {!post} or
-    {!schedule} returned inside a parallel step. *)
 
 val run : t -> until:Time.t -> unit
 (** Process events in time order until the queue is empty or the next
@@ -98,9 +86,8 @@ val run_all : t -> unit
     that quiesce. *)
 
 val pending : t -> int
-(** Number of events still queued. Cancelled husks count until they are
-    popped or reclaimed — the queue compacts itself once more than half
-    of its entries are cancelled. *)
+(** Number of events still queued, exactly: every one of them will
+    fire. *)
 
 val processed : t -> int
 (** Total number of events fired so far. *)

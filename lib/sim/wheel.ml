@@ -26,9 +26,8 @@
    relinks oldest-first.
 
    The differential tests in test/test_sim.ml hold the wheel to a
-   reference binary heap (test/pqueue.ml) with the same dead-husk
-   accounting and compaction threshold: identical pop streams, husks
-   included, for any interleaving of add/cancel/pop. *)
+   reference binary heap (test/pqueue.ml): identical pop streams for
+   any interleaving of add/pop. *)
 
 type 'a cells = Nil | Cons of { prio : int; value : 'a; mutable next : 'a cells }
 
@@ -37,10 +36,6 @@ let slot_bits = 8
 let slots_per_level = 1 lsl slot_bits
 let slot_mask = slots_per_level - 1
 let words_per_level = slots_per_level / 32
-
-(* Below this size a rebuild costs more than the husks it reclaims.
-   The reference heap in the tests uses the same threshold. *)
-let compaction_floor = 16
 
 type 'a t = {
   mutable floor : int; (* last popped tick; no queued entry is below it *)
@@ -57,13 +52,11 @@ type 'a t = {
   mutable buf_len : int;
   mutable cached_min : int; (* min prio over wheel slots (buffer excluded); -1 = unknown *)
   mutable size : int;
-  dead : ('a -> bool) option;
-  mutable dead_count : int; (* upper bound on dead entries still queued *)
 }
 
 let no_values = [||]
 
-let create ?dead ~dummy () =
+let create ~dummy () =
   {
     floor = 0;
     upper = Array.make ((levels - 1) * slots_per_level) Nil;
@@ -77,8 +70,6 @@ let create ?dead ~dummy () =
     buf_len = 0;
     cached_min = -1;
     size = 0;
-    dead;
-    dead_count = 0;
   }
 
 let set_bit t l s =
@@ -322,9 +313,6 @@ let[@lint.hot] rec pop t =
     t.buf_head <- h + 1;
     if h + 1 = t.buf_len then release_buf t;
     t.size <- t.size - 1;
-    (match t.dead with
-    | Some is_dead when is_dead v -> t.dead_count <- max 0 (t.dead_count - 1)
-    | _ -> ());
     v
   end
   else if t.size = 0 then invalid_arg "Wheel.pop: empty wheel"
@@ -332,77 +320,6 @@ let[@lint.hot] rec pop t =
     advance t;
     pop t
   end
-
-(* Keep the live values of [a.(lo..hi-1)] at [a.(0..k-1)], in order,
-   and return k; every other cell below [hi] gets [dummy]. *)
-let compact_values is_dead dummy a lo hi =
-  let k = ref 0 in
-  for i = lo to hi - 1 do
-    let v = a.(i) in
-    if not (is_dead v) then begin
-      a.(!k) <- v;
-      incr k
-    end
-  done;
-  Array.fill a !k (hi - !k) dummy;
-  !k
-
-let rec skip_dead is_dead = function
-  | Cons c when is_dead c.value -> skip_dead is_dead c.next
-  | cells -> cells
-
-(* Unlink dead cells in place, preserving order; returns the new head
-   and the number of cells kept. *)
-let compact_cells is_dead cells =
-  let head = skip_dead is_dead cells in
-  let rec go n = function
-    | Nil -> n
-    | Cons c ->
-        c.next <- skip_dead is_dead c.next;
-        go (n + 1) c.next
-  in
-  (head, go 0 head)
-
-let compact t =
-  match t.dead with
-  | None -> ()
-  | Some is_dead ->
-      let live = ref 0 in
-      for s = 0 to slots_per_level - 1 do
-        let n = t.l0_len.(s) in
-        if n > 0 then begin
-          let k = compact_values is_dead t.dummy t.l0.(s) 0 n in
-          t.l0_len.(s) <- k;
-          if k = 0 then begin
-            t.l0.(s) <- no_values;
-            clear_bit t 0 s
-          end;
-          live := !live + k
-        end
-      done;
-      for idx = 0 to Array.length t.upper - 1 do
-        match t.upper.(idx) with
-        | Nil -> ()
-        | cells ->
-            let head, k = compact_cells is_dead cells in
-            t.upper.(idx) <- head;
-            if k = 0 then clear_bit t ((idx lsr slot_bits) + 1) (idx land slot_mask);
-            live := !live + k
-      done;
-      if buf_active t then begin
-        let k = compact_values is_dead t.dummy t.buf t.buf_head t.buf_len in
-        t.buf_head <- 0;
-        t.buf_len <- k;
-        if k = 0 then release_buf t;
-        live := !live + k
-      end;
-      t.size <- !live;
-      t.dead_count <- 0;
-      t.cached_min <- -1
-
-let note_dead t =
-  t.dead_count <- min t.size (t.dead_count + 1);
-  if t.size >= compaction_floor && 2 * t.dead_count > t.size then compact t
 
 let size t = t.size
 let is_empty t = t.size = 0

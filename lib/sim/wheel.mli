@@ -4,29 +4,24 @@
     Eight levels of 256 slots cover the full non-negative tick range;
     an entry is filed at the level of the highest byte in which its
     tick differs from the wheel's floor (the last popped tick).
-    Schedule, fire and cancel are amortised O(1): popping drains one
-    level-0 slot at a time into a FIFO buffer, occasionally cascading a
-    higher-level slot down one level. A level-0 slot holds a single
-    tick's values in a FIFO array, so draining it is a swap: no sort,
-    no allocation.
+    Add and pop are amortised O(1): popping drains one level-0 slot at
+    a time into a FIFO buffer, occasionally cascading a higher-level
+    slot down one level. A level-0 slot holds a single tick's values in
+    a FIFO array, so draining it is a swap: no sort, no allocation.
 
-    Pop order among equal ticks is FIFO, and cancelled entries stay as
-    husks until popped or compacted away; the tests hold the wheel to a
-    reference binary heap on both. Priorities must be non-negative and
-    never below the last popped one — precisely the discipline a
-    virtual-time engine already follows; violations raise
-    [Invalid_argument]. *)
+    Pop order among equal ticks is FIFO; the tests hold the wheel to a
+    reference binary heap on it. Entries are never withdrawn: every
+    added entry is popped, and {!size} counts exactly the entries still
+    queued. Priorities must be non-negative and never below the last
+    popped one — precisely the discipline a virtual-time engine already
+    follows; violations raise [Invalid_argument]. *)
 
 type 'a t
 
-val create : ?dead:('a -> bool) -> dummy:'a -> unit -> 'a t
-(** [create ~dead ~dummy ()] makes an empty wheel. [dead v] must answer
-    whether entry [v] has been logically cancelled; it is consulted
-    during compaction and on {!pop} to maintain the dead-entry count.
-    Without [dead], the wheel never compacts. [dummy] fills every array
-    cell the wheel vacates (by {!pop}, a cascade or {!compact}), so the
-    wheel never retains a value it no longer holds; it is never
-    returned by {!pop}. Pass a long-lived value: a young one costs a
+val create : dummy:'a -> unit -> 'a t
+(** [create ~dummy ()] makes an empty wheel. [dummy] fills every array
+    cell the wheel vacates (by {!pop} or a cascade), so the wheel never
+    retains a value it no longer holds; it is never returned by {!pop}. Pass a long-lived value: a young one costs a
     forced minor collection the first time a slot array outgrows the
     minor heap. *)
 
@@ -37,24 +32,12 @@ val add : 'a t -> prio:int -> 'a -> unit
     popped tick, or equal to [max_int] ([Time.infinity], the "never"
     sentinel — such an event would never fire). *)
 
-val note_dead : 'a t -> unit
-(** Tell the wheel one of its entries just became dead. May trigger a
-    compaction that drops every entry for which the [dead] predicate
-    holds. Call at most once per logically cancelled entry. *)
-
-val compact : 'a t -> unit
-(** Force a sweep dropping dead entries now. No-op without a [dead]
-    predicate. O(n + slots). *)
-
 val pop : 'a t -> 'a
 (** Remove and return the minimum entry, FIFO among equal priorities;
     its priority is {!floor} afterwards. Amortised O(1). Reaching a
     new tick swaps that tick's slot array in as the FIFO buffer, which
     allocates nothing; a cascade relinks existing cells, and allocates
     only when it outgrows a level-0 array (doubling, as {!add} does).
-    Dead entries are returned like any other
-    (the caller skips them); popping one decrements the dead-entry
-    count.
     @raise Invalid_argument if the wheel is empty. *)
 
 val next_tick : 'a t -> int
@@ -63,8 +46,7 @@ val next_tick : 'a t -> int
     {!add}). Does not advance the wheel, and allocates nothing. *)
 
 val size : 'a t -> int
-(** Entries currently queued, including dead husks not yet reclaimed
-    by compaction. *)
+(** Entries currently queued. *)
 
 val is_empty : 'a t -> bool
 

@@ -44,14 +44,13 @@ let consider t pid =
     && t.instance.phase pid = Dining.Types.Thinking
     && t.protocol.Protocol.enabled (view t pid)
   then
-    ignore
-      (Sim.Engine.schedule_after t.engine ~owner:pid ~delay:(sample t.rng t.reaction_delay)
-         (fun () ->
-           if
-             alive t pid
-             && t.instance.phase pid = Dining.Types.Thinking
-             && t.protocol.Protocol.enabled (view t pid)
-           then t.instance.become_hungry pid))
+    Sim.Engine.schedule_after t.engine ~owner:pid ~delay:(sample t.rng t.reaction_delay)
+      (fun () ->
+        if
+          alive t pid
+          && t.instance.phase pid = Dining.Types.Thinking
+          && t.protocol.Protocol.enabled (view t pid)
+        then t.instance.become_hungry pid)
 
 let consider_neighborhood t pid =
   consider t pid;
@@ -88,21 +87,20 @@ let attach ~engine ~faults ~graph ~rng ~protocol ?(step_duration = (5, 20))
           if Array.exists (fun j -> t.in_cs.(j)) (Cgraph.Graph.neighbors graph pid) then
             t.overlap_races <- t.overlap_races + 1;
           let snapshot = view t pid in
-          ignore
-            (Sim.Engine.schedule_after engine ~owner:pid ~delay:(sample t.rng step_duration)
-               (fun () ->
-                 if alive t pid && instance.phase pid = Dining.Types.Eating then begin
-                   if t.protocol.Protocol.enabled snapshot then begin
-                     let next = t.protocol.Protocol.step snapshot in
-                     if next <> t.states.(pid) then begin
-                       t.states.(pid) <- next;
-                       t.steps_executed <- t.steps_executed + 1;
-                       log_error t
-                     end
-                   end;
-                   t.in_cs.(pid) <- false;
-                   instance.stop_eating pid
-                 end))
+          Sim.Engine.schedule_after engine ~owner:pid ~delay:(sample t.rng step_duration)
+            (fun () ->
+              if alive t pid && instance.phase pid = Dining.Types.Eating then begin
+                if t.protocol.Protocol.enabled snapshot then begin
+                  let next = t.protocol.Protocol.step snapshot in
+                  if next <> t.states.(pid) then begin
+                    t.states.(pid) <- next;
+                    t.steps_executed <- t.steps_executed + 1;
+                    log_error t
+                  end
+                end;
+                t.in_cs.(pid) <- false;
+                instance.stop_eating pid
+              end)
       | Dining.Types.Thinking ->
           t.in_cs.(pid) <- false;
           (* The write just landed (or the CS was a no-op); the writer and
@@ -138,7 +136,7 @@ let inject_fault t ~victims =
 let schedule_faults t ~at ~victims =
   List.iter
     (fun time ->
-      ignore (Sim.Engine.schedule t.engine ~at:time (fun () -> inject_fault t ~victims)))
+      Sim.Engine.schedule t.engine ~at:time (fun () -> inject_fault t ~victims))
     at
 
 let states t = t.states

@@ -4,14 +4,9 @@ type 'a t = {
   mutable heap : 'a entry array; (* heap.(0) unused when size = 0 *)
   mutable size : int;
   mutable next_seq : int;
-  dead : ('a -> bool) option;
-  mutable dead_count : int; (* upper bound on dead entries still in heap *)
 }
 
-(* Below this size a rebuild costs more than the husks it reclaims. *)
-let compaction_floor = 16
-
-let create ?dead () = { heap = [||]; size = 0; next_seq = 0; dead; dead_count = 0 }
+let create () = { heap = [||]; size = 0; next_seq = 0 }
 
 let less a b = a.prio < b.prio || (a.prio = b.prio && a.seq < b.seq)
 
@@ -23,8 +18,14 @@ let grow t =
   Array.blit t.heap 0 nheap 0 t.size;
   t.heap <- nheap
 
-(* Insert an existing entry, keeping its (prio, seq) identity. *)
-let push_entry t entry =
+let add t ~prio value =
+  if prio < 0 then invalid_arg "Pqueue.add: negative priority";
+  (* Mirror of Wheel.add: [max_int] is [Sim.Time.infinity], the "never"
+     sentinel, not a schedulable tick. *)
+  if prio = max_int then
+    invalid_arg "Pqueue.add: prio = max_int is Time.infinity (event would never fire)";
+  let entry = { prio; seq = t.next_seq; value } in
+  t.next_seq <- t.next_seq + 1;
   if t.size >= Array.length t.heap then begin
     if Array.length t.heap = 0 then t.heap <- Array.make 16 entry else grow t
   end;
@@ -43,29 +44,6 @@ let push_entry t entry =
     end
     else continue := false
   done
-
-let add t ~prio value =
-  if prio < 0 then invalid_arg "Pqueue.add: negative priority";
-  (* Mirror of Wheel.add: [max_int] is [Sim.Time.infinity], the "never"
-     sentinel, not a schedulable tick. *)
-  if prio = max_int then
-    invalid_arg "Pqueue.add: prio = max_int is Time.infinity (event would never fire)";
-  let entry = { prio; seq = t.next_seq; value } in
-  t.next_seq <- t.next_seq + 1;
-  push_entry t entry
-
-let compact t =
-  match t.dead with
-  | None -> ()
-  | Some is_dead ->
-      let live = Array.sub t.heap 0 t.size in
-      t.size <- 0;
-      t.dead_count <- 0;
-      Array.iter (fun e -> if not (is_dead e.value) then push_entry t e) live
-
-let note_dead t =
-  t.dead_count <- min t.size (t.dead_count + 1);
-  if t.size >= compaction_floor && 2 * t.dead_count > t.size then compact t
 
 let sift_down t =
   let i = ref 0 in
@@ -93,9 +71,6 @@ let pop t =
       t.heap.(0) <- t.heap.(t.size);
       sift_down t
     end;
-    (match t.dead with
-    | Some is_dead when is_dead top.value -> t.dead_count <- max 0 (t.dead_count - 1)
-    | _ -> ());
     Some (top.prio, top.value)
   end
 
@@ -105,5 +80,4 @@ let is_empty t = t.size = 0
 
 let clear t =
   t.size <- 0;
-  t.dead_count <- 0;
   t.heap <- [||]

@@ -60,6 +60,27 @@ let faults_rescheduled_crash_notifies_once () =
   Sim.Engine.run_all engine;
   check bool "exactly one notification, at the earliest time" true (!crashes = [ (0, 40) ])
 
+(* Regression: a crash moved earlier used to leave a withdrawn event in
+   the queue. A run popped it without moving the clock, so the queue's
+   last popped tick ended above [now] and the next post from [now]
+   raised. The superseded event now fires as a no-op and moves the
+   clock with it. *)
+let faults_rescheduled_crash_keeps_posts_legal () =
+  let engine = Sim.Engine.create () in
+  let faults = Net.Faults.create engine ~n:1 in
+  let crashes = ref [] in
+  Net.Faults.on_crash faults (fun pid -> crashes := (pid, Sim.Engine.now engine) :: !crashes);
+  Net.Faults.schedule_crash faults ~pid:0 ~at:100;
+  Net.Faults.schedule_crash faults ~pid:0 ~at:40;
+  Sim.Engine.run engine ~until:150;
+  let fired = ref false in
+  ignore (Sim.Engine.schedule_after engine ~delay:1 (fun () -> fired := true));
+  check int "the superseded crash event fired as a no-op" 2 (Sim.Engine.processed engine);
+  Sim.Engine.run_all engine;
+  check bool "a post after the run fires" true !fired;
+  check int "one tick after the superseded event" 101 (Sim.Engine.now engine);
+  check bool "one crash, at the earliest time" true (!crashes = [ (0, 40) ])
+
 let faults_listeners_fire_in_registration_order () =
   let engine = Sim.Engine.create () in
   let faults = Net.Faults.create engine ~n:1 in
@@ -282,4 +303,6 @@ let suite =
     Alcotest.test_case "delay: sampling allocates nothing" `Quick delay_sample_allocates_nothing;
     Alcotest.test_case "network: a message allocates nothing" `Quick
       network_message_allocation;
+    Alcotest.test_case "faults: a run past a superseded crash keeps posts legal" `Quick
+      faults_rescheduled_crash_keeps_posts_legal;
   ]

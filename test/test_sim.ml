@@ -176,69 +176,6 @@ let pqueue_clear () =
   Pqueue.add q ~prio:1 1;
   check int "usable after clear" 1 (Pqueue.size q)
 
-let pqueue_compacts_when_mostly_dead () =
-  let dead = Hashtbl.create 64 in
-  let q = Pqueue.create ~dead:(Hashtbl.mem dead) () in
-  for i = 0 to 99 do
-    Pqueue.add q ~prio:i i
-  done;
-  check int "full before cancellations" 100 (Pqueue.size q);
-  for i = 0 to 59 do
-    Hashtbl.replace dead i ();
-    Pqueue.note_dead q
-  done;
-  check bool "husks reclaimed" true (Pqueue.size q < 100);
-  check bool "live entries kept" true (Pqueue.size q >= 40);
-  let rec drain acc =
-    match Pqueue.pop q with
-    | None -> List.rev acc
-    | Some (_, v) -> drain (if Hashtbl.mem dead v then acc else v :: acc)
-  in
-  check (Alcotest.list int) "live order preserved" (List.init 40 (fun i -> 60 + i)) (drain [])
-
-let pqueue_forced_compact () =
-  let dead = Hashtbl.create 8 in
-  let q = Pqueue.create ~dead:(Hashtbl.mem dead) () in
-  List.iteri (fun i p -> Pqueue.add q ~prio:p (i, p)) [ 5; 1; 4; 1; 3 ];
-  Hashtbl.replace dead (2, 4) ();
-  Pqueue.note_dead q;
-  Pqueue.compact q;
-  check int "husk dropped" 4 (Pqueue.size q);
-  let order = List.init 4 (fun _ -> snd (snd (Option.get (Pqueue.pop q)))) in
-  check (Alcotest.list int) "order and FIFO ties survive compaction" [ 1; 1; 3; 5 ] order
-
-let pqueue_compaction_agrees =
-  (* Draining a compacting queue after arbitrary cancellations yields the
-     same live sequence as filtering a plain queue's drain. *)
-  QCheck.Test.make ~name:"pqueue: compaction never changes the live drain" ~count:200
-    QCheck.(pair (list_of_size Gen.(int_range 0 60) (int_bound 20)) (int_bound 1000))
-    (fun (prios, salt) ->
-      let dead = Hashtbl.create 16 in
-      let is_dead (i, _) = Hashtbl.mem dead i in
-      let q = Pqueue.create ~dead:is_dead () in
-      let plain = Pqueue.create () in
-      List.iteri
-        (fun i p ->
-          Pqueue.add q ~prio:p (i, p);
-          Pqueue.add plain ~prio:p (i, p))
-        prios;
-      List.iteri
-        (fun i _ ->
-          if ((i * 7919) + salt) mod 7 < 4 then begin
-            Hashtbl.replace dead i ();
-            Pqueue.note_dead q
-          end)
-        prios;
-      let drain queue =
-        let rec go acc =
-          match Pqueue.pop queue with
-          | None -> List.rev acc
-          | Some (_, v) -> go (if is_dead v then acc else v :: acc)
-        in
-        go []
-      in
-      drain q = drain plain)
-
 (* ------------------------------ Wheel ------------------------------ *)
 
 (* The wheel's allocation-free peek and pop in the reference heap's
@@ -303,20 +240,16 @@ let wheel_floor_rejects_past () =
     (wheel_peek q)
 
 let wheel_matches_pqueue =
-  (* The wheel against the reference heap: identical pop streams — husks
-     included — identical peeks, identical sizes, under arbitrary
-     interleavings of add / pop / cancel with the shared dead-husk
-     compaction policy. *)
+  (* The wheel against the reference heap: identical pop streams,
+     identical peeks, identical sizes, under arbitrary interleavings of
+     add / pop. *)
   QCheck.Test.make ~name:"wheel: bit-identical to pqueue on random workloads" ~count:300
-    QCheck.(pair (list_of_size Gen.(int_range 0 120) (int_bound 100_000)) (int_bound 10_000))
-    (fun (codes, salt) ->
-      let dead = Hashtbl.create 16 in
-      let is_dead (i, _) = Hashtbl.mem dead i in
-      let w = Sim.Wheel.create ~dead:is_dead ~dummy:(-1, -1) () in
-      let p = Pqueue.create ~dead:is_dead () in
+    QCheck.(list_of_size Gen.(int_range 0 120) (int_bound 100_000))
+    (fun codes ->
+      let w = Sim.Wheel.create ~dummy:(-1, -1) () in
+      let p = Pqueue.create () in
       let now = ref 0 in
       let idx = ref 0 in
-      let added = ref [] in
       let ok = ref true in
       let agree () =
         ok :=
@@ -326,34 +259,23 @@ let wheel_matches_pqueue =
       in
       List.iter
         (fun code ->
-          (match code mod 3 with
-          | 0 ->
-              (* Mostly short hops, occasionally a jump that crosses
-                 several wheel levels. *)
-              let delta =
-                if code mod 5 = 0 then (((code / 3) mod 4) * 1_000_000) + (code mod 97)
-                else (code / 3) mod 500
-              in
-              let prio = !now + delta in
-              let v = (!idx, prio) in
-              incr idx;
-              added := fst v :: !added;
-              Sim.Wheel.add w ~prio v;
-              Pqueue.add p ~prio v
-          | 1 -> (
-              let a = wheel_pop w and b = Pqueue.pop p in
-              ok := !ok && a = b;
-              match a with Some (t, _) -> now := t | None -> ())
-          | _ -> (
-              match !added with
-              | [] -> ()
-              | l ->
-                  let k = List.nth l ((code + salt) mod List.length l) in
-                  if not (Hashtbl.mem dead k) then begin
-                    Hashtbl.replace dead k ();
-                    Sim.Wheel.note_dead w;
-                    Pqueue.note_dead p
-                  end));
+          (if code mod 2 = 0 then begin
+             (* Mostly short hops, occasionally a jump that crosses
+                several wheel levels. *)
+             let delta =
+               if code mod 5 = 0 then (((code / 3) mod 4) * 1_000_000) + (code mod 97)
+               else (code / 3) mod 500
+             in
+             let prio = !now + delta in
+             let v = (!idx, prio) in
+             incr idx;
+             Sim.Wheel.add w ~prio v;
+             Pqueue.add p ~prio v
+           end
+           else
+             let a = wheel_pop w and b = Pqueue.pop p in
+             ok := !ok && a = b;
+             match a with Some (t, _) -> now := t | None -> ());
           agree ())
         codes;
       let rec drain () =
@@ -381,23 +303,19 @@ let wheel_drain_no_minor_gc () =
   check int "FIFO head of the tick" 0 first;
   check int "no minor collection while draining a 1000-entry tick" before after
 
-(* The wheel holds each value in one place, and every cell that [pop], a
-   cascade or [compact] vacates gets the dummy, so a value that has left
-   the wheel is collectable while the wheel lives on. Watched values are
-   built in a non-inlined function so the weak slot is their only other
-   reference; a value is dead once its first byte is 'd'. *)
+(* The wheel holds each value in one place, and every cell that [pop] or
+   a cascade vacates gets the dummy, so a value that has left the wheel
+   is collectable while the wheel lives on. Watched values are built in
+   a non-inlined function so the weak slot is their only other
+   reference. *)
 let[@inline never] add_watched q weak i ~prio =
   let v = Bytes.make 64 'x' in
   Weak.set weak i (Some v);
   Sim.Wheel.add q ~prio v
 
-let[@inline never] kill weak i =
-  match Weak.get weak i with Some v -> Bytes.set v 0 'd' | None -> ()
-
 let wheel_releases_vacated_values () =
-  let is_dead v = Bytes.length v > 0 && Bytes.get v 0 = 'd' in
-  let q = Sim.Wheel.create ~dead:is_dead ~dummy:Bytes.empty () in
-  let weak = Weak.create 6 in
+  let q = Sim.Wheel.create ~dummy:Bytes.empty () in
+  let weak = Weak.create 2 in
   let keep () = Bytes.make 64 'k' in
   let collected i =
     Gc.full_major ();
@@ -417,58 +335,25 @@ let wheel_releases_vacated_values () =
   check int "cascaded entry popped at its tick" 70_000 (Sim.Wheel.floor q);
   check bool "cascaded value released" true (collected 1);
   ignore (Sim.Wheel.pop q : Bytes.t);
-  (* compact: a dead value next to a live one in a level-0 array, in an
-     upper-level list and in the active buffer. *)
-  add_watched q weak 2 ~prio:70_010;
-  Sim.Wheel.add q ~prio:70_010 (keep ());
-  add_watched q weak 3 ~prio:900_000;
-  Sim.Wheel.add q ~prio:900_000 (keep ());
-  Sim.Wheel.add q ~prio:70_001 (keep ());
-  add_watched q weak 4 ~prio:70_001;
-  Sim.Wheel.add q ~prio:70_001 (keep ());
-  List.iter (kill weak) [ 2; 3; 4 ];
-  Sim.Wheel.compact q;
-  check int "compaction keeps the live entries" 5 (Sim.Wheel.size q);
-  check bool "compacted level-0 value released" true (collected 2);
-  check bool "compacted upper-level value released" true (collected 3);
-  check bool "compacted buffer value released" true (collected 4);
-  List.iter
-    (fun at ->
-      ignore (Sim.Wheel.pop q : Bytes.t);
-      check int "live entries pop in order" at (Sim.Wheel.floor q))
-    [ 70_001; 70_001; 70_010; 900_000 ];
   check int "the far keeper is still queued" 1 (Sim.Wheel.size (Sys.opaque_identity q))
 
 (* Same-tick FIFO across floor epochs: entries for one tick added while
    it sits at level 2, then level 1, then level 0, then in the active
-   buffer, with compactions in between, pop in insertion order. *)
+   buffer, pop in insertion order. *)
 let wheel_fifo_across_epochs () =
-  let dead = Hashtbl.create 4 in
-  let q = Sim.Wheel.create ~dead:(Hashtbl.mem dead) ~dummy:"" () in
+  let q = Sim.Wheel.create ~dummy:"" () in
   let tick = (3 lsl 16) + (5 lsl 8) + 7 in
   let add ?(at = tick) v = Sim.Wheel.add q ~prio:at v in
-  let kill v =
-    Hashtbl.replace dead v ();
-    Sim.Wheel.note_dead q
-  in
   let pop () = Sim.Wheel.pop q in
   add "a1";
-  add "d1";
   add ~at:(3 lsl 16) "m1";
   check Alcotest.string "level-2 epoch ends" "m1" (pop ());
   add "a2";
   add ~at:((3 lsl 16) + (5 lsl 8)) "m2";
   check Alcotest.string "level-1 epoch ends" "m2" (pop ());
-  add "d2";
   add "a3";
-  kill "d1";
-  kill "d2";
-  Sim.Wheel.compact q;
   check Alcotest.string "tick drains into the buffer" "a1" (pop ());
   add "a4";
-  add "d3";
-  kill "d3";
-  Sim.Wheel.compact q;
   add "a5";
   let rest = List.init (Sim.Wheel.size q) (fun _ -> pop ()) in
   check (Alcotest.list Alcotest.string) "insertion order" [ "a2"; "a3"; "a4"; "a5" ] rest;
@@ -506,16 +391,6 @@ let engine_until_bound () =
   check (Alcotest.list int) "only <= until" [ 5; 10 ] (List.rev !fired);
   check int "one pending left" 1 (Sim.Engine.pending engine)
 
-let engine_cancel () =
-  let engine = Sim.Engine.create () in
-  let fired = ref 0 in
-  let id = Sim.Engine.schedule engine ~at:5 (fun () -> incr fired) in
-  ignore (Sim.Engine.schedule engine ~at:6 (fun () -> incr fired));
-  Sim.Engine.cancel engine id;
-  Sim.Engine.run_all engine;
-  check int "cancelled did not fire" 1 !fired;
-  check int "processed excludes cancelled" 1 (Sim.Engine.processed engine)
-
 let engine_rejects_past () =
   let engine = Sim.Engine.create () in
   ignore (Sim.Engine.schedule engine ~at:10 (fun () -> ()));
@@ -536,53 +411,11 @@ let engine_nested_scheduling () =
   check int "chain length" 10 !hits;
   check int "clock advanced" 18 (Sim.Engine.now engine)
 
-let engine_mass_cancel () =
-  let engine = Sim.Engine.create () in
-  let fired = ref [] in
-  let ids =
-    List.init 200 (fun i ->
-        Sim.Engine.schedule engine ~at:(i + 1) (fun () -> fired := i :: !fired))
-  in
-  (* Cancel three quarters; the queue should reclaim the husks. *)
-  List.iteri (fun i id -> if i mod 4 <> 0 then Sim.Engine.cancel engine id) ids;
-  check bool "husks reclaimed from the event queue" true (Sim.Engine.pending engine < 200);
-  (* Double-cancel and cancelling a fired event must be harmless. *)
-  Sim.Engine.cancel engine (List.nth ids 1);
-  Sim.Engine.run_all engine;
-  Sim.Engine.cancel engine (List.nth ids 0);
-  check (Alcotest.list int) "exactly the survivors fired, in order"
-    (List.init 50 (fun k -> 4 * k))
-    (List.rev !fired);
-  check int "processed counts only real firings" 50 (Sim.Engine.processed engine);
-  check int "clock stops at the last live event" 197 (Sim.Engine.now engine)
-
 let engine_infinity_noop () =
   let engine = Sim.Engine.create () in
   ignore (Sim.Engine.schedule engine ~at:Sim.Time.infinity (fun () -> Alcotest.fail "fired"));
   Sim.Engine.run_all engine;
   check int "nothing pending" 0 (Sim.Engine.pending engine)
-
-(* Regression: cancelling an event used to leave its action closure
-   reachable from the queue husk until the tick came due; with long
-   timeouts that pinned arbitrarily large captured state. The action must
-   be collectable the moment it is cancelled, wherever in the wheel its
-   husk is filed: [at] picks a level-0 tick or one several levels up. *)
-let engine_cancel_releases_closure ~at () =
-  let engine = Sim.Engine.create () in
-  let weak = Weak.create 1 in
-  let id =
-    (* Build the closure in a local scope so the only strong reference to
-       its captured payload is the scheduled action itself. *)
-    let payload = Bytes.make 4096 'x' in
-    Weak.set weak 0 (Some payload);
-    Sim.Engine.schedule engine ~at (fun () -> ignore (Bytes.length payload))
-  in
-  (* A second pending event keeps the queue non-trivial so the husk is
-     genuinely retained (no compaction at size 2). *)
-  ignore (Sim.Engine.schedule engine ~at:2_000_000 (fun () -> ()));
-  Sim.Engine.cancel engine id;
-  Gc.full_major ();
-  check bool "cancelled action is collectable before its tick" true (Weak.get weak 0 = None)
 
 (* ------------------------ Infinity boundary ------------------------ *)
 
@@ -642,10 +475,9 @@ let with_sharding ?pool ~shards ~n engine =
 
 (* A shard-safe workload that exercises everything parallel stepping must
    get right: nested scheduling, same-tick chains that cross shards
-   (sub-rounds), cancellation of both queued and same-tick events, owner
-   tags spread over processes. Every handler writes only its owner's
-   log, and canceller and victim share an owner, so the workload stays
-   legal at any shard count. *)
+   (sub-rounds), data events posted inside a step, owner tags spread
+   over processes. Every handler writes only its owner's log, so the
+   workload stays legal at any shard count. *)
 let staged_workload ?pool ~shards () =
   let engine = Sim.Engine.create () in
   with_sharding ?pool ~shards ~n:8 engine;
@@ -673,8 +505,6 @@ let staged_workload ?pool ~shards () =
   for owner = 0 to 7 do
     ignore (Sim.Engine.post engine ~kind:!kind ~owner ~at:(owner mod 4) 4 0)
   done;
-  let data_victim = Sim.Engine.post engine ~kind:!kind ~owner:2 ~at:8 99 0 in
-  ignore (Sim.Engine.schedule engine ~owner:2 ~at:3 (fun () -> Sim.Engine.cancel engine data_victim));
   (* Same-tick scheduling across shards: fires in the same step, a
      sub-round later. *)
   ignore
@@ -684,17 +514,6 @@ let staged_workload ?pool ~shards () =
            (Sim.Engine.schedule engine ~owner:6 ~at:4 (fun () ->
                 note 6 2 ();
                 ignore (Sim.Engine.schedule engine ~owner:3 ~at:4 (note 3 3))))));
-  (* Cancel a queued event from a handler of the same owner... *)
-  let victim = Sim.Engine.schedule engine ~owner:7 ~at:9 (note 7 666) in
-  ignore (Sim.Engine.schedule engine ~owner:7 ~at:6 (fun () -> Sim.Engine.cancel engine victim));
-  (* ...and a same-tick one later in the same batch: the canceller pops
-     first (earlier schedule order), so the victim must not fire even
-     though it was drained into the batch alongside it. *)
-  let batch_victim = ref None in
-  ignore
-    (Sim.Engine.schedule engine ~owner:5 ~at:2 (fun () ->
-         Sim.Engine.cancel engine (Option.get !batch_victim)));
-  batch_victim := Some (Sim.Engine.schedule engine ~owner:5 ~at:2 (note 5 667));
   Sim.Engine.run engine ~until:12;
   let mid = (snapshot (), Sim.Engine.now engine, Sim.Engine.processed engine) in
   Sim.Engine.run_all engine;
@@ -709,11 +528,8 @@ let engine_parallel_matches_fire_loop () =
           check bool (Printf.sprintf "parallel shards=%d equals fire_loop" shards) true
             (r = reference))
         [ 2; 3; 4; 8 ]);
-  (* Sanity on the reference itself: the cancelled events never fired. *)
+  (* Sanity on the reference itself. *)
   let _, logs, _, _ = reference in
-  check bool "cancelled queued event never fired" true (not (List.mem_assoc 666 logs.(7)));
-  check bool "cancelled same-tick event never fired" true (not (List.mem_assoc 667 logs.(5)));
-  check bool "cancelled data event never fired" true (not (List.mem_assoc 299 logs.(2)));
   check bool "data chains fired" true (List.mem_assoc 200 logs.(7))
 
 let engine_staged_until_boundary () =
@@ -841,31 +657,6 @@ let trace_sink () =
     ]
     (List.rev !rows)
 
-(* A stale id names a slot, and the slot is reused once its event has
-   fired: cancelling with the stale id must leave the new occupant
-   alone, for a data kind and for the closure kind. *)
-let engine_stale_cancel () =
-  let engine = Sim.Engine.create () in
-  let log = ref [] in
-  let kind = Sim.Engine.register engine (fun owner a b -> log := (owner, a, b) :: !log) in
-  let first = Sim.Engine.post engine ~kind ~owner:3 ~at:1 10 20 in
-  Sim.Engine.run_all engine;
-  let second = Sim.Engine.post engine ~kind ~owner:4 ~at:2 30 40 in
-  let closure_fired = ref false in
-  Sim.Engine.cancel engine first;
-  let third = Sim.Engine.schedule engine ~at:3 (fun () -> closure_fired := true) in
-  Sim.Engine.cancel engine second;
-  Sim.Engine.cancel engine second;
-  ignore (Sim.Engine.post engine ~kind ~owner:5 ~at:4 50 60);
-  Sim.Engine.cancel engine second;
-  Sim.Engine.cancel engine first;
-  Sim.Engine.run_all engine;
-  Sim.Engine.cancel engine third;
-  check bool "the closure event survived the stale cancels" true !closure_fired;
-  check (Alcotest.list (Alcotest.triple int int int)) "only the cancelled event was lost"
-    [ (3, 10, 20); (5, 50, 60) ] (List.rev !log);
-  check int "processed" 3 (Sim.Engine.processed engine)
-
 (* The pool grows to a burst's high-water mark and gives the memory
    back at the next [run] once the burst has drained. *)
 let engine_pool_trims () =
@@ -891,13 +682,11 @@ let engine_pool_trims () =
 
 (* The event pool against a reference queue: random interleavings of
    data and closure posts, handler posts (a data event with chain c > 0
-   posts its successor c ticks later), cancels of live, fired and stale
-   ids, and bounded runs, whose exits trim the pool. The reference is
-   a list ordered by (time, post order); the engine must fire the same
-   events, in the same order, with the same payloads. Posts between
-   runs start at the last run's bound: a run may pop husks past the
-   clock, and the wheel takes nothing below a popped tick. *)
-type pool_op = Post of bool * int * int | Burst of int | Cancel of int | Run of int
+   posts its successor c ticks later), and bounded runs, whose exits
+   trim the pool. The reference is a set ordered by (time, post order);
+   the engine must fire the same events, in the same order, with the
+   same payloads. *)
+type pool_op = Post of bool * int * int | Burst of int | Run of int
 
 let engine_pool_matches_reference =
   let op =
@@ -906,7 +695,6 @@ let engine_pool_matches_reference =
         [
           (6, map3 (fun closure d c -> Post (closure, d, c)) bool (int_range 0 300) (int_range 0 3));
           (1, map (fun d -> Burst d) (int_range 0 300));
-          (3, map (fun i -> Cancel i) (int_bound 1000));
           (1, map (fun d -> Run d) (int_range 0 400));
         ])
   in
@@ -927,19 +715,16 @@ let engine_pool_matches_reference =
       in
       kind := Sim.Engine.register engine handler;
       (* The reference: pending (at, order, owner, a, chain or -1 for a
-         closure), and the ids of the top-level posts with their order. *)
+         closure). *)
       let module Q = Set.Make (struct
         type t = int * int * int * int * int
 
         let compare = compare
       end) in
-      let pending = ref Q.empty and by_order = Hashtbl.create 64 in
+      let pending = ref Q.empty in
       let order = ref 0 and m_serial = ref 0 and m_log = ref [] in
-      let ids = Hashtbl.create 64 and bound = ref 0 in
       let m_add at owner a b =
-        let ev = (at, !order, owner, a, b) in
-        pending := Q.add ev !pending;
-        Hashtbl.replace by_order !order ev;
+        pending := Q.add (at, !order, owner, a, b) !pending;
         incr order
       in
       let rec m_run until =
@@ -958,15 +743,12 @@ let engine_pool_matches_reference =
         | Post (closure, delay, chain) ->
             incr serial;
             incr m_serial;
-            let n = !serial and at = max (Sim.Engine.now engine) !bound + delay in
+            let n = !serial and at = Sim.Engine.now engine + delay in
             let owner = n mod 5 in
-            let id =
-              if closure then
-                Sim.Engine.schedule engine ~owner ~at (fun () ->
-                    log := (Sim.Engine.now engine, owner, n, -1) :: !log)
-              else Sim.Engine.post engine ~kind:!kind ~owner ~at n chain
-            in
-            Hashtbl.replace ids (Hashtbl.length ids) (id, !order);
+            if closure then
+              Sim.Engine.schedule engine ~owner ~at (fun () ->
+                  log := (Sim.Engine.now engine, owner, n, -1) :: !log)
+            else Sim.Engine.post engine ~kind:!kind ~owner ~at n chain;
             m_add at owner !m_serial (if closure then -1 else chain)
         | Burst d ->
             (* Enough events to grow the pool past chunk 0, with
@@ -975,15 +757,8 @@ let engine_pool_matches_reference =
             for i = 0 to 79 do
               apply (Post (i mod 9 = 0, d + (i * 7 mod 400), 0))
             done
-        | Cancel i ->
-            if Hashtbl.length ids > 0 then begin
-              let id, o = Hashtbl.find ids (i mod Hashtbl.length ids) in
-              Sim.Engine.cancel engine id;
-              pending := Q.remove (Hashtbl.find by_order o) !pending
-            end
         | Run d ->
-            let until = max (Sim.Engine.now engine) !bound + d in
-            bound := until;
+            let until = Sim.Engine.now engine + d in
             Sim.Engine.run engine ~until;
             m_run until
       in
@@ -1012,9 +787,6 @@ let suite =
     Alcotest.test_case "pqueue: empty pops" `Quick pqueue_empty_pop;
     Alcotest.test_case "pqueue: clear" `Quick pqueue_clear;
     QCheck_alcotest.to_alcotest pqueue_sorts;
-    Alcotest.test_case "pqueue: compacts when mostly dead" `Quick pqueue_compacts_when_mostly_dead;
-    Alcotest.test_case "pqueue: forced compaction" `Quick pqueue_forced_compact;
-    QCheck_alcotest.to_alcotest pqueue_compaction_agrees;
     Alcotest.test_case "wheel: orders by priority" `Quick wheel_orders;
     Alcotest.test_case "wheel: FIFO ties" `Quick wheel_fifo_ties;
     Alcotest.test_case "wheel: spans every level" `Quick wheel_multilevel_spans;
@@ -1027,10 +799,8 @@ let suite =
     Alcotest.test_case "engine: fires in time order" `Quick engine_fires_in_order;
     Alcotest.test_case "engine: FIFO at equal times" `Quick engine_same_time_fifo;
     Alcotest.test_case "engine: run ~until" `Quick engine_until_bound;
-    Alcotest.test_case "engine: cancellation" `Quick engine_cancel;
     Alcotest.test_case "engine: rejects past events" `Quick engine_rejects_past;
     Alcotest.test_case "engine: handlers schedule more events" `Quick engine_nested_scheduling;
-    Alcotest.test_case "engine: mass cancellation compacts" `Quick engine_mass_cancel;
     Alcotest.test_case "engine: infinity is a no-op" `Quick engine_infinity_noop;
     Alcotest.test_case "queues: reject prio = infinity, keep max_int - 1" `Quick
       queue_rejects_infinity;
@@ -1046,17 +816,11 @@ let suite =
     Alcotest.test_case "engine: a parallel step releases its events" `Quick
       engine_step_releases_events;
     Alcotest.test_case "engine: shard_of at the partition edges" `Quick engine_shard_of;
-    Alcotest.test_case "engine: cancel releases the closure (high wheel level)" `Quick
-      (engine_cancel_releases_closure ~at:1_000_000);
-    Alcotest.test_case "engine: cancel releases the closure (within level 0)" `Quick
-      (engine_cancel_releases_closure ~at:5);
     Alcotest.test_case "trace: disabled by default" `Quick trace_disabled_by_default;
     Alcotest.test_case "trace: collects records" `Quick trace_collects;
     Alcotest.test_case "trace: callback sink" `Quick trace_sink;
     Alcotest.test_case "rng: stream pinned" `Quick rng_stream_pinned;
     Alcotest.test_case "rng: draws allocate nothing" `Quick rng_draws_allocate_nothing;
-    Alcotest.test_case "engine: a stale id never cancels its slot's next event" `Quick
-      engine_stale_cancel;
     Alcotest.test_case "engine: the event pool trims after a burst" `Quick engine_pool_trims;
     QCheck_alcotest.to_alcotest engine_pool_matches_reference;
   ]
