@@ -403,6 +403,7 @@ type scale_cell = {
   alloc_words : int;  (* words allocated by create+run+report: exact *)
   live_words : int;   (* live-heap delta while the world is alive: advisory *)
   reachable_words : int;  (* the world's reachable heap after report: exact *)
+  static_words : int;  (* the world's reachable heap right after create: exact *)
   seconds : float;
 }
 
@@ -443,6 +444,7 @@ let measure_scale_cell ~measure_live ~horizon spec =
   let alloc0 = allocated_words () in
   let t0 = Sys.time () in
   let w = Harness.World.create scenario in
+  let static_words = Obj.reachable_words (Obj.repr w) in
   Harness.World.advance w ~until:scenario.horizon;
   let r = Harness.World.report w in
   let seconds = Sys.time () -. t0 in
@@ -466,13 +468,14 @@ let measure_scale_cell ~measure_live ~horizon spec =
     alloc_words;
     live_words;
     reachable_words;
+    static_words;
     seconds;
   }
 
 (* One line, read back by [run_scale_cell]; %h keeps the float exact. *)
 let print_scale_cell c =
-  Printf.printf "%s %d %d %d %d %d %d %d %h" c.label c.cell_n c.cell_edges c.cell_events c.cell_eats
-    c.alloc_words c.live_words c.reachable_words c.seconds;
+  Printf.printf "%s %d %d %d %d %d %d %d %d %h" c.label c.cell_n c.cell_edges c.cell_events
+    c.cell_eats c.alloc_words c.live_words c.reachable_words c.static_words c.seconds;
   print_newline ()
 
 (* Run one cell in a child process and read back the line it prints. *)
@@ -485,9 +488,9 @@ let run_scale_cell ~measure_live (kind, n, horizon) =
   let line = In_channel.input_all ic in
   match Unix.close_process_in ic with
   | Unix.WEXITED 0 ->
-      Scanf.sscanf line "%s %d %d %d %d %d %d %d %h "
+      Scanf.sscanf line "%s %d %d %d %d %d %d %d %d %h "
         (fun label cell_n cell_edges cell_events cell_eats alloc_words live_words reachable_words
-             seconds ->
+             static_words seconds ->
           {
             label;
             cell_n;
@@ -497,6 +500,7 @@ let run_scale_cell ~measure_live (kind, n, horizon) =
             alloc_words;
             live_words;
             reachable_words;
+            static_words;
             seconds;
           })
   | _ -> failwith (Printf.sprintf "scale cell %s-%d: child process failed" (kind_name kind) n)
@@ -595,6 +599,8 @@ let run_scale ~(ctx : Harness.Experiments.ctx) ~smoke ~json ~baseline () =
         (if c.seconds > 0.0 then float_of_int c.cell_events /. c.seconds else 0.0);
       if smoke then Report.int report (prefix ^ ".reachable_words") c.reachable_words
       else Report.int report (prefix ^ ".live_words") c.live_words;
+      Report.float report (prefix ^ ".static_bytes_per_proc")
+        (float_of_int (8 * c.static_words) /. float_of_int (max 1 c.cell_n));
       Stats.Table.add_row table
         ([
            c.label;

@@ -12,6 +12,7 @@ type t = {
   detector : Fd.Detector.t;
   off : int array; (* CSR offsets, owned by the graph *)
   nbr : pid array; (* CSR targets, owned by the graph *)
+  rev : int array; (* slot (i,j) -> slot (j,i), owned by the graph *)
   prio : int array; (* pid -> static priority; the higher end holds the fork initially *)
   phase : phase array;
   progress : int array; (* pid -> Ordered's locked prefix of the CSR row *)
@@ -33,19 +34,19 @@ let slot t i j =
   s
 
 let notify t i = List.iter (fun f -> f i t.phase.(i)) t.listeners
-let suspects t i j = t.detector.Fd.Detector.suspects ~observer:i ~target:j
+let suspects t s = t.detector.Fd.Detector.suspects s
 
 let request t i s =
   if t.token.(s) && not t.fork.(s) then begin
     t.token.(s) <- false;
-    Net.Network.send (net t) ~src:i ~dst:t.nbr.(s) Req
+    Net.Network.send_slot (net t) ~src:i s Req
   end
 
 (* The fork is cleaned as it is sent. *)
 let grant t i s =
   t.fork.(s) <- false;
   t.clean.(s) <- true;
-  Net.Network.send (net t) ~src:i ~dst:t.nbr.(s) Fk
+  Net.Network.send_slot (net t) ~src:i s Fk
 
 (* Eating soils every held fork. *)
 let eat t i =
@@ -65,7 +66,7 @@ let try_actions t i =
         done;
         let may_eat = ref true in
         for s = lo to hi - 1 do
-          if not (t.fork.(s) || suspects t i t.nbr.(s)) then may_eat := false
+          if not (t.fork.(s) || suspects t s) then may_eat := false
         done;
         if !may_eat then eat t i
     | Ordered ->
@@ -74,15 +75,16 @@ let try_actions t i =
            whole row. A CSR row ascends by neighbour id, which is already
            ascending edge rank (min, max), so the row needs no sort. *)
         let s = ref (lo + t.progress.(i)) in
-        while !s < hi && (t.fork.(!s) || suspects t i t.nbr.(!s)) do
+        while !s < hi && (t.fork.(!s) || suspects t !s) do
           incr s
         done;
         t.progress.(i) <- !s - lo;
         if !s < hi then request t i !s else eat t i
   end
 
-let receive_request t i ~from:j =
-  let s = slot t i j in
+(* [s] is the receiver i's slot for the sender j = nbr.(s). *)
+let receive_request t i s =
+  let j = t.nbr.(s) in
   if not t.fork.(s) then
     raise (Invariant_violation (Printf.sprintf "%s: %d requested a fork %d lacks" (prefix t) j i));
   t.token.(s) <- true;
@@ -99,10 +101,10 @@ let receive_request t i ~from:j =
   if not defer then grant t i s;
   try_actions t i
 
-let receive_fork t i ~from:j =
-  let s = slot t i j in
+let receive_fork t i s =
   if t.fork.(s) then
-    raise (Invariant_violation (Printf.sprintf "%s: duplicated fork (%d,%d)" (prefix t) i j));
+    raise
+      (Invariant_violation (Printf.sprintf "%s: duplicated fork (%d,%d)" (prefix t) i t.nbr.(s)));
   t.fork.(s) <- true;
   t.clean.(s) <- true;
   try_actions t i
@@ -154,6 +156,7 @@ let create ~rule ~engine ~faults ~graph ~delay ~rng ~detector ?metrics () =
       detector;
       off;
       nbr;
+      rev = Cgraph.Graph.rev_slots graph;
       prio;
       phase = Array.make n Thinking;
       progress = Array.make n 0;
@@ -165,16 +168,16 @@ let create ~rule ~engine ~faults ~graph ~delay ~rng ~detector ?metrics () =
     }
   in
   let network =
-    Net.Network.create ~engine ~graph ~delay ~faults ~rng
+    Net.Network.create_slotted ~engine ~graph ~delay ~faults ~rng
       ~kind:(function Req -> "request" | Fk -> "fork")
       ~kind_index:(function Req -> 0 | Fk -> 1)
       ~kind_names:[| "request"; "fork" |]
       ?metrics
       ~codec:((function Req -> 0 | Fk -> 1), function 0 -> Req | _ -> Fk)
-      ~handler:(fun ~dst ~src msg ->
+      ~handler:(fun ~dst ~slot msg ->
         match msg with
-        | Req -> receive_request t dst ~from:src
-        | Fk -> receive_fork t dst ~from:src)
+        | Req -> receive_request t dst t.rev.(slot)
+        | Fk -> receive_fork t dst t.rev.(slot))
       ()
   in
   t.net <- Some network;
@@ -187,11 +190,16 @@ let holds_fork t i j = t.fork.(slot t i j)
 let fork_clean t i j = t.clean.(slot t i j)
 let progress t i = t.progress.(i)
 
+(* Each edge once, from its lower endpoint, in ascending (i, j) order. *)
 let check_invariants t =
-  Cgraph.Graph.iter_edges t.graph (fun i j ->
-      if t.fork.(slot t i j) && t.fork.(slot t j i) then
+  for i = 0 to Cgraph.Graph.n t.graph - 1 do
+    for s = t.off.(i) to t.off.(i + 1) - 1 do
+      let j = t.nbr.(s) in
+      if j > i && t.fork.(s) && t.fork.(t.rev.(s)) then
         raise
-          (Invariant_violation (Printf.sprintf "%s: two forks on edge (%d,%d)" (prefix t) i j)))
+          (Invariant_violation (Printf.sprintf "%s: two forks on edge (%d,%d)" (prefix t) i j))
+    done
+  done
 
 let instance t =
   let name =

@@ -1,13 +1,37 @@
 open Types
 
 (* Process and per-edge state lives in a struct-of-arrays process table:
-   per-process scalars are flat arrays indexed by pid, per-neighbor
-   variables are flat arrays indexed by the graph's directed slot (the
-   paper's subscript "ij" becomes an index into the CSR row of i, with
-   Cgraph.Graph.slot_dst giving j). The single-bit per-neighbor
-   variables share one byte per slot. The layout keeps the per-step work
+   per-process scalars are flat arrays indexed by pid, and everything
+   per neighbor is one 16-byte record per directed slot (the paper's
+   subscript "ij" becomes an index into the CSR row of i, with
+   Cgraph.Graph.slot_dst giving j). A message handler reads and writes
+   the one record of its slot. The layout keeps the per-step work
    allocation-free: evaluating guards, sending and receiving touch only
-   ints and bytes, never tuples or hash tables. *)
+   bytes, never tuples or hash tables.
+
+   Record of slot s = (i, j), at byte 16 s:
+     0       flags: the single-bit variables below
+     1       granted: doorway acks granted to j this session
+     2 + k   sent: messages of kind k that i sent to j
+     6 + k   received: messages of kind k that i received from j
+     10 + k  absorbed: messages of kind k from j absorbed after i crashed
+     14, 15  unused
+   The counters are 8-bit and wrap. The checks read only the messages
+   in transit (sent on (i, j) minus received and absorbed on (j, i)),
+   which Section 7 bounds by 4, and the absorbed counts, at most one
+   per kind in a correct run; both are exact below 256, and
+   [check_edge] compares them with Link_stats' unwrapped counts, so a
+   wrap cannot pass unseen. Every byte of the record is written by i
+   alone (a send by its sender, a receipt or absorption by its
+   receiver, each in its own row), so the table is single-writer under
+   sharded stepping. *)
+
+let rec_size = 16
+let granted_at = 1
+let sent_at = 2
+let received_at = 6
+let absorbed_at = 10
+let max_granted = 255
 
 let pinged_bit = 1
 let ack_bit = 2
@@ -28,24 +52,14 @@ type t = {
   n : int;
   off : int array; (* CSR offsets, owned by the graph *)
   nbr : pid array; (* CSR targets, owned by the graph *)
-  rev : int array; (* slot (i,j) -> slot (j,i) *)
+  rev : int array; (* slot (i,j) -> slot (j,i), owned by the graph *)
   color : int array; (* a private copy: the caller's array may change after create *)
   max_color : int;
   color_bits : int; (* bits to store any color, at least 1 *)
   phase_a : Bytes.t; (* pid -> phase code *)
   inside_a : Bytes.t; (* pid -> 0/1 *)
-  flags : Bytes.t; (* slot -> pinged/ack/deferred/fork/token bits *)
-  granted : int array; (* slot -> doorway acks granted this session *)
+  slots : Bytes.t; (* slot -> its 16-byte record, see above *)
   eats : int array;
-  (* Message accounting per (directed slot, kind), used only by the
-     executable-lemma checks. Send counts index the sender's slot and
-     receive/absorb counts the receiver's reverse slot, so every write
-     lands in the writing process's own CSR row (single-writer under
-     sharded stepping); the in-flight count is the difference, taken at
-     check time. *)
-  fly_out : int array; (* sends, at slot (src, dst) * 4 + kind_index *)
-  fly_in : int array; (* receipts, at slot (dst, src) * 4 + kind_index *)
-  absorbed_in : int array; (* crash absorptions, at slot (dst, src) * 4 + kind_index *)
   requests : message array; (* color -> the one [Request color], shared by send and decode *)
   mutable net : message Net.Network.t option; (* set once in create *)
   mutable listeners : (pid -> phase -> unit) list;
@@ -59,21 +73,28 @@ let phase t i = code_phase (Char.code (Bytes.get t.phase_a i))
 let set_phase t i p = Bytes.set t.phase_a i (Char.chr (phase_code p))
 let inside t i = Bytes.get t.inside_a i <> '\000'
 let set_inside t i b = Bytes.set t.inside_a i (if b then '\001' else '\000')
-let flag t s bit = Char.code (Bytes.get t.flags s) land bit <> 0
+let flag t s bit = Bytes.get_uint8 t.slots (s * rec_size) land bit <> 0
 
 let set_flag t s bit on =
-  let cur = Char.code (Bytes.get t.flags s) in
-  Bytes.set t.flags s (Char.unsafe_chr (if on then cur lor bit else cur land lnot bit))
+  let cur = Bytes.get_uint8 t.slots (s * rec_size) in
+  Bytes.set_uint8 t.slots (s * rec_size) (if on then cur lor bit else cur land lnot bit)
+
+let granted t s = Bytes.get_uint8 t.slots ((s * rec_size) + granted_at)
+let set_granted t s v = Bytes.set_uint8 t.slots ((s * rec_size) + granted_at) v
+let counter t s field kind = Bytes.get_uint8 t.slots ((s * rec_size) + field + kind)
+
+let bump t s field kind =
+  let at = (s * rec_size) + field + kind in
+  Bytes.set_uint8 t.slots at ((Bytes.get_uint8 t.slots at + 1) land 0xFF)
 
 let recorder t = Sim.Engine.recorder t.engine
 let mark t i tag = Obs.Recorder.mark (recorder t) ~time:(now t) ~subject:i ~tag ""
 
 (* [slot] is the directed slot of (src, dst) — the caller always has it
    in hand, either from its CSR iteration or via [rev]. *)
-let send t ~slot ~src ~dst msg =
-  let w = (slot * message_kind_count) + message_kind_index msg in
-  t.fly_out.(w) <- t.fly_out.(w) + 1;
-  Net.Network.send (net t) ~src ~dst msg
+let send t ~slot ~src msg =
+  bump t slot sent_at (message_kind_index msg);
+  Net.Network.send_slot (net t) ~src slot msg
 
 (* A toplevel recursion rather than [List.iter (fun f -> f i p)]: no
    closure per phase transition. *)
@@ -98,7 +119,7 @@ let notify_phase t i =
 (* Guarded internal actions (Actions 2, 5, 6, 9).                      *)
 (* ------------------------------------------------------------------ *)
 
-let suspects t i j = t.detector.Fd.Detector.suspects ~observer:i ~target:j
+let suspects t s = t.detector.Fd.Detector.suspects s
 
 (* Evaluate all enabled internal actions of [i]. Idempotent: every send is
    gated by a flag it sets, and each phase transition fires at most once
@@ -113,20 +134,20 @@ let try_actions t i =
         for s = lo to hi - 1 do
           if not (flag t s (pinged_bit lor ack_bit)) then begin
             set_flag t s pinged_bit true;
-            send t ~slot:s ~src:i ~dst:t.nbr.(s) Ping
+            send t ~slot:s ~src:i Ping
           end
         done;
         (* Action 5: enter the doorway once every neighbor granted an ack
            or is suspected. *)
         let may_enter = ref true in
         for s = lo to hi - 1 do
-          if not (flag t s ack_bit || suspects t i t.nbr.(s)) then may_enter := false
+          if not (flag t s ack_bit || suspects t s) then may_enter := false
         done;
         if !may_enter then begin
           set_inside t i true;
           for s = lo to hi - 1 do
             set_flag t s ack_bit false;
-            t.granted.(s) <- 0
+            set_granted t s 0
           done;
           mark t i "enter_doorway";
           fire_doorway_listeners i t.doorway_listeners
@@ -138,14 +159,14 @@ let try_actions t i =
         for s = lo to hi - 1 do
           if flag t s token_bit && not (flag t s fork_bit) then begin
             set_flag t s token_bit false;
-            send t ~slot:s ~src:i ~dst:t.nbr.(s) t.requests.(t.color.(i))
+            send t ~slot:s ~src:i t.requests.(t.color.(i))
           end
         done;
         (* Action 9: eat once every neighbor's fork is held or the
            neighbor is suspected. *)
         let may_eat = ref true in
         for s = lo to hi - 1 do
-          if not (flag t s fork_bit || suspects t i t.nbr.(s)) then may_eat := false
+          if not (flag t s fork_bit || suspects t s) then may_eat := false
         done;
         if !may_eat then begin
           set_phase t i Eating;
@@ -158,7 +179,7 @@ let try_actions t i =
 
 (* ------------------------------------------------------------------ *)
 (* Message handlers (Actions 3, 4, 7, 8). [k] is the directed slot of  *)
-(* (i, j): the receiver's row position for the sender, which is also   *)
+(* (i, j): the receiver's row position for the sender j, which is also *)
 (* the send slot for any reply.                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -168,44 +189,48 @@ let try_actions t i =
    yielding eventual (m+1)-bounded waiting — the fairness knob studied by
    experiment E11. Thinking processes grant unconditionally, as in the
    paper. *)
-let receive_ping t i ~from:j ~k =
-  if inside t i || (phase t i = Hungry && t.granted.(k) >= t.acks_per_session) then
+let receive_ping t i ~k =
+  if inside t i || (phase t i = Hungry && granted t k >= t.acks_per_session) then
     set_flag t k deferred_bit true
   else begin
-    send t ~slot:k ~src:i ~dst:j Ack;
-    if phase t i = Hungry then t.granted.(k) <- t.granted.(k) + 1
+    send t ~slot:k ~src:i Ack;
+    if phase t i = Hungry then set_granted t k (granted t k + 1)
   end
 
 (* Action 4: record a received ack. *)
-let receive_ack t i ~from:_ ~k =
+let receive_ack t i ~k =
   set_flag t k ack_bit (phase t i = Hungry && not (inside t i));
   set_flag t k pinged_bit false;
   try_actions t i
 
 (* Action 7: receive a fork request (the edge token) and grant or defer. *)
-let receive_request t i ~from:j ~k ~color:color_j =
+let receive_request t i ~k ~color:color_j =
   (* Lemma 1.1: the recipient of a fork request holds the requested fork. *)
   if not (flag t k fork_bit) then
     raise
       (Invariant_violation
-         (Printf.sprintf "Lemma 1.1: %d received a fork request from %d without the fork" i j));
+         (Printf.sprintf "Lemma 1.1: %d received a fork request from %d without the fork" i
+            t.nbr.(k)));
   set_flag t k token_bit true;
   if (not (inside t i)) || (phase t i = Hungry && t.color.(i) < color_j) then begin
     set_flag t k fork_bit false;
-    send t ~slot:k ~src:i ~dst:j Fork
+    send t ~slot:k ~src:i Fork
   end;
   (* Losing a fork while hungry inside re-enables Action 6. *)
   try_actions t i
 
 (* Action 8: receive a fork. *)
-let receive_fork t i ~from:j ~k =
+let receive_fork t i ~k =
   (* Per the proof of Lemma 1.1: a fork recipient cannot hold the token. *)
   if flag t k token_bit then
     raise
       (Invariant_violation
-         (Printf.sprintf "Lemma 1.1: %d received the fork from %d while holding the token" i j));
+         (Printf.sprintf "Lemma 1.1: %d received the fork from %d while holding the token" i
+            t.nbr.(k)));
   if flag t k fork_bit then
-    raise (Invariant_violation (Printf.sprintf "Lemma 1.2: duplicated fork on edge (%d,%d)" i j));
+    raise
+      (Invariant_violation
+         (Printf.sprintf "Lemma 1.2: duplicated fork on edge (%d,%d)" i t.nbr.(k)));
   set_flag t k fork_bit true;
   try_actions t i
 
@@ -221,16 +246,16 @@ let decode t code =
   | 2 -> t.requests.(code lsr 2)
   | _ -> Fork
 
-let dispatch t ~dst ~src msg =
-  let sd = Cgraph.Graph.dir_index t.graph src dst in
-  let k = t.rev.(sd) in
-  let w = (k * message_kind_count) + message_kind_index msg in
-  t.fly_in.(w) <- t.fly_in.(w) + 1;
+(* [slot] is the message's channel (src, dst); the receiver's own slot
+   for the sender is its reverse. *)
+let dispatch t ~dst ~slot msg =
+  let k = t.rev.(slot) in
+  bump t k received_at (message_kind_index msg);
   match msg with
-  | Ping -> receive_ping t dst ~from:src ~k
-  | Ack -> receive_ack t dst ~from:src ~k
-  | Request color -> receive_request t dst ~from:src ~k ~color
-  | Fork -> receive_fork t dst ~from:src ~k
+  | Ping -> receive_ping t dst ~k
+  | Ack -> receive_ack t dst ~k
+  | Request color -> receive_request t dst ~k ~color
+  | Fork -> receive_fork t dst ~k
 
 (* ------------------------------------------------------------------ *)
 (* External actions (Actions 1 and 10).                                *)
@@ -256,13 +281,13 @@ let stop_eating t i =
       for s = lo to hi - 1 do
         if flag t s token_bit && flag t s fork_bit then begin
           set_flag t s fork_bit false;
-          send t ~slot:s ~src:i ~dst:t.nbr.(s) Fork
+          send t ~slot:s ~src:i Fork
         end
       done;
       for s = lo to hi - 1 do
         if flag t s deferred_bit then begin
           set_flag t s deferred_bit false;
-          send t ~slot:s ~src:i ~dst:t.nbr.(s) Ack
+          send t ~slot:s ~src:i Ack
         end
       done;
       notify_phase t i
@@ -281,6 +306,9 @@ let bit_width v =
 let create ~engine ~faults ~graph ~delay ~rng ~detector ?colors ?metrics ?(acks_per_session = 1)
     () =
   if acks_per_session < 1 then invalid_arg "Algorithm.create: acks_per_session must be >= 1";
+  (* [granted] is one byte of the slot record. *)
+  if acks_per_session > max_granted then
+    invalid_arg "Algorithm.create: acks_per_session must be <= 255";
   let n = Cgraph.Graph.n graph in
   let colors =
     match colors with
@@ -293,20 +321,17 @@ let create ~engine ~faults ~graph ~delay ~rng ~detector ?colors ?metrics ?(acks_
   let max_color = Array.fold_left max 0 colors in
   let off = Cgraph.Graph.csr_offsets graph in
   let nbr = Cgraph.Graph.csr_targets graph in
-  let slots = Cgraph.Graph.dir_count graph in
-  let rev = Array.make slots 0 in
-  let flags = Bytes.make slots '\000' in
+  let slots = Bytes.make (Cgraph.Graph.dir_count graph * rec_size) '\000' in
   for i = 0 to n - 1 do
     for s = off.(i) to off.(i + 1) - 1 do
       let j = nbr.(s) in
-      rev.(s) <- Cgraph.Graph.dir_index graph j i;
       (* The fork starts at the higher-colored endpoint, the token at
          the lower-colored one. *)
       let bits =
         (if colors.(i) > colors.(j) then fork_bit else 0)
         lor if colors.(i) < colors.(j) then token_bit else 0
       in
-      Bytes.set flags s (Char.chr bits)
+      Bytes.set_uint8 slots (s * rec_size) bits
     done
   done;
   let t =
@@ -318,18 +343,14 @@ let create ~engine ~faults ~graph ~delay ~rng ~detector ?colors ?metrics ?(acks_
       n;
       off;
       nbr;
-      rev;
+      rev = Cgraph.Graph.rev_slots graph;
       color = colors;
       max_color;
       color_bits = bit_width max_color;
       phase_a = Bytes.make n '\000';
       inside_a = Bytes.make n '\000';
-      flags;
-      granted = Array.make slots 0;
+      slots;
       eats = Array.make n 0;
-      fly_out = Array.make (slots * message_kind_count) 0;
-      fly_in = Array.make (slots * message_kind_count) 0;
-      absorbed_in = Array.make (slots * message_kind_count) 0;
       requests = Array.init (max_color + 1) (fun c -> Request c);
       net = None;
       listeners = [];
@@ -338,15 +359,13 @@ let create ~engine ~faults ~graph ~delay ~rng ~detector ?colors ?metrics ?(acks_
     }
   in
   let network =
-    Net.Network.create ~engine ~graph ~delay ~faults ~rng ~kind:message_kind
+    Net.Network.create_slotted ~engine ~graph ~delay ~faults ~rng ~kind:message_kind
       ~kind_index:message_kind_index ~kind_names:[| "ping"; "ack"; "request"; "fork" |]
-      ~on_drop:(fun ~src ~dst msg ->
-        let sd = Cgraph.Graph.dir_index t.graph src dst in
-        let w = (t.rev.(sd) * message_kind_count) + message_kind_index msg in
-        t.absorbed_in.(w) <- t.absorbed_in.(w) + 1)
+      ~on_drop:(fun ~dst:_ ~slot msg ->
+        bump t t.rev.(slot) absorbed_at (message_kind_index msg))
       ?metrics
       ~codec:(encode, fun code -> decode t code)
-      ~handler:(fun ~dst ~src msg -> dispatch t ~dst ~src msg)
+      ~handler:(fun ~dst ~slot msg -> dispatch t ~dst ~slot msg)
       ()
   in
   t.net <- Some network;
@@ -388,12 +407,15 @@ let ping_k = 0
 let ack_k = 1
 let request_k = 2
 let fork_k = 3
-let absorbed t s kind = t.absorbed_in.((t.rev.(s) * message_kind_count) + kind)
+
+(* Messages of [kind] sent on slot s and absorbed by its crashed
+   receiver, and those still in transit on it. The counters wrap at
+   256, so both are exact below 256; [check_edge] holds them to
+   Link_stats' unwrapped counts. *)
+let absorbed t s kind = counter t t.rev.(s) absorbed_at kind
 
 let flying t s kind =
-  t.fly_out.((s * message_kind_count) + kind)
-  - t.fly_in.((t.rev.(s) * message_kind_count) + kind)
-  - absorbed t s kind
+  (counter t s sent_at kind - counter t t.rev.(s) received_at kind - absorbed t s kind) land 0xFF
 
 let bit t s b = if flag t s b then 1 else 0
 
@@ -425,11 +447,23 @@ let check_edge t i j si =
   if tokens <> 1 then fail "edge (%d,%d): %d tokens (expected exactly 1)" i j tokens;
   check_ping t i j si sj;
   check_ping t j i sj si;
-  (* Section 7: at most 4 dining messages in transit per edge. *)
-  let in_transit = ref 0 in
+  (* The wrapped counters against the network's exact ones: a count
+     that wrapped past 255 cannot pass. *)
+  let stats = Net.Network.stats (net t) in
+  let in_transit = ref 0 and lost = ref 0 in
   for kind = 0 to message_kind_count - 1 do
-    in_transit := !in_transit + flying t si kind + flying t sj kind
+    in_transit := !in_transit + flying t si kind + flying t sj kind;
+    lost := !lost + absorbed t si kind + absorbed t sj kind
   done;
+  let exact = Net.Link_stats.edge_in_flight stats (Cgraph.Graph.slot_edge_id t.graph si) in
+  if !in_transit <> exact then
+    fail "edge (%d,%d): %d messages in transit by the slot counters, %d by the network" i j
+      !in_transit exact;
+  let exact_lost = Net.Link_stats.slot_dropped stats si + Net.Link_stats.slot_dropped stats sj in
+  if !lost <> exact_lost then
+    fail "edge (%d,%d): %d messages absorbed by the slot counters, %d by the network" i j !lost
+      exact_lost;
+  (* Section 7: at most 4 dining messages in transit per edge. *)
   if !in_transit > 4 then fail "edge (%d,%d): %d messages in transit (> 4)" i j !in_transit
 
 let check_invariants t =
@@ -457,7 +491,7 @@ let pp_process t ppf i =
     Format.fprintf ppf " %d:%c%c%c%c%c%c" t.nbr.(s)
       (bit (flag t s pinged_bit) 'p')
       (bit (flag t s ack_bit) 'a')
-      (bit (t.granted.(s) > 0) 'r')
+      (bit (granted t s > 0) 'r')
       (bit (flag t s deferred_bit) 'd')
       (bit (flag t s fork_bit) 'f')
       (bit (flag t s token_bit) 't')

@@ -1,6 +1,6 @@
 type t = {
   name : string;
-  suspects : observer:int -> target:int -> bool;
+  suspects : int -> bool;
   subscribe : (int -> unit) -> unit;
 }
 

@@ -10,10 +10,14 @@
 
 type t = {
   name : string;
-  suspects : observer:int -> target:int -> bool;
-      (** Does [observer]'s local module currently suspect [target]? Only
-          meaningful for neighbors in the conflict graph (◇P₁ is locally
-          scope-restricted). *)
+  suspects : int -> bool;
+      (** [suspects s]: does the observer's local module currently
+          suspect the target, where [s] is the directed slot (observer,
+          target) in the observer's CSR row ({!Cgraph.Graph.dir_index})?
+          ◇P₁ is locally scope-restricted, so only neighbor pairs have a
+          slot; every detector keeps its state per slot, and the guards
+          that ask already iterate the observer's row, so a query is an
+          array read. *)
   subscribe : (int -> unit) -> unit;
       (** Register a callback fired with an observer's pid whenever that
           observer's suspicion output changes. This is how "suspicion can

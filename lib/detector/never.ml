@@ -1,6 +1,6 @@
 let create () =
   {
     Detector.name = "never";
-    suspects = (fun ~observer:_ ~target:_ -> false);
+    suspects = (fun _ -> false);
     subscribe = (fun _ -> ());
   }

@@ -6,7 +6,6 @@ type fp = { observer : int; target : int; from_t : Sim.Time.t; till_t : Sim.Time
 type t = {
   engine : Sim.Engine.t;
   faults : Net.Faults.t;
-  graph : Cgraph.Graph.t;
   detection_delay : int;
   false_positives : fp list;
   fp_active : int array; (* slot -> open window count *)
@@ -15,10 +14,6 @@ type t = {
 }
 
 let suspected t s = Bytes.unsafe_get t.permanent s <> '\000' || t.fp_active.(s) > 0
-
-let suspects t ~observer ~target =
-  let s = Cgraph.Graph.dir_index_opt t.graph observer target in
-  s >= 0 && suspected t s
 
 let validate_fp graph fp =
   if fp.from_t >= fp.till_t then invalid_arg "Oracle: empty false-positive window";
@@ -32,7 +27,6 @@ let create engine faults graph ?(detection_delay = 50) ?(false_positives = []) (
     {
       engine;
       faults;
-      graph;
       detection_delay;
       false_positives;
       fp_active = Array.make dirs 0;
@@ -60,32 +54,30 @@ let create engine faults graph ?(detection_delay = 50) ?(false_positives = []) (
       Sim.Engine.post engine ~kind:window ~owner:fp.observer ~at:fp.till_t s (-1))
     false_positives;
   (* Completeness: owner = the crashed process's neighbor, a = the
-     crashed process. *)
-  let detect neighbor crashed _ =
-    if not (Net.Faults.is_crashed faults neighbor) then begin
-      let s = Cgraph.Graph.dir_index graph neighbor crashed in
-      if Bytes.get t.permanent s = '\000' then begin
-        let before = suspected t s in
-        Bytes.set t.permanent s '\001';
-        if not before then begin
-          Obs.Recorder.suspect (Sim.Engine.recorder engine) ~time:(Sim.Engine.now engine)
-            ~observer:neighbor ~target:crashed ~on:true;
-          Detector.notify t.listeners neighbor
-        end
+     neighbor's slot for the crashed process. *)
+  let detect neighbor s _ =
+    if (not (Net.Faults.is_crashed faults neighbor)) && Bytes.get t.permanent s = '\000' then begin
+      let before = suspected t s in
+      Bytes.set t.permanent s '\001';
+      if not before then begin
+        Obs.Recorder.suspect (Sim.Engine.recorder engine) ~time:(Sim.Engine.now engine)
+          ~observer:neighbor ~target:(Cgraph.Graph.slot_dst graph s) ~on:true;
+        Detector.notify t.listeners neighbor
       end
     end
   in
   let detection = Sim.Engine.register engine detect in
+  let off = Cgraph.Graph.csr_offsets graph and nbr = Cgraph.Graph.csr_targets graph in
+  let rev = Cgraph.Graph.rev_slots graph in
   Net.Faults.on_crash faults (fun crashed ->
       let at = Sim.Time.add (Sim.Engine.now engine) detection_delay in
-      Array.iter
-        (fun neighbor ->
-          Sim.Engine.post engine ~kind:detection ~owner:neighbor ~at crashed 0)
-        (Cgraph.Graph.neighbors graph crashed));
+      for s = off.(crashed) to off.(crashed + 1) - 1 do
+        Sim.Engine.post engine ~kind:detection ~owner:nbr.(s) ~at rev.(s) 0
+      done);
   let detector =
     {
       Detector.name = "oracle-evp";
-      suspects = (fun ~observer ~target -> suspects t ~observer ~target);
+      suspects = suspected t;
       subscribe = (fun f -> t.listeners := f :: !(t.listeners));
     }
   in

@@ -1,4 +1,5 @@
 let create _engine faults graph =
+  let nbr = Cgraph.Graph.csr_targets graph in
   let listeners = ref [] in
   Net.Faults.on_crash faults (fun crashed ->
       Array.iter
@@ -8,6 +9,6 @@ let create _engine faults graph =
         (Cgraph.Graph.neighbors graph crashed));
   {
     Detector.name = "perfect";
-    suspects = (fun ~observer:_ ~target -> Net.Faults.is_crashed faults target);
+    suspects = (fun s -> Net.Faults.is_crashed faults nbr.(s));
     subscribe = (fun f -> listeners := f :: !listeners);
   }

@@ -45,31 +45,28 @@ let create engine faults graph rng ?(detection_delay = 50) ?(period = 2_000) ?(d
           waves phase)
         [ (a, b); (b, a) ]);
   (* Completeness, as in the scripted oracle: owner = the crashed
-     process's neighbor, a = the crashed process. *)
+     process's neighbor, a = the neighbor's slot for the crashed
+     process. *)
   let detection =
-    Sim.Engine.register engine (fun neighbor crashed _ ->
-        if not (Net.Faults.is_crashed faults neighbor) then begin
-          let s = Cgraph.Graph.dir_index graph neighbor crashed in
-          if not (on permanent s) then begin
-            Bytes.set permanent s '\001';
-            if not (on fp_active s) then begin
-              Obs.Recorder.suspect (Sim.Engine.recorder engine) ~time:(Sim.Engine.now engine)
-                ~observer:neighbor ~target:crashed ~on:true;
-              Detector.notify listeners neighbor
-            end
+    Sim.Engine.register engine (fun neighbor s _ ->
+        if (not (Net.Faults.is_crashed faults neighbor)) && not (on permanent s) then begin
+          Bytes.set permanent s '\001';
+          if not (on fp_active s) then begin
+            Obs.Recorder.suspect (Sim.Engine.recorder engine) ~time:(Sim.Engine.now engine)
+              ~observer:neighbor ~target:(Cgraph.Graph.slot_dst graph s) ~on:true;
+            Detector.notify listeners neighbor
           end
         end)
   in
+  let off = Cgraph.Graph.csr_offsets graph and nbr = Cgraph.Graph.csr_targets graph in
+  let rev = Cgraph.Graph.rev_slots graph in
   Net.Faults.on_crash faults (fun crashed ->
       let at = Sim.Time.add (Sim.Engine.now engine) detection_delay in
-      Array.iter
-        (fun neighbor -> Sim.Engine.post engine ~kind:detection ~owner:neighbor ~at crashed 0)
-        (Cgraph.Graph.neighbors graph crashed));
+      for s = off.(crashed) to off.(crashed + 1) - 1 do
+        Sim.Engine.post engine ~kind:detection ~owner:nbr.(s) ~at rev.(s) 0
+      done);
   {
     Detector.name = "unreliable-forever";
-    suspects =
-      (fun ~observer ~target ->
-        let s = Cgraph.Graph.dir_index_opt graph observer target in
-        s >= 0 && (on permanent s || on fp_active s));
+    suspects = (fun s -> on permanent s || on fp_active s);
     subscribe = (fun f -> listeners := f :: !listeners);
   }

@@ -6,11 +6,14 @@ type pid = int
    every per-directed-pair quantity in the system (FIFO floors, link
    counters, protocol bits) a dense int index. [eu]/[ev] list each
    undirected edge once, canonically (eu < ev), sorted — the same order
-   the legacy [edges] list had. *)
+   the legacy [edges] list had. [rev] pairs each slot with its
+   reverse, so a message's receiver finds its own end of the edge
+   without a search. *)
 type t = {
   n : int;
   off : int array; (* n+1 row offsets into nbr *)
   nbr : pid array; (* 2m neighbors, ascending within each row *)
+  rev : int array; (* 2m: slot (i, j) -> slot (j, i) *)
   slot_edge : int array; (* 2m: directed slot -> undirected edge id *)
   eu : pid array; (* m canonical endpoints, eu.(e) < ev.(e), sorted *)
   ev : pid array;
@@ -58,6 +61,7 @@ let of_keys ~n keys m =
   done;
   off.(n) <- !total;
   let nbr = Array.make (2 * m) 0 in
+  let rev = Array.make (2 * m) 0 in
   let slot_edge = Array.make (2 * m) 0 in
   let fill = Array.sub off 0 (max 1 n) in
   (* Filling in sorted edge order leaves every row ascending: vertex i
@@ -66,14 +70,17 @@ let of_keys ~n keys m =
      in v). *)
   for e = 0 to m - 1 do
     let u = eu.(e) and v = ev.(e) in
-    nbr.(fill.(u)) <- v;
-    slot_edge.(fill.(u)) <- e;
-    fill.(u) <- fill.(u) + 1;
-    nbr.(fill.(v)) <- u;
-    slot_edge.(fill.(v)) <- e;
-    fill.(v) <- fill.(v) + 1
+    let su = fill.(u) and sv = fill.(v) in
+    nbr.(su) <- v;
+    nbr.(sv) <- u;
+    rev.(su) <- sv;
+    rev.(sv) <- su;
+    slot_edge.(su) <- e;
+    slot_edge.(sv) <- e;
+    fill.(u) <- su + 1;
+    fill.(v) <- sv + 1
   done;
-  { n; off; nbr; slot_edge; eu; ev }
+  { n; off; nbr; rev; slot_edge; eu; ev }
 
 let of_edge_array ~n pairs =
   if n <= 0 then invalid_arg "Graph.of_edge_array: n must be positive";
@@ -137,6 +144,8 @@ let[@lint.hot] dir_index_opt t i j =
   if i < 0 || i >= t.n || j < 0 || j >= t.n then -1 else find_dir t i j
 
 let slot_dst t s = t.nbr.(s)
+let slot_src t s = t.nbr.(t.rev.(s))
+let rev_slots t = t.rev
 let slot_edge_id t s = t.slot_edge.(s)
 let edge_endpoints t e = (t.eu.(e), t.ev.(e))
 let csr_offsets t = t.off

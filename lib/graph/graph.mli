@@ -64,6 +64,14 @@ val dir_index_opt : t -> pid -> pid -> int
 val slot_dst : t -> int -> pid
 (** Destination of a directed slot (the source owns the CSR row). *)
 
+val slot_src : t -> int -> pid
+(** Source of a directed slot: the vertex whose CSR row holds it. *)
+
+val rev_slots : t -> int array
+(** Reverse slots, length [dir_count]: entry [s] for the slot (i, j) is
+    the slot (j, i), the other end of the same edge. Built once with the
+    graph. Owned by the graph; do not mutate. *)
+
 val slot_edge_id : t -> int -> int
 (** Undirected edge id a directed slot belongs to. *)
 

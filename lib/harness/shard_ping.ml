@@ -30,15 +30,17 @@ let run ?pool ?(shards = 1) ?(period = 7) ?(seed = 0xACE5L) ~topology ~horizon (
      its pid. *)
   let off = Cgraph.Graph.csr_offsets graph in
   let tgt = Cgraph.Graph.csr_targets graph in
+  let rev = Cgraph.Graph.rev_slots graph in
   let sent = Array.make n 0 in
   let received = Array.make n 0 in
   let csum = Array.make n 0 in
-  let handler ~dst ~src () =
+  let handler ~dst ~slot () =
+    let src = tgt.(rev.(slot)) in
     received.(dst) <- received.(dst) + 1;
     csum.(dst) <- mix csum.(dst) ((src * n) + dst + (Sim.Engine.now engine * 31))
   in
   let network =
-    Net.Network.create ~engine ~graph ~delay:(Net.Delay.Uniform (1, 5)) ~faults ~rng
+    Net.Network.create_slotted ~engine ~graph ~delay:(Net.Delay.Uniform (1, 5)) ~faults ~rng
       ~kind:(fun () -> "ping")
       ~shard_safe:true ~handler ()
   in
@@ -47,8 +49,7 @@ let run ?pool ?(shards = 1) ?(period = 7) ?(seed = 0xACE5L) ~topology ~horizon (
       let now = Sim.Engine.now engine in
       if now < horizon then begin
         for s = off.(i) to off.(i + 1) - 1 do
-          let j = tgt.(s) in
-          Net.Network.send network ~src:i ~dst:j ();
+          Net.Network.send_slot network ~src:i s ();
           sent.(i) <- sent.(i) + 1
         done;
         Sim.Engine.schedule_after engine ~owner:i ~delay:period beat

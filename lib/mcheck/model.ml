@@ -41,7 +41,7 @@ type layout = {
   fp_accurate : bool; (* fp budget 0: weak exclusion is asserted *)
   off : int array; (* CSR row offsets, length n + 1 *)
   dst : int array; (* slot -> destination *)
-  rev : int array; (* slot -> slot of the reverse pair *)
+  rev : int array; (* slot -> slot of the reverse pair, owned by the graph *)
   eu : int array; (* edges in Graph.iter_edges order: endpoints ... *)
   ev : int array;
   esu : int array; (* ... and the slots (u, v) and (v, u) *)
@@ -107,7 +107,6 @@ let make_layout cfg =
   for i = 0 to n - 1 do
     Array.fill src off.(i) (off.(i + 1) - off.(i)) i
   done;
-  let rev = Array.init d (fun s -> Cgraph.Graph.dir_index g dst.(s) src.(s)) in
   let edges = ref [] in
   Cgraph.Graph.iter_edges g (fun u v -> edges := (u, v) :: !edges);
   let edges = Array.of_list (List.rev !edges) in
@@ -139,7 +138,7 @@ let make_layout cfg =
     fp_accurate = cfg.fp_budget = 0;
     off;
     dst;
-    rev;
+    rev = Cgraph.Graph.rev_slots g;
     eu;
     ev;
     esu = Array.map2 (Cgraph.Graph.dir_index g) eu ev;

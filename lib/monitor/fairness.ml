@@ -42,10 +42,10 @@ let group_stride = 2 + inline
    from then on unless a group outgrows [inline]. *)
 type t = {
   engine : Sim.Engine.t;
-  graph : Cgraph.Graph.t;
   faults : Net.Faults.t;
   off : int array; (* CSR offsets, owned by the graph *)
   nbr : Dining.Types.pid array; (* CSR targets, owned by the graph *)
+  rev : int array; (* slot (i,j) -> slot (j,i), owned by the graph *)
   hungry_since : Sim.Time.t array; (* pid -> start of its hungry session, -1 = not hungry *)
   counts : int array; (* slot (victim, overtaker) -> consecutive count in the victim's session *)
   mutable total : int; (* overtakes so far *)
@@ -146,7 +146,7 @@ let[@lint.hot] on_phase t pid phase =
         let victim = t.nbr.(s) in
         let session_start = t.hungry_since.(victim) in
         if session_start >= 0 && not (Net.Faults.is_crashed t.faults victim) then begin
-          let k = Cgraph.Graph.dir_index_opt t.graph victim pid in
+          let k = t.rev.(s) in
           let count = t.counts.(k) + 1 in
           t.counts.(k) <- count;
           record t k ~time:now ~overtaker:pid ~victim ~session_start ~count
@@ -158,10 +158,10 @@ let attach engine graph faults (instance : Dining.Instance.t) =
   let t =
     {
       engine;
-      graph;
       faults;
       off = Cgraph.Graph.csr_offsets graph;
       nbr = Cgraph.Graph.csr_targets graph;
+      rev = Cgraph.Graph.rev_slots graph;
       hungry_since = Array.make (Cgraph.Graph.n graph) (-1);
       counts = Array.make (Cgraph.Graph.dir_count graph) 0;
       total = 0;

@@ -27,7 +27,7 @@ type t = {
   graph : Cgraph.Graph.t;
   kinds : string array; (* kind names; record_* take indices into this *)
   off : int array; (* CSR row offsets (graph-owned) *)
-  rev : int array; (* directed slot -> reverse slot *)
+  rev : int array; (* directed slot -> reverse slot (graph-owned) *)
   (* Per directed slot; see the single-writer note above. *)
   d_sent : int array;
   d_delivered : int array;
@@ -61,19 +61,11 @@ let create ~graph ?(kinds = [| "msg" |]) ?metrics () =
   let dirs = Cgraph.Graph.dir_count graph in
   let m = Cgraph.Graph.edge_count graph in
   let kc = Array.length kinds in
-  let off = Cgraph.Graph.csr_offsets graph in
-  let tgt = Cgraph.Graph.csr_targets graph in
-  let rev = Array.make dirs 0 in
-  for i = 0 to Cgraph.Graph.n graph - 1 do
-    for s = off.(i) to off.(i + 1) - 1 do
-      rev.(s) <- Cgraph.Graph.dir_index graph tgt.(s) i
-    done
-  done;
   {
     graph;
     kinds;
-    off;
-    rev;
+    off = Cgraph.Graph.csr_offsets graph;
+    rev = Cgraph.Graph.rev_slots graph;
     d_sent = Array.make dirs 0;
     d_delivered = Array.make dirs 0;
     d_dropped = Array.make dirs 0;
@@ -101,12 +93,6 @@ let set_sharding t ~shards ~shard_of ~fire_rank ~fire_shard =
   t.fire_rank <- fire_rank;
   t.fire_shard <- fire_shard;
   t.op_staging <- Array.init shards (fun _ -> { oa = [||]; on = 0 })
-
-let slot t src dst =
-  let s = Cgraph.Graph.dir_index_opt t.graph src dst in
-  if s < 0 then
-    invalid_arg (Printf.sprintf "Link_stats: %d and %d are not neighbors" src dst);
-  s
 
 let check_kind t kind =
   if kind < 0 || kind >= kind_count t then
@@ -142,10 +128,16 @@ let stage_op t ~key =
 
 (* Staging is needed only while shards fire in parallel: on the engine's
    sequential loop ([fire_shard] = -1, e.g. a traced run) no step hook
-   would ever flush the ops, and updates already arrive in order. *)
-let edge_update t ~src ~dst ~e ~ke ~send =
-  if t.shards = 0 || t.fire_shard () < 0 || t.shard_of src = t.shard_of dst then
-    apply_edge t ~e ~ke ~send
+   would ever flush the ops, and updates already arrive in order. The
+   slot's endpoints are looked up only then. *)
+let[@lint.hot] edge_update t ~s ~kind ~send =
+  let e = Cgraph.Graph.slot_edge_id t.graph s in
+  let ke = (e * kind_count t) + kind in
+  if
+    t.shards = 0
+    || t.fire_shard () < 0
+    || t.shard_of (Cgraph.Graph.slot_src t.graph s) = t.shard_of (Cgraph.Graph.slot_dst t.graph s)
+  then apply_edge t ~e ~ke ~send
   else stage_op t ~key:((ke lsl 1) lor if send then 1 else 0)
 
 let flush_staged t =
@@ -170,30 +162,27 @@ let flush_staged t =
     end
   end
 
-let[@lint.hot] record_send t ~src ~dst ~kind ~at =
+let[@lint.hot] record_send t ~slot:s ~kind ~at =
   if t.shards = 0 then Obs.Metrics.incr t.m_sent;
   check_kind t kind;
-  let s = slot t src dst in
   t.d_sent.(s) <- t.d_sent.(s) + 1;
   t.d_last_send.(s) <- at;
-  let e = Cgraph.Graph.slot_edge_id t.graph s in
-  edge_update t ~src ~dst ~e ~ke:((e * kind_count t) + kind) ~send:true
+  edge_update t ~s ~kind ~send:true
 
-let[@lint.hot] record_delivery t ~src ~dst ~kind ~at:_ =
+let[@lint.hot] record_delivery t ~slot:s ~kind ~at:_ =
   if t.shards = 0 then Obs.Metrics.incr t.m_delivered;
   check_kind t kind;
-  let s = slot t src dst in
   t.d_delivered.(s) <- t.d_delivered.(s) + 1;
-  let e = Cgraph.Graph.slot_edge_id t.graph s in
-  edge_update t ~src ~dst ~e ~ke:((e * kind_count t) + kind) ~send:false
+  edge_update t ~s ~kind ~send:false
 
-let record_drop t ~src ~dst ~kind ~at:_ =
+let record_drop t ~slot:s ~kind ~at:_ =
   if t.shards = 0 then Obs.Metrics.incr t.m_dropped;
   check_kind t kind;
-  let s = slot t src dst in
   t.d_dropped.(s) <- t.d_dropped.(s) + 1;
-  let e = Cgraph.Graph.slot_edge_id t.graph s in
-  edge_update t ~src ~dst ~e ~ke:((e * kind_count t) + kind) ~send:false
+  edge_update t ~s ~kind ~send:false
+
+let edge_in_flight t e = t.e_in_flight.(e)
+let slot_dropped t s = t.d_dropped.(s)
 
 let max_edge_watermark t = Array.fold_left max 0 t.e_watermark
 

@@ -32,12 +32,29 @@ val create : graph:Cgraph.Graph.t -> ?kinds:string array -> ?metrics:Obs.Metrics
     [net.dropped] counters into (default: a private registry). Several
     overlays sharing one registry aggregate into the same counters. *)
 
-val record_send : t -> src:int -> dst:int -> kind:int -> at:Sim.Time.t -> unit
-val record_delivery : t -> src:int -> dst:int -> kind:int -> at:Sim.Time.t -> unit
+(** {2 Recording}
 
-val record_drop : t -> src:int -> dst:int -> kind:int -> at:Sim.Time.t -> unit
+    Each event names the message's channel by its directed slot
+    [slot] = (src, dst) in the source's CSR row
+    ({!Cgraph.Graph.dir_index}); the network carries that slot from
+    send to delivery, so recording never searches the graph. *)
+
+val record_send : t -> slot:int -> kind:int -> at:Sim.Time.t -> unit
+val record_delivery : t -> slot:int -> kind:int -> at:Sim.Time.t -> unit
+
+val record_drop : t -> slot:int -> kind:int -> at:Sim.Time.t -> unit
 (** A message absorbed because its destination crashed: removed from the
     in-flight count without a delivery. *)
+
+val edge_in_flight : t -> int -> int
+(** Messages in transit on an undirected edge id
+    ({!Cgraph.Graph.slot_edge_id}), both directions together: sends
+    minus deliveries and drops, exact. In a sharded parallel step a
+    cross-shard update counts from the step merge on. *)
+
+val slot_dropped : t -> int -> int
+(** Messages sent on a directed slot that were absorbed by a crashed
+    destination, exact. *)
 
 val max_edge_watermark : t -> int
 (** Maximum over all edges of the edge's in-flight watermark: the most

@@ -16,8 +16,8 @@ type 'msg t = {
   src_rngs : Sim.Rng.t array; (* per-source streams (shard-safe mode) *)
   kind : 'msg -> string;
   kind_index : 'msg -> int;
-  on_drop : src:int -> dst:int -> 'msg -> unit;
-  handler : dst:int -> src:int -> 'msg -> unit;
+  on_drop : dst:int -> slot:int -> 'msg -> unit;
+  handler : dst:int -> slot:int -> 'msg -> unit;
   stats : Link_stats.t;
   recorder : Obs.Recorder.t;
   tracing : bool ref; (* the recorder's live full-tracing flag *)
@@ -62,33 +62,32 @@ let pop t slot =
   | Nil -> invalid_arg "Network: delivery with no message in flight"
 
 (* A delivery fires at its own delivery time, so the engine clock is
-   [at]. The event carries the source and the encoded message; the kind
-   is recomputed from the decoded message. *)
-let[@lint.hot] deliver t ~src ~dst b =
-  let msg =
-    if t.fifo then pop t (Cgraph.Graph.dir_index t.graph src dst) else t.decode b
-  in
+   [at]. The event carries the channel's slot and the encoded message;
+   the kind is recomputed from the decoded message. *)
+let[@lint.hot] deliver t ~dst ~slot b =
+  let msg = if t.fifo then pop t slot else t.decode b in
   let at = Sim.Engine.now t.engine in
   let kind = t.kind_index msg in
   if Faults.is_crashed t.faults dst then begin
-    Link_stats.record_drop t.stats ~src ~dst ~kind ~at;
-    if !(t.tracing) then Obs.Recorder.drop t.recorder ~time:at ~src ~dst ~tag:(t.kind msg);
-    t.on_drop ~src ~dst msg
+    Link_stats.record_drop t.stats ~slot ~kind ~at;
+    if !(t.tracing) then
+      Obs.Recorder.drop t.recorder ~time:at ~src:(Cgraph.Graph.slot_src t.graph slot) ~dst
+        ~tag:(t.kind msg);
+    t.on_drop ~dst ~slot msg
   end
   else begin
-    Link_stats.record_delivery t.stats ~src ~dst ~kind ~at;
-    if !(t.tracing) then Obs.Recorder.deliver t.recorder ~time:at ~src ~dst ~tag:(t.kind msg);
-    t.handler ~dst ~src msg
+    Link_stats.record_delivery t.stats ~slot ~kind ~at;
+    if !(t.tracing) then
+      Obs.Recorder.deliver t.recorder ~time:at ~src:(Cgraph.Graph.slot_src t.graph slot) ~dst
+        ~tag:(t.kind msg);
+    t.handler ~dst ~slot msg
   end
-
-let not_neighbors src dst =
-  invalid_arg (Printf.sprintf "Network.send: %d and %d are not neighbors" src dst)
 
 let no_decode _ = invalid_arg "Network: no codec"
 
-let create ~engine ~graph ~delay ~faults ~rng ?(kind = fun _ -> "msg")
+let create_slotted ~engine ~graph ~delay ~faults ~rng ?(kind = fun _ -> "msg")
     ?(kind_index = fun _ -> 0) ?(kind_names = [| "msg" |])
-    ?(on_drop = fun ~src:_ ~dst:_ _ -> ()) ?metrics ?(shard_safe = false) ?codec ~handler () =
+    ?(on_drop = fun ~dst:_ ~slot:_ _ -> ()) ?metrics ?(shard_safe = false) ?codec ~handler () =
   let stats = Link_stats.create ~graph ~kinds:kind_names ?metrics () in
   let src_rngs =
     if not shard_safe then [||]
@@ -138,15 +137,23 @@ let create ~engine ~graph ~delay ~faults ~rng ?(kind = fun _ -> "msg")
       delivery = 0;
     }
   in
-  t.delivery <- Sim.Engine.register engine (fun dst src b -> deliver t ~src ~dst b);
+  t.delivery <- Sim.Engine.register engine (fun dst slot b -> deliver t ~dst ~slot b);
   t
 
-let[@lint.hot] send t ~src ~dst msg =
-  let slot = Cgraph.Graph.dir_index_opt t.graph src dst in
-  if slot < 0 then not_neighbors src dst;
+let create ~engine ~graph ~delay ~faults ~rng ?kind ?kind_index ?kind_names ?on_drop ?metrics
+    ?shard_safe ?codec ~handler () =
+  let src slot = Cgraph.Graph.slot_src graph slot in
+  let on_drop = Option.map (fun f ~dst ~slot msg -> f ~src:(src slot) ~dst msg) on_drop in
+  create_slotted ~engine ~graph ~delay ~faults ~rng ?kind ?kind_index ?kind_names ?on_drop
+    ?metrics ?shard_safe ?codec
+    ~handler:(fun ~dst ~slot msg -> handler ~dst ~src:(src slot) msg)
+    ()
+
+let[@lint.hot] send_slot t ~src slot msg =
   if not (Faults.is_crashed t.faults src) then begin
+    let dst = Cgraph.Graph.slot_dst t.graph slot in
     let now = Sim.Engine.now t.engine in
-    Link_stats.record_send t.stats ~src ~dst ~kind:(t.kind_index msg) ~at:now;
+    Link_stats.record_send t.stats ~slot ~kind:(t.kind_index msg) ~at:now;
     let rng = if Array.length t.src_rngs = 0 then t.rng else t.src_rngs.(src) in
     let raw = Sim.Time.add now (Delay.sample t.delay rng ~now) in
     let at = Sim.Time.max raw t.last_delivery.(slot) in
@@ -155,8 +162,14 @@ let[@lint.hot] send t ~src ~dst msg =
       Obs.Recorder.send t.recorder ~time:now ~src ~dst ~tag:(t.kind msg) ~deliver_at:at;
     (* A message that never arrives is not kept. *)
     if t.fifo && at <> Sim.Time.infinity then push t slot msg;
-    Sim.Engine.post t.engine ~kind:t.delivery ~owner:dst ~at src (t.encode msg)
+    Sim.Engine.post t.engine ~kind:t.delivery ~owner:dst ~at slot (t.encode msg)
   end
+
+let send t ~src ~dst msg =
+  let slot = Cgraph.Graph.dir_index_opt t.graph src dst in
+  if slot < 0 then
+    invalid_arg (Printf.sprintf "Network.send: %d and %d are not neighbors" src dst);
+  send_slot t ~src slot msg
 
 let stats t = t.stats
 let graph t = t.graph

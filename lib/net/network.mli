@@ -14,11 +14,20 @@
       ignored — by then the process has ceased executing anyway).
 
     Delivery of each message invokes the overlay's handler with the
-    destination, source and payload.
+    destination, the channel and the payload.
+
+    A channel is named by its directed slot (src, dst) in the source's
+    CSR row ({!Cgraph.Graph.dir_index}). The slot is the currency of
+    the per-message path: {!send_slot} takes it, the delivery event
+    carries it, {!Link_stats} counts by it and {!create_slotted}'s
+    handler receives it, so no step of a message searches the graph.
+    The receiver's own end of the edge is its entry in
+    {!Cgraph.Graph.rev_slots}. The pid forms {!create} and {!send} are
+    wrappers that look the slot up.
 
     A message in flight is one engine event of the overlay's delivery
-    kind (owner = destination, payload = source and the encoded
-    message; see {!Sim.Engine.post}). With a [codec] the message
+    kind (owner = destination, payload = slot and the encoded message;
+    see {!Sim.Engine.post}). With a [codec] the message
     itself is that int, and a send allocates nothing. Without one the
     overlay keeps the message in a FIFO per directed channel, one cell
     per message in flight; the FIFO is single-writer per end, so a
@@ -72,10 +81,37 @@ val create :
     [decode (encode m)] must equal [m]. Protocols whose messages carry
     O(log n) bits, as Section 7 bounds the dining layer's, pass one. *)
 
+val create_slotted :
+  engine:Sim.Engine.t ->
+  graph:Cgraph.Graph.t ->
+  delay:Delay.t ->
+  faults:Faults.t ->
+  rng:Sim.Rng.t ->
+  ?kind:('msg -> string) ->
+  ?kind_index:('msg -> int) ->
+  ?kind_names:string array ->
+  ?on_drop:(dst:int -> slot:int -> 'msg -> unit) ->
+  ?metrics:Obs.Metrics.t ->
+  ?shard_safe:bool ->
+  ?codec:('msg -> int) * (int -> 'msg) ->
+  handler:(dst:int -> slot:int -> 'msg -> unit) ->
+  unit ->
+  'msg t
+(** {!create} with handlers that receive the message's channel slot
+    (src, dst) instead of its source. This is the one implementation;
+    {!create} wraps its handlers with {!Cgraph.Graph.slot_src}. *)
+
+val send_slot : 'msg t -> src:int -> int -> 'msg -> unit
+(** [send_slot t ~src slot msg] sends [msg] on the directed slot [slot],
+    which must lie in [src]'s CSR row (a slot of another row sends on
+    that row's channel: the caller guarantees the pairing). The one send
+    path: a send touches no graph search. *)
+
 val send : 'msg t -> src:int -> dst:int -> 'msg -> unit
-(** Asynchronously send a message. [src] and [dst] must be adjacent in the
-    conflict graph (every neighboring pair is connected by a reliable FIFO
-    channel; no other channels exist). *)
+(** Asynchronously send a message: {!send_slot} on the slot of
+    ([src], [dst]). [src] and [dst] must be adjacent in the conflict
+    graph (every neighboring pair is connected by a reliable FIFO
+    channel; no other channels exist), otherwise [Invalid_argument]. *)
 
 val stats : 'msg t -> Link_stats.t
 val graph : 'msg t -> Cgraph.Graph.t

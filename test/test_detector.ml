@@ -7,9 +7,13 @@ let bool = Alcotest.bool
 
 let ring n = Cgraph.Topology.build (Cgraph.Topology.Ring n)
 
+(* Every detector below watches a ring of 4; a query names the
+   observer's slot for the target. *)
+let slot4 observer target = Cgraph.Graph.dir_index (ring 4) observer target
+
 let never_suspects_nothing () =
   let d = Fd.Never.create () in
-  check bool "never suspects" false (d.Fd.Detector.suspects ~observer:0 ~target:1)
+  check bool "never suspects" false (d.Fd.Detector.suspects (slot4 0 1))
 
 let perfect_tracks_crashes () =
   let engine = Sim.Engine.create () in
@@ -20,8 +24,8 @@ let perfect_tracks_crashes () =
   d.Fd.Detector.subscribe (fun obs -> notified := obs :: !notified);
   Net.Faults.schedule_crash faults ~pid:2 ~at:10;
   Sim.Engine.run_all engine;
-  check bool "suspects crashed" true (d.Fd.Detector.suspects ~observer:1 ~target:2);
-  check bool "does not suspect live" false (d.Fd.Detector.suspects ~observer:0 ~target:1);
+  check bool "suspects crashed" true (d.Fd.Detector.suspects (slot4 1 2));
+  check bool "does not suspect live" false (d.Fd.Detector.suspects (slot4 0 1));
   check (Alcotest.list int) "both neighbors notified" [ 1; 3 ] (List.sort compare !notified)
 
 (* ------------------------------ Oracle ----------------------------- *)
@@ -33,10 +37,10 @@ let oracle_completeness () =
   let _, d = Fd.Oracle.create engine faults graph ~detection_delay:25 () in
   Net.Faults.schedule_crash faults ~pid:0 ~at:100;
   ignore (Sim.Engine.schedule engine ~at:110 (fun () ->
-      check bool "not yet detected" false (d.Fd.Detector.suspects ~observer:1 ~target:0)));
+      check bool "not yet detected" false (d.Fd.Detector.suspects (slot4 1 0))));
   ignore (Sim.Engine.schedule engine ~at:130 (fun () ->
-      check bool "detected after delay" true (d.Fd.Detector.suspects ~observer:1 ~target:0);
-      check bool "by both neighbors" true (d.Fd.Detector.suspects ~observer:3 ~target:0)));
+      check bool "detected after delay" true (d.Fd.Detector.suspects (slot4 1 0));
+      check bool "by both neighbors" true (d.Fd.Detector.suspects (slot4 3 0))));
   Sim.Engine.run_all engine
 
 let oracle_false_positive_windows () =
@@ -48,9 +52,9 @@ let oracle_false_positive_windows () =
   let changes = ref 0 in
   d.Fd.Detector.subscribe (fun _ -> incr changes);
   ignore (Sim.Engine.schedule engine ~at:60 (fun () ->
-      check bool "suspected inside window" true (d.Fd.Detector.suspects ~observer:1 ~target:2)));
+      check bool "suspected inside window" true (d.Fd.Detector.suspects (slot4 1 2))));
   ignore (Sim.Engine.schedule engine ~at:90 (fun () ->
-      check bool "cleared after window" false (d.Fd.Detector.suspects ~observer:1 ~target:2)));
+      check bool "cleared after window" false (d.Fd.Detector.suspects (slot4 1 2))));
   Sim.Engine.run_all engine;
   check int "two output changes" 2 !changes;
   check int "convergence = window end" 80 (Fd.Oracle.convergence_time oracle)
@@ -67,9 +71,9 @@ let oracle_overlapping_windows () =
   in
   let _, d = Fd.Oracle.create engine faults graph ~false_positives:fps () in
   ignore (Sim.Engine.schedule engine ~at:55 (fun () ->
-      check bool "still suspected (second window)" true (d.Fd.Detector.suspects ~observer:0 ~target:1)));
+      check bool "still suspected (second window)" true (d.Fd.Detector.suspects (slot4 0 1))));
   ignore (Sim.Engine.schedule engine ~at:75 (fun () ->
-      check bool "cleared after both" false (d.Fd.Detector.suspects ~observer:0 ~target:1)));
+      check bool "cleared after both" false (d.Fd.Detector.suspects (slot4 0 1))));
   Sim.Engine.run_all engine
 
 let oracle_convergence_accounts_crashes () =
@@ -120,15 +124,15 @@ let heartbeat_no_mistakes_when_fast () =
   let engine, _, hb, d = heartbeat_setup ~delay:(Net.Delay.Fixed 2) ~n:4 () in
   Sim.Engine.run engine ~until:5_000;
   check int "no mistakes" 0 (Fd.Heartbeat.mistakes hb);
-  check bool "nobody suspected" false (d.Fd.Detector.suspects ~observer:0 ~target:1)
+  check bool "nobody suspected" false (d.Fd.Detector.suspects (slot4 0 1))
 
 let heartbeat_completeness () =
   let engine, faults, _, d = heartbeat_setup ~delay:(Net.Delay.Fixed 2) ~n:4 () in
   Net.Faults.schedule_crash faults ~pid:2 ~at:1_000;
   Sim.Engine.run engine ~until:5_000;
-  check bool "crashed suspected by 1" true (d.Fd.Detector.suspects ~observer:1 ~target:2);
-  check bool "crashed suspected by 3" true (d.Fd.Detector.suspects ~observer:3 ~target:2);
-  check bool "live unsuspected" false (d.Fd.Detector.suspects ~observer:0 ~target:1)
+  check bool "crashed suspected by 1" true (d.Fd.Detector.suspects (slot4 1 2));
+  check bool "crashed suspected by 3" true (d.Fd.Detector.suspects (slot4 3 2));
+  check bool "live unsuspected" false (d.Fd.Detector.suspects (slot4 0 1))
 
 let heartbeat_eventual_accuracy_under_ps () =
   (* Pre-GST delays regularly exceed the initial timeout, forcing
@@ -141,7 +145,7 @@ let heartbeat_eventual_accuracy_under_ps () =
   | Some t -> check bool "mistakes stop after GST settles" true (t < 20_000)
   | None -> Alcotest.fail "expected some mistakes");
   for i = 0 to 3 do
-    check bool "accurate at the end" false (d.Fd.Detector.suspects ~observer:i ~target:((i + 1) mod 4))
+    check bool "accurate at the end" false (d.Fd.Detector.suspects (slot4 i ((i + 1) mod 4)))
   done
 
 let heartbeat_timeout_grows () =
@@ -182,8 +186,8 @@ let heartbeat_on_advanced_engine () =
   Sim.Engine.run engine ~until:5_000;
   check int "no false suspicions" 0 (Fd.Heartbeat.mistakes hb);
   check bool "crash detected from a late start" true
-    (d.Fd.Detector.suspects ~observer:1 ~target:2);
-  check bool "live pair unsuspected" false (d.Fd.Detector.suspects ~observer:0 ~target:1)
+    (d.Fd.Detector.suspects (slot4 1 2));
+  check bool "live pair unsuspected" false (d.Fd.Detector.suspects (slot4 0 1))
 
 (* The detector's behaviour must not depend on the creation time: a
    world started at 0 and one started at an arbitrary offset see the
@@ -231,7 +235,7 @@ let unreliable_keeps_lying () =
     if t <= 10_000 then
       ignore
         (Sim.Engine.schedule engine ~at:t (fun () ->
-             if d.Fd.Detector.suspects ~observer:0 ~target:1 then last_lie := t;
+             if d.Fd.Detector.suspects (slot4 0 1) then last_lie := t;
              sample (t + 10)))
   in
   sample 0;
@@ -248,7 +252,7 @@ let unreliable_still_complete () =
   in
   Net.Faults.schedule_crash faults ~pid:2 ~at:1_000;
   Sim.Engine.run engine ~until:5_000;
-  check bool "crashed permanently suspected" true (d.Fd.Detector.suspects ~observer:1 ~target:2)
+  check bool "crashed permanently suspected" true (d.Fd.Detector.suspects (slot4 1 2))
 
 let unreliable_validates () =
   let engine = Sim.Engine.create () in
@@ -272,15 +276,89 @@ let oracle_suspects_allocates_nothing () =
   Net.Faults.schedule_crash faults ~pid:2 ~at:5;
   Sim.Engine.run engine ~until:100;
   let hits = ref 0 in
+  let s01 = slot4 0 1 and s12 = slot4 1 2 and s03 = slot4 0 3 in
   let before = Gc.minor_words () in
   for _ = 1 to 1000 do
-    if d.Fd.Detector.suspects ~observer:0 ~target:1 then incr hits;
-    if d.Fd.Detector.suspects ~observer:1 ~target:2 then incr hits;
-    if d.Fd.Detector.suspects ~observer:0 ~target:2 then incr hits
+    if d.Fd.Detector.suspects s01 then incr hits;
+    if d.Fd.Detector.suspects s12 then incr hits;
+    if d.Fd.Detector.suspects s03 then incr hits
   done;
   let words = Gc.minor_words () -. before in
   check int "only the crashed neighbor is suspected" 1000 !hits;
   check (Alcotest.float 0.) "minor words for 3000 queries" 0. words
+
+(* Every detector answers by the observer's slot. Over one run with two
+   crashes and, where the detector makes them, false suspicions, the
+   slot query agrees at every slot and every tick with a pair query
+   kept here: the (observer, target) flips the detector reports to the
+   engine's recorder, or, for the two that report none, their
+   definition by pid. *)
+let slot_queries_match_pair_queries () =
+  let horizon = 3_000 in
+  let run name =
+    let engine = Sim.Engine.create () in
+    let graph = ring 6 in
+    let faults = Net.Faults.create engine ~n:6 in
+    let flips = Hashtbl.create 16 in
+    Obs.Recorder.on_record (Sim.Engine.recorder engine) (fun r ->
+        match r.Obs.Record.kind with
+        | Obs.Record.Suspect { observer; target; on } -> Hashtbl.replace flips (observer, target) on
+        | _ -> ());
+    let recorded ~observer ~target =
+      Option.value ~default:false (Hashtbl.find_opt flips (observer, target))
+    in
+    let d, pair =
+      match name with
+      | "never" -> (Fd.Never.create (), fun ~observer:_ ~target:_ -> false)
+      | "perfect" ->
+          ( Fd.Perfect.create engine faults graph,
+            fun ~observer:_ ~target -> Net.Faults.is_crashed faults target )
+      | "oracle" ->
+          let false_positives =
+            Fd.Oracle.random_false_positives (Sim.Rng.create 3L) graph ~before:2_000 ~per_edge:2
+              ~max_len:200
+          in
+          (snd (Fd.Oracle.create engine faults graph ~detection_delay:40 ~false_positives ()), recorded)
+      | "heartbeat" ->
+          let delay = Net.Delay.Partial_synchrony { gst = 1_500; pre = (1, 120); post = (1, 5) } in
+          ( snd
+              (Fd.Heartbeat.create ~engine ~faults ~graph ~delay ~rng:(Sim.Rng.create 17L)
+                 ~period:20 ~initial_timeout:30 ~bump:25 ()),
+            recorded )
+      | _ ->
+          ( Fd.Unreliable.create engine faults graph (Sim.Rng.create 5L) ~detection_delay:30
+              ~period:300 ~duration:40 ~horizon (),
+            recorded )
+    in
+    List.iter (fun (pid, at) -> Net.Faults.schedule_crash faults ~pid ~at) [ (2, 400); (5, 1_100) ];
+    let off = Cgraph.Graph.csr_offsets graph and nbr = Cgraph.Graph.csr_targets graph in
+    let true_hits = ref 0 and false_hits = ref 0 in
+    for tick = 0 to horizon do
+      Sim.Engine.run engine ~until:tick;
+      for observer = 0 to 5 do
+        for s = off.(observer) to off.(observer + 1) - 1 do
+          let target = nbr.(s) in
+          let by_slot = d.Fd.Detector.suspects s in
+          if by_slot <> pair ~observer ~target then
+            Alcotest.failf "%s, t=%d: slot query %b, pair query %b for (%d, %d)" name tick by_slot
+              (not by_slot) observer target;
+          if by_slot then
+            if Net.Faults.is_crashed faults target then incr true_hits else incr false_hits
+        done
+      done
+    done;
+    (!true_hits, !false_hits)
+  in
+  check (Alcotest.pair int int) "never: no suspicion" (0, 0) (run "never");
+  let perfect_true, perfect_false = run "perfect" in
+  check bool "perfect: crashes suspected" true (perfect_true > 0);
+  check int "perfect: no mistakes" 0 perfect_false;
+  List.iter
+    (fun name ->
+      let hits, mistakes = run name in
+      check bool (name ^ ": crashes suspected") true (hits > 0);
+      check bool (name ^ ": false suspicions exercised") true (mistakes > 0))
+    [ "oracle"; "heartbeat"; "unreliable" ]
 
 let suite =
   [
@@ -307,4 +385,6 @@ let suite =
       heartbeat_offset_invariant;
     Alcotest.test_case "oracle: suspects allocates nothing" `Quick
       oracle_suspects_allocates_nothing;
+    Alcotest.test_case "every detector: slot queries match pair queries" `Quick
+      slot_queries_match_pair_queries;
   ]

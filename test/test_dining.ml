@@ -341,6 +341,57 @@ let ack_budget_validated () =
         (Dining.Algorithm.create ~engine ~faults ~graph ~delay:(Net.Delay.Fixed 1)
            ~rng:(Sim.Rng.create 1L) ~detector:(Fd.Never.create ()) ~acks_per_session:0 ()))
 
+(* [granted] is one byte of the slot record. *)
+let ack_budget_fits_a_byte () =
+  let graph = Cgraph.Graph.of_edges ~n:2 [ (0, 1) ] in
+  let create m =
+    let engine = Sim.Engine.create () in
+    let faults = Net.Faults.create engine ~n:2 in
+    ignore
+      (Dining.Algorithm.create ~engine ~faults ~graph ~delay:(Net.Delay.Fixed 1)
+         ~rng:(Sim.Rng.create 1L) ~detector:(Fd.Never.create ()) ~acks_per_session:m ())
+  in
+  create 255;
+  Alcotest.check_raises "256 rejected"
+    (Invalid_argument "Algorithm.create: acks_per_session must be <= 255") (fun () -> create 256)
+
+(* The per-slot message counters are 8-bit and wrap. Hundreds of
+   sessions on a ring of 8 push every channel's counts past 255, and the
+   exact check, run every few ticks with messages in flight, still
+   passes; once the world is quiet, one message the slot counters never
+   saw fails it. *)
+let slot_counters_checked_against_network () =
+  let ring8 = Cgraph.Graph.edges (Cgraph.Topology.build (Cgraph.Topology.Ring 8)) in
+  let r = rig ~n:8 ~edges:ring8 ~detector:`Never () in
+  auto_stop ~duration:2 r;
+  let sessions = ref 0 in
+  r.inst.add_listener (fun pid phase ->
+      if phase = Dining.Types.Thinking && !sessions < 2_400 then begin
+        incr sessions;
+        ignore (Sim.Engine.schedule_after r.engine ~delay:1 (fun () -> r.inst.become_hungry pid))
+      end);
+  let rec watch () =
+    Dining.Algorithm.check_invariants r.algo;
+    if !sessions < 2_400 then Sim.Engine.schedule_after r.engine ~delay:3 watch
+  in
+  watch ();
+  for pid = 0 to 7 do
+    r.inst.become_hungry pid
+  done;
+  Sim.Engine.run_all r.engine;
+  (* A session pings each neighbor once, so a process that ate more than
+     256 times wrapped the ping counter of both its slots. *)
+  for pid = 0 to 7 do
+    check bool "ping counters wrapped" true (Dining.Algorithm.eat_count r.algo pid > 256)
+  done;
+  let stats = Dining.Algorithm.network_stats r.algo in
+  Dining.Algorithm.check_invariants r.algo;
+  Net.Link_stats.record_send stats ~slot:(Cgraph.Graph.dir_index r.graph 2 3) ~kind:0 ~at:0;
+  Alcotest.check_raises "unaccounted message"
+    (Dining.Types.Invariant_violation
+       "edge (2,3): 0 messages in transit by the slot counters, 1 by the network") (fun () ->
+      Dining.Algorithm.check_invariants r.algo)
+
 let debug_dump () =
   let r = rig ~colors:[| 0; 1 |] () in
   let dump = Format.asprintf "%a" (Dining.Algorithm.pp_process r.algo) 1 in
@@ -459,4 +510,7 @@ let suite =
     Alcotest.test_case "create copies the colors" `Quick colors_are_copied;
     Alcotest.test_case "a passing check_invariants allocates nothing" `Quick
       check_invariants_allocates_nothing;
+    Alcotest.test_case "ack budget: at most 255" `Quick ack_budget_fits_a_byte;
+    Alcotest.test_case "slot counters are checked against the network" `Quick
+      slot_counters_checked_against_network;
   ]

@@ -158,13 +158,19 @@ let run_batch_rejects_nested_sequential () =
       check (Alcotest.array int) "pool reusable" [| 0; 1 |] (Exec.Pool.init pool 2 Fun.id))
 
 (* Two distinct pools may nest freely — only same-pool reentrancy is a
-   bug. *)
+   bug. Each outer task submits to an inner pool of its own: the outer
+   pool's two domains run outer tasks at the same time, and two of them
+   submitting to one shared inner pool would be a concurrent
+   submission, which the pool rightly rejects. *)
 let run_batch_distinct_pools_nest () =
-  Exec.Pool.with_pool ~domains:2 (fun outer ->
-      Exec.Pool.with_pool ~domains:2 (fun inner ->
+  let inner = Array.init 3 (fun _ -> Exec.Pool.create ~domains:2 ()) in
+  Fun.protect
+    ~finally:(fun () -> Array.iter Exec.Pool.shutdown inner)
+    (fun () ->
+      Exec.Pool.with_pool ~domains:2 (fun outer ->
           let hits = Atomic.make 0 in
-          Exec.Pool.run_batch outer 3 (fun _ ->
-              Exec.Pool.run_batch inner 2 (fun _ -> Atomic.incr hits));
+          Exec.Pool.run_batch outer 3 (fun i ->
+              Exec.Pool.run_batch inner.(i) 2 (fun _ -> Atomic.incr hits));
           check int "all inner tasks ran" 6 (Atomic.get hits)))
 
 let merge_by_canonical () =

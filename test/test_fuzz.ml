@@ -77,12 +77,9 @@ let quiescence_oracle_fires () =
   in
   holds "a sound run" Fuzz.Property.quiescence r;
   let sent_to_victim_at at =
-    let noisy =
-      Net.Link_stats.create
-        ~graph:(Cgraph.Topology.build (Cgraph.Topology.Ring 8))
-        ~kinds:[| "request" |] ()
-    in
-    Net.Link_stats.record_send noisy ~src:1 ~dst:2 ~kind:0 ~at;
+    let graph = Cgraph.Topology.build (Cgraph.Topology.Ring 8) in
+    let noisy = Net.Link_stats.create ~graph ~kinds:[| "request" |] () in
+    Net.Link_stats.record_send noisy ~slot:(Cgraph.Graph.dir_index graph 1 2) ~kind:0 ~at;
     { r with link_stats = noisy }
   in
   let edge = crash + Fuzz.Property.quiescence_grace in

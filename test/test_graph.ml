@@ -225,6 +225,22 @@ let coloring_clique_needs_n () =
   let g = Cgraph.Topology.build (Cgraph.Topology.Clique 5) in
   check int "clique-5 uses 5 colors" 5 (Cgraph.Coloring.color_count (Cgraph.Coloring.greedy g))
 
+(* Every slot's reverse is the slot of the reversed pair, on the same
+   edge, and reversing twice returns the slot. *)
+let graph_reverse_slots () =
+  List.iter
+    (fun spec ->
+      let g = Cgraph.Topology.build spec in
+      let rev = Cgraph.Graph.rev_slots g in
+      for s = 0 to Cgraph.Graph.dir_count g - 1 do
+        let i = Cgraph.Graph.slot_src g s and j = Cgraph.Graph.slot_dst g s in
+        check int "slot of (i, j)" s (Cgraph.Graph.dir_index g i j);
+        check int "reverse is (j, i)" (Cgraph.Graph.dir_index g j i) rev.(s);
+        check int "involution" s rev.(rev.(s));
+        check int "same edge" (Cgraph.Graph.slot_edge_id g s) (Cgraph.Graph.slot_edge_id g rev.(s))
+      done)
+    Cgraph.Topology.[ Ring 7; Grid (3, 4); Clique 5; Scale_free (60, 2, 42L) ]
+
 let suite =
   [
     Alcotest.test_case "graph: basics" `Quick graph_basics;
@@ -247,4 +263,5 @@ let suite =
     QCheck_alcotest.to_alcotest coloring_proper_random;
     Alcotest.test_case "coloring: improper detection" `Quick coloring_detects_improper;
     Alcotest.test_case "coloring: clique lower bound" `Quick coloring_clique_needs_n;
+    Alcotest.test_case "graph: reverse slots" `Quick graph_reverse_slots;
   ]

@@ -8,7 +8,14 @@
    stdlib — no dune, no cmt files — then run through the same
    interprocedural passes `dune build @lint` uses. *)
 
-let fixture name = Filename.concat "lint_fixtures" name
+(* The fixtures sit next to this file. Under [dune runtest] the working
+   directory is the test's build directory; run from the repository
+   root they are under test/. *)
+let fixture_dir =
+  if Sys.file_exists "lint_fixtures" then "lint_fixtures"
+  else Filename.concat "test" "lint_fixtures"
+
+let fixture name = Filename.concat fixture_dir name
 
 let read_file path =
   let ic = open_in_bin path in

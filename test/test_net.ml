@@ -250,13 +250,13 @@ let network_in_flight_messages_survive_sender_crash () =
 let link_stats_watermarks () =
   let graph = Cgraph.Graph.of_edges ~n:3 [ (0, 1); (1, 2) ] in
   let stats = Net.Link_stats.create ~graph ~kinds:[| "a"; "b" |] () in
-  Net.Link_stats.record_send stats ~src:0 ~dst:1 ~kind:0 ~at:1;
-  Net.Link_stats.record_send stats ~src:1 ~dst:0 ~kind:1 ~at:2;
-  Net.Link_stats.record_send stats ~src:0 ~dst:1 ~kind:0 ~at:3;
+  Net.Link_stats.record_send stats ~slot:(Cgraph.Graph.dir_index graph 0 1) ~kind:0 ~at:1;
+  Net.Link_stats.record_send stats ~slot:(Cgraph.Graph.dir_index graph 1 0) ~kind:1 ~at:2;
+  Net.Link_stats.record_send stats ~slot:(Cgraph.Graph.dir_index graph 0 1) ~kind:0 ~at:3;
   check int "edge in flight counts both directions" 3 (Net.Link_stats.max_edge_watermark stats);
-  Net.Link_stats.record_delivery stats ~src:0 ~dst:1 ~kind:0 ~at:4;
+  Net.Link_stats.record_delivery stats ~slot:(Cgraph.Graph.dir_index graph 0 1) ~kind:0 ~at:4;
   check int "watermark keeps max" 3 (Net.Link_stats.max_edge_watermark stats);
-  Net.Link_stats.record_send stats ~src:0 ~dst:1 ~kind:0 ~at:5;
+  Net.Link_stats.record_send stats ~slot:(Cgraph.Graph.dir_index graph 0 1) ~kind:0 ~at:5;
   check int "delivery decrements: back to 3, not 4" 3 (Net.Link_stats.max_edge_watermark stats);
   check
     (Alcotest.list (Alcotest.pair (Alcotest.pair int int) int))
@@ -269,15 +269,41 @@ let link_stats_last_send () =
   let graph = Cgraph.Graph.of_edges ~n:3 [ (0, 1); (1, 2) ] in
   let stats = Net.Link_stats.create ~graph () in
   check bool "none initially" true (Net.Link_stats.last_send_to stats 1 = None);
-  Net.Link_stats.record_send stats ~src:0 ~dst:1 ~kind:0 ~at:5;
-  Net.Link_stats.record_send stats ~src:2 ~dst:1 ~kind:0 ~at:7;
-  Net.Link_stats.record_send stats ~src:1 ~dst:2 ~kind:0 ~at:9;
+  Net.Link_stats.record_send stats ~slot:(Cgraph.Graph.dir_index graph 0 1) ~kind:0 ~at:5;
+  Net.Link_stats.record_send stats ~slot:(Cgraph.Graph.dir_index graph 2 1) ~kind:0 ~at:7;
+  Net.Link_stats.record_send stats ~slot:(Cgraph.Graph.dir_index graph 1 2) ~kind:0 ~at:9;
   check bool "last send to, over every incoming edge" true
     (Net.Link_stats.last_send_to stats 1 = Some 7);
   check bool "its own sends do not count" true (Net.Link_stats.last_send_to stats 0 = None);
   check bool "last send to the other end" true (Net.Link_stats.last_send_to stats 2 = Some 9);
   check int "total to dst, over every incoming edge" 2 (Net.Link_stats.total_sends_to stats ~dst:1);
   check int "total to dst, sends from it excluded" 0 (Net.Link_stats.total_sends_to stats ~dst:0)
+
+(* The slot form: a send names its channel slot, and the handler (or
+   [on_drop], once the destination has crashed) receives that slot. The
+   pid-form send lands on the same channel. *)
+let network_slot_form () =
+  let engine = Sim.Engine.create () in
+  let graph = ring4 () in
+  let faults = Net.Faults.create engine ~n:4 in
+  let got = ref [] in
+  let net =
+    Net.Network.create_slotted ~engine ~graph ~delay:(Net.Delay.Fixed 3) ~faults
+      ~rng:(Sim.Rng.create 1L)
+      ~on_drop:(fun ~dst ~slot msg -> got := (dst, slot, "dropped " ^ msg) :: !got)
+      ~handler:(fun ~dst ~slot msg -> got := (dst, slot, msg) :: !got)
+      ()
+  in
+  let s = Cgraph.Graph.dir_index graph 2 3 in
+  Net.Network.send_slot net ~src:2 s "a";
+  Net.Network.send net ~src:2 ~dst:3 "b";
+  Sim.Engine.run_all engine;
+  Net.Faults.schedule_crash faults ~pid:3 ~at:10;
+  Sim.Engine.schedule engine ~at:10 (fun () -> Net.Network.send_slot net ~src:2 s "c");
+  Sim.Engine.run_all engine;
+  check
+    (Alcotest.list (Alcotest.triple int int Alcotest.string))
+    "slot delivered" [ (3, s, "a"); (3, s, "b"); (3, s, "dropped c") ] (List.rev !got)
 
 let suite =
   [
@@ -305,4 +331,5 @@ let suite =
       network_message_allocation;
     Alcotest.test_case "faults: a run past a superseded crash keeps posts legal" `Quick
       faults_rescheduled_crash_keeps_posts_legal;
+    Alcotest.test_case "network: slot form carries the channel" `Quick network_slot_form;
   ]
