@@ -170,8 +170,6 @@ let create ~rule ~engine ~faults ~graph ~delay ~rng ~detector ?metrics () =
   let network =
     Net.Network.create_slotted ~engine ~graph ~delay ~faults ~rng
       ~kind:(function Req -> "request" | Fk -> "fork")
-      ~kind_index:(function Req -> 0 | Fk -> 1)
-      ~kind_names:[| "request"; "fork" |]
       ?metrics
       ~codec:((function Req -> 0 | Fk -> 1), function 0 -> Req | _ -> Fk)
       ~handler:(fun ~dst ~slot msg ->

@@ -360,7 +360,6 @@ let create ~engine ~faults ~graph ~delay ~rng ~detector ?colors ?metrics ?(acks_
   in
   let network =
     Net.Network.create_slotted ~engine ~graph ~delay ~faults ~rng ~kind:message_kind
-      ~kind_index:message_kind_index ~kind_names:[| "ping"; "ack"; "request"; "fork" |]
       ~on_drop:(fun ~dst:_ ~slot msg ->
         bump t t.rev.(slot) absorbed_at (message_kind_index msg))
       ?metrics
@@ -459,7 +458,7 @@ let check_edge t i j si =
   if !in_transit <> exact then
     fail "edge (%d,%d): %d messages in transit by the slot counters, %d by the network" i j
       !in_transit exact;
-  let exact_lost = Net.Link_stats.slot_dropped stats si + Net.Link_stats.slot_dropped stats sj in
+  let exact_lost = Net.Link_stats.edge_dropped stats (Cgraph.Graph.slot_edge_id t.graph si) in
   if !lost <> exact_lost then
     fail "edge (%d,%d): %d messages absorbed by the slot counters, %d by the network" i j !lost
       exact_lost;

@@ -90,7 +90,7 @@ let create ~engine ~faults ~graph ~delay ~rng ?(period = 20) ?(initial_timeout =
   let net =
     Net.Network.create_slotted ~engine ~graph ~delay ~faults ~rng
       ~kind:(fun () -> "heartbeat")
-      ~kind_names:[| "heartbeat" |] ?metrics
+      ?metrics
       ~codec:((fun () -> 0), fun _ -> ())
       ~handler ()
   in

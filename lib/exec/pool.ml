@@ -168,16 +168,3 @@ let init t n f =
 
 let map_array t f a = init t (Array.length a) (fun i -> f a.(i))
 let map_list t f l = Array.to_list (map_array t f (Array.of_list l))
-
-(* Deterministic k-way merge of per-shard effect buffers: the building
-   block for sharded stepping (Sim.Engine, Net.Link_stats). Each buffer
-   holds one shard's effects in that shard's program order; [rank] gives
-   the canonical global position of the effect's origin (for engine
-   steps: the pop rank of the firing event). Because every effect of one
-   origin lives in exactly one buffer, a stable sort by rank of the
-   shard-order concatenation reconstructs the one canonical sequence —
-   independent of how many shards there were or which domain ran them. *)
-let merge_by ~rank buffers =
-  let out = Array.concat (Array.to_list buffers) in
-  Array.stable_sort (fun a b -> compare (rank a) (rank b)) out;
-  out

@@ -63,12 +63,3 @@ val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Order-preserving parallel [List.map]. *)
-
-val merge_by : rank:('a -> int) -> 'a array array -> 'a array
-(** [merge_by ~rank buffers] deterministically merges per-shard effect
-    buffers back into one canonical sequence: concatenate in shard
-    order, then stable-sort by [rank]. Provided all effects with equal
-    rank live in a single buffer (true when rank identifies the firing
-    event and each event runs on exactly one shard), the result is
-    independent of the shard count and of which domain filled which
-    buffer — the merge half of the sharded-step barrier/merge pair. *)

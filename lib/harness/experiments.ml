@@ -280,11 +280,11 @@ let e4 (ctx : ctx) =
         seed = 5L;
       }
     in
-    let r = World.run s in
+    let recorder = Obs.Recorder.create () in
+    let by_kind = Net.Kind_watermarks.attach recorder in
+    let r = World.run ~recorder s in
     let kind_wm kind =
-      Option.value
-        (List.assoc_opt kind (Net.Link_stats.max_edge_watermark_by_kind r.link_stats))
-        ~default:0
+      Option.value (List.assoc_opt kind (Net.Kind_watermarks.max_by_kind by_kind)) ~default:0
     in
     [
       Cgraph.Topology.name topology;

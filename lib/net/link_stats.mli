@@ -1,34 +1,35 @@
-(** Per-directed-edge traffic accounting.
+(** Per-channel traffic accounting.
 
-    Tracks, for each ordered pair (src, dst) of neighbors: cumulative
-    sends, deliveries and drops, the in-flight high-water mark of the
-    undirected edge (the paper bounds this by 4), and the last send
-    time. Everything is stored in flat arrays indexed by the graph's
-    dense directed-slot / edge-id / kind indices, so recording a send is
+    Counts each message once per table a query reads. Per directed slot
+    (src, dst): cumulative sends and the last send time. Per undirected
+    edge: one cell packing the messages in flight on it (both directions
+    together) under its in-flight watermark (the paper bounds it by 4),
+    and the number of messages absorbed by a crashed endpoint.
+    Deliveries are derived: sent, minus dropped, minus in flight.
+    Everything is stored in flat arrays indexed by the graph's dense
+    directed-slot / edge-id indices, so recording a message is
     allocation-free and memory does not grow with run length: nothing is
     kept per message. A windowed count ("sends to [p] in [\[a, b)]") is
     the difference of {!total_sends_to} read once the run has reached
-    [b - 1] and [a - 1]. Message kinds are dense indices into a caller-supplied
-    name table so experiments can break traffic down by
-    ping/ack/request/fork.
+    [b - 1] and [a - 1]. A breakdown by message kind is not kept here:
+    {!Kind_watermarks} derives it from the trace stream for the
+    experiments that ask.
 
     The arrays are laid out single-writer for sharded stepping
-    ({!Sim.Engine.set_sharding}): per-slot counters are written only by
-    the slot's source (sends) or destination (deliveries/drops), and
-    aggregates that used to be running scalars are derived from them at
-    query time. The undirected-edge in-flight counters genuinely take
-    writes from both endpoints; after {!set_sharding}, cross-shard
-    updates to them made while the engine fires shards in parallel stage
-    per shard and apply at the engine's step merge in canonical rank
-    order — the order the sequential loop applies them in place — so
-    every count is independent of the shard split. *)
+    ({!Sim.Engine.set_sharding}): the per-slot arrays are written only by
+    the slot's source, at send time, and aggregates are derived from them
+    at query time. The per-edge cells genuinely take writes from both
+    endpoints (a send at one, a delivery or drop at the other); after
+    {!set_sharding}, cross-shard updates to them made while the engine
+    fires shards in parallel stage per shard and apply at the engine's
+    step merge in canonical rank order — the order the sequential loop
+    applies them in place — so every count is independent of the shard
+    split. *)
 
 type t
 
-val create : graph:Cgraph.Graph.t -> ?kinds:string array -> ?metrics:Obs.Metrics.t -> unit -> t
-(** [kinds] — names of the message kinds; [record_send ~kind:k] indexes
-    this table (default [[|"msg"|]], a single anonymous kind).
-    [metrics] — registry to register the [net.sent] / [net.delivered] /
+val create : graph:Cgraph.Graph.t -> ?metrics:Obs.Metrics.t -> unit -> t
+(** [metrics] — registry to register the [net.sent] / [net.delivered] /
     [net.dropped] counters into (default: a private registry). Several
     overlays sharing one registry aggregate into the same counters. *)
 
@@ -37,12 +38,14 @@ val create : graph:Cgraph.Graph.t -> ?kinds:string array -> ?metrics:Obs.Metrics
     Each event names the message's channel by its directed slot
     [slot] = (src, dst) in the source's CSR row
     ({!Cgraph.Graph.dir_index}); the network carries that slot from
-    send to delivery, so recording never searches the graph. *)
+    send to delivery, so recording never searches the graph. A delivery
+    or drop must match an earlier send on the same edge:
+    [Invalid_argument] when the edge has nothing in flight. *)
 
-val record_send : t -> slot:int -> kind:int -> at:Sim.Time.t -> unit
-val record_delivery : t -> slot:int -> kind:int -> at:Sim.Time.t -> unit
+val record_send : t -> slot:int -> at:Sim.Time.t -> unit
+val record_delivery : t -> slot:int -> unit
 
-val record_drop : t -> slot:int -> kind:int -> at:Sim.Time.t -> unit
+val record_drop : t -> slot:int -> unit
 (** A message absorbed because its destination crashed: removed from the
     in-flight count without a delivery. *)
 
@@ -52,24 +55,19 @@ val edge_in_flight : t -> int -> int
     minus deliveries and drops, exact. In a sharded parallel step a
     cross-shard update counts from the step merge on. *)
 
-val slot_dropped : t -> int -> int
-(** Messages sent on a directed slot that were absorbed by a crashed
-    destination, exact. *)
+val edge_dropped : t -> int -> int
+(** Messages sent on an undirected edge id, in either direction, that
+    were absorbed by a crashed endpoint, exact (from the step merge on,
+    as {!edge_in_flight}). *)
 
 val max_edge_watermark : t -> int
 (** Maximum over all edges of the edge's in-flight watermark: the most
     messages ever in transit on it at once, both directions together.
-    O(edges): derived from the per-edge table at query time so the send
-    path stays single-writer. *)
+    O(edges): derived from the per-edge table at query time. *)
 
 val per_edge_watermarks : t -> ((int * int) * int) list
 (** Every edge that ever carried traffic with its in-flight watermark,
     sorted by edge key [(min, max)]. *)
-
-val max_edge_watermark_by_kind : t -> (string * int) list
-(** For each message kind that ever carried traffic, the maximum
-    per-edge in-flight watermark of messages of that kind alone, sorted
-    by kind name. *)
 
 val last_send_to : t -> int -> Sim.Time.t option
 (** Latest time any message was sent to the given process. *)
@@ -80,6 +78,10 @@ val total_sends_to : t -> dst:int -> int
 (** Messages addressed to [dst] so far, over all its incoming edges. *)
 
 val total_delivered : t -> int
+(** [total_sent - total_dropped] minus the messages in flight: exact
+    between steps; inside a sharded parallel step it lags the sends
+    whose edge updates are still staged. *)
+
 val total_dropped : t -> int
 
 (** {2 Sharded mode}
@@ -94,19 +96,22 @@ val set_sharding :
   fire_rank:(unit -> int) ->
   fire_shard:(unit -> int) ->
   unit
-(** Switch cross-shard edge-counter updates to per-shard staging
+(** Switch cross-shard edge-cell updates to per-shard staging
     whenever [fire_shard ()] is non-negative, i.e. while the engine fires
     shards in parallel; on the engine's sequential loop updates still
     apply in place. [shard_of] maps a pid to its shard; [fire_rank] /
     [fire_shard] probe the engine's current fire context (see
-    {!Sim.Engine.fire_rank}).
+    {!Sim.Engine.fire_rank}). A staged update is a (rank, key) pair of
+    ints in its shard's flat buffer, so staging allocates nothing once
+    the buffer has grown to a step's traffic.
     Live metrics bumps are disabled — call {!sync_metrics} at report
     time. *)
 
 val flush_staged : t -> unit
-(** Apply the staged cross-shard edge updates, merged over shards in
-    canonical rank order. Register via {!Sim.Engine.add_step_hook}; a
-    no-op when nothing is staged or sharding is off. *)
+(** Apply the staged cross-shard edge updates, merged over the shards'
+    buffers in canonical rank order without copying them. Register via
+    {!Sim.Engine.add_step_hook}; a no-op when nothing is staged or
+    sharding is off. *)
 
 val sync_metrics : t -> unit
 (** Level the [net.*] counters up to the derived totals (sharded mode

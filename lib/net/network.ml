@@ -14,8 +14,7 @@ type 'msg t = {
   faults : Faults.t;
   rng : Sim.Rng.t; (* shared stream (legacy mode) *)
   src_rngs : Sim.Rng.t array; (* per-source streams (shard-safe mode) *)
-  kind : 'msg -> string;
-  kind_index : 'msg -> int;
+  kind : 'msg -> string; (* trace tag, computed only while tracing *)
   on_drop : dst:int -> slot:int -> 'msg -> unit;
   handler : dst:int -> slot:int -> 'msg -> unit;
   stats : Link_stats.t;
@@ -62,33 +61,31 @@ let pop t slot =
   | Nil -> invalid_arg "Network: delivery with no message in flight"
 
 (* A delivery fires at its own delivery time, so the engine clock is
-   [at]. The event carries the channel's slot and the encoded message;
-   the kind is recomputed from the decoded message. *)
+   the message's arrival time. The event carries the channel's slot and
+   the encoded message; the trace tag is computed from the decoded
+   message only while tracing. *)
 let[@lint.hot] deliver t ~dst ~slot b =
   let msg = if t.fifo then pop t slot else t.decode b in
-  let at = Sim.Engine.now t.engine in
-  let kind = t.kind_index msg in
   if Faults.is_crashed t.faults dst then begin
-    Link_stats.record_drop t.stats ~slot ~kind ~at;
+    Link_stats.record_drop t.stats ~slot;
     if !(t.tracing) then
-      Obs.Recorder.drop t.recorder ~time:at ~src:(Cgraph.Graph.slot_src t.graph slot) ~dst
-        ~tag:(t.kind msg);
+      Obs.Recorder.drop t.recorder ~time:(Sim.Engine.now t.engine)
+        ~src:(Cgraph.Graph.slot_src t.graph slot) ~dst ~tag:(t.kind msg);
     t.on_drop ~dst ~slot msg
   end
   else begin
-    Link_stats.record_delivery t.stats ~slot ~kind ~at;
+    Link_stats.record_delivery t.stats ~slot;
     if !(t.tracing) then
-      Obs.Recorder.deliver t.recorder ~time:at ~src:(Cgraph.Graph.slot_src t.graph slot) ~dst
-        ~tag:(t.kind msg);
+      Obs.Recorder.deliver t.recorder ~time:(Sim.Engine.now t.engine)
+        ~src:(Cgraph.Graph.slot_src t.graph slot) ~dst ~tag:(t.kind msg);
     t.handler ~dst ~slot msg
   end
 
 let no_decode _ = invalid_arg "Network: no codec"
 
 let create_slotted ~engine ~graph ~delay ~faults ~rng ?(kind = fun _ -> "msg")
-    ?(kind_index = fun _ -> 0) ?(kind_names = [| "msg" |])
     ?(on_drop = fun ~dst:_ ~slot:_ _ -> ()) ?metrics ?(shard_safe = false) ?codec ~handler () =
-  let stats = Link_stats.create ~graph ~kinds:kind_names ?metrics () in
+  let stats = Link_stats.create ~graph ?metrics () in
   let src_rngs =
     if not shard_safe then [||]
     else
@@ -121,7 +118,6 @@ let create_slotted ~engine ~graph ~delay ~faults ~rng ?(kind = fun _ -> "msg")
       rng;
       src_rngs;
       kind;
-      kind_index;
       on_drop;
       handler;
       stats;
@@ -140,12 +136,10 @@ let create_slotted ~engine ~graph ~delay ~faults ~rng ?(kind = fun _ -> "msg")
   t.delivery <- Sim.Engine.register engine (fun dst slot b -> deliver t ~dst ~slot b);
   t
 
-let create ~engine ~graph ~delay ~faults ~rng ?kind ?kind_index ?kind_names ?on_drop ?metrics
-    ?shard_safe ?codec ~handler () =
+let create ~engine ~graph ~delay ~faults ~rng ?kind ?on_drop ?metrics ?shard_safe ?codec ~handler () =
   let src slot = Cgraph.Graph.slot_src graph slot in
   let on_drop = Option.map (fun f ~dst ~slot msg -> f ~src:(src slot) ~dst msg) on_drop in
-  create_slotted ~engine ~graph ~delay ~faults ~rng ?kind ?kind_index ?kind_names ?on_drop
-    ?metrics ?shard_safe ?codec
+  create_slotted ~engine ~graph ~delay ~faults ~rng ?kind ?on_drop ?metrics ?shard_safe ?codec
     ~handler:(fun ~dst ~slot msg -> handler ~dst ~src:(src slot) msg)
     ()
 
@@ -153,7 +147,7 @@ let[@lint.hot] send_slot t ~src slot msg =
   if not (Faults.is_crashed t.faults src) then begin
     let dst = Cgraph.Graph.slot_dst t.graph slot in
     let now = Sim.Engine.now t.engine in
-    Link_stats.record_send t.stats ~slot ~kind:(t.kind_index msg) ~at:now;
+    Link_stats.record_send t.stats ~slot ~at:now;
     let rng = if Array.length t.src_rngs = 0 then t.rng else t.src_rngs.(src) in
     let raw = Sim.Time.add now (Delay.sample t.delay rng ~now) in
     let at = Sim.Time.max raw t.last_delivery.(slot) in

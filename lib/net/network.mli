@@ -19,8 +19,9 @@
     A channel is named by its directed slot (src, dst) in the source's
     CSR row ({!Cgraph.Graph.dir_index}). The slot is the currency of
     the per-message path: {!send_slot} takes it, the delivery event
-    carries it, {!Link_stats} counts by it and {!create_slotted}'s
-    handler receives it, so no step of a message searches the graph.
+    carries it, {!Link_stats} counts by it (a send writes the source's
+    slot counters and the edge's cell, a delivery or drop only the
+    edge's cell) and {!create_slotted}'s handler receives it, so no step of a message searches the graph.
     The receiver's own end of the edge is its entry in
     {!Cgraph.Graph.rev_slots}. The pid forms {!create} and {!send} are
     wrappers that look the slot up.
@@ -42,8 +43,6 @@ val create :
   faults:Faults.t ->
   rng:Sim.Rng.t ->
   ?kind:('msg -> string) ->
-  ?kind_index:('msg -> int) ->
-  ?kind_names:string array ->
   ?on_drop:(src:int -> dst:int -> 'msg -> unit) ->
   ?metrics:Obs.Metrics.t ->
   ?shard_safe:bool ->
@@ -51,12 +50,10 @@ val create :
   handler:(dst:int -> src:int -> 'msg -> unit) ->
   unit ->
   'msg t
-(** [kind] labels messages in traces; [kind_index]/[kind_names] give the
-    dense kind numbering used by {!Link_stats} breakdowns — [kind_index]
-    must return an index into [kind_names], and the name tables should
-    agree ([kind] defaults to a single ["msg"] kind, [kind_index] to
-    [fun _ -> 0]). The handler runs at the message's virtual
-    delivery time. [on_drop] is invoked instead of [handler] when a message
+(** [kind] labels messages in traces (default: every message ["msg"]);
+    it is called only while the engine's recorder traces, and per-kind
+    breakdowns ({!Kind_watermarks}) read it from there. The handler runs
+    at the message's virtual delivery time. [on_drop] is invoked instead of [handler] when a message
     reaches a crashed destination and is absorbed — protocols that must
     conserve resources carried by messages (forks, tokens) account for the
     loss there. [metrics] is forwarded to the overlay's {!Link_stats} so
@@ -70,7 +67,7 @@ val create :
     per-source split of [rng] (so the draw sequence is independent of
     cross-source interleaving — note this changes delivery times relative
     to the default shared stream), and when the engine is sharded the
-    overlay's {!Link_stats} stages cross-shard edge-counter updates made
+    overlay's {!Link_stats} stages cross-shard edge-cell updates made
     during parallel steps and flushes them at the engine's step merge
     (a traced run, which the engine keeps on its sequential loop,
     updates them in place). Delivery events are owned by their
@@ -88,8 +85,6 @@ val create_slotted :
   faults:Faults.t ->
   rng:Sim.Rng.t ->
   ?kind:('msg -> string) ->
-  ?kind_index:('msg -> int) ->
-  ?kind_names:string array ->
   ?on_drop:(dst:int -> slot:int -> 'msg -> unit) ->
   ?metrics:Obs.Metrics.t ->
   ?shard_safe:bool ->

@@ -173,24 +173,6 @@ let run_batch_distinct_pools_nest () =
               Exec.Pool.run_batch inner.(i) 2 (fun _ -> Atomic.incr hits));
           check int "all inner tasks ran" 6 (Atomic.get hits)))
 
-let merge_by_canonical () =
-  let buffers =
-    [|
-      [| (0, "a"); (2, "b"); (2, "c") |];
-      [| (1, "d"); (2, "e") |];
-      [||];
-      [| (0, "f"); (3, "g") |];
-    |]
-  in
-  let merged = Exec.Pool.merge_by ~rank:fst buffers in
-  (* Sorted by rank; ties keep buffer-index order then intra-buffer
-     order — the canonical (rank, program order) merge. *)
-  check
-    (Alcotest.array (Alcotest.pair int Alcotest.string))
-    "stable rank merge"
-    [| (0, "a"); (0, "f"); (1, "d"); (2, "b"); (2, "c"); (2, "e"); (3, "g") |]
-    merged
-
 let matches_array_init =
   QCheck.Test.make ~name:"exec: init = Array.init for any size/domains" ~count:50
     QCheck.(pair (int_bound 200) (int_range 1 6))
@@ -214,6 +196,5 @@ let suite =
     Alcotest.test_case "pool: rejects nested submission (sequential)" `Quick
       run_batch_rejects_nested_sequential;
     Alcotest.test_case "pool: distinct pools nest freely" `Quick run_batch_distinct_pools_nest;
-    Alcotest.test_case "pool: merge_by is the canonical rank merge" `Quick merge_by_canonical;
     QCheck_alcotest.to_alcotest matches_array_init;
   ]

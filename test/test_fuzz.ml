@@ -78,8 +78,8 @@ let quiescence_oracle_fires () =
   holds "a sound run" Fuzz.Property.quiescence r;
   let sent_to_victim_at at =
     let graph = Cgraph.Topology.build (Cgraph.Topology.Ring 8) in
-    let noisy = Net.Link_stats.create ~graph ~kinds:[| "request" |] () in
-    Net.Link_stats.record_send noisy ~slot:(Cgraph.Graph.dir_index graph 1 2) ~kind:0 ~at;
+    let noisy = Net.Link_stats.create ~graph () in
+    Net.Link_stats.record_send noisy ~slot:(Cgraph.Graph.dir_index graph 1 2) ~at;
     { r with link_stats = noisy }
   in
   let edge = crash + Fuzz.Property.quiescence_grace in

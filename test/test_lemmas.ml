@@ -14,8 +14,8 @@ let int = Alcotest.int
 
 let run_checked ?(topology = Cgraph.Topology.Clique 6) ?(seed = 1L) ?(horizon = 30_000)
     ?(delay = Net.Delay.Uniform (1, 40)) ?(crashes = Harness.Scenario.No_crashes)
-    ?(fp_per_edge = 3) () =
-  Harness.World.run
+    ?(fp_per_edge = 3) ?recorder () =
+  Harness.World.run ?recorder
     {
       Harness.Scenario.default with
       name = "lemmas";
@@ -57,11 +57,11 @@ let lemma_1_2_with_crashes () =
    consequence (with the paper's Section 7 argument) is that at most two
    ping and two ack messages can ever be in transit on an edge. *)
 let lemma_2_2_channel_consequence () =
-  let r = run_checked ~seed:3L () in
+  let recorder = Obs.Recorder.create () in
+  let by_kind = Net.Kind_watermarks.attach recorder in
+  let r = run_checked ~recorder ~seed:3L () in
   let kind_wm kind =
-    Option.value
-      (List.assoc_opt kind (Net.Link_stats.max_edge_watermark_by_kind r.link_stats))
-      ~default:0
+    Option.value (List.assoc_opt kind (Net.Kind_watermarks.max_by_kind by_kind)) ~default:0
   in
   check bool "ping watermark <= 2" true (kind_wm "ping" <= 2);
   check bool "ack watermark <= 2" true (kind_wm "ack" <= 2);

@@ -249,29 +249,61 @@ let network_in_flight_messages_survive_sender_crash () =
 
 let link_stats_watermarks () =
   let graph = Cgraph.Graph.of_edges ~n:3 [ (0, 1); (1, 2) ] in
-  let stats = Net.Link_stats.create ~graph ~kinds:[| "a"; "b" |] () in
-  Net.Link_stats.record_send stats ~slot:(Cgraph.Graph.dir_index graph 0 1) ~kind:0 ~at:1;
-  Net.Link_stats.record_send stats ~slot:(Cgraph.Graph.dir_index graph 1 0) ~kind:1 ~at:2;
-  Net.Link_stats.record_send stats ~slot:(Cgraph.Graph.dir_index graph 0 1) ~kind:0 ~at:3;
+  let stats = Net.Link_stats.create ~graph () in
+  (* The per-kind breakdown streams from the trace: each record here is
+     what a network emits next to the matching Link_stats call. *)
+  let recorder = Obs.Recorder.create () in
+  let by_kind = Net.Kind_watermarks.attach recorder in
+  let send src dst tag at =
+    Net.Link_stats.record_send stats ~slot:(Cgraph.Graph.dir_index graph src dst) ~at;
+    Obs.Recorder.send recorder ~time:at ~src ~dst ~tag ~deliver_at:(at + 10)
+  in
+  send 0 1 "a" 1;
+  send 1 0 "b" 2;
+  send 0 1 "a" 3;
   check int "edge in flight counts both directions" 3 (Net.Link_stats.max_edge_watermark stats);
-  Net.Link_stats.record_delivery stats ~slot:(Cgraph.Graph.dir_index graph 0 1) ~kind:0 ~at:4;
+  Net.Link_stats.record_delivery stats ~slot:(Cgraph.Graph.dir_index graph 0 1);
+  Obs.Recorder.deliver recorder ~time:4 ~src:0 ~dst:1 ~tag:"a";
   check int "watermark keeps max" 3 (Net.Link_stats.max_edge_watermark stats);
-  Net.Link_stats.record_send stats ~slot:(Cgraph.Graph.dir_index graph 0 1) ~kind:0 ~at:5;
+  send 0 1 "a" 5;
   check int "delivery decrements: back to 3, not 4" 3 (Net.Link_stats.max_edge_watermark stats);
   check
     (Alcotest.list (Alcotest.pair (Alcotest.pair int int) int))
     "per edge, only edges that carried traffic" [ ((0, 1), 3) ]
     (Net.Link_stats.per_edge_watermarks stats);
-  let by_kind = Net.Link_stats.max_edge_watermark_by_kind stats in
-  check (Alcotest.list (Alcotest.pair Alcotest.string int)) "per kind" [ ("a", 2); ("b", 1) ] by_kind
+  check (Alcotest.list (Alcotest.pair Alcotest.string int)) "per kind" [ ("a", 2); ("b", 1) ]
+    (Net.Kind_watermarks.max_by_kind by_kind)
+
+(* Deliveries are not counted: they are what was sent and neither
+   dropped nor in flight. Drops count per edge, both directions. *)
+let link_stats_drops () =
+  let graph = Cgraph.Graph.of_edges ~n:3 [ (0, 1); (1, 2) ] in
+  let stats = Net.Link_stats.create ~graph () in
+  let slot = Cgraph.Graph.dir_index graph in
+  let e01 = Cgraph.Graph.slot_edge_id graph (slot 0 1) in
+  List.iter (fun (a, b) -> Net.Link_stats.record_send stats ~slot:(slot a b) ~at:1)
+    [ (0, 1); (1, 0); (1, 0); (2, 1) ];
+  Net.Link_stats.record_drop stats ~slot:(slot 0 1);
+  Net.Link_stats.record_drop stats ~slot:(slot 1 0);
+  Net.Link_stats.record_delivery stats ~slot:(slot 2 1);
+  check int "edge drops, both directions" 2 (Net.Link_stats.edge_dropped stats e01);
+  check int "edge in flight" 1 (Net.Link_stats.edge_in_flight stats e01);
+  check int "sent" 4 (Net.Link_stats.total_sent stats);
+  check int "dropped" 2 (Net.Link_stats.total_dropped stats);
+  check int "delivered = sent - dropped - in flight" 1 (Net.Link_stats.total_delivered stats);
+  Alcotest.check_raises "a delivery needs a message in flight"
+    (Invalid_argument "Link_stats: a delivery or drop on an edge with nothing in flight")
+    (fun () -> Net.Link_stats.record_delivery stats ~slot:(slot 1 2));
+  check int "the watermark survives the rejected delivery" 1
+    (List.assoc (1, 2) (Net.Link_stats.per_edge_watermarks stats))
 
 let link_stats_last_send () =
   let graph = Cgraph.Graph.of_edges ~n:3 [ (0, 1); (1, 2) ] in
   let stats = Net.Link_stats.create ~graph () in
   check bool "none initially" true (Net.Link_stats.last_send_to stats 1 = None);
-  Net.Link_stats.record_send stats ~slot:(Cgraph.Graph.dir_index graph 0 1) ~kind:0 ~at:5;
-  Net.Link_stats.record_send stats ~slot:(Cgraph.Graph.dir_index graph 2 1) ~kind:0 ~at:7;
-  Net.Link_stats.record_send stats ~slot:(Cgraph.Graph.dir_index graph 1 2) ~kind:0 ~at:9;
+  Net.Link_stats.record_send stats ~slot:(Cgraph.Graph.dir_index graph 0 1) ~at:5;
+  Net.Link_stats.record_send stats ~slot:(Cgraph.Graph.dir_index graph 2 1) ~at:7;
+  Net.Link_stats.record_send stats ~slot:(Cgraph.Graph.dir_index graph 1 2) ~at:9;
   check bool "last send to, over every incoming edge" true
     (Net.Link_stats.last_send_to stats 1 = Some 7);
   check bool "its own sends do not count" true (Net.Link_stats.last_send_to stats 0 = None);
@@ -305,6 +337,273 @@ let network_slot_form () =
     (Alcotest.list (Alcotest.triple int int Alcotest.string))
     "slot delivered" [ (3, s, "a"); (3, s, "b"); (3, s, "dropped c") ] (List.rev !got)
 
+(* ------------------- Link_stats against its reference ------------------ *)
+
+(* One message event: its canonical rank in the step, its owner (the
+   source for a send, the destination for a delivery or drop: the
+   shard that fires it) and the record it makes. *)
+type op = { rank : int; owner : int; code : [ `Send | `Deliver | `Drop ]; slot : int; kind : int }
+
+let kind_count = 3
+
+(* A random step of events on [graph]. Each event belongs to one
+   process: it may take one message off an incoming channel, then send
+   up to two. A message is delivered only in a later step than its send
+   (as the engine's step barrier guarantees); [pending] holds the kinds
+   in flight per slot, oldest first. *)
+let gen_step st graph pending =
+  let n = Cgraph.Graph.n graph in
+  let off = Cgraph.Graph.csr_offsets graph and rev = Cgraph.Graph.rev_slots graph in
+  let avail = Array.map Queue.length pending in
+  let ops = ref [] in
+  for rank = 0 to Random.State.int st 12 do
+    let p = Random.State.int st n in
+    let deg = off.(p + 1) - off.(p) in
+    if deg > 0 then begin
+      let inc = rev.(off.(p) + Random.State.int st deg) in
+      if avail.(inc) > 0 && Random.State.bool st then begin
+        avail.(inc) <- avail.(inc) - 1;
+        let code = if Random.State.int st 4 = 0 then `Drop else `Deliver in
+        ops := { rank; owner = p; code; slot = inc; kind = Queue.pop pending.(inc) } :: !ops
+      end;
+      for _ = 1 to Random.State.int st 3 do
+        let slot = off.(p) + Random.State.int st deg in
+        let kind = Random.State.int st kind_count in
+        Queue.push kind pending.(slot);
+        ops := { rank; owner = p; code = `Send; slot; kind } :: !ops
+      done
+    end
+  done;
+  List.rev !ops
+
+let apply_ref oracle ~at o =
+  match o.code with
+  | `Send -> Link_stats_ref.record_send oracle ~slot:o.slot ~kind:o.kind ~at
+  | `Deliver -> Link_stats_ref.record_delivery oracle ~slot:o.slot ~kind:o.kind
+  | `Drop -> Link_stats_ref.record_drop oracle ~slot:o.slot ~kind:o.kind
+
+let apply stats ~at o =
+  match o.code with
+  | `Send -> Net.Link_stats.record_send stats ~slot:o.slot ~at
+  | `Deliver -> Net.Link_stats.record_delivery stats ~slot:o.slot
+  | `Drop -> Net.Link_stats.record_drop stats ~slot:o.slot
+
+(* Every query, as named ints; edge drops against the sum of the
+   reference's two slot drops. *)
+let view_new graph stats =
+  let n = Cgraph.Graph.n graph and m = Cgraph.Graph.edge_count graph in
+  let module L = Net.Link_stats in
+  [
+    ("sent", L.total_sent stats);
+    ("delivered", L.total_delivered stats);
+    ("dropped", L.total_dropped stats);
+    ("max watermark", L.max_edge_watermark stats);
+  ]
+  @ List.init n (fun p -> (Printf.sprintf "sends to %d" p, L.total_sends_to stats ~dst:p))
+  @ List.init n (fun p ->
+        (Printf.sprintf "last send to %d" p, Option.value (L.last_send_to stats p) ~default:(-1)))
+  @ List.init m (fun e -> (Printf.sprintf "in flight %d" e, L.edge_in_flight stats e))
+  @ List.init m (fun e -> (Printf.sprintf "dropped %d" e, L.edge_dropped stats e))
+
+let view_ref graph oracle =
+  let n = Cgraph.Graph.n graph and m = Cgraph.Graph.edge_count graph in
+  let rev = Cgraph.Graph.rev_slots graph in
+  let edge_slot = Array.make m 0 in
+  for s = Cgraph.Graph.dir_count graph - 1 downto 0 do
+    edge_slot.(Cgraph.Graph.slot_edge_id graph s) <- s
+  done;
+  let module R = Link_stats_ref in
+  [
+    ("sent", R.total_sent oracle);
+    ("delivered", R.total_delivered oracle);
+    ("dropped", R.total_dropped oracle);
+    ("max watermark", R.max_edge_watermark oracle);
+  ]
+  @ List.init n (fun p -> (Printf.sprintf "sends to %d" p, R.total_sends_to oracle ~dst:p))
+  @ List.init n (fun p ->
+        (Printf.sprintf "last send to %d" p, Option.value (R.last_send_to oracle p) ~default:(-1)))
+  @ List.init m (fun e -> (Printf.sprintf "in flight %d" e, R.edge_in_flight oracle e))
+  @ List.init m (fun e ->
+        let s = edge_slot.(e) in
+        (Printf.sprintf "dropped %d" e, R.slot_dropped oracle s + R.slot_dropped oracle rev.(s)))
+
+let agree ~what graph stats oracle =
+  check (Alcotest.list (Alcotest.pair Alcotest.string int)) what (view_ref graph oracle)
+    (view_new graph stats);
+  check
+    (Alcotest.list (Alcotest.pair (Alcotest.pair int int) int))
+    (what ^ ": per-edge watermarks")
+    (Link_stats_ref.per_edge_watermarks oracle)
+    (Net.Link_stats.per_edge_watermarks stats)
+
+let random_graph st =
+  let n = 2 + Random.State.int st 11 in
+  let p = 0.2 +. Random.State.float st 0.6 in
+  let g = Cgraph.Topology.build (Cgraph.Topology.Random_gnp (n, p, Random.State.int64 st 1_000_000L)) in
+  if Cgraph.Graph.edge_count g > 0 then g else Cgraph.Topology.build (Cgraph.Topology.Ring (max 3 n))
+
+(* [shards] = 0: no sharding, every op in place in rank order. Otherwise
+   each step is fired either on the sequential loop (in place) or as a
+   parallel step: shard by shard, each firing its own events in rank
+   order, with the staged cross-shard updates flushed at the end. The
+   reference always sees the step in rank order. *)
+let differential ~shards () =
+  for case = 0 to 29 do
+    let st = Random.State.make [| 0x51; shards; case |] in
+    let graph = random_graph st in
+    let stats = Net.Link_stats.create ~graph () in
+    let oracle = Link_stats_ref.create ~graph ~kinds:(Array.init kind_count string_of_int) () in
+    let shard = ref (-1) and rank = ref (-1) in
+    let shard_of = Array.init (Cgraph.Graph.n graph) (fun _ -> Random.State.int st (max 1 shards)) in
+    if shards > 0 then
+      Net.Link_stats.set_sharding stats ~shards ~shard_of:(Array.get shard_of)
+        ~fire_rank:(fun () -> !rank) ~fire_shard:(fun () -> !shard);
+    let pending = Array.init (Cgraph.Graph.dir_count graph) (fun _ -> Queue.create ()) in
+    for at = 0 to 39 do
+      let ops = gen_step st graph pending in
+      List.iter (apply_ref oracle ~at) ops;
+      if shards = 0 || Random.State.int st 3 = 0 then List.iter (apply stats ~at) ops
+      else begin
+        for sh = 0 to shards - 1 do
+          shard := sh;
+          List.iter
+            (fun o ->
+              if shard_of.(o.owner) = sh then begin
+                rank := o.rank;
+                apply stats ~at o
+              end)
+            ops
+        done;
+        shard := -1;
+        rank := -1;
+        Net.Link_stats.flush_staged stats
+      end;
+      agree ~what:(Printf.sprintf "case %d, step %d" case at) graph stats oracle
+    done
+  done
+
+let link_stats_matches_reference () = differential ~shards:0 ()
+let link_stats_staged_matches_reference () =
+  differential ~shards:2 ();
+  differential ~shards:3 ()
+
+(* Cross-shard staging is (rank, key) ints in flat per-shard buffers,
+   merged in place: once the buffers have grown, a staged op and its
+   flush allocate nothing. Ring 8 split odd/even puts every edge across
+   the shard boundary. The middle step of a round fires shard 0's
+   higher-ranked deliveries before shard 1's lower-ranked sends, so only
+   the rank-order merge reproduces the in-place watermarks. *)
+let link_stats_staging_allocation () =
+  let graph = Cgraph.Topology.build (Cgraph.Topology.Ring 8) in
+  let off = Cgraph.Graph.csr_offsets graph and rev = Cgraph.Graph.rev_slots graph in
+  let staged = Net.Link_stats.create ~graph () in
+  let in_place = Net.Link_stats.create ~graph () in
+  let shard = ref (-1) and rank = ref (-1) in
+  Net.Link_stats.set_sharding staged ~shards:2 ~shard_of:(fun p -> p land 1)
+    ~fire_rank:(fun () -> !rank) ~fire_shard:(fun () -> !shard);
+  (* [sends p] / [receives p]: whether process p sends on every slot of
+     its row, or takes one message off every incoming channel. *)
+  let act stats p ~sends ~receives =
+    for s = off.(p) to off.(p + 1) - 1 do
+      if receives then Net.Link_stats.record_delivery stats ~slot:rev.(s);
+      if sends then Net.Link_stats.record_send stats ~slot:s ~at:p
+    done
+  in
+  let step ~sends ~receives =
+    for sh = 0 to 1 do
+      shard := sh;
+      for p = 0 to 7 do
+        if p land 1 = sh then begin
+          rank := p;
+          act staged p ~sends:(sends p) ~receives:(receives p)
+        end
+      done
+    done;
+    shard := -1;
+    Net.Link_stats.flush_staged staged;
+    for p = 0 to 7 do
+      act in_place p ~sends:(sends p) ~receives:(receives p)
+    done
+  in
+  let all _ = true and none _ = false and odd p = p land 1 = 1 and even p = p land 1 = 0 in
+  let round () =
+    step ~sends:all ~receives:none;
+    step ~sends:odd ~receives:even;
+    step ~sends:none ~receives:all
+  in
+  for _ = 1 to 3 do
+    round ()
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to 10 do
+    round ()
+  done;
+  let words = Gc.minor_words () -. before in
+  check (Alcotest.float 0.) "minor words for 10 rounds (480 ops staged, 480 in place)" 0.
+    words;
+  let view stats =
+    ( Net.Link_stats.per_edge_watermarks stats,
+      List.init 8 (Net.Link_stats.edge_in_flight stats),
+      (Net.Link_stats.total_sent stats, Net.Link_stats.total_delivered stats) )
+  in
+  check bool "staged = in place" true (view staged = view in_place);
+  check int "the interleaved step reaches 3 in flight" 3 (Net.Link_stats.max_edge_watermark staged)
+
+(* The per-kind watermarks of experiment E4, streamed from the trace,
+   against the reference's per-(edge, kind) tables fed from the same
+   trace; the world's own Link_stats must agree with the reference's
+   all-kinds counts. *)
+let kind_watermarks_match_reference () =
+  let kinds = [| "ping"; "ack"; "request"; "fork" |] in
+  let kind tag =
+    let rec find i = if kinds.(i) = tag then i else find (i + 1) in
+    find 0
+  in
+  List.iter
+    (fun topology ->
+      let graph = Cgraph.Topology.build topology in
+      let oracle = Link_stats_ref.create ~graph ~kinds () in
+      let recorder = Obs.Recorder.create () in
+      let by_kind = Net.Kind_watermarks.attach recorder in
+      Obs.Recorder.on_record recorder (fun r ->
+          match r.kind with
+          | Send { src; dst; tag; _ } ->
+              Link_stats_ref.record_send oracle ~slot:(Cgraph.Graph.dir_index graph src dst)
+                ~kind:(kind tag) ~at:r.time
+          | Deliver { src; dst; tag } ->
+              Link_stats_ref.record_delivery oracle ~slot:(Cgraph.Graph.dir_index graph src dst)
+                ~kind:(kind tag)
+          | Drop { src; dst; tag } ->
+              Link_stats_ref.record_drop oracle ~slot:(Cgraph.Graph.dir_index graph src dst)
+                ~kind:(kind tag)
+          | _ -> ());
+      let r =
+        Harness.World.run ~recorder
+          {
+            Harness.Scenario.default with
+            name = "e4";
+            topology;
+            delay = Net.Delay.Uniform (1, 8);
+            detector =
+              Harness.Scenario.Oracle
+                { detection_delay = 50; fp_per_edge = 2; fp_window = 8_000; fp_max_len = 200 };
+            workload = Harness.Scenario.contended_workload;
+            crashes = Harness.Scenario.Random_crashes { count = 1; from_t = 2_000; to_t = 10_000 };
+            horizon = 40_000;
+            seed = 5L;
+            check_every = Some 193;
+          }
+      in
+      let name = Cgraph.Topology.name topology in
+      check
+        (Alcotest.list (Alcotest.pair Alcotest.string int))
+        (name ^ ": per kind")
+        (Link_stats_ref.max_edge_watermark_by_kind oracle)
+        (Net.Kind_watermarks.max_by_kind by_kind);
+      check bool (name ^ ": some traffic was absorbed") true (Link_stats_ref.total_dropped oracle > 0);
+      agree ~what:name graph r.link_stats oracle)
+    Cgraph.Topology.[ Ring 5; Clique 6; Binary_tree 10; Random_gnp (14, 0.25, 7L) ]
+
 let suite =
   [
     Alcotest.test_case "faults: schedule and query" `Quick faults_basics;
@@ -332,4 +631,12 @@ let suite =
     Alcotest.test_case "faults: a run past a superseded crash keeps posts legal" `Quick
       faults_rescheduled_crash_keeps_posts_legal;
     Alcotest.test_case "network: slot form carries the channel" `Quick network_slot_form;
+    Alcotest.test_case "link_stats: drops and derived deliveries" `Quick link_stats_drops;
+    Alcotest.test_case "link_stats: matches the reference" `Quick link_stats_matches_reference;
+    Alcotest.test_case "link_stats: staged under sharding matches the reference" `Quick
+      link_stats_staged_matches_reference;
+    Alcotest.test_case "link_stats: staging allocates nothing" `Quick
+      link_stats_staging_allocation;
+    Alcotest.test_case "kind_watermarks: match the reference on E4 topologies" `Quick
+      kind_watermarks_match_reference;
   ]
