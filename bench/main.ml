@@ -45,7 +45,7 @@ let perf_tests () =
            Sim.Engine.run_all engine));
     Test.make ~name:"wheel:10k-mixed"
       (Staged.stage (fun () ->
-           let q = Sim.Wheel.create ~dummy:0 () in
+           let q = Sim.Wheel.create () in
            for i = 0 to 9_999 do
              Sim.Wheel.add q ~prio:((i * 7919) mod 1000) i
            done;

@@ -16,8 +16,8 @@
    Not seen (documented honesty): float boxing, closure allocation from
    partial application, and allocations inside callees — annotate the
    callee [@lint.hot] too if it is on the path. A deliberate allocation
-   (e.g. the timing wheel's intrusive slot cons) is justified in place
-   with [@lint.allow "hot-path-alloc"] and a comment. *)
+   is justified in place with [@lint.allow "hot-path-alloc"] and a
+   comment. *)
 
 open Typedtree
 

@@ -6,17 +6,18 @@
            means ownerless;
      a, b  the kind's two payload words.
 
-   The timing wheel queues bare slot indices. An event is never
-   withdrawn: every queued slot fires, and firing frees it. A caller
-   that no longer wants an event lets it fire and checks, in its
+   The timing wheel queues bare slot indices as its handles, on lists
+   threaded through link words of its own, two per slot. An event is
+   never withdrawn: every queued slot fires, and firing frees it. A
+   caller that no longer wants an event lets it fire and checks, in its
    handler, that it still applies (see [Net.Faults]).
 
    A kind is a handler registered once per engine. Kind 0 is built in:
    its [a] indexes a side table of [unit -> unit] closures, which is
    what {!schedule} posts. The per-event callers (deliveries, detector
    and workload timers) register their own kinds and post ints, so an
-   event allocates nothing once the pool has grown to the run's
-   high-water mark.
+   event allocates nothing once the pool, and with it the wheel's
+   links and slot levels, has grown to the run's high-water mark.
 
    The pool stores slots in chunks of [chunk_slots] slots: 256 words,
    the largest block the minor heap takes, so a chunk is born young and
@@ -26,9 +27,9 @@
    through their [a] words, one below the capacity midpoint and one
    above, and slots never used since the pool grew sit above a
    frontier; taking from the low list first lets the high chunks empty
-   out, and [run] trims the pool on exit (see [trim]). Trimming never
-   happens per event: a run would thrash between growing and
-   shrinking. *)
+   out, and [run] trims the pool on exit (see [trim]), and the wheel's
+   links with it. Trimming never happens per event: a run would thrash
+   between growing and shrinking. *)
 
 let owner_bits = 21
 let owner_mask = (1 lsl owner_bits) - 1
@@ -76,7 +77,7 @@ type fire_ctx = { mutable rank : int; mutable shard : int }
 
 type t = {
   mutable clock : Time.t;
-  queue : int Wheel.t;
+  queue : Wheel.t; (* pending slots *)
   pool : pool;
   mutable handlers : (int -> int -> int -> unit) array; (* by kind; 0 is unused *)
   (* The closure side table: cells of closure-kind events, a free
@@ -284,7 +285,7 @@ let create ?recorder () =
   in
   {
     clock = Time.zero;
-    queue = Wheel.create ~dummy:(-1) ();
+    queue = Wheel.create ();
     pool;
     handlers = [| (fun _ _ _ -> ()) |];
     closures = [||];
@@ -636,6 +637,7 @@ let run t ~until =
   | Some pool when t.shards > 1 && not !(t.tracing) -> parallel_loop t pool ~until
   | _ -> fire_loop t ~until);
   trim t.pool;
+  Wheel.trim t.queue ~handles:t.pool.cap;
   if t.clo_live = 0 && Array.length t.closures > 4 then begin
     t.closures <- [||];
     t.clo_next <- [||];

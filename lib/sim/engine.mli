@@ -39,7 +39,8 @@ val create : ?recorder:Obs.Recorder.t -> unit -> t
     hooks — a record per event scheduled or fired — into the
     given recorder (see {!Obs.Recorder}; defaults to a disabled one, in
     which case each hook costs a single branch). The event queue is the
-    hierarchical timing wheel {!Wheel}. *)
+    hierarchical timing wheel {!Wheel}, over the event pool's slot
+    indices. *)
 
 val now : t -> Time.t
 (** Current virtual time. *)
@@ -57,8 +58,12 @@ val register : t -> (int -> int -> int -> unit) -> int
 val post : t -> kind:int -> owner:int -> at:Time.t -> int -> int -> unit
 (** [post t ~kind ~owner ~at a b] queues an event of a registered
     [kind] with payload [a], [b]. [owner] is as for {!schedule} ([-1] =
-    ownerless). Allocates nothing once the event pool has grown to the
-    run's high-water mark. Posting at [Time.infinity] is a no-op.
+    ownerless). Allocates nothing, at any delay, once the run has
+    reached its high-water marks: the event pool's, and with it the
+    timing wheel's, whose lists are threaded through per-slot links
+    (grown a chunk at a time with the pool), and whose upper levels
+    are allocated the first time a delay reaches them. Posting at
+    [Time.infinity] is a no-op.
     Raises [Invalid_argument] for an unregistered kind or a time in the
     past. Inside a parallel step the event is staged and gets its pool
     slot at the step's merge. *)
@@ -79,7 +84,8 @@ val run : t -> until:Time.t -> unit
 (** Process events in time order until the queue is empty or the next
     event is strictly later than [until]. The clock is left at the time of
     the last processed event (or unchanged if none fired). On exit the
-    event pool gives back trailing chunks a burst left empty. *)
+    event pool gives back trailing chunks a burst left empty, and the
+    wheel the link chunks of those slots. *)
 
 val run_all : t -> unit
 (** Process events until the queue is empty. Only safe for event graphs

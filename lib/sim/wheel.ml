@@ -14,22 +14,22 @@
      frontier is the lowest occupied level: every level below it is
      empty;
    - a level-0 slot holds exactly one tick, the floor's upper bytes
-     plus the slot index, so level 0 stores bare values.
+     plus the slot index.
 
-   Same-tick order is global FIFO without sequence numbers: a slot only
-   cascades when it is the frontier, so the slots it feeds are empty at
-   that moment, and every slot holds one cascade's entries (oldest
-   first) followed by direct inserts, in insertion order. Level-0 slots
-   are FIFO value arrays; popping swaps the frontier slot's array in as
-   the FIFO buffer, with no sort and no allocation. Levels >= 1 keep
-   newest-first cell lists, which a cascade reverses in place and
-   relinks oldest-first.
+   Entries are handles, and every slot is a FIFO list threaded through
+   the handles' links: per handle its tick and its successor, two ints
+   in a link chunk. Same-tick order is global FIFO without sequence
+   numbers: a slot only cascades when it is the frontier, so the slots
+   it feeds are empty at that moment, and every slot holds one
+   cascade's entries (oldest first) followed by direct inserts, in
+   insertion order. Appending at the tail keeps that invariant for
+   both, so a cascade walks its list once and a drained level-0 list
+   is the current tick's FIFO as it stands: no sort, no reversal, no
+   allocation.
 
    The differential tests in test/test_sim.ml hold the wheel to a
    reference binary heap (test/pqueue.ml): identical pop streams for
    any interleaving of add/pop. *)
-
-type 'a cells = Nil | Cons of { prio : int; value : 'a; mutable next : 'a cells }
 
 let levels = 8
 let slot_bits = 8
@@ -37,37 +37,46 @@ let slots_per_level = 1 lsl slot_bits
 let slot_mask = slots_per_level - 1
 let words_per_level = slots_per_level / 32
 
-type 'a t = {
+(* Handle [h]'s tick and successor are words [2 (h land link_mask)] and
+   the one after of link chunk [h lsr link_shift]: 256 words, the
+   largest block the minor heap takes, so a chunk is born young. *)
+let link_shift = 7
+let link_mask = (1 lsl link_shift) - 1
+let link_words = 2 lsl link_shift
+
+(* The end of a list, and an empty slot's head and tail. *)
+let nil = -1
+
+(* The successor word of a handle that is in no list. *)
+let unqueued = -2
+
+type t = {
   mutable floor : int; (* last popped tick; no queued entry is below it *)
-  upper : 'a cells array; (* levels 1..7 x 256, index = ((level - 1) lsl 8) lor slot *)
-  l0 : 'a array array; (* level-0 slot values in FIFO order, [||] when empty *)
-  l0_len : int array; (* fill of each level-0 array *)
+  (* Per level, the 256 slots' first and last handles (nil when empty);
+     [||] until an entry is first filed at that level. *)
+  heads : int array array;
+  tails : int array array;
   bitmap : int array; (* levels * 8 words, 32 occupancy bits per word *)
-  dummy : 'a; (* fills every vacated array cell *)
-  mutable spare : 'a array; (* one emptied array kept for reuse, or [||] *)
-  (* Values of tick [floor] still to pop, in FIFO order; active iff
-     buf_head < buf_len. *)
-  mutable buf : 'a array;
-  mutable buf_head : int;
-  mutable buf_len : int;
-  mutable cached_min : int; (* min prio over wheel slots (buffer excluded); -1 = unknown *)
+  mutable links : int array array; (* link chunks, [||] until first used *)
+  (* Handles of tick [floor] still to pop, in FIFO order: the drained
+     level-0 list, plus adds at [floor] behind it. *)
+  mutable cur_head : int;
+  mutable cur_tail : int;
+  mutable cached_min : int; (* min prio over wheel slots (current list excluded); -1 = unknown *)
   mutable size : int;
 }
 
-let no_values = [||]
+let no_ints = [||]
 
-let create ~dummy () =
+let create () =
   {
     floor = 0;
-    upper = Array.make ((levels - 1) * slots_per_level) Nil;
-    l0 = Array.make slots_per_level no_values;
-    l0_len = Array.make slots_per_level 0;
+    heads = Array.make levels no_ints;
+    tails = Array.make levels no_ints;
     bitmap = Array.make (levels * words_per_level) 0;
-    dummy;
-    spare = no_values;
-    buf = no_values;
-    buf_head = 0;
-    buf_len = 0;
+    links = [||];
+    cur_head = nil;
+    cur_tail = nil;
     cached_min = -1;
     size = 0;
   }
@@ -123,91 +132,79 @@ let level_of x =
   let rec go l x = if x < slots_per_level then l else go (l + 1) (x lsr slot_bits) in
   go 0 x
 
-let upper_index l s = ((l - 1) lsl slot_bits) lor s
+(* ---- Links ----------------------------------------------------------- *)
 
-(* Append [v] to a FIFO array holding [n] values, returning the array
-   that now holds it. An empty array takes the spare when there is one. *)
-let[@lint.hot] push t a n v =
-  let a =
-    if n < Array.length a then a
-    else if n = 0 && Array.length t.spare > 0 then begin
-      let s = t.spare in
-      t.spare <- no_values;
-      s
-    end
-    else begin
-      (* Doubling growth, amortised O(1) per value: the array is the
-         slot's storage. The fill is [dummy], which is old after the
-         first minor collection, so a major-heap array does not force
-         one the way a young initial value would. The outgrown array is
-         released. *)
-      let b = (Array.make (max 4 (2 * n)) t.dummy [@lint.allow "hot-path-alloc"]) in
-      Array.blit a 0 b 0 n;
-      b
-    end
-  in
-  a.(n) <- v;
-  a
+let[@inline] chunk t h = t.links.(h lsr link_shift)
+let[@inline] off h = (h land link_mask) lsl 1
+let[@inline] prio_of t h = (chunk t h).(off h)
+let[@inline] next_of t h = (chunk t h).(off h + 1)
+let[@inline] set_next t h n = (chunk t h).(off h + 1) <- n
 
-let[@lint.hot] l0_push t s v =
-  let n = t.l0_len.(s) in
-  if n = 0 then set_bit t 0 s;
-  t.l0.(s) <- push t t.l0.(s) n v;
-  t.l0_len.(s) <- n + 1
+let has_links t h =
+  let k = h lsr link_shift in
+  k < Array.length t.links && Array.length t.links.(k) > 0
 
-(* Push [cell] onto the level-l (l >= 1) slot s list, newest first. *)
-let[@lint.hot] link t l s cell =
-  match cell with
-  | Nil -> ()
-  | Cons c ->
-      let idx = upper_index l s in
-      (match t.upper.(idx) with Nil -> set_bit t l s | Cons _ -> ());
-      c.next <- t.upper.(idx);
-      t.upper.(idx) <- cell
+(* Make room for handle [h]'s links: once per chunk, never per event.
+   The directory doubles; a new chunk starts with every handle
+   unqueued. *)
+let grow_links t h =
+  let k = h lsr link_shift in
+  let n = Array.length t.links in
+  if k >= n then begin
+    let d = Array.make (max (k + 1) (2 * n)) no_ints in
+    Array.blit t.links 0 d 0 n;
+    t.links <- d
+  end;
+  if Array.length t.links.(k) = 0 then t.links.(k) <- Array.make link_words unqueued
 
-let[@lint.hot] insert t prio value =
+let trim t ~handles =
+  let keep = (max 0 handles + link_mask) lsr link_shift in
+  if Array.length t.links > keep then t.links <- Array.sub t.links 0 keep
+
+(* ---- Slots ----------------------------------------------------------- *)
+
+(* A level's slot arrays, allocated the first time an entry is filed
+   there: once per level per wheel, never per event. *)
+let open_level t l =
+  t.heads.(l) <- Array.make slots_per_level nil;
+  t.tails.(l) <- Array.make slots_per_level nil
+
+(* Append [h] to the level-l slot s list. *)
+let[@lint.hot] append t l s h =
+  set_next t h nil;
+  let tails = t.tails.(l) in
+  let tail = tails.(s) in
+  if tail = nil then begin
+    t.heads.(l).(s) <- h;
+    set_bit t l s
+  end
+  else set_next t tail h;
+  tails.(s) <- h
+
+(* File [h], whose tick is [prio], at its canonical place under the
+   current floor. *)
+let[@lint.hot] insert t prio h =
   let l = level_of (prio lxor t.floor) in
   let s = (prio lsr (l * slot_bits)) land slot_mask in
-  if l = 0 then l0_push t s value
-  else
-    (* Upper slots are intrusive lists by design: one cell per insert
-       is the structure's storage, and cascades relink it in place. *)
-    link t l s (Cons { prio; value; next = Nil } [@lint.allow "hot-path-alloc"])
+  if Array.length t.tails.(l) = 0 then open_level t l;
+  append t l s h
 
-let[@lint.hot] rec rev_cells acc cells =
-  match cells with
-  | Nil -> acc
-  | Cons c ->
-      let next = c.next in
-      c.next <- acc;
-      rev_cells cells next
+(* Cascade re-files a drained slot's list oldest-first. [next] is read
+   before [append] overwrites it; a toplevel recursion keeps the
+   cascade path closure-free. *)
+let[@lint.hot] rec insert_all t h =
+  if h <> nil then begin
+    let next = next_of t h in
+    insert t (prio_of t h) h;
+    insert_all t next
+  end
 
-(* Cascade re-inserts a drained slot's cells oldest-first, each at its
-   canonical place under the current floor: relinked onto a lower
-   upper-level list, or its value pushed onto a level-0 array (the cell
-   is then dropped). [next] is read before [link] overwrites it; a
-   toplevel recursion keeps the cascade path closure-free. *)
-let[@lint.hot] rec relink_all t cells =
-  match cells with
-  | Nil -> ()
-  | Cons c ->
-      let next = c.next in
-      let l = level_of (c.prio lxor t.floor) in
-      let s = (c.prio lsr (l * slot_bits)) land slot_mask in
-      if l = 0 then l0_push t s c.value else link t l s cells;
-      relink_all t next
+let below_floor t prio =
+  invalid_arg (Printf.sprintf "Wheel.add: prio=%d is below the last popped tick (%d)" prio t.floor)
 
-let buf_active t = t.buf_head < t.buf_len
+let already_queued h = invalid_arg (Printf.sprintf "Wheel.add: handle %d is already queued" h)
 
-(* The buffer is spent: keep its array (all cells [dummy] by now) as
-   the spare, releasing the previous one. *)
-let release_buf t =
-  t.spare <- t.buf;
-  t.buf <- no_values;
-  t.buf_head <- 0;
-  t.buf_len <- 0
-
-let add t ~prio value =
+let[@lint.hot] add t ~prio h =
   if prio < 0 then invalid_arg "Wheel.add: negative priority";
   (* [max_int] is [Sim.Time.infinity], the "never" sentinel ([next_tick]
      returns it for an empty wheel, [find_min] uses it as a fold seed);
@@ -216,29 +213,33 @@ let add t ~prio value =
      [max_int - 1] is representable. *)
   if prio = max_int then
     invalid_arg "Wheel.add: prio = max_int is Time.infinity (event would never fire)";
-  if prio < t.floor then
-    invalid_arg
-      (Printf.sprintf "Wheel.add: prio=%d is below the last popped tick (%d)" prio t.floor);
+  if prio < t.floor then below_floor t prio;
+  if h < 0 then invalid_arg "Wheel.add: negative handle";
+  if not (has_links t h) then grow_links t h;
+  let c = chunk t h and o = off h in
+  if c.(o + 1) <> unqueued then already_queued h;
+  c.(o) <- prio;
   t.size <- t.size + 1;
-  (* The buffer only ever holds tick [floor], whose wheel slots are
-     empty, so an entry for it goes behind the buffered ones. *)
+  (* The current list only ever holds tick [floor], whose wheel slots
+     are empty, so an entry for it goes behind the listed ones. *)
   if prio = t.floor then begin
-    t.buf <- push t t.buf t.buf_len value;
-    t.buf_len <- t.buf_len + 1
+    c.(o + 1) <- nil;
+    if t.cur_tail = nil then t.cur_head <- h else set_next t t.cur_tail h;
+    t.cur_tail <- h
   end
   else begin
-    insert t prio value;
+    insert t prio h;
     if t.cached_min >= 0 && prio < t.cached_min then t.cached_min <- prio
   end
 
-(* Swap the frontier level-0 slot's array in as the FIFO buffer. The
-   buffer is spent, and the slot's tick becomes the floor. *)
+(* Move the frontier level-0 slot's list in as the current list, which
+   is empty, and make the slot's tick the floor. *)
 let drain_slot t s =
-  t.buf <- t.l0.(s);
-  t.buf_head <- 0;
-  t.buf_len <- t.l0_len.(s);
-  t.l0.(s) <- no_values;
-  t.l0_len.(s) <- 0;
+  let heads = t.heads.(0) and tails = t.tails.(0) in
+  t.cur_head <- heads.(s);
+  t.cur_tail <- tails.(s);
+  heads.(s) <- nil;
+  tails.(s) <- nil;
   clear_bit t 0 s;
   t.cached_min <- -1;
   t.floor <- (t.floor land lnot slot_mask) lor s
@@ -251,16 +252,17 @@ let drain_slot t s =
    queued is at or beyond the window start, and the floor is observed
    externally only after [pop] restores it to a fired tick. *)
 let[@lint.hot] cascade t l s =
-  let idx = upper_index l s in
-  let cells = t.upper.(idx) in
-  t.upper.(idx) <- Nil;
+  let heads = t.heads.(l) in
+  let h = heads.(s) in
+  heads.(s) <- nil;
+  t.tails.(l).(s) <- nil;
   clear_bit t l s;
   let above =
     if (l + 1) * slot_bits >= Sys.int_size - 1 then 0
     else t.floor land lnot ((1 lsl ((l + 1) * slot_bits)) - 1)
   in
   t.floor <- above lor (s lsl (l * slot_bits));
-  relink_all t (rev_cells Nil cells)
+  insert_all t h
 
 (* Find the frontier slot: levels are scanned lowest first because a
    level-l entry shares all bytes above l with the floor, so anything at
@@ -285,9 +287,11 @@ let rec advance t =
     advance t
   end
 
-let rec min_prio acc = function
-  | Nil -> acc
-  | Cons c -> min_prio (if c.prio < acc then c.prio else acc) c.next
+let rec min_prio t acc h =
+  if h = nil then acc
+  else
+    let p = prio_of t h in
+    min_prio t (if p < acc then p else acc) (next_of t h)
 
 (* Min priority over wheel slots without mutating; a frontier slot at
    a level >= 1 spans a range of ticks, hence the fold. *)
@@ -295,10 +299,10 @@ let find_min t =
   let f = frontier_from t 0 in
   let l = f lsr slot_bits in
   if l = 0 then (t.floor land lnot slot_mask) lor f
-  else min_prio max_int t.upper.(upper_index l (f land slot_mask))
+  else min_prio t max_int t.heads.(l).(f land slot_mask)
 
 let[@lint.hot] next_tick t =
-  if buf_active t then t.floor
+  if t.cur_head <> nil then t.floor
   else if t.size = 0 then max_int
   else begin
     if t.cached_min < 0 then t.cached_min <- find_min t;
@@ -306,14 +310,15 @@ let[@lint.hot] next_tick t =
   end
 
 let[@lint.hot] rec pop t =
-  let h = t.buf_head in
-  if h < t.buf_len then begin
-    let v = t.buf.(h) in
-    t.buf.(h) <- t.dummy;
-    t.buf_head <- h + 1;
-    if h + 1 = t.buf_len then release_buf t;
+  let h = t.cur_head in
+  if h <> nil then begin
+    let c = chunk t h and o = off h in
+    let next = c.(o + 1) in
+    c.(o + 1) <- unqueued;
+    t.cur_head <- next;
+    if next = nil then t.cur_tail <- nil;
     t.size <- t.size - 1;
-    v
+    h
   end
   else if t.size = 0 then invalid_arg "Wheel.pop: empty wheel"
   else begin

@@ -1,55 +1,70 @@
 (** Hierarchical timing wheel used as the simulator's event queue at
     scale.
 
-    Eight levels of 256 slots cover the full non-negative tick range;
-    an entry is filed at the level of the highest byte in which its
-    tick differs from the wheel's floor (the last popped tick).
-    Add and pop are amortised O(1): popping drains one level-0 slot at
-    a time into a FIFO buffer, occasionally cascading a higher-level
-    slot down one level. A level-0 slot holds a single tick's values in
-    a FIFO array, so draining it is a swap: no sort, no allocation.
+    The wheel queues {e handles}: small non-negative ints, which the
+    engine takes from its event pool's slot indices. Eight levels of
+    256 slots cover the full non-negative tick range; a handle is filed
+    at the level of the highest byte in which its tick differs from the
+    wheel's floor (the last popped tick). Add and pop are amortised
+    O(1): popping takes the head of the current tick's list, and
+    reaching a new tick moves one level-0 slot's list in as that list,
+    occasionally cascading a higher-level slot down one level.
+
+    Every slot at every level is a FIFO list threaded through per-handle
+    links (a tick and a successor per handle, Varghese and Lauck's
+    intrusive timer lists), so queueing, cascading and popping move ints
+    and allocate nothing. Storage grows only with its high-water marks:
+    the links come in 128-handle chunks allocated the first time a
+    handle in their range is added, and a level's slot heads and tails
+    are allocated the first time an entry is filed at that level, so a
+    short or small run never pays for the upper levels.
 
     Pop order among equal ticks is FIFO; the tests hold the wheel to a
     reference binary heap on it. Entries are never withdrawn: every
-    added entry is popped, and {!size} counts exactly the entries still
+    added handle is popped, and {!size} counts exactly the handles still
     queued. Priorities must be non-negative and never below the last
     popped one — precisely the discipline a virtual-time engine already
     follows; violations raise [Invalid_argument]. *)
 
-type 'a t
+type t
 
-val create : dummy:'a -> unit -> 'a t
-(** [create ~dummy ()] makes an empty wheel. [dummy] fills every array
-    cell the wheel vacates (by {!pop} or a cascade), so the wheel never
-    retains a value it no longer holds; it is never returned by {!pop}. Pass a long-lived value: a young one costs a
-    forced minor collection the first time a slot array outgrows the
-    minor heap. *)
+val create : unit -> t
+(** An empty wheel. It holds no slot or link storage until the first
+    {!add}. *)
 
-val add : 'a t -> prio:int -> 'a -> unit
-(** Insert an element with the given priority (tick). Amortised O(1).
+val add : t -> prio:int -> int -> unit
+(** [add t ~prio h] queues handle [h] at tick [prio]. Amortised O(1),
+    and allocation-free once [h]'s link chunk and the slot level it
+    lands on exist. A handle is queued at most once at a time: it may
+    be added again as soon as {!pop} has returned it, not before.
     Every finite tick up to [max_int - 1] is representable.
-    @raise Invalid_argument if [prio] is negative, below the last
-    popped tick, or equal to [max_int] ([Time.infinity], the "never"
-    sentinel — such an event would never fire). *)
+    @raise Invalid_argument if [h] is negative or already queued, or if
+    [prio] is negative, below the last popped tick, or equal to
+    [max_int] ([Time.infinity], the "never" sentinel — such an event
+    would never fire). *)
 
-val pop : 'a t -> 'a
-(** Remove and return the minimum entry, FIFO among equal priorities;
-    its priority is {!floor} afterwards. Amortised O(1). Reaching a
-    new tick swaps that tick's slot array in as the FIFO buffer, which
-    allocates nothing; a cascade relinks existing cells, and allocates
-    only when it outgrows a level-0 array (doubling, as {!add} does).
+val pop : t -> int
+(** Remove and return the handle with the minimum tick, FIFO among
+    equal ticks; its tick is {!floor} afterwards. Amortised O(1), and
+    never allocates: reaching a new tick moves a level-0 list's head and
+    tail, and a cascade relinks handles from one list to others.
     @raise Invalid_argument if the wheel is empty. *)
 
-val next_tick : 'a t -> int
-(** Priority of the minimum entry without removing it, or [max_int]
-    when the wheel is empty ([max_int] is never a queued priority, see
-    {!add}). Does not advance the wheel, and allocates nothing. *)
+val next_tick : t -> int
+(** Tick of the minimum entry without removing it, or [max_int] when
+    the wheel is empty ([max_int] is never a queued tick, see {!add}).
+    Does not advance the wheel, and allocates nothing. *)
 
-val size : 'a t -> int
-(** Entries currently queued. *)
+val trim : t -> handles:int -> unit
+(** [trim t ~handles] drops the link chunks that hold only handles at or
+    above [handles]. No handle that high may be queued. Cheap when
+    nothing is dropped, so a caller may call it after each run. *)
 
-val is_empty : 'a t -> bool
+val size : t -> int
+(** Handles currently queued. *)
 
-val floor : 'a t -> int
+val is_empty : t -> bool
+
+val floor : t -> int
 (** The last popped tick — no queued entry is below it. Exposed for
     tests and diagnostics. *)

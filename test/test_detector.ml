@@ -277,15 +277,16 @@ let oracle_suspects_allocates_nothing () =
   Sim.Engine.run engine ~until:100;
   let hits = ref 0 in
   let s01 = slot4 0 1 and s12 = slot4 1 2 and s03 = slot4 0 3 in
-  let before = Gc.minor_words () in
-  for _ = 1 to 1000 do
-    if d.Fd.Detector.suspects s01 then incr hits;
-    if d.Fd.Detector.suspects s12 then incr hits;
-    if d.Fd.Detector.suspects s03 then incr hits
-  done;
-  let words = Gc.minor_words () -. before in
+  let words =
+    Alloc.words (fun () ->
+        for _ = 1 to 1000 do
+          if d.Fd.Detector.suspects s01 then incr hits;
+          if d.Fd.Detector.suspects s12 then incr hits;
+          if d.Fd.Detector.suspects s03 then incr hits
+        done)
+  in
   check int "only the crashed neighbor is suspected" 1000 !hits;
-  check (Alcotest.float 0.) "minor words for 3000 queries" 0. words
+  check (Alcotest.float 0.) "words for 3000 queries" 0. words
 
 (* Every detector answers by the observer's slot. Over one run with two
    crashes and, where the detector makes them, false suspicions, the

@@ -471,13 +471,14 @@ let check_invariants_allocates_nothing () =
   done;
   Sim.Engine.run r.engine ~until:500;
   Dining.Algorithm.check_invariants r.algo;
-  let before = Gc.minor_words () in
-  for _ = 1 to 10 do
-    Dining.Algorithm.check_invariants r.algo
-  done;
-  let words = Gc.minor_words () -. before in
+  let words =
+    Alloc.words (fun () ->
+        for _ = 1 to 10 do
+          Dining.Algorithm.check_invariants r.algo
+        done)
+  in
   check bool "the world made progress" true (Dining.Algorithm.total_eats r.algo > n);
-  check (Alcotest.float 0.) "minor words for 10 checks" 0. words
+  check (Alcotest.float 0.) "words for 10 checks" 0. words
 
 let suite =
   [

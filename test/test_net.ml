@@ -125,13 +125,15 @@ let delay_sample_allocates_nothing () =
   let uniform = Net.Delay.Uniform (1, 8) in
   let psync = Net.Delay.Partial_synchrony { gst = 100; pre = (1, 50); post = (1, 5) } in
   let acc = ref 0 in
-  let before = Gc.minor_words () in
-  for now = 1 to 1000 do
-    acc := !acc + Net.Delay.sample uniform rng ~now + Net.Delay.sample psync rng ~now:(now mod 200)
-  done;
-  let words = Gc.minor_words () -. before in
+  let words =
+    Alloc.words (fun () ->
+        for now = 1 to 1000 do
+          acc :=
+            !acc + Net.Delay.sample uniform rng ~now + Net.Delay.sample psync rng ~now:(now mod 200)
+        done)
+  in
   ignore (Sys.opaque_identity !acc);
-  check (Alcotest.float 0.) "minor words for 2000 draws" 0. words
+  check (Alcotest.float 0.) "words for 2000 draws" 0. words
 
 (* ----------------------------- Network ----------------------------- *)
 
@@ -143,15 +145,18 @@ let network_delivers () =
   check bool "delivered once" true (!got = [ (1, 0, "hello") ])
 
 (* With a codec, a message is an engine event of four ints in a pooled
-   slot: once a warm-up round has grown the pool and the wheel's arrays,
-   sending and delivering it allocates nothing. Regression: the event
-   was a record plus a delivery closure (10 words a message). A fixed
-   delay keeps every event in the wheel's level 0, whose arrays are
-   reused once grown. *)
+   slot, queued on the wheel's links: once a warm-up round has grown the
+   pool, the links and the wheel levels its delays reach, sending and
+   delivering it allocates nothing on either heap. Regressions: the
+   event was a record plus a delivery closure (10 words a message); then
+   a delivery past the current 256-tick window cost a wheel list cell,
+   and each cascade regrew level-0 value arrays, the large ones in the
+   major heap. Delays up to 1 000 ticks cross several level-1 slot
+   boundaries per round. *)
 let network_message_allocation () =
   let got = ref 0 in
   let engine, _, net =
-    make_net ~delay:(Net.Delay.Fixed 2)
+    make_net ~delay:(Net.Delay.Uniform (1, 1_000))
       ~codec:((fun () -> 0), fun _ -> ())
       ~handler:(fun ~dst:_ ~src:_ () -> incr got)
       ()
@@ -163,11 +168,9 @@ let network_message_allocation () =
     Sim.Engine.run_all engine
   in
   round ();
-  let before = Gc.minor_words () in
-  round ();
-  let words = Gc.minor_words () -. before in
+  let words = Alloc.words round in
   check int "all delivered" 200 !got;
-  check (Alcotest.float 0.) "minor words for 100 messages" 0. words
+  check (Alcotest.float 0.) "words for 100 messages" 0. words
 
 let network_fifo_per_channel () =
   let got = ref [] in
@@ -534,13 +537,13 @@ let link_stats_staging_allocation () =
   for _ = 1 to 3 do
     round ()
   done;
-  let before = Gc.minor_words () in
-  for _ = 1 to 10 do
-    round ()
-  done;
-  let words = Gc.minor_words () -. before in
-  check (Alcotest.float 0.) "minor words for 10 rounds (480 ops staged, 480 in place)" 0.
-    words;
+  let words =
+    Alloc.words (fun () ->
+        for _ = 1 to 10 do
+          round ()
+        done)
+  in
+  check (Alcotest.float 0.) "words for 10 rounds (480 ops staged, 480 in place)" 0. words;
   let view stats =
     ( Net.Link_stats.per_edge_watermarks stats,
       List.init 8 (Net.Link_stats.edge_in_flight stats),

@@ -90,13 +90,14 @@ let rng_stream_pinned () =
 let rng_draws_allocate_nothing () =
   let r = Sim.Rng.create 3L in
   let acc = ref 0 in
-  let before = Gc.minor_words () in
-  for _ = 1 to 1000 do
-    acc := !acc + Sim.Rng.int r 100 + Sim.Rng.int_in r 1 6
-  done;
-  let words = Gc.minor_words () -. before in
+  let words =
+    Alloc.words (fun () ->
+        for _ = 1 to 1000 do
+          acc := !acc + Sim.Rng.int r 100 + Sim.Rng.int_in r 1 6
+        done)
+  in
   ignore (Sys.opaque_identity !acc);
-  check (Alcotest.float 0.) "minor words for 2000 draws" 0. words
+  check (Alcotest.float 0.) "words for 2000 draws" 0. words
 
 let rng_split_independent () =
   let parent = Sim.Rng.create 9L in
@@ -178,22 +179,24 @@ let pqueue_clear () =
 
 (* ------------------------------ Wheel ------------------------------ *)
 
-(* The wheel's allocation-free peek and pop in the reference heap's
+(* The wheel queues int handles; a test keeps each handle's payload in
+   a side array, as the engine keeps events in its pool. [wheel_pop]
+   returns the popped handle with its tick, in the reference heap's
    option shape, so the two can be compared pop for pop. *)
 let wheel_pop q =
   if Sim.Wheel.is_empty q then None
   else
-    let v = Sim.Wheel.pop q in
-    Some (Sim.Wheel.floor q, v)
+    let h = Sim.Wheel.pop q in
+    Some (Sim.Wheel.floor q, h)
 
 let wheel_peek q =
   let p = Sim.Wheel.next_tick q in
   if p = max_int then None else Some p
 
 let wheel_orders () =
-  let q = Sim.Wheel.create ~dummy:0 () in
+  let q = Sim.Wheel.create () in
   check int "empty: next_tick is max_int" max_int (Sim.Wheel.next_tick q);
-  List.iter (fun p -> Sim.Wheel.add q ~prio:p p) [ 5; 1; 4; 1; 3 ];
+  List.iteri (fun h p -> Sim.Wheel.add q ~prio:p h) [ 5; 1; 4; 1; 3 ];
   check int "next_tick is the minimum" 1 (Sim.Wheel.next_tick q);
   let order = List.init 5 (fun _ -> fst (Option.get (wheel_pop q))) in
   check (Alcotest.list int) "sorted" [ 1; 1; 3; 4; 5 ] order;
@@ -203,20 +206,21 @@ let wheel_orders () =
       ignore (Sim.Wheel.pop q))
 
 let wheel_fifo_ties () =
-  let q = Sim.Wheel.create ~dummy:(-1, "") () in
-  List.iteri (fun i label -> Sim.Wheel.add q ~prio:7 (i, label)) [ "a"; "b"; "c"; "d" ];
-  let labels = List.init 4 (fun _ -> snd (snd (Option.get (wheel_pop q)))) in
+  let q = Sim.Wheel.create () in
+  let labels = [| "a"; "b"; "c"; "d" |] in
+  Array.iteri (fun h _ -> Sim.Wheel.add q ~prio:7 h) labels;
+  let popped = List.init 4 (fun _ -> labels.(Sim.Wheel.pop q)) in
   check (Alcotest.list Alcotest.string) "insertion order at equal prio" [ "a"; "b"; "c"; "d" ]
-    labels
+    popped
 
 (* Priorities spanning every wheel level, including ticks far beyond the
    low levels' horizon, drain in global order with ties FIFO. *)
 let wheel_multilevel_spans () =
-  let q = Sim.Wheel.create ~dummy:(-1, -1) () in
+  let q = Sim.Wheel.create () in
   let prios =
     [ 0; 255; 256; 257; 65_535; 65_536; 1; 16_777_215; 16_777_216; (1 lsl 40) + 3; 1 lsl 40 ]
   in
-  List.iteri (fun i p -> Sim.Wheel.add q ~prio:p (i, p)) prios;
+  List.iteri (fun h p -> Sim.Wheel.add q ~prio:p h) prios;
   let rec drain acc =
     match wheel_pop q with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
   in
@@ -224,30 +228,34 @@ let wheel_multilevel_spans () =
     (List.sort compare prios) (drain [])
 
 let wheel_floor_rejects_past () =
-  let q = Sim.Wheel.create ~dummy:"" () in
-  Sim.Wheel.add q ~prio:100 "x";
+  let q = Sim.Wheel.create () in
+  Sim.Wheel.add q ~prio:100 0;
   ignore (Sim.Wheel.pop q);
   check int "floor tracks the last popped tick" 100 (Sim.Wheel.floor q);
   let rejected =
-    match Sim.Wheel.add q ~prio:99 "past" with
+    match Sim.Wheel.add q ~prio:99 1 with
     | () -> false
     | exception Invalid_argument _ -> true
   in
   check bool "adds below the floor are rejected" true rejected;
   (* Adding exactly at the floor (the engine's "schedule now") is fine. *)
-  Sim.Wheel.add q ~prio:100 "now";
+  Sim.Wheel.add q ~prio:100 1;
   check (Alcotest.option int) "same-tick add lands at the floor" (Some 100)
     (wheel_peek q)
 
 let wheel_matches_pqueue =
   (* The wheel against the reference heap: identical pop streams,
      identical peeks, identical sizes, under arbitrary interleavings of
-     add / pop. *)
+     add / pop. Handles are distinct while queued and recycled the way
+     the engine recycles pool slots: a popped handle goes on a free
+     stack, and the next add takes it at once. *)
   QCheck.Test.make ~name:"wheel: bit-identical to pqueue on random workloads" ~count:300
     QCheck.(list_of_size Gen.(int_range 0 120) (int_bound 100_000))
     (fun codes ->
-      let w = Sim.Wheel.create ~dummy:(-1, -1) () in
+      let w = Sim.Wheel.create () in
       let p = Pqueue.create () in
+      let payload = Array.make 128 (-1, -1) in
+      let free = ref [] and fresh = ref 0 in
       let now = ref 0 in
       let idx = ref 0 in
       let ok = ref true in
@@ -256,6 +264,17 @@ let wheel_matches_pqueue =
           !ok
           && wheel_peek w = Pqueue.peek_prio p
           && Sim.Wheel.size w = Pqueue.size p
+      in
+      let pop_both () =
+        let a =
+          Option.map
+            (fun (t, h) ->
+              free := h :: !free;
+              (t, payload.(h)))
+            (wheel_pop w)
+        and b = Pqueue.pop p in
+        ok := !ok && a = b;
+        a
       in
       List.iter
         (fun code ->
@@ -269,82 +288,39 @@ let wheel_matches_pqueue =
              let prio = !now + delta in
              let v = (!idx, prio) in
              incr idx;
-             Sim.Wheel.add w ~prio v;
+             let h =
+               match !free with
+               | h :: rest ->
+                   free := rest;
+                   h
+               | [] ->
+                   incr fresh;
+                   !fresh - 1
+             in
+             payload.(h) <- v;
+             Sim.Wheel.add w ~prio h;
              Pqueue.add p ~prio v
            end
-           else
-             let a = wheel_pop w and b = Pqueue.pop p in
-             ok := !ok && a = b;
-             match a with Some (t, _) -> now := t | None -> ());
+           else match pop_both () with Some (t, _) -> now := t | None -> ());
           agree ())
         codes;
-      let rec drain () =
-        let a = wheel_pop w and b = Pqueue.pop p in
-        ok := !ok && a = b;
-        if a <> None then drain ()
-      in
+      let rec drain () = if pop_both () <> None then drain () in
       drain ();
       !ok)
 
-(* Regression: draining a tick built its FIFO buffer with Array.of_list
-   over young list entries. Past 256 entries that array is allocated in
-   the major heap, where a young initial value forces a minor collection
-   (no major-to-minor pointer may exist): one forced minor GC per busy
-   tick, plus a sort. Draining is now a swap of the slot's array. *)
-let wheel_drain_no_minor_gc () =
-  let q = Sim.Wheel.create ~dummy:(-1) () in
-  Gc.minor ();
-  for i = 0 to 999 do
-    Sim.Wheel.add q ~prio:5 i
-  done;
-  let before = (Gc.quick_stat ()).Gc.minor_collections in
-  let first = Sim.Wheel.pop q in
-  let after = (Gc.quick_stat ()).Gc.minor_collections in
-  check int "FIFO head of the tick" 0 first;
-  check int "no minor collection while draining a 1000-entry tick" before after
-
-(* The wheel holds each value in one place, and every cell that [pop] or
-   a cascade vacates gets the dummy, so a value that has left the wheel
-   is collectable while the wheel lives on. Watched values are built in
-   a non-inlined function so the weak slot is their only other
-   reference. *)
-let[@inline never] add_watched q weak i ~prio =
-  let v = Bytes.make 64 'x' in
-  Weak.set weak i (Some v);
-  Sim.Wheel.add q ~prio v
-
-let wheel_releases_vacated_values () =
-  let q = Sim.Wheel.create ~dummy:Bytes.empty () in
-  let weak = Weak.create 2 in
-  let keep () = Bytes.make 64 'k' in
-  let collected i =
-    Gc.full_major ();
-    Weak.get weak i = None
-  in
-  Sim.Wheel.add q ~prio:1_000_000_000 (keep ());
-  (* pop: the popped value's buffer cell, with the tick still active. *)
-  add_watched q weak 0 ~prio:5;
-  Sim.Wheel.add q ~prio:5 (keep ());
-  ignore (Sim.Wheel.pop q : Bytes.t);
-  check bool "popped value released (tick still buffered)" true (collected 0);
-  ignore (Sim.Wheel.pop q : Bytes.t);
-  (* cascade: a level-2 entry moves down through levels 1 and 0. *)
-  add_watched q weak 1 ~prio:70_000;
-  Sim.Wheel.add q ~prio:70_001 (keep ());
-  ignore (Sim.Wheel.pop q : Bytes.t);
-  check int "cascaded entry popped at its tick" 70_000 (Sim.Wheel.floor q);
-  check bool "cascaded value released" true (collected 1);
-  ignore (Sim.Wheel.pop q : Bytes.t);
-  check int "the far keeper is still queued" 1 (Sim.Wheel.size (Sys.opaque_identity q))
-
 (* Same-tick FIFO across floor epochs: entries for one tick added while
-   it sits at level 2, then level 1, then level 0, then in the active
-   buffer, pop in insertion order. *)
+   it sits at level 2, then level 1, then level 0, then in the current
+   list, pop in insertion order. *)
 let wheel_fifo_across_epochs () =
-  let q = Sim.Wheel.create ~dummy:"" () in
+  let q = Sim.Wheel.create () in
+  let labels = [| "a1"; "m1"; "a2"; "m2"; "a3"; "a4"; "a5" |] in
+  let handle label =
+    let rec find h = if labels.(h) = label then h else find (h + 1) in
+    find 0
+  in
   let tick = (3 lsl 16) + (5 lsl 8) + 7 in
-  let add ?(at = tick) v = Sim.Wheel.add q ~prio:at v in
-  let pop () = Sim.Wheel.pop q in
+  let add ?(at = tick) label = Sim.Wheel.add q ~prio:at (handle label) in
+  let pop () = labels.(Sim.Wheel.pop q) in
   add "a1";
   add ~at:(3 lsl 16) "m1";
   check Alcotest.string "level-2 epoch ends" "m1" (pop ());
@@ -352,12 +328,63 @@ let wheel_fifo_across_epochs () =
   add ~at:((3 lsl 16) + (5 lsl 8)) "m2";
   check Alcotest.string "level-1 epoch ends" "m2" (pop ());
   add "a3";
-  check Alcotest.string "tick drains into the buffer" "a1" (pop ());
+  check Alcotest.string "tick drains into the current list" "a1" (pop ());
   add "a4";
   add "a5";
   let rest = List.init (Sim.Wheel.size q) (fun _ -> pop ()) in
   check (Alcotest.list Alcotest.string) "insertion order" [ "a2"; "a3"; "a4"; "a5" ] rest;
   check int "all at one tick" tick (Sim.Wheel.floor q)
+
+(* Handles 0..511 at spread ticks over levels 0-2, half of them popped
+   and each re-added at once, then all drained: every add, cascade,
+   drain and pop of the storm. *)
+let wheel_storm q =
+  let base = Sim.Wheel.floor q in
+  for h = 0 to 511 do
+    Sim.Wheel.add q ~prio:(base + 1 + (h * 7919 mod 300_000)) h
+  done;
+  for _ = 1 to 256 do
+    let h = Sim.Wheel.pop q in
+    Sim.Wheel.add q ~prio:(Sim.Wheel.floor q + (h * 31 mod 70_000)) h
+  done;
+  while not (Sim.Wheel.is_empty q) do
+    ignore (Sim.Wheel.pop q : int)
+  done
+
+(* Regression: level-0 slots were value arrays that regrew 4 -> 8 ->
+   ... on every cascade that refilled them, arrays past 256 words
+   straight in the major heap, and every upper-level insert allocated a
+   list cell. Once the first storm has allocated the links and the
+   levels it uses, a second storm allocates nothing on either heap. *)
+let wheel_storm_allocates_nothing () =
+  let q = Sim.Wheel.create () in
+  wheel_storm q;
+  let floor = Sim.Wheel.floor q in
+  check int "second storm: words on either heap" 0
+    (int_of_float (Alloc.words (fun () -> wheel_storm q)));
+  check bool "the second storm moved the clock" true (Sim.Wheel.floor q > floor)
+
+(* The engine frees a slot before its handler posts into it, so a
+   handle is re-added as soon as [pop] returns it: at the current tick
+   (behind the rest of the tick), or later. A handle still queued is
+   refused. *)
+let wheel_readd_after_pop () =
+  let q = Sim.Wheel.create () in
+  List.iter (fun h -> Sim.Wheel.add q ~prio:5 h) [ 0; 1; 2 ];
+  Sim.Wheel.add q ~prio:300 3;
+  Alcotest.check_raises "a queued handle is refused"
+    (Invalid_argument "Wheel.add: handle 3 is already queued") (fun () ->
+      Sim.Wheel.add q ~prio:9 3);
+  check int "head of tick 5" 0 (Sim.Wheel.pop q);
+  Sim.Wheel.add q ~prio:5 0;
+  check int "next in FIFO" 1 (Sim.Wheel.pop q);
+  Sim.Wheel.add q ~prio:70_000 1;
+  let rest = List.init (Sim.Wheel.size q) (fun _ -> wheel_pop q) in
+  check
+    (Alcotest.list (Alcotest.option (Alcotest.pair int int)))
+    "re-added handles pop in order"
+    [ Some (5, 2); Some (5, 0); Some (300, 3); Some (70_000, 1) ]
+    rest
 
 (* ------------------------------ Engine ----------------------------- *)
 
@@ -425,15 +452,15 @@ let engine_infinity_noop () =
    The wheel (and the reference heap) must reject it outright, while
    every finite tick up to [max_int - 1] stays representable. *)
 let queue_rejects_infinity () =
-  let w = Sim.Wheel.create ~dummy:"" () in
-  let rejected = match Sim.Wheel.add w ~prio:max_int "inf" with
+  let w = Sim.Wheel.create () in
+  let rejected = match Sim.Wheel.add w ~prio:max_int 0 with
     | () -> false
     | exception Invalid_argument _ -> true
   in
   check bool "wheel rejects prio = max_int" true rejected;
-  Sim.Wheel.add w ~prio:(max_int - 1) "last";
-  check (Alcotest.option (Alcotest.pair int Alcotest.string)) "wheel pops max_int - 1"
-    (Some (max_int - 1, "last"))
+  Sim.Wheel.add w ~prio:(max_int - 1) 0;
+  check (Alcotest.option (Alcotest.pair int int)) "wheel pops max_int - 1"
+    (Some (max_int - 1, 0))
     (wheel_pop w);
   let p = Pqueue.create () in
   let rejected = match Pqueue.add p ~prio:max_int "inf" with
@@ -680,6 +707,36 @@ let engine_pool_trims () =
   check bool (Printf.sprintf "trimmed back to %d words, within 2x of %d" after before) true
     (after <= 2 * before)
 
+(* Regression: [post] promised no allocation once the pool had grown,
+   but an event 256 or more ticks ahead cost the wheel a list cell, and
+   a tick refilled by a cascade regrew its level-0 value array, past 256
+   words straight in the major heap. Delays from 1 to 300 000 ticks
+   reach wheel levels 0-2 and cascade through both upper ones; once a
+   first round has grown the pool, the links and those levels, a second
+   round allocates nothing on either heap. *)
+let engine_warm_allocates_nothing () =
+  let engine = Sim.Engine.create () in
+  let fired = ref 0 in
+  let kind = ref 0 in
+  let delay i = 1 + (i * 7919 mod 300_000) in
+  kind :=
+    Sim.Engine.register engine (fun owner i hops ->
+        incr fired;
+        if hops > 0 then
+          Sim.Engine.post engine ~kind:!kind ~owner ~at:(Sim.Engine.now engine + delay (i + 1))
+            (i + 1) (hops - 1));
+  let round () =
+    let now = Sim.Engine.now engine in
+    for i = 0 to 499 do
+      Sim.Engine.post engine ~kind:!kind ~owner:(i land 7) ~at:(now + delay i) i 2
+    done;
+    Sim.Engine.run_all engine
+  in
+  round ();
+  let words = Alloc.words round in
+  check int "every event fired" 3_000 !fired;
+  check (Alcotest.float 0.) "words for the second round's 1 500 events" 0. words
+
 (* The event pool against a reference queue: random interleavings of
    data and closure posts, handler posts (a data event with chain c > 0
    posts its successor c ticks later), and bounded runs, whose exits
@@ -792,9 +849,10 @@ let suite =
     Alcotest.test_case "wheel: spans every level" `Quick wheel_multilevel_spans;
     Alcotest.test_case "wheel: rejects below the floor" `Quick wheel_floor_rejects_past;
     QCheck_alcotest.to_alcotest wheel_matches_pqueue;
-    Alcotest.test_case "wheel: draining a tick forces no minor GC" `Quick wheel_drain_no_minor_gc;
-    Alcotest.test_case "wheel: vacated values are released" `Quick
-      wheel_releases_vacated_values;
+    Alcotest.test_case "wheel: an add/pop/cascade storm allocates nothing once links exist" `Quick
+      wheel_storm_allocates_nothing;
+    Alcotest.test_case "wheel: a popped handle can be re-added immediately" `Quick
+      wheel_readd_after_pop;
     Alcotest.test_case "wheel: same-tick FIFO across epochs" `Quick wheel_fifo_across_epochs;
     Alcotest.test_case "engine: fires in time order" `Quick engine_fires_in_order;
     Alcotest.test_case "engine: FIFO at equal times" `Quick engine_same_time_fifo;
@@ -823,4 +881,6 @@ let suite =
     Alcotest.test_case "rng: draws allocate nothing" `Quick rng_draws_allocate_nothing;
     Alcotest.test_case "engine: the event pool trims after a burst" `Quick engine_pool_trims;
     QCheck_alcotest.to_alcotest engine_pool_matches_reference;
+    Alcotest.test_case "engine: a warm engine's events allocate nothing at any wheel level" `Quick
+      engine_warm_allocates_nothing;
   ]
