@@ -1,27 +1,42 @@
+(* Highest degree first, ties by lower id: a counting sort on degree.
+   [mark] counts degrees, then places vertices, then holds per colour
+   the stamp (order index + 1) of the last vertex with a neighbour of
+   that colour. CSR rows are read in place: nothing else is allocated. *)
 let greedy g =
   let n = Graph.n g in
-  let order = Array.init n Fun.id in
-  (* Highest degree first; ties by lower id for determinism. *)
-  Array.sort
-    (fun a b ->
-      match compare (Graph.degree g b) (Graph.degree g a) with
-      | 0 -> compare a b
-      | c -> c)
-    order;
+  let off = Graph.csr_offsets g and tgt = Graph.csr_targets g in
+  let dmax = Graph.max_degree g in
+  let mark = Array.make (dmax + 1) 0 in
+  for v = 0 to n - 1 do
+    let d = off.(v + 1) - off.(v) in
+    mark.(d) <- mark.(d) + 1
+  done;
+  let start = ref 0 in
+  for d = dmax downto 0 do
+    let count = mark.(d) in
+    mark.(d) <- !start;
+    start := !start + count
+  done;
+  let order = Array.make n 0 in
+  for v = 0 to n - 1 do
+    let d = off.(v + 1) - off.(v) in
+    order.(mark.(d)) <- v;
+    mark.(d) <- mark.(d) + 1
+  done;
+  Array.fill mark 0 (dmax + 1) 0;
   let colors = Array.make n (-1) in
-  let used = Array.make (Graph.max_degree g + 1) false in
-  Array.iter
-    (fun v ->
-      Array.fill used 0 (Array.length used) false;
-      Array.iter
-        (fun u -> if colors.(u) >= 0 then used.(colors.(u)) <- true)
-        (Graph.neighbors g v);
-      let c = ref 0 in
-      while used.(!c) do
-        incr c
-      done;
-      colors.(v) <- !c)
-    order;
+  for i = 0 to n - 1 do
+    let v = order.(i) in
+    for s = off.(v) to off.(v + 1) - 1 do
+      let c = colors.(tgt.(s)) in
+      if c >= 0 then mark.(c) <- i + 1
+    done;
+    let c = ref 0 in
+    while mark.(!c) = i + 1 do
+      incr c
+    done;
+    colors.(v) <- !c
+  done;
   colors
 
 let is_proper g colors =

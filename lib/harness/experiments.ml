@@ -747,14 +747,15 @@ let e11_run ~m ~horizon =
   let fairness = Monitor.Fairness.attach engine graph faults inst in
   (* Per-role drivers: eat duration and re-hungry delay per pid. *)
   let eat_for = [| 5; 5; 4_000 |] and rest_for = [| 3; 3; 200 |] in
+  let stop_eating = Sim.Engine.register engine (fun pid _ _ -> inst.stop_eating pid) in
+  let become_hungry = Sim.Engine.register engine (fun pid _ _ -> inst.become_hungry pid) in
+  let after kind pid delay =
+    Sim.Engine.post engine ~kind ~owner:pid ~at:(Sim.Time.add (Sim.Engine.now engine) delay) 0 0
+  in
   inst.add_listener (fun pid phase ->
       match phase with
-      | Dining.Types.Eating ->
-          Sim.Engine.schedule_after engine ~owner:pid ~delay:eat_for.(pid) (fun () ->
-              inst.stop_eating pid)
-      | Dining.Types.Thinking ->
-          Sim.Engine.schedule_after engine ~owner:pid ~delay:rest_for.(pid) (fun () ->
-              inst.become_hungry pid)
+      | Dining.Types.Eating -> after stop_eating pid eat_for.(pid)
+      | Dining.Types.Thinking -> after become_hungry pid rest_for.(pid)
       | Dining.Types.Hungry -> ());
   List.iter inst.become_hungry [ 2; 0; 1 ];
   Sim.Engine.run engine ~until:horizon;

@@ -44,20 +44,25 @@ let run ?pool ?(shards = 1) ?(period = 7) ?(seed = 0xACE5L) ~topology ~horizon (
       ~kind:(fun () -> "ping")
       ~shard_safe:true ~handler ()
   in
+  (* Process [i]'s beat, owned by [i]: inside a parallel step its
+     re-post is staged as ints. *)
+  let beat_kind = ref 0 in
+  let beat i delay =
+    Sim.Engine.post engine ~kind:!beat_kind ~owner:i ~at:(Sim.Engine.now engine + delay) 0 0
+  in
+  beat_kind :=
+    Sim.Engine.register engine (fun i _ _ ->
+        if Sim.Engine.now engine < horizon then begin
+          for s = off.(i) to off.(i + 1) - 1 do
+            Net.Network.send_slot network ~src:i s ();
+            sent.(i) <- sent.(i) + 1
+          done;
+          beat i period
+        end);
+  (* Phase jitter drawn at setup time, before any stepping: the shared
+     rng is never touched once the engine runs. *)
   for i = 0 to n - 1 do
-    let rec beat () =
-      let now = Sim.Engine.now engine in
-      if now < horizon then begin
-        for s = off.(i) to off.(i + 1) - 1 do
-          Net.Network.send_slot network ~src:i s ();
-          sent.(i) <- sent.(i) + 1
-        done;
-        Sim.Engine.schedule_after engine ~owner:i ~delay:period beat
-      end
-    in
-    (* Phase jitter drawn at setup time, before any stepping: the shared
-       rng is never touched once the engine runs. *)
-    Sim.Engine.schedule_after engine ~owner:i ~delay:(1 + Sim.Rng.int rng period) beat
+    beat i (1 + Sim.Rng.int rng period)
   done;
   Sim.Engine.run engine ~until:horizon;
   let stats = Net.Network.stats network in

@@ -35,16 +35,18 @@ type report = {
    first failure so the report carries the earliest message. *)
 let watch_invariants ~engine ~horizon ~every (instance : Dining.Instance.t) =
   let error = ref None in
-  let rec check () =
-    (match !error with
-    | Some _ -> ()
-    | None -> (
-        try instance.check_invariants ()
-        with Dining.Types.Invariant_violation msg -> error := Some msg));
-    if !error = None && Sim.Engine.now engine < horizon then
-      Sim.Engine.schedule_after engine ~delay:every check
+  let kind = ref 0 in
+  let next () =
+    Sim.Engine.(post engine ~kind:!kind ~owner:(-1) ~at:(Sim.Time.add (now engine) every) 0 0)
   in
-  Sim.Engine.schedule_after engine ~delay:every check;
+  kind :=
+    Sim.Engine.register engine (fun _ _ _ ->
+        if !error = None then begin
+          (try instance.check_invariants ()
+           with Dining.Types.Invariant_violation msg -> error := Some msg);
+          if !error = None && Sim.Engine.now engine < horizon then next ()
+        end);
+  next ();
   error
 
 let create ?recorder ?(metrics = Obs.Metrics.create ()) (s : Scenario.t) =

@@ -13,11 +13,14 @@
    handler, that it still applies (see [Net.Faults]).
 
    A kind is a handler registered once per engine. Kind 0 is built in:
-   its [a] indexes a side table of [unit -> unit] closures, which is
-   what {!schedule} posts. The per-event callers (deliveries, detector
-   and workload timers) register their own kinds and post ints, so an
-   event allocates nothing once the pool, and with it the wheel's
-   links and slot levels, has grown to the run's high-water mark.
+   its handler fires the [unit -> unit] closure its [a] indexes in a
+   side table, which is what {!schedule} posts, and the loops below
+   treat it as any other kind. A closure never fires on a worker domain:
+   [schedule] refuses a sharded engine, and [set_sharding] refuses to
+   shard while a closure is pending. Every library caller registers
+   its own kinds and posts ints, so an event allocates nothing once the
+   pool, and with it the wheel's links and slot levels, has grown to
+   the run's high-water mark.
 
    The pool stores slots in chunks of [chunk_slots] slots: 256 words,
    the largest block the minor heap takes, so a chunk is born young and
@@ -57,18 +60,12 @@ type pool = {
 
 (* Events posted during a parallel step, per shard: six ints per
    event (at, the pop rank of the event that posted it, kind, owner,
-   a, b), plus the closures of closure-kind ones, whose [a] indexes
-   [sclo]. The rank makes the end-of-step merge canonical: (rank,
+   a, b). The rank makes the end-of-step merge canonical: (rank,
    per-shard program order) is the order [fire_loop] would have posted
    in, whatever the shard count. *)
 let staged_words = 6
 
-type staging = {
-  mutable si : int array;
-  mutable sn : int; (* staged events *)
-  mutable sclo : (unit -> unit) array;
-  mutable scn : int;
-}
+type staging = { mutable si : int array; mutable sn : int (* staged events *) }
 
 (* Per-domain fire context: which shard is firing and the rank of the
    event being fired. Domain-local so the parallel fire phase can route
@@ -79,7 +76,7 @@ type t = {
   mutable clock : Time.t;
   queue : Wheel.t; (* pending slots *)
   pool : pool;
-  mutable handlers : (int -> int -> int -> unit) array; (* by kind; 0 is unused *)
+  mutable handlers : (int -> int -> int -> unit) array; (* by kind; 0 fires closures *)
   (* The closure side table: cells of closure-kind events, a free
      list threaded through [clo_next]. *)
   mutable closures : (unit -> unit) array;
@@ -232,9 +229,26 @@ let trim p =
 
 (* ---- The closure side table ----------------------------------------- *)
 
+let clo_give t i =
+  t.closures.(i) <- noop;
+  t.clo_next.(i) <- t.clo_free;
+  t.clo_free <- i;
+  t.clo_live <- t.clo_live - 1
+
+(* The closure kind's handler. The cell is freed before [f] runs, as
+   the event's slot is, so [f] may schedule into both. *)
+let fire_closure t _ i _ =
+  let f = t.closures.(i) in
+  clo_give t i;
+  f ()
+
+(* The table, and kind 0's handler over it, are made on the first
+   [schedule]: an engine that never schedules a closure carries
+   neither. *)
 let clo_take t f =
   if t.clo_free < 0 then begin
     let n = Array.length t.closures in
+    if n = 0 then t.handlers.(closure_kind) <- fire_closure t;
     let m = max 4 (2 * n) in
     let cl = Array.make m noop and nx = Array.make m (-1) in
     Array.blit t.closures 0 cl 0 n;
@@ -252,19 +266,9 @@ let clo_take t f =
   t.clo_live <- t.clo_live + 1;
   i
 
-let clo_give t i =
-  t.closures.(i) <- noop;
-  t.clo_next.(i) <- t.clo_free;
-  t.clo_free <- i;
-  t.clo_live <- t.clo_live - 1
-
-(* Free slot [s] of a fired event, with its closure cell if it has
-   one. *)
+(* Free slot [s] of a fired event. *)
 let[@inline][@lint.hot] free_event t s =
   let p = t.pool in
-  let c = chunk p s in
-  let o = base s in
-  if get c (o + 1) lsr owner_bits = closure_kind then clo_give t (get c (o + 2));
   give p s;
   p.live <- p.live - 1
 
@@ -330,11 +334,12 @@ let set_sharding t ~pool ~shards ~n () =
       (Printf.sprintf "Engine.set_sharding: n=%d exceeds the %d-bit owner field" n owner_bits);
   if shards < 1 then invalid_arg "Engine.set_sharding: shards must be >= 1";
   let shards = min shards n in
+  if shards > 1 && t.clo_live > 0 then
+    invalid_arg "Engine.set_sharding: closure events are pending; post registered kinds";
   t.shards <- shards;
   t.shard_n <- n;
   t.pool_exec <- Some pool;
-  t.staging <-
-    Array.init shards (fun _ -> { si = [||]; sn = 0; sclo = [||]; scn = 0 });
+  t.staging <- Array.init shards (fun _ -> { si = [||]; sn = 0 });
   t.pb_off <- Array.make (shards + 1) 0;
   t.pb_cur <- Array.make shards 0
 
@@ -352,10 +357,6 @@ let shard_of t owner =
 let fire_rank t = (Domain.DLS.get t.ctx_key).rank
 let fire_shard t = (Domain.DLS.get t.ctx_key).shard
 let add_step_hook t f = t.step_hooks <- t.step_hooks @ [ f ]
-
-let ctx_shard t =
-  let ctx = Domain.DLS.get t.ctx_key in
-  if ctx.shard >= 0 then ctx.shard else 0
 
 (* ---- Posting -------------------------------------------------------- *)
 
@@ -407,17 +408,6 @@ let stage t ~kind ~owner ~at a b =
   v.si.(i + 5) <- b;
   v.sn <- v.sn + 1
 
-let stage_closure t ~owner ~at f =
-  let v = t.staging.(ctx_shard t) in
-  if v.scn >= Array.length v.sclo then begin
-    let na = Array.make (max 8 (2 * v.scn)) noop in
-    Array.blit v.sclo 0 na 0 v.scn;
-    v.sclo <- na
-  end;
-  v.sclo.(v.scn) <- f;
-  v.scn <- v.scn + 1;
-  stage t ~kind:closure_kind ~owner ~at (v.scn - 1) 0
-
 let[@inline] clamp_owner owner = if owner < -1 || owner > owner_limit then -1 else owner
 
 let[@lint.hot] post t ~kind ~owner ~at a b =
@@ -429,12 +419,14 @@ let[@lint.hot] post t ~kind ~owner ~at a b =
     if t.in_step then stage t ~kind ~owner ~at a b else enqueue t ~kind ~owner ~at a b
   end
 
+(* A sharded engine never sees a closure, so none fires on a worker
+   domain and a parallel step stages ints only. *)
 let schedule t ?(owner = -1) ~at f =
+  if t.shards > 1 then
+    invalid_arg "Engine.schedule: the engine is sharded; post a registered kind";
   if at <> Time.infinity then begin
     if at < t.clock then past t at;
-    let owner = clamp_owner owner in
-    if t.in_step then stage_closure t ~owner ~at f
-    else enqueue t ~kind:closure_kind ~owner ~at (clo_take t f) 0
+    enqueue t ~kind:closure_kind ~owner:(clamp_owner owner) ~at (clo_take t f) 0
   end
 
 let schedule_after t ?owner ~delay f = schedule t ?owner ~at:(Time.add t.clock delay) f
@@ -457,16 +449,8 @@ let[@lint.hot] rec fire_loop t ~until =
     t.clock <- at;
     t.processed <- t.processed + 1;
     if !(t.tracing) then Obs.Recorder.fire t.recorder ~time:at ~id:(get c o);
-    let kind = ko lsr owner_bits in
-    if kind = closure_kind then begin
-      let f = t.closures.(a) in
-      free_event t s;
-      f ()
-    end
-    else begin
-      free_event t s;
-      t.handlers.(kind) ((ko land owner_mask) - 1) a b
-    end;
+    free_event t s;
+    t.handlers.(ko lsr owner_bits) ((ko land owner_mask) - 1) a b;
     fire_loop t ~until
   end
 
@@ -488,22 +472,13 @@ let owner_of t s = (get (chunk t.pool s) (base s + 1) land owner_mask) - 1
    domain, so the batch frees it once every shard has fired. *)
 let fire_in_step t s =
   let c = chunk t.pool s and o = base s in
-  let ko = get c (o + 1) and a = get c (o + 2) and b = get c (o + 3) in
-  let kind = ko lsr owner_bits in
-  if kind = closure_kind then begin
-    let f = t.closures.(a) in
-    (* Drop the closure before running it: the batch outlives the
-       step's firing, and must not pin it. *)
-    t.closures.(a) <- noop;
-    f ()
-  end
-  else t.handlers.(kind) ((ko land owner_mask) - 1) a b
+  let ko = get c (o + 1) in
+  t.handlers.(ko lsr owner_bits) ((ko land owner_mask) - 1) (get c (o + 2)) (get c (o + 3))
 
 (* Fire one batch: group it by shard (preserving pop order within each
    shard) and fire the shards on the pool. Worker domains only read the
    pool and never touch the queue, the recorder or [next_id]: their
-   only shared-state writes are their own events' closure cells and
-   the per-shard staging buffers. *)
+   only shared-state writes are the per-shard staging buffers. *)
 let fire_batch t tick pool =
   let s = t.shards in
   let off = t.pb_off and cur = t.pb_cur in
@@ -575,22 +550,14 @@ let merge_subround t tick =
       let v = t.staging.(!best) in
       let i = cur.(!best) * staged_words in
       cur.(!best) <- cur.(!best) + 1;
-      let at = v.si.(i) and kind = v.si.(i + 2) and owner = v.si.(i + 3) in
-      let a = if kind = closure_kind then clo_take t v.sclo.(v.si.(i + 4)) else v.si.(i + 4) in
-      let s = alloc_event t ~kind ~owner a v.si.(i + 5) in
+      let at = v.si.(i) in
+      let s = alloc_event t ~kind:v.si.(i + 2) ~owner:v.si.(i + 3) v.si.(i + 4) v.si.(i + 5) in
       if at = tick then batch_push t s else Wheel.add t.queue ~prio:at s;
       next ()
     end
   in
   next ();
-  Array.iter
-    (fun v ->
-      v.sn <- 0;
-      (* The buffer keeps its capacity across steps and must not pin
-         closures from finished ones. *)
-      Array.fill v.sclo 0 v.scn noop;
-      v.scn <- 0)
-    t.staging;
+  Array.iter (fun v -> v.sn <- 0) t.staging;
   List.iter (fun f -> f ()) t.step_hooks
 
 (* Parallel stepping: drain every event of the frontier tick into a
@@ -631,18 +598,13 @@ let parallel_loop t pool ~until =
 
 (* Staging pays off only when shards really fire in parallel, and the
    recorder is not shard-safe: everything else runs the one sequential
-   loop. The closure table is dropped when a run leaves it empty. *)
+   loop. *)
 let run t ~until =
   (match t.pool_exec with
   | Some pool when t.shards > 1 && not !(t.tracing) -> parallel_loop t pool ~until
   | _ -> fire_loop t ~until);
   trim t.pool;
-  Wheel.trim t.queue ~handles:t.pool.cap;
-  if t.clo_live = 0 && Array.length t.closures > 4 then begin
-    t.closures <- [||];
-    t.clo_next <- [||];
-    t.clo_free <- -1
-  end
+  Wheel.trim t.queue ~handles:t.pool.cap
 
 let run_all t = run t ~until:Time.infinity
 let pending t = Wheel.size t.queue

@@ -5,10 +5,9 @@
     scheduled at absolute virtual times; events with equal times fire
     in scheduling order. A kind is a handler registered once with
     {!register}, and {!post} queues an event of that kind without
-    allocating. {!schedule} is the closure form: one built-in kind
-    whose closures live in a side table, for tests and rare callers.
-    Handlers run instantaneously in virtual time and may schedule
-    further events.
+    allocating. {!schedule} is the closure form, one built-in kind, for
+    tests, examples and benchmarks on unsharded engines. Handlers run
+    instantaneously in virtual time and may post further events.
 
     An event is never withdrawn: once queued, it fires. A caller that
     may stop wanting an event checks, in the handler, that it still
@@ -29,8 +28,9 @@
     the sequential loop schedules in, so a parallel run is bit-identical
     to the sequential one for any [shards]. Attaching the pool is the
     caller's assertion that every handler touches state of its own
-    shard exclusively (cross-shard effects must go through [schedule] or
-    a staged component such as [Net.Link_stats]). *)
+    shard exclusively (cross-shard effects must go through [post] or
+    a staged component such as [Net.Link_stats]). A closure never
+    fires on a worker domain: a sharded engine refuses {!schedule}. *)
 
 type t
 
@@ -57,8 +57,10 @@ val register : t -> (int -> int -> int -> unit) -> int
 
 val post : t -> kind:int -> owner:int -> at:Time.t -> int -> int -> unit
 (** [post t ~kind ~owner ~at a b] queues an event of a registered
-    [kind] with payload [a], [b]. [owner] is as for {!schedule} ([-1] =
-    ownerless). Allocates nothing, at any delay, once the run has
+    [kind] with payload [a], [b]. [owner] is the process the event
+    belongs to ([-1] = ownerless); parallel stepping partitions the
+    batch on it. Owners outside the 21-bit field are treated as
+    ownerless. Allocates nothing, at any delay, once the run has
     reached its high-water marks: the event pool's, and with it the
     timing wheel's, whose lists are threaded through per-slot links
     (grown a chunk at a time with the pool), and whose upper levels
@@ -71,11 +73,9 @@ val post : t -> kind:int -> owner:int -> at:Time.t -> int -> int -> unit
 val schedule : t -> ?owner:int -> at:Time.t -> (unit -> unit) -> unit
 (** [schedule t ~owner ~at f] runs [f] when the clock reaches [at]. [at]
     must not be in the past. Scheduling at [Time.infinity] is a no-op.
-    [owner] is the process the event belongs to (default: ownerless);
-    parallel stepping partitions the batch on it. Owners outside the
-    21-bit field are treated as ownerless. The event is of the built-in
-    closure kind: [f] waits in a side table, which costs the closure and
-    a table cell, so per-event callers {!post} instead. *)
+    [owner] is as for {!post} (default: ownerless). [f] waits in a side
+    table, which costs the closure and a table cell, so library callers
+    {!post} instead. Raises [Invalid_argument] if [shards t > 1]. *)
 
 val schedule_after : t -> ?owner:int -> delay:Time.t -> (unit -> unit) -> unit
 (** [schedule_after t ~delay f] = [schedule t ~at:(now t + delay) f]. *)
@@ -105,7 +105,8 @@ val set_sharding : t -> pool:Exec.Pool.t -> shards:int -> n:int -> unit -> unit
     parallel on the pool when [shards > 1]; a traced run, or
     [shards = 1], stays on the sequential loop. The caller thereby
     asserts every handler is shard-safe. Call before running; raises
-    [Invalid_argument] mid-step or if [n] exceeds the owner field. *)
+    [Invalid_argument] mid-step, if [n] exceeds the owner field, or if
+    it would set [shards > 1] while a {!schedule}d closure is pending. *)
 
 val shards : t -> int
 (** Number of shards set by {!set_sharding}; 0 when it was never

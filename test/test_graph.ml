@@ -215,6 +215,37 @@ let coloring_proper_random =
       Cgraph.Coloring.is_proper g colors
       && Cgraph.Coloring.color_count colors <= Cgraph.Graph.max_degree g + 1)
 
+(* The counting-sort colouring over CSR rows equals the reference
+   comparison-sort one, colour for colour. *)
+let coloring_matches_reference () =
+  List.iter
+    (fun spec ->
+      let g = Cgraph.Topology.build spec in
+      check (Alcotest.array int)
+        (Cgraph.Topology.name spec ^ " colours")
+        (Coloring_ref.greedy g) (Cgraph.Coloring.greedy g))
+    (Cgraph.Topology.[ Ring 3; Ring 101; Grid (7, 9); Clique 2; Clique 17; Star 12 ]
+    @ Cgraph.Topology.all_small)
+
+let coloring_matches_reference_random =
+  QCheck.Test.make ~name:"coloring: greedy equals the reference on random graphs" ~count:100
+    QCheck.(triple (int_range 2 40) (int_range 1 9) (int_bound 10_000))
+    (fun (n, tenths, seed) ->
+      let p = float_of_int tenths /. 10.0 in
+      let g = Cgraph.Topology.build (Cgraph.Topology.Random_gnp (n, p, Int64.of_int seed)) in
+      Cgraph.Coloring.greedy g = Coloring_ref.greedy g)
+
+(* Set-up garbage: the colouring allocates its order, its colours and
+   one array over the degrees, and no neighbour copies. *)
+let coloring_allocates_its_arrays () =
+  let g = Cgraph.Topology.build (Cgraph.Topology.Ring 10_000) in
+  let n = Cgraph.Graph.n g and dmax = Cgraph.Graph.max_degree g in
+  let words = Alloc.words (fun () -> ignore (Sys.opaque_identity (Cgraph.Coloring.greedy g))) in
+  check bool
+    (Printf.sprintf "%.0f words <= 2n + max_degree + 64 = %d" words ((2 * n) + dmax + 64))
+    true
+    (words <= float_of_int ((2 * n) + dmax + 64))
+
 let coloring_detects_improper () =
   let g = Cgraph.Graph.of_edges ~n:2 [ (0, 1) ] in
   check bool "improper rejected" false (Cgraph.Coloring.is_proper g [| 1; 1 |]);
@@ -263,5 +294,9 @@ let suite =
     QCheck_alcotest.to_alcotest coloring_proper_random;
     Alcotest.test_case "coloring: improper detection" `Quick coloring_detects_improper;
     Alcotest.test_case "coloring: clique lower bound" `Quick coloring_clique_needs_n;
+    Alcotest.test_case "coloring: greedy equals the reference" `Quick coloring_matches_reference;
+    QCheck_alcotest.to_alcotest coloring_matches_reference_random;
+    Alcotest.test_case "coloring: allocates its arrays and nothing else" `Quick
+      coloring_allocates_its_arrays;
     Alcotest.test_case "graph: reverse slots" `Quick graph_reverse_slots;
   ]

@@ -101,15 +101,19 @@ let sharded_network_traced_fallback () =
       Net.Network.create ~engine ~graph ~delay:(Net.Delay.Uniform (1, 6)) ~faults
         ~rng:(Sim.Rng.create 9L) ~shard_safe:true ~handler:(fun ~dst:_ ~src:_ () -> ()) ()
     in
+    (* Process [i]'s beat, owned by [i], with the beats left in [a]. *)
+    let beat = ref 0 in
+    beat :=
+      Sim.Engine.register engine (fun i k _ ->
+          for s = off.(i) to off.(i + 1) - 1 do
+            Net.Network.send network ~src:i ~dst:tgt.(s) ()
+          done;
+          if k > 0 then
+            Sim.Engine.post engine ~kind:!beat ~owner:i
+              ~at:(Sim.Engine.now engine + 1 + (i mod 3))
+              (k - 1) 0);
     for i = 0 to n - 1 do
-      let rec beat k () =
-        for s = off.(i) to off.(i + 1) - 1 do
-          Net.Network.send network ~src:i ~dst:tgt.(s) ()
-        done;
-        if k > 0 then
-          ignore (Sim.Engine.schedule_after engine ~owner:i ~delay:(1 + (i mod 3)) (beat (k - 1)))
-      in
-      ignore (Sim.Engine.schedule engine ~owner:i ~at:(i mod 4) (beat 20))
+      Sim.Engine.post engine ~kind:!beat ~owner:i ~at:(i mod 4) 20 0
     done;
     Sim.Engine.run engine ~until:60;
     let stats = Net.Network.stats network in

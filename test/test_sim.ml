@@ -501,46 +501,54 @@ let with_sharding ?pool ~shards ~n engine =
   Option.iter (fun pool -> Sim.Engine.set_sharding engine ~pool ~shards ~n ()) pool
 
 (* A shard-safe workload that exercises everything parallel stepping must
-   get right: nested scheduling, same-tick chains that cross shards
-   (sub-rounds), data events posted inside a step, owner tags spread
-   over processes. Every handler writes only its owner's log, so the
-   workload stays legal at any shard count. *)
+   get right: nested posting, same-tick chains that cross shards
+   (sub-rounds), events posted inside a step and staged as ints, owner
+   tags spread over processes. Every handler writes only its owner's
+   log, so the workload stays legal at any shard count. *)
 let staged_workload ?pool ~shards () =
   let engine = Sim.Engine.create () in
   with_sharding ?pool ~shards ~n:8 engine;
   let logs = Array.make 8 [] in
-  let note owner tag () = logs.(owner) <- (tag, Sim.Engine.now engine) :: logs.(owner) in
+  let note owner tag = logs.(owner) <- (tag, Sim.Engine.now engine) :: logs.(owner) in
   let snapshot () = Array.map List.rev logs in
-  let rec chain owner n () =
-    note owner (100 + n) ();
-    if n > 0 then
-      ignore (Sim.Engine.schedule_after engine ~owner ~delay:(1 + (n mod 3)) (chain owner (n - 1)))
+  let after kind owner delay a =
+    Sim.Engine.post engine ~kind ~owner ~at:(Sim.Engine.now engine + delay) a 0
   in
-  for owner = 0 to 7 do
-    ignore (Sim.Engine.schedule engine ~owner ~at:(owner mod 3) (chain owner 5))
-  done;
-  (* The same chains as data events: a posted kind, staged as ints
-     inside a step. *)
-  let kind = ref 0 in
-  kind :=
+  (* Two families of chains, countdowns in [a]: delays 1..3 and 1..2. *)
+  let chain = ref 0 and short = ref 0 in
+  chain :=
     Sim.Engine.register engine (fun owner n _ ->
-        note owner (200 + n) ();
-        if n > 0 then
-          ignore
-            (Sim.Engine.post engine ~kind:!kind ~owner ~at:(Sim.Engine.now engine + 1 + (n mod 2))
-               (n - 1) 0));
+        note owner (100 + n);
+        if n > 0 then after !chain owner (1 + (n mod 3)) (n - 1));
   for owner = 0 to 7 do
-    ignore (Sim.Engine.post engine ~kind:!kind ~owner ~at:(owner mod 4) 4 0)
+    Sim.Engine.post engine ~kind:!chain ~owner ~at:(owner mod 3) 5 0
   done;
-  (* Same-tick scheduling across shards: fires in the same step, a
-     sub-round later. *)
-  ignore
-    (Sim.Engine.schedule engine ~owner:1 ~at:4 (fun () ->
-         note 1 1 ();
-         ignore
-           (Sim.Engine.schedule engine ~owner:6 ~at:4 (fun () ->
-                note 6 2 ();
-                ignore (Sim.Engine.schedule engine ~owner:3 ~at:4 (note 3 3))))));
+  short :=
+    Sim.Engine.register engine (fun owner n _ ->
+        note owner (200 + n);
+        if n > 0 then after !short owner (1 + (n mod 2)) (n - 1));
+  for owner = 0 to 7 do
+    Sim.Engine.post engine ~kind:!short ~owner ~at:(owner mod 4) 4 0
+  done;
+  (* Same-tick posting across shards, owners 1 -> 6 -> 3: each hop
+     fires in the same step, a sub-round later. *)
+  let hop_owner = [| -1; 1; 6; 3 |] in
+  let hop = ref 0 in
+  hop :=
+    Sim.Engine.register engine (fun owner step _ ->
+        note owner step;
+        if step < 3 then after !hop hop_owner.(step + 1) 0 (step + 1));
+  Sim.Engine.post engine ~kind:!hop ~owner:1 ~at:4 1 0;
+  (* Posts from two shards to one owner at one tick: owner 4 must log
+     them in the order their posters popped (7 before 0), not in shard
+     order. *)
+  let meet = ref 0 in
+  meet :=
+    Sim.Engine.register engine (fun owner dst tag ->
+        note owner (300 + tag);
+        if dst >= 0 then Sim.Engine.post engine ~kind:!meet ~owner:dst ~at:8 (-1) tag);
+  Sim.Engine.post engine ~kind:!meet ~owner:7 ~at:6 4 7;
+  Sim.Engine.post engine ~kind:!meet ~owner:0 ~at:6 4 0;
   Sim.Engine.run engine ~until:12;
   let mid = (snapshot (), Sim.Engine.now engine, Sim.Engine.processed engine) in
   Sim.Engine.run_all engine;
@@ -557,19 +565,20 @@ let engine_parallel_matches_fire_loop () =
         [ 2; 3; 4; 8 ]);
   (* Sanity on the reference itself. *)
   let _, logs, _, _ = reference in
-  check bool "data chains fired" true (List.mem_assoc 200 logs.(7))
+  check bool "both chain families fired" true
+    (List.mem_assoc 100 logs.(7) && List.mem_assoc 200 logs.(7));
+  check bool "the same-tick hops fired" true
+    (List.mem (3, 4) logs.(3) && List.mem (2, 4) logs.(6));
+  check bool "owner 4 met 7, then 0" true
+    (List.filter (fun (tag, _) -> tag >= 300) logs.(4) = [ (307, 8); (300, 8) ])
 
 let engine_staged_until_boundary () =
   Exec.Pool.with_pool ~domains:4 (fun pool ->
       let engine = Sim.Engine.create () in
       Sim.Engine.set_sharding engine ~pool ~shards:4 ~n:4 ();
       let fired = Array.make 4 [] in
-      List.iter
-        (fun t ->
-          let o = t mod 4 in
-          ignore
-            (Sim.Engine.schedule engine ~owner:o ~at:t (fun () -> fired.(o) <- t :: fired.(o))))
-        [ 5; 10; 15 ];
+      let kind = Sim.Engine.register engine (fun o t _ -> fired.(o) <- t :: fired.(o)) in
+      List.iter (fun t -> Sim.Engine.post engine ~kind ~owner:(t mod 4) ~at:t t 0) [ 5; 10; 15 ];
       Sim.Engine.run engine ~until:10;
       check (Alcotest.list int) "parallel run ~until fires only <= until" [ 5; 10 ]
         (List.sort compare (List.concat (Array.to_list fired)));
@@ -583,12 +592,15 @@ let engine_staged_traces_identical () =
     let recorder = Obs.Recorder.collecting () in
     let engine = Sim.Engine.create ~recorder () in
     with_sharding ?pool ~shards ~n:4 engine;
-    let rec tick owner n () =
-      if n > 0 then
-        ignore (Sim.Engine.schedule_after engine ~owner ~delay:(1 + owner) (tick owner (n - 1)))
-    in
+    let tick = ref 0 in
+    tick :=
+      Sim.Engine.register engine (fun owner n _ ->
+          if n > 0 then
+            Sim.Engine.post engine ~kind:!tick ~owner
+              ~at:(Sim.Engine.now engine + 1 + owner)
+              (n - 1) 0);
     for owner = 0 to 3 do
-      ignore (Sim.Engine.schedule engine ~owner ~at:owner (tick owner 4))
+      Sim.Engine.post engine ~kind:!tick ~owner ~at:owner 4 0
     done;
     Sim.Engine.run_all engine;
     let buf = Buffer.create 256 in
@@ -604,29 +616,37 @@ let engine_staged_traces_identical () =
             reference (capture ~pool s))
         [ 2; 4 ])
 
-(* Regression: the step's batch arrays kept the last step's events
-   alive until a later step overwrote them. Events are pool slots now,
-   so what a step could pin is a closure-kind event's action: the weak
-   slot watches that closure. *)
+(* A parallel step frees the pool slots of the events it fired, once
+   every shard has fired: the counts stay exact step by step, and the
+   engine does not grow with the number of steps. Each run beats both
+   owners (one per shard) every tick; a long run must end exactly as
+   large as a short one. Both cross tick 256, so the wheel's second
+   level exists in both. The pools are shut down before the engines are
+   measured. *)
 let engine_step_releases_events () =
-  Exec.Pool.with_pool ~domains:2 (fun pool ->
-      let engine = Sim.Engine.create () in
-      Sim.Engine.set_sharding engine ~pool ~shards:2 ~n:2 ();
-      let weak = Weak.create 1 in
-      let () =
-        let payload = Bytes.make 64 'x' in
-        let action () = ignore (Sys.opaque_identity (Bytes.length payload)) in
-        Weak.set weak 0 (Some (Obj.repr action));
-        ignore (Sim.Engine.schedule engine ~owner:1 ~at:5 action)
-      in
-      ignore (Sim.Engine.schedule engine ~owner:0 ~at:10 (fun () -> ()));
-      Sim.Engine.run engine ~until:5;
-      check int "the step fired" 1 (Sim.Engine.processed engine);
-      Gc.full_major ();
-      check bool "fired event is collectable after its step" true (Weak.get weak 0 = None);
-      (* The engine, and with it every buffer it owns, is still live. *)
-      Sim.Engine.run_all engine;
-      check int "the later event fired" 2 (Sim.Engine.processed engine))
+  let beats steps =
+    let engine = Sim.Engine.create () in
+    Exec.Pool.with_pool ~domains:2 (fun pool ->
+        Sim.Engine.set_sharding engine ~pool ~shards:2 ~n:2 ();
+        let beat = ref 0 in
+        beat :=
+          Sim.Engine.register engine (fun owner left _ ->
+              if left > 0 then
+                Sim.Engine.post engine ~kind:!beat ~owner ~at:(Sim.Engine.now engine + 1)
+                  (left - 1) 0);
+        Sim.Engine.post engine ~kind:!beat ~owner:0 ~at:1 steps 0;
+        Sim.Engine.post engine ~kind:!beat ~owner:1 ~at:1 steps 0;
+        for k = 1 to 4 do
+          Sim.Engine.run engine ~until:k;
+          check int "the steps fired both owners' events" (2 * k) (Sim.Engine.processed engine);
+          check int "each re-posted its successor" 2 (Sim.Engine.pending engine)
+        done;
+        Sim.Engine.run_all engine;
+        check int "every event fired" (2 * (steps + 1)) (Sim.Engine.processed engine);
+        check int "none pending" 0 (Sim.Engine.pending engine));
+    Obj.reachable_words (Obj.repr engine)
+  in
+  check int "a long run's engine is no larger than a short one's" (beats 300) (beats 4_000)
 
 let engine_shard_of () =
   Exec.Pool.with_pool ~domains:1 (fun pool ->
@@ -824,6 +844,40 @@ let engine_pool_matches_reference =
       m_run max_int;
       !log = !m_log && Sim.Engine.processed engine = List.length !m_log)
 
+(* Closures never reach a sharded engine: [schedule] refuses one, and
+   sharding is refused while a closure is pending. One shard keeps the
+   sequential loop, so it accepts both. *)
+let engine_sharded_refuses_closures () =
+  Exec.Pool.with_pool ~domains:1 (fun pool ->
+      let raises f = match f () with () -> false | exception Invalid_argument _ -> true in
+      let sharded = Sim.Engine.create () in
+      Sim.Engine.set_sharding sharded ~pool ~shards:2 ~n:4 ();
+      check bool "schedule on a sharded engine raises" true
+        (raises (fun () -> Sim.Engine.schedule sharded ~owner:1 ~at:5 ignore));
+      check bool "schedule_after too" true
+        (raises (fun () -> Sim.Engine.schedule_after sharded ~delay:5 ignore));
+      check int "nothing was queued" 0 (Sim.Engine.pending sharded);
+      let engine = Sim.Engine.create () in
+      let fired = ref false in
+      Sim.Engine.schedule engine ~owner:1 ~at:5 (fun () -> fired := true);
+      check bool "sharding with a closure pending raises" true
+        (raises (fun () -> Sim.Engine.set_sharding engine ~pool ~shards:2 ~n:4 ()));
+      check int "the refused engine is unsharded" 0 (Sim.Engine.shards engine);
+      Sim.Engine.set_sharding engine ~pool ~shards:1 ~n:4 ();
+      check int "one shard is accepted" 1 (Sim.Engine.shards engine);
+      Sim.Engine.run_all engine;
+      check bool "the closure fired" true !fired;
+      Sim.Engine.set_sharding engine ~pool ~shards:2 ~n:4 ();
+      check int "with none pending, sharding is accepted" 2 (Sim.Engine.shards engine);
+      (* A closure's cell is freed before it runs, as its slot is: it is
+         no longer pending, so it may shard its own engine. *)
+      let engine = Sim.Engine.create () in
+      Sim.Engine.schedule engine ~at:1 (fun () ->
+          check int "the firing closure is not pending" 0 (Sim.Engine.pending engine);
+          Sim.Engine.set_sharding engine ~pool ~shards:2 ~n:4 ());
+      Sim.Engine.run_all engine;
+      check int "a firing closure may shard its engine" 2 (Sim.Engine.shards engine))
+
 let suite =
   [
     Alcotest.test_case "time: saturating addition" `Quick time_add_saturates;
@@ -883,4 +937,6 @@ let suite =
     QCheck_alcotest.to_alcotest engine_pool_matches_reference;
     Alcotest.test_case "engine: a warm engine's events allocate nothing at any wheel level" `Quick
       engine_warm_allocates_nothing;
+    Alcotest.test_case "engine: a sharded engine refuses closures" `Quick
+      engine_sharded_refuses_closures;
   ]
