@@ -404,6 +404,7 @@ type scale_cell = {
   live_words : int;   (* live-heap delta while the world is alive: advisory *)
   reachable_words : int;  (* the world's reachable heap after report: exact *)
   static_words : int;  (* the world's reachable heap right after create: exact *)
+  create_alloc_words : int;  (* words allocated by create alone: exact *)
   seconds : float;
 }
 
@@ -444,6 +445,7 @@ let measure_scale_cell ~measure_live ~horizon spec =
   let alloc0 = allocated_words () in
   let t0 = Sys.time () in
   let w = Harness.World.create scenario in
+  let create_alloc_words = words_since alloc0 in
   let static_words = Obj.reachable_words (Obj.repr w) in
   Harness.World.advance w ~until:scenario.horizon;
   let r = Harness.World.report w in
@@ -469,13 +471,15 @@ let measure_scale_cell ~measure_live ~horizon spec =
     live_words;
     reachable_words;
     static_words;
+    create_alloc_words;
     seconds;
   }
 
 (* One line, read back by [run_scale_cell]; %h keeps the float exact. *)
 let print_scale_cell c =
-  Printf.printf "%s %d %d %d %d %d %d %d %d %h" c.label c.cell_n c.cell_edges c.cell_events
-    c.cell_eats c.alloc_words c.live_words c.reachable_words c.static_words c.seconds;
+  Printf.printf "%s %d %d %d %d %d %d %d %d %d %h" c.label c.cell_n c.cell_edges c.cell_events
+    c.cell_eats c.alloc_words c.live_words c.reachable_words c.static_words c.create_alloc_words
+    c.seconds;
   print_newline ()
 
 (* Run one cell in a child process and read back the line it prints. *)
@@ -488,9 +492,9 @@ let run_scale_cell ~measure_live (kind, n, horizon) =
   let line = In_channel.input_all ic in
   match Unix.close_process_in ic with
   | Unix.WEXITED 0 ->
-      Scanf.sscanf line "%s %d %d %d %d %d %d %d %d %h "
+      Scanf.sscanf line "%s %d %d %d %d %d %d %d %d %d %h "
         (fun label cell_n cell_edges cell_events cell_eats alloc_words live_words reachable_words
-             static_words seconds ->
+             static_words create_alloc_words seconds ->
           {
             label;
             cell_n;
@@ -501,9 +505,18 @@ let run_scale_cell ~measure_live (kind, n, horizon) =
             live_words;
             reachable_words;
             static_words;
+            create_alloc_words;
             seconds;
           })
   | _ -> failwith (Printf.sprintf "scale cell %s-%d: child process failed" (kind_name kind) n)
+
+(* Set-up gate: what [World.create] allocates beyond the world it keeps
+   may be the pairs array the graph is built from (2 words per edge),
+   the colouring's degree-sized scratch (about n words) and a fixed
+   allowance; garbage per edge or per process beyond that fails. *)
+let setup_garbage_bound c = (2 * c.cell_edges) + (2 * c.cell_n) + 512
+
+let setup_garbage c = c.create_alloc_words - c.static_words
 
 (* Engine-only throughput: a self-rescheduling event storm with spread
    delays. *)
@@ -585,15 +598,22 @@ let run_scale ~(ctx : Harness.Experiments.ctx) ~smoke ~json ~baseline () =
       ]
   in
   let table = Stats.Table.create ~title:"SCALE: one world per cell, hot path only" ~columns in
+  let setup_failures = ref [] in
   List.iter
     (fun cell ->
       let c = run_scale_cell ~measure_live:(not smoke) cell in
+      if setup_garbage c > setup_garbage_bound c then
+        setup_failures :=
+          Printf.sprintf "%s: World.create left %d words of garbage (create %d - static %d) > %d"
+            c.label (setup_garbage c) c.create_alloc_words c.static_words (setup_garbage_bound c)
+          :: !setup_failures;
       let prefix = Printf.sprintf "scale.%s" c.label in
       Report.int report (prefix ^ ".n") c.cell_n;
       Report.int report (prefix ^ ".edges") c.cell_edges;
       Report.int report (prefix ^ ".events") c.cell_events;
       Report.int report (prefix ^ ".eats") c.cell_eats;
       Report.int report (prefix ^ ".alloc_words") c.alloc_words;
+      Report.int report (prefix ^ ".create_alloc_words") c.create_alloc_words;
       Report.float report (prefix ^ ".run_seconds") c.seconds;
       Report.float report (prefix ^ ".events_per_sec")
         (if c.seconds > 0.0 then float_of_int c.cell_events /. c.seconds else 0.0);
@@ -678,21 +698,24 @@ let run_scale ~(ctx : Harness.Experiments.ctx) ~smoke ~json ~baseline () =
   | Some path ->
       Report.write report path;
       Printf.printf "wrote %s\n" path);
-  match baseline with
-  | None -> ()
-  | Some path ->
-      let verdict =
-        Report.compare_metrics ~baseline:(Report.read path) ~current:(Report.parse (Report.to_string report)) ()
-      in
-      List.iter (fun w -> Printf.printf "advisory: %s\n" w) verdict.Report.warnings;
-      List.iter (fun f -> Printf.printf "FAIL: %s\n" f) verdict.Report.failures;
-      if verdict.Report.failures = [] then
-        Printf.printf "baseline %s: deterministic metrics match\n" path
-      else begin
-        Printf.printf "baseline %s: %d deterministic metric(s) changed\n" path
-          (List.length verdict.Report.failures);
-        exit 1
-      end
+  let baseline_ok =
+    match baseline with
+    | None -> true
+    | Some path ->
+        let verdict =
+          Report.compare_metrics ~baseline:(Report.read path) ~current:(Report.parse (Report.to_string report)) ()
+        in
+        List.iter (fun w -> Printf.printf "advisory: %s\n" w) verdict.Report.warnings;
+        List.iter (fun f -> Printf.printf "FAIL: %s\n" f) verdict.Report.failures;
+        if verdict.Report.failures = [] then
+          Printf.printf "baseline %s: deterministic metrics match\n" path
+        else
+          Printf.printf "baseline %s: %d deterministic metric(s) changed\n" path
+            (List.length verdict.Report.failures);
+        verdict.Report.failures = []
+  in
+  List.iter (fun f -> Printf.printf "FAIL: set-up gate: %s\n" f) (List.rev !setup_failures);
+  if (not baseline_ok) || !setup_failures <> [] then exit 1
 
 let usage () =
   prerr_endline
@@ -703,7 +726,9 @@ let usage () =
      scale sweeps the simulator core over n x topology; --smoke restricts it to\n\
      n <= 1000 and deterministic columns, --json writes the machine-readable\n\
      report, --baseline compares against a committed report (exit 1 when a\n\
-     deterministic metric diverges; wall-clock deltas are advisory).";
+     deterministic metric diverges; wall-clock deltas are advisory). scale also\n\
+     exits 1 when a cell's World.create leaves more than 2*edges + 2*n + 512\n\
+     words of garbage.";
   exit 2
 
 type opts = { smoke : bool; json : string option; baseline : string option }

@@ -4,101 +4,129 @@ type pid = int
    neighbors as a contiguous ascending run; position [s] in [nbr] is the
    "directed slot" for the pair (owner of the run, nbr.(s)), giving
    every per-directed-pair quantity in the system (FIFO floors, link
-   counters, protocol bits) a dense int index. [eu]/[ev] list each
-   undirected edge once, canonically (eu < ev), sorted — the same order
-   the legacy [edges] list had. [rev] pairs each slot with its
-   reverse, so a message's receiver finds its own end of the edge
-   without a search. *)
+   counters, protocol bits) a dense int index. Undirected edges are
+   numbered in canonical sorted (u, v), u < v, order, which is the order
+   of the upper slots (nbr.(s) > owner) read row by row. [rev] pairs
+   each slot with its reverse, so a message's receiver finds its own end
+   of the edge without a search. *)
 type t = {
   n : int;
   off : int array; (* n+1 row offsets into nbr *)
   nbr : pid array; (* 2m neighbors, ascending within each row *)
   rev : int array; (* 2m: slot (i, j) -> slot (j, i) *)
   slot_edge : int array; (* 2m: directed slot -> undirected edge id *)
-  eu : pid array; (* m canonical endpoints, eu.(e) < ev.(e), sorted *)
-  ev : pid array;
 }
 
-(* Canonicalize, validate and dedup an edge set into sorted packed keys
-   u * n + v (u < v). Shared by the list and array constructors. *)
+(* In-place heapsort of a.(0 .. len-1), ascending: int compares, no
+   closure and no exception, so it allocates nothing. *)
+let rec sift_down (a : int array) root len =
+  let child = (2 * root) + 1 in
+  if child < len then begin
+    let child = if child + 1 < len && a.(child + 1) > a.(child) then child + 1 else child in
+    let x = a.(root) and c = a.(child) in
+    if c > x then begin
+      a.(root) <- c;
+      a.(child) <- x;
+      sift_down a child len
+    end
+  end
+
+let heapsort (a : int array) len =
+  for root = (len / 2) - 1 downto 0 do
+    sift_down a root len
+  done;
+  for last = len - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- x;
+    sift_down a 0 last
+  done
+
+let rec ascending_from (a : int array) i len =
+  i >= len || (a.(i - 1) <= a.(i) && ascending_from a (i + 1) len)
+
+(* [pairs] holds endpoints u0 v0 u1 v1 ...; its first m words are
+   overwritten with the packed keys u * n + v (u < v) of the distinct
+   edges, sorted, and [m] is returned. Reading pair [i] at 2i and 2i+1
+   before writing key [i] at i <= 2i keeps every unread pair intact. *)
 let canonical_keys ~ctx ~n pairs =
-  let m0 = Array.length pairs in
-  let keys = Array.make (max 1 m0) 0 in
-  for idx = 0 to m0 - 1 do
-    let a, b = pairs.(idx) in
+  let m0 = Array.length pairs / 2 in
+  for i = 0 to m0 - 1 do
+    let a = pairs.(2 * i) and b = pairs.((2 * i) + 1) in
     if a < 0 || a >= n || b < 0 || b >= n then
       invalid_arg (Printf.sprintf "%s: endpoint out of range (%d, %d)" ctx a b);
     if a = b then invalid_arg (ctx ^ ": self-loop");
-    keys.(idx) <- if a < b then (a * n) + b else (b * n) + a
+    pairs.(i) <- (if a < b then (a * n) + b else (b * n) + a)
   done;
-  let keys = if m0 = Array.length keys then keys else Array.sub keys 0 m0 in
-  Array.sort (fun (a : int) b -> compare a b) keys;
+  if not (ascending_from pairs 1 m0) then heapsort pairs m0;
   let m = ref 0 in
-  for idx = 0 to m0 - 1 do
-    if idx = 0 || keys.(idx) <> keys.(idx - 1) then begin
-      keys.(!m) <- keys.(idx);
+  for i = 0 to m0 - 1 do
+    if i = 0 || pairs.(i) <> pairs.(!m - 1) then begin
+      pairs.(!m) <- pairs.(i);
       incr m
     end
   done;
-  (keys, !m)
+  !m
 
-let of_keys ~n keys m =
-  let eu = Array.make m 0 and ev = Array.make m 0 in
-  for e = 0 to m - 1 do
-    eu.(e) <- keys.(e) / n;
-    ev.(e) <- keys.(e) mod n
-  done;
+let build ~ctx ~n pairs =
+  if n <= 0 then invalid_arg (ctx ^ ": n must be positive");
+  if Array.length pairs land 1 = 1 then invalid_arg (ctx ^ ": odd number of endpoints");
+  let m = canonical_keys ~ctx ~n pairs in
+  (* Degrees, then their running sums: off.(i) is the end of row i. *)
   let off = Array.make (n + 1) 0 in
   for e = 0 to m - 1 do
-    off.(eu.(e)) <- off.(eu.(e)) + 1;
-    off.(ev.(e)) <- off.(ev.(e)) + 1
+    let k = pairs.(e) in
+    off.(k / n) <- off.(k / n) + 1;
+    off.(k mod n) <- off.(k mod n) + 1
   done;
-  let total = ref 0 in
-  for i = 0 to n - 1 do
-    let d = off.(i) in
-    off.(i) <- !total;
-    total := !total + d
+  for i = 1 to n - 1 do
+    off.(i) <- off.(i) + off.(i - 1)
   done;
-  off.(n) <- !total;
+  off.(n) <- 2 * m;
   let nbr = Array.make (2 * m) 0 in
   let rev = Array.make (2 * m) 0 in
   let slot_edge = Array.make (2 * m) 0 in
-  let fill = Array.sub off 0 (max 1 n) in
-  (* Filling in sorted edge order leaves every row ascending: vertex i
-     first receives all smaller neighbors u (as edges (u, i) with u < i,
-     ascending in u), then all larger ones (as edges (i, v), ascending
-     in v). *)
-  for e = 0 to m - 1 do
-    let u = eu.(e) and v = ev.(e) in
-    let su = fill.(u) and sv = fill.(v) in
+  (* Filling from the row ends, in descending edge order, leaves every
+     row ascending and every off.(i) at the start of its row: vertex i
+     first receives its larger neighbors v (as edges (i, v), descending
+     in v), then its smaller ones u (as edges (u, i), descending in u),
+     each one slot further left. *)
+  for e = m - 1 downto 0 do
+    let k = pairs.(e) in
+    let u = k / n and v = k mod n in
+    let su = off.(u) - 1 and sv = off.(v) - 1 in
     nbr.(su) <- v;
     nbr.(sv) <- u;
     rev.(su) <- sv;
     rev.(sv) <- su;
     slot_edge.(su) <- e;
     slot_edge.(sv) <- e;
-    fill.(u) <- su + 1;
-    fill.(v) <- sv + 1
+    off.(u) <- su;
+    off.(v) <- sv
   done;
-  { n; off; nbr; rev; slot_edge; eu; ev }
+  { n; off; nbr; rev; slot_edge }
 
-let of_edge_array ~n pairs =
-  if n <= 0 then invalid_arg "Graph.of_edge_array: n must be positive";
-  let keys, m = canonical_keys ~ctx:"Graph.of_edge_array" ~n pairs in
-  of_keys ~n keys m
+let of_pairs ~n pairs = build ~ctx:"Graph.of_pairs" ~n pairs
 
 let of_edges ~n edge_list =
-  if n <= 0 then invalid_arg "Graph.of_edges: n must be positive";
-  let keys, m = canonical_keys ~ctx:"Graph.of_edges" ~n (Array.of_list edge_list) in
-  of_keys ~n keys m
+  let pairs = Array.make (2 * List.length edge_list) 0 in
+  List.iteri
+    (fun i (a, b) ->
+      pairs.(2 * i) <- a;
+      pairs.((2 * i) + 1) <- b)
+    edge_list;
+  build ~ctx:"Graph.of_edges" ~n pairs
 
 let n t = t.n
-let edge_count t = Array.length t.eu
+let edge_count t = Array.length t.nbr / 2
 
+(* Each edge (u, v), u < v, once: as the upper slot of u's row. *)
 let edges t =
   let acc = ref [] in
-  for e = Array.length t.eu - 1 downto 0 do
-    acc := (t.eu.(e), t.ev.(e)) :: !acc
+  for u = t.n - 1 downto 0 do
+    for s = t.off.(u + 1) - 1 downto t.off.(u) do
+      if t.nbr.(s) > u then acc := (u, t.nbr.(s)) :: !acc
+    done
   done;
   !acc
 
@@ -147,13 +175,14 @@ let slot_dst t s = t.nbr.(s)
 let slot_src t s = t.nbr.(t.rev.(s))
 let rev_slots t = t.rev
 let slot_edge_id t s = t.slot_edge.(s)
-let edge_endpoints t e = (t.eu.(e), t.ev.(e))
 let csr_offsets t = t.off
 let csr_targets t = t.nbr
 
 let iter_edges t f =
-  for e = 0 to Array.length t.eu - 1 do
-    f t.eu.(e) t.ev.(e)
+  for u = 0 to t.n - 1 do
+    for s = t.off.(u) to t.off.(u + 1) - 1 do
+      if t.nbr.(s) > u then f u t.nbr.(s)
+    done
   done
 
 let fold_vertices t ~init ~f =

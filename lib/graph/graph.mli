@@ -8,23 +8,28 @@ type pid = int
 
 type t
 
-val of_edges : n:int -> (pid * pid) list -> t
-(** Build a graph on [n] vertices from an edge list. Self-loops are
-    rejected; duplicate edges (in either orientation) are deduplicated.
-    Raises [Invalid_argument] on out-of-range endpoints or [n <= 0]. *)
+val of_pairs : n:int -> int array -> t
+(** [of_pairs ~n [|u0; v0; u1; v1; ...|]] builds a graph on [n]
+    vertices from a flat array of edge endpoints, two per edge — the
+    constructor the topology generators use. Self-loops are rejected;
+    duplicate edges (in either orientation) are deduplicated. Raises
+    [Invalid_argument] on out-of-range endpoints, an odd array length
+    or [n <= 0].
 
-val of_edge_array : n:int -> (pid * pid) array -> t
-(** Same as {!of_edges} from an array — the constructor the large
-    topology generators use: no intermediate lists, one sort over packed
-    int keys. *)
+    {b Consumes its input}: the array is reused as scratch space for
+    the sorted edge keys, and its contents afterwards are unspecified.
+    The graph's own arrays are the only allocation. *)
+
+val of_edges : n:int -> (pid * pid) list -> t
+(** Same as {!of_pairs} from an edge list, for literal small graphs.
+    The list is not modified. *)
 
 val n : t -> int
 (** Number of vertices. *)
 
 val edges : t -> (pid * pid) list
 (** Edge list, each edge once with the smaller endpoint first, sorted.
-    Built fresh on each call; prefer {!iter_edges} or {!edge_endpoints}
-    on hot paths. *)
+    Built fresh on each call; prefer {!iter_edges} on hot paths. *)
 
 val edge_count : t -> int
 
@@ -36,6 +41,9 @@ val degree : t -> pid -> int
 val max_degree : t -> int
 val is_edge : t -> pid -> pid -> bool
 val iter_edges : t -> (pid -> pid -> unit) -> unit
+(** [iter_edges t f] calls [f u v] once per edge, [u < v], in edge-id
+    order (the order of {!edges}). *)
+
 val fold_vertices : t -> init:'a -> f:('a -> pid -> 'a) -> 'a
 
 (** {2 Dense indices}
@@ -46,7 +54,13 @@ val fold_vertices : t -> init:'a -> f:('a -> pid -> 'a) -> 'a
     give every per-directed-pair quantity in the system (FIFO floors,
     link counters, per-edge protocol bits) a dense int index, replacing
     hashed pair keys on hot paths. Undirected edges are numbered
-    [0 .. edge_count - 1] in canonical sorted order. *)
+    [0 .. edge_count - 1] in canonical sorted [(u, v)], [u < v], order:
+    edge ids ascend along the {e upper} slots (those whose target is
+    larger than their row's owner) taken in slot order, so an edge's
+    endpoints are its upper slot's owner and target.
+
+    Storage is 6 words per edge (three arrays over the [2m] slots:
+    targets, reverses, edge ids) plus [n + 1] row offsets. *)
 
 val dir_count : t -> int
 (** Number of directed slots, [2 * edge_count]. *)
@@ -74,9 +88,6 @@ val rev_slots : t -> int array
 
 val slot_edge_id : t -> int -> int
 (** Undirected edge id a directed slot belongs to. *)
-
-val edge_endpoints : t -> int -> pid * pid
-(** Canonical endpoints [(u, v)], [u < v], of an edge id. *)
 
 val csr_offsets : t -> int array
 (** Row offsets, length [n + 1]: vertex [i]'s slots are

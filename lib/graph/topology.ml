@@ -14,114 +14,166 @@ type spec =
 
 let check cond msg = if not cond then invalid_arg ("Topology.build: " ^ msg)
 
+(* Every generator writes its endpoints, two ints per edge, into one
+   array of exactly the edge count's size and hands it to
+   [Graph.of_pairs], which reuses it as scratch. Generators that emit
+   edges in ascending canonical order spare the builder its sort. *)
+let pairs m = Array.make (2 * m) 0
+
+let set p k u v =
+  p.(2 * k) <- u;
+  p.((2 * k) + 1) <- v
+
 let ring n =
   check (n >= 3) "ring needs n >= 3";
-  Graph.of_edge_array ~n (Array.init n (fun i -> (i, (i + 1) mod n)))
+  (* The closing edge (0, n-1) goes second, so the keys ascend. *)
+  let p = pairs n in
+  set p 0 0 1;
+  set p 1 0 (n - 1);
+  for i = 1 to n - 2 do
+    set p (i + 1) i (i + 1)
+  done;
+  Graph.of_pairs ~n p
 
 let path n =
   check (n >= 2) "path needs n >= 2";
-  Graph.of_edges ~n (List.init (n - 1) (fun i -> (i, i + 1)))
+  let p = pairs (n - 1) in
+  for i = 0 to n - 2 do
+    set p i i (i + 1)
+  done;
+  Graph.of_pairs ~n p
 
 let clique n =
   check (n >= 2) "clique needs n >= 2";
-  let edges = ref [] in
+  let p = pairs (n * (n - 1) / 2) in
+  let k = ref 0 in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      edges := (i, j) :: !edges
+      set p !k i j;
+      incr k
     done
   done;
-  Graph.of_edges ~n !edges
+  Graph.of_pairs ~n p
 
 let star n =
   check (n >= 2) "star needs n >= 2";
-  Graph.of_edges ~n (List.init (n - 1) (fun i -> (0, i + 1)))
+  let p = pairs (n - 1) in
+  for i = 0 to n - 2 do
+    set p i 0 (i + 1)
+  done;
+  Graph.of_pairs ~n p
 
 let grid rows cols =
   check (rows >= 1 && cols >= 1 && rows * cols >= 2) "grid needs >= 2 vertices";
   let id r c = (r * cols) + c in
-  let m = (rows * (cols - 1)) + ((rows - 1) * cols) in
-  let edges = Array.make (max 1 m) (0, 0) in
+  let p = pairs ((rows * (cols - 1)) + ((rows - 1) * cols)) in
   let k = ref 0 in
   for r = 0 to rows - 1 do
     for c = 0 to cols - 1 do
       if c + 1 < cols then begin
-        edges.(!k) <- (id r c, id r (c + 1));
+        set p !k (id r c) (id r (c + 1));
         incr k
       end;
       if r + 1 < rows then begin
-        edges.(!k) <- (id r c, id (r + 1) c);
+        set p !k (id r c) (id (r + 1) c);
         incr k
       end
     done
   done;
-  Graph.of_edge_array ~n:(rows * cols) edges
+  Graph.of_pairs ~n:(rows * cols) p
 
 let torus rows cols =
   check (rows >= 3 && cols >= 3) "torus needs rows, cols >= 3";
   let id r c = (r * cols) + c in
-  let edges = ref [] in
+  let p = pairs (2 * rows * cols) in
   for r = 0 to rows - 1 do
     for c = 0 to cols - 1 do
-      edges := (id r c, id r ((c + 1) mod cols)) :: !edges;
-      edges := (id r c, id ((r + 1) mod rows) c) :: !edges
+      let k = 2 * id r c in
+      set p k (id r c) (id r ((c + 1) mod cols));
+      set p (k + 1) (id r c) (id ((r + 1) mod rows) c)
     done
   done;
-  Graph.of_edges ~n:(rows * cols) !edges
+  Graph.of_pairs ~n:(rows * cols) p
 
 let binary_tree n =
   check (n >= 2) "binary tree needs n >= 2";
-  Graph.of_edges ~n (List.init (n - 1) (fun i -> (((i + 1) - 1) / 2, i + 1)))
+  let p = pairs (n - 1) in
+  for i = 1 to n - 1 do
+    set p (i - 1) ((i - 1) / 2) i
+  done;
+  Graph.of_pairs ~n p
 
 let hypercube d =
   check (d >= 1 && d <= 16) "hypercube needs 1 <= d <= 16";
   let n = 1 lsl d in
-  let edges = ref [] in
+  let p = pairs (d * (n / 2)) in
+  let k = ref 0 in
   for i = 0 to n - 1 do
     for b = 0 to d - 1 do
       let j = i lxor (1 lsl b) in
-      if i < j then edges := (i, j) :: !edges
+      if i < j then begin
+        set p !k i j;
+        incr k
+      end
     done
   done;
-  Graph.of_edges ~n !edges
+  Graph.of_pairs ~n p
 
 let wheel n =
   check (n >= 4) "wheel needs n >= 4";
   (* Vertex 0 is the hub; 1 .. n-1 form the rim cycle. *)
   let rim = n - 1 in
-  let edges = ref [] in
+  let p = pairs (2 * rim) in
   for k = 0 to rim - 1 do
-    edges := (0, k + 1) :: (k + 1, ((k + 1) mod rim) + 1) :: !edges
+    set p (2 * k) 0 (k + 1);
+    set p ((2 * k) + 1) (k + 1) (((k + 1) mod rim) + 1)
   done;
-  Graph.of_edges ~n !edges
+  Graph.of_pairs ~n p
 
 let bipartite a b =
   check (a >= 1 && b >= 1) "bipartite needs both sides non-empty";
-  let edges = ref [] in
+  let p = pairs (a * b) in
   for i = 0 to a - 1 do
     for j = 0 to b - 1 do
-      edges := (i, a + j) :: !edges
+      set p ((i * b) + j) i (a + j)
     done
   done;
-  Graph.of_edges ~n:(a + b) !edges
+  Graph.of_pairs ~n:(a + b) p
 
 let random_gnp n p seed =
   check (n >= 2) "gnp needs n >= 2";
   check (p >= 0.0 && p <= 1.0) "gnp needs 0 <= p <= 1";
   let rng = Sim.Rng.create seed in
   (* Random spanning chain first so that the graph is connected, then each
-     remaining pair independently with probability p. *)
+     remaining pair (i, j), i < j, independently with probability p,
+     drawn in (i, j) order. A hit is kept as one bit per pair until the
+     edge count sizes the pairs array. *)
   let order = Array.init n Fun.id in
   Sim.Rng.shuffle rng order;
-  let edges = ref [] in
-  for i = 0 to n - 2 do
-    edges := (order.(i), order.(i + 1)) :: !edges
+  let candidates = n * (n - 1) / 2 in
+  let hits = Bytes.make ((candidates + 7) / 8) '\000' in
+  let m = ref (n - 1) in
+  for bit = 0 to candidates - 1 do
+    if Sim.Rng.float rng < p then begin
+      Bytes.set_uint8 hits (bit lsr 3) (Bytes.get_uint8 hits (bit lsr 3) lor (1 lsl (bit land 7)));
+      incr m
+    end
   done;
+  let pr = pairs !m in
+  for i = 0 to n - 2 do
+    set pr i order.(i) order.(i + 1)
+  done;
+  let k = ref (n - 1) and bit = ref 0 in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      if Sim.Rng.float rng < p then edges := (i, j) :: !edges
+      if Bytes.get_uint8 hits (!bit lsr 3) land (1 lsl (!bit land 7)) <> 0 then begin
+        set pr !k i j;
+        incr k
+      end;
+      incr bit
     done
   done;
-  Graph.of_edges ~n !edges
+  Graph.of_pairs ~n pr
 
 let scale_free n m seed =
   check (m >= 1) "scale_free needs m >= 1";
@@ -131,16 +183,12 @@ let scale_free n m seed =
      [stubs] holds every edge endpoint seen so far, so sampling it
      uniformly is sampling vertices proportional to degree. Seed with a
      star on the first m + 1 vertices, then attach each new vertex to m
-     distinct degree-biased targets. *)
+     distinct degree-biased targets. Each edge's endpoints sit side by
+     side in [stubs], so it is also the graph's pairs array. *)
   let edge_total = m + ((n - m - 1) * m) in
-  let eu = Array.make edge_total 0 and evv = Array.make edge_total 0 in
-  let stubs = Array.make (2 * edge_total) 0 in
+  let stubs = pairs edge_total in
   let nstubs = ref 0 in
-  let nedges = ref 0 in
   let push_edge u v =
-    eu.(!nedges) <- u;
-    evv.(!nedges) <- v;
-    incr nedges;
     stubs.(!nstubs) <- u;
     stubs.(!nstubs + 1) <- v;
     nstubs := !nstubs + 2
@@ -166,7 +214,7 @@ let scale_free n m seed =
       push_edge targets.(k) v
     done
   done;
-  Graph.of_edge_array ~n (Array.init edge_total (fun e -> (eu.(e), evv.(e))))
+  Graph.of_pairs ~n stubs
 
 let build = function
   | Ring n -> ring n

@@ -186,12 +186,18 @@ let max_edge_watermark t =
   Array.fold_left (fun acc c -> max acc (c lsr in_flight_bits)) 0 t.e_cell
 
 let per_edge_watermarks t =
-  (* Edge ids are already in canonical sorted order, so folding right
-     to left yields the list sorted by (min, max) endpoint key. *)
+  (* Each edge once, at its upper slot (u, v), u < v: walking the rows
+     right to left yields the list sorted by (min, max) endpoint key. *)
+  let nbr = Cgraph.Graph.csr_targets t.graph in
   let acc = ref [] in
-  for e = Cgraph.Graph.edge_count t.graph - 1 downto 0 do
-    let w = t.e_cell.(e) lsr in_flight_bits in
-    if w > 0 then acc := (Cgraph.Graph.edge_endpoints t.graph e, w) :: !acc
+  for u = Cgraph.Graph.n t.graph - 1 downto 0 do
+    for s = t.off.(u + 1) - 1 downto t.off.(u) do
+      let v = nbr.(s) in
+      if v > u then begin
+        let w = t.e_cell.(Cgraph.Graph.slot_edge_id t.graph s) lsr in_flight_bits in
+        if w > 0 then acc := ((u, v), w) :: !acc
+      end
+    done
   done;
   !acc
 

@@ -69,10 +69,11 @@ let max_edge_watermark t = Array.fold_left max 0 t.e_watermark
 
 let per_edge_watermarks t =
   List.filter_map
-    (fun e ->
-      if t.e_watermark.(e) > 0 then Some (Cgraph.Graph.edge_endpoints t.graph e, t.e_watermark.(e))
-      else None)
-    (List.init (Cgraph.Graph.edge_count t.graph) Fun.id)
+    (fun s ->
+      let u = Cgraph.Graph.slot_src t.graph s and v = Cgraph.Graph.slot_dst t.graph s in
+      let e = Cgraph.Graph.slot_edge_id t.graph s in
+      if u < v && t.e_watermark.(e) > 0 then Some ((u, v), t.e_watermark.(e)) else None)
+    (List.init (Cgraph.Graph.dir_count t.graph) Fun.id)
 
 let max_edge_watermark_by_kind t =
   let kc = Array.length t.kinds in

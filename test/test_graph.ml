@@ -272,6 +272,123 @@ let graph_reverse_slots () =
       done)
     Cgraph.Topology.[ Ring 7; Grid (3, 4); Clique 5; Scale_free (60, 2, 42L) ]
 
+(* ------------------------- CSR construction ------------------------ *)
+
+let csr g : Graph_ref.t =
+  {
+    off = Cgraph.Graph.csr_offsets g;
+    nbr = Cgraph.Graph.csr_targets g;
+    rev = Cgraph.Graph.rev_slots g;
+    slot_edge = Array.init (Cgraph.Graph.dir_count g) (Cgraph.Graph.slot_edge_id g);
+    edges = Cgraph.Graph.edges g;
+  }
+
+let check_csr label (expected : Graph_ref.t) (got : Graph_ref.t) =
+  let arr = Alcotest.array int in
+  check arr (label ^ " offsets") expected.off got.off;
+  check arr (label ^ " targets") expected.nbr got.nbr;
+  check arr (label ^ " rev_slots") expected.rev got.rev;
+  check arr (label ^ " slot_edge_id") expected.slot_edge got.slot_edge;
+  check (Alcotest.list (Alcotest.pair int int)) (label ^ " edges") expected.edges got.edges
+
+(* Every generator, through the flat pairs builder, yields the graph the
+   tuple generators and the reference builder give: same edge ids,
+   slots, reverses. *)
+let graph_of_pairs_matches_reference () =
+  List.iter
+    (fun spec ->
+      let g = Cgraph.Topology.build spec in
+      let n = Cgraph.Graph.n g in
+      let label = Cgraph.Topology.name spec in
+      check_csr label
+        (Graph_ref.of_edges ~ctx:"ref" ~n (Graph_ref.topology_edges spec))
+        (csr g);
+      let iterated = ref [] in
+      Cgraph.Graph.iter_edges g (fun u v -> iterated := (u, v) :: !iterated);
+      check bool (label ^ " iter_edges order") true (List.rev !iterated = Cgraph.Graph.edges g);
+      check int (label ^ " edge_count") (List.length (Cgraph.Graph.edges g))
+        (Cgraph.Graph.edge_count g))
+    (Cgraph.Topology.all_small
+    @ Cgraph.Topology.
+        [
+          Ring 100;
+          Ring 1000;
+          Grid (10, 10);
+          Grid (32, 32);
+          Scale_free (100, 2, 42L);
+          Scale_free (1000, 2, 42L);
+          Hypercube 10;
+        ])
+
+(* Builder result, or the message it raised. *)
+let outcome build =
+  match build () with g -> Ok g | exception Invalid_argument msg -> Error msg
+
+(* Random pair arrays with duplicates in both orientations, and now and
+   then an endpoint out of range or a self-loop: [of_pairs] and
+   [of_edges] agree with the reference on the arrays or the message. *)
+let graph_of_pairs_matches_reference_random =
+  QCheck.Test.make ~name:"graph: of_pairs equals the reference on random pairs" ~count:300
+    QCheck.(
+      pair (int_range 1 24)
+        (list_of_size (Gen.int_bound 60) (pair (int_bound 199) (int_bound 199))))
+    (fun (n, raw) ->
+      (* Draws 0 and 1 give an out-of-range endpoint (-1 or n), 1% of
+         endpoints; the rest fold into range. A self-loop is kept when
+         the first draw is a multiple of 7, and split otherwise. *)
+      let endpoint x = if x = 0 then -1 else if x = 1 then n else x mod n in
+      let pairs =
+        Array.of_list
+          (List.map
+             (fun (x, y) ->
+               let a = endpoint x and b = endpoint y in
+               if a = b && n > 1 && x mod 7 <> 0 then (a, (a + 1) mod n) else (a, b))
+             raw)
+      in
+      let flat = Array.make (2 * Array.length pairs) 0 in
+      Array.iteri
+        (fun i (a, b) ->
+          flat.(2 * i) <- a;
+          flat.((2 * i) + 1) <- b)
+        pairs;
+      let reference ctx = outcome (fun () -> Graph_ref.of_edges ~ctx ~n pairs) in
+      let via_pairs = Result.map csr (outcome (fun () -> Cgraph.Graph.of_pairs ~n flat)) in
+      let via_list =
+        Result.map csr (outcome (fun () -> Cgraph.Graph.of_edges ~n (Array.to_list pairs)))
+      in
+      via_pairs = reference "Graph.of_pairs" && via_list = reference "Graph.of_edges")
+
+let graph_of_pairs_rejects_bad_input () =
+  let raises msg pairs =
+    Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+        ignore (Cgraph.Graph.of_pairs ~n:3 pairs))
+  in
+  raises "Graph.of_pairs: endpoint out of range (0, 7)" [| 0; 1; 0; 7 |];
+  raises "Graph.of_pairs: endpoint out of range (-1, 2)" [| -1; 2 |];
+  raises "Graph.of_pairs: self-loop" [| 0; 1; 2; 2 |];
+  raises "Graph.of_pairs: odd number of endpoints" [| 0; 1; 2 |];
+  Alcotest.check_raises "n = 0" (Invalid_argument "Graph.of_pairs: n must be positive")
+    (fun () -> ignore (Cgraph.Graph.of_pairs ~n:0 [||]))
+
+(* Set-up garbage: a generator allocates its graph and one pairs array
+   of 2m words, nothing per edge beyond that. *)
+let topology_allocates_its_graph () =
+  List.iter
+    (fun spec ->
+      let g = Cgraph.Topology.build spec in
+      let reachable = Obj.reachable_words (Obj.repr g) in
+      let m = Cgraph.Graph.edge_count g in
+      let bound = reachable + (2 * m) + 64 in
+      let words =
+        Alloc.words (fun () -> ignore (Sys.opaque_identity (Cgraph.Topology.build spec)))
+      in
+      check bool
+        (Printf.sprintf "%s: %.0f words <= reachable + 2m + 64 = %d" (Cgraph.Topology.name spec)
+           words bound)
+        true
+        (words <= float_of_int bound))
+    Cgraph.Topology.[ Ring 10_000; Grid (100, 100); Scale_free (10_000, 2, 42L) ]
+
 let suite =
   [
     Alcotest.test_case "graph: basics" `Quick graph_basics;
@@ -299,4 +416,10 @@ let suite =
     Alcotest.test_case "coloring: allocates its arrays and nothing else" `Quick
       coloring_allocates_its_arrays;
     Alcotest.test_case "graph: reverse slots" `Quick graph_reverse_slots;
+    Alcotest.test_case "graph: of_pairs equals the reference" `Quick
+      graph_of_pairs_matches_reference;
+    QCheck_alcotest.to_alcotest graph_of_pairs_matches_reference_random;
+    Alcotest.test_case "graph: of_pairs rejects bad input" `Quick graph_of_pairs_rejects_bad_input;
+    Alcotest.test_case "topology: build allocates its graph and the pairs array" `Quick
+      topology_allocates_its_graph;
   ]
