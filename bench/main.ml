@@ -74,7 +74,7 @@ let perf_tests () =
       (Staged.stage (fun () ->
            let graph = Cgraph.Graph.of_edges ~n:2 [ (0, 1) ] in
            ignore
-             (Mcheck.Explore.bfs
+             (Mcheck.Frontier.explore
                 {
                   Mcheck.Model.graph;
                   colors = [| 0; 1 |];
@@ -140,7 +140,7 @@ let run_mc () =
   List.iter
     (fun (label, graph, colors, sessions, crash_budget, fp_budget, max_states) ->
       let r =
-        Mcheck.Explore.bfs ~max_states
+        Mcheck.Frontier.explore ~max_states
           { Mcheck.Model.graph; colors; sessions; crash_budget; fp_budget }
       in
       Stats.Table.add_row table
@@ -193,7 +193,7 @@ let run_mc () =
         let r = f () in
         (r, Sys.time () -. t0)
       in
-      let b, bfs_t = timed (fun () -> Mcheck.Explore.bfs ~max_states cfg) in
+      let b, bfs_t = timed (fun () -> Mcheck.Frontier.explore ~max_states cfg) in
       let d, dpor_t = timed (fun () -> Mcheck.Dpor.explore ~max_states cfg) in
       assert (b.Mcheck.Explore.states = d.Mcheck.Explore.states);
       assert (b.violation = None && d.violation = None);
@@ -563,7 +563,7 @@ let run_scale ~(ctx : Harness.Experiments.ctx) ~smoke ~json ~baseline () =
   let mc_alloc0 = allocated_words () in
   let mc_t0 = Sys.time () in
   let mc =
-    Mcheck.Explore.bfs
+    Mcheck.Frontier.explore
       {
         Mcheck.Model.graph = Cgraph.Graph.of_edges ~n:2 [ (0, 1) ];
         colors = [| 0; 1 |];

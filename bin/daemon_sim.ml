@@ -3,8 +3,8 @@
    Subcommands:
      run          one dining scenario, human-readable report
      experiments  the reproduction suite (E1..E12, F1..F5)
-     mcheck       exhaustive model checking of small instances
-     check        systematic checking: DPOR / parallel frontier / replay
+     check        exhaustive model checking of small instances: parallel
+                  frontier BFS / DPOR / counterexample replay
      fuzz         property-based fuzzing campaigns with shrinking + replay
      stabilize    a self-stabilizing protocol driven by the daemon *)
 
@@ -410,7 +410,7 @@ let tracediff_cmd =
     Term.(const go $ file_arg 0 "TRACE_A" $ file_arg 1 "TRACE_B" $ context_arg)
 
 (* ------------------------------------------------------------------ *)
-(* mcheck                                                               *)
+(* check                                                                *)
 (* ------------------------------------------------------------------ *)
 
 let instance_arg =
@@ -446,27 +446,6 @@ let fp_arg =
 
 let max_states_arg =
   Arg.(value & opt int 500_000 & info [ "max-states" ] ~docv:"N" ~doc:"State-count cap.")
-
-let mcheck_cmd =
-  let go instance sessions crash_budget fp_budget max_states =
-    let graph, colors = resolve_instance instance in
-    let r =
-      Mcheck.Explore.bfs ~max_states
-        { Mcheck.Model.graph; colors; sessions; crash_budget; fp_budget }
-    in
-    Format.printf "%a@." Mcheck.Explore.pp_result r;
-    if r.violation <> None then exit 1
-  in
-  Cmd.v
-    (Cmd.info "mcheck"
-       ~doc:
-         "Exhaustively model-check Algorithm 1 on a small instance (lemmas, channel bound, \
-          and — with no false-positive budget — weak exclusion).")
-    Term.(const go $ instance_arg $ sessions_arg $ crash_arg $ fp_arg $ max_states_arg)
-
-(* ------------------------------------------------------------------ *)
-(* check                                                                *)
-(* ------------------------------------------------------------------ *)
 
 let check_cmd =
   let max_depth_arg =
@@ -790,6 +769,6 @@ let main =
          "Wait-free, eventually 2-bounded dining daemons with an eventually perfect \
           failure detector (Song & Pike, DSN 2007) — simulator, baselines, experiments \
           and model checker.")
-    [ run_cmd; batch_cmd; trace_cmd; tracediff_cmd; experiments_cmd; mcheck_cmd; check_cmd; fuzz_cmd; stabilize_cmd ]
+    [ run_cmd; batch_cmd; trace_cmd; tracediff_cmd; experiments_cmd; check_cmd; fuzz_cmd; stabilize_cmd ]
 
 let () = exit (Cmd.eval main)

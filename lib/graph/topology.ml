@@ -153,8 +153,12 @@ let random_gnp n p seed =
   let candidates = n * (n - 1) / 2 in
   let hits = Bytes.make ((candidates + 7) / 8) '\000' in
   let m = ref (n - 1) in
+  (* [Rng.float rng < p] without boxing a float per draw: the float is
+     [bits53 / 2^53], exactly, so it is below p iff bits53 < p * 2^53,
+     iff bits53 < ceil (p * 2^53). *)
+  let threshold = int_of_float (Float.ceil (Float.ldexp p 53)) in
   for bit = 0 to candidates - 1 do
-    if Sim.Rng.float rng < p then begin
+    if Sim.Rng.bits53 rng < threshold then begin
       Bytes.set_uint8 hits (bit lsr 3) (Bytes.get_uint8 hits (bit lsr 3) lor (1 lsl (bit land 7)));
       incr m
     end

@@ -7,7 +7,7 @@
     in its {e sleep set} and never re-executes it first. Sleep sets
     prune redundant transitions, not states: every reachable state is
     still visited and checked, so the verdict (violation / deadlock /
-    state count) matches {!Explore.bfs} exactly while the transition
+    state count) matches {!Frontier.explore} exactly while the transition
     count shrinks by the number of commuting pairs collapsed. Revisits
     of an interned state re-expand unless a previous expansion used a
     subset sleep set (the sound form of sleep sets + state caching).

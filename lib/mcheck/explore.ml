@@ -8,117 +8,6 @@ type result = {
   trace : string list option;
 }
 
-(* Walk parent pointers (id -> parent id * incoming label) back to the
-   root and return the schedule root -> violating state. *)
-let rebuild_trace parents id =
-  let rec go id acc =
-    match Hashtbl.find_opt parents id with
-    | None -> acc
-    | Some (parent, label) -> go parent (label :: acc)
-  in
-  go id []
-
-let bfs ?(max_states = 200_000) ?(max_depth = max_int) ?check cfg =
-  let check = match check with Some f -> f | None -> Model.check in
-  let interned = Intern.create () in
-  let parents : (int, int * string) Hashtbl.t = Hashtbl.create 4096 in
-  let queue = Queue.create () in
-  let transitions = ref 0 in
-  let depth = ref 0 in
-  let violation = ref None in
-  let vio_id = ref (-1) in
-  let truncated = ref false in
-  let deadlocks = ref 0 in
-  let enqueue d parent label state =
-    let k = Model.key state in
-    if not (Intern.mem interned k) then begin
-      if Intern.count interned >= max_states then truncated := true
-      else
-        match Intern.add interned k with
-        | `Seen _ -> ()
-        | `New id ->
-            if parent >= 0 then Hashtbl.add parents id (parent, label);
-            if d > !depth then depth := d;
-            (match check cfg state with
-            | Some msg ->
-                violation := Some (msg, Model.describe state);
-                vio_id := id
-            | None -> ());
-            Queue.add (state, id, d) queue
-    end
-  in
-  enqueue 0 (-1) "" (Model.initial cfg);
-  while (not (Queue.is_empty queue)) && !violation = None do
-    let state, id, d = Queue.pop queue in
-    match Model.successors cfg state with
-    | exception Model.Model_violation msg ->
-        violation := Some (msg, "(during delivery)");
-        vio_id := id
-    | [] -> if Model.hungry_live_process cfg state <> None then incr deadlocks
-    | succs ->
-        if d < max_depth then
-          List.iter
-            (fun (label, next) ->
-              incr transitions;
-              if !violation = None then enqueue (d + 1) id label next)
-            succs
-        else
-          (* At the depth cap: expand only to learn whether anything
-             unexplored lies beyond it. A state whose successors are all
-             already visited does not make the search incomplete. *)
-          List.iter
-            (fun (_label, next) ->
-              incr transitions;
-              if not (Intern.mem interned (Model.key next)) then truncated := true)
-            succs
-  done;
-  {
-    states = Intern.count interned;
-    transitions = !transitions;
-    depth = !depth;
-    complete = (not !truncated) && !violation = None;
-    violation = !violation;
-    deadlocks = !deadlocks;
-    trace = (if !vio_id >= 0 then Some (rebuild_trace parents !vio_id) else None);
-  }
-
-type reach_result = Found of int | Unreachable | Truncated
-
-let reach ?(max_states = 200_000) ?(max_depth = max_int) ~pred cfg =
-  let interned = Intern.create () in
-  let queue = Queue.create () in
-  let found = ref None in
-  let truncated = ref false in
-  let enqueue d state =
-    if !found = None && pred state then found := Some d
-    else begin
-      let k = Model.key state in
-      if not (Intern.mem interned k) then begin
-        if Intern.count interned >= max_states then truncated := true
-        else begin
-          ignore (Intern.add interned k);
-          Queue.add (state, d) queue
-        end
-      end
-    end
-  in
-  enqueue 0 (Model.initial cfg);
-  while (not (Queue.is_empty queue)) && !found = None do
-    let state, d = Queue.pop queue in
-    let succs = Model.successors cfg state in
-    if d < max_depth then List.iter (fun (_label, next) -> enqueue (d + 1) next) succs
-    else
-      (* Depth-capped frontier: anything unexplored beyond it means a
-         negative answer cannot be trusted. *)
-      List.iter
-        (fun (_label, next) ->
-          if not (Intern.mem interned (Model.key next)) then truncated := true)
-        succs
-  done;
-  match !found with
-  | Some d -> Found d
-  | None -> if !truncated then Truncated else Unreachable
-
 type progress_result = {
   reachable : int;
   hungry_states : int;

@@ -1,4 +1,6 @@
-(** Breadth-first exhaustive exploration of the {!Model} state space. *)
+(** Results of the model checker's searches, and the searches that are
+    not the breadth-first {!Frontier.explore}: the liveness check
+    {!progress} and the Monte-Carlo {!random_walk}. *)
 
 type result = {
   states : int;        (** distinct states visited *)
@@ -20,44 +22,9 @@ type result = {
           handler the trace leads to the state being expanded. *)
 }
 
-val rebuild_trace : (int, int * string) Hashtbl.t -> int -> string list
-(** Walk parent pointers (state id -> parent id * incoming label) back to
-    the root: the schedule from the initial state to [id]. Shared by the
-    exploration engines ({!bfs}, {!Frontier.explore}). *)
-
-val bfs :
-  ?max_states:int ->
-  ?max_depth:int ->
-  ?check:(Model.config -> Model.state -> string option) ->
-  Model.config ->
-  result
-(** Defaults: [max_states = 200_000], [max_depth = max_int]. Exploration
-    stops early on the first violation. A state popped at the depth cap
-    only marks the search incomplete when it actually has unexplored
-    successors, so a model whose diameter equals [max_depth] is still
-    reported complete. [?check] substitutes the per-state invariant
-    (default {!Model.check}) — used to inject target predicates as
-    violations for counterexample/replay testing. *)
-
 val pp_result : Format.formatter -> result -> unit
-
-type reach_result =
-  | Found of int  (** a state satisfying the predicate exists at this depth *)
-  | Unreachable
-      (** the {e fully explored} reachable space contains no such state —
-          trustworthy, the search was not cut short *)
-  | Truncated
-      (** the search hit [max_states]/[max_depth] first; absence of the
-          target is unknown. A capped search must never report
-          [Unreachable]. *)
-
-val reach :
-  ?max_states:int ->
-  ?max_depth:int ->
-  pred:(Model.state -> bool) ->
-  Model.config ->
-  reach_result
-(** BFS until a state satisfying [pred] is found; returns its depth. *)
+(** [states=… transitions=… depth=… complete=… deadlocks=…] and the
+    verdict, on one line. *)
 
 type progress_result = {
   reachable : int;       (** states in the explored graph *)

@@ -15,17 +15,17 @@ let outside = -1 (* hungry, not yet inside the doorway *)
 
 (* No session log: latencies go to an exact multiset, registered
    readers and callbacks see each session as it completes, and a ring
-   keeps the last [recent_size] sessions, allocated at the first. *)
+   keeps the last [recent_size] sessions, allocated at the first. The
+   doorway and fork waits live only in their registry histograms,
+   which are exact multisets too. *)
 type t = {
   engine : Sim.Engine.t;
   faults : Net.Faults.t;
   open_since : Sim.Time.t array; (* pid -> start of its open session, -1 = none *)
   entered : Sim.Time.t array; (* pid -> doorway entry, or [not_hungry] / [outside] *)
   latencies : Stats.Multiset.t;
-  doorway : Stats.Multiset.t;
-  fork : Stats.Multiset.t;
-  h_doorway : Obs.Metrics.histogram;
-  h_fork : Obs.Metrics.histogram;
+  doorway : Obs.Metrics.histogram;
+  fork : Obs.Metrics.histogram;
   mutable served : int;
   mutable on_served : (Dining.Types.pid -> Sim.Time.t -> Sim.Time.t -> unit) list;
   mutable series : series list;
@@ -69,8 +69,7 @@ let[@lint.hot] on_doorway t pid =
     let now = Sim.Engine.now t.engine in
     let wait = now - t.open_since.(pid) in
     t.entered.(pid) <- now;
-    Stats.Multiset.add t.doorway wait;
-    Obs.Metrics.observe t.h_doorway wait
+    Obs.Metrics.observe t.doorway wait
   end
 
 let[@lint.hot] on_phase t pid phase =
@@ -83,8 +82,7 @@ let[@lint.hot] on_phase t pid phase =
       t.entered.(pid) <- not_hungry;
       if entered >= 0 then begin
         let wait = Sim.Engine.now t.engine - entered in
-        Stats.Multiset.add t.fork wait;
-        Obs.Metrics.observe t.h_fork wait
+        Obs.Metrics.observe t.fork wait
       end;
       let started = t.open_since.(pid) in
       if started >= 0 then begin
@@ -111,10 +109,8 @@ let attach ?(metrics = Obs.Metrics.create ()) engine faults (instance : Dining.I
       open_since = Array.make n (-1);
       entered = Array.make n not_hungry;
       latencies = Stats.Multiset.create ();
-      doorway = Stats.Multiset.create ();
-      fork = Stats.Multiset.create ();
-      h_doorway = Obs.Metrics.histogram metrics "daemon.doorway_wait";
-      h_fork = Obs.Metrics.histogram metrics "daemon.fork_wait";
+      doorway = Obs.Metrics.histogram metrics "daemon.doorway_wait";
+      fork = Obs.Metrics.histogram metrics "daemon.fork_wait";
       served = 0;
       on_served = [];
       series = [];

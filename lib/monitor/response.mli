@@ -26,10 +26,12 @@ type t
 
 val attach : ?metrics:Obs.Metrics.t -> Sim.Engine.t -> Net.Faults.t -> Dining.Instance.t -> t
 (** Subscribes to the instance's transitions and doorway entries,
-    tracking every pid of [faults]. Every doorway and fork
-    wait is also observed into the [daemon.doorway_wait] /
-    [daemon.fork_wait] histograms of [metrics] (default: a private
-    registry). *)
+    tracking every pid of [faults]. Every doorway and fork wait is
+    observed into the [daemon.doorway_wait] / [daemon.fork_wait]
+    histograms of [metrics] (default: a private registry), and
+    {!doorway_waits}, {!fork_waits} and their summaries read those
+    histograms back, so a registry shared by two monitors shares their
+    waits. *)
 
 val on_served : t -> (Dining.Types.pid -> Sim.Time.t -> Sim.Time.t -> unit) -> unit
 (** [on_served t f] calls [f pid started served] at every session

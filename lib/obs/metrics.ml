@@ -1,12 +1,7 @@
 type counter = int ref
 type gauge = int ref
 
-type histogram = {
-  mutable count : int;
-  mutable sum : int;
-  mutable min_v : int;
-  mutable max_v : int;
-}
+type histogram = Stats.Multiset.t
 
 type metric = Counter of counter | Gauge of gauge | Histogram of histogram
 
@@ -39,7 +34,7 @@ let gauge t name =
 
 let histogram t name =
   register t name "histogram"
-    (fun () -> Histogram { count = 0; sum = 0; min_v = max_int; max_v = min_int })
+    (fun () -> Histogram (Stats.Multiset.create ()))
     (function Histogram h -> Some h | _ -> None)
 
 let incr ?(by = 1) (c : counter) = c := !c + by
@@ -47,11 +42,7 @@ let counter_value (c : counter) = !c
 let set (g : gauge) v = g := v
 let gauge_value (g : gauge) = !g
 
-let observe h v =
-  h.count <- h.count + 1;
-  h.sum <- h.sum + v;
-  if v < h.min_v then h.min_v <- v;
-  if v > h.max_v then h.max_v <- v
+let observe = Stats.Multiset.add
 
 type value =
   | Count of int
@@ -61,7 +52,16 @@ type value =
 let value_of = function
   | Counter c -> Count !c
   | Gauge g -> Level !g
-  | Histogram h -> Dist { count = h.count; sum = h.sum; min = h.min_v; max = h.max_v }
+  | Histogram h ->
+      let count = ref 0 and sum = ref 0 and lo = ref max_int and hi = ref min_int in
+      List.iter
+        (fun (v, c) ->
+          count := !count + c;
+          sum := !sum + (v * c);
+          lo := min !lo v;
+          hi := max !hi v)
+        (Stats.Multiset.to_counts h);
+      Dist { count = !count; sum = !sum; min = !lo; max = !hi }
 
 let find t name = Option.map value_of (Hashtbl.find_opt t name)
 

@@ -6,13 +6,15 @@
     histograms, and the harness publishes engine gauges at report time.
     Handles are plain mutable cells, so the hot-path cost of a counter
     bump is one integer store; all ordering happens at {!dump} time,
-    where names are sorted so output never surfaces hash order. *)
+    where names are sorted so output never surfaces hash order. A
+    histogram is an exact multiset of the values observed, so its
+    owner can read every sample back. *)
 
 type t
 
 type counter
 type gauge
-type histogram
+type histogram = Stats.Multiset.t
 
 val create : unit -> t
 
@@ -28,11 +30,14 @@ val counter_value : counter -> int
 val set : gauge -> int -> unit
 val gauge_value : gauge -> int
 val observe : histogram -> int -> unit
+(** Add one sample. @raise Invalid_argument if it is negative. *)
 
 type value =
   | Count of int
   | Level of int
   | Dist of { count : int; sum : int; min : int; max : int }
+      (** Derived from the multiset when read; an empty histogram reads
+          [count = 0], [sum = 0], [min = max_int], [max = min_int]. *)
 
 val find : t -> string -> value option
 val dump : t -> (string * value) list

@@ -43,9 +43,8 @@ let int_in t lo hi =
   assert (lo <= hi);
   lo + int t (hi - lo + 1)
 
-let[@inline] float t =
-  let bits53 = Int64.shift_right_logical (next t) 11 in
-  Int64.to_float bits53 /. 9007199254740992.0 (* 2^53 *)
+let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (next t) 11)
+let[@inline] float t = float_of_int (bits53 t) /. 9007199254740992.0 (* 2^53 *)
 
 let bool t = Int64.logand (next t) 1L = 1L
 

@@ -31,8 +31,12 @@ val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform in [\[lo, hi\]] (inclusive). Requires
     [lo <= hi]. *)
 
+val bits53 : t -> int
+(** The top 53 bits of the next output: uniform in [\[0, 2{^53})]. An
+    unboxed draw: [bits53 t < k] has the probability [k / 2{^53}]. *)
+
 val float : t -> float
-(** Uniform in [\[0, 1)]. *)
+(** Uniform in [\[0, 1)]: [bits53] divided by [2{^53}], which is exact. *)
 
 val bool : t -> bool
 

@@ -318,6 +318,12 @@ let graph_of_pairs_matches_reference () =
           Scale_free (100, 2, 42L);
           Scale_free (1000, 2, 42L);
           Hypercube 10;
+          Random_gnp (2, 0.0, 1L);
+          Random_gnp (40, 0.0, 3L);
+          Random_gnp (40, 1.0, 3L);
+          Random_gnp (200, 0.01, 5L);
+          Random_gnp (200, 0.1, 9L);
+          Random_gnp (300, 0.5, 11L);
         ])
 
 (* Builder result, or the message it raised. *)
@@ -371,23 +377,35 @@ let graph_of_pairs_rejects_bad_input () =
     (fun () -> ignore (Cgraph.Graph.of_pairs ~n:0 [||]))
 
 (* Set-up garbage: a generator allocates its graph and one pairs array
-   of 2m words, nothing per edge beyond that. *)
+   of 2 words per pair it writes (2m, plus any duplicate that of_pairs
+   drops), nothing per edge beyond that. Gnp also keeps one hit bit per
+   candidate pair and its shuffled vertex order, and draws without
+   boxing a float. *)
 let topology_allocates_its_graph () =
   List.iter
     (fun spec ->
       let g = Cgraph.Topology.build spec in
       let reachable = Obj.reachable_words (Obj.repr g) in
-      let m = Cgraph.Graph.edge_count g in
-      let bound = reachable + (2 * m) + 64 in
+      let n = Cgraph.Graph.n g in
+      let pairs = 2 * Array.length (Graph_ref.topology_edges spec) in
+      let scratch =
+        match spec with
+        | Cgraph.Topology.Random_gnp _ ->
+            let bitset_bytes = ((n * (n - 1) / 2) + 7) / 8 in
+            (bitset_bytes / 8) + 2 + (n + 1)
+        | _ -> 0
+      in
+      let bound = reachable + pairs + scratch + 64 in
       let words =
         Alloc.words (fun () -> ignore (Sys.opaque_identity (Cgraph.Topology.build spec)))
       in
       check bool
-        (Printf.sprintf "%s: %.0f words <= reachable + 2m + 64 = %d" (Cgraph.Topology.name spec)
-           words bound)
+        (Printf.sprintf "%s: %.0f words <= reachable + pairs + scratch + 64 = %d"
+           (Cgraph.Topology.name spec) words bound)
         true
         (words <= float_of_int bound))
-    Cgraph.Topology.[ Ring 10_000; Grid (100, 100); Scale_free (10_000, 2, 42L) ]
+    Cgraph.Topology.
+      [ Ring 10_000; Grid (100, 100); Scale_free (10_000, 2, 42L); Random_gnp (3000, 0.01, 5L) ]
 
 let suite =
   [

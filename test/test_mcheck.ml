@@ -58,13 +58,13 @@ let rejects_unrepresentable_counters () =
 (* ------------------------ exhaustive checking ---------------------- *)
 
 let exhaustive_pair_accurate () =
-  let r = Mcheck.Explore.bfs (pair_cfg ~sessions:2 ()) in
+  let r = Mcheck.Frontier.explore (pair_cfg ~sessions:2 ()) in
   check bool "complete" true r.complete;
   check bool "no violation" true (r.violation = None);
   check bool "nontrivial space" true (r.states > 100)
 
 let exhaustive_pair_with_faults () =
-  let r = Mcheck.Explore.bfs (pair_cfg ~sessions:1 ~crash_budget:1 ~fp_budget:2 ()) in
+  let r = Mcheck.Frontier.explore (pair_cfg ~sessions:1 ~crash_budget:1 ~fp_budget:2 ()) in
   check bool "complete" true r.complete;
   check bool "structural lemmas hold under crashes and lies" true (r.violation = None)
 
@@ -78,7 +78,7 @@ let exhaustive_path3 () =
       fp_budget = 0;
     }
   in
-  let r = Mcheck.Explore.bfs cfg in
+  let r = Mcheck.Frontier.explore cfg in
   check bool "complete" true r.complete;
   check bool "no violation" true (r.violation = None)
 
@@ -92,17 +92,17 @@ let exhaustive_triangle_with_crash () =
       fp_budget = 0;
     }
   in
-  let r = Mcheck.Explore.bfs ~max_states:400_000 cfg in
+  let r = Mcheck.Frontier.explore ~max_states:400_000 cfg in
   check bool "no violation in explored space" true (r.violation = None);
   check bool "substantial exploration" true (r.states > 10_000)
 
 let state_cap_respected () =
-  let r = Mcheck.Explore.bfs ~max_states:50 (pair_cfg ~sessions:3 ()) in
+  let r = Mcheck.Frontier.explore ~max_states:50 (pair_cfg ~sessions:3 ()) in
   check bool "truncated" true (not r.complete);
   check int "capped" 50 r.states
 
 let depth_cap_respected () =
-  let r = Mcheck.Explore.bfs ~max_depth:3 (pair_cfg ~sessions:3 ()) in
+  let r = Mcheck.Frontier.explore ~max_depth:3 (pair_cfg ~sessions:3 ()) in
   check bool "depth bounded" true (r.depth <= 3);
   check bool "marked incomplete" true (not r.complete)
 
@@ -113,15 +113,15 @@ let depth_cap_at_diameter_is_complete () =
      identical to the unbounded one — including the deadlock count from
      terminal states sitting exactly on the cap. *)
   let cfg = pair_cfg ~sessions:1 () in
-  let r0 = Mcheck.Explore.bfs cfg in
+  let r0 = Mcheck.Frontier.explore cfg in
   check bool "reference run complete" true r0.complete;
-  let r1 = Mcheck.Explore.bfs ~max_depth:r0.depth cfg in
+  let r1 = Mcheck.Frontier.explore ~max_depth:r0.depth cfg in
   check bool "complete at the diameter" true r1.complete;
   check int "same states" r0.states r1.states;
   check int "same transitions" r0.transitions r1.transitions;
   check int "same depth" r0.depth r1.depth;
   check int "same deadlocks" r0.deadlocks r1.deadlocks;
-  let r2 = Mcheck.Explore.bfs ~max_depth:(r0.depth - 1) cfg in
+  let r2 = Mcheck.Frontier.explore ~max_depth:(r0.depth - 1) cfg in
   check bool "incomplete below the diameter" true (not r2.complete)
 
 (* The checker must actually be able to find violations: feed it a bogus
@@ -132,7 +132,7 @@ let depth_cap_at_diameter_is_complete () =
    through a crash + detect + a9 path. That path is legitimate (eating next
    to a crashed eater is allowed), so assert it does NOT trip. *)
 let exclusion_check_is_live_aware () =
-  let r = Mcheck.Explore.bfs ~max_states:150_000 (pair_cfg ~sessions:1 ~crash_budget:1 ()) in
+  let r = Mcheck.Frontier.explore ~max_states:150_000 (pair_cfg ~sessions:1 ~crash_budget:1 ()) in
   (* With one crash allowed, a live process may eat while its crashed
      neighbor is frozen mid-eating; the live-aware exclusion check must
      not flag that. *)
@@ -176,11 +176,11 @@ let scripted_session () =
 
 let eating_is_reachable () =
   let cfg = pair_cfg () in
-  (match Mcheck.Explore.reach ~pred:(fun s -> Mcheck.Model.phase s 0 = `Eating) cfg with
-  | Mcheck.Explore.Found depth -> check bool "reasonable depth" true (depth > 3)
+  (match Mcheck.Frontier.reach ~pred:(fun s -> Mcheck.Model.phase s 0 = `Eating) cfg with
+  | Mcheck.Frontier.Found depth -> check bool "reasonable depth" true (depth > 3)
   | Unreachable | Truncated -> Alcotest.fail "process 0 can never eat in the model");
-  match Mcheck.Explore.reach ~pred:(fun s -> Mcheck.Model.phase s 1 = `Eating) cfg with
-  | Mcheck.Explore.Found _ -> ()
+  match Mcheck.Frontier.reach ~pred:(fun s -> Mcheck.Model.phase s 1 = `Eating) cfg with
+  | Mcheck.Frontier.Found _ -> ()
   | Unreachable | Truncated -> Alcotest.fail "process 1 can never eat in the model"
 
 let eating_reachable_past_crash () =
@@ -188,14 +188,14 @@ let eating_reachable_past_crash () =
      substitution path exists in the model. *)
   let cfg = pair_cfg ~crash_budget:1 () in
   let pred s = Mcheck.Model.phase s 0 = `Eating && Mcheck.Model.crashed s 1 in
-  match Mcheck.Explore.reach ~pred cfg with
-  | Mcheck.Explore.Found _ -> ()
+  match Mcheck.Frontier.reach ~pred cfg with
+  | Mcheck.Frontier.Found _ -> ()
   | Unreachable | Truncated -> Alcotest.fail "no eat-past-crash run found"
 
 let doorway_reachable () =
   let cfg = pair_cfg () in
-  match Mcheck.Explore.reach ~pred:(fun s -> Mcheck.Model.inside s 0) cfg with
-  | Mcheck.Explore.Found _ -> ()
+  match Mcheck.Frontier.reach ~pred:(fun s -> Mcheck.Model.inside s 0) cfg with
+  | Mcheck.Frontier.Found _ -> ()
   | Unreachable | Truncated -> Alcotest.fail "doorway unreachable"
 
 let unreachable_predicate () =
@@ -203,8 +203,8 @@ let unreachable_predicate () =
   (* With no crash budget nobody can be crashed — and the full space fits
      in the default budget, so the negative answer is trustworthy. *)
   check bool "correctly unreachable" true
-    (Mcheck.Explore.reach ~pred:(fun s -> Mcheck.Model.crashed s 0) cfg
-    = Mcheck.Explore.Unreachable)
+    (Mcheck.Frontier.reach ~pred:(fun s -> Mcheck.Model.crashed s 0) cfg
+    = Mcheck.Frontier.Unreachable)
 
 let truncated_is_not_unreachable () =
   (* Regression: a search cut short by [max_states] used to report the
@@ -214,9 +214,9 @@ let truncated_is_not_unreachable () =
   let cfg = pair_cfg ~sessions:2 () in
   let pred s = Mcheck.Model.crashed s 0 in
   check bool "capped search admits ignorance" true
-    (Mcheck.Explore.reach ~max_states:10 ~pred cfg = Mcheck.Explore.Truncated);
+    (Mcheck.Frontier.reach ~max_states:10 ~pred cfg = Mcheck.Frontier.Truncated);
   check bool "depth-capped search admits ignorance" true
-    (Mcheck.Explore.reach ~max_depth:2 ~pred cfg = Mcheck.Explore.Truncated)
+    (Mcheck.Frontier.reach ~max_depth:2 ~pred cfg = Mcheck.Frontier.Truncated)
 
 (* ------------------------- progress (liveness) --------------------- *)
 
@@ -324,7 +324,7 @@ let dpor_agrees_with_bfs_and_reduces () =
      strictly fewer transitions (path-3 has the non-adjacent pair 0/2
      whose interleavings collapse). *)
   let cfg = path3_cfg () in
-  let b = Mcheck.Explore.bfs cfg in
+  let b = Mcheck.Frontier.explore cfg in
   let d = Mcheck.Dpor.explore cfg in
   check bool "both complete" true (b.complete && d.complete);
   check int "same states" b.states d.states;
@@ -339,7 +339,7 @@ let dpor_agrees_under_faults () =
   (* crash only: adding the fp budget as well pushes path-3 to ~1.5M
      states — the agreement there is covered by the bench table. *)
   let cfg = path3_cfg ~crash_budget:1 () in
-  let b = Mcheck.Explore.bfs ~max_states:400_000 cfg in
+  let b = Mcheck.Frontier.explore ~max_states:400_000 cfg in
   let d = Mcheck.Dpor.explore ~max_states:400_000 cfg in
   check bool "both complete" true (b.complete && d.complete);
   check int "same states under faults" b.states d.states;
@@ -362,7 +362,7 @@ let dpor_finds_injected_violation () =
 
 let preemption_bound_prunes_and_relaxes () =
   let cfg = path3_cfg () in
-  let b = Mcheck.Explore.bfs cfg in
+  let b = Mcheck.Frontier.explore cfg in
   (* A zero budget forbids every context switch away from an enabled
      process: the search is pruned and must say so. *)
   let tight = Mcheck.Dpor.explore ~preemption_bound:0 cfg in
@@ -377,7 +377,7 @@ let preemption_bound_prunes_and_relaxes () =
 
 let frontier_matches_bfs () =
   let cfg = path3_cfg () in
-  let b = Mcheck.Explore.bfs cfg in
+  let b = Explore_ref.bfs cfg in
   let f = Mcheck.Frontier.explore ~domains:1 cfg in
   check int "states" b.states f.states;
   check int "transitions" b.transitions f.transitions;
@@ -423,7 +423,7 @@ let frontier_violation_deterministic_across_domains () =
 
 let replay_reproduces_bfs_counterexample () =
   let cfg = pair_cfg () in
-  let b = Mcheck.Explore.bfs ~check:flag_eating cfg in
+  let b = Mcheck.Frontier.explore ~check:flag_eating cfg in
   match (b.violation, b.trace) with
   | Some (msg, _), Some t -> (
       match Mcheck.Replay.run ~check:flag_eating cfg t with
@@ -500,7 +500,7 @@ let pin_counts cfg ~states ~transitions ~depth ~dpor_transitions ~dpor_depth =
     check bool (tag ^ " complete") true r.complete;
     check bool (tag ^ " clean") true (r.violation = None)
   in
-  expect "bfs" (Mcheck.Explore.bfs cfg) ~transitions ~depth;
+  expect "bfs" (Explore_ref.bfs cfg) ~transitions ~depth;
   expect "frontier d1" (Mcheck.Frontier.explore ~domains:1 cfg) ~transitions ~depth;
   expect "frontier d2" (Mcheck.Frontier.explore ~domains:2 cfg) ~transitions ~depth;
   expect "dpor" (Mcheck.Dpor.explore cfg) ~transitions:dpor_transitions ~depth:dpor_depth
@@ -605,6 +605,82 @@ let describe_mentions_phases () =
   check bool "describes both processes" true
     (String.length d > 0 && String.split_on_char 'p' d |> List.length >= 3)
 
+(* ------------------------- the reference BFS ----------------------- *)
+
+(* The frontier against the sequential reference over small instances
+   with fault budgets, at 1-3 domains, clean and with an injected
+   violation, uncapped and capped. Clean runs agree on every field. On
+   a violating run the reference stops mid-level while the frontier
+   finishes the level, so they agree on the verdict and the schedule,
+   and the schedule replays. *)
+let frontier_equals_reference () =
+  let instances =
+    [
+      ("pair, crash 1, fp 2", pair_cfg ~crash_budget:1 ~fp_budget:2 ());
+      ("path-3, fp 1", path3_cfg ~fp_budget:1 ());
+      (* past the default 200 000-state cap *)
+      ("triangle, crash 1", { (triangle_cfg ()) with crash_budget = 1 });
+    ]
+  in
+  let caps =
+    [ ("uncapped", None, None); ("max_states 50", Some 50, None); ("max_depth 3", None, Some 3) ]
+  in
+  List.iter
+    (fun (name, cfg) ->
+      List.iter
+        (fun (cap, max_states, max_depth) ->
+          List.iter
+            (fun (mode, inv) ->
+              let expected = Explore_ref.bfs ?max_states ?max_depth ?check:inv cfg in
+              List.iter
+                (fun domains ->
+                  let got = Mcheck.Frontier.explore ?max_states ?max_depth ~domains ?check:inv cfg in
+                  let tag s = Printf.sprintf "%s, %s, %s, d%d: %s" name cap mode domains s in
+                  check bool (tag "verdict") true (expected.violation = got.violation);
+                  check bool (tag "schedule") true (expected.trace = got.trace);
+                  match got.trace with
+                  | None ->
+                      check int (tag "states") expected.states got.states;
+                      check int (tag "transitions") expected.transitions got.transitions;
+                      check int (tag "depth") expected.depth got.depth;
+                      check int (tag "deadlocks") expected.deadlocks got.deadlocks;
+                      check bool (tag "complete") expected.complete got.complete
+                  | Some t -> (
+                      match Mcheck.Replay.run ?check:inv cfg t with
+                      | Mcheck.Replay.Reproduced _ -> ()
+                      | o -> Alcotest.failf "%s: %a" (tag "replay") Mcheck.Replay.pp_outcome o))
+                [ 1; 2; 3 ])
+            [ ("default check", None); ("injected", Some flag_eating) ])
+        caps)
+    instances
+
+let frontier_checks_each_state_once () =
+  let calls = ref 0 in
+  let counting cfg s =
+    incr calls;
+    Mcheck.Model.check cfg s
+  in
+  let r = Mcheck.Frontier.explore ~check:counting (path3_cfg ()) in
+  check bool "clean and complete" true (r.complete && r.violation = None);
+  check int "one check per state" r.states !calls
+
+(* The state cap bounds the states examined: with a cap one below the
+   smallest that finds the target, the target is the first state past
+   the cap, and the answer is Truncated. *)
+let reach_beyond_the_cap_is_truncated () =
+  let cfg = pair_cfg () in
+  let pred s = Mcheck.Model.phase s 0 = `Eating in
+  let rec smallest cap =
+    match Mcheck.Frontier.reach ~max_states:cap ~pred cfg with
+    | Mcheck.Frontier.Found _ -> cap
+    | Truncated -> smallest (cap + 1)
+    | Unreachable -> Alcotest.fail "eating unreachable on the pair"
+  in
+  let cap = smallest 1 in
+  check bool "the cap admits states" true (cap > 1);
+  check bool "one state fewer: Truncated" true
+    (Mcheck.Frontier.reach ~max_states:(cap - 1) ~pred cfg = Mcheck.Frontier.Truncated)
+
 let suite =
   [
     Alcotest.test_case "initial transitions" `Quick initial_transitions;
@@ -661,4 +737,8 @@ let suite =
       readers_leave_states_unchanged;
     Alcotest.test_case "purity: commuted paths agree" `Quick commuted_paths_agree;
     Alcotest.test_case "validates counter widths" `Quick rejects_unrepresentable_counters;
+    Alcotest.test_case "frontier: equals the reference" `Slow frontier_equals_reference;
+    Alcotest.test_case "frontier: checks each state once" `Quick frontier_checks_each_state_once;
+    Alcotest.test_case "reach: a target beyond the state cap is Truncated" `Quick
+      reach_beyond_the_cap_is_truncated;
   ]
