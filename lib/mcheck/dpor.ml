@@ -93,47 +93,51 @@ let explore ?(max_states = 200_000) ?(max_depth = max_int) ?preemption_bound ?ch
       | Some id ->
           if depth > max_depth then truncated := true
           else begin
-            match Model.successors_tagged cfg state with
-            | exception Model.Model_violation msg ->
-                violation := Some (msg, "(during delivery)");
-                vio_trace :=
-                  Some (stack_trace !stack @ if label_in = "" then [] else [ label_in ])
-            | [] ->
-                if fresh && Model.hungry_live_process cfg state <> None then incr deadlocks
-            | succs ->
-                let sleeping = Sset.of_list (List.map snd sleep) in
-                let wake =
-                  match Hashtbl.find_opt unexplored id with
-                  | None ->
-                      (* first expansion: run everything not slept;
-                         remember the slept remainder *)
-                      let slept, wake =
-                        List.partition (fun (_, l, _) -> Sset.mem l sleeping) succs
+            let sleeping = Sset.of_list (List.map snd sleep) in
+            match Hashtbl.find_opt unexplored id with
+            | Some stored when Sset.subset stored sleeping ->
+                () (* a revisit that wakes nothing and keeps the memo *)
+            | memo -> (
+                match Model.successors_tagged cfg state with
+                | exception Model.Model_violation msg ->
+                    violation := Some (msg, "(during delivery)");
+                    vio_trace :=
+                      Some (stack_trace !stack @ if label_in = "" then [] else [ label_in ])
+                | succs ->
+                    if fresh && Model.stuck cfg state succs then incr deadlocks;
+                    let wake =
+                      match memo with
+                      | None ->
+                          (* first expansion: run everything not slept;
+                             remember the slept remainder *)
+                          let slept, wake =
+                            List.partition (fun (_, l, _) -> Sset.mem l sleeping) succs
+                          in
+                          Hashtbl.replace unexplored id
+                            (Sset.of_list (List.map (fun (_, l, _) -> l) slept));
+                          wake
+                      | Some stored ->
+                          (* revisit: wake only what every earlier visit
+                             slept on and this one does not *)
+                          let wake =
+                            List.filter
+                              (fun (_, l, _) ->
+                                Sset.mem l stored && not (Sset.mem l sleeping))
+                              succs
+                          in
+                          Hashtbl.replace unexplored id (Sset.inter stored sleeping);
+                          wake
+                    in
+                    if wake <> [] then begin
+                      let enabled_procs =
+                        List.sort_uniq compare
+                          (List.map (fun (a, _, _) -> Model.proc_of a) succs)
                       in
-                      Hashtbl.replace unexplored id
-                        (Sset.of_list (List.map (fun (_, l, _) -> l) slept));
-                      wake
-                  | Some stored ->
-                      (* revisit: wake only what every earlier visit
-                         slept on and this one does not *)
-                      let wake =
-                        List.filter
-                          (fun (_, l, _) ->
-                            Sset.mem l stored && not (Sset.mem l sleeping))
-                          succs
-                      in
-                      Hashtbl.replace unexplored id (Sset.inter stored sleeping);
-                      wake
-                in
-                if wake <> [] then begin
-                  let enabled_procs =
-                    List.sort_uniq compare (List.map (fun (a, _, _) -> Model.proc_of a) succs)
-                  in
-                  stack :=
-                    { label_in; proc_in; preempts; enabled_procs; pending = wake; sleep }
-                    :: !stack;
-                  if depth + 1 > !max_stack then max_stack := depth + 1
-                end
+                      stack :=
+                        { label_in; proc_in; preempts; enabled_procs; pending = wake; sleep }
+                        :: !stack;
+                      if depth + 1 > !max_stack then max_stack := depth + 1
+                    end)
           end
   in
   push ~state:(Model.initial cfg) ~label_in:"" ~proc_in:(-1) ~preempts:0 ~sleep:[];

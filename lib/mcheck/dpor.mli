@@ -10,7 +10,8 @@
     state count) matches {!Frontier.explore} exactly while the transition
     count shrinks by the number of commuting pairs collapsed. Revisits
     of an interned state re-expand unless a previous expansion used a
-    subset sleep set (the sound form of sleep sets + state caching).
+    subset sleep set (the sound form of sleep sets + state caching); a
+    revisit that would wake nothing does not compute successors.
 
     [preemption_bound] additionally prunes schedules with more than the
     given number of preemptions (switching away from a process that

@@ -1,6 +1,12 @@
-(** Results of the model checker's searches, and the searches that are
-    not the breadth-first {!Frontier.explore}: the liveness check
-    {!progress} and the Monte-Carlo {!random_walk}. *)
+(** Results of the model checker's searches, and the one search that is
+    neither {!Frontier.explore} nor {!Dpor.explore}: the Monte-Carlo
+    {!random_walk}.
+
+    Theorem 2 needs no search of its own. Every transition lowers
+    {!Model.rank} (a transition that does not is a violation), so the
+    state graph is acyclic and every schedule is finite; a complete
+    result with [deadlocks = 0] and no violation then shows that every
+    schedule which does not crash a hungry process lets it eat. *)
 
 type result = {
   states : int;        (** distinct states visited *)
@@ -11,36 +17,22 @@ type result = {
       (** (invariant message, state description), if any reachable state
           violates an invariant. A sound run of Algorithm 1 yields [None]. *)
   deadlocks : int;
-      (** Terminal states (no outgoing transitions) in which some live
-          process is still hungry — a stuck diner no event can ever wake.
-          Wait-freedom predicts 0; a terminal state where everyone is
-          thinking is just a finished run, not a deadlock. *)
+      (** States in which some live process is hungry and no transition
+          other than a crash is enabled ({!Model.stuck}): a schedule that
+          stops there, as one that crashes nobody more may, starves that
+          diner. Wait-freedom predicts 0; a terminal state where everyone
+          is thinking is just a finished run, not a deadlock. *)
   trace : string list option;
       (** When a violation was found: the schedule (transition labels)
           from the initial state to the violating state, replayable with
-          {!Replay.run}. For a violation raised inside a delivery
-          handler the trace leads to the state being expanded. *)
+          {!Replay.run}. For a {!Model.Model_violation} (raised inside a
+          delivery handler, or by a transition that does not lower the
+          rank) the trace leads to the state being expanded. *)
 }
 
 val pp_result : Format.formatter -> result -> unit
 (** [states=… transitions=… depth=… complete=… deadlocks=…] and the
     verdict, on one line. *)
-
-type progress_result = {
-  reachable : int;       (** states in the explored graph *)
-  hungry_states : int;   (** states where the probed process is hungry and live *)
-  stuck_states : int;    (** hungry-live states with NO continuation in which the
-                             process ever eats — a liveness bug; expect 0 *)
-  progress_complete : bool; (** the graph was fully explored within the cap *)
-}
-
-val progress : ?max_states:int -> pid:int -> Model.config -> progress_result
-(** Theorem 2 in possibility form, checked exhaustively: builds the full
-    reachable state graph and verifies (by backward reachability from the
-    process's eating states) that from {e every} reachable state in which
-    [pid] is hungry and live, some execution continues to [pid] eating.
-    Adversarial crashes of other processes and oracle lies are part of the
-    graph; paths that crash [pid] itself do not count as progress. *)
 
 type walk_result = {
   walks_done : int;

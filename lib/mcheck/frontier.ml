@@ -20,8 +20,8 @@
 
 (* What a worker hands the merge for one state of the level. *)
 type expansion =
-  | Poisoned of string (* a delivery handler raised Model_violation *)
-  | Deadlock (* no successor, and some live process is hungry *)
+  | Poisoned of string (* successors_tagged raised Model_violation *)
+  | Stuck of (Model.action * string * Model.state) list (* a deadlock; crashes only *)
   | Succs of (Model.action * string * Model.state) list (* [] for a finished run *)
 
 (* States expanded per domain between two merges. *)
@@ -30,8 +30,7 @@ let slice_per_domain = 256
 let expand cfg state =
   match Model.successors_tagged cfg state with
   | exception Model.Model_violation msg -> Poisoned msg
-  | [] when Model.hungry_live_process cfg state <> None -> Deadlock
-  | succs -> Succs succs
+  | succs -> if Model.stuck cfg state succs then Stuck succs else Succs succs
 
 (* A growable array: [items.(0 .. len - 1)] are live. *)
 type 'a buf = { mutable items : 'a array; mutable len : int }
@@ -100,7 +99,9 @@ let rec merge t ~open_ id = function
             t.violation <- Some (msg, "(during delivery)");
             t.vio_id <- id
           end
-      | Deadlock -> t.deadlocks <- t.deadlocks + 1
+      | Stuck succs ->
+          t.deadlocks <- t.deadlocks + 1;
+          merge_succs t ~open_ id succs
       | Succs succs -> merge_succs t ~open_ id succs);
       merge t ~open_ (id + 1) rest
 

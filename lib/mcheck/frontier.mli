@@ -31,7 +31,8 @@ val explore :
     checked. A state at the depth cap only marks the search incomplete
     when it actually has unvisited successors, so a model whose
     diameter equals [max_depth] is still reported complete. A
-    violation raised inside a delivery handler is reported with the
+    {!Model.Model_violation} (a delivery handler's lemma check, or a
+    transition that does not lower {!Model.rank}) is reported with the
     description ["(during delivery)"], and its trace leads to the state
     being expanded. *)
 
@@ -55,5 +56,5 @@ val reach :
     the first state in BFS order that satisfies [pred]. [max_states]
     bounds the states examined, so a target first met beyond the cap is
     [Truncated], not [Found].
-    @raise Model.Model_violation if a delivery handler detects a
-    violated lemma before any target is found. *)
+    @raise Model.Model_violation if expanding a state raises it (see
+    {!explore}) before any target is found. *)

@@ -48,6 +48,10 @@ type layout = {
   esv : int array;
   local : (action * string) array; (* pid * n_local + local kind *)
   per_slot : (action * string) array; (* slot * n_slot + slot kind *)
+  hi_col : int array; (* slot -> 1 if its owner has the higher colour, else 0 *)
+  fp_radix : int; (* rank radices: fp budget + 1, bound of r + 1, ... *)
+  r_radix : int;
+  x_radix : int; (* ... bound of x + 1 *)
   slots_at : int;
   chans_at : int;
   abs_at : int;
@@ -98,6 +102,10 @@ let k_drop = 2
 let k_deliver = 3
 let proc_at i = 4 + (3 * i)
 
+(* Bound of one slot's share of the rank's x: 1 + 2 + 4 + 6 for its
+   flag terms, 5 for each of at most [chan_capacity] queued messages. *)
+let x_per_slot = 13 + (5 * chan_capacity)
+
 let make_layout cfg =
   let g = cfg.graph in
   let n = Cgraph.Graph.n g in
@@ -145,6 +153,10 @@ let make_layout cfg =
     esv = Array.map2 (Cgraph.Graph.dir_index g) ev eu;
     local;
     per_slot;
+    hi_col = Array.init d (fun s -> if cfg.colors.(src.(s)) > cfg.colors.(dst.(s)) then 1 else 0);
+    fp_radix = max 0 cfg.fp_budget + 1;
+    r_radix = (n * ((4 * max 0 cfg.sessions) + 3)) + 1;
+    x_radix = (x_per_slot * d) + 1;
     slots_at;
     chans_at;
     abs_at;
@@ -157,6 +169,8 @@ let initial cfg =
   if max cfg.sessions (max cfg.crash_budget cfg.fp_budget) > max_counter then
     invalid_arg "Mcheck: sessions and budgets must be at most 65535";
   let lay = make_layout cfg in
+  if max 0 cfg.crash_budget + 1 > max_int / lay.fp_radix / lay.r_radix / lay.x_radix then
+    invalid_arg "Mcheck: the rank of this config overflows an int";
   let b = Bytes.make lay.size '\000' in
   (* Only [> 0] is ever asked of a counter, so a negative one is 0. *)
   Bytes.set_uint16_le b 0 (max 0 cfg.crash_budget);
@@ -250,6 +264,87 @@ let handle lay b s code =
       raise (Model_violation (Printf.sprintf "Lemma 1.2: duplicated fork at %d" dst));
     set_flags lay b r (f lor fork)
   end
+
+(* ------------------------------------------------------------------ *)
+(* Rank: every transition strictly lowers (crash budget left, fp       *)
+(* budget left, r, x), lexicographically, so the model is acyclic.     *)
+(*   r = sum over i of 4 * sessions left + stage (Thinking 0, Eating  *)
+(*       1, Hungry inside 2, Hungry outside 3);                        *)
+(*   x = sum over slots s = (i, j) of [j crashed, not suspected]       *)
+(*       + 2 deferred(s) + 4 [i live, Hungry, outside, s neither       *)
+(*       pinged nor acked] + (v + 1) [i live, Hungry, inside, token    *)
+(*       without fork] + 3 #P + #A + v #R + #F on channel s,           *)
+(*       with v = 5 if colour i > colour j, else 2.                    *)
+(* EXPERIMENTS.md lists the part each action lowers. Each term is a   *)
+(* function of a few bits, read from a table built from its           *)
+(* definition, so a rank takes no data-dependent branch.              *)
+(* ------------------------------------------------------------------ *)
+
+(* 1 for a live process hungry outside the doorway, 2 inside, else 0 *)
+let hunger pf = if pf land (phase_mask lor crashed_bit) <> 1 then 0 else 1 + ((pf lsr 2) land 1)
+
+(* proc_terms.[pf land 15] is stage + 4 * hunger *)
+let proc_terms =
+  String.init 16 (fun pf ->
+      let stage = match pf land phase_mask with 0 -> 0 | 2 -> 1 | _ -> 3 - ((pf lsr 2) land 1) in
+      Char.chr (stage + (4 * hunger pf)))
+
+(* slot_terms.[(hunger lsl 9) lor (j crashed lsl 8) lor (hi lsl 7) lor
+   flags] is the slot's flag terms; hi: the owner has the higher colour *)
+let slot_terms =
+  String.init (3 * 512) (fun x ->
+      let h = x lsr 9 and f = x land 127 in
+      Char.chr
+        ((if x land 256 <> 0 && f land susp = 0 then 1 else 0)
+        + (if f land deferred <> 0 then 2 else 0)
+        + (if h = 1 && f land (pinged lor ack) = 0 then 4 else 0)
+        + if h = 2 && f land (token lor fork) = token then if x land 128 <> 0 then 6 else 3 else 0))
+
+(* code_terms.[(hi lsl 6) lor three codes] is 6 plus each code's
+   weight less 3: P 0, A and F -2, R v - 3 *)
+let code_terms =
+  String.init 128 (fun x ->
+      let w c = if c = code_p then 0 else if c = code_r then if x land 64 <> 0 then 2 else -1 else -2 in
+      Char.chr (6 + w (x land 3) + w ((x lsr 2) land 3) + w ((x lsr 4) land 3)))
+
+(* The messages on channel value [ch]. Positions past the length read
+   as code P, whose term is 0. *)
+let[@lint.hot] chan_weight ch hi =
+  let codes = ch lsr 3 and base = hi lsl 6 in
+  (3 * (ch land 7))
+  + Char.code code_terms.[base lor (codes land 63)]
+  + Char.code code_terms.[base lor (codes lsr 6)]
+  - 12
+
+(* [acc] plus the x terms of the slots [s, hi) of an owner of hunger [h] *)
+let[@lint.hot] rec slots_x lay st h s hi acc =
+  if s = hi then acc
+  else
+    let c = lay.hi_col.(s) and crashed = (pflags st lay.dst.(s) lsr 3) land 1 in
+    let terms = slot_terms.[(h lsl 9) lor (crashed lsl 8) lor (c lsl 7) lor flags lay st s] in
+    slots_x lay st h (s + 1) hi (acc + Char.code terms + chan_weight (chan lay st s) c)
+
+(* [acc] plus r * x_radix + x over the processes from [i] *)
+let[@lint.hot] rec procs_rank lay st i acc =
+  if i = lay.n then acc
+  else
+    let pf = pflags st i in
+    let t = Char.code proc_terms.[pf land 15] in
+    let r = (4 * String.get_uint16_le st (proc_at i + 1)) + (t land 3) in
+    let x = slots_x lay st (t lsr 2) lay.off.(i) lay.off.(i + 1) 0 in
+    procs_rank lay st (i + 1) (acc + (r * lay.x_radix) + x)
+
+let rank s =
+  let st = s.bytes and lay = s.lay in
+  let budgets = (String.get_uint16_le st 0 * lay.fp_radix) + String.get_uint16_le st 2 in
+  procs_rank lay st 0 (budgets * lay.r_radix * lay.x_radix)
+
+let rec lowers_rank r = function
+  | [] -> ()
+  | (_act, label, next) :: rest ->
+      if rank next >= r then
+        raise (Model_violation (Printf.sprintf "rank: %s does not lower the rank" label));
+      lowers_rank r rest
 
 (* ------------------------------------------------------------------ *)
 (* Transition enumeration.                                             *)
@@ -384,7 +479,9 @@ let successors_tagged _cfg s =
       end
     done
   done;
-  List.rev !out
+  let succs = List.rev !out in
+  lowers_rank (rank s) succs;
+  succs
 
 let successors cfg s =
   List.map (fun (_act, label, next) -> (label, next)) (successors_tagged cfg s)
@@ -511,14 +608,21 @@ let check _cfg s =
 
 let key s = s.bytes
 
+(* the first live hungry process from [i], or -1 *)
+let rec first_hungry lay st i =
+  if i = lay.n then -1
+  else if pflags st i land (phase_mask lor crashed_bit) = 1 then i
+  else first_hungry lay st (i + 1)
+
 let hungry_live_process _cfg s =
-  let rec go i =
-    if i >= s.lay.n then None
-    else
-      let pf = pflags s.bytes i in
-      if pf land phase_mask = 1 && pf land crashed_bit = 0 then Some i else go (i + 1)
-  in
-  go 0
+  match first_hungry s.lay s.bytes 0 with -1 -> None | i -> Some i
+
+let rec only_crashes = function
+  | [] -> true
+  | (Act_crash _, _, _) :: rest -> only_crashes rest
+  | _ -> false
+
+let stuck _cfg s succs = only_crashes succs && first_hungry s.lay s.bytes 0 >= 0
 
 let phase s i =
   match pflags s.bytes i land phase_mask with 0 -> `Thinking | 1 -> `Hungry | _ -> `Eating

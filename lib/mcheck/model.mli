@@ -21,7 +21,13 @@
     simultaneously eating — perpetual, per the paper's Theorem 1 argument
     specialised to a converged oracle). Structural lemmas (fork/token
     conservation, Lemma 1.1, Lemma 2.2, the 4-messages-per-edge bound) are
-    asserted in {e every} mode. *)
+    asserted in {e every} mode.
+
+    Every transition strictly lowers {!rank}, and {!successors_tagged}
+    checks that it does, so the bounded model is acyclic and every
+    schedule is finite. Then a complete exploration without a {!stuck}
+    state proves Theorem 2 (every correct hungry process eventually
+    eats) for every schedule that does not crash that process. *)
 
 type config = {
   graph : Cgraph.Graph.t;
@@ -44,22 +50,34 @@ type state
     once it is returned. *)
 
 val initial : config -> state
-(** Raises [Invalid_argument] when the colouring is not proper, or when
+(** Raises [Invalid_argument] when the colouring is not proper, when
     [sessions], [crash_budget] or [fp_budget] exceeds 65535 (the width
-    of their fields). *)
+    of their fields), or when the config's {!rank} would overflow an
+    int. *)
 
 exception Model_violation of string
 (** Raised when a delivery handler itself detects a violated lemma (a
-    fork request arriving at a non-holder, a duplicated fork), or when a
-    fixed-width field would overflow: more than 6 messages queued on one
-    directed channel or more than 255 of one kind absorbed from it. A
-    sound run queues at most 4 and absorbs at most 1, so neither
-    overflow is reachable there. *)
+    fork request arriving at a non-holder, a duplicated fork), when a
+    fixed-width field would overflow (more than 6 messages queued on one
+    directed channel or more than 255 of one kind absorbed from it), or
+    when a transition does not lower the {!rank}
+    (["rank: a6(0) does not lower the rank"]). A sound run queues at
+    most 4 and absorbs at most 1, so neither overflow is reachable
+    there, and no sound transition keeps or raises the rank. *)
+
+val rank : state -> int
+(** A ranking function: the lexicographic tuple (crash budget left, fp
+    budget left, r, x) packed into one int, where r sums each process's
+    sessions left and protocol stage, and x weighs each directed slot's
+    pending protocol work (undetected crash, ping pipeline, unsent
+    pings, unrequested forks, queued requests and forks). Allocates
+    nothing. *)
 
 val successors : config -> state -> (string * state) list
 (** All one-step successor states with human-readable transition labels.
-    May raise {!Model_violation}; state-level invariants are found by
-    {!check}. *)
+    May raise {!Model_violation}, also when a successor's {!rank} is not
+    strictly lower than the state's; state-level invariants are found
+    by {!check}. *)
 
 type action =
   | Act_local of { pid : int; tag : string }
@@ -109,8 +127,15 @@ val key : state -> string
     comparable. *)
 
 val hungry_live_process : config -> state -> int option
-(** Some live process currently hungry, if any (deadlock detection in
-    terminal states). *)
+(** Some live process currently hungry, if any. *)
+
+val stuck : config -> state -> (action * string * state) list -> bool
+(** [stuck cfg s (successors_tagged cfg s)]: some live process is hungry
+    and no transition other than a crash is enabled — a deadlock. A
+    crash is never due, so a schedule may end in a state whose only
+    moves are crashes, and one with a live hungry process starves it;
+    both explorers still expand such a state's successors. Allocates
+    nothing. *)
 
 val phase : state -> int -> [ `Thinking | `Hungry | `Eating ]
 val inside : state -> int -> bool

@@ -12,20 +12,22 @@ type outcome =
 
 let run ?check cfg labels =
   let check = match check with Some f -> f | None -> Model.check in
-  let rec go step state = function
-    | [] -> Clean step
-    | label :: rest -> (
-        match Model.successors cfg state with
-        | exception Model.Model_violation msg ->
-            Reproduced { step; message = msg; state = "(during delivery)" }
-        | succs -> (
+  (* The last state is expanded too: an exploration's trace to a
+     Model_violation leads to the state whose expansion raised it. *)
+  let rec go step state labels =
+    match Model.successors cfg state with
+    | exception Model.Model_violation msg ->
+        Reproduced { step; message = msg; state = "(during delivery)" }
+    | succs -> (
+        match labels with
+        | [] -> Clean step
+        | label :: rest -> (
             match List.assoc_opt label succs with
             | None -> Stuck { step; label; available = List.map fst succs }
             | Some next -> (
                 match check cfg next with
                 | Some msg ->
-                    Reproduced
-                      { step = step + 1; message = msg; state = Model.describe next }
+                    Reproduced { step = step + 1; message = msg; state = Model.describe next }
                 | None -> go (step + 1) next rest)))
   in
   let init = Model.initial cfg in

@@ -10,7 +10,10 @@
 type outcome =
   | Reproduced of { step : int; message : string; state : string }
       (** The invariant violation reappeared after [step] transitions.
-          [step = 0] means the initial state itself violates. *)
+          [step = 0] means the initial state itself violates. A
+          {!Model.Model_violation} raised while expanding the state
+          after [step] transitions, the last one included, reappears
+          with [state = "(during delivery)"]. *)
   | Clean of int
       (** The whole schedule ran (that many steps) without violating —
           the counterexample did {e not} reproduce. *)

@@ -53,7 +53,21 @@ let rejects_unrepresentable_counters () =
       ignore (Mcheck.Model.initial (pair_cfg ~sessions:65536 ())));
   Alcotest.check_raises "fp budget" too_big (fun () ->
       ignore (Mcheck.Model.initial (pair_cfg ~fp_budget:65536 ())));
-  ignore (Mcheck.Model.initial (pair_cfg ~sessions:65535 ~crash_budget:65535 ()))
+  ignore (Mcheck.Model.initial (pair_cfg ~sessions:65535 ~crash_budget:65535 ()));
+  (* the rank packs both budgets, r and x into one int *)
+  let ring n =
+    {
+      Mcheck.Model.graph = Cgraph.Graph.of_edges ~n (List.init n (fun i -> (i, (i + 1) mod n)));
+      colors = Array.init n (fun i -> if i = n - 1 then 2 else i mod 2);
+      sessions = 65535;
+      crash_budget = 65535;
+      fp_budget = 65535;
+    }
+  in
+  ignore (Mcheck.Model.initial (ring 3));
+  Alcotest.check_raises "rank overflow"
+    (Invalid_argument "Mcheck: the rank of this config overflows an int") (fun () ->
+      ignore (Mcheck.Model.initial (ring 16)))
 
 (* ------------------------ exhaustive checking ---------------------- *)
 
@@ -145,7 +159,10 @@ let scripted_session () =
   let cfg = pair_cfg () in
   let step state label =
     match List.assoc_opt label (Mcheck.Model.successors cfg state) with
-    | Some next -> next
+    | Some next ->
+        if Mcheck.Model.rank next >= Mcheck.Model.rank state then
+          Alcotest.failf "%s does not lower the rank" label;
+        next
     | None ->
         Alcotest.failf "transition %s not enabled; available: %s" label
           (String.concat ", " (List.map fst (Mcheck.Model.successors cfg state)))
@@ -218,23 +235,25 @@ let truncated_is_not_unreachable () =
   check bool "depth-capped search admits ignorance" true
     (Mcheck.Frontier.reach ~max_depth:2 ~pred cfg = Mcheck.Frontier.Truncated)
 
-(* ------------------------- progress (liveness) --------------------- *)
+(* ------------------------- Theorem 2 ------------------------------- *)
 
-let progress_pair () =
-  let r = Mcheck.Explore.progress ~pid:0 (pair_cfg ~sessions:2 ()) in
-  check bool "complete" true r.progress_complete;
-  check bool "hungry states exist" true (r.hungry_states > 0);
-  check int "no stuck hungry state (Theorem 2, possibility form)" 0 r.stuck_states
+(* Every transition lowers Model.rank (successors_tagged raises when one
+   does not), so the model is acyclic and every schedule finite; a
+   complete search with no stuck state then proves Theorem 2 for every
+   schedule, not only that some continuation eats. *)
+let acyclic_and_deadlock_free cfg =
+  let r = Mcheck.Frontier.explore cfg in
+  check bool "complete" true r.complete;
+  check bool "no violation, rank check included" true (r.violation = None);
+  check int "no stuck hungry process" 0 r.deadlocks
 
-let progress_pair_with_faults () =
-  (* Even with a crash of the peer and oracle lies in the graph, every
-     hungry-live state of 0 retains a path to eating. *)
-  let r = Mcheck.Explore.progress ~pid:0 (pair_cfg ~sessions:1 ~crash_budget:1 ~fp_budget:2 ()) in
-  check bool "complete" true r.progress_complete;
-  check int "no stuck state under crash + lies" 0 r.stuck_states
+let acyclic_pair () = acyclic_and_deadlock_free (pair_cfg ~sessions:2 ())
 
-let progress_triangle () =
-  let cfg =
+let acyclic_pair_with_faults () =
+  acyclic_and_deadlock_free (pair_cfg ~sessions:1 ~crash_budget:1 ~fp_budget:2 ())
+
+let acyclic_triangle () =
+  acyclic_and_deadlock_free
     {
       Mcheck.Model.graph = Cgraph.Graph.of_edges ~n:3 [ (0, 1); (1, 2); (0, 2) ];
       colors = [| 0; 1; 2 |];
@@ -242,13 +261,6 @@ let progress_triangle () =
       crash_budget = 0;
       fp_budget = 0;
     }
-  in
-  List.iter
-    (fun pid ->
-      let r = Mcheck.Explore.progress ~pid cfg in
-      check bool "complete" true r.progress_complete;
-      check int (Printf.sprintf "p%d never stuck" pid) 0 r.stuck_states)
-    [ 0; 1; 2 ]
 
 (* ------------------------- random walks ---------------------------- *)
 
@@ -681,6 +693,23 @@ let reach_beyond_the_cap_is_truncated () =
   check bool "one state fewer: Truncated" true
     (Mcheck.Frontier.reach ~max_states:(cap - 1) ~pred cfg = Mcheck.Frontier.Truncated)
 
+(* A deadlock is a live hungry process with nothing but crashes enabled:
+   the adversary need not crash anyone, so such a schedule may end there. *)
+let stuck_counts_crash_only_states () =
+  let cfg = pair_cfg ~crash_budget:1 () in
+  let after label s = List.assoc label (Mcheck.Model.successors cfg s) in
+  let s = after "hungry(0)" (Mcheck.Model.initial cfg) in
+  let succs = Mcheck.Model.successors_tagged cfg s in
+  let crashes =
+    List.filter (function Mcheck.Model.Act_crash _, _, _ -> true | _ -> false) succs
+  in
+  check int "both crashes enabled" 2 (List.length crashes);
+  check bool "not stuck while it can ping" false (Mcheck.Model.stuck cfg s succs);
+  check bool "stuck when only crashes are left" true (Mcheck.Model.stuck cfg s crashes);
+  check bool "stuck when nothing is left" true (Mcheck.Model.stuck cfg s []);
+  let idle = Mcheck.Model.initial cfg in
+  check bool "no hungry process: not stuck" false (Mcheck.Model.stuck cfg idle [])
+
 let suite =
   [
     Alcotest.test_case "initial transitions" `Quick initial_transitions;
@@ -703,9 +732,9 @@ let suite =
     Alcotest.test_case "reach: impossible predicate" `Quick unreachable_predicate;
     Alcotest.test_case "reach: truncation is not unreachability" `Quick
       truncated_is_not_unreachable;
-    Alcotest.test_case "progress: pair (Theorem 2 possibility form)" `Quick progress_pair;
-    Alcotest.test_case "progress: pair under crash and lies" `Slow progress_pair_with_faults;
-    Alcotest.test_case "progress: triangle, all diners" `Slow progress_triangle;
+    Alcotest.test_case "acyclic: pair, two sessions, no deadlock" `Quick acyclic_pair;
+    Alcotest.test_case "acyclic: pair under crash and lies" `Slow acyclic_pair_with_faults;
+    Alcotest.test_case "acyclic: triangle, no deadlock" `Slow acyclic_triangle;
     Alcotest.test_case "walk: clean on the pair" `Quick random_walk_clean_on_pair;
     Alcotest.test_case "walk: ring-4 with crash and lies" `Slow random_walk_scales_to_ring4;
     Alcotest.test_case "walk: deterministic in the seed" `Quick random_walk_deterministic;
@@ -741,4 +770,6 @@ let suite =
     Alcotest.test_case "frontier: checks each state once" `Quick frontier_checks_each_state_once;
     Alcotest.test_case "reach: a target beyond the state cap is Truncated" `Quick
       reach_beyond_the_cap_is_truncated;
+    Alcotest.test_case "stuck: crash-only states are deadlocks" `Quick
+      stuck_counts_crash_only_states;
   ]
