@@ -11,6 +11,9 @@
 open Bechamel
 open Toolkit
 
+(* A table to stdout, flushed so it stays ordered with Printf output. *)
+let print_table t = Format.printf "%a@?" Stats.Table.pp t
+
 let scenario_bench name scenario =
   Test.make ~name (Staged.stage (fun () -> ignore (Harness.World.run scenario)))
 
@@ -115,7 +118,7 @@ let run_perf () =
       in
       Stats.Table.add_row table [ name; pretty; r2 ])
     (List.sort compare !rows);
-  Stats.Table.print table
+  print_table table
 
 let run_mc () =
   print_endline
@@ -164,7 +167,7 @@ let run_mc () =
       ("triangle", tri, [| 0; 1; 2 |], 1, 0, 0, 300_000);
       ("triangle", tri, [| 0; 1; 2 |], 1, 1, 0, 300_000);
     ];
-  Stats.Table.print table;
+  print_table table;
   print_endline
     "note: 'complete = yes' rows exhaust every reachable interleaving; capped rows\n\
      verify the explored prefix. No violation is the expected result on every row.\n\
@@ -221,7 +224,7 @@ let run_mc () =
       ("path-3", path3, [| 0; 1; 0 |], 1, 1, 0, 300_000);
       ("triangle", tri, [| 0; 1; 2 |], 1, 0, 0, 300_000);
     ];
-  Stats.Table.print reduction_table;
+  print_table reduction_table;
   print_endline
     "note: identical state counts and verdicts are asserted per row; DPOR explores the\n\
      same space through fewer interleavings. Wall-clock is a single measurement.\n"
@@ -258,7 +261,7 @@ let run_fuzz () =
           Stats.Table.cell_int r.total_events;
         ])
     [ sound; hostile ];
-  Stats.Table.print summary;
+  print_table summary;
   let coverage =
     Stats.Table.create ~title:"FZ: per-oracle coverage"
       ~columns:
@@ -284,7 +287,7 @@ let run_fuzz () =
           Stats.Table.cell_int (fail_count hostile p.name);
         ])
     Fuzz.Property.all;
-  Stats.Table.print coverage;
+  print_table coverage;
   print_endline
     "note: the sound profile stays inside the theorems' hypotheses — 0 failures is the\n\
      expected (and asserted-in-CI) result. The hostile profile adds baseline daemons and\n\
@@ -318,7 +321,7 @@ let run_fuzz () =
             Stats.Table.cell_int f.shrink_attempts;
           ])
     hostile.failures;
-  Stats.Table.print shrunk;
+  print_table shrunk;
   print_endline
     "note: every failing case minimizes to a few processes and a short horizon; each\n\
      reproducer replays to the same verdict from its scenario fields alone.\n"
@@ -650,7 +653,7 @@ let run_scale ~(ctx : Harness.Experiments.ctx) ~smoke ~json ~baseline () =
     Report.int report "shard.ring-1m.checksum" big.checksum;
     Report.float report "shard.ring-1m.run_seconds" dt
   end;
-  Stats.Table.print table;
+  print_table table;
   print_endline
     "note: alloc w/proc is the exact per-process allocation of a whole run (engine +\n\
      network + daemon); live B/proc is the resident footprint while the world is\n\

@@ -1,22 +1,18 @@
 (* lint — the determinism & domain-safety static-analysis pass.
 
-   Two layers:
-   - the syntactic pass parses every .ml in the deterministic zone with
-     compiler-libs and applies the syntactic Lint.Rule subset;
-   - with --typed, the interprocedural passes (domain-escape,
-     hot-path-alloc, transitive effect inference) additionally run over
-     .cmt artifacts — `dune build @lint` depends on @check and runs
-     from the build context so the artifacts are in place. With
-     positional FILEs, --typed typechecks them in-process instead
-     (fixture / test mode; files must be self-contained).
+   Every rule runs on typed units (Lint.Pipeline): a zone scan reads the
+   zone's .cmt artifacts — `dune build @lint` depends on @check and runs
+   from the build context so they are in place; from the repository
+   root they are found under _build/default — and positional FILEs are
+   typechecked in-process instead (they must be self-contained).
 
    Hygiene: every [@lint.allow] site and allowlist entry is tracked
    across all passes. Stale allowlist entries (suppressed nothing,
    their rule was checked, their path was scanned) are findings; unused
    [@lint.allow] attributes are warnings.
 
-   Exit codes: 0 clean, 1 findings, 2 on unreadable/unparsable inputs
-   or bad flags. *)
+   Exit codes: 0 clean, 1 findings, 2 on unreadable or ill-typed inputs,
+   an empty scan or bad flags. *)
 
 open Cmdliner
 
@@ -34,10 +30,10 @@ let zone_arg =
     & opt_all string []
     & info [ "zone" ] ~docv:"DIR"
         ~doc:
-          "Restrict the scan to this directory (repeatable, comma-separable). Defaults \
-           to the deterministic zone: lib/sim, lib/core, lib/net, lib/detector, \
-           lib/graph, lib/harness, lib/monitor, lib/stabilize, lib/baselines, \
-           lib/mcheck, lib/exec, lib/stats, lib/fuzz.")
+          "Restrict the scan to this directory's .cmt artifacts (repeatable, \
+           comma-separable). Defaults to the deterministic zone: lib/obs, lib/sim, \
+           lib/core, lib/net, lib/detector, lib/graph, lib/harness, lib/monitor, \
+           lib/stabilize, lib/baselines, lib/mcheck, lib/exec, lib/stats, lib/fuzz.")
 
 let format_arg =
   Arg.(
@@ -54,23 +50,14 @@ let allowlist_arg =
           "Allowlist file ($(i,rule-id path) per line, # comments). Defaults to \
            ./lint.allow when present.")
 
-let typed_arg =
-  Arg.(
-    value & flag
-    & info [ "typed" ]
-        ~doc:
-          "Also run the typed interprocedural passes (domain-escape, hot-path-alloc, \
-           transitive ambient/io/mutation effects) over the zone's .cmt artifacts; run \
-           via $(b,dune build @lint) so the artifacts exist. With positional FILEs the \
-           sources are typechecked in-process instead (they must be self-contained).")
-
 let list_rules_arg =
   Arg.(value & flag & info [ "list-rules" ] ~doc:"Print the rule catalogue and exit.")
 
 let files_arg =
   Arg.(
     value & pos_all string []
-    & info [] ~docv:"FILE" ~doc:"Lint these files instead of scanning the zone.")
+    & info [] ~docv:"FILE"
+        ~doc:"Typecheck and lint these files instead of scanning the zone.")
 
 let split_commas args = List.concat_map (String.split_on_char ',') args
 
@@ -79,66 +66,12 @@ let list_rules () =
     (fun r -> Printf.printf "%-18s %s\n\n" (Lint.Rule.name r) (Lint.Rule.explanation r))
     Lint.Rule.all
 
-let read_file f =
-  let ic = open_in_bin f in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* Load typed units: from .cmt artifacts for a zone scan, by in-process
-   typechecking for explicit files. *)
-let typed_units ~files ~dirs =
-  if files <> [] then
-    let units, errors =
-      List.fold_left
-        (fun (us, errs) f ->
-          match read_file f with
-          | exception Sys_error e -> (us, (f, e) :: errs)
-          | source -> (
-              match Lint.Cmt_load.typecheck_source ~file:f source with
-              | Ok u -> (u :: us, errs)
-              | Error e -> (us, (f, e) :: errs)))
-        ([], []) files
-    in
-    { Lint.Cmt_load.units = List.rev units; errors = List.rev errors }
-  else Lint.Cmt_load.load_dirs dirs
-
-let run_typed ~rules ~allowlist ~registry ~files ~dirs =
-  let has r = List.mem r rules in
-  let wants_escape = has Lint.Rule.Domain_escape in
-  let wants_hot = has Lint.Rule.Hot_path_alloc in
-  let wants_effects =
-    has Lint.Rule.Ambient_effects || has Lint.Rule.Io_in_library
-    || has Lint.Rule.Mutable_global
-  in
-  if not (wants_escape || wants_hot || wants_effects) then ([], [])
-  else
-    let loaded = typed_units ~files ~dirs in
-    if loaded.units = [] then
-      ( [],
-        loaded.errors
-        @ [
-            ( "(typed)",
-              "no .cmt artifacts found — run via `dune build @lint` (which depends on \
-               @check), or pass files to typecheck in-process" );
-          ] )
-    else begin
-      let graph = Lint.Callgraph.build loaded.units in
-      let findings = ref [] in
-      if wants_escape then
-        findings := Lint.Escape.run ~registry ~allowlist graph @ !findings;
-      if wants_hot then findings := Lint.Hotpath.run ~registry ~allowlist graph @ !findings;
-      if wants_effects then
-        findings := Lint.Effects.run ~registry ~allowlist graph @ !findings;
-      let enabled = List.map Lint.Rule.name rules in
-      ( List.filter (fun (f : Lint.Finding.t) -> List.mem f.rule enabled) !findings,
-        loaded.errors )
-    end
-
 (* Sites every rule of which was actually checked this run; a bare
    [@lint.allow] needs the whole suppressible catalogue. *)
 let suppressible_catalogue =
-  List.map Lint.Rule.name (Lint.Rule.syntactic @ Lint.Rule.typed_only)
+  List.filter_map
+    (fun r -> if List.mem r Lint.Rule.meta then None else Some (Lint.Rule.name r))
+    Lint.Rule.all
 
 let stale_allowlist_findings ~rules ~registry ~allowlist ~allowlist_path ~targets =
   if not (List.mem Lint.Rule.Stale_allowlist rules) then []
@@ -187,7 +120,7 @@ let report_unused_allows ~rules ~registry ~format =
     List.length sites
   end
 
-let go rules zone format allowlist typed list_rules_only files =
+let go rules zone format allowlist list_rules_only files =
   if list_rules_only then begin
     list_rules ();
     0
@@ -215,40 +148,40 @@ let go rules zone format allowlist typed list_rules_only files =
           if Sys.file_exists "lint.allow" then ("lint.allow", Lint.Allowlist.load "lint.allow")
           else ("lint.allow", Lint.Allowlist.empty)
     in
-    let dirs = if zone = [] then Lint.Zone.default_dirs else split_commas zone in
-    let targets = if files <> [] then files else Lint.Zone.files ~dirs () in
+    let loaded =
+      if files <> [] then Lint.Cmt_load.load_files files
+      else
+        Lint.Cmt_load.load_dirs (if zone = [] then Lint.Zone.default_dirs else split_commas zone)
+    in
+    let targets = List.map (fun (u : Lint.Cmt_load.unit_info) -> u.source) loaded.units in
     if !bad_rules <> [] then 2
-    else if targets = [] then begin
-      Printf.eprintf "lint: nothing to scan (empty zone?)\n";
+    else if targets = [] && loaded.errors = [] then begin
+      Printf.eprintf
+        "lint: nothing to scan (no .cmt artifacts in the zone; build it first, e.g. `dune \
+         build @check`)\n";
       2
     end
     else begin
       let registry = Lint.Suppress.create () in
-      let report = Lint.Engine.lint_files ~rules ~allowlist ~registry targets in
-      let typed_findings, typed_errors =
-        if typed then run_typed ~rules ~allowlist ~registry ~files ~dirs else ([], [])
-      in
-      let errors = report.errors @ typed_errors in
+      let findings = Lint.Pipeline.run ~rules ~allowlist ~registry loaded.units in
       let findings =
-        report.findings @ typed_findings
-        @ stale_allowlist_findings ~rules ~registry ~allowlist ~allowlist_path ~targets
+        findings @ stale_allowlist_findings ~rules ~registry ~allowlist ~allowlist_path ~targets
         |> List.sort_uniq Lint.Finding.compare
       in
-      List.iter (fun (file, msg) -> Printf.eprintf "lint: %s: %s\n" file msg) errors;
+      List.iter (fun (file, msg) -> Printf.eprintf "lint: %s: %s\n" file msg) loaded.errors;
       let render =
         match format with `Text -> Lint.Finding.to_text | `Github -> Lint.Finding.to_github
       in
       List.iter (fun f -> print_endline (render f)) findings;
       let unused_count = report_unused_allows ~rules ~registry ~format in
-      match (errors, findings) with
+      match (loaded.errors, findings) with
       | _ :: _, _ -> 2
       | [], _ :: _ ->
           Printf.eprintf "lint: %d finding(s) in %d file(s)\n" (List.length findings)
             (List.length targets);
           1
       | [], [] ->
-          Printf.printf "lint: %d file(s) clean%s%s\n" (List.length targets)
-            (if typed then " (syntactic + typed)" else "")
+          Printf.printf "lint: %d file(s) clean%s\n" (List.length targets)
             (if unused_count > 0 then
                Printf.sprintf ", %d unused [@lint.allow] warning(s)" unused_count
              else "");
@@ -260,7 +193,7 @@ let cmd =
     (Cmd.info "lint" ~version:"%%VERSION%%"
        ~doc:"Determinism & domain-safety static analysis for the simulation core.")
     Term.(
-      const go $ rules_arg $ zone_arg $ format_arg $ allowlist_arg $ typed_arg
-      $ list_rules_arg $ files_arg)
+      const go $ rules_arg $ zone_arg $ format_arg $ allowlist_arg $ list_rules_arg
+      $ files_arg)
 
 let () = exit (Cmd.eval' cmd)

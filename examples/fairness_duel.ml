@@ -57,7 +57,7 @@ let () =
       (Harness.Scenario.Song_pike, "song-pike (doorway)");
       (Harness.Scenario.Fork_only, "fork-only (no doorway)");
     ];
-  Stats.Table.print table;
+  Format.printf "%a@?" Stats.Table.pp table;
   print_endline
     "The doorway trades a little throughput for the eventual 2-bounded-waiting\n\
      guarantee: without it, the lowest-colored diners are overtaken without bound\n\

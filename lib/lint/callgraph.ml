@@ -1,8 +1,8 @@
-(* Shared typed-AST substrate for the interprocedural passes: path
-   normalization across dune's module mangling, the per-zone function
-   definition table, free-variable and call extraction, and the
-   mutation / allocation classifiers Escape, Effects and Hotpath agree
-   on.
+(* Shared typed-AST substrate for the lint passes: path normalization
+   across dune's module mangling, the per-zone function definition
+   table, free-variable and call extraction, the mutation / allocation
+   classifiers Escape, Effects and Hotpath agree on, and the effect
+   classifier Sites and Effects share.
 
    Normalization: dune compiles lib/sim/wheel.ml as the unit
    [Sim__Wheel], so the typed path of [Sim.Wheel.insert] seen from
@@ -54,7 +54,6 @@ let suffix_matches ~suffix segs =
   let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l) in
   drop (lg - ls) segs = suffix
 
-let display_path segs = key_of_segments segs
 
 (* ------------------------------------------------------------------ *)
 (* Type classifiers.                                                   *)
@@ -149,6 +148,36 @@ let allocating_fn segs =
   | Some (("Format" as m), ("asprintf" as f)) -> Some (m ^ "." ^ f)
   | Some (_, "@") -> Some "(@)"
   | Some (_, "^") -> Some "(^)"
+  | _ -> None
+
+(* Effect classifier: the identifiers the ambient-effects and
+   io-in-library rules flag at a use site, and the ones Effects seeds
+   its summaries from. The sim-local RNG wrapper (sim/rng.ml) is the one
+   sanctioned home for Random. *)
+
+let strip_stdlib = function "Stdlib" :: tl -> tl | segs -> segs
+
+let stdout_printer = function
+  | "print_string" | "print_endline" | "print_newline" | "print_char" | "print_int"
+  | "print_float" | "print_bytes" | "prerr_string" | "prerr_endline" | "prerr_newline" ->
+      true
+  | _ -> false
+
+let random_exempt file =
+  Filename.basename file = "rng.ml" && Filename.basename (Filename.dirname file) = "sim"
+
+let effect_of ~file p =
+  match strip_stdlib (normalize_path p) with
+  | "Random" :: _ :: _ ->
+      if random_exempt file then None else Some (Rule.Ambient_effects, "Random.*")
+  | "Unix" :: _ -> Some (Rule.Ambient_effects, "Unix.*")
+  | [ "Sys"; "time" ] -> Some (Rule.Ambient_effects, "Sys.time")
+  | [ "exit" ] -> Some (Rule.Ambient_effects, "exit")
+  | [ p ] when stdout_printer p -> Some (Rule.Io_in_library, p)
+  | [ "Printf"; (("printf" | "eprintf") as p) ] -> Some (Rule.Io_in_library, "Printf." ^ p)
+  | [ "Format"; (("printf" | "eprintf" | "print_string" | "print_newline" | "print_flush")
+                as p) ] ->
+      Some (Rule.Io_in_library, "Format." ^ p)
   | _ -> None
 
 (* ------------------------------------------------------------------ *)

@@ -1,8 +1,8 @@
-(** Shared typed-AST substrate for the interprocedural passes:
-    normalization across dune's [Lib__Module] mangling, the zone-wide
-    definition table, free-variable / call extraction, and the mutation
-    and allocation classifiers {!Escape}, {!Effects} and {!Hotpath}
-    agree on. *)
+(** Shared typed-AST substrate for the lint passes: normalization
+    across dune's [Lib__Module] mangling, the zone-wide definition
+    table, free-variable / call extraction, the mutation and allocation
+    classifiers {!Escape}, {!Effects} and {!Hotpath} agree on, and the
+    effect classifier {!Sites} and {!Effects} share. *)
 
 val split_dunder : string -> string list
 (** ["Sim__Wheel"] -> [["Sim"; "Wheel"]]; single underscores survive. *)
@@ -10,7 +10,6 @@ val split_dunder : string -> string list
 val normalize_path : Path.t -> string list
 val segments_of_string : string -> string list
 val key_of_segments : string list -> string
-val display_path : string list -> string
 
 val suffix_matches : suffix:string list -> string list -> bool
 (** Dot-boundary suffix: [["Pool"; "run_batch"]] matches
@@ -36,6 +35,15 @@ val reading_fn : string list -> bool
 val allocating_fn : string list -> string option
 (** Stdlib calls that allocate on every call ([ref], [Array.make],
     [Printf.sprintf], [(@)], ...), with a display name. *)
+
+val strip_stdlib : string list -> string list
+
+val effect_of : file:string -> Path.t -> (Rule.id * string) option
+(** The effect a reference to [p] has, if any, with a display name:
+    [Ambient_effects] for [Random.*], [Unix.*], [Sys.time] and [exit];
+    [Io_in_library] for the stdout/stderr printers. [Random] is allowed
+    in [sim/rng.ml]. Both the use-site rules ({!Sites}) and the
+    transitive summaries ({!Effects}) classify with this. *)
 
 type def = {
   key : string;  (** normalized dotted path, e.g. ["Sim.Wheel.insert"] *)

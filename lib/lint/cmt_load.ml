@@ -1,11 +1,11 @@
-(* Loading typed ASTs for the interprocedural passes.
+(* Loading typed ASTs, the one input of every lint pass.
 
    Two sources:
-   - [.cmt] artifacts under [_build] (the normal driver path: `dune
-     build @lint` depends on `@check`, which produces a .cmt per
-     module, then runs `lint --typed` from the build directory);
-   - in-process typechecking of a source string (the test path:
-     fixtures are typechecked directly against the current switch's
+   - [.cmt] artifacts under [_build] (a zone scan: `dune build @lint`
+     depends on `@check`, which produces a .cmt per module, then runs
+     the linter from the build directory);
+   - in-process typechecking of source files (explicit files and test
+     fixtures, typechecked directly against the current switch's
      stdlib, no dune involved).
 
    A unit is one compilation unit: its module name (e.g. "Sim__Wheel"),
@@ -61,10 +61,17 @@ let objs_dirs root =
              else None)
       |> List.sort String.compare
 
+(* From the repository root a library's artifacts are under
+   _build/default, not next to its sources. *)
+let artifact_dirs dir =
+  match objs_dirs dir with
+  | [] -> objs_dirs (Filename.concat (Filename.concat "_build" "default") dir)
+  | found -> found
+
 let load_dirs dirs =
   let units, errors =
     List.fold_left
-      (fun acc dir -> List.fold_left scan_dir acc (objs_dirs dir))
+      (fun acc dir -> List.fold_left scan_dir acc (artifact_dirs dir))
       ([], []) dirs
   in
   {
@@ -73,7 +80,7 @@ let load_dirs dirs =
   }
 
 (* ------------------------------------------------------------------ *)
-(* In-process typechecking, for fixtures.                              *)
+(* In-process typechecking, for explicit files and fixtures.          *)
 (* ------------------------------------------------------------------ *)
 
 let env = ref None
@@ -111,3 +118,17 @@ let typecheck_source ~file source =
         | _ -> Printexc.to_string exn
       in
       Error msg
+
+let load_files files =
+  let units, errors =
+    List.fold_left
+      (fun (units, errors) file ->
+        match In_channel.with_open_bin file In_channel.input_all with
+        | exception Sys_error e -> (units, (file, e) :: errors)
+        | source -> (
+            match typecheck_source ~file source with
+            | Ok u -> (u :: units, errors)
+            | Error e -> (units, (file, e) :: errors)))
+      ([], []) files
+  in
+  { units = List.rev units; errors = List.rev errors }

@@ -1,26 +1,24 @@
 (* Transitive effect inference.
 
-   The syntactic pass flags direct uses of ambient state (Random.*,
-   Unix.*, Sys.time, exit), library IO and toplevel-mutable writes at
-   the use site. This pass gives each zone function an effect summary —
-   which of those three rule classes its body can reach — and
-   propagates summaries over the call graph to a fixpoint, so a
-   function that reaches a violation only through helpers is reported
-   too, at its own binding, under the same rule ids.
+   Sites reports direct uses of ambient state (Random.*, Unix.*,
+   Sys.time, exit) and library IO at the use site. This pass gives each
+   zone function an effect summary — which of those two classes, and
+   non-local mutation, its body can reach — and propagates summaries
+   over the call graph to a fixpoint, so a function that reaches a
+   violation only through helpers is reported too, at its own binding,
+   under the same rule ids.
 
    Two deliberate asymmetries keep the output useful:
 
    - Suppressed sources do not seed. An effect silenced at its site by
-     [@lint.allow], by the allowlist (the designated report printers),
-     or by the sim/rng.ml exemption is sanctioned; sanctioned effects
-     must not taint every caller.
+     [@lint.allow], by the allowlist, or by the sim/rng.ml exemption is
+     sanctioned; sanctioned effects must not taint every caller.
 
-   - Only transitively-acquired effects are reported. If a function
-     calls Unix.gettimeofday directly, the syntactic pass already
-     points at that exact expression; re-reporting it here would
-     duplicate every finding. A function is flagged only when its own
-     body is clean but some callee chain is not, and the message names
-     the chain. *)
+   - Only transitively-acquired effects are reported. A direct call to
+     Unix.gettimeofday is already reported at that exact expression;
+     re-reporting it here would duplicate every finding. A function is
+     flagged only when its own body is clean but some callee chain is
+     not, and the message names the chain. *)
 
 open Typedtree
 
@@ -30,27 +28,20 @@ let mutable_rule = Rule.name Rule.Mutable_global
 
 let checked_rules = [ ambient_rule; io_rule; mutable_rule ]
 
-let strip_stdlib = function "Stdlib" :: tl -> tl | segs -> segs
-
 (* effect source: which rule, and a display name for the message *)
 type source = { rule : string; what : string }
-
-let classify segs =
-  let segs = strip_stdlib segs in
-  match Engine.ambient_effect segs with
-  | Some what -> Some { rule = ambient_rule; what }
-  | None -> (
-      match Engine.io_effect segs with
-      | Some what -> Some { rule = io_rule; what } | None -> None)
 
 (* ------------------------------------------------------------------ *)
 (* Own effects of a definition.                                        *)
 (* ------------------------------------------------------------------ *)
 
 (* Scope-sensitive scan: [@lint.allow] attributes encountered on the
-   way down suppress matching sources (and are recorded in the
-   registry); allowlisted files and sim/rng.ml do not seed at all. *)
-let own_effects ?registry ~allowlist (graph : Callgraph.t) (d : Callgraph.def) =
+   way down suppress matching sources (and count as used);
+   allowlisted files and sim/rng.ml do not seed at all. *)
+let own_effects ?registry ~allowlist (d : Callgraph.def) =
+  let ctx =
+    Suppress.make_ctx ?registry ~enabled:(fun _ -> true) ~allowlist ~file:d.source ()
+  in
   let out = ref [] in
   let free =
     let tbl = Hashtbl.create 16 in
@@ -59,35 +50,9 @@ let own_effects ?registry ~allowlist (graph : Callgraph.t) (d : Callgraph.def) =
       (Callgraph.free_ident_occurrences d.full);
     tbl
   in
-  (* Scope entries carry their registry site so a suppression that
-     stops a seed also counts as a used [@lint.allow]. *)
-  let entries_of_attrs attrs =
-    List.concat_map
-      (fun (a : Parsetree.attribute) ->
-        match Suppress.rules_of_attr a with
-        | Some rules ->
-            let site =
-              Option.map
-                (fun t -> Suppress.register t ~file:d.source ~loc:a.attr_loc ~rules)
-                registry
-            in
-            List.map (fun r -> (r, site)) rules
-        | None -> [])
-      attrs
-  in
-  let allowed = ref (entries_of_attrs d.attrs) in
-  let suppressed rule =
-    match List.filter (fun (r, _) -> r = rule || r = "*") !allowed with
-    | [] -> false
-    | hits ->
-        List.iter (fun (_, s) -> Option.iter Suppress.mark_used s) hits;
-        true
-  in
   let note rule what =
-    if
-      (not (suppressed rule))
-      && not (Allowlist.allows allowlist ~rule ~file:d.source)
-    then if not (List.exists (fun s -> s.rule = rule) !out) then out := { rule; what } :: !out
+    if (not (Suppress.silenced ctx rule)) && not (List.exists (fun s -> s.rule = rule) !out)
+    then out := { rule; what } :: !out
   in
   (* A mutation whose target lives outside this definition: a module
      path, or a local ident that is free in the whole definition. *)
@@ -97,18 +62,15 @@ let own_effects ?registry ~allowlist (graph : Callgraph.t) (d : Callgraph.def) =
     | Texp_ident (_, _, _) -> true
     | _ -> false
   in
-  let random_ok = Engine.random_exempt d.source in
   let expr it e =
-    let saved = !allowed in
-    allowed := entries_of_attrs e.exp_attributes @ saved;
+    Suppress.with_attrs ctx e.exp_attributes @@ fun () ->
     (match e.exp_desc with
-    | Texp_ident (p, _, _) -> (
-        match classify (Callgraph.normalize_path p) with
-        | Some { rule; what } when not (rule = ambient_rule && random_ok && String.length what >= 6 && String.sub what 0 6 = "Random") ->
-            note rule what
-        | _ -> ())
+    | Texp_ident (p, _, _) ->
+        Option.iter
+          (fun (rule, what) -> note (Rule.name rule) what)
+          (Callgraph.effect_of ~file:d.source p)
     | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) -> (
-        let segs = strip_stdlib (Callgraph.normalize_path p) in
+        let segs = Callgraph.strip_stdlib (Callgraph.normalize_path p) in
         if Callgraph.mutating_fn segs then
           (* the mutated value is the first mutable-typed argument
              (Array.sort's is the second: the comparator comes first) *)
@@ -128,7 +90,7 @@ let own_effects ?registry ~allowlist (graph : Callgraph.t) (d : Callgraph.def) =
           | Some tgt when nonlocal_target tgt ->
               note mutable_rule
                 (Printf.sprintf "%s on non-local mutable state"
-                   (Callgraph.display_path segs))
+                   (Callgraph.key_of_segments segs))
           | _ -> ())
     | Texp_setfield (tgt, _, lbl, _) ->
         if nonlocal_target tgt then
@@ -136,12 +98,10 @@ let own_effects ?registry ~allowlist (graph : Callgraph.t) (d : Callgraph.def) =
             (Printf.sprintf "assignment to mutable field %s of non-local state"
                lbl.Types.lbl_name)
     | _ -> ());
-    Tast_iterator.default_iterator.expr it e;
-    allowed := saved
+    Tast_iterator.default_iterator.expr it e
   in
   let it = { Tast_iterator.default_iterator with expr } in
-  it.expr it d.full;
-  ignore graph;
+  Suppress.with_attrs ctx d.attrs (fun () -> it.expr it d.full);
   List.rev !out
 
 (* ------------------------------------------------------------------ *)
@@ -171,7 +131,7 @@ let run ?registry ?(allowlist = Allowlist.empty) (graph : Callgraph.t) =
   let own : (string, source list) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun (d : Callgraph.def) ->
-      let sources = own_effects ?registry ~allowlist graph d in
+      let sources = own_effects ?registry ~allowlist d in
       Hashtbl.replace own d.uid sources;
       let t = table d.uid in
       List.iter (fun s -> Hashtbl.replace t s.rule { src = s; via = [] }) sources)
@@ -214,17 +174,7 @@ let run ?registry ?(allowlist = Allowlist.empty) (graph : Callgraph.t) =
       callees
   done;
   (* Report transitively-acquired effects at the defining binding. *)
-  let ctxs = Hashtbl.create 8 in
-  let ctx_for file =
-    match Hashtbl.find_opt ctxs file with
-    | Some c -> c
-    | None ->
-        let c =
-          Suppress.make_ctx ?registry ~enabled:(fun _ -> true) ~allowlist ~file ()
-        in
-        Hashtbl.add ctxs file c;
-        c
-  in
+  Suppress.per_file ?registry ~allowlist @@ fun ctx_for ->
   List.iter
     (fun (d : Callgraph.def) ->
       if d.toplevel then
@@ -244,6 +194,4 @@ let run ?registry ?(allowlist = Allowlist.empty) (graph : Callgraph.t) =
                        dependency explicitly"
                       d.name a.src.what
                       (String.concat " -> " a.via))))
-    graph.defs;
-  Hashtbl.fold (fun _ c acc -> Suppress.findings c @ acc) ctxs []
-  |> List.sort_uniq Finding.compare
+    graph.defs

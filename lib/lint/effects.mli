@@ -10,8 +10,8 @@
     Suppressed sources ([[@lint.allow]] at the site, allowlisted files,
     [sim/rng.ml]) do not seed and therefore do not taint callers. Only
     transitively-acquired effects are reported (at the defining
-    binding, naming the callee chain): direct violations are the
-    syntactic pass's job, so nothing is reported twice. *)
+    binding, naming the callee chain): {!Sites} reports direct
+    violations at their site, so nothing is reported twice. *)
 
 val run :
   ?registry:Suppress.t -> ?allowlist:Allowlist.t -> Callgraph.t -> Finding.t list

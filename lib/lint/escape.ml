@@ -116,7 +116,7 @@ let task_args sinks (graph : Callgraph.t) ~unit_name (c : Callgraph.call) =
           (fun (_, a) ->
             match a with
             | Some a when Callgraph.is_arrow a.exp_type ->
-                Some (a, [ Callgraph.display_path segs ])
+                Some (a, [ Callgraph.key_of_segments segs ])
             | _ -> None)
           positional
       else []
@@ -161,7 +161,7 @@ type usage =
   | Escaped of string
 
 let display segs =
-  Callgraph.display_path (match segs with "Stdlib" :: tl -> tl | l -> l)
+  Callgraph.key_of_segments (Callgraph.strip_stdlib segs)
 
 let indexed_access segs =
   match
@@ -326,17 +326,7 @@ let run ?registry ?(allowlist = Allowlist.empty) (graph : Callgraph.t) =
   let sinks : sinks = Hashtbl.create 32 in
   seed_sinks sinks graph;
   fixpoint sinks graph;
-  let ctxs = Hashtbl.create 8 in
-  let ctx_for file =
-    match Hashtbl.find_opt ctxs file with
-    | Some c -> c
-    | None ->
-        let c =
-          Suppress.make_ctx ?registry ~enabled:(fun _ -> true) ~allowlist ~file ()
-        in
-        Hashtbl.add ctxs file c;
-        c
-  in
+  Suppress.per_file ?registry ~allowlist @@ fun ctx_for ->
   List.iter
     (fun (d : Callgraph.def) ->
       if d.toplevel then
@@ -363,6 +353,4 @@ let run ?registry ?(allowlist = Allowlist.empty) (graph : Callgraph.t) =
                 | _ -> () (* partial application etc.: out of scope *))
               (task_args sinks graph ~unit_name:d.unit_name c))
           (Callgraph.calls_in d.body))
-    graph.defs;
-  Hashtbl.fold (fun _ c acc -> Suppress.findings c @ acc) ctxs []
-  |> List.sort_uniq Finding.compare
+    graph.defs

@@ -67,19 +67,7 @@ let scan_def ctx (d : Callgraph.def) =
 
 let run ?registry ?(allowlist = Allowlist.empty) (graph : Callgraph.t) =
   Option.iter (fun t -> Suppress.note_checked t [ rule_name ]) registry;
-  let ctxs = Hashtbl.create 8 in
-  let ctx_for file =
-    match Hashtbl.find_opt ctxs file with
-    | Some c -> c
-    | None ->
-        let c =
-          Suppress.make_ctx ?registry ~enabled:(fun _ -> true) ~allowlist ~file ()
-        in
-        Hashtbl.add ctxs file c;
-        c
-  in
+  Suppress.per_file ?registry ~allowlist @@ fun ctx_for ->
   List.iter
     (fun (d : Callgraph.def) -> if is_hot d.attrs then scan_def (ctx_for d.source) d)
-    graph.defs;
-  Hashtbl.fold (fun _ c acc -> Suppress.findings c @ acc) ctxs []
-  |> List.sort_uniq Finding.compare
+    graph.defs

@@ -10,7 +10,11 @@ type id =
   | Stale_allowlist
   | Unused_allow
 
-let syntactic =
+(* Hygiene meta-rules: emitted by the driver over the suppression
+   ledger, not by any walker. *)
+let meta = [ Stale_allowlist; Unused_allow ]
+
+let all =
   [
     Nondet_iteration;
     Ambient_effects;
@@ -18,20 +22,10 @@ let syntactic =
     Physical_equality;
     Mutable_global;
     Exception_swallow;
+    Domain_escape;
+    Hot_path_alloc;
   ]
-
-(* Rules that need type information (.cmt artifacts); run by the typed
-   passes under `lint --typed`. Ambient_effects / Io_in_library /
-   Mutable_global double as typed rules: the transitive effect pass
-   emits under the same ids when a function reaches a violation through
-   helpers. *)
-let typed_only = [ Domain_escape; Hot_path_alloc ]
-
-(* Hygiene meta-rules: emitted by the driver over the suppression
-   ledger, not by any walker. *)
-let meta = [ Stale_allowlist; Unused_allow ]
-
-let all = syntactic @ typed_only @ meta
+  @ meta
 
 let name = function
   | Nondet_iteration -> "nondet-iteration"
@@ -56,21 +50,21 @@ let explanation = function
   | Ambient_effects ->
       "Random.*, Unix.*, Sys.time and exit read or mutate ambient process state; runs \
        stop being a pure function of (scenario, seed). Thread Sim.Rng and engine time \
-       through explicitly. Under --typed this also fires on functions that reach such a \
-       call through helpers (transitive effect inference over the call graph)."
+       through explicitly. Also fires on functions that reach such a call through \
+       helpers (transitive effect inference over the call graph)."
   | Io_in_library ->
       "printf/print_* from library code writes to the process-global stdout, which \
        interleaves nondeterministically across domains. Take a Format.formatter \
-       parameter and let bin/ or bench/ choose the sink. Under --typed this also fires \
-       transitively on callers of printing helpers."
+       parameter and let bin/ or bench/ choose the sink. Also fires transitively on \
+       callers of printing helpers."
   | Physical_equality ->
       "== / != compare addresses, not values; on boxed data the answer depends on \
        allocation history, which parallel runs do not replay. Use = / <> or compare."
   | Mutable_global ->
       "A toplevel ref/Hashtbl/Buffer/... is shared by every run and every domain; \
        concurrent batches race on it and sequential batches leak state between runs. \
-       Allocate per World/run instead. Under --typed this also fires on functions that \
-       mutate toplevel state through helpers."
+       Allocate per World/run instead. Also fires on functions that mutate toplevel \
+       state through helpers."
   | Exception_swallow ->
       "`with _ ->` also swallows Stack_overflow, Out_of_memory and assertion failures, \
        turning hard bugs into silent divergence. Match the specific exceptions you mean \
@@ -81,16 +75,14 @@ let explanation = function
        Hashtbl/Buffer/Queue/Stack, or a record it mutates — that every domain in the \
        batch then races on. Allowed captures: values only read by the tasks (the \
        submitter blocks for the batch, so nobody writes concurrently) and arrays \
-       accessed only at the task's own index parameter (disjoint shards). Typed pass \
-       (--typed) only."
+       accessed only at the task's own index parameter (disjoint shards)."
   | Hot_path_alloc ->
       "Functions annotated [@lint.hot] are the measured allocation-free hot paths \
        (Net.Link_stats.record_send, Sim.Wheel insert/cascade, the Sim.Engine fire loop, \
        Cgraph.Graph.dir_index_opt). Closures, tuples, records, array/constructor \
        allocations and known allocator calls in their bodies are flagged — the static \
        guard behind the BENCH_scale.json allocation gate. Justify a deliberate \
-       allocation with [@lint.allow \"hot-path-alloc\"] and a comment. Typed pass \
-       (--typed) only."
+       allocation with [@lint.allow \"hot-path-alloc\"] and a comment."
   | Stale_allowlist ->
       "A lint.allow entry suppressed nothing this run: the code it excused is gone. \
        Remove the entry — keeping it lets future violations in that file hide under it."

@@ -14,14 +14,6 @@ type id =
 
 val all : id list
 
-val syntactic : id list
-(** Rules the Parsetree walker ({!Engine}) checks; the historical set. *)
-
-val typed_only : id list
-(** Rules that exist only in the typed (.cmt) passes. The typed effect
-    pass additionally re-emits {!Ambient_effects} / {!Io_in_library} /
-    {!Mutable_global} for transitive violations. *)
-
 val meta : id list
 (** Hygiene rules emitted by the driver over the suppression ledger. *)
 

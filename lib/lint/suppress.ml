@@ -1,4 +1,4 @@
-(* The suppression ledger shared by the syntactic and typed passes.
+(* The suppression ledger shared by every lint pass.
 
    Every [@lint.allow] attribute the walkers encounter is registered
    here as a [site]; when a would-be finding is silenced by one, the
@@ -51,9 +51,8 @@ let rules_of_attr (a : attribute) =
           |> List.filter (fun r -> r <> ""))
     | _ -> Some [ "*" ]
 
-let allows_of_attrs attrs =
-  List.concat_map (fun a -> Option.value (rules_of_attr a) ~default:[]) attrs
-
+(* Idempotent per (file, line, col): every pass registers the attributes
+   it meets, and they share one [used] flag. *)
 let register t ~file ~loc ~rules =
   let pos = loc.Location.loc_start in
   let line = pos.Lexing.pos_lnum and col = pos.Lexing.pos_cnum - pos.Lexing.pos_bol + 1 in
@@ -128,15 +127,24 @@ let with_attrs ctx attrs f =
       ctx.scope <- scope_entries_of_attrs ctx attrs @ ctx.scope;
       Fun.protect ~finally:(fun () -> ctx.scope <- saved) f
 
-let emit ctx ~loc ~rule message =
-  if ctx.enabled rule then begin
-    let suppressors =
-      List.filter (fun e -> e.rule_name = rule || e.rule_name = "*") ctx.scope
-    in
-    if suppressors <> [] then
-      List.iter (fun e -> Option.iter mark_used e.site) suppressors
-    else if not (Allowlist.allows ctx.allowlist ~rule ~file:ctx.ctx_file) then
-      ctx.out <- Finding.make ~file:ctx.ctx_file ~loc ~rule ~message :: ctx.out
-  end
+let silenced ctx rule =
+  match List.filter (fun e -> e.rule_name = rule || e.rule_name = "*") ctx.scope with
+  | [] -> Allowlist.allows ctx.allowlist ~rule ~file:ctx.ctx_file
+  | suppressors ->
+      List.iter (fun e -> Option.iter mark_used e.site) suppressors;
+      true
 
-let findings ctx = List.sort Finding.compare ctx.out
+let emit ctx ~loc ~rule message =
+  if ctx.enabled rule && not (silenced ctx rule) then
+    ctx.out <- Finding.make ~file:ctx.ctx_file ~loc ~rule ~message :: ctx.out
+
+let per_file ?registry ?(enabled = fun _ -> true) ~allowlist f =
+  let ctxs = Hashtbl.create 8 in
+  f (fun file ->
+      match Hashtbl.find_opt ctxs file with
+      | Some c -> c
+      | None ->
+          let c = make_ctx ?registry ~enabled ~allowlist ~file () in
+          Hashtbl.add ctxs file c;
+          c);
+  Hashtbl.fold (fun _ c acc -> c.out @ acc) ctxs [] |> List.sort_uniq Finding.compare

@@ -1,4 +1,4 @@
-(** The suppression ledger shared by the syntactic and typed passes.
+(** The suppression ledger shared by every lint pass.
 
     Registers every [[@lint.allow]] site the walkers encounter and
     records which ones actually silenced a finding, so the driver can
@@ -22,29 +22,16 @@ val create : unit -> t
 val note_checked : t -> string list -> unit
 (** Record that a pass checked these rules this run. {!unused} only
     reports a site when every rule it names was checked — an attribute
-    for a typed rule is not stale just because only the syntactic pass
-    ran. *)
+    for domain-escape is not stale just because [--rules] left that
+    rule out. *)
 
 val checked_rules : t -> string list
 (** Rule names some pass has reported checking this run. *)
-
-val register : t -> file:string -> loc:Location.t -> rules:string list -> site
-(** Idempotent per (file, line, col): both passes may register the same
-    attribute; they share one [used] flag. *)
-
-val mark_used : site -> unit
 
 val unused : t -> catalogue:string list -> site list
 (** Sites that silenced nothing, restricted to those fully checked this
     run ([catalogue] is the expansion of a bare [[@lint.allow]]).
     Sorted by file, line, col. *)
-
-val rules_of_attr : Parsetree.attribute -> string list option
-(** [None] if the attribute is not [lint.allow]; [Some ["*"]] for a bare
-    or malformed payload. *)
-
-val allows_of_attrs : Parsetree.attributes -> string list
-(** Rule names allowed by the [lint.allow] attributes in the list. *)
 
 (** {2 Scoped emission} *)
 
@@ -62,9 +49,19 @@ val with_attrs : ctx -> Parsetree.attributes -> (unit -> unit) -> unit
 (** Push the [lint.allow] entries of [attrs] for the duration of the
     callback (registering their sites), restoring the scope after. *)
 
-val emit : ctx -> loc:Location.t -> rule:string -> string -> unit
-(** Record a finding unless a scope entry or allowlist entry suppresses
-    it; suppressors are marked used. *)
+val silenced : ctx -> string -> bool
+(** Whether a scope entry or allowlist entry suppresses the rule here;
+    the suppressors are marked used. *)
 
-val findings : ctx -> Finding.t list
-(** Accumulated findings, sorted by {!Finding.compare}. *)
+val emit : ctx -> loc:Location.t -> rule:string -> string -> unit
+(** Record a finding of an enabled rule unless it is {!silenced}. *)
+
+val per_file :
+  ?registry:t ->
+  ?enabled:(string -> bool) ->
+  allowlist:Allowlist.t ->
+  ((string -> ctx) -> unit) ->
+  Finding.t list
+(** [per_file ~allowlist f] hands [f] the one ctx of each source file
+    ([enabled] defaults to every rule), then returns the findings of
+    every ctx, sorted by {!Finding.compare} without duplicates. *)

@@ -1,8 +1,8 @@
 (* The deterministic zone: every library that runs inside a simulation,
    batch or model-checking pass, and must therefore be a pure function of
    (scenario, seed). lib/stats is included because its tables/figures are
-   the ordered output the other rules protect; its two stdout printers
-   are allowlisted. lib/lint itself is host-side tooling and stays out.
+   the ordered output the other rules protect. lib/lint itself is
+   host-side tooling and stays out.
 
    Directory granularity means new modules are covered automatically:
    the timing-wheel queue (lib/sim/wheel.ml) and the scale-free
@@ -27,16 +27,3 @@ let default_dirs =
     "lib/stats";
     "lib/fuzz";
   ]
-
-let is_ml f = Filename.check_suffix f ".ml"
-
-let ml_files_in dir =
-  match Sys.readdir dir with
-  | entries ->
-      Array.to_list entries
-      |> List.filter is_ml
-      |> List.sort String.compare
-      |> List.map (Filename.concat dir)
-  | exception Sys_error _ -> []
-
-let files ?(dirs = default_dirs) () = List.concat_map ml_files_in dirs

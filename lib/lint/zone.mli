@@ -1,13 +1,9 @@
-(** The deterministic zone — the directories whose [.ml] files the pass
-    scans by default. *)
+(** The deterministic zone — the library directories whose [.cmt]
+    artifacts the pass scans by default. *)
 
 val default_dirs : string list
-(** [lib/sim], [lib/core], [lib/net], [lib/detector], [lib/graph],
-    [lib/harness], [lib/monitor], [lib/stabilize], [lib/baselines],
-    [lib/mcheck], [lib/exec] and [lib/stats] — everything a simulation
+(** [lib/obs], [lib/sim], [lib/core], [lib/net], [lib/detector],
+    [lib/graph], [lib/harness], [lib/monitor], [lib/stabilize],
+    [lib/baselines], [lib/mcheck], [lib/exec], [lib/stats] and
+    [lib/fuzz] — everything a simulation, batch or model-checking pass
     executes, relative to the repository root. *)
-
-val files : ?dirs:string list -> unit -> string list
-(** The [.ml] files directly under each directory, sorted within each
-    directory. Missing directories contribute nothing ([Sys_error] is
-    absorbed) so the linter can run from partial checkouts. *)

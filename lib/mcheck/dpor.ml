@@ -100,7 +100,7 @@ let explore ?(max_states = 200_000) ?(max_depth = max_int) ?preemption_bound ?ch
             | memo -> (
                 match Model.successors_tagged cfg state with
                 | exception Model.Model_violation msg ->
-                    violation := Some (msg, "(during delivery)");
+                    violation := Some (msg, Model.describe state);
                     vio_trace :=
                       Some (stack_trace !stack @ if label_in = "" then [] else [ label_in ])
                 | succs ->

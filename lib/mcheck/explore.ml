@@ -27,26 +27,25 @@ let random_walk ?(walks = 64) ?(steps = 400) ?check ~seed cfg =
   (match check cfg init with
   | Some msg -> violation := Some (msg, Model.describe init)
   | None -> ());
-  (try
-     while !walks_done < walks && !violation = None do
-       incr walks_done;
-       let state = ref init in
-       let continue = ref true in
-       let remaining = ref steps in
-       while !continue && !remaining > 0 && !violation = None do
-         decr remaining;
-         match Model.successors cfg !state with
-         | [] -> continue := false
-         | succs ->
-             let _, next = List.nth succs (Sim.Rng.int rng (List.length succs)) in
-             incr steps_taken;
-             (match check cfg next with
-             | Some msg -> violation := Some (msg, Model.describe next)
-             | None -> ());
-             state := next
-       done
-     done
-   with Model.Model_violation msg -> violation := Some (msg, "(during delivery)"));
+  while !walks_done < walks && !violation = None do
+    incr walks_done;
+    let state = ref init in
+    let continue = ref true in
+    let remaining = ref steps in
+    while !continue && !remaining > 0 && !violation = None do
+      decr remaining;
+      match Model.successors cfg !state with
+      | exception Model.Model_violation msg -> violation := Some (msg, Model.describe !state)
+      | [] -> continue := false
+      | succs ->
+          let _, next = List.nth succs (Sim.Rng.int rng (List.length succs)) in
+          incr steps_taken;
+          (match check cfg next with
+          | Some msg -> violation := Some (msg, Model.describe next)
+          | None -> ());
+          state := next
+    done
+  done;
   { walks_done = !walks_done; steps_taken = !steps_taken; walk_violation = !violation }
 
 let pp_result ppf r =

@@ -27,7 +27,8 @@ type result = {
           from the initial state to the violating state, replayable with
           {!Replay.run}. For a {!Model.Model_violation} (raised inside a
           delivery handler, or by a transition that does not lower the
-          rank) the trace leads to the state being expanded. *)
+          rank) the trace leads to the state being expanded, and the
+          description is that state's. *)
 }
 
 val pp_result : Format.formatter -> result -> unit

@@ -20,7 +20,7 @@
 
 (* What a worker hands the merge for one state of the level. *)
 type expansion =
-  | Poisoned of string (* successors_tagged raised Model_violation *)
+  | Poisoned of string * string (* successors_tagged raised Model_violation: message, state *)
   | Stuck of (Model.action * string * Model.state) list (* a deadlock; crashes only *)
   | Succs of (Model.action * string * Model.state) list (* [] for a finished run *)
 
@@ -29,7 +29,7 @@ let slice_per_domain = 256
 
 let expand cfg state =
   match Model.successors_tagged cfg state with
-  | exception Model.Model_violation msg -> Poisoned msg
+  | exception Model.Model_violation msg -> Poisoned (msg, Model.describe state)
   | succs -> if Model.stuck cfg state succs then Stuck succs else Succs succs
 
 (* A growable array: [items.(0 .. len - 1)] are live. *)
@@ -94,9 +94,9 @@ let rec merge t ~open_ id = function
   | [] -> id
   | e :: rest ->
       (match e with
-      | Poisoned msg ->
+      | Poisoned (msg, state) ->
           if t.violation = None then begin
-            t.violation <- Some (msg, "(during delivery)");
+            t.violation <- Some (msg, state);
             t.vio_id <- id
           end
       | Stuck succs ->

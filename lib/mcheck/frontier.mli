@@ -33,8 +33,8 @@ val explore :
     diameter equals [max_depth] is still reported complete. A
     {!Model.Model_violation} (a delivery handler's lemma check, or a
     transition that does not lower {!Model.rank}) is reported with the
-    description ["(during delivery)"], and its trace leads to the state
-    being expanded. *)
+    {!Model.describe} of the state whose expansion raised it, and its
+    trace leads to that state. *)
 
 type reach_result =
   | Found of int  (** a state satisfying the predicate exists at this depth *)

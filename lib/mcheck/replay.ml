@@ -17,7 +17,7 @@ let run ?check cfg labels =
   let rec go step state labels =
     match Model.successors cfg state with
     | exception Model.Model_violation msg ->
-        Reproduced { step; message = msg; state = "(during delivery)" }
+        Reproduced { step; message = msg; state = Model.describe state }
     | succs -> (
         match labels with
         | [] -> Clean step

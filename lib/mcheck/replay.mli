@@ -13,7 +13,7 @@ type outcome =
           [step = 0] means the initial state itself violates. A
           {!Model.Model_violation} raised while expanding the state
           after [step] transitions, the last one included, reappears
-          with [state = "(during delivery)"]. *)
+          with [state] the {!Model.describe} of that state. *)
   | Clean of int
       (** The whole schedule ran (that many steps) without violating —
           the counterexample did {e not} reproduce. *)

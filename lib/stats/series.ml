@@ -84,6 +84,3 @@ let pp ?width ?height ppf t =
   Format.pp_print_string ppf (render ?width ?height t);
   Format.pp_print_string ppf "\n"
 
-let print ?width ?height t =
-  print_string (render ?width ?height t);
-  print_newline ()

@@ -20,8 +20,6 @@ val pp : ?width:int -> ?height:int -> Format.formatter -> t -> unit
 (** {!render} plus a trailing blank line, to the given formatter. Library
     code reports through this; only executables pick a concrete sink. *)
 
-val print : ?width:int -> ?height:int -> t -> unit
-
 val to_csv : t -> string
 (** The raw data as CSV with columns [series,x,y]. *)
 

@@ -76,10 +76,6 @@ let pp ppf t =
   Format.pp_print_string ppf (render t);
   Format.pp_print_string ppf "\n"
 
-let print t =
-  print_string (render t);
-  print_newline ()
-
 let cell_int = string_of_int
 
 let cell_float ?(decimals = 1) f = Printf.sprintf "%.*f" decimals f

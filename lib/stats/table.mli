@@ -24,9 +24,6 @@ val pp : Format.formatter -> t -> unit
 (** [render] plus a trailing blank line, to the given formatter. Library
     code reports through this; only executables pick a concrete sink. *)
 
-val print : t -> unit
-(** [render] to stdout followed by a blank line. *)
-
 (* Convenience cell formatters. *)
 val cell_int : int -> string
 val cell_float : ?decimals:int -> float -> string

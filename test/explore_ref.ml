@@ -42,7 +42,7 @@ let bfs ?(max_states = 200_000) ?(max_depth = max_int) ?check cfg =
     let state, id, d = Queue.pop queue in
     match Mcheck.Model.successors cfg state with
     | exception Mcheck.Model.Model_violation msg ->
-        violation := Some (msg, "(during delivery)");
+        violation := Some (msg, Mcheck.Model.describe state);
         vio_id := id
     | [] -> if Mcheck.Model.hungry_live_process cfg state <> None then incr deadlocks
     | succs ->

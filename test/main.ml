@@ -18,4 +18,7 @@ let () =
       ("lint", Test_lint.suite);
       ("fuzz", Test_fuzz.suite);
       ("soak", Test_soak.suite);
+      (* Every test that runs one world's or one search's work on several
+         domains; CI runs this suite under ThreadSanitizer. *)
+      ("parallel", Test_sim.parallel @ Test_harness.parallel @ Test_mcheck.parallel);
     ]

@@ -502,8 +502,8 @@ let suite =
     Alcotest.test_case "workload drives everyone" `Quick workload_drives_everyone;
     Alcotest.test_case "traced sharded network falls back in place" `Quick
       sharded_network_traced_fallback;
-    Alcotest.test_case "shard_ping: parallel = sequential for any shards" `Quick
-      shard_ping_parallel_equality;
+    Alcotest.test_case "batch: domains:1 = domains:4 bit-identical" `Slow
+      batch_parallel_equals_sequential;
     QCheck_alcotest.to_alcotest wait_freedom_property;
     QCheck_alcotest.to_alcotest safety_property;
     QCheck_alcotest.to_alcotest bounded_waiting_property;
@@ -519,8 +519,6 @@ let suite =
     Alcotest.test_case "names are stable" `Quick names_stable;
     Alcotest.test_case "phase breakdown in reports" `Quick phases_in_report;
     Alcotest.test_case "batch: multi-seed aggregation" `Slow batch_aggregates;
-    Alcotest.test_case "batch: domains:1 = domains:4 bit-identical" `Slow
-      batch_parallel_equals_sequential;
     Alcotest.test_case "batch: ?patience knob" `Slow batch_patience_knob;
     Alcotest.test_case "world: staged advance = one-shot run" `Quick world_staged_advance;
     QCheck_alcotest.to_alcotest replay_property;
@@ -531,4 +529,12 @@ let suite =
       memory_flat_in_run_length;
     Alcotest.test_case "world: an untraced run leaves the recorder's sequence at 0" `Quick
       recorder_silent_until_traced;
+  ]
+
+(* One world's handlers on several domains, in the [parallel] suite
+   (test/main.ml). *)
+let parallel =
+  [
+    Alcotest.test_case "shard_ping: parallel = sequential for any shards" `Quick
+      shard_ping_parallel_equality;
   ]

@@ -1,12 +1,11 @@
 (* The determinism & domain-safety lint (lib/lint): each fixture under
    lint_fixtures/ must fire exactly the expected (rule, line) pairs, the
    suppression fixture must be silent, and the real deterministic zone
-   must be clean after the PR-2 satellite fixes.
+   must be clean.
 
-   The typed fixtures (domain-escape, transitive effects,
-   hot-path-alloc) are typechecked in-process against the switch's
-   stdlib — no dune, no cmt files — then run through the same
-   interprocedural passes `dune build @lint` uses. *)
+   Fixtures are typechecked in-process against the switch's stdlib — no
+   dune, no cmt files — then run through Lint.Pipeline, the passes
+   `dune build @lint` runs over the zone's .cmt artifacts. *)
 
 (* The fixtures sit next to this file. Under [dune runtest] the working
    directory is the test's build directory; run from the repository
@@ -17,28 +16,22 @@ let fixture_dir =
 
 let fixture name = Filename.concat fixture_dir name
 
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
+let load file =
+  let loaded = Lint.Cmt_load.load_files [ file ] in
+  Alcotest.(check (list string)) "no read/typecheck errors" [] (List.map fst loaded.errors);
+  loaded.units
 
-let typed_graph file =
-  let path = fixture file in
-  match Lint.Cmt_load.typecheck_source ~file:path (read_file path) with
-  | Error msg -> Alcotest.failf "typecheck %s: %s" file msg
-  | Ok u -> Lint.Callgraph.build [ u ]
+let typed_graph file = Lint.Callgraph.build (load (fixture file))
 
 let typed_findings pass file = pass (typed_graph file)
 
 let typed_hits pass file =
   List.map (fun (f : Lint.Finding.t) -> (f.rule, f.line)) (typed_findings pass file)
 
+let findings ?rules ?allowlist file = Lint.Pipeline.run ?rules ?allowlist (load file)
+
 let hits ?rules ?allowlist file =
-  let report = Lint.Engine.lint_file ?rules ?allowlist file in
-  Alcotest.(check (list string)) "no read/parse errors" [] (List.map fst report.errors);
-  List.map (fun (f : Lint.Finding.t) -> (f.rule, f.line)) report.findings
+  List.map (fun (f : Lint.Finding.t) -> (f.rule, f.line)) (findings ?rules ?allowlist file)
 
 let check_hits name expected actual =
   Alcotest.(check (list (pair string int))) name expected actual
@@ -99,19 +92,34 @@ let test_allowlist () =
     [ ("ambient-effects", 3); ("ambient-effects", 5); ("ambient-effects", 7); ("ambient-effects", 9) ]
     (hits ~allowlist (fixture "bad_ambient_effects.ml"))
 
+let typecheck ~file source =
+  match Lint.Cmt_load.typecheck_source ~file source with
+  | Ok u -> u
+  | Error msg -> Alcotest.failf "typecheck %s: %s" file msg
+
 let test_rng_exemption () =
-  (* Random is sanctioned only inside a sim/rng.ml. *)
-  let source = "let roll () = Random.int 6\n" in
-  let clean = Lint.Engine.lint_source ~file:"lib/sim/rng.ml" source in
-  Alcotest.(check int) "sim/rng.ml may use Random" 0 (List.length clean.findings);
-  let dirty = Lint.Engine.lint_source ~file:"lib/net/rng_like.ml" source in
-  check_hits "elsewhere Random fires"
-    [ ("ambient-effects", 1) ]
-    (List.map (fun (f : Lint.Finding.t) -> (f.rule, f.line)) dirty.findings)
+  (* Random is sanctioned only inside a sim/rng.ml, and a caller of the
+     wrapper inherits nothing from it. *)
+  let source = "let roll () = Random.int 6\nlet die () = roll ()\n" in
+  let clean = Lint.Pipeline.run [ typecheck ~file:"lib/sim/rng.ml" source ] in
+  Alcotest.(check int) "sim/rng.ml may use Random" 0 (List.length clean);
+  let dirty = Lint.Pipeline.run [ typecheck ~file:"lib/net/rng_like.ml" source ] in
+  check_hits "elsewhere Random fires, and taints its caller"
+    [ ("ambient-effects", 1); ("ambient-effects", 2) ]
+    (List.map (fun (f : Lint.Finding.t) -> (f.rule, f.line)) dirty)
 
 let test_parse_error () =
-  let report = Lint.Engine.lint_source ~file:"broken.ml" "let = in" in
-  Alcotest.(check int) "syntax error reported, not raised" 1 (List.length report.errors)
+  (* The driver exits 2 on any of these; loading reports them, never
+     raises. *)
+  let is_error ~file source =
+    Result.is_error (Lint.Cmt_load.typecheck_source ~file source)
+  in
+  Alcotest.(check bool) "syntax error reported" true (is_error ~file:"broken.ml" "let = in");
+  Alcotest.(check bool) "type error reported" true
+    (is_error ~file:"ill_typed.ml" "let x = 1 + true");
+  let missing = Lint.Cmt_load.load_files [ fixture "no_such_file.ml" ] in
+  Alcotest.(check (list string))
+    "unreadable file reported" [ fixture "no_such_file.ml" ] (List.map fst missing.errors)
 
 (* ------------------------------------------------------------------ *)
 (* Typed interprocedural passes.                                       *)
@@ -146,7 +154,23 @@ let test_transitive_effects () =
     ]
     (typed_hits (fun g -> Lint.Effects.run g) "bad_transitive_effect.ml");
   check_hits "sanctioned sources do not taint; local mutation is not an effect" []
-    (typed_hits (fun g -> Lint.Effects.run g) "good_transitive_effect.ml")
+    (typed_hits (fun g -> Lint.Effects.run g) "good_transitive_effect.ml");
+  (* The whole pipeline: each direct use once, at its site; each
+     transitive caller once, at its binding (column 1). *)
+  Alcotest.(check (list (triple string int int)))
+    "direct uses at their site, transitive callers at their binding"
+    [
+      ("ambient-effects", 3, 21);
+      ("ambient-effects", 4, 1);
+      ("ambient-effects", 5, 1);
+      ("io-in-library", 7, 19);
+      ("io-in-library", 8, 1);
+      ("mutable-global", 10, 15);
+      ("mutable-global", 12, 1);
+    ]
+    (List.map
+       (fun (f : Lint.Finding.t) -> (f.rule, f.line, f.col))
+       (findings (fixture "bad_transitive_effect.ml")))
 
 let test_hot_path_alloc () =
   check_hits "every allocation form fires inside [@lint.hot]; not outside"
@@ -166,9 +190,7 @@ let test_hot_path_alloc () =
 (* ------------------------------------------------------------------ *)
 
 let run_hotpath_on ~registry ~file source =
-  match Lint.Cmt_load.typecheck_source ~file source with
-  | Error msg -> Alcotest.failf "typecheck %s: %s" file msg
-  | Ok u -> Lint.Hotpath.run ~registry (Lint.Callgraph.build [ u ])
+  Lint.Hotpath.run ~registry (Lint.Callgraph.build [ typecheck ~file source ])
 
 let test_unused_allow () =
   (* An attribute that suppresses nothing is reported once its rule has
@@ -210,47 +232,31 @@ let test_stale_allowlist_tracking () =
        (fun (e : Lint.Allowlist.entry) -> (e.rule, e.path))
        (Lint.Allowlist.unused allowlist))
 
-(* The real tree: the deterministic zone must be clean under the
-   repository allowlist. dune copies library sources next to the test
-   dir inside _build, so the zone is reachable at ../lib. *)
+(* The real tree: every rule is clean over the deterministic zone's
+   .cmt artifacts, present inside _build because the test links the
+   zone libraries (dune copies them next to the test dir, so the zone
+   is at ../lib). No allowlist: the zone needs none. *)
 let test_zone_clean () =
   let dirs = List.map (Filename.concat "..") Lint.Zone.default_dirs in
-  let files = Lint.Zone.files ~dirs () in
-  if List.length files < 40 then () (* partial checkout: zone not materialised *)
+  let res = Lint.Cmt_load.load_dirs dirs in
+  if res.units = [] then () (* sandboxed run: artifacts not visible *)
   else begin
-    let allowlist =
-      Lint.Allowlist.of_list
-        [ ("io-in-library", "lib/stats/table.ml"); ("io-in-library", "lib/stats/series.ml") ]
-    in
-    let report = Lint.Engine.lint_files ~allowlist files in
-    Alcotest.(check (list string))
-      "no parse errors in the zone" []
-      (List.map fst report.errors);
+    Alcotest.(check (list string)) "no unreadable cmts" [] (List.map fst res.errors);
     Alcotest.(check (list string))
       "deterministic zone lints clean" []
-      (List.map Lint.Finding.to_text report.findings)
+      (List.map Lint.Finding.to_text (Lint.Pipeline.run res.units))
   end
 
-(* Typed counterpart of [test_zone_clean]: load the zone's .cmt
-   artifacts (present inside _build because the test links the zone
-   libraries) and hold the interprocedural passes to the same bar. *)
+(* The interprocedural passes on their own, over the zone's call graph:
+   each must be clean without Lint.Pipeline's rule filter in front. *)
 let test_typed_zone_clean () =
   let dirs = List.map (Filename.concat "..") Lint.Zone.default_dirs in
   let res = Lint.Cmt_load.load_dirs dirs in
   if res.units = [] then () (* sandboxed run: artifacts not visible *)
   else begin
-    Alcotest.(check (list string))
-      "no unreadable cmts" [] (List.map fst res.errors);
+    Alcotest.(check (list string)) "no unreadable cmts" [] (List.map fst res.errors);
     let graph = Lint.Callgraph.build res.units in
-    let allowlist =
-      Lint.Allowlist.of_list
-        [ ("io-in-library", "lib/stats/table.ml"); ("io-in-library", "lib/stats/series.ml") ]
-    in
-    let findings =
-      Lint.Escape.run graph
-      @ Lint.Effects.run ~allowlist graph
-      @ Lint.Hotpath.run graph
-    in
+    let findings = Lint.Escape.run graph @ Lint.Effects.run graph @ Lint.Hotpath.run graph in
     Alcotest.(check (list string))
       "typed passes are clean over the zone" []
       (List.map Lint.Finding.to_text findings)

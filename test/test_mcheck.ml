@@ -746,10 +746,6 @@ let suite =
       dpor_finds_injected_violation;
     Alcotest.test_case "dpor: preemption bounding" `Quick preemption_bound_prunes_and_relaxes;
     Alcotest.test_case "frontier: matches bfs field for field" `Quick frontier_matches_bfs;
-    Alcotest.test_case "frontier: bit-identical across domains" `Slow
-      frontier_bit_identical_across_domains;
-    Alcotest.test_case "frontier: deterministic counterexample" `Quick
-      frontier_violation_deterministic_across_domains;
     Alcotest.test_case "replay: reproduces a bfs counterexample" `Quick
       replay_reproduces_bfs_counterexample;
     Alcotest.test_case "replay: jsonl roundtrip" `Quick replay_jsonl_roundtrip;
@@ -772,4 +768,14 @@ let suite =
       reach_beyond_the_cap_is_truncated;
     Alcotest.test_case "stuck: crash-only states are deadlocks" `Quick
       stuck_counts_crash_only_states;
+  ]
+
+(* The frontier's workers on several domains, in the [parallel] suite
+   (test/main.ml). *)
+let parallel =
+  [
+    Alcotest.test_case "frontier: bit-identical across domains" `Slow
+      frontier_bit_identical_across_domains;
+    Alcotest.test_case "frontier: deterministic counterexample" `Quick
+      frontier_violation_deterministic_across_domains;
   ]

@@ -920,13 +920,8 @@ let suite =
       (engine_saturated_delay_noop ~behind:[ 70_000; 12; 300 ]);
     Alcotest.test_case "engine: saturated delay is a no-op (when idle)" `Quick
       (engine_saturated_delay_noop ~behind:[]);
-    Alcotest.test_case "engine: parallel stepping equals fire_loop" `Quick
-      engine_parallel_matches_fire_loop;
-    Alcotest.test_case "engine: staged run ~until boundary" `Quick engine_staged_until_boundary;
     Alcotest.test_case "engine: staged traces byte-identical" `Quick
       engine_staged_traces_identical;
-    Alcotest.test_case "engine: a parallel step releases its events" `Quick
-      engine_step_releases_events;
     Alcotest.test_case "engine: shard_of at the partition edges" `Quick engine_shard_of;
     Alcotest.test_case "trace: disabled by default" `Quick trace_disabled_by_default;
     Alcotest.test_case "trace: collects records" `Quick trace_collects;
@@ -939,4 +934,14 @@ let suite =
       engine_warm_allocates_nothing;
     Alcotest.test_case "engine: a sharded engine refuses closures" `Quick
       engine_sharded_refuses_closures;
+  ]
+
+(* The engine's parallel step, in the [parallel] suite (test/main.ml). *)
+let parallel =
+  [
+    Alcotest.test_case "engine: parallel stepping equals fire_loop" `Quick
+      engine_parallel_matches_fire_loop;
+    Alcotest.test_case "engine: staged run ~until boundary" `Quick engine_staged_until_boundary;
+    Alcotest.test_case "engine: a parallel step releases its events" `Quick
+      engine_step_releases_events;
   ]
