@@ -500,6 +500,45 @@ let engine_micro () =
   let seconds = Sys.time () -. t0 in
   (Sim.Engine.processed engine, words_since alloc0, seconds)
 
+(* The invariant watcher on a warm state: a clique of 16 with zero
+   think time, the scripted oracle and one crash (the world of the
+   end-to-end contended-clique workload), run past its crash with
+   messages in flight, then [check_invariants] called [invariant_calls]
+   times. A passing check allocates nothing; the counter reads' own
+   words are measured once and subtracted, so that reads exactly 0. *)
+let invariant_calls = 20_000
+
+let invariants_micro () =
+  let s =
+    {
+      Harness.Scenario.default with
+      name = "invariants";
+      topology = Cgraph.Topology.Clique 16;
+      workload = Harness.Scenario.contended_workload;
+      crashes = Harness.Scenario.Random_crashes { count = 1; from_t = 100; to_t = 400 };
+      check_every = None;
+    }
+  in
+  let parts = Harness.Setup.build s in
+  ignore
+    (Harness.Workload.attach ~engine:parts.engine ~faults:parts.faults ~n:16
+       ~rng:(Sim.Rng.split_named parts.rng "workload") ~workload:s.workload parts.instance);
+  Sim.Engine.run parts.engine ~until:2_000;
+  let check = parts.instance.check_invariants in
+  check ();
+  let idle =
+    let w0 = allocated_words () in
+    words_since w0
+  in
+  let t0 = Sys.time () in
+  let alloc0 = allocated_words () in
+  for _ = 1 to invariant_calls do
+    check ()
+  done;
+  let words = words_since alloc0 - idle in
+  let seconds = Sys.time () -. t0 in
+  (words, 1e9 *. seconds /. float_of_int invariant_calls)
+
 let run_scale ~(ctx : Harness.Experiments.ctx) ~smoke ~json ~baseline () =
   print_endline
     (if smoke then
@@ -543,6 +582,10 @@ let run_scale ~(ctx : Harness.Experiments.ctx) ~smoke ~json ~baseline () =
   Report.int report "mcheck.pair2.alloc_words"
     (words_since mc_alloc0);
   Report.float report "mcheck.pair2.run_seconds" mc_s;
+  let inv_words, inv_ns = invariants_micro () in
+  Report.int report "invariants.clique-16.calls" invariant_calls;
+  Report.int report "invariants.clique-16.alloc_words" inv_words;
+  Report.float report "invariants.clique-16.ns_per_call" inv_ns;
   (* The sweep itself. *)
   let columns =
     [

@@ -118,6 +118,7 @@ let advisory key =
   ends_with ~suffix:"_seconds" key
   || ends_with ~suffix:"_per_sec" key
   || starts_with ~prefix:"live_" metric
+  || starts_with ~prefix:"ns_per_" metric
 
 let as_float = function Int i -> Some (float_of_int i) | Float f -> Some f | Str _ -> None
 

@@ -21,8 +21,11 @@ open Types
    which Section 7 bounds by 4, and the absorbed counts, at most one
    per kind in a correct run; both are exact below 256, and
    [check_edge] compares them with Link_stats' unwrapped counts, so a
-   wrap cannot pass unseen. Every byte of the record is written by i
-   alone (a send by its sender, a receipt or absorption by its
+   wrap cannot pass unseen. [check_edge] reads each of [sent],
+   [received] and [absorbed] as one 32-bit word of four 8-bit lanes,
+   lane k for kind k ([lane_sub], [lane_sum]), so each must stay 4
+   contiguous bytes in kind order. Every byte of the record is written
+   by i alone (a send by its sender, a receipt or absorption by its
    receiver, each in its own row), so the table is single-writer under
    sharded stepping. *)
 
@@ -81,7 +84,6 @@ let set_flag t s bit on =
 
 let granted t s = Bytes.get_uint8 t.slots ((s * rec_size) + granted_at)
 let set_granted t s v = Bytes.set_uint8 t.slots ((s * rec_size) + granted_at) v
-let counter t s field kind = Bytes.get_uint8 t.slots ((s * rec_size) + field + kind)
 
 let bump t s field kind =
   let at = (s * rec_size) + field + kind in
@@ -407,65 +409,90 @@ let ack_k = 1
 let request_k = 2
 let fork_k = 3
 
-(* Messages of [kind] sent on slot s and absorbed by its crashed
-   receiver, and those still in transit on it. The counters wrap at
-   256, so both are exact below 256; [check_edge] holds them to
-   Link_stats' unwrapped counts. *)
-let absorbed t s kind = counter t t.rev.(s) absorbed_at kind
+(* Lane arithmetic on 32-bit words of four 8-bit counters. The
+   subtraction is SWAR: each lane's high bit is set in [a] and cleared
+   in [b], so no lane borrows from the next, and the xor restores each
+   lane's true high bit. They live here, not in Types, so that the
+   check inlines them: cross-module calls are not inlined under
+   -opaque. *)
+let lane_sub a b =
+  ((a lor 0x80808080) - (b land 0x7f7f7f7f)) lxor ((a lxor lnot b) land 0x80808080)
 
-let flying t s kind =
-  (counter t s sent_at kind - counter t t.rev.(s) received_at kind - absorbed t s kind) land 0xFF
+let lane_sum w =
+  let pairs = (w land 0x00ff00ff) + ((w lsr 8) land 0x00ff00ff) in
+  (pairs land 0xffff) + (pairs lsr 16)
 
-let bit t s b = if flag t s b then 1 else 0
+(* The four per-kind counters of [field] in slot s's record as one
+   word, lane k for kind k. *)
+let lanes t s field =
+  Int32.to_int (Bytes.get_int32_le t.slots ((s * rec_size) + field)) land 0xFFFF_FFFF
 
-(* Lemma 2.2: [pinged] reflects exactly one pending ping. [sa] is the
-   slot (a, b) and [sb] its reverse. *)
-let check_ping t a b sa sb =
-  let pending =
-    flying t sa ping_k + absorbed t sa ping_k + bit t sb deferred_bit + flying t sb ack_k
-    + absorbed t sb ack_k
-  in
-  if pending <> bit t sa pinged_bit then
-    fail "pair (%d,%d): pinged=%b but %d pending ping/ack artifacts" a b (flag t sa pinged_bit)
-      pending
+let lane w kind = (w lsr (8 * kind)) land 0xFF
 
-let check_edge t i j si =
+(* Every term below is a count of one kind on the edge (i, j), with si
+   = (i, j) and sj = (j, i). [abs_j] holds the messages i sent that
+   crashed j absorbed, [fly_ij] those still in transit from i to j
+   (sent on si minus received and absorbed on sj, lane by lane mod 256:
+   exact below 256), and symmetrically for the other direction. *)
+let[@lint.hot] check_edge t stats i j si =
   let sj = t.rev.(si) in
+  let fi = Bytes.get_uint8 t.slots (si * rec_size) in
+  let fj = Bytes.get_uint8 t.slots (sj * rec_size) in
+  let abs_i = lanes t si absorbed_at and abs_j = lanes t sj absorbed_at in
+  let fly_ij = lane_sub (lane_sub (lanes t si sent_at) (lanes t sj received_at)) abs_j in
+  let fly_ji = lane_sub (lane_sub (lanes t sj sent_at) (lanes t si received_at)) abs_i in
   (* Lemma 1.2 for forks, extended to crash absorption: exactly one
      fork per edge, wherever it is. *)
   let forks =
-    bit t si fork_bit + bit t sj fork_bit + flying t si fork_k + flying t sj fork_k
-    + absorbed t si fork_k + absorbed t sj fork_k
+    Bool.to_int (fi land fork_bit <> 0)
+    + Bool.to_int (fj land fork_bit <> 0)
+    + lane fly_ij fork_k + lane fly_ji fork_k + lane abs_j fork_k + lane abs_i fork_k
   in
   if forks <> 1 then fail "edge (%d,%d): %d forks (expected exactly 1)" i j forks;
   (* Same conservation for the edge token. *)
   let tokens =
-    bit t si token_bit + bit t sj token_bit + flying t si request_k + flying t sj request_k
-    + absorbed t si request_k + absorbed t sj request_k
+    Bool.to_int (fi land token_bit <> 0)
+    + Bool.to_int (fj land token_bit <> 0)
+    + lane fly_ij request_k + lane fly_ji request_k + lane abs_j request_k
+    + lane abs_i request_k
   in
   if tokens <> 1 then fail "edge (%d,%d): %d tokens (expected exactly 1)" i j tokens;
-  check_ping t i j si sj;
-  check_ping t j i sj si;
+  (* Lemma 2.2: [pinged] on (i, j) reflects exactly one pending ping:
+     i's ping in transit or absorbed, deferred by j, or answered by j's
+     ack in transit or absorbed; and symmetrically on (j, i). *)
+  let pending_ij =
+    lane fly_ij ping_k + lane abs_j ping_k
+    + Bool.to_int (fj land deferred_bit <> 0)
+    + lane fly_ji ack_k + lane abs_i ack_k
+  in
+  if pending_ij <> Bool.to_int (fi land pinged_bit <> 0) then
+    fail "pair (%d,%d): pinged=%b but %d pending ping/ack artifacts" i j
+      (fi land pinged_bit <> 0) pending_ij;
+  let pending_ji =
+    lane fly_ji ping_k + lane abs_i ping_k
+    + Bool.to_int (fi land deferred_bit <> 0)
+    + lane fly_ij ack_k + lane abs_j ack_k
+  in
+  if pending_ji <> Bool.to_int (fj land pinged_bit <> 0) then
+    fail "pair (%d,%d): pinged=%b but %d pending ping/ack artifacts" j i
+      (fj land pinged_bit <> 0) pending_ji;
   (* The wrapped counters against the network's exact ones: a count
      that wrapped past 255 cannot pass. *)
-  let stats = Net.Network.stats (net t) in
-  let in_transit = ref 0 and lost = ref 0 in
-  for kind = 0 to message_kind_count - 1 do
-    in_transit := !in_transit + flying t si kind + flying t sj kind;
-    lost := !lost + absorbed t si kind + absorbed t sj kind
-  done;
-  let exact = Net.Link_stats.edge_in_flight stats (Cgraph.Graph.slot_edge_id t.graph si) in
-  if !in_transit <> exact then
+  let edge = Cgraph.Graph.slot_edge_id t.graph si in
+  let in_transit = lane_sum fly_ij + lane_sum fly_ji in
+  let exact = Net.Link_stats.edge_in_flight stats edge in
+  if in_transit <> exact then
     fail "edge (%d,%d): %d messages in transit by the slot counters, %d by the network" i j
-      !in_transit exact;
-  let exact_lost = Net.Link_stats.edge_dropped stats (Cgraph.Graph.slot_edge_id t.graph si) in
-  if !lost <> exact_lost then
-    fail "edge (%d,%d): %d messages absorbed by the slot counters, %d by the network" i j !lost
+      in_transit exact;
+  let lost = lane_sum abs_i + lane_sum abs_j in
+  let exact_lost = Net.Link_stats.edge_dropped stats edge in
+  if lost <> exact_lost then
+    fail "edge (%d,%d): %d messages absorbed by the slot counters, %d by the network" i j lost
       exact_lost;
   (* Section 7: at most 4 dining messages in transit per edge. *)
-  if !in_transit > 4 then fail "edge (%d,%d): %d messages in transit (> 4)" i j !in_transit
+  if in_transit > 4 then fail "edge (%d,%d): %d messages in transit (> 4)" i j in_transit
 
-let check_invariants t =
+let[@lint.hot] check_invariants t =
   for i = 0 to t.n - 1 do
     if phase t i = Eating && not (inside t i) then fail "process %d eats outside the doorway" i;
     for s = t.off.(i) to t.off.(i + 1) - 1 do
@@ -473,10 +500,11 @@ let check_invariants t =
         fail "process %d holds an ack while not hungry-outside" i
     done
   done;
+  let stats = Net.Network.stats (net t) in
   for i = 0 to t.n - 1 do
     for si = t.off.(i) to t.off.(i + 1) - 1 do
       let j = t.nbr.(si) in
-      if j > i then check_edge t i j si
+      if j > i then check_edge t stats i j si
     done
   done
 

@@ -80,6 +80,17 @@ val check_invariants : t -> unit
 (** Raises {!Types.Invariant_violation} on any violated executable lemma;
     see the module description for the list. *)
 
+val lane_sub : int -> int -> int
+(** [lane_sub a b] subtracts [b] from [a] lane by lane, the arithmetic
+    {!check_invariants} runs on the slot counters. Both are 32-bit words
+    ([0 <= w < 2{^32}]) of four 8-bit lanes, lane k (byte k, least
+    significant first) holding a count for message kind k
+    ({!Types.message_kind_index}); lane k of the result is
+    [(a_k - b_k) mod 256], with no borrow between lanes. *)
+
+val lane_sum : int -> int
+(** The sum of the four 8-bit lanes of a 32-bit word (0 to 1020). *)
+
 val network_stats : t -> Net.Link_stats.t
 (** Channel statistics of the dining overlay (excludes any failure
     detector traffic). *)

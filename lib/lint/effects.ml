@@ -63,7 +63,7 @@ let own_effects ?registry ~allowlist (d : Callgraph.def) =
     | _ -> false
   in
   let expr it e =
-    Suppress.with_attrs ctx e.exp_attributes @@ fun () ->
+    Suppress.with_expr ctx e @@ fun () ->
     (match e.exp_desc with
     | Texp_ident (p, _, _) ->
         Option.iter

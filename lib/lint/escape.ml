@@ -308,7 +308,7 @@ let analyze_body ctx (graph : Callgraph.t) ~enclosing_attrs ~report_loc ~chain f
       | Some why ->
           let shown = if tyname = "" then "mutable record" else tyname in
           Suppress.with_attrs ctx enclosing_attrs @@ fun () ->
-          Suppress.with_attrs ctx fn_expr.exp_attributes @@ fun () ->
+          Suppress.with_expr ctx fn_expr @@ fun () ->
           Suppress.emit ctx ~loc:report_loc ~rule:rule_name
             (Printf.sprintf
                "task body reaching %s captures `%s` (%s) and %s; every domain in the \

@@ -26,6 +26,19 @@ let rule_name = Rule.name Rule.Hot_path_alloc
 let is_hot (attrs : attributes) =
   List.exists (fun (a : Parsetree.attribute) -> a.attr_name.txt = "lint.hot") attrs
 
+(* A constructor, tuple or polymorphic variant whose every argument is a
+   constant is static data: the compiler emits it once, and evaluating
+   it allocates nothing. A format string literal is such a tree, and
+   so are its subtrees. *)
+let rec static e =
+  match e.exp_desc with
+  | Texp_constant _ -> true
+  | Texp_construct (_, { Types.cstr_tag = Types.Cstr_extension _; _ }, _) -> false
+  | Texp_construct (_, _, args) -> List.for_all static args
+  | Texp_tuple es -> List.for_all static es
+  | Texp_variant (_, arg) -> Option.fold ~none:true ~some:static arg
+  | _ -> false
+
 let scan_def ctx (d : Callgraph.def) =
   let emit ~loc what =
     Suppress.emit ctx ~loc ~rule:rule_name
@@ -35,8 +48,9 @@ let scan_def ctx (d : Callgraph.def) =
          what d.name)
   in
   let expr it e =
-    Suppress.with_attrs ctx e.exp_attributes @@ fun () ->
+    Suppress.with_expr ctx e @@ fun () ->
     (match e.exp_desc with
+    | _ when static e -> ()
     | Texp_function _ -> emit ~loc:e.exp_loc "closure literal"
     | Texp_tuple _ -> emit ~loc:e.exp_loc "tuple construction"
     | Texp_record _ -> emit ~loc:e.exp_loc "record construction"

@@ -5,7 +5,9 @@
     list cons), polymorphic variants, lazy thunks, and calls to known
     allocating stdlib functions — inside functions annotated
     [[@lint.hot]]: the per-event paths behind the BENCH_scale.json
-    allocation gate.
+    allocation gate. A constructor, tuple or variant whose arguments are
+    all constants (a format string literal, [Some 1]) is static data and
+    is not flagged.
 
     Not seen: float boxing, partial-application closures, allocations
     inside callees (annotate the callee too). Justify a deliberate

@@ -69,11 +69,6 @@ let rec swallowing (p : pattern) =
   | Tpat_or (a, b, _) -> swallowing a || swallowing b
   | _ -> false
 
-(* A type constraint is folded into the node it constrains; its
-   attributes ride in [exp_extra]. *)
-let attributes e =
-  List.fold_left (fun acc (_, _, attrs) -> attrs @ acc) e.exp_attributes e.exp_extra
-
 type state = {
   file : string;
   ctx : Suppress.ctx;
@@ -86,7 +81,7 @@ let emit st loc rule fmt =
 (* Scan a toplevel binding's right-hand side for mutable allocations,
    stopping at function and lazy boundaries (those allocate per call). *)
 let rec scan_global st e =
-  Suppress.with_attrs st.ctx (attributes e) @@ fun () ->
+  Suppress.with_expr st.ctx e @@ fun () ->
   match e.exp_desc with
   | Texp_apply (f, args) ->
       Option.iter
@@ -166,7 +161,7 @@ let check_node st e =
 let iterator st =
   let open Tast_iterator in
   let expr it e =
-    Suppress.with_attrs st.ctx (attributes e) @@ fun () ->
+    Suppress.with_expr st.ctx e @@ fun () ->
     let saved = st.sorted in
     check_node st e;
     (* Recursion, threading the sorted flag through the three shapes of

@@ -127,6 +127,13 @@ let with_attrs ctx attrs f =
       ctx.scope <- scope_entries_of_attrs ctx attrs @ ctx.scope;
       Fun.protect ~finally:(fun () -> ctx.scope <- saved) f
 
+(* A type constraint is folded into the node it constrains; its
+   attributes ride in [exp_extra]. *)
+let with_expr ctx (e : Typedtree.expression) f =
+  with_attrs ctx
+    (List.fold_left (fun acc (_, _, attrs) -> attrs @ acc) e.exp_attributes e.exp_extra)
+    f
+
 let silenced ctx rule =
   match List.filter (fun e -> e.rule_name = rule || e.rule_name = "*") ctx.scope with
   | [] -> Allowlist.allows ctx.allowlist ~rule ~file:ctx.ctx_file

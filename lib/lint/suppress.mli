@@ -49,6 +49,12 @@ val with_attrs : ctx -> Parsetree.attributes -> (unit -> unit) -> unit
 (** Push the [lint.allow] entries of [attrs] for the duration of the
     callback (registering their sites), restoring the scope after. *)
 
+val with_expr : ctx -> Typedtree.expression -> (unit -> unit) -> unit
+(** {!with_attrs} with an expression's attributes, including those of a
+    type constraint folded into it ([((e : t) [@lint.allow ...])]), which
+    the typed tree keeps in [exp_extra]. Every walker enters an
+    expression through this. *)
+
 val silenced : ctx -> string -> bool
 (** Whether a scope entry or allowlist entry suppresses the rule here;
     the suppressors are marked used. *)

@@ -12,3 +12,8 @@ let local_sum xs =
   let acc = ref 0 in
   List.iter (fun x -> acc := !acc + x) xs;
   !acc
+
+(* The allowance may sit on a type constraint, which the typed tree
+   folds into the constrained call: still sanctioned at its source. *)
+let sanctioned_typed_leaf () = ((Unix.time () : float) [@lint.allow "ambient-effects"])
+let sanctioned_typed_top () = sanctioned_typed_leaf ()

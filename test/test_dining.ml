@@ -462,6 +462,13 @@ let colors_are_copied () =
    per call and binary-searched a slot per edge (103 words a call
    here). *)
 let check_invariants_allocates_nothing () =
+  let words_for_10_checks r =
+    Dining.Algorithm.check_invariants r.algo;
+    Alloc.words (fun () ->
+        for _ = 1 to 10 do
+          Dining.Algorithm.check_invariants r.algo
+        done)
+  in
   let n = 8 in
   let r = rig ~n ~edges:(List.init n (fun i -> (i, (i + 1) mod n))) ~delay:(Net.Delay.Uniform (1, 6)) () in
   auto_stop ~duration:4 r;
@@ -470,15 +477,100 @@ let check_invariants_allocates_nothing () =
     ignore (Sim.Engine.schedule r.engine ~at:pid (fun () -> r.inst.become_hungry pid))
   done;
   Sim.Engine.run r.engine ~until:500;
-  Dining.Algorithm.check_invariants r.algo;
-  let words =
-    Alloc.words (fun () ->
-        for _ = 1 to 10 do
-          Dining.Algorithm.check_invariants r.algo
-        done)
-  in
+  let words = words_for_10_checks r in
   check bool "the world made progress" true (Dining.Algorithm.total_eats r.algo > n);
-  check (Alcotest.float 0.) "words for 10 checks" 0. words
+  check (Alcotest.float 0.) "words for 10 checks" 0. words;
+  (* A warm contended clique of 16: every process re-hungry at once,
+     one crashed mid-run, so every lane of the counters has moved and
+     messages are in transit and absorbed. *)
+  let n = 16 in
+  let clique =
+    List.concat (List.init n (fun i -> List.init (n - 1 - i) (fun d -> (i, i + 1 + d))))
+  in
+  let r = rig ~n ~edges:clique ~delay:(Net.Delay.Uniform (1, 6)) () in
+  auto_stop ~duration:20 r;
+  for pid = 0 to n - 1 do
+    auto_rehungry ~gap:1 r pid;
+    r.inst.become_hungry pid
+  done;
+  Net.Faults.schedule_crash r.faults ~pid:5 ~at:300;
+  let stats = Dining.Algorithm.network_stats r.algo in
+  let in_transit () =
+    Net.Link_stats.total_sent stats
+    > Net.Link_stats.total_delivered stats + Net.Link_stats.total_dropped stats
+  in
+  let until = ref 2_000 in
+  Sim.Engine.run r.engine ~until:!until;
+  while (not (in_transit ())) && !until < 3_000 do
+    incr until;
+    Sim.Engine.run r.engine ~until:!until
+  done;
+  let words = words_for_10_checks r in
+  check bool "the clique made progress" true (Dining.Algorithm.total_eats r.algo > n);
+  check bool "messages were absorbed" true (Net.Link_stats.total_dropped stats > 0);
+  check bool "messages are in transit" true (in_transit ());
+  check (Alcotest.float 0.) "words for 10 clique checks" 0. words
+
+(* The check's lane arithmetic against byte-at-a-time arithmetic. *)
+let lane w k = (w lsr (8 * k)) land 0xFF
+
+let bytewise_sub a b =
+  List.fold_left
+    (fun acc k -> acc lor (((lane a k - lane b k) land 0xFF) lsl (8 * k)))
+    0 [ 0; 1; 2; 3 ]
+
+let bytewise_sum w = lane w 0 + lane w 1 + lane w 2 + lane w 3
+
+(* Every pair of byte values in every lane, beside lanes that hold the
+   other operand's value, so borrows next to the lane are exercised. *)
+let lane_arithmetic_exhaustive () =
+  let spread v k = (v lor (v lsl 8) lor (v lsl 16) lor (v lsl 24)) land lnot (0xFF lsl (8 * k)) in
+  for k = 0 to 3 do
+    for x = 0 to 255 do
+      for y = 0 to 255 do
+        let a = spread y k lor (x lsl (8 * k)) and b = spread x k lor (y lsl (8 * k)) in
+        if Dining.Algorithm.lane_sub a b <> bytewise_sub a b then
+          Alcotest.failf "lane_sub 0x%08x 0x%08x = 0x%08x, expected 0x%08x" a b
+            (Dining.Algorithm.lane_sub a b) (bytewise_sub a b);
+        if Dining.Algorithm.lane_sum a <> bytewise_sum a then
+          Alcotest.failf "lane_sum 0x%08x = %d, expected %d" a (Dining.Algorithm.lane_sum a)
+            (bytewise_sum a)
+      done
+    done
+  done
+
+let word32 =
+  QCheck.map (fun (hi, lo) -> (hi lsl 16) lor lo) QCheck.(pair (int_bound 0xFFFF) (int_bound 0xFFFF))
+
+let lane_arithmetic_random =
+  QCheck.Test.make ~name:"lane arithmetic equals byte-at-a-time on random words" ~count:2_000
+    QCheck.(pair word32 word32)
+    (fun (a, b) ->
+      Dining.Algorithm.lane_sub a b = bytewise_sub a b
+      && Dining.Algorithm.lane_sum a = bytewise_sum a
+      && Dining.Algorithm.lane_sum b = bytewise_sum b)
+
+(* Once the world is quiet, one drop the slot counters never saw fails
+   the absorbed-count check. [record_drop] must match a message in
+   flight, so a send goes first: the two leave the edge with nothing in
+   transit and one message absorbed. *)
+let slot_counters_checked_against_drops () =
+  let r = rig ~n:4 ~edges:[ (0, 1); (1, 2); (2, 3); (3, 0) ] ~detector:`Never () in
+  auto_stop ~duration:2 r;
+  for pid = 0 to 3 do
+    r.inst.become_hungry pid
+  done;
+  Sim.Engine.run_all r.engine;
+  check int "every process ate" 4 (Dining.Algorithm.total_eats r.algo);
+  Dining.Algorithm.check_invariants r.algo;
+  let stats = Dining.Algorithm.network_stats r.algo in
+  let slot = Cgraph.Graph.dir_index r.graph 2 3 in
+  Net.Link_stats.record_send stats ~slot ~at:0;
+  Net.Link_stats.record_drop stats ~slot;
+  Alcotest.check_raises "unaccounted drop"
+    (Dining.Types.Invariant_violation
+       "edge (2,3): 0 messages absorbed by the slot counters, 1 by the network") (fun () ->
+      Dining.Algorithm.check_invariants r.algo)
 
 let suite =
   [
@@ -514,4 +606,9 @@ let suite =
     Alcotest.test_case "ack budget: at most 255" `Quick ack_budget_fits_a_byte;
     Alcotest.test_case "slot counters are checked against the network" `Quick
       slot_counters_checked_against_network;
+    Alcotest.test_case "absorbed counts are checked against the network" `Quick
+      slot_counters_checked_against_drops;
+    Alcotest.test_case "lane arithmetic: every byte pair in every lane" `Quick
+      lane_arithmetic_exhaustive;
+    QCheck_alcotest.to_alcotest lane_arithmetic_random;
   ]

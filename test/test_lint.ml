@@ -180,9 +180,10 @@ let test_hot_path_alloc () =
       ("hot-path-alloc", 5);
       ("hot-path-alloc", 6);
       ("hot-path-alloc", 7);
+      ("hot-path-alloc", 8);
     ]
     (typed_hits (fun g -> Lint.Hotpath.run g) "bad_hot_path_alloc.ml");
-  check_hits "toplevel recursion and a justified cons are silent" []
+  check_hits "toplevel recursion, a justified cons and constant trees are silent" []
     (typed_hits (fun g -> Lint.Hotpath.run g) "good_hot_path_alloc.ml")
 
 (* ------------------------------------------------------------------ *)
@@ -232,35 +233,34 @@ let test_stale_allowlist_tracking () =
        (fun (e : Lint.Allowlist.entry) -> (e.rule, e.path))
        (Lint.Allowlist.unused allowlist))
 
-(* The real tree: every rule is clean over the deterministic zone's
-   .cmt artifacts, present inside _build because the test links the
-   zone libraries (dune copies them next to the test dir, so the zone
-   is at ../lib). No allowlist: the zone needs none. *)
+(* The deterministic zone's .cmt artifacts. Under [dune runtest] the
+   working directory is the test's build directory and the zone is at
+   ../lib; from the repository root, [load_dirs] finds it under
+   _build/default, as the CLI does. A run that loads no unit would check
+   nothing, so it fails instead. *)
+let load_zone () =
+  let root = if Sys.file_exists "lint_fixtures" then ".." else Filename.current_dir_name in
+  let res = Lint.Cmt_load.load_dirs (List.map (Filename.concat root) Lint.Zone.default_dirs) in
+  if res.units = [] then
+    Alcotest.fail "no .cmt artifact of the deterministic zone found: run dune build first";
+  Alcotest.(check (list string)) "no unreadable cmts" [] (List.map fst res.errors);
+  res.units
+
+(* The real tree: every rule is clean over the zone. No allowlist: the
+   zone needs none. *)
 let test_zone_clean () =
-  let dirs = List.map (Filename.concat "..") Lint.Zone.default_dirs in
-  let res = Lint.Cmt_load.load_dirs dirs in
-  if res.units = [] then () (* sandboxed run: artifacts not visible *)
-  else begin
-    Alcotest.(check (list string)) "no unreadable cmts" [] (List.map fst res.errors);
-    Alcotest.(check (list string))
-      "deterministic zone lints clean" []
-      (List.map Lint.Finding.to_text (Lint.Pipeline.run res.units))
-  end
+  Alcotest.(check (list string))
+    "deterministic zone lints clean" []
+    (List.map Lint.Finding.to_text (Lint.Pipeline.run (load_zone ())))
 
 (* The interprocedural passes on their own, over the zone's call graph:
    each must be clean without Lint.Pipeline's rule filter in front. *)
 let test_typed_zone_clean () =
-  let dirs = List.map (Filename.concat "..") Lint.Zone.default_dirs in
-  let res = Lint.Cmt_load.load_dirs dirs in
-  if res.units = [] then () (* sandboxed run: artifacts not visible *)
-  else begin
-    Alcotest.(check (list string)) "no unreadable cmts" [] (List.map fst res.errors);
-    let graph = Lint.Callgraph.build res.units in
-    let findings = Lint.Escape.run graph @ Lint.Effects.run graph @ Lint.Hotpath.run graph in
-    Alcotest.(check (list string))
-      "typed passes are clean over the zone" []
-      (List.map Lint.Finding.to_text findings)
-  end
+  let graph = Lint.Callgraph.build (load_zone ()) in
+  let findings = Lint.Escape.run graph @ Lint.Effects.run graph @ Lint.Hotpath.run graph in
+  Alcotest.(check (list string))
+    "typed passes are clean over the zone" []
+    (List.map Lint.Finding.to_text findings)
 
 let suite =
   [
