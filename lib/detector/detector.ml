@@ -4,6 +4,17 @@ type t = {
   subscribe : (int -> unit) -> unit;
 }
 
-(* Listeners are stored newest-first (O(1) subscribe); reverse at fire so
-   callbacks run in registration order. *)
-let notify listeners observer = List.iter (fun f -> f observer) (List.rev !listeners)
+(* Subscribing (rare) appends, so a suspicion flip walks the list as it
+   stands, with a toplevel recursion: no cons or closure per flip. *)
+type listeners = { mutable fs : (int -> unit) list }
+
+let listeners () = { fs = [] }
+let subscribe l f = l.fs <- l.fs @ [ f ]
+
+let rec fire observer = function
+  | [] -> ()
+  | f :: rest ->
+      f observer;
+      fire observer rest
+
+let notify l observer = fire observer l.fs

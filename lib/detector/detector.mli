@@ -25,7 +25,12 @@ type t = {
           polling. *)
 }
 
-val notify : (int -> unit) list ref -> int -> unit
-(** Helper for implementations: invoke all listeners for an observer, in
-    registration order. The list is expected to be maintained newest-first
-    (prepend on subscribe); [notify] reverses before firing. *)
+type listeners
+(** Helper for implementations: their subscribers, in registration order. *)
+
+val listeners : unit -> listeners
+val subscribe : listeners -> (int -> unit) -> unit
+
+val notify : listeners -> int -> unit
+(** Invoke every subscriber for an observer, in registration order,
+    allocating nothing. *)

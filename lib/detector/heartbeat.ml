@@ -14,9 +14,9 @@ type t = {
   hb_last : Sim.Time.t array; (* last heartbeat arrival (creation time if none) *)
   hb_timeout : int array; (* current adaptive timeout *)
   hb_suspected : Bytes.t; (* 0 / 1 *)
-  mutable last_mistake : Sim.Time.t option;
+  mutable last_mistake : Sim.Time.t; (* -1 = none (times are >= 0) *)
   mutable mistakes : int;
-  listeners : (int -> unit) list ref;
+  listeners : Detector.listeners;
   mutable check_kind : int; (* engine kind of check events: owner observer, a = slot *)
 }
 
@@ -38,7 +38,7 @@ let check t observer s =
         let target = Cgraph.Graph.slot_dst t.graph s in
         if not (Net.Faults.is_crashed t.faults target) then begin
           t.mistakes <- t.mistakes + 1;
-          t.last_mistake <- Some now
+          t.last_mistake <- now
         end;
         Obs.Recorder.suspect (Sim.Engine.recorder t.engine) ~time:now ~observer ~target ~on:true;
         Detector.notify t.listeners observer
@@ -65,9 +65,9 @@ let create ~engine ~faults ~graph ~delay ~rng ?(period = 20) ?(initial_timeout =
       hb_last = Array.make dirs now0;
       hb_timeout = Array.make dirs initial_timeout;
       hb_suspected = Bytes.make dirs '\000';
-      last_mistake = None;
+      last_mistake = -1;
       mistakes = 0;
-      listeners = ref [];
+      listeners = Detector.listeners ();
       check_kind = 0;
     }
   in
@@ -119,12 +119,12 @@ let create ~engine ~faults ~graph ~delay ~rng ?(period = 20) ?(initial_timeout =
     {
       Detector.name = "heartbeat-evp";
       suspects = suspected t;
-      subscribe = (fun f -> t.listeners := f :: !(t.listeners));
+      subscribe = Detector.subscribe t.listeners;
     }
   in
   (t, detector)
 
-let last_mistake t = t.last_mistake
+let last_mistake t = if t.last_mistake < 0 then None else Some t.last_mistake
 let mistakes t = t.mistakes
 let timeout t ~observer ~target =
   let s = Cgraph.Graph.dir_index_opt t.graph observer target in

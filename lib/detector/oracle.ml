@@ -10,7 +10,7 @@ type t = {
   false_positives : fp list;
   fp_active : int array; (* slot -> open window count *)
   permanent : Bytes.t; (* slot -> 1 once a completeness suspicion is set; never cleared *)
-  listeners : (int -> unit) list ref;
+  listeners : Detector.listeners;
 }
 
 let suspected t s = Bytes.unsafe_get t.permanent s <> '\000' || t.fp_active.(s) > 0
@@ -31,7 +31,7 @@ let create engine faults graph ?(detection_delay = 50) ?(false_positives = []) (
       false_positives;
       fp_active = Array.make dirs 0;
       permanent = Bytes.make dirs '\000';
-      listeners = ref [];
+      listeners = Detector.listeners ();
     }
   in
   (* A window opening or closing: owner = observer, a = the directed
@@ -78,7 +78,7 @@ let create engine faults graph ?(detection_delay = 50) ?(false_positives = []) (
     {
       Detector.name = "oracle-evp";
       suspects = suspected t;
-      subscribe = (fun f -> t.listeners := f :: !(t.listeners));
+      subscribe = Detector.subscribe t.listeners;
     }
   in
   (t, detector)

@@ -1,6 +1,6 @@
 let create _engine faults graph =
   let nbr = Cgraph.Graph.csr_targets graph in
-  let listeners = ref [] in
+  let listeners = Detector.listeners () in
   Net.Faults.on_crash faults (fun crashed ->
       Array.iter
         (fun neighbor ->
@@ -10,5 +10,5 @@ let create _engine faults graph =
   {
     Detector.name = "perfect";
     suspects = (fun s -> Net.Faults.is_crashed faults nbr.(s));
-    subscribe = (fun f -> listeners := f :: !listeners);
+    subscribe = Detector.subscribe listeners;
   }

@@ -5,7 +5,7 @@ let create engine faults graph rng ?(detection_delay = 50) ?(period = 2_000) ?(d
     ~horizon () =
   if period <= 0 || duration <= 0 || duration >= period then
     invalid_arg "Unreliable.create: need 0 < duration < period";
-  let listeners = ref [] in
+  let listeners = Detector.listeners () in
   let dirs = Cgraph.Graph.dir_count graph in
   let fp_active = Bytes.make dirs '\000' in (* slot -> 1 inside a false-suspicion wave *)
   let permanent = Bytes.make dirs '\000' in (* slot -> 1 once the target's crash is detected *)
@@ -68,5 +68,5 @@ let create engine faults graph rng ?(detection_delay = 50) ?(period = 2_000) ?(d
   {
     Detector.name = "unreliable-forever";
     suspects = (fun s -> on permanent s || on fp_active s);
-    subscribe = (fun f -> listeners := f :: !listeners);
+    subscribe = Detector.subscribe listeners;
   }

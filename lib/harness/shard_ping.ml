@@ -66,7 +66,6 @@ let run ?pool ?(shards = 1) ?(period = 7) ?(seed = 0xACE5L) ~topology ~horizon (
   done;
   Sim.Engine.run engine ~until:horizon;
   let stats = Net.Network.stats network in
-  Net.Link_stats.sync_metrics stats;
   let checksum = ref 0 in
   for i = 0 to n - 1 do
     checksum := mix !checksum csum.(i)

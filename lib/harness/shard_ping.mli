@@ -31,5 +31,7 @@ val run :
     the engine fires [shards] shards in parallel on it (one shard, the
     default, runs sequentially); without one, [shards] is ignored and
     the engine runs its sequential loop. [pool] and [shards] never
-    change the result: staged schedules merge in canonical rank order.
+    change the result: the engine merges staged posts and the network's
+    deferred edge updates ({!Sim.Engine.defer}) in canonical rank
+    order.
     Default [period = 7]. *)

@@ -17,23 +17,19 @@
    the arrays at query time: reads are report-rate, sends are not. The
    per-edge cells genuinely take writes from both endpoints (a send from
    one end, a delivery or drop at the other), in event order; while a
-   sharded engine fires in parallel, updates to edges that cross a shard
-   boundary are buffered per shard and applied at the engine's step
-   merge, in the order the sequential loop would apply them. *)
+   sharded engine fires in parallel, their updates go through
+   [Sim.Engine.defer] and apply at the engine's merge, in the order the
+   sequential loop would apply them. *)
 
 (* An edge's cell packs its in-flight count (low bits) under its
    watermark; 2^31 messages in transit on one edge is out of reach. *)
 let in_flight_bits = 31
 let in_flight_mask = (1 lsl in_flight_bits) - 1
 
-(* Edge update codes: a staged op's key is [edge lsl 2 lor code]. *)
+(* Edge update codes: a deferred update's payload is (edge, code). *)
 let op_send = 0
 let op_deliver = 1
 let op_drop = 2
-
-(* One shard's staged ops: (rank, key) pairs, flat, in fire order —
-   which is ascending rank within a shard. [pos] is the merge cursor. *)
-type stage = { mutable buf : int array; mutable len : int; mutable pos : int }
 
 type t = {
   graph : Cgraph.Graph.t;
@@ -42,61 +38,28 @@ type t = {
   (* Per directed slot, written by the source only. *)
   d_sent : int array;
   d_last_send : Sim.Time.t array; (* -1 = never (times are >= 0) *)
-  (* Per undirected edge id: written by both endpoints, staged when they
-     are on different shards. *)
+  (* Per undirected edge id: written by both endpoints, deferred inside
+     a parallel step. *)
   e_cell : int array; (* watermark lsl in_flight_bits lor in-flight *)
   e_dropped : int array;
   (* Registered in the world's metrics registry (or a private one when
-     the caller passes none): a counter bump per send/delivery/drop.
-     In sharded mode the live bumps are off (worker domains must not
-     race on the cells); {!sync_metrics} levels them from the derived
-     totals instead. *)
+     the caller passes none): a counter bump per send/delivery/drop,
+     made where the edge cell moves. *)
   m_sent : Obs.Metrics.counter;
   m_delivered : Obs.Metrics.counter;
   m_dropped : Obs.Metrics.counter;
-  (* Sharded mode (0 = off): probes into the engine's fire context. *)
-  mutable shards : int;
-  mutable shard_of : int -> int;
-  mutable fire_rank : unit -> int;
-  mutable fire_shard : unit -> int;
-  mutable staging : stage array; (* per shard *)
+  engine : Sim.Engine.t;
+  in_step : bool ref; (* the engine's live parallel-step flag *)
+  mutable edge_kind : int; (* engine kind of deferred edge updates; 0 = none *)
 }
 
-let create ~graph ?metrics () =
-  let metrics = match metrics with Some m -> m | None -> Obs.Metrics.create () in
-  let dirs = Cgraph.Graph.dir_count graph in
-  let m = Cgraph.Graph.edge_count graph in
-  {
-    graph;
-    off = Cgraph.Graph.csr_offsets graph;
-    rev = Cgraph.Graph.rev_slots graph;
-    d_sent = Array.make dirs 0;
-    d_last_send = Array.make dirs (-1);
-    e_cell = Array.make m 0;
-    e_dropped = Array.make m 0;
-    m_sent = Obs.Metrics.counter metrics "net.sent";
-    m_delivered = Obs.Metrics.counter metrics "net.delivered";
-    m_dropped = Obs.Metrics.counter metrics "net.dropped";
-    shards = 0;
-    shard_of = (fun _ -> 0);
-    fire_rank = (fun () -> -1);
-    fire_shard = (fun () -> -1);
-    staging = [||];
-  }
-
-let set_sharding t ~shards ~shard_of ~fire_rank ~fire_shard =
-  if shards < 1 then invalid_arg "Link_stats.set_sharding: shards must be >= 1";
-  t.shards <- shards;
-  t.shard_of <- shard_of;
-  t.fire_rank <- fire_rank;
-  t.fire_shard <- fire_shard;
-  t.staging <- Array.init shards (fun _ -> { buf = [||]; len = 0; pos = 0 })
-
-(* The one place edge cells move; in a parallel step cross-shard ops
-   arrive here via {!flush_staged}, in canonical rank order. *)
+(* The one place edge cells and the [net.*] counters move; inside a
+   parallel step updates arrive here from the engine's merge, in
+   canonical rank order. *)
 let[@lint.hot] apply_edge t e code =
   let c = t.e_cell.(e) in
   if code = op_send then begin
+    Obs.Metrics.incr t.m_sent;
     let c = c + 1 in
     let f = c land in_flight_mask in
     t.e_cell.(e) <- (if f > c lsr in_flight_bits then (f lsl in_flight_bits) lor f else c)
@@ -105,79 +68,57 @@ let[@lint.hot] apply_edge t e code =
     if c land in_flight_mask = 0 then
       invalid_arg "Link_stats: a delivery or drop on an edge with nothing in flight";
     t.e_cell.(e) <- c - 1;
-    if code = op_drop then t.e_dropped.(e) <- t.e_dropped.(e) + 1
+    if code = op_drop then begin
+      Obs.Metrics.incr t.m_dropped;
+      t.e_dropped.(e) <- t.e_dropped.(e) + 1
+    end
+    else Obs.Metrics.incr t.m_delivered
   end
 
-let grow st =
-  let nb = Array.make (max 16 (2 * Array.length st.buf)) 0 in
-  Array.blit st.buf 0 nb 0 st.len;
-  st.buf <- nb
+(* The kind is registered only on an engine already sharded: an
+   unsharded world's engine never steps in parallel, and carries no
+   extra handler. *)
+let create ~engine ~graph ?metrics () =
+  let metrics = match metrics with Some m -> m | None -> Obs.Metrics.create () in
+  let dirs = Cgraph.Graph.dir_count graph in
+  let m = Cgraph.Graph.edge_count graph in
+  let t =
+    {
+      graph;
+      off = Cgraph.Graph.csr_offsets graph;
+      rev = Cgraph.Graph.rev_slots graph;
+      d_sent = Array.make dirs 0;
+      d_last_send = Array.make dirs (-1);
+      e_cell = Array.make m 0;
+      e_dropped = Array.make m 0;
+      m_sent = Obs.Metrics.counter metrics "net.sent";
+      m_delivered = Obs.Metrics.counter metrics "net.delivered";
+      m_dropped = Obs.Metrics.counter metrics "net.dropped";
+      engine;
+      in_step = Sim.Engine.in_step_flag engine;
+      edge_kind = 0;
+    }
+  in
+  if Sim.Engine.shards engine > 1 then
+    t.edge_kind <- Sim.Engine.register engine (fun _ e code -> apply_edge t e code);
+  t
 
-let[@lint.hot] stage_op t sh key =
-  let st = t.staging.(sh) in
-  if st.len + 2 > Array.length st.buf then grow st;
-  st.buf.(st.len) <- t.fire_rank ();
-  st.buf.(st.len + 1) <- key;
-  st.len <- st.len + 2
-
-(* Staging is needed only while shards fire in parallel: on the engine's
-   sequential loop ([fire_shard] = -1, e.g. a traced run) no step hook
-   would ever flush the ops, and updates already arrive in order. The
-   slot's endpoints are looked up only then. *)
+(* Both endpoints write an edge's cell, so inside a parallel step,
+   where they may fire on different domains, the update is deferred to
+   the engine's merge; on the sequential loop it already arrives in
+   order. *)
 let[@lint.hot] edge_update t s code =
   let e = Cgraph.Graph.slot_edge_id t.graph s in
-  if t.shards = 0 then apply_edge t e code
-  else begin
-    let sh = t.fire_shard () in
-    if
-      sh < 0
-      || t.shard_of (Cgraph.Graph.slot_src t.graph s) = t.shard_of (Cgraph.Graph.slot_dst t.graph s)
-    then apply_edge t e code
-    else stage_op t sh ((e lsl 2) lor code)
-  end
-
-(* A k-way merge over the shards' buffers: ranks of different shards
-   never tie (a rank names one fired event, fired on one shard), so
-   always taking the lowest head rank is the canonical order. *)
-let flush_staged t =
-  let shards = Array.length t.staging in
-  let more = ref true in
-  while !more do
-    let best = ref (-1) and best_rank = ref max_int in
-    for sh = 0 to shards - 1 do
-      let st = t.staging.(sh) in
-      if st.pos < st.len && st.buf.(st.pos) < !best_rank then begin
-        best := sh;
-        best_rank := st.buf.(st.pos)
-      end
-    done;
-    if !best < 0 then more := false
-    else begin
-      let st = t.staging.(!best) in
-      let key = st.buf.(st.pos + 1) in
-      st.pos <- st.pos + 2;
-      apply_edge t (key lsr 2) (key land 3)
-    end
-  done;
-  for sh = 0 to shards - 1 do
-    let st = t.staging.(sh) in
-    st.len <- 0;
-    st.pos <- 0
-  done
+  if !(t.in_step) then Sim.Engine.defer t.engine ~kind:t.edge_kind e code
+  else apply_edge t e code
 
 let[@lint.hot] record_send t ~slot:s ~at =
-  if t.shards = 0 then Obs.Metrics.incr t.m_sent;
   t.d_sent.(s) <- t.d_sent.(s) + 1;
   t.d_last_send.(s) <- at;
   edge_update t s op_send
 
-let[@lint.hot] record_delivery t ~slot:s =
-  if t.shards = 0 then Obs.Metrics.incr t.m_delivered;
-  edge_update t s op_deliver
-
-let record_drop t ~slot:s =
-  if t.shards = 0 then Obs.Metrics.incr t.m_dropped;
-  edge_update t s op_drop
+let[@lint.hot] record_delivery t ~slot:s = edge_update t s op_deliver
+let record_drop t ~slot:s = edge_update t s op_drop
 
 let edge_in_flight t e = t.e_cell.(e) land in_flight_mask
 let edge_dropped t e = t.e_dropped.(e)
@@ -227,12 +168,3 @@ let total_dropped t = Array.fold_left ( + ) 0 t.e_dropped
 let total_delivered t =
   let in_flight = Array.fold_left (fun acc c -> acc + (c land in_flight_mask)) 0 t.e_cell in
   total_sent t - total_dropped t - in_flight
-
-let sync_metrics t =
-  let level c v =
-    let cur = Obs.Metrics.counter_value c in
-    if v > cur then Obs.Metrics.incr ~by:(v - cur) c
-  in
-  level t.m_sent (total_sent t);
-  level t.m_delivered (total_delivered t);
-  level t.m_dropped (total_dropped t)

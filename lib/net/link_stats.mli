@@ -19,19 +19,22 @@
     ({!Sim.Engine.set_sharding}): the per-slot arrays are written only by
     the slot's source, at send time, and aggregates are derived from them
     at query time. The per-edge cells genuinely take writes from both
-    endpoints (a send at one, a delivery or drop at the other); after
-    {!set_sharding}, cross-shard updates to them made while the engine
-    fires shards in parallel stage per shard and apply at the engine's
-    step merge in canonical rank order — the order the sequential loop
-    applies them in place — so every count is independent of the shard
-    split. *)
+    endpoints (a send at one, a delivery or drop at the other), so while
+    the engine fires shards in parallel their updates go through
+    {!Sim.Engine.defer} and apply at the engine's merge in canonical
+    rank order — the order the sequential loop applies them in place —
+    so every count, the [net.*] counters included, is independent of
+    the shard split. *)
 
 type t
 
-val create : graph:Cgraph.Graph.t -> ?metrics:Obs.Metrics.t -> unit -> t
-(** [metrics] — registry to register the [net.sent] / [net.delivered] /
-    [net.dropped] counters into (default: a private registry). Several
-    overlays sharing one registry aggregate into the same counters. *)
+val create : engine:Sim.Engine.t -> graph:Cgraph.Graph.t -> ?metrics:Obs.Metrics.t -> unit -> t
+(** [engine] is the engine whose events record here; shard it
+    ({!Sim.Engine.set_sharding}) before [create], or an update made in
+    a parallel step raises [Invalid_argument]. [metrics] — registry to
+    register the [net.sent] / [net.delivered] / [net.dropped] counters
+    into (default: a private registry). Several overlays sharing one
+    registry aggregate into the same counters. *)
 
 (** {2 Recording}
 
@@ -52,8 +55,8 @@ val record_drop : t -> slot:int -> unit
 val edge_in_flight : t -> int -> int
 (** Messages in transit on an undirected edge id
     ({!Cgraph.Graph.slot_edge_id}), both directions together: sends
-    minus deliveries and drops, exact. In a sharded parallel step a
-    cross-shard update counts from the step merge on. *)
+    minus deliveries and drops, exact. Inside a parallel step an update
+    counts from the engine's merge on. *)
 
 val edge_dropped : t -> int -> int
 (** Messages sent on an undirected edge id, in either direction, that
@@ -79,41 +82,7 @@ val total_sends_to : t -> dst:int -> int
 
 val total_delivered : t -> int
 (** [total_sent - total_dropped] minus the messages in flight: exact
-    between steps; inside a sharded parallel step it lags the sends
-    whose edge updates are still staged. *)
+    between steps; inside a parallel step it lags the sends whose edge
+    updates are still deferred. *)
 
 val total_dropped : t -> int
-
-(** {2 Sharded mode}
-
-    Wired up by [Net.Network.create ~shard_safe:true]; tests may drive
-    it directly. *)
-
-val set_sharding :
-  t ->
-  shards:int ->
-  shard_of:(int -> int) ->
-  fire_rank:(unit -> int) ->
-  fire_shard:(unit -> int) ->
-  unit
-(** Switch cross-shard edge-cell updates to per-shard staging
-    whenever [fire_shard ()] is non-negative, i.e. while the engine fires
-    shards in parallel; on the engine's sequential loop updates still
-    apply in place. [shard_of] maps a pid to its shard; [fire_rank] /
-    [fire_shard] probe the engine's current fire context (see
-    {!Sim.Engine.fire_rank}). A staged update is a (rank, key) pair of
-    ints in its shard's flat buffer, so staging allocates nothing once
-    the buffer has grown to a step's traffic.
-    Live metrics bumps are disabled — call {!sync_metrics} at report
-    time. *)
-
-val flush_staged : t -> unit
-(** Apply the staged cross-shard edge updates, merged over the shards'
-    buffers in canonical rank order without copying them. Register via
-    {!Sim.Engine.add_step_hook}; a no-op when nothing is staged or
-    sharding is off. *)
-
-val sync_metrics : t -> unit
-(** Level the [net.*] counters up to the derived totals (sharded mode
-    skips the per-event bumps because metrics cells are not
-    shard-safe). *)

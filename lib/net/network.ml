@@ -85,7 +85,7 @@ let no_decode _ = invalid_arg "Network: no codec"
 
 let create_slotted ~engine ~graph ~delay ~faults ~rng ?(kind = fun _ -> "msg")
     ?(on_drop = fun ~dst:_ ~slot:_ _ -> ()) ?metrics ?(shard_safe = false) ?codec ~handler () =
-  let stats = Link_stats.create ~graph ?metrics () in
+  let stats = Link_stats.create ~engine ~graph ?metrics () in
   let src_rngs =
     if not shard_safe then [||]
     else
@@ -95,13 +95,6 @@ let create_slotted ~engine ~graph ~delay ~faults ~rng ?(kind = fun _ -> "msg")
       Array.init (Cgraph.Graph.n graph) (fun i ->
           Sim.Rng.split_named rng ("src-" ^ string_of_int i))
   in
-  if shard_safe && Sim.Engine.shards engine > 1 then begin
-    Link_stats.set_sharding stats ~shards:(Sim.Engine.shards engine)
-      ~shard_of:(Sim.Engine.shard_of engine)
-      ~fire_rank:(fun () -> Sim.Engine.fire_rank engine)
-      ~fire_shard:(fun () -> Sim.Engine.fire_shard engine);
-    Sim.Engine.add_step_hook engine (fun () -> Link_stats.flush_staged stats)
-  end;
   let dirs = Cgraph.Graph.dir_count graph in
   let encode, decode, fifo =
     match codec with

@@ -62,16 +62,15 @@ val create :
     engine's recorder traces (see {!Obs.Recorder}), every send, delivery
     and drop is recorded there.
 
-    [shard_safe] (default false) prepares the overlay for shard-parallel
-    firing under {!Sim.Engine.set_sharding}: delay samples draw from a
-    per-source split of [rng] (so the draw sequence is independent of
-    cross-source interleaving — note this changes delivery times relative
-    to the default shared stream), and when the engine is sharded the
-    overlay's {!Link_stats} stages cross-shard edge-cell updates made
-    during parallel steps and flushes them at the engine's step merge
-    (a traced run, which the engine keeps on its sequential loop,
-    updates them in place). Delivery events are owned by their
-    destination either way, so a sharded engine fires them on the
+    [shard_safe] (default false) selects per-source delay streams for
+    shard-parallel firing under {!Sim.Engine.set_sharding}: delay
+    samples draw from a per-source split of [rng], so the draw sequence
+    is independent of cross-source interleaving (note this changes
+    delivery times relative to the default shared stream). The
+    overlay's {!Link_stats} defers its edge-cell updates to the engine's
+    merge inside a parallel step whatever [shard_safe] says, provided
+    the engine was sharded before [create]. Delivery events are owned by
+    their destination either way, so a sharded engine fires them on the
     destination's shard.
 
     [codec] = [(encode, decode)] turns messages into ints and back;

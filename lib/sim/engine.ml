@@ -58,12 +58,14 @@ type pool = {
   mutable fresh : int; (* slots [fresh, cap) are free and on neither list *)
 }
 
-(* Events posted during a parallel step, per shard: six ints per
-   event (at, the pop rank of the event that posted it, kind, owner,
-   a, b). The rank makes the end-of-step merge canonical: (rank,
-   per-shard program order) is the order [fire_loop] would have posted
-   in, whatever the shard count. *)
+(* Events posted and writes deferred during a parallel step, per
+   shard: six ints per entry (at, the pop rank of the event that made
+   it, kind, owner, a, b); a deferred write has [at] = [deferred]. The
+   rank makes the end-of-step merge canonical: (rank, per-shard program
+   order) is the order [fire_loop] would have posted or written in,
+   whatever the shard count. *)
 let staged_words = 6
+let deferred = -1
 
 type staging = { mutable si : int array; mutable sn : int (* staged events *) }
 
@@ -92,7 +94,7 @@ type t = {
   mutable shard_n : int; (* process count the partition covers *)
   mutable pool_exec : Exec.Pool.t option;
   mutable staging : staging array; (* per shard, reused across steps *)
-  mutable in_step : bool; (* a parallel step is running *)
+  in_step : bool ref; (* a parallel step is running; read by [defer]'s callers *)
   mutable base_rank : int; (* rank of the current sub-round's first event *)
   mutable batch : int array; (* the tick's event slots in pop order *)
   mutable batch_len : int;
@@ -100,7 +102,6 @@ type t = {
   mutable pb_rank : int array;
   mutable pb_off : int array; (* shard s owns pb indices [off.(s), off.(s+1)) *)
   mutable pb_cur : int array;
-  mutable step_hooks : (unit -> unit) list; (* run after each sub-round merge *)
   ctx_key : fire_ctx Domain.DLS.key;
 }
 
@@ -304,7 +305,7 @@ let create ?recorder () =
     shard_n = 0;
     pool_exec = None;
     staging = [||];
-    in_step = false;
+    in_step = ref false;
     base_rank = 0;
     batch = [||];
     batch_len = 0;
@@ -312,7 +313,6 @@ let create ?recorder () =
     pb_rank = [||];
     pb_off = [||];
     pb_cur = [||];
-    step_hooks = [];
     ctx_key = Domain.DLS.new_key (fun () -> { rank = -1; shard = -1 });
   }
 
@@ -320,14 +320,14 @@ let now t = t.clock
 let recorder t = t.recorder
 
 let register t handler =
-  if t.in_step then invalid_arg "Engine.register: cannot register inside a step";
+  if !(t.in_step) then invalid_arg "Engine.register: cannot register inside a step";
   let k = Array.length t.handlers in
   if k > (max_int lsr owner_bits) then invalid_arg "Engine.register: too many kinds";
   t.handlers <- Array.append t.handlers [| handler |];
   k
 
 let set_sharding t ~pool ~shards ~n () =
-  if t.in_step then invalid_arg "Engine.set_sharding: cannot reconfigure inside a step";
+  if !(t.in_step) then invalid_arg "Engine.set_sharding: cannot reconfigure inside a step";
   if n <= 0 then invalid_arg "Engine.set_sharding: n must be positive";
   if n > owner_limit then
     invalid_arg
@@ -354,9 +354,7 @@ let shard_of t owner =
     let o = if owner >= t.shard_n then t.shard_n - 1 else owner in
     o * t.shards / t.shard_n
 
-let fire_rank t = (Domain.DLS.get t.ctx_key).rank
-let fire_shard t = (Domain.DLS.get t.ctx_key).shard
-let add_step_hook t f = t.step_hooks <- t.step_hooks @ [ f ]
+let in_step_flag t = t.in_step
 
 (* ---- Posting -------------------------------------------------------- *)
 
@@ -384,13 +382,14 @@ let[@inline][@lint.hot] enqueue t ~kind ~owner ~at a b =
      tracing is off, keeping the hot path at one load + branch. *)
   if !(t.tracing) then Obs.Recorder.sched t.recorder ~time:t.clock ~id:(t.next_id - 1) ~at
 
-(* Parallel step: the new event goes into the firing shard's staging
-   buffer and reaches the queue at the sub-round's merge point, in
-   canonical (rank, program-order) order. Its slot and seq are
-   assigned at the merge too, on the submitting domain: the pool and
-   [next_id] are never touched from worker domains, and the seqs land
-   on the values [fire_loop] would have handed out, in the same order.
-   No sched record: tracing is off in a parallel step. *)
+(* Parallel step: the new event, or deferred write, goes into the
+   firing shard's staging buffer and reaches the queue, or its handler,
+   at the sub-round's merge point, in canonical (rank, program-order)
+   order. An event's slot and seq are assigned at the merge too, on the
+   submitting domain: the pool and [next_id] are never touched from
+   worker domains, and the seqs land on the values [fire_loop] would
+   have handed out, in the same order. No sched record: tracing is off
+   in a parallel step. *)
 let stage t ~kind ~owner ~at a b =
   let ctx = Domain.DLS.get t.ctx_key in
   let v = t.staging.(if ctx.shard >= 0 then ctx.shard else 0) in
@@ -416,8 +415,14 @@ let[@lint.hot] post t ~kind ~owner ~at a b =
   if at <> Time.infinity then begin
     if at < t.clock then past t at;
     let owner = clamp_owner owner in
-    if t.in_step then stage t ~kind ~owner ~at a b else enqueue t ~kind ~owner ~at a b
+    if !(t.in_step) then stage t ~kind ~owner ~at a b else enqueue t ~kind ~owner ~at a b
   end
+
+let[@lint.hot] defer t ~kind a b =
+  if kind <= closure_kind || kind >= Array.length t.handlers then
+    invalid_arg "Engine.defer: unregistered kind";
+  if !(t.in_step) then stage t ~kind ~owner:(-1) ~at:deferred a b
+  else t.handlers.(kind) (-1) a b
 
 (* A sharded engine never sees a closure, so none fires on a worker
    domain and a parallel step stages ints only. *)
@@ -526,13 +531,12 @@ let head_rank t cur sh =
   let v = t.staging.(sh) in
   if cur.(sh) < v.sn then v.si.((cur.(sh) * staged_words) + 1) else max_int
 
-(* Merge one sub-round's staged effects back into the step: posts
-   enter in canonical order (same-tick ones refill the batch for the
-   next sub-round, later ones enter the queue), then the component
-   flush hooks run (Net.Link_stats cross-shard staging). Ranks of
-   different shards never tie (a rank names one fired event, fired on
-   one shard), so always taking the lowest head rank is the stable rank
-   sort of the shard-ordered concatenation. *)
+(* Merge one sub-round's staged effects back into the step, in
+   canonical order: posts enter the queue (same-tick ones refill the
+   batch for the next sub-round) and deferred writes run their
+   handlers. Ranks of different shards never tie (a rank names one
+   fired event, fired on one shard), so always taking the lowest head
+   rank is the stable rank sort of the shard-ordered concatenation. *)
 let merge_subround t tick =
   let shards = Array.length t.staging in
   let cur = t.pb_cur in
@@ -550,15 +554,17 @@ let merge_subround t tick =
       let v = t.staging.(!best) in
       let i = cur.(!best) * staged_words in
       cur.(!best) <- cur.(!best) + 1;
-      let at = v.si.(i) in
-      let s = alloc_event t ~kind:v.si.(i + 2) ~owner:v.si.(i + 3) v.si.(i + 4) v.si.(i + 5) in
-      if at = tick then batch_push t s else Wheel.add t.queue ~prio:at s;
+      let at = v.si.(i) and kind = v.si.(i + 2) and a = v.si.(i + 4) and b = v.si.(i + 5) in
+      if at = deferred then t.handlers.(kind) (-1) a b
+      else begin
+        let s = alloc_event t ~kind ~owner:v.si.(i + 3) a b in
+        if at = tick then batch_push t s else Wheel.add t.queue ~prio:at s
+      end;
       next ()
     end
   in
   next ();
-  Array.iter (fun v -> v.sn <- 0) t.staging;
-  List.iter (fun f -> f ()) t.step_hooks
+  Array.iter (fun v -> v.sn <- 0) t.staging
 
 (* Parallel stepping: drain every event of the frontier tick into a
    batch, fire the batch shard-parallel on the pool, merge staged
@@ -577,7 +583,7 @@ let parallel_loop t pool ~until =
     if tick <> Time.infinity && tick <= until then begin
       t.batch_len <- 0;
       drain_tick t tick;
-      t.in_step <- true;
+      t.in_step := true;
       t.base_rank <- 0;
       let rec subround () =
         if t.batch_len > 0 then begin
@@ -590,7 +596,7 @@ let parallel_loop t pool ~until =
         end
       in
       subround ();
-      t.in_step <- false;
+      t.in_step := false;
       step ()
     end
   in

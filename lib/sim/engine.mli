@@ -22,15 +22,16 @@
     {!set_sharding} attached a pool, [shards > 1] and tracing is
     off. Then each step drains every event of the frontier tick into a
     batch, fires each shard's slice of the batch on its own domain of
-    the pool, and merges the events scheduled during the firing back
-    into the queue in a canonical order — sorted by the pop rank of the
-    scheduling event, program order within a rank. That is the order
-    the sequential loop schedules in, so a parallel run is bit-identical
-    to the sequential one for any [shards]. Attaching the pool is the
-    caller's assertion that every handler touches state of its own
-    shard exclusively (cross-shard effects must go through [post] or
-    a staged component such as [Net.Link_stats]). A closure never
-    fires on a worker domain: a sharded engine refuses {!schedule}. *)
+    the pool, and merges the events posted and the writes {!defer}red
+    during the firing back in a canonical order — sorted by the pop rank
+    of the posting event, program order within a rank. That is the
+    order the sequential loop posts and writes in, so a parallel run is
+    bit-identical to the sequential one for any [shards]. Attaching the
+    pool is the caller's assertion that every handler touches state of
+    its own shard exclusively: cross-shard effects go through {!post},
+    and writes to state that several shards share through {!defer}. A
+    closure never fires on a worker domain: a sharded engine refuses
+    {!schedule}. *)
 
 type t
 
@@ -69,6 +70,20 @@ val post : t -> kind:int -> owner:int -> at:Time.t -> int -> int -> unit
     Raises [Invalid_argument] for an unregistered kind or a time in the
     past. Inside a parallel step the event is staged and gets its pool
     slot at the step's merge. *)
+
+val defer : t -> kind:int -> int -> int -> unit
+(** [defer t ~kind a b] runs [kind]'s handler as [h (-1) a b]: at once
+    outside a parallel step; inside one, on the submitting domain at
+    the sub-round's merge, in pop-rank order with the step's posts. The
+    write to shared state ([Net.Link_stats]' edge cells) thus lands
+    where the sequential loop makes it. The handler must neither post
+    nor defer. Allocates nothing once the shard's staging buffer has
+    grown. Raises [Invalid_argument] for an unregistered kind. *)
+
+val in_step_flag : t -> bool ref
+(** The live cell that is [true] during a parallel step, merges
+    included: callers of {!defer} test it inline, as
+    {!Obs.Recorder.tracing_flag}. Read-only for callers. *)
 
 val schedule : t -> ?owner:int -> at:Time.t -> (unit -> unit) -> unit
 (** [schedule t ~owner ~at f] runs [f] when the clock reaches [at]. [at]
@@ -117,17 +132,3 @@ val shard_of : t -> int -> int
     partition: 0 for ownerless events (owner [-1]) and on an unsharded
     engine; owners at or beyond [n] fall into the last shard. *)
 
-val fire_rank : t -> int
-(** Pop rank of the event currently firing on this domain in a parallel
-    step, -1 elsewhere (including the whole sequential loop). The
-    canonical-merge key for staged per-shard effects. *)
-
-val fire_shard : t -> int
-(** Shard of the event currently firing on this domain in a parallel
-    step, -1 elsewhere (including the whole sequential loop). *)
-
-val add_step_hook : t -> (unit -> unit) -> unit
-(** Register a hook run (on the submitting domain) after every
-    sub-round merge of a parallel step — where components with their own
-    per-shard staging (e.g. [Net.Link_stats]) apply buffered cross-shard
-    effects in canonical order. Never called by the sequential loop. *)

@@ -20,5 +20,6 @@ let () =
       ("soak", Test_soak.suite);
       (* Every test that runs one world's or one search's work on several
          domains; CI runs this suite under ThreadSanitizer. *)
-      ("parallel", Test_sim.parallel @ Test_harness.parallel @ Test_mcheck.parallel);
+      ( "parallel",
+        Test_sim.parallel @ Test_net.parallel @ Test_harness.parallel @ Test_mcheck.parallel );
     ]

@@ -218,6 +218,26 @@ let heartbeat_offset_invariant () =
   let mistakes, _, _ = at0 in
   check bool "scenario exercises the adaptive path" true (mistakes > 0)
 
+(* Delays up to four times the initial timeout make false suspicions
+   and the heartbeats that clear them routine, and a bump of 1 keeps
+   them coming. On a warm detector a flip records the mistake and
+   notifies both subscribers, and the recovery notifies them again,
+   without allocating: the run's events (beats, deliveries, checks)
+   allocate nothing either, so the window reads exactly 0. *)
+let heartbeat_flip_allocates_nothing () =
+  let engine, _, hb, d = heartbeat_setup ~delay:(Net.Delay.Uniform (1, 120)) ~bump:1 ~n:8 () in
+  let flips = ref 0 and last = ref (-1) in
+  d.Fd.Detector.subscribe (fun _ -> incr flips);
+  d.Fd.Detector.subscribe (fun observer -> last := observer);
+  Sim.Engine.run engine ~until:3_000;
+  let mistakes = Fd.Heartbeat.mistakes hb and flips0 = !flips in
+  let words = Alloc.words (fun () -> Sim.Engine.run engine ~until:6_000) in
+  let suspicions = Fd.Heartbeat.mistakes hb - mistakes in
+  check bool "the window has false suspicions" true (suspicions > 10);
+  check bool "and recoveries, which notify too" true (!flips - flips0 - suspicions > 10);
+  check bool "the second subscriber heard them" true (!last >= 0);
+  check (Alcotest.float 0.) "words for the window's flips and recoveries" 0. words
+
 (* ---------------------------- Unreliable --------------------------- *)
 
 let unreliable_keeps_lying () =
@@ -388,4 +408,6 @@ let suite =
       oracle_suspects_allocates_nothing;
     Alcotest.test_case "every detector: slot queries match pair queries" `Quick
       slot_queries_match_pair_queries;
+    Alcotest.test_case "heartbeat: a suspicion flip and its recovery allocate nothing" `Quick
+      heartbeat_flip_allocates_nothing;
   ]

@@ -78,7 +78,7 @@ let quiescence_oracle_fires () =
   holds "a sound run" Fuzz.Property.quiescence r;
   let sent_to_victim_at at =
     let graph = Cgraph.Topology.build (Cgraph.Topology.Ring 8) in
-    let noisy = Net.Link_stats.create ~graph () in
+    let noisy = Net.Link_stats.create ~engine:(Sim.Engine.create ()) ~graph () in
     Net.Link_stats.record_send noisy ~slot:(Cgraph.Graph.dir_index graph 1 2) ~at;
     { r with link_stats = noisy }
   in

@@ -252,7 +252,7 @@ let network_in_flight_messages_survive_sender_crash () =
 
 let link_stats_watermarks () =
   let graph = Cgraph.Graph.of_edges ~n:3 [ (0, 1); (1, 2) ] in
-  let stats = Net.Link_stats.create ~graph () in
+  let stats = Net.Link_stats.create ~engine:(Sim.Engine.create ()) ~graph () in
   (* The per-kind breakdown streams from the trace: each record here is
      what a network emits next to the matching Link_stats call. *)
   let recorder = Obs.Recorder.create () in
@@ -281,7 +281,7 @@ let link_stats_watermarks () =
    dropped nor in flight. Drops count per edge, both directions. *)
 let link_stats_drops () =
   let graph = Cgraph.Graph.of_edges ~n:3 [ (0, 1); (1, 2) ] in
-  let stats = Net.Link_stats.create ~graph () in
+  let stats = Net.Link_stats.create ~engine:(Sim.Engine.create ()) ~graph () in
   let slot = Cgraph.Graph.dir_index graph in
   let e01 = Cgraph.Graph.slot_edge_id graph (slot 0 1) in
   List.iter (fun (a, b) -> Net.Link_stats.record_send stats ~slot:(slot a b) ~at:1)
@@ -302,7 +302,7 @@ let link_stats_drops () =
 
 let link_stats_last_send () =
   let graph = Cgraph.Graph.of_edges ~n:3 [ (0, 1); (1, 2) ] in
-  let stats = Net.Link_stats.create ~graph () in
+  let stats = Net.Link_stats.create ~engine:(Sim.Engine.create ()) ~graph () in
   check bool "none initially" true (Net.Link_stats.last_send_to stats 1 = None);
   Net.Link_stats.record_send stats ~slot:(Cgraph.Graph.dir_index graph 0 1) ~at:5;
   Net.Link_stats.record_send stats ~slot:(Cgraph.Graph.dir_index graph 2 1) ~at:7;
@@ -445,112 +445,123 @@ let random_graph st =
   let g = Cgraph.Topology.build (Cgraph.Topology.Random_gnp (n, p, Random.State.int64 st 1_000_000L)) in
   if Cgraph.Graph.edge_count g > 0 then g else Cgraph.Topology.build (Cgraph.Topology.Ring (max 3 n))
 
-(* [shards] = 0: no sharding, every op in place in rank order. Otherwise
-   each step is fired either on the sequential loop (in place) or as a
-   parallel step: shard by shard, each firing its own events in rank
-   order, with the staged cross-shard updates flushed at the end. The
-   reference always sees the step in rank order. *)
-let differential ~shards () =
+(* [pool] = None: an unsharded engine, every op in place in rank
+   order. Otherwise the stats record for an engine sharded [shards] ways
+   on [pool], and each step either applies its ops in place, outside any
+   step, or posts them as events at the step's tick, in rank order, each
+   owned by the process that makes it, and runs the engine: its parallel
+   step fires the shards on the pool and merges the deferred edge
+   updates in rank order. The reference always sees the step in rank
+   order. *)
+let differential ~pool ~shards () =
   for case = 0 to 29 do
     let st = Random.State.make [| 0x51; shards; case |] in
     let graph = random_graph st in
-    let stats = Net.Link_stats.create ~graph () in
+    let engine = Sim.Engine.create () in
+    Option.iter
+      (fun pool -> Sim.Engine.set_sharding engine ~pool ~shards ~n:(Cgraph.Graph.n graph) ())
+      pool;
+    let stats = Net.Link_stats.create ~engine ~graph () in
     let oracle = Link_stats_ref.create ~graph ~kinds:(Array.init kind_count string_of_int) () in
-    let shard = ref (-1) and rank = ref (-1) in
-    let shard_of = Array.init (Cgraph.Graph.n graph) (fun _ -> Random.State.int st (max 1 shards)) in
-    if shards > 0 then
-      Net.Link_stats.set_sharding stats ~shards ~shard_of:(Array.get shard_of)
-        ~fire_rank:(fun () -> !rank) ~fire_shard:(fun () -> !shard);
+    let step_ops = ref [||] in
+    let fire =
+      Sim.Engine.register engine (fun _ i _ ->
+          apply stats ~at:(Sim.Engine.now engine) !step_ops.(i))
+    in
     let pending = Array.init (Cgraph.Graph.dir_count graph) (fun _ -> Queue.create ()) in
     for at = 0 to 39 do
       let ops = gen_step st graph pending in
       List.iter (apply_ref oracle ~at) ops;
-      if shards = 0 || Random.State.int st 3 = 0 then List.iter (apply stats ~at) ops
+      if pool = None || Random.State.int st 3 = 0 then List.iter (apply stats ~at) ops
       else begin
-        for sh = 0 to shards - 1 do
-          shard := sh;
-          List.iter
-            (fun o ->
-              if shard_of.(o.owner) = sh then begin
-                rank := o.rank;
-                apply stats ~at o
-              end)
-            ops
-        done;
-        shard := -1;
-        rank := -1;
-        Net.Link_stats.flush_staged stats
+        step_ops := Array.of_list ops;
+        Array.iteri
+          (fun i o -> Sim.Engine.post engine ~kind:fire ~owner:o.owner ~at i 0)
+          !step_ops;
+        Sim.Engine.run engine ~until:at
       end;
       agree ~what:(Printf.sprintf "case %d, step %d" case at) graph stats oracle
     done
   done
 
-let link_stats_matches_reference () = differential ~shards:0 ()
-let link_stats_staged_matches_reference () =
-  differential ~shards:2 ();
-  differential ~shards:3 ()
+let link_stats_matches_reference () = differential ~pool:None ~shards:0 ()
 
-(* Cross-shard staging is (rank, key) ints in flat per-shard buffers,
-   merged in place: once the buffers have grown, a staged op and its
-   flush allocate nothing. Ring 8 split odd/even puts every edge across
-   the shard boundary. The middle step of a round fires shard 0's
-   higher-ranked deliveries before shard 1's lower-ranked sends, so only
-   the rank-order merge reproduces the in-place watermarks. *)
-let link_stats_staging_allocation () =
+let link_stats_staged_matches_reference () =
+  Exec.Pool.with_pool ~domains:4 (fun pool ->
+      differential ~pool:(Some pool) ~shards:2 ();
+      differential ~pool:(Some pool) ~shards:3 ())
+
+(* A process of ring 8 that, at each tick of a three-tick round, sends
+   on every slot of its row, takes one message off every incoming
+   channel, or both; with [record] off it does the same work and
+   records nothing. Its event re-posts itself for the next tick, and
+   the processes are first posted 7 down to 0, so every step pops
+   shard 1 (pids 4-7) before shard 0. The round's middle step has even
+   processes receive and odd ones send: on an edge whose higher pid is
+   odd the send comes first and the edge reaches 3 in flight, otherwise
+   2. Applied shard by shard, the cross-shard edges (3, 4) and (0, 7)
+   would swap those watermarks: only the rank-order merge gets them
+   right. *)
+let ring8_rounds ?pool ~record () =
   let graph = Cgraph.Topology.build (Cgraph.Topology.Ring 8) in
   let off = Cgraph.Graph.csr_offsets graph and rev = Cgraph.Graph.rev_slots graph in
-  let staged = Net.Link_stats.create ~graph () in
-  let in_place = Net.Link_stats.create ~graph () in
-  let shard = ref (-1) and rank = ref (-1) in
-  Net.Link_stats.set_sharding staged ~shards:2 ~shard_of:(fun p -> p land 1)
-    ~fire_rank:(fun () -> !rank) ~fire_shard:(fun () -> !shard);
-  (* [sends p] / [receives p]: whether process p sends on every slot of
-     its row, or takes one message off every incoming channel. *)
-  let act stats p ~sends ~receives =
-    for s = off.(p) to off.(p + 1) - 1 do
-      if receives then Net.Link_stats.record_delivery stats ~slot:rev.(s);
-      if sends then Net.Link_stats.record_send stats ~slot:s ~at:p
-    done
-  in
-  let step ~sends ~receives =
-    for sh = 0 to 1 do
-      shard := sh;
-      for p = 0 to 7 do
-        if p land 1 = sh then begin
-          rank := p;
-          act staged p ~sends:(sends p) ~receives:(receives p)
-        end
-      done
-    done;
-    shard := -1;
-    Net.Link_stats.flush_staged staged;
-    for p = 0 to 7 do
-      act in_place p ~sends:(sends p) ~receives:(receives p)
-    done
-  in
-  let all _ = true and none _ = false and odd p = p land 1 = 1 and even p = p land 1 = 0 in
-  let round () =
-    step ~sends:all ~receives:none;
-    step ~sends:odd ~receives:even;
-    step ~sends:none ~receives:all
-  in
-  for _ = 1 to 3 do
-    round ()
+  let engine = Sim.Engine.create () in
+  Option.iter (fun pool -> Sim.Engine.set_sharding engine ~pool ~shards:2 ~n:8 ()) pool;
+  let stats = Net.Link_stats.create ~engine ~graph () in
+  let act = ref 0 in
+  act :=
+    Sim.Engine.register engine (fun p _ _ ->
+        let now = Sim.Engine.now engine in
+        let phase = now mod 3 and odd = p land 1 = 1 in
+        let sends = phase = 0 || (phase = 1 && odd)
+        and receives = phase = 2 || (phase = 1 && not odd) in
+        if record then
+          for s = off.(p) to off.(p + 1) - 1 do
+            if receives then Net.Link_stats.record_delivery stats ~slot:rev.(s);
+            if sends then Net.Link_stats.record_send stats ~slot:s ~at:now
+          done;
+        Sim.Engine.post engine ~kind:!act ~owner:p ~at:(now + 1) 0 0);
+  for p = 7 downto 0 do
+    Sim.Engine.post engine ~kind:!act ~owner:p ~at:3 0 0
   done;
-  let words =
-    Alloc.words (fun () ->
-        for _ = 1 to 10 do
-          round ()
-        done)
-  in
-  check (Alcotest.float 0.) "words for 10 rounds (480 ops staged, 480 in place)" 0. words;
-  let view stats =
-    ( Net.Link_stats.per_edge_watermarks stats,
-      List.init 8 (Net.Link_stats.edge_in_flight stats),
-      (Net.Link_stats.total_sent stats, Net.Link_stats.total_delivered stats) )
-  in
-  check bool "staged = in place" true (view staged = view in_place);
-  check int "the interleaved step reaches 3 in flight" 3 (Net.Link_stats.max_edge_watermark staged)
+  (engine, stats)
+
+let ring8_view stats =
+  ( Net.Link_stats.per_edge_watermarks stats,
+    List.init 8 (Net.Link_stats.edge_in_flight stats),
+    (Net.Link_stats.total_sent stats, Net.Link_stats.total_delivered stats) )
+
+(* Deferring an edge update stages six ints in the firing shard's
+   buffer, and the merge runs the update in place: once the buffers
+   have grown, ten rounds of parallel steps that record 480 updates
+   allocate exactly what the same steps recording nothing allocate (the
+   step's own batch costs). A one-domain pool runs every shard inline,
+   so the count covers the whole step; a two-domain pool must give the
+   same counts as the sequential loop too. *)
+let link_stats_staging_allocation () =
+  let sequential, reference = ring8_rounds ~record:true () in
+  Sim.Engine.run sequential ~until:44;
+  Exec.Pool.with_pool ~domains:1 (fun pool ->
+      let staged, stats = ring8_rounds ~pool ~record:true () in
+      let idle, _ = ring8_rounds ~pool ~record:false () in
+      Sim.Engine.run staged ~until:14;
+      Sim.Engine.run idle ~until:14;
+      let words engine = Alloc.words (fun () -> Sim.Engine.run engine ~until:44) in
+      let idle_words = words idle in
+      check (Alcotest.float 0.) "10 rounds: deferred updates add no words to the steps" idle_words
+        (words staged);
+      check bool "staged = sequential" true (ring8_view stats = ring8_view reference));
+  Exec.Pool.with_pool ~domains:2 (fun pool ->
+      let staged, stats = ring8_rounds ~pool ~record:true () in
+      Sim.Engine.run staged ~until:44;
+      check bool "on two domains, staged = sequential" true
+        (ring8_view stats = ring8_view reference));
+  check int "the interleaved step reaches 3 in flight" 3
+    (Net.Link_stats.max_edge_watermark reference);
+  check (Alcotest.list int) "the cross-shard edges' watermarks" [ 2; 3 ]
+    (List.map
+       (fun e -> List.assoc e (Net.Link_stats.per_edge_watermarks reference))
+       [ (3, 4); (0, 7) ])
 
 (* The per-kind watermarks of experiment E4, streamed from the trace,
    against the reference's per-(edge, kind) tables fed from the same
@@ -636,10 +647,16 @@ let suite =
     Alcotest.test_case "network: slot form carries the channel" `Quick network_slot_form;
     Alcotest.test_case "link_stats: drops and derived deliveries" `Quick link_stats_drops;
     Alcotest.test_case "link_stats: matches the reference" `Quick link_stats_matches_reference;
+    Alcotest.test_case "kind_watermarks: match the reference on E4 topologies" `Quick
+      kind_watermarks_match_reference;
+  ]
+
+(* Link_stats' deferred edge updates on a real pool, in the [parallel]
+   suite (test/main.ml). *)
+let parallel =
+  [
     Alcotest.test_case "link_stats: staged under sharding matches the reference" `Quick
       link_stats_staged_matches_reference;
     Alcotest.test_case "link_stats: staging allocates nothing" `Quick
       link_stats_staging_allocation;
-    Alcotest.test_case "kind_watermarks: match the reference on E4 topologies" `Quick
-      kind_watermarks_match_reference;
   ]

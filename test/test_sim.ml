@@ -572,6 +572,58 @@ let engine_parallel_matches_fire_loop () =
   check bool "owner 4 met 7, then 0" true
     (List.filter (fun (tag, _) -> tag >= 300) logs.(4) = [ (307, 8); (300, 8) ])
 
+(* Writes to one log shared by every shard: each event defers two
+   appends (program order within its rank), and hops to another owner,
+   at the same tick (a later sub-round) or a later one, so one step's
+   deferred writes come from several shards and sub-rounds. A parallel
+   run must write the log the sequential loop writes. *)
+let deferred_log ?pool ~shards () =
+  let engine = Sim.Engine.create () in
+  with_sharding ?pool ~shards ~n:8 engine;
+  let log = ref [] in
+  let append = Sim.Engine.register engine (fun _ a b -> log := (a, b) :: !log) in
+  let hop = ref 0 in
+  hop :=
+    Sim.Engine.register engine (fun owner left _ ->
+        let now = Sim.Engine.now engine in
+        Sim.Engine.defer engine ~kind:append owner now;
+        Sim.Engine.defer engine ~kind:append owner left;
+        if left > 0 then
+          Sim.Engine.post engine ~kind:!hop ~owner:(((owner * 5) + 3) mod 8)
+            ~at:(now + (left mod 2)) (left - 1) 0);
+  for owner = 7 downto 0 do
+    Sim.Engine.post engine ~kind:!hop ~owner ~at:(owner mod 3) (6 + owner) 0
+  done;
+  Sim.Engine.run_all engine;
+  List.rev !log
+
+let engine_defer_merges_in_rank_order () =
+  let reference = deferred_log ~shards:1 () in
+  check int "every event deferred two writes" (2 * (8 * 7 + 28)) (List.length reference);
+  Exec.Pool.with_pool ~domains:4 (fun pool ->
+      List.iter
+        (fun shards ->
+          check
+            (Alcotest.list (Alcotest.pair int int))
+            (Printf.sprintf "shards=%d: the log the sequential loop writes" shards)
+            reference
+            (deferred_log ~pool ~shards ()))
+        [ 2; 3; 4 ]);
+  let engine = Sim.Engine.create () in
+  let log = ref [] in
+  let append = Sim.Engine.register engine (fun owner a b -> log := (owner, a, b) :: !log) in
+  Sim.Engine.defer engine ~kind:append 1 2;
+  check
+    (Alcotest.list (Alcotest.triple int int int))
+    "outside a step: in place, ownerless" [ (-1, 1, 2) ] !log;
+  List.iter
+    (fun kind ->
+      Alcotest.check_raises
+        (Printf.sprintf "kind %d is not registered" kind)
+        (Invalid_argument "Engine.defer: unregistered kind")
+        (fun () -> Sim.Engine.defer engine ~kind 0 0))
+    [ 0; append + 1; -1 ]
+
 let engine_staged_until_boundary () =
   Exec.Pool.with_pool ~domains:4 (fun pool ->
       let engine = Sim.Engine.create () in
@@ -944,4 +996,6 @@ let parallel =
     Alcotest.test_case "engine: staged run ~until boundary" `Quick engine_staged_until_boundary;
     Alcotest.test_case "engine: a parallel step releases its events" `Quick
       engine_step_releases_events;
+    Alcotest.test_case "engine: deferred writes merge in rank order" `Quick
+      engine_defer_merges_in_rank_order;
   ]
