@@ -371,6 +371,7 @@ type scale_cell = {
   static_words : int;  (* the world's reachable heap right after create: exact *)
   create_alloc_words : int;  (* words allocated by create alone: exact *)
   seconds : float;
+  advance_seconds : float;  (* [World.advance] alone: advisory *)
 }
 
 (* Words allocated so far by this process. Not [Gc.allocated_bytes]:
@@ -412,7 +413,9 @@ let measure_scale_cell ~measure_live ~horizon spec =
   let w = Harness.World.create scenario in
   let create_alloc_words = words_since alloc0 in
   let static_words = Obj.reachable_words (Obj.repr w) in
+  let t_advance = Sys.time () in
   Harness.World.advance w ~until:scenario.horizon;
+  let advance_seconds = Sys.time () -. t_advance in
   let r = Harness.World.report w in
   let seconds = Sys.time () -. t0 in
   let alloc_words = words_since alloc0 in
@@ -438,13 +441,14 @@ let measure_scale_cell ~measure_live ~horizon spec =
     static_words;
     create_alloc_words;
     seconds;
+    advance_seconds;
   }
 
 (* One line, read back by [run_scale_cell]; %h keeps the float exact. *)
 let print_scale_cell c =
-  Printf.printf "%s %d %d %d %d %d %d %d %d %d %h" c.label c.cell_n c.cell_edges c.cell_events
+  Printf.printf "%s %d %d %d %d %d %d %d %d %d %h %h" c.label c.cell_n c.cell_edges c.cell_events
     c.cell_eats c.alloc_words c.live_words c.reachable_words c.static_words c.create_alloc_words
-    c.seconds;
+    c.seconds c.advance_seconds;
   print_newline ()
 
 (* Run one cell in a child process and read back the line it prints. *)
@@ -457,9 +461,9 @@ let run_scale_cell ~measure_live (kind, n, horizon) =
   let line = In_channel.input_all ic in
   match Unix.close_process_in ic with
   | Unix.WEXITED 0 ->
-      Scanf.sscanf line "%s %d %d %d %d %d %d %d %d %d %h "
+      Scanf.sscanf line "%s %d %d %d %d %d %d %d %d %d %h %h "
         (fun label cell_n cell_edges cell_events cell_eats alloc_words live_words reachable_words
-             static_words create_alloc_words seconds ->
+             static_words create_alloc_words seconds advance_seconds ->
           {
             label;
             cell_n;
@@ -472,6 +476,7 @@ let run_scale_cell ~measure_live (kind, n, horizon) =
             static_words;
             create_alloc_words;
             seconds;
+            advance_seconds;
           })
   | _ -> failwith (Printf.sprintf "scale cell %s-%d: child process failed" (kind_name kind) n)
 
@@ -553,8 +558,10 @@ let run_scale ~(ctx : Harness.Experiments.ctx) ~smoke ~json ~baseline () =
        horizon, whose reachable words must match the short cell's. *)
     @ [ (`Ring, 1_000, 16 * scale_horizon) ]
     (* The 10^6 step, ring only: the constant-degree topology isolates
-       pure table scaling. *)
-    @ if smoke then [] else [ (`Ring, 1_000_000, scale_horizon) ]
+       pure table scaling. The smoke sweep runs ring-10^5 (about 2.5 s),
+       so that an O(n) allocation inside [advance] moves a gated words
+       key there, not only at 10^3, where a run amortises it. *)
+    @ if smoke then [ (`Ring, 100_000, scale_horizon) ] else [ (`Ring, 1_000_000, scale_horizon) ]
   in
   let report = Report.create () in
   Report.str report "schema" "daemon-sim-bench/1";
@@ -627,6 +634,13 @@ let run_scale ~(ctx : Harness.Experiments.ctx) ~smoke ~json ~baseline () =
         (if c.seconds > 0.0 then float_of_int c.cell_events /. c.seconds else 0.0);
       if smoke then Report.int report (prefix ^ ".reachable_words") c.reachable_words
       else Report.int report (prefix ^ ".live_words") c.live_words;
+      (* What one event of [advance] costs as the working set grows past
+         the caches: advisory, at the two ring sizes ROADMAP item 2
+         compares. *)
+      if (not smoke) && (cell = (`Ring, 1_000, scale_horizon) || cell = (`Ring, 100_000, scale_horizon))
+      then
+        Report.float report (prefix ^ ".advance.ns_per_event")
+          (1e9 *. c.advance_seconds /. float_of_int (max 1 c.cell_events));
       Report.float report (prefix ^ ".static_bytes_per_proc")
         (float_of_int (8 * c.static_words) /. float_of_int (max 1 c.cell_n));
       Stats.Table.add_row table

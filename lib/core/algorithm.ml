@@ -1,15 +1,25 @@
 open Types
 
-(* Process and per-edge state lives in a struct-of-arrays process table:
-   per-process scalars are flat arrays indexed by pid, and everything
-   per neighbor is one 16-byte record per directed slot (the paper's
-   subscript "ij" becomes an index into the CSR row of i, with
-   Cgraph.Graph.slot_dst giving j). A message handler reads and writes
-   the one record of its slot. The layout keeps the per-step work
-   allocation-free: evaluating guards, sending and receiving touch only
-   bytes, never tuples or hash tables.
+(* Process and per-edge state lives in one Bytes table. Each pid owns a
+   16-byte header followed by its row of 16-byte slot records, one per
+   neighbor (the paper's subscript "ij" becomes an index into the CSR
+   row of i, with Cgraph.Graph.slot_dst giving j): pid i's header sits
+   at 16 (off i + i) and slot s of its row at 16 (s + i + 1). Section 7
+   bounds a process's state by O(delta); stored together, a process and
+   its records fill a line or two, so a message handler that reads its
+   process's phase and writes the record of its slot touches one or two
+   lines. The layout keeps the per-step work allocation-free:
+   evaluating guards, sending and receiving touch only bytes, never
+   tuples or hash tables.
 
-   Record of slot s = (i, j), at byte 16 s:
+   Header of pid i, at byte [head t i]:
+     0       phase code
+     1       inside: 0/1
+     2, 3    unused
+     4       color: 32-bit little-endian
+     8       eats: 64-bit little-endian
+
+   Record of slot s = (i, j), at byte [rec_at i s]:
      0       flags: the single-bit variables below
      1       granted: doorway acks granted to j this session
      2 + k   sent: messages of kind k that i sent to j
@@ -24,12 +34,18 @@ open Types
    wrap cannot pass unseen. [check_edge] reads each of [sent],
    [received] and [absorbed] as one 32-bit word of four 8-bit lanes,
    lane k for kind k ([lane_sub], [lane_sum]), so each must stay 4
-   contiguous bytes in kind order. Every byte of the record is written
-   by i alone (a send by its sender, a receipt or absorption by its
-   receiver, each in its own row), so the table is single-writer under
-   sharded stepping. *)
+   contiguous bytes in kind order. Every byte of a header and its row
+   is written by its pid alone (a send by its sender, a receipt or
+   absorption by its receiver, each in its own row), so the table is
+   single-writer under sharded stepping.
+
+   An accessor takes the byte offset [h] of a header or [r] of a
+   record, which a handler computes once. *)
 
 let rec_size = 16
+let inside_at = 1
+let color_at = 4
+let eats_at = 8
 let granted_at = 1
 let sent_at = 2
 let received_at = 6
@@ -56,13 +72,9 @@ type t = {
   off : int array; (* CSR offsets, owned by the graph *)
   nbr : pid array; (* CSR targets, owned by the graph *)
   rev : int array; (* slot (i,j) -> slot (j,i), owned by the graph *)
-  color : int array; (* a private copy: the caller's array may change after create *)
   max_color : int;
   color_bits : int; (* bits to store any color, at least 1 *)
-  phase_a : Bytes.t; (* pid -> phase code *)
-  inside_a : Bytes.t; (* pid -> 0/1 *)
-  slots : Bytes.t; (* slot -> its 16-byte record, see above *)
-  eats : int array;
+  slots : Bytes.t; (* headers and slot records, see above *)
   requests : message array; (* color -> the one [Request color], shared by send and decode *)
   mutable net : message Net.Network.t option; (* set once in create *)
   mutable listeners : (pid -> phase -> unit) list;
@@ -72,30 +84,37 @@ type t = {
 
 let net t = match t.net with Some n -> n | None -> assert false
 let now t = Sim.Engine.now t.engine
-let phase t i = code_phase (Char.code (Bytes.get t.phase_a i))
-let set_phase t i p = Bytes.set t.phase_a i (Char.chr (phase_code p))
-let inside t i = Bytes.get t.inside_a i <> '\000'
-let set_inside t i b = Bytes.set t.inside_a i (if b then '\001' else '\000')
-let flag t s bit = Bytes.get_uint8 t.slots (s * rec_size) land bit <> 0
+let[@lint.hot] rec_at i s = (s + i + 1) * rec_size
+let[@lint.hot] head t i = (t.off.(i) + i) * rec_size
+let get_phase t h = code_phase (Bytes.get_uint8 t.slots h)
+let set_phase t h p = Bytes.set_uint8 t.slots h (phase_code p)
+let get_inside t h = Bytes.get_uint8 t.slots (h + inside_at) <> 0
+let set_inside t h b = Bytes.set_uint8 t.slots (h + inside_at) (Bool.to_int b)
+let get_color t h = Int32.to_int (Bytes.get_int32_le t.slots (h + color_at))
+let get_eats t h = Int64.to_int (Bytes.get_int64_le t.slots (h + eats_at))
+let set_eats t h v = Bytes.set_int64_le t.slots (h + eats_at) (Int64.of_int v)
+let phase t i = get_phase t (head t i)
+let flag t r bit = Bytes.get_uint8 t.slots r land bit <> 0
 
-let set_flag t s bit on =
-  let cur = Bytes.get_uint8 t.slots (s * rec_size) in
-  Bytes.set_uint8 t.slots (s * rec_size) (if on then cur lor bit else cur land lnot bit)
+let set_flag t r bit on =
+  let cur = Bytes.get_uint8 t.slots r in
+  Bytes.set_uint8 t.slots r (if on then cur lor bit else cur land lnot bit)
 
-let granted t s = Bytes.get_uint8 t.slots ((s * rec_size) + granted_at)
-let set_granted t s v = Bytes.set_uint8 t.slots ((s * rec_size) + granted_at) v
+let granted t r = Bytes.get_uint8 t.slots (r + granted_at)
+let set_granted t r v = Bytes.set_uint8 t.slots (r + granted_at) v
 
-let bump t s field kind =
-  let at = (s * rec_size) + field + kind in
+let bump t r field kind =
+  let at = r + field + kind in
   Bytes.set_uint8 t.slots at ((Bytes.get_uint8 t.slots at + 1) land 0xFF)
 
 let recorder t = Sim.Engine.recorder t.engine
 let mark t i tag = Obs.Recorder.mark (recorder t) ~time:(now t) ~subject:i ~tag ""
 
 (* [slot] is the directed slot of (src, dst) — the caller always has it
-   in hand, either from its CSR iteration or via [rev]. *)
-let send t ~slot ~src msg =
-  bump t slot sent_at (message_kind_index msg);
+   in hand, either from its CSR iteration or via [rev] — and [r] its
+   record. *)
+let send t ~slot ~r ~src msg =
+  bump t r sent_at (message_kind_index msg);
   Net.Network.send_slot (net t) ~src slot msg
 
 (* A toplevel recursion rather than [List.iter (fun f -> f i p)]: no
@@ -112,8 +131,7 @@ let rec fire_doorway_listeners i = function
       f i;
       fire_doorway_listeners i rest
 
-let notify_phase t i =
-  let p = phase t i in
+let notify_phase t i p =
   Obs.Recorder.phase (recorder t) ~time:(now t) ~pid:i ~phase:(Types.phase_to_string p);
   fire_listeners i p t.listeners
 
@@ -128,52 +146,56 @@ let suspects t s = t.detector.Fd.Detector.suspects s
    per hungry session, so re-evaluation on every event is safe. *)
 let try_actions t i =
   if not (Net.Faults.is_crashed t.faults i) then begin
-    if phase t i = Hungry then begin
+    let h = head t i in
+    if get_phase t h = Hungry then begin
       let lo = t.off.(i) and hi = t.off.(i + 1) in
-      if not (inside t i) then begin
+      if not (get_inside t h) then begin
         (* Action 2: request acks from neighbors with no ack and no
            pending ping. *)
         for s = lo to hi - 1 do
-          if not (flag t s (pinged_bit lor ack_bit)) then begin
-            set_flag t s pinged_bit true;
-            send t ~slot:s ~src:i Ping
+          let r = rec_at i s in
+          if not (flag t r (pinged_bit lor ack_bit)) then begin
+            set_flag t r pinged_bit true;
+            send t ~slot:s ~r ~src:i Ping
           end
         done;
         (* Action 5: enter the doorway once every neighbor granted an ack
            or is suspected. *)
         let may_enter = ref true in
         for s = lo to hi - 1 do
-          if not (flag t s ack_bit || suspects t s) then may_enter := false
+          if not (flag t (rec_at i s) ack_bit || suspects t s) then may_enter := false
         done;
         if !may_enter then begin
-          set_inside t i true;
+          set_inside t h true;
           for s = lo to hi - 1 do
-            set_flag t s ack_bit false;
-            set_granted t s 0
+            let r = rec_at i s in
+            set_flag t r ack_bit false;
+            set_granted t r 0
           done;
           mark t i "enter_doorway";
           fire_doorway_listeners i t.doorway_listeners
         end
       end;
-      if inside t i then begin
+      if get_inside t h then begin
         (* Action 6: request each missing fork by surrendering the edge
            token, carrying our color. *)
         for s = lo to hi - 1 do
-          if flag t s token_bit && not (flag t s fork_bit) then begin
-            set_flag t s token_bit false;
-            send t ~slot:s ~src:i t.requests.(t.color.(i))
+          let r = rec_at i s in
+          if flag t r token_bit && not (flag t r fork_bit) then begin
+            set_flag t r token_bit false;
+            send t ~slot:s ~r ~src:i t.requests.(get_color t h)
           end
         done;
         (* Action 9: eat once every neighbor's fork is held or the
            neighbor is suspected. *)
         let may_eat = ref true in
         for s = lo to hi - 1 do
-          if not (flag t s fork_bit || suspects t s) then may_eat := false
+          if not (flag t (rec_at i s) fork_bit || suspects t s) then may_eat := false
         done;
         if !may_eat then begin
-          set_phase t i Eating;
-          t.eats.(i) <- t.eats.(i) + 1;
-          notify_phase t i
+          set_phase t h Eating;
+          set_eats t h (get_eats t h + 1);
+          notify_phase t i Eating
         end
       end
     end
@@ -182,7 +204,7 @@ let try_actions t i =
 (* ------------------------------------------------------------------ *)
 (* Message handlers (Actions 3, 4, 7, 8). [k] is the directed slot of  *)
 (* (i, j): the receiver's row position for the sender j, which is also *)
-(* the send slot for any reply.                                        *)
+(* the send slot for any reply; [h] is i's header and [r] k's record.  *)
 (* ------------------------------------------------------------------ *)
 
 (* Action 3: grant or defer a doorway ack. The paper grants at most one
@@ -191,49 +213,50 @@ let try_actions t i =
    yielding eventual (m+1)-bounded waiting — the fairness knob studied by
    experiment E11. Thinking processes grant unconditionally, as in the
    paper. *)
-let receive_ping t i ~k =
-  if inside t i || (phase t i = Hungry && granted t k >= t.acks_per_session) then
-    set_flag t k deferred_bit true
+let receive_ping t i ~k ~h ~r =
+  let hungry = get_phase t h = Hungry in
+  if get_inside t h || (hungry && granted t r >= t.acks_per_session) then
+    set_flag t r deferred_bit true
   else begin
-    send t ~slot:k ~src:i Ack;
-    if phase t i = Hungry then set_granted t k (granted t k + 1)
+    send t ~slot:k ~r ~src:i Ack;
+    if hungry then set_granted t r (granted t r + 1)
   end
 
 (* Action 4: record a received ack. *)
-let receive_ack t i ~k =
-  set_flag t k ack_bit (phase t i = Hungry && not (inside t i));
-  set_flag t k pinged_bit false;
+let receive_ack t i ~h ~r =
+  set_flag t r ack_bit (get_phase t h = Hungry && not (get_inside t h));
+  set_flag t r pinged_bit false;
   try_actions t i
 
 (* Action 7: receive a fork request (the edge token) and grant or defer. *)
-let receive_request t i ~k ~color:color_j =
+let receive_request t i ~k ~h ~r ~color:color_j =
   (* Lemma 1.1: the recipient of a fork request holds the requested fork. *)
-  if not (flag t k fork_bit) then
+  if not (flag t r fork_bit) then
     raise
       (Invariant_violation
          (Printf.sprintf "Lemma 1.1: %d received a fork request from %d without the fork" i
             t.nbr.(k)));
-  set_flag t k token_bit true;
-  if (not (inside t i)) || (phase t i = Hungry && t.color.(i) < color_j) then begin
-    set_flag t k fork_bit false;
-    send t ~slot:k ~src:i Fork
+  set_flag t r token_bit true;
+  if (not (get_inside t h)) || (get_phase t h = Hungry && get_color t h < color_j) then begin
+    set_flag t r fork_bit false;
+    send t ~slot:k ~r ~src:i Fork
   end;
   (* Losing a fork while hungry inside re-enables Action 6. *)
   try_actions t i
 
 (* Action 8: receive a fork. *)
-let receive_fork t i ~k =
+let receive_fork t i ~k ~r =
   (* Per the proof of Lemma 1.1: a fork recipient cannot hold the token. *)
-  if flag t k token_bit then
+  if flag t r token_bit then
     raise
       (Invariant_violation
          (Printf.sprintf "Lemma 1.1: %d received the fork from %d while holding the token" i
             t.nbr.(k)));
-  if flag t k fork_bit then
+  if flag t r fork_bit then
     raise
       (Invariant_violation
          (Printf.sprintf "Lemma 1.2: duplicated fork on edge (%d,%d)" i t.nbr.(k)));
-  set_flag t k fork_bit true;
+  set_flag t r fork_bit true;
   try_actions t i
 
 (* Messages as ints (Section 7 bounds them at O(log n) bits): Ping 0,
@@ -250,14 +273,15 @@ let decode t code =
 
 (* [slot] is the message's channel (src, dst); the receiver's own slot
    for the sender is its reverse. *)
-let dispatch t ~dst ~slot msg =
+let[@lint.hot] dispatch t ~dst ~slot msg =
   let k = t.rev.(slot) in
-  bump t k received_at (message_kind_index msg);
+  let h = head t dst and r = rec_at dst k in
+  bump t r received_at (message_kind_index msg);
   match msg with
-  | Ping -> receive_ping t dst ~k
-  | Ack -> receive_ack t dst ~k
-  | Request color -> receive_request t dst ~k ~color
-  | Fork -> receive_fork t dst ~k
+  | Ping -> receive_ping t dst ~k ~h ~r
+  | Ack -> receive_ack t dst ~h ~r
+  | Request color -> receive_request t dst ~k ~h ~r ~color
+  | Fork -> receive_fork t dst ~k ~r
 
 (* ------------------------------------------------------------------ *)
 (* External actions (Actions 1 and 10).                                *)
@@ -265,9 +289,10 @@ let dispatch t ~dst ~slot msg =
 
 let become_hungry t i =
   if not (Net.Faults.is_crashed t.faults i) then begin
-    if phase t i = Thinking then begin
-      set_phase t i Hungry;
-      notify_phase t i;
+    let h = head t i in
+    if get_phase t h = Thinking then begin
+      set_phase t h Hungry;
+      notify_phase t i Hungry;
       try_actions t i
     end
   end
@@ -276,23 +301,26 @@ let become_hungry t i =
    deferred fork requests and deferred acks. *)
 let stop_eating t i =
   if not (Net.Faults.is_crashed t.faults i) then begin
-    if phase t i = Eating then begin
-      set_inside t i false;
-      set_phase t i Thinking;
+    let h = head t i in
+    if get_phase t h = Eating then begin
+      set_inside t h false;
+      set_phase t h Thinking;
       let lo = t.off.(i) and hi = t.off.(i + 1) in
       for s = lo to hi - 1 do
-        if flag t s token_bit && flag t s fork_bit then begin
-          set_flag t s fork_bit false;
-          send t ~slot:s ~src:i Fork
+        let r = rec_at i s in
+        if flag t r token_bit && flag t r fork_bit then begin
+          set_flag t r fork_bit false;
+          send t ~slot:s ~r ~src:i Fork
         end
       done;
       for s = lo to hi - 1 do
-        if flag t s deferred_bit then begin
-          set_flag t s deferred_bit false;
-          send t ~slot:s ~src:i Ack
+        let r = rec_at i s in
+        if flag t r deferred_bit then begin
+          set_flag t r deferred_bit false;
+          send t ~slot:s ~r ~src:i Ack
         end
       done;
-      notify_phase t i
+      notify_phase t i Thinking
     end
   end
 
@@ -317,23 +345,25 @@ let create ~engine ~faults ~graph ~delay ~rng ~detector ?colors ?metrics ?(acks_
     | Some c ->
         if not (Cgraph.Coloring.is_proper graph c) then
           invalid_arg "Algorithm.create: colors must be a proper coloring";
-        Array.copy c
+        c
     | None -> Cgraph.Coloring.greedy graph
   in
   let max_color = Array.fold_left max 0 colors in
   let off = Cgraph.Graph.csr_offsets graph in
   let nbr = Cgraph.Graph.csr_targets graph in
-  let slots = Bytes.make (Cgraph.Graph.dir_count graph * rec_size) '\000' in
+  (* Phase Thinking, outside, no eats and every counter zero are all
+     zero bytes: only colors and the initial forks and tokens are
+     written. The headers keep the colors, so [colors] is not kept. *)
+  let slots = Bytes.make ((Cgraph.Graph.dir_count graph + n) * rec_size) '\000' in
   for i = 0 to n - 1 do
+    let ci = colors.(i) in
+    Bytes.set_int32_le slots (((off.(i) + i) * rec_size) + color_at) (Int32.of_int ci);
     for s = off.(i) to off.(i + 1) - 1 do
-      let j = nbr.(s) in
+      let cj = colors.(nbr.(s)) in
       (* The fork starts at the higher-colored endpoint, the token at
          the lower-colored one. *)
-      let bits =
-        (if colors.(i) > colors.(j) then fork_bit else 0)
-        lor if colors.(i) < colors.(j) then token_bit else 0
-      in
-      Bytes.set_uint8 slots (s * rec_size) bits
+      let bits = (if ci > cj then fork_bit else 0) lor if ci < cj then token_bit else 0 in
+      Bytes.set_uint8 slots (rec_at i s) bits
     done
   done;
   let t =
@@ -346,13 +376,9 @@ let create ~engine ~faults ~graph ~delay ~rng ~detector ?colors ?metrics ?(acks_
       off;
       nbr;
       rev = Cgraph.Graph.rev_slots graph;
-      color = colors;
       max_color;
       color_bits = bit_width max_color;
-      phase_a = Bytes.make n '\000';
-      inside_a = Bytes.make n '\000';
       slots;
-      eats = Array.make n 0;
       requests = Array.init (max_color + 1) (fun c -> Request c);
       net = None;
       listeners = [];
@@ -362,8 +388,8 @@ let create ~engine ~faults ~graph ~delay ~rng ~detector ?colors ?metrics ?(acks_
   in
   let network =
     Net.Network.create_slotted ~engine ~graph ~delay ~faults ~rng ~kind:message_kind
-      ~on_drop:(fun ~dst:_ ~slot msg ->
-        bump t t.rev.(slot) absorbed_at (message_kind_index msg))
+      ~on_drop:(fun ~dst ~slot msg ->
+        bump t (rec_at dst t.rev.(slot)) absorbed_at (message_kind_index msg))
       ?metrics
       ~codec:(encode, fun code -> decode t code)
       ~handler:(fun ~dst ~slot msg -> dispatch t ~dst ~slot msg)
@@ -378,12 +404,19 @@ let create ~engine ~faults ~graph ~delay ~rng ~detector ?colors ?metrics ?(acks_
 (* Introspection.                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let inside_doorway t i = inside t i
-let color t i = t.color.(i)
-let holds_fork t i j = flag t (Cgraph.Graph.dir_index t.graph i j) fork_bit
-let holds_token t i j = flag t (Cgraph.Graph.dir_index t.graph i j) token_bit
-let eat_count t i = t.eats.(i)
-let total_eats t = Array.fold_left ( + ) 0 t.eats
+let inside_doorway t i = get_inside t (head t i)
+let color t i = get_color t (head t i)
+let holds_fork t i j = flag t (rec_at i (Cgraph.Graph.dir_index t.graph i j)) fork_bit
+let holds_token t i j = flag t (rec_at i (Cgraph.Graph.dir_index t.graph i j)) token_bit
+let eat_count t i = get_eats t (head t i)
+
+let total_eats t =
+  let acc = ref 0 in
+  for i = 0 to t.n - 1 do
+    acc := !acc + eat_count t i
+  done;
+  !acc
+
 let add_listener t f = t.listeners <- t.listeners @ [ f ]
 let network_stats t = Net.Network.stats (net t)
 
@@ -422,10 +455,9 @@ let lane_sum w =
   let pairs = (w land 0x00ff00ff) + ((w lsr 8) land 0x00ff00ff) in
   (pairs land 0xffff) + (pairs lsr 16)
 
-(* The four per-kind counters of [field] in slot s's record as one
+(* The four per-kind counters of [field] in the record at [r] as one
    word, lane k for kind k. *)
-let lanes t s field =
-  Int32.to_int (Bytes.get_int32_le t.slots ((s * rec_size) + field)) land 0xFFFF_FFFF
+let lanes t r field = Int32.to_int (Bytes.get_int32_le t.slots (r + field)) land 0xFFFF_FFFF
 
 let lane w kind = (w lsr (8 * kind)) land 0xFF
 
@@ -435,12 +467,12 @@ let lane w kind = (w lsr (8 * kind)) land 0xFF
    (sent on si minus received and absorbed on sj, lane by lane mod 256:
    exact below 256), and symmetrically for the other direction. *)
 let[@lint.hot] check_edge t stats i j si =
-  let sj = t.rev.(si) in
-  let fi = Bytes.get_uint8 t.slots (si * rec_size) in
-  let fj = Bytes.get_uint8 t.slots (sj * rec_size) in
-  let abs_i = lanes t si absorbed_at and abs_j = lanes t sj absorbed_at in
-  let fly_ij = lane_sub (lane_sub (lanes t si sent_at) (lanes t sj received_at)) abs_j in
-  let fly_ji = lane_sub (lane_sub (lanes t sj sent_at) (lanes t si received_at)) abs_i in
+  let ri = rec_at i si and rj = rec_at j t.rev.(si) in
+  let fi = Bytes.get_uint8 t.slots ri in
+  let fj = Bytes.get_uint8 t.slots rj in
+  let abs_i = lanes t ri absorbed_at and abs_j = lanes t rj absorbed_at in
+  let fly_ij = lane_sub (lane_sub (lanes t ri sent_at) (lanes t rj received_at)) abs_j in
+  let fly_ji = lane_sub (lane_sub (lanes t rj sent_at) (lanes t ri received_at)) abs_i in
   (* Lemma 1.2 for forks, extended to crash absorption: exactly one
      fork per edge, wherever it is. *)
   let forks =
@@ -478,14 +510,13 @@ let[@lint.hot] check_edge t stats i j si =
       (fj land pinged_bit <> 0) pending_ji;
   (* The wrapped counters against the network's exact ones: a count
      that wrapped past 255 cannot pass. *)
-  let edge = Cgraph.Graph.slot_edge_id t.graph si in
   let in_transit = lane_sum fly_ij + lane_sum fly_ji in
-  let exact = Net.Link_stats.edge_in_flight stats edge in
+  let exact = Net.Link_stats.edge_in_flight stats si in
   if in_transit <> exact then
     fail "edge (%d,%d): %d messages in transit by the slot counters, %d by the network" i j
       in_transit exact;
   let lost = lane_sum abs_i + lane_sum abs_j in
-  let exact_lost = Net.Link_stats.edge_dropped stats edge in
+  let exact_lost = Net.Link_stats.edge_dropped stats si in
   if lost <> exact_lost then
     fail "edge (%d,%d): %d messages absorbed by the slot counters, %d by the network" i j lost
       exact_lost;
@@ -494,9 +525,11 @@ let[@lint.hot] check_edge t stats i j si =
 
 let[@lint.hot] check_invariants t =
   for i = 0 to t.n - 1 do
-    if phase t i = Eating && not (inside t i) then fail "process %d eats outside the doorway" i;
+    let h = head t i in
+    let p = get_phase t h and inside = get_inside t h in
+    if p = Eating && not inside then fail "process %d eats outside the doorway" i;
     for s = t.off.(i) to t.off.(i + 1) - 1 do
-      if flag t s ack_bit && not (phase t i = Hungry && not (inside t i)) then
+      if flag t (rec_at i s) ack_bit && not (p = Hungry && not inside) then
         fail "process %d holds an ack while not hungry-outside" i
     done
   done;
@@ -509,19 +542,21 @@ let[@lint.hot] check_invariants t =
   done
 
 let pp_process t ppf i =
+  let h = head t i in
   Format.fprintf ppf "p%d %s%s c=%d |" i
-    (Types.phase_to_string (phase t i))
-    (if inside t i then " inside" else "")
-    t.color.(i);
+    (Types.phase_to_string (get_phase t h))
+    (if get_inside t h then " inside" else "")
+    (get_color t h);
   for s = t.off.(i) to t.off.(i + 1) - 1 do
+    let r = rec_at i s in
     let bit b ch = if b then Char.uppercase_ascii ch else ch in
     Format.fprintf ppf " %d:%c%c%c%c%c%c" t.nbr.(s)
-      (bit (flag t s pinged_bit) 'p')
-      (bit (flag t s ack_bit) 'a')
-      (bit (granted t s > 0) 'r')
-      (bit (flag t s deferred_bit) 'd')
-      (bit (flag t s fork_bit) 'f')
-      (bit (flag t s token_bit) 't')
+      (bit (flag t r pinged_bit) 'p')
+      (bit (flag t r ack_bit) 'a')
+      (bit (granted t r > 0) 'r')
+      (bit (flag t r deferred_bit) 'd')
+      (bit (flag t r fork_bit) 'f')
+      (bit (flag t r token_bit) 't')
   done
 
 let pp_global t ppf () =

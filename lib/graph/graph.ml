@@ -4,17 +4,15 @@ type pid = int
    neighbors as a contiguous ascending run; position [s] in [nbr] is the
    "directed slot" for the pair (owner of the run, nbr.(s)), giving
    every per-directed-pair quantity in the system (FIFO floors, link
-   counters, protocol bits) a dense int index. Undirected edges are
-   numbered in canonical sorted (u, v), u < v, order, which is the order
-   of the upper slots (nbr.(s) > owner) read row by row. [rev] pairs
-   each slot with its reverse, so a message's receiver finds its own end
-   of the edge without a search. *)
+   counters, protocol bits) a dense int index. [rev] pairs each slot
+   with its reverse, so a message's receiver finds its own end of the
+   edge without a search, and an edge's per-edge quantities can live at
+   one of its two slots. *)
 type t = {
   n : int;
   off : int array; (* n+1 row offsets into nbr *)
   nbr : pid array; (* 2m neighbors, ascending within each row *)
   rev : int array; (* 2m: slot (i, j) -> slot (j, i) *)
-  slot_edge : int array; (* 2m: directed slot -> undirected edge id *)
 }
 
 (* In-place heapsort of a.(0 .. len-1), ascending: int compares, no
@@ -85,7 +83,6 @@ let build ~ctx ~n pairs =
   off.(n) <- 2 * m;
   let nbr = Array.make (2 * m) 0 in
   let rev = Array.make (2 * m) 0 in
-  let slot_edge = Array.make (2 * m) 0 in
   (* Filling from the row ends, in descending edge order, leaves every
      row ascending and every off.(i) at the start of its row: vertex i
      first receives its larger neighbors v (as edges (i, v), descending
@@ -99,12 +96,10 @@ let build ~ctx ~n pairs =
     nbr.(sv) <- u;
     rev.(su) <- sv;
     rev.(sv) <- su;
-    slot_edge.(su) <- e;
-    slot_edge.(sv) <- e;
     off.(u) <- su;
     off.(v) <- sv
   done;
-  { n; off; nbr; rev; slot_edge }
+  { n; off; nbr; rev }
 
 let of_pairs ~n pairs = build ~ctx:"Graph.of_pairs" ~n pairs
 
@@ -120,7 +115,7 @@ let of_edges ~n edge_list =
 let n t = t.n
 let edge_count t = Array.length t.nbr / 2
 
-(* Each edge (u, v), u < v, once: as the upper slot of u's row. *)
+(* Each edge (u, v), u < v, once: as the slot (u, v) of u's row. *)
 let edges t =
   let acc = ref [] in
   for u = t.n - 1 downto 0 do
@@ -174,7 +169,6 @@ let[@lint.hot] dir_index_opt t i j =
 let slot_dst t s = t.nbr.(s)
 let slot_src t s = t.nbr.(t.rev.(s))
 let rev_slots t = t.rev
-let slot_edge_id t s = t.slot_edge.(s)
 let csr_offsets t = t.off
 let csr_targets t = t.nbr
 

@@ -53,14 +53,14 @@ val fold_vertices : t -> init:'a -> f:('a -> pid -> 'a) -> 'a
     pair [(i, nbr.(s))] where [i] owns the row containing [s]; slots
     give every per-directed-pair quantity in the system (FIFO floors,
     link counters, per-edge protocol bits) a dense int index, replacing
-    hashed pair keys on hot paths. Undirected edges are numbered
-    [0 .. edge_count - 1] in canonical sorted [(u, v)], [u < v], order:
-    edge ids ascend along the {e upper} slots (those whose target is
-    larger than their row's owner) taken in slot order, so an edge's
-    endpoints are its upper slot's owner and target.
+    hashed pair keys on hot paths. An undirected edge [(u, v)], [u < v],
+    has two slots: [(u, v)] in [u]'s row, the lower-numbered of the
+    two, and [(v, u)]. Taken in slot order, the slots whose target is
+    larger than their row's owner list the edges in canonical sorted
+    order.
 
-    Storage is 6 words per edge (three arrays over the [2m] slots:
-    targets, reverses, edge ids) plus [n + 1] row offsets. *)
+    Storage is 4 words per edge (two arrays over the [2m] slots:
+    targets and reverses) plus [n + 1] row offsets. *)
 
 val dir_count : t -> int
 (** Number of directed slots, [2 * edge_count]. *)
@@ -85,9 +85,6 @@ val rev_slots : t -> int array
 (** Reverse slots, length [dir_count]: entry [s] for the slot (i, j) is
     the slot (j, i), the other end of the same edge. Built once with the
     graph. Owned by the graph; do not mutate. *)
-
-val slot_edge_id : t -> int -> int
-(** Undirected edge id a directed slot belongs to. *)
 
 val csr_offsets : t -> int array
 (** Row offsets, length [n + 1]: vertex [i]'s slots are

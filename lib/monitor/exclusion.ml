@@ -5,24 +5,24 @@ type t = {
   faults : Net.Faults.t;
   off : int array; (* CSR offsets, owned by the graph *)
   nbr : Dining.Types.pid array; (* CSR targets, owned by the graph *)
-  eating : bool array;
+  eating : Bytes.t; (* pid -> 1 while it eats *)
   mutable violations : violation list; (* newest first *)
 }
 
 let[@lint.hot] on_phase t pid phase =
   match phase with
   | Dining.Types.Eating ->
-      t.eating.(pid) <- true;
+      Bytes.set_uint8 t.eating pid 1;
       for s = t.off.(pid) to t.off.(pid + 1) - 1 do
         let j = t.nbr.(s) in
-        if t.eating.(j) && not (Net.Faults.is_crashed t.faults j) then
+        if Bytes.get_uint8 t.eating j <> 0 && not (Net.Faults.is_crashed t.faults j) then
           (* The violation log is this monitor's output, kept by design:
              one record per violation. *)
           t.violations <-
             ({ time = Sim.Engine.now t.engine; eater = pid; neighbor = j } :: t.violations
             [@lint.allow "hot-path-alloc"])
       done
-  | Dining.Types.Thinking | Dining.Types.Hungry -> t.eating.(pid) <- false
+  | Dining.Types.Thinking | Dining.Types.Hungry -> Bytes.set_uint8 t.eating pid 0
 
 let attach engine graph faults (instance : Dining.Instance.t) =
   let t =
@@ -31,7 +31,7 @@ let attach engine graph faults (instance : Dining.Instance.t) =
       faults;
       off = Cgraph.Graph.csr_offsets graph;
       nbr = Cgraph.Graph.csr_targets graph;
-      eating = Array.make (Cgraph.Graph.n graph) false;
+      eating = Bytes.make (Cgraph.Graph.n graph) '\000';
       violations = [];
     }
   in

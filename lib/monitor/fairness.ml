@@ -24,6 +24,13 @@ let inline = 3
 
 let group_stride = 2 + inline
 
+(* Open groups live in chunks of [chunk_slots] slots, each allocated
+   at the first overtake among its slots: 51 slots of [group_stride]
+   ints are 255 words, which a minor-heap block holds, and no overtake
+   allocates more than one chunk. The last chunk holds only the slots
+   left. *)
+let chunk_slots = 51
+
 (* Per-transition state is flat: [counts] is indexed by the directed
    slot (victim, overtaker), so the reset when a victim eats zeroes the
    victim's own CSR row, and [hungry_since] marks "not hungry" with -1
@@ -36,10 +43,12 @@ let group_stride = 2 + inline
    hungry within one tick starts a session at the same time, and those
    overtakes belong to the same group). The open group keeps its
    overtake times, the first [inline] in [groups] and any more in a
-   per-slot spill array; closing folds them into [suffix]. The group arrays and the recent ring are allocated at the
-   first overtake, so a world that never sees one pays only for
-   [hungry_since] and [counts], and one that does pays a fixed amount
-   from then on unless a group outgrows [inline]. *)
+   per-slot spill array; closing folds them into [suffix]. The chunk
+   index and the recent ring are allocated at the first overtake and a
+   chunk at the first overtake among its slots, so a world that never
+   sees one pays only for [hungry_since] and [counts], and one that
+   does pays at most once per chunk from then on unless a group
+   outgrows [inline]. *)
 type t = {
   engine : Sim.Engine.t;
   faults : Net.Faults.t;
@@ -52,9 +61,10 @@ type t = {
   mutable max_count : int;
   mutable latest_start : Sim.Time.t array;
       (* c -> latest session start of an overtake with count c, 1 <= c <= max_count *)
-  mutable groups : int array;
-      (* slot * group_stride + (0: session start, 1: size (0 = no open
-         group), 2 + i: i-th time) *)
+  mutable groups : int array array;
+      (* slot / chunk_slots -> its chunk ([||] until its first overtake),
+         where slot mod chunk_slots * group_stride + (0: session start,
+         1: size (0 = no open group), 2 + i: i-th time) *)
   mutable spill : Sim.Time.t array array; (* slot -> its times from index [inline] on *)
   mutable suffix : Sim.Time.t array;
       (* j -> latest j-th-most-recent overtake of any closed group, 1 <= j <= suffix_len *)
@@ -66,8 +76,14 @@ type t = {
 (* Allocation off the per-event path: first-overtake set-up and the
    doubling growth of the count- and rank-indexed arrays. *)
 let first_overtake t =
-  t.groups <- Array.make (Array.length t.counts * group_stride) 0;
+  t.groups <- Array.make (((Array.length t.counts - 1) / chunk_slots) + 1) [||];
   t.recent <- Array.make (recent_size * recent_stride) 0
+
+let add_chunk t b =
+  let slots = min chunk_slots (Array.length t.counts - (b * chunk_slots)) in
+  let c = Array.make (slots * group_stride) 0 in
+  t.groups.(b) <- c;
+  c
 
 let grown a need fill =
   let b = Array.make (max 4 (max need (2 * Array.length a))) fill in
@@ -80,20 +96,21 @@ let grow_spill t k need =
   if Array.length t.spill = 0 then t.spill <- Array.make (Array.length t.counts) [||];
   t.spill.(k) <- grown t.spill.(k) need 0
 
-let[@lint.hot] group_time t k i =
-  if i < inline then t.groups.((k * group_stride) + 2 + i) else t.spill.(k).(i - inline)
+(* Slot [k]'s open group is [group_stride] ints of chunk [c] from [g]. *)
+let[@lint.hot] group_time t c g k i =
+  if i < inline then c.(g + 2 + i) else t.spill.(k).(i - inline)
 
 (* Fold slot [k]'s open group into [suffix]: its j-th-most-recent time
    competes for rank j. *)
-let[@lint.hot] close_group t k =
-  let m = t.groups.((k * group_stride) + 1) in
+let[@lint.hot] close_group t c g k =
+  let m = c.(g + 1) in
   if m >= Array.length t.suffix then grow_suffix t (m + 1);
   for j = 1 to m do
-    let time = group_time t k (m - j) in
+    let time = group_time t c g k (m - j) in
     if time > t.suffix.(j) then t.suffix.(j) <- time
   done;
   if m > t.suffix_len then t.suffix_len <- m;
-  t.groups.((k * group_stride) + 1) <- 0
+  c.(g + 1) <- 0
 
 let[@lint.hot] rec feed_windows time count list =
   match list with
@@ -117,17 +134,19 @@ let[@lint.hot] record t k ~time ~overtaker ~victim ~session_start ~count =
   if count > t.max_count then t.max_count <- count;
   if count >= Array.length t.latest_start then grow_latest t (count + 1);
   if session_start > t.latest_start.(count) then t.latest_start.(count) <- session_start;
-  let g = k * group_stride in
-  if t.groups.(g + 1) > 0 && t.groups.(g) <> session_start then close_group t k;
-  t.groups.(g) <- session_start;
-  let len = t.groups.(g + 1) in
-  if len < inline then t.groups.(g + 2 + len) <- time
+  let b = k / chunk_slots and g = k mod chunk_slots * group_stride in
+  let c = t.groups.(b) in
+  let c = if Array.length c = 0 then add_chunk t b else c in
+  if c.(g + 1) > 0 && c.(g) <> session_start then close_group t c g k;
+  c.(g) <- session_start;
+  let len = c.(g + 1) in
+  if len < inline then c.(g + 2 + len) <- time
   else begin
     if Array.length t.spill = 0 || len - inline >= Array.length t.spill.(k) then
       grow_spill t k (len - inline + 1);
     t.spill.(k).(len - inline) <- time
   end;
-  t.groups.(g + 1) <- len + 1;
+  c.(g + 1) <- len + 1;
   feed_windows time count t.windows
 
 let[@lint.hot] on_phase t pid phase =
@@ -209,11 +228,15 @@ let max_consecutive_for_sessions_from t time =
 let max_consecutive_after t time =
   let rec closed j = if j < t.suffix_len && t.suffix.(j + 1) >= time then closed (j + 1) else j in
   let best = ref (closed 0) in
-  for k = 0 to (Array.length t.groups / group_stride) - 1 do
-    let len = t.groups.((k * group_stride) + 1) in
-    let rec after i = if i > 0 && group_time t k (i - 1) >= time then after (i - 1) else i in
-    best := max !best (len - after len)
-  done;
+  Array.iteri
+    (fun b c ->
+      for o = 0 to (Array.length c / group_stride) - 1 do
+        let g = o * group_stride and k = (b * chunk_slots) + o in
+        let len = c.(g + 1) in
+        let rec after i = if i > 0 && group_time t c g k (i - 1) >= time then after (i - 1) else i in
+        best := max !best (len - after len)
+      done)
+    t.groups;
   !best
 
 let windowed_max t ~window ~horizon =

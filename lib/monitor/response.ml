@@ -9,9 +9,12 @@ let recent_size = 32
 (* Fields per record in the recent ring: pid, started, served. *)
 let recent_stride = 3
 
-(* [entered] codes for the doorway split of the current session. *)
-let not_hungry = -2 (* latest transition is not Hungry *)
-let outside = -1 (* hungry, not yet inside the doorway *)
+(* Per pid, two adjacent ints of [cells], both zero at attach:
+   [2 pid] the start of its open session + 1 (0 = none), and
+   [2 pid + 1] its doorway state: [not_hungry], [outside], or the time
+   of its doorway entry + 2. *)
+let not_hungry = 0 (* latest transition is not Hungry *)
+let outside = 1 (* hungry, not yet inside the doorway *)
 
 (* No session log: latencies go to an exact multiset, registered
    readers and callbacks see each session as it completes, and a ring
@@ -21,8 +24,7 @@ let outside = -1 (* hungry, not yet inside the doorway *)
 type t = {
   engine : Sim.Engine.t;
   faults : Net.Faults.t;
-  open_since : Sim.Time.t array; (* pid -> start of its open session, -1 = none *)
-  entered : Sim.Time.t array; (* pid -> doorway entry, or [not_hungry] / [outside] *)
+  cells : int array; (* pid -> open session and doorway state, see above *)
   latencies : Stats.Multiset.t;
   doorway : Obs.Metrics.histogram;
   fork : Obs.Metrics.histogram;
@@ -62,32 +64,34 @@ let[@lint.hot] rec notify pid started served list =
       notify pid started served rest
 
 (* A doorway entry splits the session only while the pid's latest
-   transition is Hungry; [open_since] survives Thinking, so [entered]
-   carries that state. *)
+   transition is Hungry; the open session survives Thinking, so the
+   doorway cell carries that state. *)
 let[@lint.hot] on_doorway t pid =
-  if t.entered.(pid) <> not_hungry then begin
+  if t.cells.((2 * pid) + 1) <> not_hungry then begin
     let now = Sim.Engine.now t.engine in
-    let wait = now - t.open_since.(pid) in
-    t.entered.(pid) <- now;
+    let wait = now - (t.cells.(2 * pid) - 1) in
+    t.cells.((2 * pid) + 1) <- now + 2;
     Obs.Metrics.observe t.doorway wait
   end
 
 let[@lint.hot] on_phase t pid phase =
+  let c = 2 * pid in
   match phase with
   | Dining.Types.Hungry ->
-      t.open_since.(pid) <- Sim.Engine.now t.engine;
-      if t.entered.(pid) = not_hungry then t.entered.(pid) <- outside
+      t.cells.(c) <- Sim.Engine.now t.engine + 1;
+      if t.cells.(c + 1) = not_hungry then t.cells.(c + 1) <- outside
   | Dining.Types.Eating ->
-      let entered = t.entered.(pid) in
-      t.entered.(pid) <- not_hungry;
-      if entered >= 0 then begin
-        let wait = Sim.Engine.now t.engine - entered in
+      let entered = t.cells.(c + 1) in
+      t.cells.(c + 1) <- not_hungry;
+      if entered > outside then begin
+        let wait = Sim.Engine.now t.engine - (entered - 2) in
         Obs.Metrics.observe t.fork wait
       end;
-      let started = t.open_since.(pid) in
-      if started >= 0 then begin
+      let since = t.cells.(c) in
+      if since > 0 then begin
+        let started = since - 1 in
         let served = Sim.Engine.now t.engine in
-        t.open_since.(pid) <- -1;
+        t.cells.(c) <- 0;
         if t.served = 0 then first_session t;
         let base = t.served mod recent_size * recent_stride in
         t.recent.(base) <- pid;
@@ -98,7 +102,7 @@ let[@lint.hot] on_phase t pid phase =
         feed_series started served t.series;
         notify pid started served t.on_served
       end
-  | Dining.Types.Thinking -> t.entered.(pid) <- not_hungry
+  | Dining.Types.Thinking -> t.cells.(c + 1) <- not_hungry
 
 let attach ?(metrics = Obs.Metrics.create ()) engine faults (instance : Dining.Instance.t) =
   let n = Net.Faults.n faults in
@@ -106,8 +110,7 @@ let attach ?(metrics = Obs.Metrics.create ()) engine faults (instance : Dining.I
     {
       engine;
       faults;
-      open_since = Array.make n (-1);
-      entered = Array.make n not_hungry;
+      cells = Array.make (2 * n) 0;
       latencies = Stats.Multiset.create ();
       doorway = Obs.Metrics.histogram metrics "daemon.doorway_wait";
       fork = Obs.Metrics.histogram metrics "daemon.fork_wait";
@@ -144,9 +147,9 @@ let fork_summary t = Stats.Multiset.summary t.fork
 (* Walking pids downwards while consing yields ascending pid order. *)
 let open_sessions t =
   let acc = ref [] in
-  for pid = Array.length t.open_since - 1 downto 0 do
-    let started = t.open_since.(pid) in
-    if started >= 0 && not (Net.Faults.is_crashed t.faults pid) then acc := (pid, started) :: !acc
+  for pid = (Array.length t.cells / 2) - 1 downto 0 do
+    let since = t.cells.(2 * pid) in
+    if since > 0 && not (Net.Faults.is_crashed t.faults pid) then acc := (pid, since - 1) :: !acc
   done;
   !acc
 

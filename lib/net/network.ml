@@ -1,6 +1,7 @@
 (* A codec-less network keeps each message in flight in a FIFO per
-   directed channel: its deliveries fire in send order (see
-   [last_delivery]), so a delivery pops the channel's oldest message.
+   directed channel: its deliveries fire in send order (Link_stats
+   clamps each delivery time to the channel's FIFO floor), so a
+   delivery pops the channel's oldest message.
    The producer (the source's events) writes only [tail] and [first],
    the consumer (the destination's) only [head], so the lists are
    single-writer under sharded stepping. A message sent in one step is
@@ -20,11 +21,6 @@ type 'msg t = {
   stats : Link_stats.t;
   recorder : Obs.Recorder.t;
   tracing : bool ref; (* the recorder's live full-tracing flag *)
-  (* FIFO enforcement: per directed slot, the latest delivery time
-     handed out so far; later sends never deliver earlier. The slot
-     belongs to the source's CSR row, so the array is single-writer
-     under sharded stepping. *)
-  last_delivery : Sim.Time.t array;
   encode : 'msg -> int;
   decode : int -> 'msg;
   fifo : bool; (* no codec: messages in flight wait in the per-channel lists *)
@@ -95,13 +91,12 @@ let create_slotted ~engine ~graph ~delay ~faults ~rng ?(kind = fun _ -> "msg")
       Array.init (Cgraph.Graph.n graph) (fun i ->
           Sim.Rng.split_named rng ("src-" ^ string_of_int i))
   in
-  let dirs = Cgraph.Graph.dir_count graph in
   let encode, decode, fifo =
     match codec with
     | Some (encode, decode) -> (encode, decode, false)
     | None -> ((fun _ -> 0), no_decode, true)
   in
-  let channels = if fifo then dirs else 0 in
+  let channels = if fifo then Cgraph.Graph.dir_count graph else 0 in
   let t =
     {
       engine;
@@ -116,7 +111,6 @@ let create_slotted ~engine ~graph ~delay ~faults ~rng ?(kind = fun _ -> "msg")
       stats;
       recorder = Sim.Engine.recorder engine;
       tracing = Obs.Recorder.tracing_flag (Sim.Engine.recorder engine);
-      last_delivery = Array.make dirs Sim.Time.zero;
       encode;
       decode;
       fifo;
@@ -140,11 +134,11 @@ let[@lint.hot] send_slot t ~src slot msg =
   if not (Faults.is_crashed t.faults src) then begin
     let dst = Cgraph.Graph.slot_dst t.graph slot in
     let now = Sim.Engine.now t.engine in
-    Link_stats.record_send t.stats ~slot ~at:now;
     let rng = if Array.length t.src_rngs = 0 then t.rng else t.src_rngs.(src) in
     let raw = Sim.Time.add now (Delay.sample t.delay rng ~now) in
-    let at = Sim.Time.max raw t.last_delivery.(slot) in
-    t.last_delivery.(slot) <- at;
+    (* FIFO: the channel's floor is the latest delivery time it handed
+       out, so a later send never delivers earlier. *)
+    let at = Link_stats.record_send t.stats ~slot ~at:now ~deliver_at:raw in
     if !(t.tracing) then
       Obs.Recorder.send t.recorder ~time:now ~src ~dst ~tag:(t.kind msg) ~deliver_at:at;
     (* A message that never arrives is not kept. *)

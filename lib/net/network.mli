@@ -20,8 +20,10 @@
     CSR row ({!Cgraph.Graph.dir_index}). The slot is the currency of
     the per-message path: {!send_slot} takes it, the delivery event
     carries it, {!Link_stats} counts by it (a send writes the source's
-    slot counters and the edge's cell, a delivery or drop only the
-    edge's cell) and {!create_slotted}'s handler receives it, so no step of a message searches the graph.
+    slot record, whose FIFO floor sets the delivery time, and the
+    edge's cell, a delivery or drop only the edge's cell) and
+    {!create_slotted}'s handler receives it, so no step of a message
+    searches the graph.
     The receiver's own end of the edge is its entry in
     {!Cgraph.Graph.rev_slots}. The pid forms {!create} and {!send} are
     wrappers that look the slot up.

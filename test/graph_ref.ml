@@ -7,7 +7,6 @@ type t = {
   off : int array;
   nbr : int array;
   rev : int array;
-  slot_edge : int array;
   edges : (int * int) list;
 }
 
@@ -52,7 +51,6 @@ let of_keys ~n keys m =
   off.(n) <- !total;
   let nbr = Array.make (2 * m) 0 in
   let rev = Array.make (2 * m) 0 in
-  let slot_edge = Array.make (2 * m) 0 in
   let fill = Array.sub off 0 (max 1 n) in
   for e = 0 to m - 1 do
     let u = eu.(e) and v = ev.(e) in
@@ -61,12 +59,10 @@ let of_keys ~n keys m =
     nbr.(sv) <- u;
     rev.(su) <- sv;
     rev.(sv) <- su;
-    slot_edge.(su) <- e;
-    slot_edge.(sv) <- e;
     fill.(u) <- su + 1;
     fill.(v) <- sv + 1
   done;
-  { off; nbr; rev; slot_edge; edges = List.init m (fun e -> (eu.(e), ev.(e))) }
+  { off; nbr; rev; edges = List.init m (fun e -> (eu.(e), ev.(e))) }
 
 let of_edges ~ctx ~n pairs =
   if n <= 0 then invalid_arg (ctx ^ ": n must be positive");

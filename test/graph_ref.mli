@@ -5,7 +5,6 @@ type t = {
   off : int array;  (** n + 1 row offsets *)
   nbr : int array;  (** 2m neighbours, ascending within each row *)
   rev : int array;  (** 2m: slot (i, j) -> slot (j, i) *)
-  slot_edge : int array;  (** 2m: directed slot -> edge id *)
   edges : (int * int) list;  (** canonical (u, v), u < v, sorted *)
 }
 

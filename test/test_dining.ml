@@ -386,7 +386,7 @@ let slot_counters_checked_against_network () =
   done;
   let stats = Dining.Algorithm.network_stats r.algo in
   Dining.Algorithm.check_invariants r.algo;
-  Net.Link_stats.record_send stats ~slot:(Cgraph.Graph.dir_index r.graph 2 3) ~at:0;
+  ignore (Net.Link_stats.record_send stats ~slot:(Cgraph.Graph.dir_index r.graph 2 3) ~at:0 ~deliver_at:0);
   Alcotest.check_raises "unaccounted message"
     (Dining.Types.Invariant_violation
        "edge (2,3): 0 messages in transit by the slot counters, 1 by the network") (fun () ->
@@ -565,7 +565,7 @@ let slot_counters_checked_against_drops () =
   Dining.Algorithm.check_invariants r.algo;
   let stats = Dining.Algorithm.network_stats r.algo in
   let slot = Cgraph.Graph.dir_index r.graph 2 3 in
-  Net.Link_stats.record_send stats ~slot ~at:0;
+  ignore (Net.Link_stats.record_send stats ~slot ~at:0 ~deliver_at:0);
   Net.Link_stats.record_drop stats ~slot;
   Alcotest.check_raises "unaccounted drop"
     (Dining.Types.Invariant_violation

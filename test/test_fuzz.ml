@@ -79,7 +79,7 @@ let quiescence_oracle_fires () =
   let sent_to_victim_at at =
     let graph = Cgraph.Topology.build (Cgraph.Topology.Ring 8) in
     let noisy = Net.Link_stats.create ~engine:(Sim.Engine.create ()) ~graph () in
-    Net.Link_stats.record_send noisy ~slot:(Cgraph.Graph.dir_index graph 1 2) ~at;
+    ignore (Net.Link_stats.record_send noisy ~slot:(Cgraph.Graph.dir_index graph 1 2) ~at ~deliver_at:at);
     { r with link_stats = noisy }
   in
   let edge = crash + Fuzz.Property.quiescence_grace in

@@ -81,6 +81,31 @@ let faults_rescheduled_crash_keeps_posts_legal () =
   check int "one tick after the superseded event" 101 (Sim.Engine.now engine);
   check bool "one crash, at the earliest time" true (!crashes = [ (0, 40) ])
 
+(* [is_crashed] answers from the earliest scheduled crash until one is
+   due, so every crash, first or moved earlier, must lower it. Probes
+   at each tick read every pid: pid 2's crash at 100 is moved to 30,
+   below pid 1's at 50, after pid 1's was scheduled. *)
+let faults_is_crashed_tracks_the_earliest_crash () =
+  let engine = Sim.Engine.create () in
+  let faults = Net.Faults.create engine ~n:4 in
+  let seen = ref [] in
+  for at = 0 to 60 do
+    Sim.Engine.schedule engine ~at (fun () ->
+        let crashed = List.filter (Net.Faults.is_crashed faults) [ 0; 1; 2; 3 ] in
+        if crashed <> [] then seen := (at, crashed) :: !seen)
+  done;
+  Net.Faults.schedule_crash faults ~pid:2 ~at:100;
+  Net.Faults.schedule_crash faults ~pid:1 ~at:50;
+  Sim.Engine.run engine ~until:10;
+  Net.Faults.schedule_crash faults ~pid:2 ~at:30;
+  Sim.Engine.run engine ~until:60;
+  let expected = List.init 31 (fun i -> (30 + i, if 30 + i >= 50 then [ 1; 2 ] else [ 2 ])) in
+  check
+    (Alcotest.list (Alcotest.pair int (Alcotest.list int)))
+    "nobody before the earliest crash, each pid from its crash tick on" expected (List.rev !seen);
+  check (Alcotest.list int) "crashed_by before the earliest crash" [] (Net.Faults.crashed_by faults 29);
+  check (Alcotest.list int) "crashed_by at it" [ 2 ] (Net.Faults.crashed_by faults 30)
+
 let faults_listeners_fire_in_registration_order () =
   let engine = Sim.Engine.create () in
   let faults = Net.Faults.create engine ~n:1 in
@@ -258,7 +283,9 @@ let link_stats_watermarks () =
   let recorder = Obs.Recorder.create () in
   let by_kind = Net.Kind_watermarks.attach recorder in
   let send src dst tag at =
-    Net.Link_stats.record_send stats ~slot:(Cgraph.Graph.dir_index graph src dst) ~at;
+    ignore
+      (Net.Link_stats.record_send stats ~slot:(Cgraph.Graph.dir_index graph src dst) ~at
+         ~deliver_at:(at + 10));
     Obs.Recorder.send recorder ~time:at ~src ~dst ~tag ~deliver_at:(at + 10)
   in
   send 0 1 "a" 1;
@@ -278,19 +305,23 @@ let link_stats_watermarks () =
     (Net.Kind_watermarks.max_by_kind by_kind)
 
 (* Deliveries are not counted: they are what was sent and neither
-   dropped nor in flight. Drops count per edge, both directions. *)
+   dropped nor in flight. Drops count per edge, both directions, and
+   either slot of the edge reads its counts. *)
 let link_stats_drops () =
   let graph = Cgraph.Graph.of_edges ~n:3 [ (0, 1); (1, 2) ] in
   let stats = Net.Link_stats.create ~engine:(Sim.Engine.create ()) ~graph () in
   let slot = Cgraph.Graph.dir_index graph in
-  let e01 = Cgraph.Graph.slot_edge_id graph (slot 0 1) in
-  List.iter (fun (a, b) -> Net.Link_stats.record_send stats ~slot:(slot a b) ~at:1)
+  List.iter
+    (fun (a, b) -> ignore (Net.Link_stats.record_send stats ~slot:(slot a b) ~at:1 ~deliver_at:1))
     [ (0, 1); (1, 0); (1, 0); (2, 1) ];
   Net.Link_stats.record_drop stats ~slot:(slot 0 1);
   Net.Link_stats.record_drop stats ~slot:(slot 1 0);
   Net.Link_stats.record_delivery stats ~slot:(slot 2 1);
-  check int "edge drops, both directions" 2 (Net.Link_stats.edge_dropped stats e01);
-  check int "edge in flight" 1 (Net.Link_stats.edge_in_flight stats e01);
+  check int "edge drops, both directions" 2 (Net.Link_stats.edge_dropped stats (slot 0 1));
+  check int "edge drops, read at the upper slot" 2 (Net.Link_stats.edge_dropped stats (slot 1 0));
+  check int "edge in flight" 1 (Net.Link_stats.edge_in_flight stats (slot 0 1));
+  check int "edge in flight, read at the upper slot" 1 (Net.Link_stats.edge_in_flight stats (slot 1 0));
+  check int "the other edge: no drops" 0 (Net.Link_stats.edge_dropped stats (slot 2 1));
   check int "sent" 4 (Net.Link_stats.total_sent stats);
   check int "dropped" 2 (Net.Link_stats.total_dropped stats);
   check int "delivered = sent - dropped - in flight" 1 (Net.Link_stats.total_delivered stats);
@@ -304,15 +335,36 @@ let link_stats_last_send () =
   let graph = Cgraph.Graph.of_edges ~n:3 [ (0, 1); (1, 2) ] in
   let stats = Net.Link_stats.create ~engine:(Sim.Engine.create ()) ~graph () in
   check bool "none initially" true (Net.Link_stats.last_send_to stats 1 = None);
-  Net.Link_stats.record_send stats ~slot:(Cgraph.Graph.dir_index graph 0 1) ~at:5;
-  Net.Link_stats.record_send stats ~slot:(Cgraph.Graph.dir_index graph 2 1) ~at:7;
-  Net.Link_stats.record_send stats ~slot:(Cgraph.Graph.dir_index graph 1 2) ~at:9;
+  let send a b at =
+    ignore (Net.Link_stats.record_send stats ~slot:(Cgraph.Graph.dir_index graph a b) ~at ~deliver_at:at)
+  in
+  send 0 1 5;
+  send 2 1 7;
+  send 1 2 9;
   check bool "last send to, over every incoming edge" true
     (Net.Link_stats.last_send_to stats 1 = Some 7);
   check bool "its own sends do not count" true (Net.Link_stats.last_send_to stats 0 = None);
   check bool "last send to the other end" true (Net.Link_stats.last_send_to stats 2 = Some 9);
   check int "total to dst, over every incoming edge" 2 (Net.Link_stats.total_sends_to stats ~dst:1);
   check int "total to dst, sends from it excluded" 0 (Net.Link_stats.total_sends_to stats ~dst:0)
+
+(* A send at time 0 is recorded (stamps are stored + 1, so 0 is not
+   "never"), and each slot's FIFO floor clamps only its own later
+   sends. *)
+let link_stats_fifo_floor () =
+  let graph = Cgraph.Graph.of_edges ~n:3 [ (0, 1); (1, 2) ] in
+  let stats = Net.Link_stats.create ~engine:(Sim.Engine.create ()) ~graph () in
+  let send a b ~at ~deliver_at =
+    Net.Link_stats.record_send stats ~slot:(Cgraph.Graph.dir_index graph a b) ~at ~deliver_at
+  in
+  check int "first send: as asked" 20 (send 0 1 ~at:0 ~deliver_at:20);
+  check bool "a send at t=0 counts" true (Net.Link_stats.last_send_to stats 1 = Some 0);
+  check int "an earlier time is clamped to the floor" 20 (send 0 1 ~at:1 ~deliver_at:4);
+  check int "the reverse slot has its own floor" 4 (send 1 0 ~at:1 ~deliver_at:4);
+  check int "the next slot of the row too" 3 (send 1 2 ~at:1 ~deliver_at:3);
+  check int "a later time raises the floor" 30 (send 0 1 ~at:2 ~deliver_at:30);
+  check int "and clamps from there" 30 (send 0 1 ~at:3 ~deliver_at:25);
+  check int "sends counted" 6 (Net.Link_stats.total_sent stats)
 
 (* The slot form: a send names its channel slot, and the handler (or
    [on_drop], once the destination has crashed) receives that slot. The
@@ -345,7 +397,14 @@ let network_slot_form () =
 (* One message event: its canonical rank in the step, its owner (the
    source for a send, the destination for a delivery or drop: the
    shard that fires it) and the record it makes. *)
-type op = { rank : int; owner : int; code : [ `Send | `Deliver | `Drop ]; slot : int; kind : int }
+type op = {
+  rank : int;
+  owner : int;
+  code : [ `Send | `Deliver | `Drop ];
+  slot : int;
+  kind : int;
+  deliver_at : int; (* a send's requested delivery time, before the FIFO clamp *)
+}
 
 let kind_count = 3
 
@@ -367,34 +426,48 @@ let gen_step st graph pending =
       if avail.(inc) > 0 && Random.State.bool st then begin
         avail.(inc) <- avail.(inc) - 1;
         let code = if Random.State.int st 4 = 0 then `Drop else `Deliver in
-        ops := { rank; owner = p; code; slot = inc; kind = Queue.pop pending.(inc) } :: !ops
+        ops :=
+          { rank; owner = p; code; slot = inc; kind = Queue.pop pending.(inc); deliver_at = 0 }
+          :: !ops
       end;
       for _ = 1 to Random.State.int st 3 do
         let slot = off.(p) + Random.State.int st deg in
         let kind = Random.State.int st kind_count in
         Queue.push kind pending.(slot);
-        ops := { rank; owner = p; code = `Send; slot; kind } :: !ops
+        let deliver_at = Random.State.int st 60 in
+        ops := { rank; owner = p; code = `Send; slot; kind; deliver_at } :: !ops
       done
     end
   done;
   List.rev !ops
 
+(* An op's result: a send's granted delivery time, -1 otherwise. *)
 let apply_ref oracle ~at o =
   match o.code with
-  | `Send -> Link_stats_ref.record_send oracle ~slot:o.slot ~kind:o.kind ~at
-  | `Deliver -> Link_stats_ref.record_delivery oracle ~slot:o.slot ~kind:o.kind
-  | `Drop -> Link_stats_ref.record_drop oracle ~slot:o.slot ~kind:o.kind
+  | `Send ->
+      Link_stats_ref.record_send oracle ~slot:o.slot ~kind:o.kind ~at ~deliver_at:o.deliver_at
+  | `Deliver ->
+      Link_stats_ref.record_delivery oracle ~slot:o.slot ~kind:o.kind;
+      -1
+  | `Drop ->
+      Link_stats_ref.record_drop oracle ~slot:o.slot ~kind:o.kind;
+      -1
 
 let apply stats ~at o =
   match o.code with
-  | `Send -> Net.Link_stats.record_send stats ~slot:o.slot ~at
-  | `Deliver -> Net.Link_stats.record_delivery stats ~slot:o.slot
-  | `Drop -> Net.Link_stats.record_drop stats ~slot:o.slot
+  | `Send -> Net.Link_stats.record_send stats ~slot:o.slot ~at ~deliver_at:o.deliver_at
+  | `Deliver ->
+      Net.Link_stats.record_delivery stats ~slot:o.slot;
+      -1
+  | `Drop ->
+      Net.Link_stats.record_drop stats ~slot:o.slot;
+      -1
 
-(* Every query, as named ints; edge drops against the sum of the
-   reference's two slot drops. *)
+(* Every query, as named ints; the edge queries at every slot, so both
+   the lower slot's in-flight cell and the upper slot's drop count are
+   read from either end. *)
 let view_new graph stats =
-  let n = Cgraph.Graph.n graph and m = Cgraph.Graph.edge_count graph in
+  let n = Cgraph.Graph.n graph and dirs = Cgraph.Graph.dir_count graph in
   let module L = Net.Link_stats in
   [
     ("sent", L.total_sent stats);
@@ -405,16 +478,11 @@ let view_new graph stats =
   @ List.init n (fun p -> (Printf.sprintf "sends to %d" p, L.total_sends_to stats ~dst:p))
   @ List.init n (fun p ->
         (Printf.sprintf "last send to %d" p, Option.value (L.last_send_to stats p) ~default:(-1)))
-  @ List.init m (fun e -> (Printf.sprintf "in flight %d" e, L.edge_in_flight stats e))
-  @ List.init m (fun e -> (Printf.sprintf "dropped %d" e, L.edge_dropped stats e))
+  @ List.init dirs (fun s -> (Printf.sprintf "in flight %d" s, L.edge_in_flight stats s))
+  @ List.init dirs (fun s -> (Printf.sprintf "dropped %d" s, L.edge_dropped stats s))
 
 let view_ref graph oracle =
-  let n = Cgraph.Graph.n graph and m = Cgraph.Graph.edge_count graph in
-  let rev = Cgraph.Graph.rev_slots graph in
-  let edge_slot = Array.make m 0 in
-  for s = Cgraph.Graph.dir_count graph - 1 downto 0 do
-    edge_slot.(Cgraph.Graph.slot_edge_id graph s) <- s
-  done;
+  let n = Cgraph.Graph.n graph and dirs = Cgraph.Graph.dir_count graph in
   let module R = Link_stats_ref in
   [
     ("sent", R.total_sent oracle);
@@ -425,10 +493,8 @@ let view_ref graph oracle =
   @ List.init n (fun p -> (Printf.sprintf "sends to %d" p, R.total_sends_to oracle ~dst:p))
   @ List.init n (fun p ->
         (Printf.sprintf "last send to %d" p, Option.value (R.last_send_to oracle p) ~default:(-1)))
-  @ List.init m (fun e -> (Printf.sprintf "in flight %d" e, R.edge_in_flight oracle e))
-  @ List.init m (fun e ->
-        let s = edge_slot.(e) in
-        (Printf.sprintf "dropped %d" e, R.slot_dropped oracle s + R.slot_dropped oracle rev.(s)))
+  @ List.init dirs (fun s -> (Printf.sprintf "in flight %d" s, R.edge_in_flight oracle s))
+  @ List.init dirs (fun s -> (Printf.sprintf "dropped %d" s, R.edge_dropped oracle s))
 
 let agree ~what graph stats oracle =
   check (Alcotest.list (Alcotest.pair Alcotest.string int)) what (view_ref graph oracle)
@@ -452,7 +518,8 @@ let random_graph st =
    owned by the process that makes it, and runs the engine: its parallel
    step fires the shards on the pool and merges the deferred edge
    updates in rank order. The reference always sees the step in rank
-   order. *)
+   order. Every send's granted delivery time (the FIFO clamp) must
+   match the reference's too. *)
 let differential ~pool ~shards () =
   for case = 0 to 29 do
     let st = Random.State.make [| 0x51; shards; case |] in
@@ -463,23 +530,28 @@ let differential ~pool ~shards () =
       pool;
     let stats = Net.Link_stats.create ~engine ~graph () in
     let oracle = Link_stats_ref.create ~graph ~kinds:(Array.init kind_count string_of_int) () in
-    let step_ops = ref [||] in
+    let step_ops = ref [||] and granted = ref [||] in
     let fire =
       Sim.Engine.register engine (fun _ i _ ->
-          apply stats ~at:(Sim.Engine.now engine) !step_ops.(i))
+          !granted.(i) <- apply stats ~at:(Sim.Engine.now engine) !step_ops.(i))
     in
     let pending = Array.init (Cgraph.Graph.dir_count graph) (fun _ -> Queue.create ()) in
     for at = 0 to 39 do
       let ops = gen_step st graph pending in
-      List.iter (apply_ref oracle ~at) ops;
-      if pool = None || Random.State.int st 3 = 0 then List.iter (apply stats ~at) ops
+      let expected = List.map (apply_ref oracle ~at) ops in
+      step_ops := Array.of_list ops;
+      granted := Array.make (Array.length !step_ops) (-2);
+      if pool = None || Random.State.int st 3 = 0 then
+        List.iteri (fun i o -> !granted.(i) <- apply stats ~at o) ops
       else begin
-        step_ops := Array.of_list ops;
         Array.iteri
           (fun i o -> Sim.Engine.post engine ~kind:fire ~owner:o.owner ~at i 0)
           !step_ops;
         Sim.Engine.run engine ~until:at
       end;
+      check (Alcotest.list int)
+        (Printf.sprintf "case %d, step %d: granted delivery times" case at)
+        expected (Array.to_list !granted);
       agree ~what:(Printf.sprintf "case %d, step %d" case at) graph stats oracle
     done
   done
@@ -518,7 +590,7 @@ let ring8_rounds ?pool ~record () =
         if record then
           for s = off.(p) to off.(p + 1) - 1 do
             if receives then Net.Link_stats.record_delivery stats ~slot:rev.(s);
-            if sends then Net.Link_stats.record_send stats ~slot:s ~at:now
+            if sends then ignore (Net.Link_stats.record_send stats ~slot:s ~at:now ~deliver_at:now)
           done;
         Sim.Engine.post engine ~kind:!act ~owner:p ~at:(now + 1) 0 0);
   for p = 7 downto 0 do
@@ -528,7 +600,7 @@ let ring8_rounds ?pool ~record () =
 
 let ring8_view stats =
   ( Net.Link_stats.per_edge_watermarks stats,
-    List.init 8 (Net.Link_stats.edge_in_flight stats),
+    List.init 16 (Net.Link_stats.edge_in_flight stats),
     (Net.Link_stats.total_sent stats, Net.Link_stats.total_delivered stats) )
 
 (* Deferring an edge update stages six ints in the firing shard's
@@ -581,9 +653,10 @@ let kind_watermarks_match_reference () =
       let by_kind = Net.Kind_watermarks.attach recorder in
       Obs.Recorder.on_record recorder (fun r ->
           match r.kind with
-          | Send { src; dst; tag; _ } ->
-              Link_stats_ref.record_send oracle ~slot:(Cgraph.Graph.dir_index graph src dst)
-                ~kind:(kind tag) ~at:r.time
+          | Send { src; dst; tag; deliver_at } ->
+              ignore
+                (Link_stats_ref.record_send oracle ~slot:(Cgraph.Graph.dir_index graph src dst)
+                   ~kind:(kind tag) ~at:r.time ~deliver_at)
           | Deliver { src; dst; tag } ->
               Link_stats_ref.record_delivery oracle ~slot:(Cgraph.Graph.dir_index graph src dst)
                 ~kind:(kind tag)
@@ -639,11 +712,14 @@ let suite =
       network_in_flight_messages_survive_sender_crash;
     Alcotest.test_case "link_stats: watermarks" `Quick link_stats_watermarks;
     Alcotest.test_case "link_stats: last send" `Quick link_stats_last_send;
+    Alcotest.test_case "link_stats: FIFO floor per slot" `Quick link_stats_fifo_floor;
     Alcotest.test_case "delay: sampling allocates nothing" `Quick delay_sample_allocates_nothing;
     Alcotest.test_case "network: a message allocates nothing" `Quick
       network_message_allocation;
     Alcotest.test_case "faults: a run past a superseded crash keeps posts legal" `Quick
       faults_rescheduled_crash_keeps_posts_legal;
+    Alcotest.test_case "faults: is_crashed follows the earliest crash" `Quick
+      faults_is_crashed_tracks_the_earliest_crash;
     Alcotest.test_case "network: slot form carries the channel" `Quick network_slot_form;
     Alcotest.test_case "link_stats: drops and derived deliveries" `Quick link_stats_drops;
     Alcotest.test_case "link_stats: matches the reference" `Quick link_stats_matches_reference;
