@@ -336,20 +336,13 @@ let run_fuzz () =
    of complete think/eat sessions. *)
 let scale_horizon = 1_200
 
-let scale_scenario ~horizon topology : Harness.Scenario.t =
-  {
-    Harness.Scenario.default with
-    name = "scale";
-    topology;
-    seed = 42L;
-    delay = Net.Delay.Uniform (1, 8);
-    detector = Harness.Scenario.Never;
-    algo = Harness.Scenario.Song_pike;
-    workload = Harness.Scenario.default_workload;
-    crashes = Harness.Scenario.No_crashes;
-    horizon;
-    check_every = None;
-  }
+(* The clique cell is the end-to-end contended-clique world without its
+   invariant watcher: zero think time, the scripted oracle's false
+   suspicions and one crash, so Song-Pike's guards at degree n - 1 are
+   what it measures. It runs that workload's horizon. *)
+let clique_horizon = 1_600_000
+
+let cell_horizon = function `Clique -> clique_horizon | `Ring | `Grid | `Scale_free -> scale_horizon
 
 let scale_spec kind n : Cgraph.Topology.spec =
   match kind with
@@ -358,6 +351,35 @@ let scale_spec kind n : Cgraph.Topology.spec =
       let r = int_of_float (Float.round (sqrt (float_of_int n))) in
       Cgraph.Topology.Grid (r, (n + r - 1) / r)
   | `Scale_free -> Cgraph.Topology.Scale_free (n, 2, 42L)
+  | `Clique -> Cgraph.Topology.Clique n
+
+let scale_scenario ~horizon kind n : Harness.Scenario.t =
+  let s =
+    {
+      Harness.Scenario.default with
+      name = "scale";
+      topology = scale_spec kind n;
+      seed = 42L;
+      delay = Net.Delay.Uniform (1, 8);
+      detector = Harness.Scenario.Never;
+      algo = Harness.Scenario.Song_pike;
+      workload = Harness.Scenario.default_workload;
+      crashes = Harness.Scenario.No_crashes;
+      horizon;
+      check_every = None;
+    }
+  in
+  match kind with
+  | `Ring | `Grid | `Scale_free -> s
+  | `Clique ->
+      {
+        s with
+        workload = Harness.Scenario.contended_workload;
+        detector =
+          Harness.Scenario.Oracle
+            { detection_delay = 50; fp_per_edge = 2; fp_window = 200_000; fp_max_len = 200 };
+        crashes = Harness.Scenario.Random_crashes { count = 1; from_t = 100_000; to_t = 400_000 };
+      }
 
 type scale_cell = {
   label : string;
@@ -385,12 +407,17 @@ let allocated_words () =
 
 let words_since w0 = int_of_float (allocated_words () -. w0)
 
-let kind_name = function `Ring -> "ring" | `Grid -> "grid" | `Scale_free -> "sf"
+let kind_name = function
+  | `Ring -> "ring"
+  | `Grid -> "grid"
+  | `Scale_free -> "sf"
+  | `Clique -> "clique"
 
 let kind_of_name = function
   | "ring" -> Some `Ring
   | "grid" -> Some `Grid
   | "sf" -> Some `Scale_free
+  | "clique" -> Some `Clique
   | _ -> None
 
 (* One cell, measured in the calling process, single-domain: the Gc
@@ -399,8 +426,9 @@ let kind_of_name = function
    neither the allocation count nor the live-heap delta depends on what
    ran before the cell. Without [measure_live] the cell counts the
    world's reachable words instead: exact, and cheap at smoke sizes. *)
-let measure_scale_cell ~measure_live ~horizon spec =
-  let scenario = scale_scenario ~horizon spec in
+let measure_scale_cell ~measure_live ~horizon kind n =
+  let scenario = scale_scenario ~horizon kind n in
+  let spec = scenario.topology in
   let live0 =
     if measure_live then begin
       Gc.full_major ();
@@ -429,7 +457,7 @@ let measure_scale_cell ~measure_live ~horizon spec =
   let reachable_words = if measure_live then 0 else Obj.reachable_words (Obj.repr w) in
   {
     label =
-      (if horizon = scale_horizon then Cgraph.Topology.name spec
+      (if horizon = cell_horizon kind then Cgraph.Topology.name spec
        else Printf.sprintf "%s-h%d" (Cgraph.Topology.name spec) horizon);
     cell_n = Cgraph.Graph.n r.graph;
     cell_edges = Cgraph.Graph.edge_count r.graph;
@@ -561,7 +589,8 @@ let run_scale ~(ctx : Harness.Experiments.ctx) ~smoke ~json ~baseline () =
        pure table scaling. The smoke sweep runs ring-10^5 (about 2.5 s),
        so that an O(n) allocation inside [advance] moves a gated words
        key there, not only at 10^3, where a run amortises it. *)
-    @ if smoke then [ (`Ring, 100_000, scale_horizon) ] else [ (`Ring, 1_000_000, scale_horizon) ]
+    @ (if smoke then [ (`Ring, 100_000, scale_horizon) ] else [ (`Ring, 1_000_000, scale_horizon) ])
+    @ [ (`Clique, 16, clique_horizon) ]
   in
   let report = Report.create () in
   Report.str report "schema" "daemon-sim-bench/1";
@@ -634,10 +663,14 @@ let run_scale ~(ctx : Harness.Experiments.ctx) ~smoke ~json ~baseline () =
         (if c.seconds > 0.0 then float_of_int c.cell_events /. c.seconds else 0.0);
       if smoke then Report.int report (prefix ^ ".reachable_words") c.reachable_words
       else Report.int report (prefix ^ ".live_words") c.live_words;
-      (* What one event of [advance] costs as the working set grows past
-         the caches: advisory, at the two ring sizes ROADMAP item 2
-         compares. *)
-      if (not smoke) && (cell = (`Ring, 1_000, scale_horizon) || cell = (`Ring, 100_000, scale_horizon))
+      (* What one event of [advance] costs: advisory, at the two ring
+         sizes ROADMAP item 2 compares (the working set growing past the
+         caches) and on the contended clique (the guards' cost). *)
+      if
+        (not smoke)
+        && (cell = (`Ring, 1_000, scale_horizon)
+           || cell = (`Ring, 100_000, scale_horizon)
+           || cell = (`Clique, 16, clique_horizon))
       then
         Report.float report (prefix ^ ".advance.ns_per_event")
           (1e9 *. c.advance_seconds /. float_of_int (max 1 c.cell_events));
@@ -761,7 +794,7 @@ let () =
       match (kind_of_name kind, int_of_string_opt n, int_of_string_opt horizon, live) with
       | Some kind, Some n, Some horizon, ("0" | "1") ->
           print_scale_cell
-            (measure_scale_cell ~measure_live:(live = "1") ~horizon (scale_spec kind n));
+            (measure_scale_cell ~measure_live:(live = "1") ~horizon kind n);
           exit 0
       | _ -> usage ())
   | _ -> ());

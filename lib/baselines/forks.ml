@@ -56,6 +56,11 @@ let eat t i =
   done;
   notify t i
 
+(* Every slot from [s] to [hi] holds its fork or is suspected. Stops at
+   the first blocker; [suspects] is a pure read. *)
+let[@lint.hot] rec all_held t s hi =
+  s >= hi || ((t.fork.(s) || suspects t s) && all_held t (s + 1) hi)
+
 let try_actions t i =
   if (not (Net.Faults.is_crashed t.faults i)) && t.phase.(i) = Hungry then begin
     let lo = t.off.(i) and hi = t.off.(i + 1) in
@@ -64,11 +69,7 @@ let try_actions t i =
         for s = lo to hi - 1 do
           request t i s
         done;
-        let may_eat = ref true in
-        for s = lo to hi - 1 do
-          if not (t.fork.(s) || suspects t s) then may_eat := false
-        done;
-        if !may_eat then eat t i
+        if all_held t lo hi then eat t i
     | Ordered ->
         (* Advance the locked prefix past held (or suspected) forks;
            request the first missing one; eat when the prefix covers the

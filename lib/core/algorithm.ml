@@ -15,7 +15,8 @@ open Types
    Header of pid i, at byte [head t i]:
      0       phase code
      1       inside: 0/1
-     2, 3    unused
+     2       hints: ping_hint (1), fork_hint (2)
+     3       unused
      4       color: 32-bit little-endian
      8       eats: 64-bit little-endian
 
@@ -39,11 +40,24 @@ open Types
    absorption by its receiver, each in its own row), so the table is
    single-writer under sharded stepping.
 
+   The hints cache which of Actions 2 and 6 can send anything.
+   [ping_hint] covers the slots with neither pinged nor ack (Action 2's
+   candidates), [fork_hint] those with the token but not the fork
+   (Action 6's). A clear bit means its set is empty: [create] sets
+   both bits; [set_flag], the only writer of flags after [create], sets
+   a bit whenever its write puts a slot in that bit's set; and each
+   action's loop, which runs only while its bit is set, takes every
+   member it visits out of the set and clears the bit when it ends (its
+   sends only post events and never re-enter the algorithm). The hints
+   are derived state, not the paper's: [footprint_bits] does not count
+   them, and [check_invariants] checks them against the flags.
+
    An accessor takes the byte offset [h] of a header or [r] of a
    record, which a handler computes once. *)
 
 let rec_size = 16
 let inside_at = 1
+let hints_at = 2
 let color_at = 4
 let eats_at = 8
 let granted_at = 1
@@ -57,6 +71,8 @@ let ack_bit = 2
 let deferred_bit = 4
 let fork_bit = 8
 let token_bit = 16
+let ping_hint = 1
+let fork_hint = 2
 
 (* Phases as byte codes; the constructors themselves are immediate, so
    decoding allocates nothing. *)
@@ -96,9 +112,25 @@ let set_eats t h v = Bytes.set_int64_le t.slots (h + eats_at) (Int64.of_int v)
 let phase t i = get_phase t (head t i)
 let flag t r bit = Bytes.get_uint8 t.slots r land bit <> 0
 
-let set_flag t r bit on =
+(* The hints whose sets hold a slot with flags [f]. Comparisons, not
+   branches: [f] varies from slot to slot. *)
+let[@inline] hints_of f =
+  (ping_hint * Bool.to_int (f land (pinged_bit lor ack_bit) = 0))
+  lor (fork_hint * Bool.to_int (f land (token_bit lor fork_bit) = token_bit))
+
+let hints t h = Bytes.get_uint8 t.slots (h + hints_at)
+
+(* [h] is the header of the pid whose row holds [r]. Inlined: most
+   call sites pass a constant [on], which then picks its branch at
+   compile time. *)
+let[@inline] set_flag t h r bit on =
   let cur = Bytes.get_uint8 t.slots r in
-  Bytes.set_uint8 t.slots r (if on then cur lor bit else cur land lnot bit)
+  let f = if on then cur lor bit else cur land lnot bit in
+  Bytes.set_uint8 t.slots r f;
+  let added = hints_of f land lnot (hints_of cur) in
+  if added <> 0 then Bytes.set_uint8 t.slots (h + hints_at) (hints t h lor added)
+
+let clear_hint t h hint = Bytes.set_uint8 t.slots (h + hints_at) (hints t h land lnot hint)
 
 let granted t r = Bytes.get_uint8 t.slots (r + granted_at)
 let set_granted t r v = Bytes.set_uint8 t.slots (r + granted_at) v
@@ -141,6 +173,42 @@ let notify_phase t i p =
 
 let suspects t s = t.detector.Fd.Detector.suspects s
 
+(* The ∀-guards of Actions 5 and 9: every slot of i from [s] to [hi]
+   holds [bit] or is suspected. Stops at the first blocker; [suspects]
+   is a pure read, so skipping the calls after it changes nothing. *)
+let[@lint.hot] rec all_held t i bit s hi =
+  s >= hi || ((flag t (rec_at i s) bit || suspects t s) && all_held t i bit (s + 1) hi)
+
+(* Action 2: request acks from neighbors with no ack and no pending
+   ping. Runs only while [ping_hint] says some slot may qualify. *)
+let[@inline][@lint.hot] ping_missing t i h lo hi =
+  if hints t h land ping_hint <> 0 then begin
+    for s = lo to hi - 1 do
+      let r = rec_at i s in
+      if not (flag t r (pinged_bit lor ack_bit)) then begin
+        set_flag t h r pinged_bit true;
+        send t ~slot:s ~r ~src:i Ping
+      end
+    done;
+    clear_hint t h ping_hint
+  end
+
+(* Action 6: request each missing fork by surrendering the edge token,
+   carrying our color. Runs only while [fork_hint] says some slot may
+   qualify. *)
+let[@inline][@lint.hot] request_missing t i h lo hi =
+  if hints t h land fork_hint <> 0 then begin
+    let request = t.requests.(get_color t h) in
+    for s = lo to hi - 1 do
+      let r = rec_at i s in
+      if flag t r token_bit && not (flag t r fork_bit) then begin
+        set_flag t h r token_bit false;
+        send t ~slot:s ~r ~src:i request
+      end
+    done;
+    clear_hint t h fork_hint
+  end
+
 (* Evaluate all enabled internal actions of [i]. Idempotent: every send is
    gated by a flag it sets, and each phase transition fires at most once
    per hungry session, so re-evaluation on every event is safe. *)
@@ -150,26 +218,14 @@ let try_actions t i =
     if get_phase t h = Hungry then begin
       let lo = t.off.(i) and hi = t.off.(i + 1) in
       if not (get_inside t h) then begin
-        (* Action 2: request acks from neighbors with no ack and no
-           pending ping. *)
-        for s = lo to hi - 1 do
-          let r = rec_at i s in
-          if not (flag t r (pinged_bit lor ack_bit)) then begin
-            set_flag t r pinged_bit true;
-            send t ~slot:s ~r ~src:i Ping
-          end
-        done;
+        ping_missing t i h lo hi;
         (* Action 5: enter the doorway once every neighbor granted an ack
            or is suspected. *)
-        let may_enter = ref true in
-        for s = lo to hi - 1 do
-          if not (flag t (rec_at i s) ack_bit || suspects t s) then may_enter := false
-        done;
-        if !may_enter then begin
+        if all_held t i ack_bit lo hi then begin
           set_inside t h true;
           for s = lo to hi - 1 do
             let r = rec_at i s in
-            set_flag t r ack_bit false;
+            set_flag t h r ack_bit false;
             set_granted t r 0
           done;
           mark t i "enter_doorway";
@@ -177,22 +233,10 @@ let try_actions t i =
         end
       end;
       if get_inside t h then begin
-        (* Action 6: request each missing fork by surrendering the edge
-           token, carrying our color. *)
-        for s = lo to hi - 1 do
-          let r = rec_at i s in
-          if flag t r token_bit && not (flag t r fork_bit) then begin
-            set_flag t r token_bit false;
-            send t ~slot:s ~r ~src:i t.requests.(get_color t h)
-          end
-        done;
+        request_missing t i h lo hi;
         (* Action 9: eat once every neighbor's fork is held or the
            neighbor is suspected. *)
-        let may_eat = ref true in
-        for s = lo to hi - 1 do
-          if not (flag t (rec_at i s) fork_bit || suspects t s) then may_eat := false
-        done;
-        if !may_eat then begin
+        if all_held t i fork_bit lo hi then begin
           set_phase t h Eating;
           set_eats t h (get_eats t h + 1);
           notify_phase t i Eating
@@ -216,7 +260,7 @@ let try_actions t i =
 let receive_ping t i ~k ~h ~r =
   let hungry = get_phase t h = Hungry in
   if get_inside t h || (hungry && granted t r >= t.acks_per_session) then
-    set_flag t r deferred_bit true
+    set_flag t h r deferred_bit true
   else begin
     send t ~slot:k ~r ~src:i Ack;
     if hungry then set_granted t r (granted t r + 1)
@@ -224,8 +268,8 @@ let receive_ping t i ~k ~h ~r =
 
 (* Action 4: record a received ack. *)
 let receive_ack t i ~h ~r =
-  set_flag t r ack_bit (get_phase t h = Hungry && not (get_inside t h));
-  set_flag t r pinged_bit false;
+  set_flag t h r ack_bit (get_phase t h = Hungry && not (get_inside t h));
+  set_flag t h r pinged_bit false;
   try_actions t i
 
 (* Action 7: receive a fork request (the edge token) and grant or defer. *)
@@ -236,16 +280,16 @@ let receive_request t i ~k ~h ~r ~color:color_j =
       (Invariant_violation
          (Printf.sprintf "Lemma 1.1: %d received a fork request from %d without the fork" i
             t.nbr.(k)));
-  set_flag t r token_bit true;
+  set_flag t h r token_bit true;
   if (not (get_inside t h)) || (get_phase t h = Hungry && get_color t h < color_j) then begin
-    set_flag t r fork_bit false;
+    set_flag t h r fork_bit false;
     send t ~slot:k ~r ~src:i Fork
   end;
   (* Losing a fork while hungry inside re-enables Action 6. *)
   try_actions t i
 
 (* Action 8: receive a fork. *)
-let receive_fork t i ~k ~r =
+let receive_fork t i ~k ~h ~r =
   (* Per the proof of Lemma 1.1: a fork recipient cannot hold the token. *)
   if flag t r token_bit then
     raise
@@ -256,7 +300,7 @@ let receive_fork t i ~k ~r =
     raise
       (Invariant_violation
          (Printf.sprintf "Lemma 1.2: duplicated fork on edge (%d,%d)" i t.nbr.(k)));
-  set_flag t r fork_bit true;
+  set_flag t h r fork_bit true;
   try_actions t i
 
 (* Messages as ints (Section 7 bounds them at O(log n) bits): Ping 0,
@@ -281,7 +325,7 @@ let[@lint.hot] dispatch t ~dst ~slot msg =
   | Ping -> receive_ping t dst ~k ~h ~r
   | Ack -> receive_ack t dst ~h ~r
   | Request color -> receive_request t dst ~k ~h ~r ~color
-  | Fork -> receive_fork t dst ~k ~r
+  | Fork -> receive_fork t dst ~k ~h ~r
 
 (* ------------------------------------------------------------------ *)
 (* External actions (Actions 1 and 10).                                *)
@@ -309,14 +353,14 @@ let stop_eating t i =
       for s = lo to hi - 1 do
         let r = rec_at i s in
         if flag t r token_bit && flag t r fork_bit then begin
-          set_flag t r fork_bit false;
+          set_flag t h r fork_bit false;
           send t ~slot:s ~r ~src:i Fork
         end
       done;
       for s = lo to hi - 1 do
         let r = rec_at i s in
         if flag t r deferred_bit then begin
-          set_flag t r deferred_bit false;
+          set_flag t h r deferred_bit false;
           send t ~slot:s ~r ~src:i Ack
         end
       done;
@@ -352,12 +396,16 @@ let create ~engine ~faults ~graph ~delay ~rng ~detector ?colors ?metrics ?(acks_
   let off = Cgraph.Graph.csr_offsets graph in
   let nbr = Cgraph.Graph.csr_targets graph in
   (* Phase Thinking, outside, no eats and every counter zero are all
-     zero bytes: only colors and the initial forks and tokens are
-     written. The headers keep the colors, so [colors] is not kept. *)
+     zero bytes: only colors, both hints and the initial forks and
+     tokens are written. A set hint is always sound; the first pass of
+     its action clears it. The headers keep the colors, so [colors] is
+     not kept. *)
   let slots = Bytes.make ((Cgraph.Graph.dir_count graph + n) * rec_size) '\000' in
   for i = 0 to n - 1 do
     let ci = colors.(i) in
-    Bytes.set_int32_le slots (((off.(i) + i) * rec_size) + color_at) (Int32.of_int ci);
+    let h = (off.(i) + i) * rec_size in
+    Bytes.set_uint8 slots (h + hints_at) (ping_hint lor fork_hint);
+    Bytes.set_int32_le slots (h + color_at) (Int32.of_int ci);
     for s = off.(i) to off.(i + 1) - 1 do
       let cj = colors.(nbr.(s)) in
       (* The fork starts at the higher-colored endpoint, the token at
@@ -528,9 +576,21 @@ let[@lint.hot] check_invariants t =
     let h = head t i in
     let p = get_phase t h and inside = get_inside t h in
     if p = Eating && not inside then fail "process %d eats outside the doorway" i;
+    let clear = (ping_hint lor fork_hint) land lnot (hints t h) in
     for s = t.off.(i) to t.off.(i + 1) - 1 do
-      if flag t (rec_at i s) ack_bit && not (p = Hungry && not inside) then
-        fail "process %d holds an ack while not hungry-outside" i
+      let f = Bytes.get_uint8 t.slots (rec_at i s) in
+      if f land ack_bit <> 0 && not (p = Hungry && not inside) then
+        fail "process %d holds an ack while not hungry-outside" i;
+      (* The hint lemma: a clear hint means its set is empty. *)
+      if clear <> 0 then begin
+        let unhinted = hints_of f land clear in
+        if unhinted land ping_hint <> 0 then
+          fail "hint: process %d has ping_hint clear but slot to %d has neither pinged nor ack" i
+            t.nbr.(s);
+        if unhinted land fork_hint <> 0 then
+          fail "hint: process %d has fork_hint clear but holds the token without the fork of %d"
+            i t.nbr.(s)
+      end
     done
   done;
   let stats = Net.Network.stats (net t) in

@@ -32,7 +32,10 @@
     - Lemma 2.2 — at most one pending ping per ordered neighbor pair: the
       [pinged] bit matches the pipeline state (ping in flight, deferred at
       the peer, or ack in flight).
-    - Section 7 — at most 4 dining messages in transit per edge. *)
+    - Section 7 — at most 4 dining messages in transit per edge.
+    - The guard hints (the implementation's, not the paper's): a clear
+      [ping_hint] or [fork_hint] in a process's header means no slot of
+      its row is a candidate for Action 2 or Action 6 respectively. *)
 
 type t
 

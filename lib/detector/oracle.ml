@@ -95,19 +95,23 @@ let convergence_time t =
   done;
   Sim.Time.max fp_end !detect_end
 
+(* Each edge draws (a, b)'s windows, then (b, a)'s. One closure for the
+   whole graph, not a pair list and a closure per edge: the script is
+   built inside [World.create], whose garbage the scale bench gates. *)
 let random_false_positives rng graph ~before ~per_edge ~max_len =
   if before <= 0 then []
   else begin
     let acc = ref [] in
+    let draw observer target =
+      for _ = 1 to per_edge do
+        let from_t = Sim.Rng.int rng before in
+        let len = Sim.Rng.int_in rng 1 max_len in
+        let till_t = min before (from_t + len) in
+        if till_t > from_t then acc := { observer; target; from_t; till_t } :: !acc
+      done
+    in
     Cgraph.Graph.iter_edges graph (fun a b ->
-        List.iter
-          (fun (observer, target) ->
-            for _ = 1 to per_edge do
-              let from_t = Sim.Rng.int rng before in
-              let len = Sim.Rng.int_in rng 1 max_len in
-              let till_t = min before (from_t + len) in
-              if till_t > from_t then acc := { observer; target; from_t; till_t } :: !acc
-            done)
-          [ (a, b); (b, a) ]);
+        draw a b;
+        draw b a);
     !acc
   end

@@ -37,6 +37,13 @@ val eventual_weak_exclusion : t
     run when the detector never converges — which is how it fires on
     [Unreliable]). *)
 
+val settle_cutoff : Harness.World.report -> Sim.Time.t
+(** The time after which {!eventual_weak_exclusion} and
+    {!bounded_waiting} require their property: the detector's
+    convergence plus [horizon/16] when it converges inside the horizon
+    (a false suspicion committed just before it settles still has its
+    consequences in flight), the last third of the run otherwise. *)
+
 val wait_freedom : t
 (** Theorem 2: no live process stays hungry forever — here, no open
     hungry session older than a quarter of the horizon at the end. *)

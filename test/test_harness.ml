@@ -170,6 +170,16 @@ let wait_freedom_property =
       let r = Harness.World.run s in
       Harness.World.starved r ~older_than:10_000 = [] && r.invariant_error = None)
 
+let safety_run ~seed topology =
+  Harness.World.run
+    (scenario ~topology ~seed:(Int64.of_int seed) ~detector:noisy_oracle
+       ~crashes:(Harness.Scenario.Random_crashes { count = 1; from_t = 1_000; to_t = 10_000 })
+       ~workload:{ think = (0, 100); eat = (5, 30) }
+       ~horizon:40_000 ())
+
+(* Violations are counted from the Theorem 1 oracle's cutoff: the
+   detector's convergence plus its grace window (see
+   [Fuzz.Property.settle_cutoff]). *)
 let safety_property =
   QCheck.Test.make ~name:"harness: no violations after convergence (Theorem 1)" ~count:15
     QCheck.(pair (int_bound 10_000) (int_bound 2))
@@ -180,14 +190,25 @@ let safety_property =
         | 1 -> Cgraph.Topology.Clique 6
         | _ -> Cgraph.Topology.Star 8
       in
-      let s =
-        scenario ~topology ~seed:(Int64.of_int seed) ~detector:noisy_oracle
-          ~crashes:(Harness.Scenario.Random_crashes { count = 1; from_t = 1_000; to_t = 10_000 })
-          ~workload:{ think = (0, 100); eat = (5, 30) }
-          ~horizon:40_000 ()
-      in
-      let r = Harness.World.run s in
-      Monitor.Exclusion.count_after r.exclusion r.convergence = 0)
+      let r = safety_run ~seed topology in
+      Monitor.Exclusion.count_after r.exclusion (Fuzz.Property.settle_cutoff r) = 0)
+
+(* The two cases of [safety_property]'s space that a cut at the bare
+   convergence time fails: an eating session that began before the
+   detector settled overlaps one that began just after (seed 1820: one
+   violation at 5 883, convergence 5 882; seed 1003: at 6 005,
+   convergence 6 000). Their late violations must fall inside the grace
+   window, so one after it still fails the property. *)
+let safety_grace_window () =
+  List.iter
+    (fun seed ->
+      let r = safety_run ~seed (Cgraph.Topology.Clique 6) in
+      let name what = Printf.sprintf "seed %d: %s" seed what in
+      check bool (name "violated after convergence") true
+        (Monitor.Exclusion.count_after r.exclusion r.convergence > 0);
+      check int (name "no violation after the grace window") 0
+        (Monitor.Exclusion.count_after r.exclusion (Fuzz.Property.settle_cutoff r)))
+    [ 1820; 1003 ]
 
 let bounded_waiting_property =
   QCheck.Test.make ~name:"harness: 2-bounded waiting after convergence (Theorem 3)" ~count:10
@@ -529,6 +550,8 @@ let suite =
       memory_flat_in_run_length;
     Alcotest.test_case "world: an untraced run leaves the recorder's sequence at 0" `Quick
       recorder_silent_until_traced;
+    Alcotest.test_case "harness: Theorem 1 late violations fall in the grace window" `Quick
+      safety_grace_window;
   ]
 
 (* One world's handlers on several domains, in the [parallel] suite
