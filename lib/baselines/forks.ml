@@ -15,6 +15,7 @@ type t = {
   rev : int array; (* slot (i,j) -> slot (j,i), owned by the graph *)
   prio : int array; (* pid -> static priority; the higher end holds the fork initially *)
   phase : phase array;
+  eats : int array; (* pid -> eating sessions begun *)
   progress : int array; (* pid -> Ordered's locked prefix of the CSR row *)
   fork : bool array;
   token : bool array; (* request token *)
@@ -51,6 +52,7 @@ let grant t i s =
 (* Eating soils every held fork. *)
 let eat t i =
   t.phase.(i) <- Eating;
+  t.eats.(i) <- t.eats.(i) + 1;
   for s = t.off.(i) to t.off.(i + 1) - 1 do
     if t.fork.(s) then t.clean.(s) <- false
   done;
@@ -160,6 +162,7 @@ let create ~rule ~engine ~faults ~graph ~delay ~rng ~detector ?metrics () =
       rev = Cgraph.Graph.rev_slots graph;
       prio;
       phase = Array.make n Thinking;
+      eats = Array.make n 0;
       progress = Array.make n 0;
       fork;
       token;
@@ -212,6 +215,7 @@ let instance t =
     become_hungry = become_hungry t;
     stop_eating = stop_eating t;
     phase = (fun i -> t.phase.(i));
+    eats = (fun i -> t.eats.(i));
     add_listener = (fun f -> t.listeners <- t.listeners @ [ f ]);
     add_doorway_listener = (fun _ -> ());
     check_invariants = (fun () -> check_invariants t);

@@ -53,7 +53,9 @@ open Types
    them, and [check_invariants] checks them against the flags.
 
    An accessor takes the byte offset [h] of a header or [r] of a
-   record, which a handler computes once. *)
+   record, which a handler computes once. The accessors are inlined:
+   each is a load or a store, cheaper than the call and prologue it
+   would otherwise cost on every guard and handler. *)
 
 let rec_size = 16
 let inside_at = 1
@@ -76,8 +78,8 @@ let fork_hint = 2
 
 (* Phases as byte codes; the constructors themselves are immediate, so
    decoding allocates nothing. *)
-let phase_code = function Thinking -> 0 | Hungry -> 1 | Eating -> 2
-let code_phase = function 0 -> Thinking | 1 -> Hungry | _ -> Eating
+let[@inline] phase_code = function Thinking -> 0 | Hungry -> 1 | Eating -> 2
+let[@inline] code_phase = function 0 -> Thinking | 1 -> Hungry | _ -> Eating
 
 type t = {
   engine : Sim.Engine.t;
@@ -98,19 +100,19 @@ type t = {
   acks_per_session : int;
 }
 
-let net t = match t.net with Some n -> n | None -> assert false
+let[@inline] net t = match t.net with Some n -> n | None -> assert false
 let now t = Sim.Engine.now t.engine
-let[@lint.hot] rec_at i s = (s + i + 1) * rec_size
-let[@lint.hot] head t i = (t.off.(i) + i) * rec_size
-let get_phase t h = code_phase (Bytes.get_uint8 t.slots h)
-let set_phase t h p = Bytes.set_uint8 t.slots h (phase_code p)
-let get_inside t h = Bytes.get_uint8 t.slots (h + inside_at) <> 0
-let set_inside t h b = Bytes.set_uint8 t.slots (h + inside_at) (Bool.to_int b)
-let get_color t h = Int32.to_int (Bytes.get_int32_le t.slots (h + color_at))
-let get_eats t h = Int64.to_int (Bytes.get_int64_le t.slots (h + eats_at))
-let set_eats t h v = Bytes.set_int64_le t.slots (h + eats_at) (Int64.of_int v)
+let[@inline][@lint.hot] rec_at i s = (s + i + 1) * rec_size
+let[@inline][@lint.hot] head t i = (t.off.(i) + i) * rec_size
+let[@inline] get_phase t h = code_phase (Bytes.get_uint8 t.slots h)
+let[@inline] set_phase t h p = Bytes.set_uint8 t.slots h (phase_code p)
+let[@inline] get_inside t h = Bytes.get_uint8 t.slots (h + inside_at) <> 0
+let[@inline] set_inside t h b = Bytes.set_uint8 t.slots (h + inside_at) (Bool.to_int b)
+let[@inline] get_color t h = Int32.to_int (Bytes.get_int32_le t.slots (h + color_at))
+let[@inline] get_eats t h = Int64.to_int (Bytes.get_int64_le t.slots (h + eats_at))
+let[@inline] set_eats t h v = Bytes.set_int64_le t.slots (h + eats_at) (Int64.of_int v)
 let phase t i = get_phase t (head t i)
-let flag t r bit = Bytes.get_uint8 t.slots r land bit <> 0
+let[@inline] flag t r bit = Bytes.get_uint8 t.slots r land bit <> 0
 
 (* The hints whose sets hold a slot with flags [f]. Comparisons, not
    branches: [f] varies from slot to slot. *)
@@ -118,7 +120,7 @@ let[@inline] hints_of f =
   (ping_hint * Bool.to_int (f land (pinged_bit lor ack_bit) = 0))
   lor (fork_hint * Bool.to_int (f land (token_bit lor fork_bit) = token_bit))
 
-let hints t h = Bytes.get_uint8 t.slots (h + hints_at)
+let[@inline] hints t h = Bytes.get_uint8 t.slots (h + hints_at)
 
 (* [h] is the header of the pid whose row holds [r]. Inlined: most
    call sites pass a constant [on], which then picks its branch at
@@ -130,12 +132,12 @@ let[@inline] set_flag t h r bit on =
   let added = hints_of f land lnot (hints_of cur) in
   if added <> 0 then Bytes.set_uint8 t.slots (h + hints_at) (hints t h lor added)
 
-let clear_hint t h hint = Bytes.set_uint8 t.slots (h + hints_at) (hints t h land lnot hint)
+let[@inline] clear_hint t h hint = Bytes.set_uint8 t.slots (h + hints_at) (hints t h land lnot hint)
 
-let granted t r = Bytes.get_uint8 t.slots (r + granted_at)
-let set_granted t r v = Bytes.set_uint8 t.slots (r + granted_at) v
+let[@inline] granted t r = Bytes.get_uint8 t.slots (r + granted_at)
+let[@inline] set_granted t r v = Bytes.set_uint8 t.slots (r + granted_at) v
 
-let bump t r field kind =
+let[@inline] bump t r field kind =
   let at = r + field + kind in
   Bytes.set_uint8 t.slots at ((Bytes.get_uint8 t.slots at + 1) land 0xFF)
 
@@ -145,7 +147,7 @@ let mark t i tag = Obs.Recorder.mark (recorder t) ~time:(now t) ~subject:i ~tag 
 (* [slot] is the directed slot of (src, dst) — the caller always has it
    in hand, either from its CSR iteration or via [rev] — and [r] its
    record. *)
-let send t ~slot ~r ~src msg =
+let[@inline] send t ~slot ~r ~src msg =
   bump t r sent_at (message_kind_index msg);
   Net.Network.send_slot (net t) ~src slot msg
 
@@ -308,7 +310,7 @@ let receive_fork t i ~k ~h ~r =
    preallocated one for its color, so neither direction allocates. *)
 let encode = function Ping -> 0 | Ack -> 1 | Request c -> 2 + (4 * c) | Fork -> 3
 
-let decode t code =
+let[@inline] decode t code =
   match code land 3 with
   | 0 -> Ping
   | 1 -> Ack
@@ -632,6 +634,7 @@ let instance t =
     become_hungry = become_hungry t;
     stop_eating = stop_eating t;
     phase = phase t;
+    eats = eat_count t;
     add_listener = add_listener t;
     add_doorway_listener = (fun f -> t.doorway_listeners <- t.doorway_listeners @ [ f ]);
     check_invariants = (fun () -> check_invariants t);

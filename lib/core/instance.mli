@@ -14,6 +14,9 @@ type t = {
       (** Ends the critical section (correct processes eat for finite
           time). No-op unless the process is eating and live. *)
   phase : Types.pid -> Types.phase;
+  eats : Types.pid -> int;
+      (** How many times the process has begun eating: the daemon's own
+          count, so a caller that wants per-process eats keeps none. *)
   add_listener : (Types.pid -> Types.phase -> unit) -> unit;
       (** Phase-transition notifications, fired synchronously (in virtual
           time) at each transition, after the state change. *)

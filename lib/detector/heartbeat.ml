@@ -20,12 +20,12 @@ type t = {
   mutable check_kind : int; (* engine kind of check events: owner observer, a = slot *)
 }
 
-let suspected t s = Bytes.unsafe_get t.hb_suspected s <> '\000'
+let[@inline] suspected t s = Bytes.unsafe_get t.hb_suspected s <> '\000'
 
 (* Monitoring side: while [observer] does not suspect [target], exactly one
    check event is pending; a suspicion freezes checking until a heartbeat
    arrives and resets it. *)
-let schedule_check t observer s at =
+let[@inline] schedule_check t observer s at =
   Sim.Engine.post t.engine ~kind:t.check_kind ~owner:observer ~at s 0
 
 let check t observer s =

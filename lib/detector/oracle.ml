@@ -7,28 +7,30 @@ type t = {
   engine : Sim.Engine.t;
   faults : Net.Faults.t;
   detection_delay : int;
-  false_positives : fp list;
+  mutable fp_end : Sim.Time.t; (* the latest window end: the script itself is not kept *)
   fp_active : int array; (* slot -> open window count *)
   permanent : Bytes.t; (* slot -> 1 once a completeness suspicion is set; never cleared *)
   listeners : Detector.listeners;
 }
 
-let suspected t s = Bytes.unsafe_get t.permanent s <> '\000' || t.fp_active.(s) > 0
+let[@inline] suspected t s = Bytes.unsafe_get t.permanent s <> '\000' || t.fp_active.(s) > 0
 
 let validate_fp graph fp =
   if fp.from_t >= fp.till_t then invalid_arg "Oracle: empty false-positive window";
   if not (Cgraph.Graph.is_edge graph fp.observer fp.target) then
     invalid_arg "Oracle: false positive between non-neighbors"
 
-let create engine faults graph ?(detection_delay = 50) ?(false_positives = []) () =
-  List.iter (validate_fp graph) false_positives;
+(* [windows post] calls [post observer slot from_t till_t] once per
+   false-positive window, in posting order, and returns the latest
+   [till_t] (zero for none). *)
+let make engine faults graph ~detection_delay windows =
   let dirs = Cgraph.Graph.dir_count graph in
   let t =
     {
       engine;
       faults;
       detection_delay;
-      false_positives;
+      fp_end = Sim.Time.zero;
       fp_active = Array.make dirs 0;
       permanent = Bytes.make dirs '\000';
       listeners = Detector.listeners ();
@@ -47,12 +49,10 @@ let create engine faults graph ?(detection_delay = 50) ?(false_positives = []) (
     end
   in
   let window = Sim.Engine.register engine bump in
-  List.iter
-    (fun fp ->
-      let s = Cgraph.Graph.dir_index graph fp.observer fp.target in
-      Sim.Engine.post engine ~kind:window ~owner:fp.observer ~at:fp.from_t s 1;
-      Sim.Engine.post engine ~kind:window ~owner:fp.observer ~at:fp.till_t s (-1))
-    false_positives;
+  t.fp_end <-
+    windows (fun observer s from_t till_t ->
+        Sim.Engine.post engine ~kind:window ~owner:observer ~at:from_t s 1;
+        Sim.Engine.post engine ~kind:window ~owner:observer ~at:till_t s (-1));
   (* Completeness: owner = the crashed process's neighbor, a = the
      neighbor's slot for the crashed process. *)
   let detect neighbor s _ =
@@ -83,21 +83,71 @@ let create engine faults graph ?(detection_delay = 50) ?(false_positives = []) (
   in
   (t, detector)
 
+let create engine faults graph ?(detection_delay = 50) ?(false_positives = []) () =
+  List.iter (validate_fp graph) false_positives;
+  make engine faults graph ~detection_delay (fun post ->
+      List.fold_left
+        (fun acc fp ->
+          post fp.observer (Cgraph.Graph.dir_index graph fp.observer fp.target) fp.from_t fp.till_t;
+          Sim.Time.max acc fp.till_t)
+        Sim.Time.zero false_positives)
+
+(* [random_false_positives] draws window [j] of observer [a] for target
+   [b] on edge [e] (its [iter_edges] rank, [a < b]) as draws 2k and
+   2k + 1 of [rng], k = 2 e per_edge + j, and those of [b] for [a] at
+   k + per_edge; it returns the windows last drawn first, and [create]
+   posts them in that order. Here the edges are walked backwards and
+   each window is read at its own draws with [Sim.Rng.skip], so the
+   same windows are posted in the same order and no script is built. *)
+let create_random engine faults graph ?(detection_delay = 50) rng ~before ~per_edge ~max_len () =
+  make engine faults graph ~detection_delay (fun post ->
+      let fp_end = ref Sim.Time.zero in
+      if before > 0 then begin
+        let off = Cgraph.Graph.csr_offsets graph and nbr = Cgraph.Graph.csr_targets graph in
+        let rev = Cgraph.Graph.rev_slots graph in
+        let pos = ref 0 (* draws [rng] has made *) in
+        let windows observer s k0 =
+          for k = k0 + per_edge - 1 downto k0 do
+            Sim.Rng.skip rng ((2 * k) - !pos);
+            let from_t = Sim.Rng.int rng before in
+            let len = Sim.Rng.int_in rng 1 max_len in
+            pos := (2 * k) + 2;
+            let till_t = Int.min before (from_t + len) in
+            if till_t > from_t then begin
+              post observer s from_t till_t;
+              fp_end := Sim.Time.max !fp_end till_t
+            end
+          done
+        in
+        let edges = Cgraph.Graph.edge_count graph in
+        let e = ref edges in
+        for a = Cgraph.Graph.n graph - 1 downto 0 do
+          for s = off.(a + 1) - 1 downto off.(a) do
+            let b = nbr.(s) in
+            if b > a then begin
+              decr e;
+              windows b rev.(s) (((2 * !e) + 1) * per_edge);
+              windows a s (2 * !e * per_edge)
+            end
+          done
+        done;
+        (* Leave [rng] where drawing the script in order leaves it. *)
+        Sim.Rng.skip rng ((4 * edges * per_edge) - !pos)
+      end;
+      !fp_end)
+
 let convergence_time t =
-  let fp_end =
-    List.fold_left (fun acc fp -> Sim.Time.max acc fp.till_t) Sim.Time.zero t.false_positives
-  in
   let detect_end = ref Sim.Time.zero in
   for pid = 0 to Net.Faults.n t.faults - 1 do
     let ct = Net.Faults.crash_time t.faults pid in
     if Sim.Time.is_finite ct then
       detect_end := Sim.Time.max !detect_end (Sim.Time.add ct t.detection_delay)
   done;
-  Sim.Time.max fp_end !detect_end
+  Sim.Time.max t.fp_end !detect_end
 
 (* Each edge draws (a, b)'s windows, then (b, a)'s. One closure for the
-   whole graph, not a pair list and a closure per edge: the script is
-   built inside [World.create], whose garbage the scale bench gates. *)
+   whole graph, not a pair list and a closure per edge. [create_random]
+   reads the same draws without building the list. *)
 let random_false_positives rng graph ~before ~per_edge ~max_len =
   if before <= 0 then []
   else begin

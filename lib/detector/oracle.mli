@@ -36,11 +36,30 @@ val create :
     out-of-range false-positive entries are rejected. Must be created at
     virtual time 0, before any crash fires. *)
 
+val create_random :
+  Sim.Engine.t ->
+  Net.Faults.t ->
+  Cgraph.Graph.t ->
+  ?detection_delay:int ->
+  Sim.Rng.t ->
+  before:Sim.Time.t ->
+  per_edge:int ->
+  max_len:int ->
+  unit ->
+  t * Detector.t
+(** [create_random engine faults graph rng ~before ~per_edge ~max_len ()]
+    is [create engine faults graph ~false_positives ()] with
+    [false_positives = random_false_positives rng graph ~before
+    ~per_edge ~max_len], event for event and draw for draw, and leaves
+    [rng] in the same state; but it builds no script: each window is
+    drawn where it is posted, so set-up leaves no per-window garbage. *)
+
 val convergence_time : t -> Sim.Time.t
 (** First time from which the detector's output is settled for the
     currently scheduled crash plan: every false-positive window has closed
     and every scheduled crash has been detected. (If crashes are scheduled
-    after this call, call again.) *)
+    after this call, call again.) The oracle keeps the latest window end,
+    not the script, so its memory does not grow with the script. *)
 
 val random_false_positives :
   Sim.Rng.t ->

@@ -31,15 +31,12 @@ let make_detector (s : Scenario.t) ~engine ~faults ~graph ~rng ?metrics () =
   | Scenario.Never -> (Fd.Never.create (), (`Static Sim.Time.zero : detector_state))
   | Scenario.Perfect -> (Fd.Perfect.create engine faults graph, `Static Sim.Time.zero)
   | Scenario.Oracle { detection_delay; fp_per_edge; fp_window; fp_max_len } ->
-      let false_positives =
-        if fp_per_edge = 0 then []
-        else
-          Fd.Oracle.random_false_positives
-            (Sim.Rng.split_named rng "oracle-fp")
-            graph ~before:fp_window ~per_edge:fp_per_edge ~max_len:fp_max_len
-      in
       let oracle, detector =
-        Fd.Oracle.create engine faults graph ~detection_delay ~false_positives ()
+        if fp_per_edge = 0 then Fd.Oracle.create engine faults graph ~detection_delay ()
+        else
+          Fd.Oracle.create_random engine faults graph ~detection_delay
+            (Sim.Rng.split_named rng "oracle-fp")
+            ~before:fp_window ~per_edge:fp_per_edge ~max_len:fp_max_len ()
       in
       (detector, `Oracle oracle)
   | Scenario.Heartbeat { period; initial_timeout; bump } ->

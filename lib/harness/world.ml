@@ -6,7 +6,6 @@ type t = {
   fairness : Monitor.Fairness.t;
   response : Monitor.Response.t;
   workload : Workload.t;
-  eats_per_process : int array;
   invariant_error : string option ref;
 }
 
@@ -56,14 +55,11 @@ let create ?recorder ?(metrics = Obs.Metrics.create ()) (s : Scenario.t) =
   let exclusion = Monitor.Exclusion.attach engine graph faults instance in
   let fairness = Monitor.Fairness.attach engine graph faults instance in
   let response = Monitor.Response.attach ~metrics engine faults instance in
-  let eats_per_process = Array.make n 0 in
   let m_eats = Obs.Metrics.counter metrics "daemon.eats" in
   let m_hungry = Obs.Metrics.counter metrics "daemon.hungry_sessions" in
-  instance.add_listener (fun pid phase ->
+  instance.add_listener (fun _ phase ->
       match phase with
-      | Dining.Types.Eating ->
-          eats_per_process.(pid) <- eats_per_process.(pid) + 1;
-          Obs.Metrics.incr m_eats
+      | Dining.Types.Eating -> Obs.Metrics.incr m_eats
       | Dining.Types.Hungry -> Obs.Metrics.incr m_hungry
       | Dining.Types.Thinking -> ());
   let workload =
@@ -84,7 +80,6 @@ let create ?recorder ?(metrics = Obs.Metrics.create ()) (s : Scenario.t) =
     fairness;
     response;
     workload;
-    eats_per_process;
     invariant_error;
   }
 
@@ -107,6 +102,9 @@ let report (w : t) =
   Obs.Metrics.set (Obs.Metrics.gauge w.metrics "engine.events") (Sim.Engine.processed engine);
   Obs.Metrics.set (Obs.Metrics.gauge w.metrics "engine.pending") (Sim.Engine.pending engine);
   Obs.Metrics.set (Obs.Metrics.gauge w.metrics "detector.mistakes") detector_mistakes;
+  (* Per-process eats are the daemon's own counts (Song–Pike keeps them
+     in its headers), read once here rather than kept twice. *)
+  let eats_per_process = Array.init n instance.eats in
   let max_footprint_bits, max_message_bits =
     match song_pike with
     | None -> (None, None)
@@ -127,8 +125,8 @@ let report (w : t) =
     fairness = w.fairness;
     response = w.response;
     link_stats;
-    total_eats = Array.fold_left ( + ) 0 w.eats_per_process;
-    eats_per_process = w.eats_per_process;
+    total_eats = Array.fold_left ( + ) 0 eats_per_process;
+    eats_per_process;
     hungry_transitions = Workload.hungry_transitions w.workload;
     invariant_error = !(w.invariant_error);
     max_footprint_bits;

@@ -17,11 +17,21 @@
    partial application, and allocations inside callees — annotate the
    callee [@lint.hot] too if it is on the path. A deliberate allocation
    is justified in place with [@lint.allow "hot-path-alloc"] and a
-   comment. *)
+   comment.
+
+   The same walk checks rule [hot-path-optional]: a call that leaves an
+   optional argument out. The callee then runs its default-filling
+   wrapper on every call, and across modules compiled -opaque (dune's
+   dev profile, which the benchmark builds) the call is a generic
+   caml_applyN besides. The typed tree shows the omission: an argument
+   the type checker filled with [None] (at [Location.none], where a
+   written [?x:None] has a real location), or one left open by a partial
+   application. *)
 
 open Typedtree
 
 let rule_name = Rule.name Rule.Hot_path_alloc
+let optional_rule = Rule.name Rule.Hot_path_optional
 
 let is_hot (attrs : attributes) =
   List.exists (fun (a : Parsetree.attribute) -> a.attr_name.txt = "lint.hot") attrs
@@ -38,6 +48,19 @@ let rec static e =
   | Texp_tuple es -> List.for_all static es
   | Texp_variant (_, arg) -> Option.fold ~none:true ~some:static arg
   | _ -> false
+
+(* An optional argument the call leaves out: filled with the type
+   checker's own [None], or absent from a partial application. *)
+let omitted = function
+  | None -> true
+  | Some { exp_desc = Texp_construct (_, { Types.cstr_name = "None"; _ }, []); exp_loc; _ } ->
+      exp_loc = Location.none
+  | Some _ -> false
+
+let callee_name f =
+  match f.exp_desc with
+  | Texp_ident (p, _, _) -> String.concat "." (Callgraph.normalize_path p)
+  | _ -> "a function"
 
 let scan_def ctx (d : Callgraph.def) =
   let emit ~loc what =
@@ -66,6 +89,21 @@ let scan_def ctx (d : Callgraph.def) =
         | Some f -> emit ~loc:e.exp_loc ("call to allocating " ^ f)
         | None -> ())
     | _ -> ());
+    (match e.exp_desc with
+    | Texp_apply (f, args) ->
+        List.iter
+          (function
+            | Asttypes.Optional l, arg when omitted arg ->
+                Suppress.emit ctx ~loc:e.exp_loc ~rule:optional_rule
+                  (Printf.sprintf
+                     "call to %s leaves optional argument ?%s out in [@lint.hot] %s: the \
+                      default-filling wrapper runs on every event, behind a caml_applyN \
+                      across -opaque modules; call a function without it, or justify with \
+                      [@lint.allow \"hot-path-optional\"]"
+                     (callee_name f) l d.name)
+            | _ -> ())
+          args
+    | _ -> ());
     (* Descend everywhere, including into flagged nodes: a tuple of
        closures is two findings, not one. *)
     match e.exp_desc with
@@ -80,7 +118,7 @@ let scan_def ctx (d : Callgraph.def) =
   Suppress.with_attrs ctx d.attrs @@ fun () -> it.expr it d.body
 
 let run ?registry ?(allowlist = Allowlist.empty) (graph : Callgraph.t) =
-  Option.iter (fun t -> Suppress.note_checked t [ rule_name ]) registry;
+  Option.iter (fun t -> Suppress.note_checked t [ rule_name; optional_rule ]) registry;
   Suppress.per_file ?registry ~allowlist @@ fun ctx_for ->
   List.iter
     (fun (d : Callgraph.def) -> if is_hot d.attrs then scan_def (ctx_for d.source) d)

@@ -7,6 +7,7 @@ type id =
   | Exception_swallow
   | Domain_escape
   | Hot_path_alloc
+  | Hot_path_optional
   | Stale_allowlist
   | Unused_allow
 
@@ -24,6 +25,7 @@ let all =
     Exception_swallow;
     Domain_escape;
     Hot_path_alloc;
+    Hot_path_optional;
   ]
   @ meta
 
@@ -36,6 +38,7 @@ let name = function
   | Exception_swallow -> "exception-swallow"
   | Domain_escape -> "domain-escape"
   | Hot_path_alloc -> "hot-path-alloc"
+  | Hot_path_optional -> "hot-path-optional"
   | Stale_allowlist -> "stale-allowlist"
   | Unused_allow -> "unused-allow"
 
@@ -83,6 +86,12 @@ let explanation = function
        allocations and known allocator calls in their bodies are flagged — the static \
        guard behind the BENCH_scale.json allocation gate. Justify a deliberate \
        allocation with [@lint.allow \"hot-path-alloc\"] and a comment."
+  | Hot_path_optional ->
+      "A call in a [@lint.hot] body that leaves out an optional argument runs the \
+       callee's default-filling wrapper on every event, and across modules compiled \
+       -opaque (dune's dev profile) it is a generic caml_applyN call as well. Give the \
+       hot path a function without the optional argument (Obs.Metrics.incr / add), or \
+       justify the call with [@lint.allow \"hot-path-optional\"]."
   | Stale_allowlist ->
       "A lint.allow entry suppressed nothing this run: the code it excused is gone. \
        Remove the entry — keeping it lets future violations in that file hide under it."

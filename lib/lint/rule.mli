@@ -9,6 +9,7 @@ type id =
   | Exception_swallow  (** [with _ ->] handlers *)
   | Domain_escape      (** mutable capture racing across an Exec.Pool batch *)
   | Hot_path_alloc     (** allocation inside a [[@lint.hot]] function *)
+  | Hot_path_optional  (** call leaving out an optional argument inside a [[@lint.hot]] function *)
   | Stale_allowlist    (** lint.allow entry that suppressed nothing *)
   | Unused_allow       (** [[@lint.allow]] attribute that suppressed nothing *)
 

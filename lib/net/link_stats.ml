@@ -62,14 +62,18 @@ type t = {
   mutable edge_kind : int; (* engine kind of deferred edge updates; 0 = none *)
 }
 
-let[@lint.hot] lower t s =
+(* [lower], [apply_edge] and [edge_update] are inlined into the
+   recording calls: each runs once per message, and as calls of their
+   own they cost more than the two integer adds they make. A constant
+   [code] then selects its branch of [apply_edge] at compile time. *)
+let[@inline][@lint.hot] lower t s =
   let r = t.rev.(s) in
   if s < r then s else r
 
 (* The one place edge words and the [net.*] counters move; inside a
    parallel step updates arrive here from the engine's merge, in
    canonical rank order. [lo] is the edge's lower slot. *)
-let[@lint.hot] apply_edge t lo code =
+let[@inline][@lint.hot] apply_edge t lo code =
   let at = (lo * stride) + edge_at in
   let c = t.cells.(at) in
   if code = op_send then begin
@@ -117,7 +121,7 @@ let create ~engine ~graph ?metrics () =
    where they may fire on different domains, the update is deferred to
    the engine's merge; on the sequential loop it already arrives in
    order. *)
-let[@lint.hot] edge_update t s code =
+let[@inline][@lint.hot] edge_update t s code =
   let lo = lower t s in
   if !(t.in_step) then Sim.Engine.defer t.engine ~kind:t.edge_kind lo code
   else apply_edge t lo code

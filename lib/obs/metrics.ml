@@ -37,7 +37,8 @@ let histogram t name =
     (fun () -> Histogram (Stats.Multiset.create ()))
     (function Histogram h -> Some h | _ -> None)
 
-let incr ?(by = 1) (c : counter) = c := !c + by
+let incr (c : counter) = c := !c + 1
+let add (c : counter) n = c := !c + n
 let counter_value (c : counter) = !c
 let set (g : gauge) v = g := v
 let gauge_value (g : gauge) = !g

@@ -4,8 +4,10 @@
     replacing ad-hoc counters scattered through components: the network
     layer registers its traffic counters, monitors register wait-time
     histograms, and the harness publishes engine gauges at report time.
-    Handles are plain mutable cells, so the hot-path cost of a counter
-    bump is one integer store; all ordering happens at {!dump} time,
+    Handles are plain mutable cells, and {!incr} takes the counter
+    alone, so a counter bump on a hot path is one direct one-argument
+    call that does one integer store (no optional-argument wrapper, no
+    generic application); all ordering happens at {!dump} time,
     where names are sorted so output never surfaces hash order. A
     histogram is an exact multiset of the values observed, so its
     owner can read every sample back. *)
@@ -25,7 +27,12 @@ val counter : t -> string -> counter
 val gauge : t -> string -> gauge
 val histogram : t -> string -> histogram
 
-val incr : ?by:int -> counter -> unit
+val incr : counter -> unit
+(** Add one. *)
+
+val add : counter -> int -> unit
+(** [add c n] adds [n]. *)
+
 val counter_value : counter -> int
 val set : gauge -> int -> unit
 val gauge_value : gauge -> int

@@ -442,13 +442,13 @@ let schedule_after t ?owner ~delay f = schedule t ?owner ~at:(Time.add t.clock d
    while: it runs once per event over the whole simulation, and keeping
    it allocation-free means the only heap traffic per fired event is
    whatever the handler itself does. The slot is freed before the
-   handler runs, so the handler may post into it. [Wheel.next_tick] is
-   [Time.infinity] (max_int) on an empty queue, a tick no event is ever
-   queued at. *)
+   handler runs, so the handler may post into it. [Wheel.pop_until]
+   takes the next due slot in one call, and returns -1 when none is
+   due; the slot's tick is then the wheel's floor. *)
 let[@lint.hot] rec fire_loop t ~until =
-  let at = Wheel.next_tick t.queue in
-  if at <> Time.infinity && at <= until then begin
-    let s = Wheel.pop t.queue in
+  let s = Wheel.pop_until t.queue until in
+  if s >= 0 then begin
+    let at = Wheel.floor t.queue in
     let c = chunk t.pool s and o = base s in
     let ko = get c (o + 1) and a = get c (o + 2) and b = get c (o + 3) in
     t.clock <- at;
@@ -572,16 +572,19 @@ let merge_subround t tick =
    into the same tick. Equivalent to [fire_loop]: pop order is
    preserved, and merged insertion order equals program order. *)
 let rec drain_tick t tick =
-  if Wheel.next_tick t.queue = tick then begin
-    batch_push t (Wheel.pop t.queue);
+  let s = Wheel.pop_until t.queue tick in
+  if s >= 0 then begin
+    batch_push t s;
     drain_tick t tick
   end
 
 let parallel_loop t pool ~until =
   let rec step () =
-    let tick = Wheel.next_tick t.queue in
-    if tick <> Time.infinity && tick <= until then begin
+    let s = Wheel.pop_until t.queue until in
+    if s >= 0 then begin
+      let tick = Wheel.floor t.queue in
       t.batch_len <- 0;
+      batch_push t s;
       drain_tick t tick;
       t.in_step := true;
       t.base_rank <- 0;

@@ -25,6 +25,11 @@ let[@inline] next t =
   set64 t.state 0 s;
   mix s
 
+(* The state is a counter stepped by [golden_gamma], so jumping [k]
+   draws is one multiply-add. *)
+let skip t k =
+  set64 t.state 0 (Int64.add (get64 t.state 0) (Int64.mul (Int64.of_int k) golden_gamma))
+
 let bits64 t = next t
 let split t = create (next t)
 

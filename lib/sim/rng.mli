@@ -21,6 +21,13 @@ val split_named : t -> string -> t
     without consuming randomness from [t]: same [t] and [label] always give
     the same stream. Use this to hand sub-streams to components. *)
 
+val skip : t -> int -> unit
+(** [skip t k] moves [t] [k] draws ahead ([-k] back, for negative [k])
+    in O(1): afterwards [t] yields what it would have yielded after [k]
+    more draws. {!bits64}, {!int}, {!int_in}, {!bits53}, {!float},
+    {!bool}, {!exponential} and {!pick} each make exactly one draw, so a
+    stream of fixed-size records can be read back in any order. *)
+
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 

@@ -81,35 +81,24 @@ let create () =
     size = 0;
   }
 
-let set_bit t l s =
+let[@inline] set_bit t l s =
   let w = (l * words_per_level) + (s lsr 5) in
   t.bitmap.(w) <- t.bitmap.(w) lor (1 lsl (s land 31))
 
-let clear_bit t l s =
+let[@inline] clear_bit t l s =
   let w = (l * words_per_level) + (s lsr 5) in
   t.bitmap.(w) <- t.bitmap.(w) land lnot (1 lsl (s land 31))
 
-let ctz32 x =
-  let n = ref 0 in
-  let x = ref x in
-  if !x land 0xFFFF = 0 then begin
-    n := !n + 16;
-    x := !x lsr 16
-  end;
-  if !x land 0xFF = 0 then begin
-    n := !n + 8;
-    x := !x lsr 8
-  end;
-  if !x land 0xF = 0 then begin
-    n := !n + 4;
-    x := !x lsr 4
-  end;
-  if !x land 0x3 = 0 then begin
-    n := !n + 2;
-    x := !x lsr 2
-  end;
-  if !x land 0x1 = 0 then incr n;
-  !n
+(* Index of the lowest set bit of a non-zero 32-bit word, branch-free:
+   [x land (-x)] isolates that bit, and multiplying it by the de Bruijn
+   constant 0x077CB531 puts a distinct 5-bit pattern in the product's
+   top five bits (of 32), which the string maps back to the index. *)
+let debruijn =
+  "\000\001\028\002\029\014\024\003\030\022\020\015\025\017\004\008\
+   \031\027\013\023\021\019\016\007\026\012\018\006\011\005\010\009"
+
+let[@inline] ctz32 x =
+  Char.code (String.unsafe_get debruijn ((((x land -x) * 0x077CB531) land 0xFFFFFFFF) lsr 27))
 
 let rec scan_level t base w0 from w =
   if w >= words_per_level then -1
@@ -140,7 +129,7 @@ let[@inline] prio_of t h = (chunk t h).(off h)
 let[@inline] next_of t h = (chunk t h).(off h + 1)
 let[@inline] set_next t h n = (chunk t h).(off h + 1) <- n
 
-let has_links t h =
+let[@inline] has_links t h =
   let k = h lsr link_shift in
   k < Array.length t.links && Array.length t.links.(k) > 0
 
@@ -170,7 +159,7 @@ let open_level t l =
   t.tails.(l) <- Array.make slots_per_level nil
 
 (* Append [h] to the level-l slot s list. *)
-let[@lint.hot] append t l s h =
+let[@inline][@lint.hot] append t l s h =
   set_next t h nil;
   let tails = t.tails.(l) in
   let tail = tails.(s) in
@@ -183,7 +172,7 @@ let[@lint.hot] append t l s h =
 
 (* File [h], whose tick is [prio], at its canonical place under the
    current floor. *)
-let[@lint.hot] insert t prio h =
+let[@inline][@lint.hot] insert t prio h =
   let l = level_of (prio lxor t.floor) in
   let s = (prio lsr (l * slot_bits)) land slot_mask in
   if Array.length t.tails.(l) = 0 then open_level t l;
@@ -234,7 +223,7 @@ let[@lint.hot] add t ~prio h =
 
 (* Move the frontier level-0 slot's list in as the current list, which
    is empty, and make the slot's tick the floor. *)
-let drain_slot t s =
+let[@inline] drain_slot t s =
   let heads = t.heads.(0) and tails = t.tails.(0) in
   t.cur_head <- heads.(s);
   t.cur_tail <- tails.(s);
@@ -250,7 +239,7 @@ let drain_slot t s =
    so its new level is strictly below l and the advance loop makes
    progress. Raising the floor here is safe because everything still
    queued is at or beyond the window start, and the floor is observed
-   externally only after [pop] restores it to a fired tick. *)
+   externally only after [pop_until] restores it to a fired tick. *)
 let[@lint.hot] cascade t l s =
   let heads = t.heads.(l) in
   let h = heads.(s) in
@@ -309,21 +298,55 @@ let[@lint.hot] next_tick t =
     t.cached_min
   end
 
-let[@lint.hot] rec pop t =
+(* Unlink the current list's head [h]. *)
+let[@inline] take_current t h =
+  let c = chunk t h and o = off h in
+  let next = c.(o + 1) in
+  c.(o + 1) <- unqueued;
+  t.cur_head <- next;
+  if next = nil then t.cur_tail <- nil;
+  t.size <- t.size - 1;
+  h
+
+(* A new tick costs one frontier scan. With no cached minimum, the scan
+   that finds the frontier also settles the question: a level-0
+   frontier is one tick, drained at once when due; a higher one is
+   folded for its minimum first and cascaded only when that minimum is
+   due, so a wheel with nothing due keeps its floor (and accepts any
+   add from it on) and changes only [cached_min]. A cached minimum
+   answers without a scan when nothing is due. *)
+let[@lint.hot] rec pop_until t until =
   let h = t.cur_head in
-  if h <> nil then begin
-    let c = chunk t h and o = off h in
-    let next = c.(o + 1) in
-    c.(o + 1) <- unqueued;
-    t.cur_head <- next;
-    if next = nil then t.cur_tail <- nil;
-    t.size <- t.size - 1;
-    h
-  end
-  else if t.size = 0 then invalid_arg "Wheel.pop: empty wheel"
+  if h <> nil then (if t.floor <= until then take_current t h else nil)
+  else if t.size = 0 then nil
+  else if t.cached_min >= 0 then
+    if t.cached_min > until then nil
+    else begin
+      advance t;
+      take_current t t.cur_head
+    end
   else begin
-    advance t;
-    pop t
+    let f = frontier_from t 0 in
+    let l = f lsr slot_bits and s = f land slot_mask in
+    if l = 0 then begin
+      let tick = (t.floor land lnot slot_mask) lor s in
+      if tick > until then begin
+        t.cached_min <- tick;
+        nil
+      end
+      else begin
+        drain_slot t s;
+        take_current t t.cur_head
+      end
+    end
+    else begin
+      t.cached_min <- min_prio t max_int t.heads.(l).(s);
+      if t.cached_min > until then nil
+      else begin
+        cascade t l s;
+        pop_until t until
+      end
+    end
   end
 
 let size t = t.size

@@ -36,19 +36,22 @@ val add : t -> prio:int -> int -> unit
 (** [add t ~prio h] queues handle [h] at tick [prio]. Amortised O(1),
     and allocation-free once [h]'s link chunk and the slot level it
     lands on exist. A handle is queued at most once at a time: it may
-    be added again as soon as {!pop} has returned it, not before.
+    be added again as soon as {!pop_until} has returned it, not before.
     Every finite tick up to [max_int - 1] is representable.
     @raise Invalid_argument if [h] is negative or already queued, or if
     [prio] is negative, below the last popped tick, or equal to
     [max_int] ([Time.infinity], the "never" sentinel — such an event
     would never fire). *)
 
-val pop : t -> int
-(** Remove and return the handle with the minimum tick, FIFO among
-    equal ticks; its tick is {!floor} afterwards. Amortised O(1), and
-    never allocates: reaching a new tick moves a level-0 list's head and
-    tail, and a cascade relinks handles from one list to others.
-    @raise Invalid_argument if the wheel is empty. *)
+val pop_until : t -> int -> int
+(** [pop_until t until] removes and returns the handle with the minimum
+    tick, FIFO among equal ticks, if that tick is at most [until]; its
+    tick is {!floor} afterwards. Returns [-1] when the wheel is empty or
+    its minimum tick is above [until], and then changes nothing a caller
+    can see: the floor stays put, so an {!add} anywhere from the floor
+    on is still accepted. Amortised O(1): reaching a new tick costs one
+    scan of the occupancy bitmaps, and moves a level-0 list's head and
+    tail or relinks a cascaded slot's handles; it never allocates. *)
 
 val next_tick : t -> int
 (** Tick of the minimum entry without removing it, or [max_int] when
@@ -64,6 +67,10 @@ val size : t -> int
 (** Handles currently queued. *)
 
 val is_empty : t -> bool
+
+val ctz32 : int -> int
+(** Index of the lowest set bit of a non-zero word below [2^32]: the
+    bitmap scan's step. Exposed for tests. *)
 
 val floor : t -> int
 (** The last popped tick — no queued entry is below it. Exposed for

@@ -84,6 +84,84 @@ let oracle_convergence_accounts_crashes () =
   Net.Faults.schedule_crash faults ~pid:1 ~at:500;
   check int "conv = crash + delay" 540 (Fd.Oracle.convergence_time oracle)
 
+(* The oracle keeps the script's latest window end, not the script:
+   [convergence_time] is still the fold over the script, and once every
+   window has fired and the engine has trimmed its pool, the oracle's
+   heap is the same for a long script as for a one-window one. Windows
+   end below tick 256, so both engines open the same wheel level. *)
+let oracle_keeps_no_script =
+  QCheck.Test.make ~name:"oracle: convergence is the script's last end, memory is script-free"
+    ~count:40
+    QCheck.(pair (int_range 1 6) (int_bound 10_000))
+    (fun (per_edge, seed) ->
+      let graph = ring 6 in
+      let build false_positives =
+        let engine = Sim.Engine.create () in
+        let faults = Net.Faults.create engine ~n:6 in
+        let oracle, _ = Fd.Oracle.create engine faults graph ~false_positives () in
+        (engine, oracle)
+      in
+      (* Run until the engine's trim has nothing more to drop. *)
+      let settled_words (engine, oracle) =
+        let words () =
+          Sim.Engine.run_all engine;
+          Obj.reachable_words (Obj.repr oracle)
+        in
+        let rec go prev n =
+          let w = words () in
+          if w = prev || n = 0 then w else go w (n - 1)
+        in
+        go (words ()) 8
+      in
+      let script =
+        Fd.Oracle.random_false_positives
+          (Sim.Rng.create (Int64.of_int seed))
+          graph ~before:200 ~per_edge ~max_len:50
+      in
+      let fold =
+        List.fold_left (fun acc (fp : Fd.Oracle.fp) -> max acc fp.till_t) 0 script
+      in
+      let long = build script in
+      let one = build [ { Fd.Oracle.observer = 0; target = 1; from_t = 1; till_t = 2 } ] in
+      Fd.Oracle.convergence_time (snd long) = fold
+      && settled_words long = settled_words one)
+
+(* [create_random] is [create] over [random_false_positives]: the same
+   trace record for record (so the same windows, posted in the same
+   order, under the same event ids), the same convergence time, and the
+   generator left in the same state. *)
+let oracle_create_random_matches_script =
+  QCheck.Test.make ~name:"oracle: create_random posts the random script's windows in its order"
+    ~count:60
+    QCheck.(quad (int_bound 10_000) (int_range 0 3) (int_bound 3) (int_range 1 300))
+    (fun (seed, per_edge, shape, max_len) ->
+      let graph =
+        Cgraph.Topology.build
+          (match shape with
+          | 0 -> Cgraph.Topology.Ring 7
+          | 1 -> Cgraph.Topology.Clique 5
+          | 2 -> Cgraph.Topology.Grid (3, 4)
+          | _ -> Cgraph.Topology.Star 6)
+      in
+      let n = Cgraph.Graph.n graph and before = [| 0; 40; 3_000 |].(seed mod 3) in
+      let run build =
+        let engine = Sim.Engine.create ~recorder:(Obs.Recorder.collecting ()) () in
+        let faults = Net.Faults.create engine ~n in
+        let rng = Sim.Rng.create (Int64.of_int seed) in
+        let oracle, _ = build engine faults rng in
+        Net.Faults.schedule_crash faults ~pid:(seed mod n) ~at:(1 + (seed mod 500));
+        let conv = Fd.Oracle.convergence_time oracle in
+        Sim.Engine.run_all engine;
+        (Obs.Recorder.records (Sim.Engine.recorder engine), conv, Sim.Rng.bits64 rng)
+      in
+      run (fun engine faults rng ->
+          Fd.Oracle.create engine faults graph ~detection_delay:30
+            ~false_positives:(Fd.Oracle.random_false_positives rng graph ~before ~per_edge ~max_len)
+            ())
+      = run (fun engine faults rng ->
+            Fd.Oracle.create_random engine faults graph ~detection_delay:30 rng ~before ~per_edge
+              ~max_len ()))
+
 let oracle_rejects_bad_fp () =
   let engine = Sim.Engine.create () in
   let graph = ring 4 in
@@ -394,6 +472,8 @@ let suite =
     Alcotest.test_case "oracle: convergence time with crashes" `Quick oracle_convergence_accounts_crashes;
     Alcotest.test_case "oracle: validates windows" `Quick oracle_rejects_bad_fp;
     Alcotest.test_case "oracle: random window generator" `Quick oracle_random_fp_structure;
+    QCheck_alcotest.to_alcotest oracle_keeps_no_script;
+    QCheck_alcotest.to_alcotest oracle_create_random_matches_script;
     Alcotest.test_case "heartbeat: quiet when delays are short" `Quick heartbeat_no_mistakes_when_fast;
     Alcotest.test_case "heartbeat: completeness" `Quick heartbeat_completeness;
     Alcotest.test_case "heartbeat: eventual accuracy under partial synchrony" `Quick

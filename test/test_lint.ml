@@ -186,6 +186,19 @@ let test_hot_path_alloc () =
   check_hits "toplevel recursion, a justified cons and constant trees are silent" []
     (typed_hits (fun g -> Lint.Hotpath.run g) "good_hot_path_alloc.ml")
 
+let test_hot_path_optional () =
+  check_hits "a default-filled or left-open optional argument fires inside [@lint.hot]"
+    [ ("hot-path-optional", 6); ("hot-path-optional", 7); ("hot-path-optional", 8) ]
+    (typed_hits (fun g -> Lint.Hotpath.run g) "bad_hot_path_optional.ml");
+  check_hits "written-out arguments, a plain callee and a justified call are silent" []
+    (typed_hits (fun g -> Lint.Hotpath.run g) "good_hot_path_optional.ml");
+  (* Its own rule: selecting only the allocation rule silences it. *)
+  check_hits "hot-path-alloc alone does not report omissions" []
+    (hits ~rules:[ Lint.Rule.Hot_path_alloc ] (fixture "bad_hot_path_optional.ml"));
+  check_hits "the pipeline reports it under its own id"
+    [ ("hot-path-optional", 6); ("hot-path-optional", 7); ("hot-path-optional", 8) ]
+    (hits ~rules:[ Lint.Rule.Hot_path_optional ] (fixture "bad_hot_path_optional.ml"))
+
 (* ------------------------------------------------------------------ *)
 (* Suppression hygiene.                                                *)
 (* ------------------------------------------------------------------ *)
@@ -278,6 +291,7 @@ let suite =
     Alcotest.test_case "typed fixture: domain-escape" `Quick test_domain_escape;
     Alcotest.test_case "typed fixture: transitive effects" `Quick test_transitive_effects;
     Alcotest.test_case "typed fixture: hot-path-alloc" `Quick test_hot_path_alloc;
+    Alcotest.test_case "typed fixture: hot-path-optional" `Quick test_hot_path_optional;
     Alcotest.test_case "hygiene: unused [@lint.allow]" `Quick test_unused_allow;
     Alcotest.test_case "hygiene: stale allowlist tracking" `Quick test_stale_allowlist_tracking;
     Alcotest.test_case "deterministic zone is clean" `Quick test_zone_clean;

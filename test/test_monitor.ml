@@ -27,6 +27,7 @@ let mock ?(n = 3) ?(edges = [ (0, 1); (1, 2) ]) () =
       become_hungry = (fun _ -> ());
       stop_eating = (fun _ -> ());
       phase = (fun pid -> phases.(pid));
+      eats = (fun _ -> 0);
       add_listener = (fun f -> listeners := !listeners @ [ f ]);
       add_doorway_listener = (fun f -> doorway_listeners := !doorway_listeners @ [ f ]);
       check_invariants = (fun () -> ());

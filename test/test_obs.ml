@@ -135,7 +135,7 @@ let metrics_registry () =
   let m = Obs.Metrics.create () in
   let c = Obs.Metrics.counter m "a.count" in
   Obs.Metrics.incr c;
-  Obs.Metrics.incr ~by:4 c;
+  Obs.Metrics.add c 4;
   check int "counter accumulates" 5 (Obs.Metrics.counter_value c);
   (* get-or-create: the same name yields the same cell. *)
   Obs.Metrics.incr (Obs.Metrics.counter m "a.count");

@@ -183,11 +183,11 @@ let pqueue_clear () =
    a side array, as the engine keeps events in its pool. [wheel_pop]
    returns the popped handle with its tick, in the reference heap's
    option shape, so the two can be compared pop for pop. *)
+let wheel_take q = Sim.Wheel.pop_until q max_int
+
 let wheel_pop q =
-  if Sim.Wheel.is_empty q then None
-  else
-    let h = Sim.Wheel.pop q in
-    Some (Sim.Wheel.floor q, h)
+  let h = wheel_take q in
+  if h < 0 then None else Some (Sim.Wheel.floor q, h)
 
 let wheel_peek q =
   let p = Sim.Wheel.next_tick q in
@@ -202,14 +202,13 @@ let wheel_orders () =
   check (Alcotest.list int) "sorted" [ 1; 1; 3; 4; 5 ] order;
   check bool "now empty" true (Sim.Wheel.is_empty q);
   check int "empty again: next_tick is max_int" max_int (Sim.Wheel.next_tick q);
-  Alcotest.check_raises "pop on empty" (Invalid_argument "Wheel.pop: empty wheel") (fun () ->
-      ignore (Sim.Wheel.pop q))
+  check int "pop on empty" (-1) (wheel_take q)
 
 let wheel_fifo_ties () =
   let q = Sim.Wheel.create () in
   let labels = [| "a"; "b"; "c"; "d" |] in
   Array.iteri (fun h _ -> Sim.Wheel.add q ~prio:7 h) labels;
-  let popped = List.init 4 (fun _ -> labels.(Sim.Wheel.pop q)) in
+  let popped = List.init 4 (fun _ -> labels.(wheel_take q)) in
   check (Alcotest.list Alcotest.string) "insertion order at equal prio" [ "a"; "b"; "c"; "d" ]
     popped
 
@@ -230,7 +229,7 @@ let wheel_multilevel_spans () =
 let wheel_floor_rejects_past () =
   let q = Sim.Wheel.create () in
   Sim.Wheel.add q ~prio:100 0;
-  ignore (Sim.Wheel.pop q);
+  ignore (wheel_take q);
   check int "floor tracks the last popped tick" 100 (Sim.Wheel.floor q);
   let rejected =
     match Sim.Wheel.add q ~prio:99 1 with
@@ -308,6 +307,105 @@ let wheel_matches_pqueue =
       drain ();
       !ok)
 
+(* [pop_until] against the reference heap, with bounds below, at and
+   above the next tick: the wheel returns exactly what a bounded pop of
+   the heap returns. A bound below the next tick must leave the floor
+   where it was, so an add between the floor and that tick is still
+   accepted (a cascade made on the way to a tick that is not due would
+   raise the floor past it). Peeks are interleaved on some steps only,
+   so bounded pops run both with a cached minimum and without one. *)
+let wheel_pop_until_matches_pqueue =
+  QCheck.Test.make ~name:"wheel: pop_until matches pqueue for bounds below, at and above"
+    ~count:300
+    QCheck.(list_of_size Gen.(int_range 0 150) (int_bound 1_000_000))
+    (fun codes ->
+      let w = Sim.Wheel.create () and p = Pqueue.create () in
+      let payload = Array.make 256 (-1, -1) in
+      let free = ref [] and fresh = ref 0 and idx = ref 0 in
+      let ok = ref true in
+      let add prio =
+        let h =
+          match !free with
+          | h :: rest ->
+              free := rest;
+              h
+          | [] ->
+              incr fresh;
+              !fresh - 1
+        in
+        let v = (!idx, prio) in
+        incr idx;
+        payload.(h) <- v;
+        Sim.Wheel.add w ~prio h;
+        Pqueue.add p ~prio v
+      in
+      let pop_until until =
+        let expected =
+          match Pqueue.peek_prio p with Some t when t <= until -> Pqueue.pop p | _ -> None
+        in
+        let h = Sim.Wheel.pop_until w until in
+        let got =
+          if h < 0 then None
+          else begin
+            free := h :: !free;
+            Some (Sim.Wheel.floor w, payload.(h))
+          end
+        in
+        ok := !ok && got = expected;
+        got <> None
+      in
+      List.iter
+        (fun code ->
+          let floor = Sim.Wheel.floor w in
+          if code mod 4 < 2 then
+            (* Mostly short hops, sometimes a jump across levels. *)
+            add
+              (floor
+              + if code mod 5 = 0 then (((code / 3) mod 4) * 1_000_000) + (code mod 97)
+                else (code / 3) mod 500)
+          else begin
+            let next = match Pqueue.peek_prio p with Some t -> t | None -> floor + 1_000 in
+            if (code / 7) mod 3 = 0 then
+              ok := !ok && wheel_peek w = Pqueue.peek_prio p;
+            match (code / 4) mod 3 with
+            | 0 ->
+                let below =
+                  if next > floor then floor + ((code / 12) mod (next - floor)) else next - 1
+                in
+                if not (pop_until below) && next > floor then begin
+                  ok := !ok && Sim.Wheel.floor w = floor;
+                  add (floor + ((code / 36) mod (next - floor)))
+                end
+            | 1 -> ignore (pop_until next : bool)
+            | _ -> ignore (pop_until (next + ((code / 12) mod 70_000)) : bool)
+          end;
+          ok := !ok && Sim.Wheel.size w = Pqueue.size p)
+        codes;
+      while pop_until max_int do
+        ()
+      done;
+      !ok && Sim.Wheel.is_empty w)
+
+(* The bitmap scan's lowest-set-bit step against a bit-by-bit loop. *)
+let ctz_ref x =
+  let rec go i = if x land (1 lsl i) <> 0 then i else go (i + 1) in
+  go 0
+
+let wheel_ctz32_single_bits () =
+  for i = 0 to 31 do
+    check int (Printf.sprintf "bit %d" i) i (Sim.Wheel.ctz32 (1 lsl i))
+  done;
+  check int "every bit set" 0 (Sim.Wheel.ctz32 0xFFFF_FFFF);
+  check int "top bit of many" 31 (Sim.Wheel.ctz32 (1 lsl 31))
+
+let wheel_ctz32_random =
+  QCheck.Test.make ~name:"wheel: ctz32 matches a bit-by-bit scan on 32-bit words" ~count:2000
+    QCheck.(triple (int_bound 0xFFFF) (int_bound 0xFFFF) (int_bound 31))
+    (fun (hi, lo, shift) ->
+      let x = (((hi lsl 16) lor lo) lsl shift) land 0xFFFF_FFFF in
+      QCheck.assume (x <> 0);
+      Sim.Wheel.ctz32 x = ctz_ref x)
+
 (* Same-tick FIFO across floor epochs: entries for one tick added while
    it sits at level 2, then level 1, then level 0, then in the current
    list, pop in insertion order. *)
@@ -320,7 +418,7 @@ let wheel_fifo_across_epochs () =
   in
   let tick = (3 lsl 16) + (5 lsl 8) + 7 in
   let add ?(at = tick) label = Sim.Wheel.add q ~prio:at (handle label) in
-  let pop () = labels.(Sim.Wheel.pop q) in
+  let pop () = labels.(wheel_take q) in
   add "a1";
   add ~at:(3 lsl 16) "m1";
   check Alcotest.string "level-2 epoch ends" "m1" (pop ());
@@ -344,11 +442,11 @@ let wheel_storm q =
     Sim.Wheel.add q ~prio:(base + 1 + (h * 7919 mod 300_000)) h
   done;
   for _ = 1 to 256 do
-    let h = Sim.Wheel.pop q in
+    let h = wheel_take q in
     Sim.Wheel.add q ~prio:(Sim.Wheel.floor q + (h * 31 mod 70_000)) h
   done;
   while not (Sim.Wheel.is_empty q) do
-    ignore (Sim.Wheel.pop q : int)
+    ignore (wheel_take q : int)
   done
 
 (* Regression: level-0 slots were value arrays that regrew 4 -> 8 ->
@@ -375,9 +473,9 @@ let wheel_readd_after_pop () =
   Alcotest.check_raises "a queued handle is refused"
     (Invalid_argument "Wheel.add: handle 3 is already queued") (fun () ->
       Sim.Wheel.add q ~prio:9 3);
-  check int "head of tick 5" 0 (Sim.Wheel.pop q);
+  check int "head of tick 5" 0 (wheel_take q);
   Sim.Wheel.add q ~prio:5 0;
-  check int "next in FIFO" 1 (Sim.Wheel.pop q);
+  check int "next in FIFO" 1 (wheel_take q);
   Sim.Wheel.add q ~prio:70_000 1;
   let rest = List.init (Sim.Wheel.size q) (fun _ -> wheel_pop q) in
   check
@@ -955,6 +1053,9 @@ let suite =
     Alcotest.test_case "wheel: spans every level" `Quick wheel_multilevel_spans;
     Alcotest.test_case "wheel: rejects below the floor" `Quick wheel_floor_rejects_past;
     QCheck_alcotest.to_alcotest wheel_matches_pqueue;
+    QCheck_alcotest.to_alcotest wheel_pop_until_matches_pqueue;
+    Alcotest.test_case "wheel: ctz32 on every single-bit word" `Quick wheel_ctz32_single_bits;
+    QCheck_alcotest.to_alcotest wheel_ctz32_random;
     Alcotest.test_case "wheel: an add/pop/cascade storm allocates nothing once links exist" `Quick
       wheel_storm_allocates_nothing;
     Alcotest.test_case "wheel: a popped handle can be re-added immediately" `Quick
