@@ -155,17 +155,18 @@ let print_report (r : Harness.World.report) =
     (Monitor.Response.served_count r.response);
   Printf.printf "response (ticks): mean %.1f  p95 %.1f  p99 %.1f  max %.1f\n" summary.mean
     summary.p95 summary.p99 summary.max;
-  let starved = Harness.World.starved r ~older_than:10_000 in
+  let starved = Harness.World.starved r in
   Printf.printf "starved         : %s\n"
     (if starved = [] then "none (wait-free)"
      else "PROCESSES " ^ String.concat "," (List.map string_of_int starved));
-  Printf.printf "exclusion       : %d violation(s); detector converged at %s; after that: %d\n"
+  let cut = Harness.World.settle_cutoff r in
+  Printf.printf "exclusion       : %d violation(s); detector converged at %s; after t=%d: %d\n"
     (Monitor.Exclusion.count r.exclusion)
     (Stats.Table.cell_time r.convergence)
-    (Monitor.Exclusion.count_after r.exclusion r.convergence);
-  Printf.printf "overtaking      : max consecutive %d; for sessions after convergence %d (bound 2)\n"
+    cut (Harness.World.late_violations r);
+  Printf.printf "overtaking      : max consecutive %d; after t=%d: %d (bound %d)\n"
     (Monitor.Fairness.max_consecutive r.fairness)
-    (Monitor.Fairness.max_consecutive_for_sessions_from r.fairness r.convergence);
+    cut (Harness.World.late_overtakes r) (Harness.World.overtake_bound r);
   Printf.printf "channels        : max %d msgs in transit per edge (bound 4)\n"
     (Net.Link_stats.max_edge_watermark r.link_stats);
   (match (r.max_footprint_bits, r.max_message_bits) with
@@ -292,22 +293,13 @@ let experiments_cmd =
 (* ------------------------------------------------------------------ *)
 
 let batch_cmd =
-  let patience_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "patience" ] ~docv:"TICKS"
-          ~doc:
-            "Starvation patience: a process counts as starved when its open hungry \
-             session is older than $(docv) at the horizon (default: horizon / 4).")
-  in
   (* No --seed: the batch substitutes seeds 1..N by construction. *)
-  let go topology horizon crashes detector algo contended seeds domains patience =
+  let go topology horizon crashes detector algo contended seeds domains =
     let scenario =
       make_scenario ~name:"batch" ~topology ~seed:Harness.Scenario.default.seed ~horizon
         ~crashes ~detector ~algo ~contended
     in
-    let a = Harness.Batch.run ~seeds ~domains ?patience scenario in
+    let a = Harness.Batch.run ~seeds ~domains scenario in
     Printf.printf "scenario : %s on %s, seeds 1..%d, horizon %d, %d domain(s)\n" scenario.name
       (Cgraph.Topology.name topology) seeds horizon domains;
     Format.printf "aggregate: %a@." Harness.Batch.pp a
@@ -319,7 +311,7 @@ let batch_cmd =
           aggregate (bit-identical for any --domains).")
     Term.(
       const go $ topology_arg $ horizon_arg $ crashes_arg $ detector_arg $ algo_arg
-      $ contended_arg $ seeds_arg $ domains_arg $ patience_arg)
+      $ contended_arg $ seeds_arg $ domains_arg)
 
 (* ------------------------------------------------------------------ *)
 (* trace / tracediff                                                    *)

@@ -44,7 +44,7 @@ let () =
   List.iter
     (fun (algo, label) ->
       let _, r = duel algo label in
-      let starved = Harness.World.starved r ~older_than:10_000 in
+      let starved = Harness.World.starved r in
       Stats.Table.add_row table
         [
           label;

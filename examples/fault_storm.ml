@@ -35,15 +35,15 @@ let () =
     (String.concat ", " (List.map (fun (p, t) -> Printf.sprintf "p%d@%d" p t) r.crashed));
   Printf.printf "meals served    : %d across %d survivors\n" r.total_eats
     (n - List.length r.crashed);
-  let starved = Harness.World.starved r ~older_than:15_000 in
+  let starved = Harness.World.starved r in
   Printf.printf "starved         : %s\n"
     (if starved = [] then "none — wait-free through the storm"
      else String.concat "," (List.map string_of_int starved));
   Printf.printf "detector        : %d false suspicions, last at t=%s\n" r.detector_mistakes
     (Stats.Table.cell_time r.convergence);
-  Printf.printf "exclusion       : %d violations, %d after the detector settled\n"
+  Printf.printf "exclusion       : %d violations, %d after the detector settled (t=%d)\n"
     (Monitor.Exclusion.count r.exclusion)
-    (Monitor.Exclusion.count_after r.exclusion r.convergence);
+    (Harness.World.late_violations r) (Harness.World.settle_cutoff r);
   Printf.printf "channel bound   : max %d in flight per edge (paper: 4)\n"
     (Net.Link_stats.max_edge_watermark r.link_stats);
   Printf.printf "invariants      : %s\n\n"

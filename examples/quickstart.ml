@@ -47,7 +47,7 @@ let () =
   Format.printf "meals served    : %d (per philosopher: %s)@." r.total_eats
     (String.concat ", " (Array.to_list (Array.map string_of_int r.eats_per_process)));
   Format.printf "hungry -> eating: mean %.0f ticks, worst %.0f@." summary.mean summary.max;
-  (match Harness.World.starved r ~older_than:2_000 with
+  (match Harness.World.starved r with
   | [] -> Format.printf "starvation      : none — the daemon is wait-free@."
   | l ->
       Format.printf "starvation      : %s (unexpected!)@."

@@ -34,20 +34,6 @@ let crash_free (s : Harness.Scenario.t) =
 
 let song_pike (s : Harness.Scenario.t) = s.algo = Harness.Scenario.Song_pike
 
-(* The time after which the eventual properties must hold on this run:
-   the detector's convergence when it is settled inside the horizon, and
-   the last third of the run otherwise (an Unreliable detector reports
-   convergence at infinity — a sound run would still be clean in the
-   tail, so a dirty tail is exactly the violation). Finite convergence
-   gets a horizon/16 grace window: a false suspicion committed just
-   before the detector settles still has its consequences (a yielded
-   fork, a granted overlap) in flight, and the theorems only promise the
-   properties eventually after settling. *)
-let settle_cutoff (r : Harness.World.report) =
-  if Sim.Time.is_finite r.convergence && r.convergence < r.horizon then
-    r.convergence + (r.horizon / 16)
-  else 2 * r.horizon / 3
-
 (* --------------------------- the oracles --------------------------- *)
 
 let lemmas =
@@ -69,14 +55,13 @@ let eventual_weak_exclusion =
     applicable = (fun s -> song_pike s && eventually_accurate s);
     check =
       (fun r ->
-        let cutoff = settle_cutoff r in
-        match Monitor.Exclusion.count_after r.exclusion cutoff with
+        match Harness.World.late_violations r with
         | 0 -> None
         | late ->
             Some
               (Printf.sprintf
                  "%d exclusion violation(s) after t=%d (convergence %s, horizon %d)" late
-                 cutoff
+                 (Harness.World.settle_cutoff r)
                  (Sim.Time.to_string r.convergence)
                  r.horizon));
   }
@@ -93,12 +78,12 @@ let wait_freedom =
         | Harness.Scenario.Fork_only -> false);
     check =
       (fun r ->
-        let patience = max 1 (r.horizon / 4) in
-        match Harness.World.starved r ~older_than:patience with
+        match Harness.World.starved r with
         | [] -> None
         | pids ->
             Some
-              (Printf.sprintf "starved (hungry > %d ticks at horizon): %s" patience
+              (Printf.sprintf "starved (hungry > %d ticks at horizon): %s"
+                 (Harness.World.patience r)
                  (String.concat "," (List.map string_of_int pids))));
   }
 
@@ -110,17 +95,13 @@ let bounded_waiting =
       (fun s -> song_pike s && eventually_accurate s && (complete s || crash_free s));
     check =
       (fun r ->
-        let bound = r.scenario.acks_per_session + 1 in
-        (* Suffix form: overtakes occurring after the cutoff, whatever
-           the victim's session start — a starved victim's one session
-           spans the run and must not be exempt. *)
-        let worst = Monitor.Fairness.max_consecutive_after r.fairness (settle_cutoff r) in
+        let bound = Harness.World.overtake_bound r and worst = Harness.World.late_overtakes r in
         if worst <= bound then None
         else
           Some
             (Printf.sprintf
                "%d consecutive overtakes of one waiting process after t=%d (bound %d)"
-               worst (settle_cutoff r) bound));
+               worst (Harness.World.settle_cutoff r) bound));
   }
 
 let channel_bound_with ~bound =

@@ -31,29 +31,20 @@ val lemmas : t
 
 val eventual_weak_exclusion : t
 (** Theorem 1: exclusion violations cease once the detector's output is
-    settled. Fails on any violation after the settle cutoff (the
-    detector's convergence time plus a [horizon/16] grace window for
-    in-flight consequences of the last mistake, or the last third of the
-    run when the detector never converges — which is how it fires on
+    settled. Fails on any {!Harness.World.late_violations} (the cut is
+    {!Harness.World.settle_cutoff}: the detector's convergence plus a
+    [horizon/16] grace window, or the last third of the run when the
+    detector never converges — which is how it fires on
     [Unreliable]). *)
 
-val settle_cutoff : Harness.World.report -> Sim.Time.t
-(** The time after which {!eventual_weak_exclusion} and
-    {!bounded_waiting} require their property: the detector's
-    convergence plus [horizon/16] when it converges inside the horizon
-    (a false suspicion committed just before it settles still has its
-    consequences in flight), the last third of the run otherwise. *)
-
 val wait_freedom : t
-(** Theorem 2: no live process stays hungry forever — here, no open
-    hungry session older than a quarter of the horizon at the end. *)
+(** Theorem 2: no live process stays hungry forever — here,
+    {!Harness.World.starved} is empty (no open hungry session older than
+    a quarter of the horizon at the end). *)
 
 val bounded_waiting : t
-(** Theorem 3 (generalised by E11): after the settle cutoff, no neighbor
-    overtakes a waiting process more than [acks_per_session + 1]
-    consecutive times — measured over overtakes {e occurring} in the
-    suffix ({!Monitor.Fairness.max_consecutive_after}), so a starved
-    victim's run-spanning session is not exempt. *)
+(** Theorem 3 (generalised by E11): {!Harness.World.late_overtakes} is
+    at most {!Harness.World.overtake_bound} ([acks_per_session + 1]). *)
 
 val channel_bound : t
 (** Section 7: at most 4 messages in transit per conflict edge

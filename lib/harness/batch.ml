@@ -4,14 +4,15 @@ type aggregate = {
   response_mean : Stats.Summary.t;
   response_p99 : Stats.Summary.t;
   violations : Stats.Summary.t;
-  violations_after_conv_total : int;
-  max_overtakes_after_conv : int;
+  late_violations_total : int;
+  max_late_overtakes : int;
+  overtake_bound : int;
   starved_total : int;
   worst_edge_watermark : int;
   invariant_errors : string list;
 }
 
-let run ?(seeds = 10) ?domains ?patience (scenario : Scenario.t) =
+let run ?(seeds = 10) ?domains (scenario : Scenario.t) =
   if seeds <= 0 then invalid_arg "Batch.run: seeds must be positive";
   (* Each seed is an independent World; the pool spreads them across
      domains. Reports come back indexed by seed, so every aggregate below
@@ -23,9 +24,6 @@ let run ?(seeds = 10) ?domains ?patience (scenario : Scenario.t) =
             World.run { scenario with seed = Int64.of_int (k + 1) }))
     |> Array.to_list
   in
-  let patience =
-    match patience with Some p -> p | None -> scenario.horizon / 4
-  in
   let per f = List.map f reports in
   {
     runs = seeds;
@@ -35,14 +33,10 @@ let run ?(seeds = 10) ?domains ?patience (scenario : Scenario.t) =
     response_p99 =
       Stats.Summary.of_floats (per (fun r -> (Monitor.Response.summary r.response).p99));
     violations = Stats.Summary.of_ints (per (fun r -> Monitor.Exclusion.count r.exclusion));
-    violations_after_conv_total =
-      List.fold_left ( + ) 0
-        (per (fun r -> Monitor.Exclusion.count_after r.exclusion r.convergence));
-    max_overtakes_after_conv =
-      List.fold_left max 0
-        (per (fun r -> Monitor.Fairness.max_consecutive_for_sessions_from r.fairness r.convergence));
-    starved_total =
-      List.fold_left ( + ) 0 (per (fun r -> List.length (World.starved r ~older_than:patience)));
+    late_violations_total = List.fold_left ( + ) 0 (per World.late_violations);
+    max_late_overtakes = List.fold_left max 0 (per World.late_overtakes);
+    overtake_bound = World.overtake_bound (List.hd reports);
+    starved_total = List.fold_left ( + ) 0 (per (fun r -> List.length (World.starved r)));
     worst_edge_watermark =
       List.fold_left max 0 (per (fun r -> Net.Link_stats.max_edge_watermark r.link_stats));
     invariant_errors = List.filter_map (fun (r : World.report) -> r.invariant_error) reports;
@@ -50,9 +44,9 @@ let run ?(seeds = 10) ?domains ?patience (scenario : Scenario.t) =
 
 let pp ppf a =
   Format.fprintf ppf
-    "%d runs: eats %.0f±%.0f, resp mean %.1f, p99 %.1f, violations/run %.1f (after conv: %d \
-     total), overtakes<=%d, starved %d, watermark %d, invariant errors %d"
+    "%d runs: eats %.0f±%.0f, resp mean %.1f, p99 %.1f, violations/run %.1f (late: %d \
+     total), late overtakes<=%d (bound %d), starved %d, watermark %d, invariant errors %d"
     a.runs a.total_eats.mean a.total_eats.stddev a.response_mean.mean a.response_p99.mean
-    a.violations.mean a.violations_after_conv_total a.max_overtakes_after_conv a.starved_total
+    a.violations.mean a.late_violations_total a.max_late_overtakes a.overtake_bound a.starved_total
     a.worst_edge_watermark
     (List.length a.invariant_errors)

@@ -13,25 +13,21 @@ type aggregate = {
   response_mean : Stats.Summary.t;        (** per-run mean response *)
   response_p99 : Stats.Summary.t;         (** per-run p99 response *)
   violations : Stats.Summary.t;           (** per-run violation counts *)
-  violations_after_conv_total : int;      (** summed; Theorem 1 says 0 *)
-  max_overtakes_after_conv : int;         (** worst across runs; Theorem 3 says <= 2 *)
-  starved_total : int;                    (** summed; Theorem 2 says 0 *)
+  late_violations_total : int;            (** summed {!World.late_violations}; Theorem 1 says 0 *)
+  max_late_overtakes : int;               (** worst {!World.late_overtakes} across runs *)
+  overtake_bound : int;                   (** {!World.overtake_bound}; Theorem 3 says max <= it *)
+  starved_total : int;                    (** summed {!World.starved}; Theorem 2 says 0 *)
   worst_edge_watermark : int;             (** worst across runs; Section 7 says <= 4 *)
   invariant_errors : string list;         (** should be empty *)
 }
 
-val run : ?seeds:int -> ?domains:int -> ?patience:Sim.Time.t -> Scenario.t -> aggregate
-(** [run ~seeds ~domains ~patience scenario] executes the scenario under
-    seeds [1 .. seeds] (default 10), replacing the scenario's own seed,
-    and aggregates.
+val run : ?seeds:int -> ?domains:int -> Scenario.t -> aggregate
+(** [run ~seeds ~domains scenario] executes the scenario under seeds
+    [1 .. seeds] (default 10), replacing the scenario's own seed, and
+    aggregates.
 
     [domains] caps the parallelism (default
     [Domain.recommended_domain_count ()]; [1] forces the sequential
-    fallback). The aggregate does not depend on it.
-
-    [patience] is the starvation threshold: a process counts as starved
-    if its hungry session is still open at the horizon and older than
-    [patience] ticks (default: 1/4 of the horizon, the historical
-    behaviour). Smaller values are stricter. *)
+    fallback). The aggregate does not depend on it. *)
 
 val pp : Format.formatter -> aggregate -> unit

@@ -64,7 +64,7 @@ let e1 (ctx : ctx) =
           ("conv", Stats.Table.Right);
           ("violations", Stats.Table.Right);
           ("last_viol", Stats.Table.Right);
-          ("viol_after_conv", Stats.Table.Right);
+          ("late_violations", Stats.Table.Right);
           ("invariants", Stats.Table.Left);
         ]
   in
@@ -101,7 +101,7 @@ let e1 (ctx : ctx) =
       Stats.Table.cell_time r.convergence;
       Stats.Table.cell_int (Monitor.Exclusion.count r.exclusion);
       cell_opt_time (Monitor.Exclusion.last_violation_time r.exclusion);
-      Stats.Table.cell_int (Monitor.Exclusion.count_after r.exclusion r.convergence);
+      Stats.Table.cell_int (World.late_violations r);
       inv_cell r;
     ]
   in
@@ -110,7 +110,7 @@ let e1 (ctx : ctx) =
     Table table;
     Note
       "Expected shape: violations may occur, but the last one precedes detector \
-       convergence and viol_after_conv = 0 on every row.";
+       convergence and late_violations (after the settle cut) = 0 on every row.";
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -164,7 +164,7 @@ let e2 (_ : ctx) =
                   Stats.Table.cell_int f;
                   label;
                   Stats.Table.cell_int (Monitor.Response.served_count r.response);
-                  Stats.Table.cell_int (List.length (World.starved r ~older_than:10_000));
+                  Stats.Table.cell_int (List.length (World.starved r));
                   Stats.Table.cell_float summary.mean;
                   Stats.Table.cell_float summary.p99;
                   Stats.Table.cell_float summary.max;
@@ -194,7 +194,7 @@ let e3 (_ : ctx) =
           ("topology", Stats.Table.Left);
           ("eats", Stats.Table.Right);
           ("max_overtakes", Stats.Table.Right);
-          ("max_after_conv", Stats.Table.Right);
+          ("late_overtakes", Stats.Table.Right);
           ("bound_holds", Stats.Table.Left);
           ("starved", Stats.Table.Right);
         ]
@@ -225,16 +225,16 @@ let e3 (_ : ctx) =
             }
           in
           let r = World.run s in
-          let after = Monitor.Fairness.max_consecutive_for_sessions_from r.fairness r.convergence in
+          let late = World.late_overtakes r in
           Stats.Table.add_row table
             [
               label ^ "+" ^ Scenario.detector_name detector;
               Cgraph.Topology.name topology;
               Stats.Table.cell_int r.total_eats;
               Stats.Table.cell_int (Monitor.Fairness.max_consecutive r.fairness);
-              Stats.Table.cell_int after;
-              Stats.Table.cell_bool (after <= 2);
-              Stats.Table.cell_int (List.length (World.starved r ~older_than:10_000));
+              Stats.Table.cell_int late;
+              Stats.Table.cell_bool (late <= World.overtake_bound r);
+              Stats.Table.cell_int (List.length (World.starved r));
             ])
         cases;
       Stats.Table.add_rule table)
@@ -549,7 +549,7 @@ let e8 (_ : ctx) =
               Stats.Table.cell_float summary.mean;
               Stats.Table.cell_float summary.p99;
               Stats.Table.cell_int (Monitor.Fairness.max_consecutive r.fairness);
-              Stats.Table.cell_int (List.length (World.starved r ~older_than:10_000));
+              Stats.Table.cell_int (List.length (World.starved r));
             ])
         cases;
       Stats.Table.add_rule table)
@@ -582,7 +582,7 @@ let e9 (_ : ctx) =
           ("served", Stats.Table.Right);
           ("starved", Stats.Table.Right);
           ("violations", Stats.Table.Right);
-          ("viol_last_third", Stats.Table.Right);
+          ("late_violations", Stats.Table.Right);
           ("verdict", Stats.Table.Left);
         ]
   in
@@ -611,8 +611,8 @@ let e9 (_ : ctx) =
         }
       in
       let r = World.run s in
-      let starved = List.length (World.starved r ~older_than:10_000) in
-      let late = Monitor.Exclusion.count_after r.exclusion (2 * horizon / 3) in
+      let starved = List.length (World.starved r) in
+      let late = World.late_violations r in
       let verdict =
         match (starved > 0, late > 0) with
         | false, false -> "wait-free + eventually safe"
@@ -659,7 +659,7 @@ let e10 (ctx : ctx) =
           ("runs", Stats.Table.Right);
           ("eats/run", Stats.Table.Right);
           ("viol/run", Stats.Table.Right);
-          ("viol_after_conv", Stats.Table.Right);
+          ("late_violations", Stats.Table.Right);
           ("max_overtakes", Stats.Table.Right);
           ("starved", Stats.Table.Right);
           ("watermark", Stats.Table.Right);
@@ -694,7 +694,7 @@ let e10 (ctx : ctx) =
       in
       let a = Batch.run ~seeds:ctx.seeds ~domains:ctx.domains scenario in
       let ok =
-        a.violations_after_conv_total = 0 && a.max_overtakes_after_conv <= 2
+        a.late_violations_total = 0 && a.max_late_overtakes <= a.overtake_bound
         && a.starved_total = 0 && a.worst_edge_watermark <= 4 && a.invariant_errors = []
       in
       Stats.Table.add_row table
@@ -704,8 +704,8 @@ let e10 (ctx : ctx) =
           Stats.Table.cell_int a.runs;
           Printf.sprintf "%.0f±%.0f" a.total_eats.mean a.total_eats.stddev;
           Stats.Table.cell_float a.violations.mean;
-          Stats.Table.cell_int a.violations_after_conv_total;
-          Stats.Table.cell_int a.max_overtakes_after_conv;
+          Stats.Table.cell_int a.late_violations_total;
+          Stats.Table.cell_int a.max_late_overtakes;
           Stats.Table.cell_int a.starved_total;
           Stats.Table.cell_int a.worst_edge_watermark;
           Stats.Table.cell_bool ok;

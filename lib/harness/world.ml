@@ -55,13 +55,6 @@ let create ?recorder ?(metrics = Obs.Metrics.create ()) (s : Scenario.t) =
   let exclusion = Monitor.Exclusion.attach engine graph faults instance in
   let fairness = Monitor.Fairness.attach engine graph faults instance in
   let response = Monitor.Response.attach ~metrics engine faults instance in
-  let m_eats = Obs.Metrics.counter metrics "daemon.eats" in
-  let m_hungry = Obs.Metrics.counter metrics "daemon.hungry_sessions" in
-  instance.add_listener (fun _ phase ->
-      match phase with
-      | Dining.Types.Eating -> Obs.Metrics.incr m_eats
-      | Dining.Types.Hungry -> Obs.Metrics.incr m_hungry
-      | Dining.Types.Thinking -> ());
   let workload =
     Workload.attach ~engine ~faults ~n
       ~rng:(Sim.Rng.split_named rng "workload")
@@ -105,6 +98,10 @@ let report (w : t) =
   (* Per-process eats are the daemon's own counts (Song–Pike keeps them
      in its headers), read once here rather than kept twice. *)
   let eats_per_process = Array.init n instance.eats in
+  let total_eats = Array.fold_left ( + ) 0 eats_per_process in
+  let hungry_transitions = Workload.hungry_transitions w.workload in
+  Obs.Metrics.set (Obs.Metrics.gauge w.metrics "daemon.eats") total_eats;
+  Obs.Metrics.set (Obs.Metrics.gauge w.metrics "daemon.hungry_sessions") hungry_transitions;
   let max_footprint_bits, max_message_bits =
     match song_pike with
     | None -> (None, None)
@@ -125,9 +122,9 @@ let report (w : t) =
     fairness = w.fairness;
     response = w.response;
     link_stats;
-    total_eats = Array.fold_left ( + ) 0 eats_per_process;
+    total_eats;
     eats_per_process;
-    hungry_transitions = Workload.hungry_transitions w.workload;
+    hungry_transitions;
     invariant_error = !(w.invariant_error);
     max_footprint_bits;
     max_message_bits;
@@ -143,7 +140,34 @@ let run ?recorder ?metrics (s : Scenario.t) =
 
 let throughput r = 1000.0 *. float_of_int r.total_eats /. float_of_int (max 1 r.horizon)
 
-let starved r ~older_than =
+(* Theorems 1–3 promise their properties eventually. The functions
+   below are the one place that says from when and in what form; every
+   table, report line, oracle and test reads a theorem through them. *)
+
+(* The detector's convergence when it settles inside the horizon, and
+   the last third of the run otherwise (an Unreliable detector reports
+   convergence at infinity — a sound run would still be clean in the
+   tail, so a dirty tail is exactly the violation). Finite convergence
+   gets a horizon/16 grace window: a false suspicion committed just
+   before the detector settles still has its consequences (a yielded
+   fork, a granted overlap) in flight, and the theorems only promise the
+   properties eventually after settling. *)
+let settle_cutoff r =
+  if Sim.Time.is_finite r.convergence && r.convergence < r.horizon then
+    r.convergence + (r.horizon / 16)
+  else 2 * r.horizon / 3
+
+let late_violations r = Monitor.Exclusion.count_after r.exclusion (settle_cutoff r)
+
+(* Suffix form: overtakes occurring after the cutoff, whatever the
+   victim's session start — a starved victim's one session spans the
+   run and must not be exempt. *)
+let late_overtakes r = Monitor.Fairness.max_consecutive_after r.fairness (settle_cutoff r)
+let overtake_bound r = r.scenario.acks_per_session + 1
+let patience r = max 1 (r.horizon / 4)
+
+let starved r =
+  let patience = patience r in
   List.filter_map
-    (fun (pid, started) -> if r.horizon - started > older_than then Some pid else None)
+    (fun (pid, started) -> if r.horizon - started > patience then Some pid else None)
     (Monitor.Response.open_sessions r.response)

@@ -45,8 +45,9 @@ type report = {
   horizon : Sim.Time.t;
   metrics : Obs.Metrics.t;
       (** The world's metrics registry: [net.*] traffic counters
-          (dining + heartbeat overlays aggregated), [daemon.*] counters
-          and wait histograms, [engine.*] / [detector.*] gauges. *)
+          (dining + heartbeat overlays aggregated), the [daemon.*] wait
+          histograms, and the [daemon.eats], [daemon.hungry_sessions],
+          [engine.*] and [detector.*] gauges set by {!report}. *)
 }
 
 val create :
@@ -97,7 +98,39 @@ val run :
 val throughput : report -> float
 (** Eats per 1000 ticks. *)
 
-val starved : report -> older_than:int -> Dining.Types.pid list
-(** Live processes still hungry at the horizon whose session is older
-    than the given age — wait-freedom violations at that patience
-    level. *)
+(** {2 Theorems 1–3, measured}
+
+    Each theorem promises its property {e eventually}. These functions
+    are the one definition of from when and in what form: the
+    [Fuzz.Property] oracles, the reproduction tables, [Batch], the CLI
+    and the tests all read a theorem through them. *)
+
+val settle_cutoff : report -> Sim.Time.t
+(** The time after which Theorems 1 and 3 require their property: the
+    detector's convergence plus [horizon/16] when it converges inside
+    the horizon (a false suspicion committed just before it settles
+    still has its consequences in flight), the last third of the run
+    otherwise. *)
+
+val late_violations : report -> int
+(** Theorem 1 (◇WX): exclusion violations at or after {!settle_cutoff};
+    the theorem says 0. *)
+
+val late_overtakes : report -> int
+(** Theorem 3: the most consecutive overtakes of one waiting process by
+    one neighbour {e occurring} at or after {!settle_cutoff}, within one
+    hungry session of the victim
+    ({!Monitor.Fairness.max_consecutive_after}) — the suffix form, so a
+    starved victim's run-spanning session is not exempt. *)
+
+val overtake_bound : report -> int
+(** Theorem 3's bound, [acks_per_session + 1]: 2 for the paper's
+    Algorithm 1, [m + 1] for an ack budget of [m] (E11). *)
+
+val patience : report -> Sim.Time.t
+(** Theorem 2's stand-in for "eventually served": [max 1 (horizon/4)]. *)
+
+val starved : report -> Dining.Types.pid list
+(** Theorem 2 (wait-freedom): live processes still hungry at the horizon
+    whose session is older than {!patience}, ascending; the theorem says
+    none. *)

@@ -59,8 +59,6 @@ type t = {
   counts : int array; (* slot (victim, overtaker) -> consecutive count in the victim's session *)
   mutable total : int; (* overtakes so far *)
   mutable max_count : int;
-  mutable latest_start : Sim.Time.t array;
-      (* c -> latest session start of an overtake with count c, 1 <= c <= max_count *)
   mutable groups : int array array;
       (* slot / chunk_slots -> its chunk ([||] until its first overtake),
          where slot mod chunk_slots * group_stride + (0: session start,
@@ -90,7 +88,6 @@ let grown a need fill =
   Array.blit a 0 b 0 (Array.length a);
   b
 
-let grow_latest t need = t.latest_start <- grown t.latest_start need (-1)
 let grow_suffix t need = t.suffix <- grown t.suffix need (-1)
 let grow_spill t k need =
   if Array.length t.spill = 0 then t.spill <- Array.make (Array.length t.counts) [||];
@@ -132,8 +129,6 @@ let[@lint.hot] record t k ~time ~overtaker ~victim ~session_start ~count =
   t.recent.(base + 4) <- count;
   t.total <- t.total + 1;
   if count > t.max_count then t.max_count <- count;
-  if count >= Array.length t.latest_start then grow_latest t (count + 1);
-  if session_start > t.latest_start.(count) then t.latest_start.(count) <- session_start;
   let b = k / chunk_slots and g = k mod chunk_slots * group_stride in
   let c = t.groups.(b) in
   let c = if Array.length c = 0 then add_chunk t b else c in
@@ -185,7 +180,6 @@ let attach engine graph faults (instance : Dining.Instance.t) =
       counts = Array.make (Cgraph.Graph.dir_count graph) 0;
       total = 0;
       max_count = 0;
-      latest_start = [||];
       groups = [||];
       spill = [||];
       suffix = [||];
@@ -211,16 +205,9 @@ let overtakes t =
 
 let max_consecutive t = t.max_count
 
-(* Counts rise by one within a slot, so every count up to [max_count]
-   has been reached and has a latest session start. *)
-let max_consecutive_for_sessions_from t time =
-  let rec go c = if c = 0 || t.latest_start.(c) >= time then c else go (c - 1) in
-  go t.max_count
-
 (* Suffix form: only overtakes at or after [time] count, but a victim's
    session may have started earlier (a starved victim's single session
-   spans the whole run — exactly the case the sessions-from variant
-   cannot see). A group's overtakes are consecutive, so its post-cutoff
+   spans the whole run). A group's overtakes are consecutive, so its post-cutoff
    size is its consecutive count. For closed groups the largest such
    size is the largest rank j whose [suffix] time is at or after the
    cutoff ([suffix] does not increase with j); open groups are counted

@@ -3,9 +3,11 @@
     An {e overtake} happens when process [j] starts eating while its
     neighbor [i] has been continuously hungry; the count is consecutive
     within one hungry session of the victim [i] and resets when [i] eats.
-    Theorem 3 predicts that every run has a suffix in which no count
-    exceeds 2 (for hungry sessions starting after detector convergence);
-    doorway-less priority schemes have unbounded counts.
+    Theorem 3 predicts that every run has a suffix in which no one
+    overtakes a continuously hungry live neighbour more than twice
+    ({!max_consecutive_after}, read at the settle cut by
+    [Harness.World.late_overtakes]); doorway-less priority schemes have
+    unbounded counts.
 
     The monitor streams: it keeps exact aggregates, not one record per
     overtake, so its memory does not grow with the run's length. Every
@@ -35,18 +37,12 @@ val overtakes : t -> overtake list
 val max_consecutive : t -> int
 (** Highest consecutive count observed anywhere in the run. *)
 
-val max_consecutive_for_sessions_from : t -> Sim.Time.t -> int
-(** Highest count among overtakes whose victim's hungry session started at
-    or after the given time — the quantity Theorem 3 bounds by 2. *)
-
 val max_consecutive_after : t -> Sim.Time.t -> int
 (** Highest number of consecutive overtakes of one victim by one
     overtaker {e occurring} at or after the given time, within one
-    hungry session of the victim. Unlike
-    {!max_consecutive_for_sessions_from} this also sees sessions that
-    started before the cutoff — a starved victim's only session spans
-    the whole run, invisible to the sessions-from variant but unbounded
-    in this one. The suffix form of Theorem 3's bound. *)
+    hungry session of the victim. Sessions that started before the
+    cutoff count too: a starved victim's only session spans the whole
+    run. The suffix form of Theorem 3's bound. *)
 
 val windowed_max : t -> window:int -> horizon:Sim.Time.t -> unit -> (float * float) list
 (** For figure F3: per time window \[w*window, (w+1)*window) up to the

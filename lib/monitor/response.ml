@@ -153,12 +153,6 @@ let open_sessions t =
   done;
   !acc
 
-let starved t ~older_than =
-  let now = Sim.Engine.now t.engine in
-  List.filter_map
-    (fun (pid, started) -> if now - started > older_than then Some pid else None)
-    (open_sessions t)
-
 let served_count t = t.served
 
 let response_series t ~bucket =

@@ -3,7 +3,8 @@
     A session runs from a process's Hungry transition to its Eating
     transition. Wait-freedom (Theorem 2) predicts that every correct
     process's session completes; a starved process is one whose session is
-    still open "long" after it began.
+    still open "long" after it began ({!open_sessions}; how long is
+    [Harness.World.patience]).
 
     The monitor streams: latencies go to an exact multiset and to
     whatever was registered before the run ({!on_served},
@@ -56,10 +57,6 @@ val summary : t -> Stats.Summary.t
 
 val open_sessions : t -> (Dining.Types.pid * Sim.Time.t) list
 (** Sessions of live processes still hungry now: (pid, start time). *)
-
-val starved : t -> older_than:int -> Dining.Types.pid list
-(** Live processes whose open session started more than [older_than] ticks
-    ago — the wait-freedom failures. *)
 
 val served_count : t -> int
 

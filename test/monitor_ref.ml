@@ -54,11 +54,6 @@ module Fairness = struct
   let max_consecutive t =
     List.fold_left (fun acc (o : Monitor.Fairness.overtake) -> max acc o.count) 0 t.log
 
-  let max_consecutive_for_sessions_from t time =
-    List.fold_left
-      (fun acc (o : Monitor.Fairness.overtake) -> if o.session_start >= time then max acc o.count else acc)
-      0 t.log
-
   (* Group the post-cutoff overtakes by (overtaker, victim, session
      start) with a sort; the largest group is the answer. *)
   let max_consecutive_after t time =

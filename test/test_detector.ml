@@ -472,8 +472,8 @@ let suite =
     Alcotest.test_case "oracle: convergence time with crashes" `Quick oracle_convergence_accounts_crashes;
     Alcotest.test_case "oracle: validates windows" `Quick oracle_rejects_bad_fp;
     Alcotest.test_case "oracle: random window generator" `Quick oracle_random_fp_structure;
-    QCheck_alcotest.to_alcotest oracle_keeps_no_script;
-    QCheck_alcotest.to_alcotest oracle_create_random_matches_script;
+    Seeded.to_alcotest oracle_keeps_no_script;
+    Seeded.to_alcotest oracle_create_random_matches_script;
     Alcotest.test_case "heartbeat: quiet when delays are short" `Quick heartbeat_no_mistakes_when_fast;
     Alcotest.test_case "heartbeat: completeness" `Quick heartbeat_completeness;
     Alcotest.test_case "heartbeat: eventual accuracy under partial synchrony" `Quick

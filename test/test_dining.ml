@@ -610,5 +610,5 @@ let suite =
       slot_counters_checked_against_drops;
     Alcotest.test_case "lane arithmetic: every byte pair in every lane" `Quick
       lane_arithmetic_exhaustive;
-    QCheck_alcotest.to_alcotest lane_arithmetic_random;
+    Seeded.to_alcotest lane_arithmetic_random;
   ]

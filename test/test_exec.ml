@@ -196,5 +196,5 @@ let suite =
     Alcotest.test_case "pool: rejects nested submission (sequential)" `Quick
       run_batch_rejects_nested_sequential;
     Alcotest.test_case "pool: distinct pools nest freely" `Quick run_batch_distinct_pools_nest;
-    QCheck_alcotest.to_alcotest matches_array_init;
+    Seeded.to_alcotest matches_array_init;
   ]

@@ -423,17 +423,17 @@ let suite =
     Alcotest.test_case "topology: size validation" `Quick topology_rejects;
     Alcotest.test_case "topology: parser round-trips" `Quick topology_parse_roundtrip;
     Alcotest.test_case "coloring: proper on standard topologies" `Quick coloring_proper_on_standards;
-    QCheck_alcotest.to_alcotest coloring_proper_random;
+    Seeded.to_alcotest coloring_proper_random;
     Alcotest.test_case "coloring: improper detection" `Quick coloring_detects_improper;
     Alcotest.test_case "coloring: clique lower bound" `Quick coloring_clique_needs_n;
     Alcotest.test_case "coloring: greedy equals the reference" `Quick coloring_matches_reference;
-    QCheck_alcotest.to_alcotest coloring_matches_reference_random;
+    Seeded.to_alcotest coloring_matches_reference_random;
     Alcotest.test_case "coloring: allocates its arrays and nothing else" `Quick
       coloring_allocates_its_arrays;
     Alcotest.test_case "graph: reverse slots" `Quick graph_reverse_slots;
     Alcotest.test_case "graph: of_pairs equals the reference" `Quick
       graph_of_pairs_matches_reference;
-    QCheck_alcotest.to_alcotest graph_of_pairs_matches_reference_random;
+    Seeded.to_alcotest graph_of_pairs_matches_reference_random;
     Alcotest.test_case "graph: of_pairs rejects bad input" `Quick graph_of_pairs_rejects_bad_input;
     Alcotest.test_case "topology: build allocates its graph and the pairs array" `Quick
       topology_allocates_its_graph;

@@ -6,27 +6,9 @@ let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
 
-let quiet_oracle : Harness.Scenario.detector_kind =
-  Harness.Scenario.Oracle { detection_delay = 50; fp_per_edge = 0; fp_window = 0; fp_max_len = 1 }
-
-let noisy_oracle : Harness.Scenario.detector_kind =
-  Harness.Scenario.Oracle { detection_delay = 50; fp_per_edge = 2; fp_window = 6_000; fp_max_len = 200 }
-
-let scenario ?(topology = Cgraph.Topology.Ring 8) ?(seed = 1L) ?(detector = quiet_oracle)
-    ?(algo = Harness.Scenario.Song_pike) ?(crashes = Harness.Scenario.No_crashes)
-    ?(workload = Harness.Scenario.default_workload) ?(horizon = 40_000) () : Harness.Scenario.t =
-  {
-    Harness.Scenario.default with
-    name = "test";
-    topology;
-    seed;
-    detector;
-    algo;
-    crashes;
-    workload;
-    horizon;
-    check_every = Some 101;
-  }
+let quiet_oracle = Theorem_cases.quiet_oracle
+let noisy_oracle = Theorem_cases.noisy_oracle
+let scenario = Theorem_cases.scenario
 
 (* -------------------------- basic plumbing ------------------------- *)
 
@@ -150,95 +132,36 @@ let shard_ping_parallel_equality () =
 
 (* ----------------------- theorem-shaped checks --------------------- *)
 
-let wait_freedom_property =
-  QCheck.Test.make ~name:"harness: wait-freedom on random scenarios (Theorem 2)" ~count:15
-    QCheck.(triple (int_bound 10_000) (int_range 0 4) (int_bound 2))
-    (fun (seed, crash_count, topo_idx) ->
-      let topology =
-        match topo_idx with
-        | 0 -> Cgraph.Topology.Ring 10
-        | 1 -> Cgraph.Topology.Clique 6
-        | _ -> Cgraph.Topology.Random_gnp (12, 0.3, Int64.of_int (seed + 1))
-      in
-      let s =
-        scenario ~topology ~seed:(Int64.of_int seed) ~detector:noisy_oracle
-          ~crashes:
-            (if crash_count = 0 then Harness.Scenario.No_crashes
-             else Harness.Scenario.Random_crashes { count = crash_count; from_t = 1_000; to_t = 15_000 })
-          ~horizon:50_000 ()
-      in
-      let r = Harness.World.run s in
-      Harness.World.starved r ~older_than:10_000 = [] && r.invariant_error = None)
+(* Each theorem property draws a seed and a case of
+   [Theorem_cases]' space and asks the space's [Fuzz.Property] oracles,
+   as the soak suite does; the seed scan (test/theorems/scan.ml) walks
+   the same spaces exhaustively. *)
+let theorem_property ~count (space : Theorem_cases.space) =
+  QCheck.Test.make ~name:space.name ~count
+    QCheck.(pair (int_bound 10_000) (int_bound (space.per_seed - 1)))
+    (fun (seed, i) -> Theorem_cases.failures space (space.case ~seed i) = [])
 
-let safety_run ~seed topology =
-  Harness.World.run
-    (scenario ~topology ~seed:(Int64.of_int seed) ~detector:noisy_oracle
-       ~crashes:(Harness.Scenario.Random_crashes { count = 1; from_t = 1_000; to_t = 10_000 })
-       ~workload:{ think = (0, 100); eat = (5, 30) }
-       ~horizon:40_000 ())
-
-(* Violations are counted from the Theorem 1 oracle's cutoff: the
-   detector's convergence plus its grace window (see
-   [Fuzz.Property.settle_cutoff]). *)
-let safety_property =
-  QCheck.Test.make ~name:"harness: no violations after convergence (Theorem 1)" ~count:15
-    QCheck.(pair (int_bound 10_000) (int_bound 2))
-    (fun (seed, topo_idx) ->
-      let topology =
-        match topo_idx with
-        | 0 -> Cgraph.Topology.Ring 10
-        | 1 -> Cgraph.Topology.Clique 6
-        | _ -> Cgraph.Topology.Star 8
-      in
-      let r = safety_run ~seed topology in
-      Monitor.Exclusion.count_after r.exclusion (Fuzz.Property.settle_cutoff r) = 0)
+let wait_freedom_property = theorem_property ~count:15 Theorem_cases.wait_freedom
+let safety_property = theorem_property ~count:15 Theorem_cases.exclusion
+let bounded_waiting_property = theorem_property ~count:10 Theorem_cases.bounded_waiting
+let channel_capacity_property = theorem_property ~count:10 Theorem_cases.channel_capacity
 
 (* The two cases of [safety_property]'s space that a cut at the bare
    convergence time fails: an eating session that began before the
    detector settled overlaps one that began just after (seed 1820: one
    violation at 5 883, convergence 5 882; seed 1003: at 6 005,
    convergence 6 000). Their late violations must fall inside the grace
-   window, so one after it still fails the property. *)
+   window of [Harness.World.settle_cutoff], so one after it still fails
+   the property. *)
 let safety_grace_window () =
   List.iter
     (fun seed ->
-      let r = safety_run ~seed (Cgraph.Topology.Clique 6) in
+      let r = Harness.World.run (Theorem_cases.exclusion_run ~seed (Cgraph.Topology.Clique 6)) in
       let name what = Printf.sprintf "seed %d: %s" seed what in
       check bool (name "violated after convergence") true
-        (Monitor.Exclusion.count_after r.exclusion r.convergence > 0);
-      check int (name "no violation after the grace window") 0
-        (Monitor.Exclusion.count_after r.exclusion (Fuzz.Property.settle_cutoff r)))
+        (Monitor.Exclusion.last_violation_time r.exclusion >= Some r.convergence);
+      check int (name "no violation after the grace window") 0 (Harness.World.late_violations r))
     [ 1820; 1003 ]
-
-let bounded_waiting_property =
-  QCheck.Test.make ~name:"harness: 2-bounded waiting after convergence (Theorem 3)" ~count:10
-    QCheck.(int_bound 10_000)
-    (fun seed ->
-      let s =
-        scenario ~topology:(Cgraph.Topology.Clique 5) ~seed:(Int64.of_int seed)
-          ~detector:noisy_oracle ~workload:Harness.Scenario.contended_workload ~horizon:40_000 ()
-      in
-      let r = Harness.World.run s in
-      Monitor.Fairness.max_consecutive_for_sessions_from r.fairness r.convergence <= 2)
-
-let channel_capacity_property =
-  QCheck.Test.make ~name:"harness: <= 4 messages per edge (Section 7)" ~count:10
-    QCheck.(pair (int_bound 10_000) (int_bound 2))
-    (fun (seed, topo_idx) ->
-      let topology =
-        match topo_idx with
-        | 0 -> Cgraph.Topology.Torus (3, 3)
-        | 1 -> Cgraph.Topology.Clique 6
-        | _ -> Cgraph.Topology.Binary_tree 9
-      in
-      let s =
-        scenario ~topology ~seed:(Int64.of_int seed) ~detector:noisy_oracle
-          ~workload:Harness.Scenario.contended_workload
-          ~crashes:(Harness.Scenario.Random_crashes { count = 1; from_t = 500; to_t = 5_000 })
-          ~horizon:20_000 ()
-      in
-      let r = Harness.World.run s in
-      Net.Link_stats.max_edge_watermark r.link_stats <= 4)
 
 let heartbeat_end_to_end () =
   let s =
@@ -250,17 +173,23 @@ let heartbeat_end_to_end () =
   in
   let s = { s with delay = Net.Delay.Partial_synchrony { gst = 15_000; pre = (1, 100); post = (1, 8) } } in
   let r = Harness.World.run s in
-  check bool "wait-free" true (Harness.World.starved r ~older_than:10_000 = []);
-  check int "safe after measured convergence" 0
-    (Monitor.Exclusion.count_after r.exclusion r.convergence);
+  check bool "wait-free" true (Harness.World.starved r = []);
+  check int "safe after the settle cut" 0 (Harness.World.late_violations r);
   check bool "invariants held" true (r.invariant_error = None)
 
 let choy_singh_baseline_contrast () =
   let crashes = Harness.Scenario.Crash_at [ (2, 3_000) ] in
   let ours = Harness.World.run (scenario ~detector:quiet_oracle ~crashes ()) in
   let baseline = Harness.World.run (scenario ~detector:Harness.Scenario.Never ~crashes ()) in
-  check bool "ours wait-free" true (Harness.World.starved ours ~older_than:10_000 = []);
-  check bool "baseline starves" true (Harness.World.starved baseline ~older_than:10_000 <> []);
+  check bool "ours wait-free" true (Harness.World.starved ours = []);
+  check bool "baseline starves" true (Harness.World.starved baseline <> []);
+  List.iter
+    (fun (pid, started) ->
+      check bool
+        (Printf.sprintf "p%d starved iff open longer than the patience" pid)
+        (baseline.horizon - started > Harness.World.patience baseline)
+        (List.mem pid (Harness.World.starved baseline)))
+    (Monitor.Response.open_sessions baseline.response);
   check bool "baseline still safe" true (Monitor.Exclusion.count baseline.exclusion = 0)
 
 let perfect_detector_is_perpetually_safe () =
@@ -271,7 +200,7 @@ let perfect_detector_is_perpetually_safe () =
          ~workload:Harness.Scenario.contended_workload ())
   in
   check int "zero violations ever" 0 (Monitor.Exclusion.count r.exclusion);
-  check bool "wait-free" true (Harness.World.starved r ~older_than:10_000 = [])
+  check bool "wait-free" true (Harness.World.starved r = [])
 
 let throughput_sane () =
   let r = Harness.World.run (scenario ()) in
@@ -323,9 +252,9 @@ let unreliable_detector_breaks_safety_not_liveness () =
       ~horizon:40_000 ()
   in
   let r = Harness.World.run s in
-  check bool "still wait-free" true (Harness.World.starved r ~older_than:10_000 = []);
+  check bool "still wait-free" true (Harness.World.starved r = []);
   check bool "violations never stop (accuracy is load-bearing)" true
-    (Monitor.Exclusion.count_after r.exclusion (2 * 40_000 / 3) > 0);
+    (Harness.World.late_violations r > 0);
   check bool "structural lemmas still hold" true (r.invariant_error = None)
 
 let batch_aggregates () =
@@ -339,8 +268,9 @@ let batch_aggregates () =
   let a = Harness.Batch.run ~seeds:4 s in
   check int "runs" 4 a.runs;
   check int "eats summary count" 4 a.total_eats.count;
-  check int "no post-convergence violations across seeds" 0 a.violations_after_conv_total;
-  check bool "bounded overtaking across seeds" true (a.max_overtakes_after_conv <= 2);
+  check int "no late violations across seeds" 0 a.late_violations_total;
+  check int "the paper's bound" 2 a.overtake_bound;
+  check bool "bounded overtaking across seeds" true (a.max_late_overtakes <= a.overtake_bound);
   check int "nobody starved across seeds" 0 a.starved_total;
   check bool "watermark" true (a.worst_edge_watermark <= 4);
   check bool "invariants" true (a.invariant_errors = []);
@@ -366,15 +296,6 @@ let batch_parallel_equals_sequential () =
   check Alcotest.string "printed form byte-identical"
     (Format.asprintf "%a" Harness.Batch.pp seq)
     (Format.asprintf "%a" Harness.Batch.pp par)
-
-let batch_patience_knob () =
-  let s = ring16_heartbeat () in
-  let default = Harness.Batch.run ~seeds:2 s in
-  let explicit = Harness.Batch.run ~seeds:2 ~patience:(s.horizon / 4) s in
-  check bool "default patience is horizon/4" true (default = explicit);
-  let impatient = Harness.Batch.run ~seeds:2 ~patience:1 s in
-  check bool "tighter patience can only find more stragglers" true
-    (impatient.starved_total >= default.starved_total)
 
 let world_staged_advance () =
   let s = ring16_heartbeat () in
@@ -525,10 +446,10 @@ let suite =
       sharded_network_traced_fallback;
     Alcotest.test_case "batch: domains:1 = domains:4 bit-identical" `Slow
       batch_parallel_equals_sequential;
-    QCheck_alcotest.to_alcotest wait_freedom_property;
-    QCheck_alcotest.to_alcotest safety_property;
-    QCheck_alcotest.to_alcotest bounded_waiting_property;
-    QCheck_alcotest.to_alcotest channel_capacity_property;
+    Seeded.to_alcotest wait_freedom_property;
+    Seeded.to_alcotest safety_property;
+    Seeded.to_alcotest bounded_waiting_property;
+    Seeded.to_alcotest channel_capacity_property;
     Alcotest.test_case "heartbeat detector end to end" `Slow heartbeat_end_to_end;
     Alcotest.test_case "Choy-Singh contrast (Theorem 2 motivation)" `Quick choy_singh_baseline_contrast;
     Alcotest.test_case "perfect detector: perpetual exclusion" `Quick perfect_detector_is_perpetually_safe;
@@ -540,9 +461,8 @@ let suite =
     Alcotest.test_case "names are stable" `Quick names_stable;
     Alcotest.test_case "phase breakdown in reports" `Quick phases_in_report;
     Alcotest.test_case "batch: multi-seed aggregation" `Slow batch_aggregates;
-    Alcotest.test_case "batch: ?patience knob" `Slow batch_patience_knob;
     Alcotest.test_case "world: staged advance = one-shot run" `Quick world_staged_advance;
-    QCheck_alcotest.to_alcotest replay_property;
+    Seeded.to_alcotest replay_property;
     Alcotest.test_case "experiment registry" `Quick experiments_registry;
     Alcotest.test_case "report: footprint is the closed form at the hub" `Quick
       footprint_closed_form_at_hub;

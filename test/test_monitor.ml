@@ -103,9 +103,8 @@ let fairness_counts_consecutive () =
   at m 70 1 Dining.Types.Eating;
   Sim.Engine.run_all m.engine;
   check int "max consecutive 3" 3 (Monitor.Fairness.max_consecutive fair);
-  check int "after reset only 1" 1 (Monitor.Fairness.max_consecutive_for_sessions_from fair 60);
-  check int "session boundary respected" 3
-    (Monitor.Fairness.max_consecutive_for_sessions_from fair 10)
+  check int "after reset only 1" 1 (Monitor.Fairness.max_consecutive_after fair 60);
+  check int "session boundary respected" 3 (Monitor.Fairness.max_consecutive_after fair 10)
 
 let fairness_windowed_series () =
   let m = mock ~n:2 ~edges:[ (0, 1) ] () in
@@ -152,9 +151,8 @@ let response_starvation_threshold () =
   at m 5_000 1 Dining.Types.Eating;
   ignore (Sim.Engine.schedule m.engine ~at:20_000 (fun () -> ()));
   Sim.Engine.run_all m.engine;
-  check (Alcotest.list int) "0 starved at patience 10k" [ 0 ] (Monitor.Response.starved resp ~older_than:10_000);
-  check (Alcotest.list int) "nobody starved at patience 30k" []
-    (Monitor.Response.starved resp ~older_than:30_000)
+  check bool "0's session still open since 10" true
+    (Monitor.Response.open_sessions resp = [ (0, 10) ])
 
 let response_crashed_not_starved () =
   let m = mock ~n:2 ~edges:[ (0, 1) ] () in
@@ -163,8 +161,8 @@ let response_crashed_not_starved () =
   Net.Faults.schedule_crash m.faults ~pid:0 ~at:100;
   ignore (Sim.Engine.schedule m.engine ~at:20_000 (fun () -> ()));
   Sim.Engine.run_all m.engine;
-  check (Alcotest.list int) "crashed hungry process is not a starvation" []
-    (Monitor.Response.starved resp ~older_than:1_000)
+  check bool "crashed hungry process has no open session" true
+    (Monitor.Response.open_sessions resp = [])
 
 let response_series_buckets () =
   let m = mock ~n:2 ~edges:[ (0, 1) ] () in
@@ -403,9 +401,7 @@ let streaming_matches_reference =
         Monitor.Fairness.max_consecutive fair = Monitor_ref.Fairness.max_consecutive fair_ref
         && List.for_all
              (fun c ->
-               Monitor.Fairness.max_consecutive_for_sessions_from fair c
-               = Monitor_ref.Fairness.max_consecutive_for_sessions_from fair_ref c
-               && Monitor.Fairness.max_consecutive_after fair c
+               Monitor.Fairness.max_consecutive_after fair c
                   = Monitor_ref.Fairness.max_consecutive_after fair_ref c)
              s.cutoffs
         && List.for_all
@@ -474,6 +470,6 @@ let suite =
       fairness_session_from_time_zero;
     Alcotest.test_case "response: open sessions ascend by pid" `Quick response_open_sessions_sorted;
     Alcotest.test_case "phases: thinking clears the session" `Quick phases_thinking_clears;
-    QCheck_alcotest.to_alcotest streaming_matches_reference;
+    Seeded.to_alcotest streaming_matches_reference;
     Alcotest.test_case "series and callbacks register before the run" `Quick register_before_run;
   ]

@@ -704,7 +704,7 @@ let suite =
     Alcotest.test_case "delay: partial synchrony" `Quick delay_partial_synchrony;
     Alcotest.test_case "network: delivers" `Quick network_delivers;
     Alcotest.test_case "network: FIFO per channel" `Quick network_fifo_per_channel;
-    QCheck_alcotest.to_alcotest network_fifo_property;
+    Seeded.to_alcotest network_fifo_property;
     Alcotest.test_case "network: rejects non-neighbors" `Quick network_rejects_non_neighbors;
     Alcotest.test_case "network: absorbs sends to crashed" `Quick network_drops_to_crashed;
     Alcotest.test_case "network: crashed source is silent" `Quick network_crashed_source_sends_nothing;

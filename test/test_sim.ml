@@ -1040,22 +1040,22 @@ let suite =
     Alcotest.test_case "rng: split independence" `Quick rng_split_independent;
     Alcotest.test_case "rng: pick covers the array" `Quick rng_pick_uniformish;
     Alcotest.test_case "rng: exponential positive" `Quick rng_exponential_positive;
-    QCheck_alcotest.to_alcotest rng_ranges;
-    QCheck_alcotest.to_alcotest rng_float_range;
+    Seeded.to_alcotest rng_ranges;
+    Seeded.to_alcotest rng_float_range;
     Alcotest.test_case "pqueue: orders by priority" `Quick pqueue_orders;
     Alcotest.test_case "pqueue: FIFO ties" `Quick pqueue_fifo_ties;
     Alcotest.test_case "pqueue: interleaved ops" `Quick pqueue_interleaved;
     Alcotest.test_case "pqueue: empty pops" `Quick pqueue_empty_pop;
     Alcotest.test_case "pqueue: clear" `Quick pqueue_clear;
-    QCheck_alcotest.to_alcotest pqueue_sorts;
+    Seeded.to_alcotest pqueue_sorts;
     Alcotest.test_case "wheel: orders by priority" `Quick wheel_orders;
     Alcotest.test_case "wheel: FIFO ties" `Quick wheel_fifo_ties;
     Alcotest.test_case "wheel: spans every level" `Quick wheel_multilevel_spans;
     Alcotest.test_case "wheel: rejects below the floor" `Quick wheel_floor_rejects_past;
-    QCheck_alcotest.to_alcotest wheel_matches_pqueue;
-    QCheck_alcotest.to_alcotest wheel_pop_until_matches_pqueue;
+    Seeded.to_alcotest wheel_matches_pqueue;
+    Seeded.to_alcotest wheel_pop_until_matches_pqueue;
     Alcotest.test_case "wheel: ctz32 on every single-bit word" `Quick wheel_ctz32_single_bits;
-    QCheck_alcotest.to_alcotest wheel_ctz32_random;
+    Seeded.to_alcotest wheel_ctz32_random;
     Alcotest.test_case "wheel: an add/pop/cascade storm allocates nothing once links exist" `Quick
       wheel_storm_allocates_nothing;
     Alcotest.test_case "wheel: a popped handle can be re-added immediately" `Quick
@@ -1082,7 +1082,7 @@ let suite =
     Alcotest.test_case "rng: stream pinned" `Quick rng_stream_pinned;
     Alcotest.test_case "rng: draws allocate nothing" `Quick rng_draws_allocate_nothing;
     Alcotest.test_case "engine: the event pool trims after a burst" `Quick engine_pool_trims;
-    QCheck_alcotest.to_alcotest engine_pool_matches_reference;
+    Seeded.to_alcotest engine_pool_matches_reference;
     Alcotest.test_case "engine: a warm engine's events allocate nothing at any wheel level" `Quick
       engine_warm_allocates_nothing;
     Alcotest.test_case "engine: a sharded engine refuses closures" `Quick

@@ -244,7 +244,7 @@ let suite =
   [
     Alcotest.test_case "coloring: guarded command" `Quick coloring_rules;
     Alcotest.test_case "coloring: error measure" `Quick coloring_error_measure;
-    QCheck_alcotest.to_alcotest coloring_step_never_creates_conflict;
+    Seeded.to_alcotest coloring_step_never_creates_conflict;
     Alcotest.test_case "token ring: guarded commands" `Quick token_ring_rules;
     Alcotest.test_case "token ring: error measure" `Quick token_ring_error;
     Alcotest.test_case "token ring: validation" `Quick token_ring_validation;

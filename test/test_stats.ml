@@ -156,9 +156,9 @@ let suite =
     Alcotest.test_case "summary: singleton" `Quick summary_single;
     Alcotest.test_case "percentile: interpolation" `Quick percentile_interpolates;
     Alcotest.test_case "percentile: validation" `Quick percentile_rejects;
-    QCheck_alcotest.to_alcotest summary_percentiles_order;
-    QCheck_alcotest.to_alcotest summary_of_counts;
-    QCheck_alcotest.to_alcotest multiset_matches_list;
+    Seeded.to_alcotest summary_percentiles_order;
+    Seeded.to_alcotest summary_of_counts;
+    Seeded.to_alcotest multiset_matches_list;
     Alcotest.test_case "summary: of_counts validation" `Quick of_counts_rejects;
     Alcotest.test_case "table: aligned rendering" `Quick table_renders_aligned;
     Alcotest.test_case "table: arity validation" `Quick table_rejects_bad_rows;
