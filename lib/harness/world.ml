@@ -96,7 +96,8 @@ let report (w : t) =
   Obs.Metrics.set (Obs.Metrics.gauge w.metrics "engine.pending") (Sim.Engine.pending engine);
   Obs.Metrics.set (Obs.Metrics.gauge w.metrics "detector.mistakes") detector_mistakes;
   (* Per-process eats are the daemon's own counts (Song–Pike keeps them
-     in its headers), read once here rather than kept twice. *)
+     in its headers), read once here rather than kept twice; the
+     [daemon.*] gauges publish them and the workload's hungry count. *)
   let eats_per_process = Array.init n instance.eats in
   let total_eats = Array.fold_left ( + ) 0 eats_per_process in
   let hungry_transitions = Workload.hungry_transitions w.workload in
