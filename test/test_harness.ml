@@ -297,6 +297,30 @@ let batch_parallel_equals_sequential () =
     (Format.asprintf "%a" Harness.Batch.pp seq)
     (Format.asprintf "%a" Harness.Batch.pp par)
 
+(* Batch's starvation count is World.starved per seed, and the patience
+   it applies is horizon/4: a tighter cut over the same open sessions can
+   only name more stragglers. *)
+let batch_starvation_patience () =
+  let s = ring16_heartbeat () in
+  let a = Harness.Batch.run ~seeds:2 ~domains:1 s in
+  let reports = List.map (fun k -> Harness.World.run { s with seed = Int64.of_int k }) [ 1; 2 ] in
+  List.iter
+    (fun (r : Harness.World.report) ->
+      check int "patience is horizon/4" (r.horizon / 4) (Harness.World.patience r);
+      let older_than p =
+        List.filter_map
+          (fun (pid, started) -> if r.horizon - started > p then Some pid else None)
+          (Monitor.Response.open_sessions r.response)
+      in
+      check (Alcotest.list int) "starved = open sessions older than patience"
+        (older_than (Harness.World.patience r)) (Harness.World.starved r);
+      check bool "tighter patience can only find more stragglers" true
+        (List.length (older_than 1) >= List.length (Harness.World.starved r)))
+    reports;
+  check int "starved_total sums World.starved"
+    (List.fold_left (fun n r -> n + List.length (Harness.World.starved r)) 0 reports)
+    a.starved_total
+
 let world_staged_advance () =
   let s = ring16_heartbeat () in
   let w = Harness.World.create s in
@@ -461,6 +485,7 @@ let suite =
     Alcotest.test_case "names are stable" `Quick names_stable;
     Alcotest.test_case "phase breakdown in reports" `Quick phases_in_report;
     Alcotest.test_case "batch: multi-seed aggregation" `Slow batch_aggregates;
+    Alcotest.test_case "batch: starvation patience is World.patience" `Slow batch_starvation_patience;
     Alcotest.test_case "world: staged advance = one-shot run" `Quick world_staged_advance;
     Seeded.to_alcotest replay_property;
     Alcotest.test_case "experiment registry" `Quick experiments_registry;
