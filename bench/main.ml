@@ -17,9 +17,6 @@ let print_table t = Format.printf "%a@?" Stats.Table.pp t
 let scenario_bench name scenario =
   Test.make ~name (Staged.stage (fun () -> ignore (Harness.World.run scenario)))
 
-let quiet_oracle : Harness.Scenario.detector_kind =
-  Harness.Scenario.Oracle { detection_delay = 50; fp_per_edge = 0; fp_window = 0; fp_max_len = 1 }
-
 let short (topology : Cgraph.Topology.spec) algo detector : Harness.Scenario.t =
   {
     Harness.Scenario.default with
@@ -62,15 +59,18 @@ let perf_tests () =
              ignore (Sim.Rng.int rng 1000)
            done));
     scenario_bench "dining:ring-32"
-      (short (Cgraph.Topology.Ring 32) Harness.Scenario.Song_pike quiet_oracle);
+      (short (Cgraph.Topology.Ring 32) Harness.Scenario.Song_pike
+         Harness.Scenario.quiet_oracle);
     scenario_bench "dining:clique-8-contended"
       {
-        (short (Cgraph.Topology.Clique 8) Harness.Scenario.Song_pike quiet_oracle) with
+        (short (Cgraph.Topology.Clique 8) Harness.Scenario.Song_pike
+           Harness.Scenario.quiet_oracle)
+        with
         workload = Harness.Scenario.contended_workload;
       };
     scenario_bench "dining:ring-32-heartbeat"
       (short (Cgraph.Topology.Ring 32) Harness.Scenario.Song_pike
-         (Harness.Scenario.Heartbeat { period = 20; initial_timeout = 30; bump = 25 }));
+         Harness.Scenario.default_heartbeat);
     scenario_bench "baseline:chandy-misra-ring-32"
       (short (Cgraph.Topology.Ring 32) Harness.Scenario.Chandy_misra Harness.Scenario.Never);
     Test.make ~name:"mcheck:pair-2sessions"

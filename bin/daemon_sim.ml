@@ -107,9 +107,8 @@ let resolve_detector = function
   | `Oracle ->
       Harness.Scenario.Oracle
         { detection_delay = 50; fp_per_edge = 2; fp_window = 8_000; fp_max_len = 200 }
-  | `Oracle_clean ->
-      Harness.Scenario.Oracle { detection_delay = 50; fp_per_edge = 0; fp_window = 0; fp_max_len = 1 }
-  | `Heartbeat -> Harness.Scenario.Heartbeat { period = 20; initial_timeout = 30; bump = 25 }
+  | `Oracle_clean -> Harness.Scenario.quiet_oracle
+  | `Heartbeat -> Harness.Scenario.default_heartbeat
   | `Perfect -> Harness.Scenario.Perfect
   | `Never -> Harness.Scenario.Never
   | `Unreliable -> Harness.Scenario.Unreliable { period = 1_500; duration = 150 }
@@ -159,14 +158,22 @@ let print_report (r : Harness.World.report) =
   Printf.printf "starved         : %s\n"
     (if starved = [] then "none (wait-free)"
      else "PROCESSES " ^ String.concat "," (List.map string_of_int starved));
+  (* A cut at or past the horizon leaves an empty suffix: a count over
+     it would pass the theorem vacuously, so it is not shown. *)
   let cut = Harness.World.settle_cutoff r in
-  Printf.printf "exclusion       : %d violation(s); detector converged at %s; after t=%d: %d\n"
+  let late theorem count =
+    if cut >= r.horizon then
+      Printf.sprintf "Theorem %d not measured: cut t=%d is past the horizon" theorem cut
+    else Printf.sprintf "after t=%d: %d" cut (count r)
+  in
+  Printf.printf "exclusion       : %d violation(s); detector converged at %s; %s\n"
     (Monitor.Exclusion.count r.exclusion)
     (Stats.Table.cell_time r.convergence)
-    cut (Harness.World.late_violations r);
-  Printf.printf "overtaking      : max consecutive %d; after t=%d: %d (bound %d)\n"
+    (late 1 Harness.World.late_violations);
+  Printf.printf "overtaking      : max consecutive %d; %s (bound %d)\n"
     (Monitor.Fairness.max_consecutive r.fairness)
-    cut (Harness.World.late_overtakes r) (Harness.World.overtake_bound r);
+    (late 3 Harness.World.late_overtakes)
+    (Harness.World.overtake_bound r);
   Printf.printf "channels        : max %d msgs in transit per edge (bound 4)\n"
     (Net.Link_stats.max_edge_watermark r.link_stats);
   (match (r.max_footprint_bits, r.max_message_bits) with
@@ -453,16 +460,6 @@ let check_cmd =
             "Depth-first search with sleep-set partial-order reduction: same states, same \
              verdict, fewer transitions than the BFS modes.")
   in
-  let pb_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "preemption-bound" ] ~docv:"K"
-          ~doc:
-            "With $(b,--dpor): prune schedules using more than $(docv) preemptions \
-             (bug-finding mode; the result is reported incomplete if the bound pruned \
-             anything).")
-  in
   let inject_arg =
     Arg.(
       value
@@ -489,8 +486,8 @@ let check_cmd =
             "Replay the schedule in $(docv) (a $(b,--export) file) instead of exploring; \
              exits 1 only if the schedule does not apply to this instance.")
   in
-  let go instance sessions crash_budget fp_budget max_states max_depth dpor preemption_bound
-      domains inject export replay =
+  let go instance sessions crash_budget fp_budget max_states max_depth dpor domains inject
+      export replay =
     let graph, colors = resolve_instance instance in
     let cfg = { Mcheck.Model.graph; colors; sessions; crash_budget; fp_budget } in
     let check =
@@ -523,11 +520,7 @@ let check_cmd =
            the same exploration at different --domains diff clean. *)
         let mode, r =
           if dpor then
-            ( "dfs + sleep sets"
-              ^ (match preemption_bound with
-                | Some k -> Printf.sprintf ", preemption bound %d" k
-                | None -> ""),
-              Mcheck.Dpor.explore ~max_states ~max_depth ?preemption_bound ?check cfg )
+            ("dfs + sleep sets", Mcheck.Dpor.explore ~max_states ~max_depth ?check cfg)
           else
             ( "parallel frontier bfs",
               Mcheck.Frontier.explore ~max_states ~max_depth ~domains ?check cfg )
@@ -562,8 +555,7 @@ let check_cmd =
           JSONL and replayed deterministically with $(b,--replay).")
     Term.(
       const go $ instance_arg $ sessions_arg $ crash_arg $ fp_arg $ max_states_arg
-      $ max_depth_arg $ dpor_arg $ pb_arg $ domains_arg $ inject_arg $ export_arg
-      $ replay_arg)
+      $ max_depth_arg $ dpor_arg $ domains_arg $ inject_arg $ export_arg $ replay_arg)
 
 (* ------------------------------------------------------------------ *)
 (* fuzz                                                                 *)

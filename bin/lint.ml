@@ -6,10 +6,9 @@
    root they are found under _build/default — and positional FILEs are
    typechecked in-process instead (they must be self-contained).
 
-   Hygiene: every [@lint.allow] site and allowlist entry is tracked
-   across all passes. Stale allowlist entries (suppressed nothing,
-   their rule was checked, their path was scanned) are findings; unused
-   [@lint.allow] attributes are warnings.
+   Hygiene: every [@lint.allow] site is tracked across all passes. A
+   site that suppressed nothing although every rule it names was
+   checked is an `unused-allow` finding.
 
    Exit codes: 0 clean, 1 findings, 2 on unreadable or ill-typed inputs,
    an empty scan or bad flags. *)
@@ -42,14 +41,6 @@ let format_arg =
     & info [ "format" ] ~docv:"FMT"
         ~doc:"Output format: $(b,text) (file:line:col) or $(b,github) (CI annotations).")
 
-let allowlist_arg =
-  Arg.(
-    value & opt (some file) None
-    & info [ "allowlist" ] ~docv:"FILE"
-        ~doc:
-          "Allowlist file ($(i,rule-id path) per line, # comments). Defaults to \
-           ./lint.allow when present.")
-
 let list_rules_arg =
   Arg.(value & flag & info [ "list-rules" ] ~doc:"Print the rule catalogue and exit.")
 
@@ -73,54 +64,22 @@ let suppressible_catalogue =
     (fun r -> if List.mem r Lint.Rule.meta then None else Some (Lint.Rule.name r))
     Lint.Rule.all
 
-let stale_allowlist_findings ~rules ~registry ~allowlist ~allowlist_path ~targets =
-  if not (List.mem Lint.Rule.Stale_allowlist rules) then []
+let unused_allow_findings ~rules ~registry =
+  if not (List.mem Lint.Rule.Unused_allow rules) then []
   else
-    let checked = Lint.Suppress.checked_rules registry in
-    let rule_checked r =
-      if r = "*" then List.for_all (fun c -> List.mem c checked) suppressible_catalogue
-      else List.mem r checked
-    in
-    Lint.Allowlist.unused allowlist
-    |> List.filter (fun (e : Lint.Allowlist.entry) ->
-           rule_checked e.rule
-           && List.exists (fun f -> Lint.Allowlist.path_matches ~entry:e ~file:f) targets)
-    |> List.map (fun (e : Lint.Allowlist.entry) ->
+    Lint.Suppress.unused registry ~catalogue:suppressible_catalogue
+    |> List.map (fun (s : Lint.Suppress.site) ->
            {
-             Lint.Finding.file = allowlist_path;
-             line = e.line;
-             col = 1;
-             rule = Lint.Rule.name Lint.Rule.Stale_allowlist;
+             Lint.Finding.file = s.file;
+             line = s.line;
+             col = s.col;
+             rule = Lint.Rule.name Lint.Rule.Unused_allow;
              message =
-               Printf.sprintf
-                 "allowlist entry `%s %s` suppressed nothing this run; the code it \
-                  excused is gone — remove the entry"
-                 e.rule e.path;
+               Printf.sprintf "[@lint.allow %S] suppressed nothing this run; remove it"
+                 (String.concat "," s.rules);
            })
 
-let report_unused_allows ~rules ~registry ~format =
-  if not (List.mem Lint.Rule.Unused_allow rules) then 0
-  else begin
-    let sites = Lint.Suppress.unused registry ~catalogue:suppressible_catalogue in
-    List.iter
-      (fun (s : Lint.Suppress.site) ->
-        let what = String.concat "," s.rules in
-        match format with
-        | `Text ->
-            Printf.eprintf
-              "%s:%d:%d: [unused-allow] [@lint.allow %S] suppressed nothing this run; \
-               remove it\n"
-              s.file s.line s.col what
-        | `Github ->
-            Printf.printf
-              "::warning file=%s,line=%d,col=%d::[unused-allow] [@lint.allow %S] \
-               suppressed nothing this run; remove it\n"
-              s.file s.line s.col what)
-      sites;
-    List.length sites
-  end
-
-let go rules zone format allowlist list_rules_only files =
+let go rules zone format list_rules_only files =
   if list_rules_only then begin
     list_rules ();
     0
@@ -141,13 +100,6 @@ let go rules zone format allowlist list_rules_only files =
             (split_commas [ csv ] |> List.filter (fun s -> s <> ""))
     in
     List.iter (Printf.eprintf "lint: unknown rule %S (see --list-rules)\n") !bad_rules;
-    let allowlist_path, allowlist =
-      match allowlist with
-      | Some f -> (f, Lint.Allowlist.load f)
-      | None ->
-          if Sys.file_exists "lint.allow" then ("lint.allow", Lint.Allowlist.load "lint.allow")
-          else ("lint.allow", Lint.Allowlist.empty)
-    in
     let loaded =
       if files <> [] then Lint.Cmt_load.load_files files
       else
@@ -163,17 +115,15 @@ let go rules zone format allowlist list_rules_only files =
     end
     else begin
       let registry = Lint.Suppress.create () in
-      let findings = Lint.Pipeline.run ~rules ~allowlist ~registry loaded.units in
+      let findings = Lint.Pipeline.run ~rules ~registry loaded.units in
       let findings =
-        findings @ stale_allowlist_findings ~rules ~registry ~allowlist ~allowlist_path ~targets
-        |> List.sort_uniq Lint.Finding.compare
+        findings @ unused_allow_findings ~rules ~registry |> List.sort_uniq Lint.Finding.compare
       in
       List.iter (fun (file, msg) -> Printf.eprintf "lint: %s: %s\n" file msg) loaded.errors;
       let render =
         match format with `Text -> Lint.Finding.to_text | `Github -> Lint.Finding.to_github
       in
       List.iter (fun f -> print_endline (render f)) findings;
-      let unused_count = report_unused_allows ~rules ~registry ~format in
       match (loaded.errors, findings) with
       | _ :: _, _ -> 2
       | [], _ :: _ ->
@@ -181,10 +131,7 @@ let go rules zone format allowlist list_rules_only files =
             (List.length targets);
           1
       | [], [] ->
-          Printf.printf "lint: %d file(s) clean%s\n" (List.length targets)
-            (if unused_count > 0 then
-               Printf.sprintf ", %d unused [@lint.allow] warning(s)" unused_count
-             else "");
+          Printf.printf "lint: %d file(s) clean\n" (List.length targets);
           0
     end
 
@@ -193,7 +140,6 @@ let cmd =
     (Cmd.info "lint" ~version:"%%VERSION%%"
        ~doc:"Determinism & domain-safety static analysis for the simulation core.")
     Term.(
-      const go $ rules_arg $ zone_arg $ format_arg $ allowlist_arg $ list_rules_arg
-      $ files_arg)
+      const go $ rules_arg $ zone_arg $ format_arg $ list_rules_arg $ files_arg)
 
 let () = exit (Cmd.eval' cmd)

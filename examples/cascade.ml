@@ -57,10 +57,7 @@ let () =
     "Ring of 12 diners; diner 0 crashes at t=1000. '#' = ate within the last 1200\n\
      ticks, '.' = starving, 'X' = crashed.\n";
   run Harness.Scenario.Never "WITHOUT crash detection (Choy-Singh / Never detector):";
-  run
-    (Harness.Scenario.Oracle
-       { detection_delay = 50; fp_per_edge = 0; fp_window = 0; fp_max_len = 1 })
-    "WITH evp-P1 (Algorithm 1):";
+  run Harness.Scenario.quiet_oracle "WITH evp-P1 (Algorithm 1):";
   print_endline
     "The starvation wave spreads from the crash site until the whole ring is dark —\n\
      and with it, any self-stabilizing protocol scheduled by this daemon loses its\n\

@@ -18,9 +18,7 @@ let duel algo label =
       topology = Cgraph.Topology.Clique 6;
       seed = 17L;
       algo;
-      detector =
-        Harness.Scenario.Oracle
-          { detection_delay = 50; fp_per_edge = 0; fp_window = 0; fp_max_len = 1 };
+      detector = Harness.Scenario.quiet_oracle;
       workload = Harness.Scenario.contended_workload;
       crashes = Harness.Scenario.No_crashes;
       horizon = 60_000;

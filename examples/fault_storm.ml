@@ -23,7 +23,7 @@ let () =
       topology = Cgraph.Topology.Random_gnp (n, 0.12, 99L);
       seed = 4242L;
       delay = Net.Delay.Partial_synchrony { gst; pre = (1, 90); post = (1, 7) };
-      detector = Harness.Scenario.Heartbeat { period = 20; initial_timeout = 30; bump = 25 };
+      detector = Harness.Scenario.default_heartbeat;
       workload = { think = (10, 150); eat = (5, 40) };
       crashes = Harness.Scenario.Random_crashes { count = 13; from_t = 2_000; to_t = 60_000 };
       horizon;

@@ -47,8 +47,7 @@ let check t observer s =
     end
   end
 
-let create ~engine ~faults ~graph ~delay ~rng ?(period = 20) ?(initial_timeout = 30)
-    ?(bump = 25) ?metrics () =
+let create ~engine ~faults ~graph ~delay ~rng ~period ~initial_timeout ~bump ?metrics () =
   if period <= 0 || initial_timeout <= 0 || bump <= 0 then
     invalid_arg "Heartbeat.create: parameters must be positive";
   let dirs = Cgraph.Graph.dir_count graph in

@@ -24,14 +24,14 @@ val create :
   graph:Cgraph.Graph.t ->
   delay:Net.Delay.t ->
   rng:Sim.Rng.t ->
-  ?period:int ->
-  ?initial_timeout:int ->
-  ?bump:int ->
+  period:int ->
+  initial_timeout:int ->
+  bump:int ->
   ?metrics:Obs.Metrics.t ->
   unit ->
   t * Detector.t
-(** Defaults: [period = 20], [initial_timeout = 30], [bump = 25]. May be
-    created at any virtual time: first beats and timeout checks are
+(** All three parameters must be positive. May be created at any
+    virtual time: first beats and timeout checks are
     offset from [Engine.now] at creation. [metrics] is forwarded to the
     heartbeat overlay's link statistics (heartbeat and dining overlays
     sharing a registry aggregate into the same [net.*] counters). *)

@@ -1,8 +1,10 @@
 (* Suspicion state is per directed slot (observer's CSR row, slot for
    target), as in Oracle: [suspects] sits inside the algorithm's guard
    loops, so a query must not allocate a key. *)
-let create engine faults graph rng ?(detection_delay = 50) ?(period = 2_000) ?(duration = 150)
-    ~horizon () =
+(* Lag between a crash and its permanent suspicion. *)
+let detection_delay = 50
+
+let create engine faults graph rng ~period ~duration ~horizon () =
   if period <= 0 || duration <= 0 || duration >= period then
     invalid_arg "Unreliable.create: need 0 < duration < period";
   let listeners = Detector.listeners () in

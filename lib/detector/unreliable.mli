@@ -1,7 +1,7 @@
 (** A deliberately broken detector: complete but {e never} accurate.
 
     Suspects crashed neighbors permanently (local strong completeness,
-    with a configurable detection delay), but additionally keeps emitting
+    50 ticks after the crash), but additionally keeps emitting
     false suspicions of live neighbors forever — every [period] ticks each
     directed pair is wrongly suspected for [duration] ticks (with a
     per-pair phase jitter).
@@ -19,11 +19,10 @@ val create :
   Net.Faults.t ->
   Cgraph.Graph.t ->
   Sim.Rng.t ->
-  ?detection_delay:int ->
-  ?period:int ->
-  ?duration:int ->
+  period:int ->
+  duration:int ->
   horizon:Sim.Time.t ->
   unit ->
   Detector.t
-(** Defaults: [detection_delay = 50], [period = 2000], [duration = 150].
-    False-suspicion events are scheduled up front until [horizon]. *)
+(** Needs [0 < duration < period]. False-suspicion events are scheduled
+    up front until [horizon]. *)

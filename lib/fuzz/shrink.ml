@@ -132,7 +132,10 @@ let candidates (s : Harness.Scenario.t) : (string * Harness.Scenario.t) list =
   in
   List.concat [ topo; crashes; horizon; delay; detector; workload; acks ]
 
-let minimize ?(max_attempts = 300) ~still_failing s0 =
+(* Candidate evaluations one minimization may spend. *)
+let max_attempts = 300
+
+let minimize ~still_failing s0 =
   let attempts = ref 0 in
   let reproduces s =
     !attempts < max_attempts

@@ -20,12 +20,8 @@ val candidates : Harness.Scenario.t -> (string * Harness.Scenario.t) list
     first. Exposed for tests. *)
 
 val minimize :
-  ?max_attempts:int ->
-  still_failing:(Harness.Scenario.t -> bool) ->
-  Harness.Scenario.t ->
-  result
+  still_failing:(Harness.Scenario.t -> bool) -> Harness.Scenario.t -> result
 (** [minimize ~still_failing s] descends from [s] keeping [still_failing]
     true. A candidate that raises [Invalid_argument] (e.g. more crashes
     than its shrunken topology has processes) is rejected like a
-    non-reproducing one. [max_attempts] (default 300) caps the number of
-    candidate evaluations. *)
+    non-reproducing one. At most 300 candidates are evaluated. *)

@@ -16,10 +16,6 @@ let cell_opt_time = function None -> "-" | Some t -> Stats.Table.cell_time t
 let oracle_default =
   Scenario.Oracle { detection_delay = 50; fp_per_edge = 2; fp_window = 8_000; fp_max_len = 200 }
 
-let oracle_quiet = Scenario.Oracle { detection_delay = 50; fp_per_edge = 0; fp_window = 0; fp_max_len = 1 }
-
-let heartbeat_default = Scenario.Heartbeat { period = 20; initial_timeout = 30; bump = 25 }
-
 let psync ~gst = Net.Delay.Partial_synchrony { gst; pre = (1, 100); post = (1, 8) }
 
 let base : Scenario.t =
@@ -72,7 +68,7 @@ let e1 (ctx : ctx) =
   let detectors =
     [
       ("oracle+fp", oracle_default, Net.Delay.Uniform (1, 8));
-      ("heartbeat", heartbeat_default, psync ~gst:15_000);
+      ("heartbeat", Scenario.default_heartbeat, psync ~gst:15_000);
     ]
   in
   let cases =
@@ -133,7 +129,11 @@ let e2 (_ : ctx) =
         ]
   in
   let daemons =
-    [ ("SP+oracle(evp)", oracle_quiet); ("SP+never(ChoySingh)", Scenario.Never); ("SP+perfect", Scenario.Perfect) ]
+    [
+      ("SP+oracle(evp)", Scenario.quiet_oracle);
+      ("SP+never(ChoySingh)", Scenario.Never);
+      ("SP+perfect", Scenario.Perfect);
+    ]
   in
   let topologies = [ Cgraph.Topology.Ring 16; Cgraph.Topology.Clique 8 ] in
   List.iter
@@ -202,8 +202,8 @@ let e3 (_ : ctx) =
   let cases =
     [
       ("song-pike", Scenario.Song_pike, oracle_default);
-      ("song-pike", Scenario.Song_pike, oracle_quiet);
-      ("fork-only", Scenario.Fork_only, oracle_quiet);
+      ("song-pike", Scenario.Song_pike, Scenario.quiet_oracle);
+      ("fork-only", Scenario.Fork_only, Scenario.quiet_oracle);
     ]
   in
   let topologies = [ Cgraph.Topology.Clique 6; Cgraph.Topology.Star 8 ] in
@@ -320,7 +320,7 @@ let e5 (_ : ctx) =
       base with
       name = "e5";
       topology = Cgraph.Topology.Clique 8;
-      detector = oracle_quiet;
+      detector = Scenario.quiet_oracle;
       workload = Scenario.contended_workload;
       crashes = Scenario.Crash_at crashes;
       horizon;
@@ -515,9 +515,9 @@ let e8 (_ : ctx) =
   in
   let cases =
     [
-      ("song-pike+oracle", Scenario.Song_pike, oracle_quiet);
+      ("song-pike+oracle", Scenario.Song_pike, Scenario.quiet_oracle);
       ("choy-singh (never)", Scenario.Song_pike, Scenario.Never);
-      ("fork-only+oracle", Scenario.Fork_only, oracle_quiet);
+      ("fork-only+oracle", Scenario.Fork_only, Scenario.quiet_oracle);
       ("chandy-misra", Scenario.Chandy_misra, Scenario.Never);
       ("ordered (Lynch)", Scenario.Ordered, Scenario.Never);
     ]
@@ -671,7 +671,7 @@ let e10 (ctx : ctx) =
       (Cgraph.Topology.Ring 10, "oracle+fp", oracle_default);
       (Cgraph.Topology.Clique 6, "oracle+fp", oracle_default);
       (Cgraph.Topology.Random_gnp (16, 0.25, 21L), "oracle+fp", oracle_default);
-      (Cgraph.Topology.Clique 6, "heartbeat", heartbeat_default);
+      (Cgraph.Topology.Clique 6, "heartbeat", Scenario.default_heartbeat);
     ]
   in
   List.iter
@@ -829,7 +829,7 @@ let e12 (_ : ctx) =
           base with
           name = "e12";
           topology;
-          detector = oracle_quiet;
+          detector = Scenario.quiet_oracle;
           workload = Scenario.contended_workload;
           crashes = Scenario.No_crashes;
           horizon = 40_000;
@@ -885,7 +885,7 @@ let f5 (ctx : ctx) =
         base with
         name = "f5";
         topology = Cgraph.Topology.Ring n;
-        detector = oracle_quiet;
+        detector = Scenario.quiet_oracle;
         workload = { think = (10, 100); eat = (5, 25) };
         crashes = Scenario.Crash_at [ (n / 2, 5_000) ];
         horizon = 40_000;
@@ -922,7 +922,7 @@ let f1 (_ : ctx) =
       name = "f1";
       topology = Cgraph.Topology.Clique 6;
       delay = psync ~gst;
-      detector = heartbeat_default;
+      detector = Scenario.default_heartbeat;
       workload = { think = (0, 60); eat = (10, 40) };
       crashes = Scenario.Crash_at [ (1, 12_000) ];
       horizon = 80_000;
@@ -959,7 +959,7 @@ let f2 (_ : ctx) =
       base with
       name = "f2";
       topology = Cgraph.Topology.Clique 8;
-      detector = oracle_quiet;
+      detector = Scenario.quiet_oracle;
       workload = Scenario.contended_workload;
       crashes = Scenario.Crash_at [ (3, crash_t) ];
       horizon = 40_000;
@@ -1071,14 +1071,13 @@ let f4 (_ : ctx) =
 let f6 (_ : ctx) =
   let crash_pid = 16 and crash_t = 5_000 in
   let horizon = 60_000 in
-  let patience = 3_000 in
   let windows = horizon / 2_000 in
   (* A process is starving at time t if some hungry session of its has
-     been open for more than [patience] at t. The starvation radius at t
-     is the greatest conflict-graph distance from the crash site of any
-     starving process (0 = nobody starves). Completed sessions are
-     folded in as they are served; sessions still open at the horizon
-     are folded in after the run. *)
+     been open for at least [World.patience] (Theorem 2's threshold) at
+     t. The starvation radius at t is the greatest conflict-graph
+     distance from the crash site of any starving process (0 = nobody
+     starves). Served sessions are collected during the run and, with
+     the sessions still open at the horizon, folded in after it. *)
   let radius_series detector =
     let s =
       {
@@ -1094,23 +1093,28 @@ let f6 (_ : ctx) =
     in
     let w = World.create s in
     let dists = Cgraph.Graph.distances_from (World.graph w) crash_pid in
-    let radius = Array.make windows 0 in
-    let starving pid started served =
-      if pid <> crash_pid then
-        for i = 0 to windows - 1 do
-          let t = i * 2_000 in
-          if started + patience <= t && t < served then radius.(i) <- max radius.(i) dists.(pid)
-        done
-    in
-    Monitor.Response.on_served (World.response w) starving;
+    let served = ref [] in
+    Monitor.Response.on_served (World.response w) (fun pid started ended ->
+        served := (pid, started, ended) :: !served);
     World.advance w ~until:horizon;
     let r = World.report w in
+    let radius = Array.make windows 0 in
+    let starving (pid, started, ended) =
+      if pid <> crash_pid then begin
+        let starving_from = started + World.patience r in
+        for i = 0 to windows - 1 do
+          let t = i * 2_000 in
+          if starving_from <= t && t < ended then radius.(i) <- max radius.(i) dists.(pid)
+        done
+      end
+    in
+    List.iter starving !served;
     List.iter
-      (fun (pid, started) -> starving pid started max_int)
+      (fun (pid, started) -> starving (pid, started, max_int))
       (Monitor.Response.open_sessions r.response);
     List.init windows (fun i -> (float_of_int (i * 2_000), float_of_int radius.(i)))
   in
-  let ours = radius_series oracle_quiet in
+  let ours = radius_series Scenario.quiet_oracle in
   let baseline = radius_series Scenario.Never in
   let series =
     Stats.Series.create

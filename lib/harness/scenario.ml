@@ -28,6 +28,8 @@ type t = {
   acks_per_session : int;
 }
 
+let quiet_oracle = Oracle { detection_delay = 50; fp_per_edge = 0; fp_window = 0; fp_max_len = 1 }
+let default_heartbeat = Heartbeat { period = 20; initial_timeout = 30; bump = 25 }
 let default_workload = { think = (50, 400); eat = (10, 60) }
 let contended_workload = { think = (0, 0); eat = (10, 40) }
 

@@ -22,6 +22,14 @@ type detector_kind =
           (violates exactly the eventual-accuracy half of ◇P₁; used by the
           necessity experiment E9). *)
 
+val quiet_oracle : detector_kind
+(** Scripted ◇P₁ that detects a crash 50 ticks after it and never
+    suspects a live process. *)
+
+val default_heartbeat : detector_kind
+(** The heartbeat detector with period 20, initial timeout 30 and
+    timeout bump 25. *)
+
 type algo_kind =
   | Song_pike      (** Algorithm 1 — the paper's contribution. *)
   | Fork_only      (** Doorway ablation baseline. *)

@@ -11,7 +11,7 @@
    Two deliberate asymmetries keep the output useful:
 
    - Suppressed sources do not seed. An effect silenced at its site by
-     [@lint.allow], by the allowlist, or by the sim/rng.ml exemption is
+     [@lint.allow] or by the sim/rng.ml exemption is
      sanctioned; sanctioned effects must not taint every caller.
 
    - Only transitively-acquired effects are reported. A direct call to
@@ -36,11 +36,11 @@ type source = { rule : string; what : string }
 (* ------------------------------------------------------------------ *)
 
 (* Scope-sensitive scan: [@lint.allow] attributes encountered on the
-   way down suppress matching sources (and count as used);
-   allowlisted files and sim/rng.ml do not seed at all. *)
-let own_effects ?registry ~allowlist (d : Callgraph.def) =
+   way down suppress matching sources (and count as used); sim/rng.ml
+   does not seed at all. *)
+let own_effects ?registry (d : Callgraph.def) =
   let ctx =
-    Suppress.make_ctx ?registry ~enabled:(fun _ -> true) ~allowlist ~file:d.source ()
+    Suppress.make_ctx ?registry ~enabled:(fun _ -> true) ~file:d.source ()
   in
   let out = ref [] in
   let free =
@@ -110,7 +110,7 @@ let own_effects ?registry ~allowlist (d : Callgraph.def) =
 
 type acquired = { src : source; via : string list (* callee chain, [] = own *) }
 
-let run ?registry ?(allowlist = Allowlist.empty) (graph : Callgraph.t) =
+let run ?registry (graph : Callgraph.t) =
   Option.iter (fun t -> Suppress.note_checked t checked_rules) registry;
   (* uid -> rule -> acquired *)
   let eff : (string, (string, acquired) Hashtbl.t) Hashtbl.t = Hashtbl.create 64 in
@@ -131,7 +131,7 @@ let run ?registry ?(allowlist = Allowlist.empty) (graph : Callgraph.t) =
   let own : (string, source list) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun (d : Callgraph.def) ->
-      let sources = own_effects ?registry ~allowlist d in
+      let sources = own_effects ?registry d in
       Hashtbl.replace own d.uid sources;
       let t = table d.uid in
       List.iter (fun s -> Hashtbl.replace t s.rule { src = s; via = [] }) sources)
@@ -174,7 +174,7 @@ let run ?registry ?(allowlist = Allowlist.empty) (graph : Callgraph.t) =
       callees
   done;
   (* Report transitively-acquired effects at the defining binding. *)
-  Suppress.per_file ?registry ~allowlist @@ fun ctx_for ->
+  Suppress.per_file ?registry @@ fun ctx_for ->
   List.iter
     (fun (d : Callgraph.def) ->
       if d.toplevel then

@@ -7,11 +7,11 @@
     a fixpoint, including through higher-order references like
     [List.iter f xs].
 
-    Suppressed sources ([[@lint.allow]] at the site, allowlisted files,
-    [sim/rng.ml]) do not seed and therefore do not taint callers. Only
+    Suppressed sources ([[@lint.allow]] at the site, [sim/rng.ml]) do
+    not seed and therefore do not taint callers. Only
     transitively-acquired effects are reported (at the defining
     binding, naming the callee chain): {!Sites} reports direct
     violations at their site, so nothing is reported twice. *)
 
 val run :
-  ?registry:Suppress.t -> ?allowlist:Allowlist.t -> Callgraph.t -> Finding.t list
+  ?registry:Suppress.t -> Callgraph.t -> Finding.t list

@@ -321,12 +321,12 @@ let analyze_body ctx (graph : Callgraph.t) ~enclosing_attrs ~report_loc ~chain f
 (* Driving the detection over the zone.                                *)
 (* ------------------------------------------------------------------ *)
 
-let run ?registry ?(allowlist = Allowlist.empty) (graph : Callgraph.t) =
+let run ?registry (graph : Callgraph.t) =
   Option.iter (fun t -> Suppress.note_checked t [ rule_name ]) registry;
   let sinks : sinks = Hashtbl.create 32 in
   seed_sinks sinks graph;
   fixpoint sinks graph;
-  Suppress.per_file ?registry ~allowlist @@ fun ctx_for ->
+  Suppress.per_file ?registry @@ fun ctx_for ->
   List.iter
     (fun (d : Callgraph.def) ->
       if d.toplevel then

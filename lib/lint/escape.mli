@@ -16,7 +16,6 @@
     a captured closure. *)
 
 val run :
-  ?registry:Suppress.t -> ?allowlist:Allowlist.t -> Callgraph.t -> Finding.t list
+  ?registry:Suppress.t -> Callgraph.t -> Finding.t list
 (** Findings sorted by {!Finding.compare}; suppression via
-    [[@lint.allow "domain-escape"]] on the closure or its binding, or
-    the allowlist. *)
+    [[@lint.allow "domain-escape"]] on the closure or its binding. *)

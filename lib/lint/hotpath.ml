@@ -117,9 +117,9 @@ let scan_def ctx (d : Callgraph.def) =
   let it = { Tast_iterator.default_iterator with expr } in
   Suppress.with_attrs ctx d.attrs @@ fun () -> it.expr it d.body
 
-let run ?registry ?(allowlist = Allowlist.empty) (graph : Callgraph.t) =
+let run ?registry (graph : Callgraph.t) =
   Option.iter (fun t -> Suppress.note_checked t [ rule_name; optional_rule ]) registry;
-  Suppress.per_file ?registry ~allowlist @@ fun ctx_for ->
+  Suppress.per_file ?registry @@ fun ctx_for ->
   List.iter
     (fun (d : Callgraph.def) -> if is_hot d.attrs then scan_def (ctx_for d.source) d)
     graph.defs

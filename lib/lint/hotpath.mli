@@ -21,4 +21,4 @@
     when the callee's module is compiled [-opaque]. *)
 
 val run :
-  ?registry:Suppress.t -> ?allowlist:Allowlist.t -> Callgraph.t -> Finding.t list
+  ?registry:Suppress.t -> Callgraph.t -> Finding.t list

@@ -2,7 +2,6 @@
 
 val run :
   ?rules:Rule.id list ->
-  ?allowlist:Allowlist.t ->
   ?registry:Suppress.t ->
   Cmt_load.unit_info list ->
   Finding.t list

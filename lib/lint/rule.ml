@@ -8,12 +8,11 @@ type id =
   | Domain_escape
   | Hot_path_alloc
   | Hot_path_optional
-  | Stale_allowlist
   | Unused_allow
 
-(* Hygiene meta-rules: emitted by the driver over the suppression
+(* Hygiene meta-rule: emitted by bin/lint.exe over the suppression
    ledger, not by any walker. *)
-let meta = [ Stale_allowlist; Unused_allow ]
+let meta = [ Unused_allow ]
 
 let all =
   [
@@ -39,7 +38,6 @@ let name = function
   | Domain_escape -> "domain-escape"
   | Hot_path_alloc -> "hot-path-alloc"
   | Hot_path_optional -> "hot-path-optional"
-  | Stale_allowlist -> "stale-allowlist"
   | Unused_allow -> "unused-allow"
 
 let of_name s = List.find_opt (fun r -> name r = s) all
@@ -92,9 +90,6 @@ let explanation = function
        -opaque (dune's dev profile) it is a generic caml_applyN call as well. Give the \
        hot path a function without the optional argument (Obs.Metrics.incr / add), or \
        justify the call with [@lint.allow \"hot-path-optional\"]."
-  | Stale_allowlist ->
-      "A lint.allow entry suppressed nothing this run: the code it excused is gone. \
-       Remove the entry — keeping it lets future violations in that file hide under it."
   | Unused_allow ->
       "A [@lint.allow] attribute suppressed nothing this run (all its rules were \
        checked). Remove it — keeping it lets future violations at that site hide under \

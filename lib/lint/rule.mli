@@ -10,13 +10,12 @@ type id =
   | Domain_escape      (** mutable capture racing across an Exec.Pool batch *)
   | Hot_path_alloc     (** allocation inside a [[@lint.hot]] function *)
   | Hot_path_optional  (** call leaving out an optional argument inside a [[@lint.hot]] function *)
-  | Stale_allowlist    (** lint.allow entry that suppressed nothing *)
   | Unused_allow       (** [[@lint.allow]] attribute that suppressed nothing *)
 
 val all : id list
 
 val meta : id list
-(** Hygiene rules emitted by the driver over the suppression ledger. *)
+(** The hygiene rule [bin/lint.exe] emits over the suppression ledger. *)
 
 val name : id -> string
 val of_name : string -> id option

@@ -202,12 +202,12 @@ let iterator st =
   in
   { default_iterator with expr; value_binding; structure_item }
 
-let run ?registry ?(allowlist = Allowlist.empty) ~rules units =
+let run ?registry ~rules units =
   let names =
     List.filter_map (fun r -> if List.mem r rules then Some (Rule.name r) else None) site_rules
   in
   Option.iter (fun t -> Suppress.note_checked t names) registry;
-  Suppress.per_file ?registry ~enabled:(fun n -> List.mem n names) ~allowlist
+  Suppress.per_file ?registry ~enabled:(fun n -> List.mem n names)
   @@ fun ctx_for ->
   List.iter
     (fun (u : Cmt_load.unit_info) ->

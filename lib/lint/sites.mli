@@ -21,7 +21,6 @@
 
 val run :
   ?registry:Suppress.t ->
-  ?allowlist:Allowlist.t ->
   rules:Rule.id list ->
   Cmt_load.unit_info list ->
   Finding.t list

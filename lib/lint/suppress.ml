@@ -5,9 +5,8 @@
    site is marked used. After all passes have run, a site that silenced
    nothing — and whose rules were all actually checked this run — is a
    stale suppression: the code it excused is gone, and keeping it around
-   would let future violations hide under it. The driver reports those
-   as `unused-allow` warnings (and stale lint.allow file entries, which
-   Allowlist tracks the same way, as `stale-allowlist` errors). *)
+   would let future violations hide under it. bin/lint.exe reports
+   those as `unused-allow` errors. *)
 
 open Parsetree
 
@@ -28,8 +27,6 @@ let create () = { tbl = Hashtbl.create 64; checked = [] }
 
 let note_checked t names =
   List.iter (fun n -> if not (List.mem n t.checked) then t.checked <- n :: t.checked) names
-
-let checked_rules t = t.checked
 
 (* [@lint.allow "rule-a,rule-b"]; a bare [@lint.allow] allows every rule. *)
 let rules_of_attr (a : attribute) =
@@ -85,9 +82,8 @@ let unused t ~catalogue =
 (* ------------------------------------------------------------------ *)
 (* Scoped-emission context: the common machinery of every pass. A pass
    pushes the [@lint.allow] entries in scope as it descends and calls
-   [emit]; suppression marks the responsible sites used, and allowlist
-   hits mark the file entry used, so hygiene reporting is a by-product
-   of normal linting.                                                  *)
+   [emit]; suppression marks the responsible sites used, so hygiene
+   reporting is a by-product of normal linting.                        *)
 (* ------------------------------------------------------------------ *)
 
 type scope_entry = { rule_name : string; site : site option }
@@ -95,14 +91,13 @@ type scope_entry = { rule_name : string; site : site option }
 type ctx = {
   ctx_file : string;
   enabled : string -> bool;
-  allowlist : Allowlist.t;
   registry : t option;
   mutable scope : scope_entry list;
   mutable out : Finding.t list;
 }
 
-let make_ctx ?registry ~enabled ~allowlist ~file () =
-  { ctx_file = file; enabled; allowlist; registry; scope = []; out = [] }
+let make_ctx ?registry ~enabled ~file () =
+  { ctx_file = file; enabled; registry; scope = []; out = [] }
 
 let scope_entries_of_attrs ctx attrs =
   List.concat_map
@@ -136,7 +131,7 @@ let with_expr ctx (e : Typedtree.expression) f =
 
 let silenced ctx rule =
   match List.filter (fun e -> e.rule_name = rule || e.rule_name = "*") ctx.scope with
-  | [] -> Allowlist.allows ctx.allowlist ~rule ~file:ctx.ctx_file
+  | [] -> false
   | suppressors ->
       List.iter (fun e -> Option.iter mark_used e.site) suppressors;
       true
@@ -145,13 +140,13 @@ let emit ctx ~loc ~rule message =
   if ctx.enabled rule && not (silenced ctx rule) then
     ctx.out <- Finding.make ~file:ctx.ctx_file ~loc ~rule ~message :: ctx.out
 
-let per_file ?registry ?(enabled = fun _ -> true) ~allowlist f =
+let per_file ?registry ?(enabled = fun _ -> true) f =
   let ctxs = Hashtbl.create 8 in
   f (fun file ->
       match Hashtbl.find_opt ctxs file with
       | Some c -> c
       | None ->
-          let c = make_ctx ?registry ~enabled ~allowlist ~file () in
+          let c = make_ctx ?registry ~enabled ~file () in
           Hashtbl.add ctxs file c;
           c);
   Hashtbl.fold (fun _ c acc -> c.out @ acc) ctxs [] |> List.sort_uniq Finding.compare

@@ -4,8 +4,8 @@
     records which ones actually silenced a finding, so the driver can
     flag suppressions that outlived the code they excused. Also hosts
     the scoped-emission context ({!ctx}) every pass reports through:
-    emitting via {!emit} gives a pass attribute scoping, allowlist
-    matching and use-tracking for free. *)
+    emitting via {!emit} gives a pass attribute scoping and
+    use-tracking for free. *)
 
 type site = {
   file : string;
@@ -25,9 +25,6 @@ val note_checked : t -> string list -> unit
     for domain-escape is not stale just because [--rules] left that
     rule out. *)
 
-val checked_rules : t -> string list
-(** Rule names some pass has reported checking this run. *)
-
 val unused : t -> catalogue:string list -> site list
 (** Sites that silenced nothing, restricted to those fully checked this
     run ([catalogue] is the expansion of a bare [[@lint.allow]]).
@@ -40,7 +37,6 @@ type ctx
 val make_ctx :
   ?registry:t ->
   enabled:(string -> bool) ->
-  allowlist:Allowlist.t ->
   file:string ->
   unit ->
   ctx
@@ -56,8 +52,8 @@ val with_expr : ctx -> Typedtree.expression -> (unit -> unit) -> unit
     expression through this. *)
 
 val silenced : ctx -> string -> bool
-(** Whether a scope entry or allowlist entry suppresses the rule here;
-    the suppressors are marked used. *)
+(** Whether a scope entry suppresses the rule here; the suppressors are
+    marked used. *)
 
 val emit : ctx -> loc:Location.t -> rule:string -> string -> unit
 (** Record a finding of an enabled rule unless it is {!silenced}. *)
@@ -65,9 +61,8 @@ val emit : ctx -> loc:Location.t -> rule:string -> string -> unit
 val per_file :
   ?registry:t ->
   ?enabled:(string -> bool) ->
-  allowlist:Allowlist.t ->
   ((string -> ctx) -> unit) ->
   Finding.t list
-(** [per_file ~allowlist f] hands [f] the one ctx of each source file
+(** [per_file f] hands [f] the one ctx of each source file
     ([enabled] defaults to every rule), then returns the findings of
     every ctx, sorted by {!Finding.compare} without duplicates. *)

@@ -1,6 +1,5 @@
-(* Depth-first exploration with sleep-set partial-order reduction and
-   optional preemption-bounded scheduling, in the dejafu / Godefroid
-   mold.
+(* Depth-first exploration with sleep-set partial-order reduction, in
+   the Godefroid mold.
 
    Sleep sets: when sibling transitions [t1; t2] at a state are
    independent, the subtree below [t2] need not re-explore [t1] first —
@@ -22,21 +21,12 @@
    to-explore sets of successive visits are disjoint, so every
    transition out of a state executes at most once across the whole
    search: the DPOR transition count is bounded by the BFS one, and is
-   strictly smaller as soon as any sleep survives to the end.
-
-   Preemption bounding: dejafu-style schedule bounding. Executing a
-   transition of process [q] directly after one of process [p <> q]
-   while [p] still has an enabled transition costs one preemption;
-   schedules exceeding the budget are pruned and the result is marked
-   incomplete. Sound for bug-finding within the bound, not exhaustive. *)
+   strictly smaller as soon as any sleep survives to the end. *)
 
 module Sset = Set.Make (String)
 
 type frame = {
   label_in : string; (* incoming transition label, "" at the root *)
-  proc_in : int; (* process of the incoming transition, -1 at the root *)
-  preempts : int; (* preemptions spent reaching this state *)
-  enabled_procs : int list; (* processes with an enabled transition here *)
   mutable pending : (Model.action * string * Model.state) list;
       (* transitions still to run on THIS visit (the wake set) *)
   mutable sleep : (Model.action * string) list;
@@ -44,7 +34,7 @@ type frame = {
          children inherit its independent subset *)
 }
 
-let explore ?(max_states = 200_000) ?(max_depth = max_int) ?preemption_bound ?check cfg =
+let explore ?(max_states = 200_000) ?(max_depth = max_int) ?check cfg =
   let check = match check with Some f -> f | None -> Model.check in
   let interned = Intern.create () in
   (* id -> labels of this state's transitions never yet explored (slept
@@ -55,7 +45,6 @@ let explore ?(max_states = 200_000) ?(max_depth = max_int) ?preemption_bound ?ch
   let violation = ref None in
   let vio_trace = ref None in
   let truncated = ref false in
-  let bound_hit = ref false in
   let deadlocks = ref 0 in
   let stack = ref [] in
   let stack_trace frames =
@@ -65,7 +54,7 @@ let explore ?(max_states = 200_000) ?(max_depth = max_int) ?preemption_bound ?ch
   (* Enter [state], reached via [label_in] under sleep set [sleep].
      Interns and invariant-checks fresh states; decides the wake set
      from the memo; pushes a frame when anything is left to run. *)
-  let push ~state ~label_in ~proc_in ~preempts ~sleep =
+  let push ~state ~label_in ~sleep =
     let k = Model.key state in
     let depth = List.length !stack in
     let fresh, id_opt =
@@ -129,18 +118,12 @@ let explore ?(max_states = 200_000) ?(max_depth = max_int) ?preemption_bound ?ch
                           wake
                     in
                     if wake <> [] then begin
-                      let enabled_procs =
-                        List.sort_uniq compare
-                          (List.map (fun (a, _, _) -> Model.proc_of a) succs)
-                      in
-                      stack :=
-                        { label_in; proc_in; preempts; enabled_procs; pending = wake; sleep }
-                        :: !stack;
+                      stack := { label_in; pending = wake; sleep } :: !stack;
                       if depth + 1 > !max_stack then max_stack := depth + 1
                     end)
           end
   in
-  push ~state:(Model.initial cfg) ~label_in:"" ~proc_in:(-1) ~preempts:0 ~sleep:[];
+  push ~state:(Model.initial cfg) ~label_in:"" ~sleep:[];
   while !stack <> [] && !violation = None do
     match !stack with
     | [] -> ()
@@ -149,35 +132,16 @@ let explore ?(max_states = 200_000) ?(max_depth = max_int) ?preemption_bound ?ch
         | [] -> stack := rest
         | (act, label, next) :: pending ->
             f.pending <- pending;
-            let cost =
-              if
-                f.proc_in >= 0
-                && Model.proc_of act <> f.proc_in
-                && List.mem f.proc_in f.enabled_procs
-              then 1
-              else 0
-            in
-            let over_bound =
-              match preemption_bound with
-              | Some b -> f.preempts + cost > b
-              | None -> false
-            in
-            if over_bound then bound_hit := true
-            else begin
-              incr transitions;
-              let child_sleep =
-                List.filter (fun (a, _l) -> Model.independent cfg a act) f.sleep
-              in
-              f.sleep <- (act, label) :: f.sleep;
-              push ~state:next ~label_in:label ~proc_in:(Model.proc_of act)
-                ~preempts:(f.preempts + cost) ~sleep:child_sleep
-            end)
+            incr transitions;
+            let child_sleep = List.filter (fun (a, _l) -> Model.independent cfg a act) f.sleep in
+            f.sleep <- (act, label) :: f.sleep;
+            push ~state:next ~label_in:label ~sleep:child_sleep)
   done;
   {
     Explore.states = Intern.count interned;
     transitions = !transitions;
     depth = !max_stack;
-    complete = (not !truncated) && (not !bound_hit) && !violation = None;
+    complete = (not !truncated) && !violation = None;
     violation = !violation;
     deadlocks = !deadlocks;
     trace = !vio_trace;

@@ -1,6 +1,5 @@
-(** Results of the model checker's searches, and the one search that is
-    neither {!Frontier.explore} nor {!Dpor.explore}: the Monte-Carlo
-    {!random_walk}.
+(** The result of a model-checker search ({!Frontier.explore},
+    {!Dpor.explore}).
 
     Theorem 2 needs no search of its own. Every transition lowers
     {!Model.rank} (a transition that does not is a violation), so the
@@ -34,22 +33,3 @@ type result = {
 val pp_result : Format.formatter -> result -> unit
 (** [states=… transitions=… depth=… complete=… deadlocks=…] and the
     verdict, on one line. *)
-
-type walk_result = {
-  walks_done : int;
-  steps_taken : int;   (** transitions executed across all walks *)
-  walk_violation : (string * string) option;
-}
-
-val random_walk :
-  ?walks:int ->
-  ?steps:int ->
-  ?check:(Model.config -> Model.state -> string option) ->
-  seed:int64 ->
-  Model.config ->
-  walk_result
-(** Monte-Carlo exploration for instances too large for exhaustive BFS:
-    [walks] (default 64) independent uniformly random paths of up to
-    [steps] (default 400) transitions each, checking every visited state
-    — including the initial one, which every walk shares. Sound for
-    bug-finding (any reported violation is real), not complete. *)

@@ -4,7 +4,7 @@
 
 type t = { tbl : (string, int) Hashtbl.t }
 
-let create ?(expected = 4096) () = { tbl = Hashtbl.create expected }
+let create () = { tbl = Hashtbl.create 4096 }
 
 let add t k =
   match Hashtbl.find_opt t.tbl k with

@@ -7,7 +7,7 @@
 
 type t
 
-val create : ?expected:int -> unit -> t
+val create : unit -> t
 
 val add : t -> string -> [ `New of int | `Seen of int ]
 (** Intern a key: [`New id] on first sight (ids are dense, in call

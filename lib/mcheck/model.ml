@@ -486,11 +486,6 @@ let successors_tagged _cfg s =
 let successors cfg s =
   List.map (fun (_act, label, next) -> (label, next)) (successors_tagged cfg s)
 
-let proc_of = function
-  | Act_local { pid; _ } | Act_crash { pid } -> pid
-  | Act_deliver { dst; _ } | Act_drop { dst; _ } -> dst
-  | Act_detect { observer; _ } | Act_fp { observer; _ } -> observer
-
 (* The process set an action reads or writes, as an (a, b) pair with
    b = -1 for single-process actions. *)
 let touches = function

@@ -97,11 +97,6 @@ val successors_tagged : config -> state -> (action * string * state) list
 (** {!successors} with each transition's structural action attached.
     The label list is identical to {!successors}. *)
 
-val proc_of : action -> int
-(** The process "taking the step" — the acting process for internal
-    actions, the destination for deliveries/drops, the observer for
-    oracle output changes. Used for preemption accounting. *)
-
 val independent : config -> action -> action -> bool
 (** A sound (conservative, symmetric) independence relation: if
     [independent cfg a b] then in every state where both are enabled,

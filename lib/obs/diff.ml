@@ -5,9 +5,7 @@ type divergence = {
   context : string list;  (* tail of the common prefix, oldest first *)
 }
 
-let lines ?(keep_comments = false) s =
-  String.split_on_char '\n' s
-  |> List.filter (fun l -> l <> "" && (keep_comments || l.[0] <> '#'))
+let lines s = String.split_on_char '\n' s |> List.filter (fun l -> l <> "" && l.[0] <> '#')
 
 let first_divergence ?(context = 3) a b =
   let arr_a = Array.of_list a and arr_b = Array.of_list b in

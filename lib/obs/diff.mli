@@ -16,10 +16,10 @@ type divergence = {
           first. *)
 }
 
-val lines : ?keep_comments:bool -> string -> string list
-(** Split an exported trace into event lines, dropping blank lines and —
-    unless [keep_comments] — ["#"-prefixed] header lines, so run
-    metadata (seed, date) never counts as a divergence. *)
+val lines : string -> string list
+(** Split an exported trace into event lines, dropping blank lines and
+    ["#"-prefixed] header lines, so run metadata (seed, date) never
+    counts as a divergence. *)
 
 val first_divergence : ?context:int -> string list -> string list -> divergence option
 (** [None] when both traces are identical; otherwise the first divergent

@@ -6,7 +6,6 @@ type t = {
   protocol : Protocol.t;
   instance : Dining.Instance.t;
   states : int array;
-  reaction_delay : int * int;
   in_cs : bool array;
   cs_view : Protocol.view array; (* the snapshot of each pid's CS in flight *)
   mutable react : int; (* event kinds: owner = pid *)
@@ -23,6 +22,11 @@ type outcome = {
   error_series : (float * float) list;
   overlap_races : int;
 }
+
+(* Critical-section length range, and the think-to-hungry latency range
+   once a process is enabled. *)
+let step_duration = (5, 20)
+let reaction_delay = (1, 10)
 
 let sample rng (lo, hi) = if lo >= hi then lo else Sim.Rng.int_in rng lo hi
 let alive t pid = not (Net.Faults.is_crashed t.faults pid)
@@ -52,7 +56,7 @@ let wants_step t pid =
 (* A process asks to be scheduled whenever it has an enabled command. The
    enabledness is re-checked when the delayed request fires, because a
    neighbor's step may have disabled it meanwhile. *)
-let consider t pid = if wants_step t pid then after t t.react pid t.reaction_delay
+let consider t pid = if wants_step t pid then after t t.react pid reaction_delay
 
 (* The end of [pid]'s CS: write the command's result from the snapshot
    taken at entry, and exit. A pid has at most one CS in flight. *)
@@ -92,8 +96,7 @@ let inject_fault t ~victims =
     done
   end
 
-let attach ~engine ~faults ~graph ~rng ~protocol ?(step_duration = (5, 20))
-    ?(reaction_delay = (1, 10)) (instance : Dining.Instance.t) =
+let attach ~engine ~faults ~graph ~rng ~protocol (instance : Dining.Instance.t) =
   let n = Cgraph.Graph.n graph in
   let t =
     {
@@ -104,7 +107,6 @@ let attach ~engine ~faults ~graph ~rng ~protocol ?(step_duration = (5, 20))
       protocol;
       instance;
       states = Array.init n (fun pid -> protocol.Protocol.init rng pid);
-      reaction_delay;
       in_cs = Array.make n false;
       cs_view = Array.make n no_view;
       react = 0;

@@ -39,14 +39,12 @@ val attach :
   graph:Cgraph.Graph.t ->
   rng:Sim.Rng.t ->
   protocol:Protocol.t ->
-  ?step_duration:int * int ->
-  ?reaction_delay:int * int ->
   Dining.Instance.t ->
   t
 (** Initialises states with [protocol.init], subscribes to the instance
-    and schedules the initial hungry transitions. [step_duration] is the
-    critical-section length range (default [(5, 20)]); [reaction_delay]
-    the think-to-hungry latency range once enabled (default [(1, 10)]). *)
+    and schedules the initial hungry transitions. A critical section
+    lasts 5 to 20 ticks; an enabled process gets hungry 1 to 10 ticks
+    after it becomes enabled. *)
 
 val inject_fault : t -> victims:int -> unit
 (** Corrupt the states of [victims] random live processes now. *)

@@ -1,7 +1,6 @@
-let make ~n ?k () =
-  let k = Option.value k ~default:(n + 1) in
+let make ~n () =
+  let k = n + 1 in
   if n < 3 then invalid_arg "Token_ring.make: n < 3";
-  if k < n then invalid_arg "Token_ring.make: need k >= n";
   let pred pid = (pid + n - 1) mod n in
   let pred_state (v : Protocol.view) =
     let p = pred v.self in

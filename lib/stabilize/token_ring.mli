@@ -11,6 +11,6 @@
     stabilization experiments, where it exercises the daemon's fairness:
     the token only moves if every process keeps getting scheduled. *)
 
-val make : n:int -> ?k:int -> unit -> Protocol.t
-(** [k] defaults to [n + 1]. Raises for [n < 3] or [k < n]. Error measure:
-    (number of enabled processes) - 1. *)
+val make : n:int -> unit -> Protocol.t
+(** States range over [k = n + 1] values. Raises for [n < 3]. Error
+    measure: (number of enabled processes) - 1. *)

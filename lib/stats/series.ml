@@ -14,7 +14,11 @@ let add_series t ~name points = t.extra <- t.extra @ [ (name, points) ]
 
 let marks = [| '*'; 'o'; '+'; 'x'; '#'; '@' |]
 
-let render ?(width = 72) ?(height = 16) t =
+(* The plot area, in characters. *)
+let width = 72
+let height = 16
+
+let render t =
   let named =
     (t.y_label, List.rev t.primary)
     :: List.map (fun (name, pts) -> (name, List.sort compare pts)) t.extra
@@ -80,7 +84,7 @@ let to_csv t =
 
 let title t = t.title
 
-let pp ?width ?height ppf t =
-  Format.pp_print_string ppf (render ?width ?height t);
+let pp ppf t =
+  Format.pp_print_string ppf (render t);
   Format.pp_print_string ppf "\n"
 

@@ -13,10 +13,10 @@ val add_series : t -> name:string -> (float * float) list -> unit
     ours-vs-baseline figures). Points added with {!add_point} belong to
     the primary series, named after [y_label]. *)
 
-val render : ?width:int -> ?height:int -> t -> string
-(** ASCII chart (default 72x16 plot area) followed by the data columns. *)
+val render : t -> string
+(** ASCII chart (72x16 plot area) followed by the data columns. *)
 
-val pp : ?width:int -> ?height:int -> Format.formatter -> t -> unit
+val pp : Format.formatter -> t -> unit
 (** {!render} plus a trailing blank line, to the given formatter. Library
     code reports through this; only executables pick a concrete sink. *)
 

@@ -78,7 +78,7 @@ let pp ppf t =
 
 let cell_int = string_of_int
 
-let cell_float ?(decimals = 1) f = Printf.sprintf "%.*f" decimals f
+let cell_float f = Printf.sprintf "%.1f" f
 
 let cell_bool b = if b then "yes" else "no"
 

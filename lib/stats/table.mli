@@ -24,8 +24,8 @@ val pp : Format.formatter -> t -> unit
 (** [render] plus a trailing blank line, to the given formatter. Library
     code reports through this; only executables pick a concrete sink. *)
 
-(* Convenience cell formatters. *)
+(* Convenience cell formatters; [cell_float] prints one decimal. *)
 val cell_int : int -> string
-val cell_float : ?decimals:int -> float -> string
+val cell_float : float -> string
 val cell_bool : bool -> string
 val cell_time : int -> string

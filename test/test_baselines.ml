@@ -290,9 +290,7 @@ let traffic_reaches_world_metrics () =
             topology = Cgraph.Topology.Ring 6;
             seed = 3L;
             algo;
-            detector =
-              Harness.Scenario.Oracle
-                { detection_delay = 50; fp_per_edge = 0; fp_window = 0; fp_max_len = 1 };
+            detector = Harness.Scenario.quiet_oracle;
             crashes = Harness.Scenario.No_crashes;
             horizon = 8_000;
           }

@@ -345,7 +345,7 @@ let unreliable_still_complete () =
   let graph = ring 4 in
   let faults = Net.Faults.create engine ~n:4 in
   let d =
-    Fd.Unreliable.create engine faults graph (Sim.Rng.create 5L) ~detection_delay:30
+    Fd.Unreliable.create engine faults graph (Sim.Rng.create 5L) ~period:2_000 ~duration:150
       ~horizon:5_000 ()
   in
   Net.Faults.schedule_crash faults ~pid:2 ~at:1_000;
@@ -425,8 +425,8 @@ let slot_queries_match_pair_queries () =
                  ~period:20 ~initial_timeout:30 ~bump:25 ()),
             recorded )
       | _ ->
-          ( Fd.Unreliable.create engine faults graph (Sim.Rng.create 5L) ~detection_delay:30
-              ~period:300 ~duration:40 ~horizon (),
+          ( Fd.Unreliable.create engine faults graph (Sim.Rng.create 5L) ~period:300
+              ~duration:40 ~horizon (),
             recorded )
     in
     List.iter (fun (pid, at) -> Net.Faults.schedule_crash faults ~pid ~at) [ (2, 400); (5, 1_100) ];

@@ -17,10 +17,8 @@ let holds name (p : Fuzz.Property.t) r =
        (Option.value (p.check r) ~default:""))
     true (p.check r = None)
 
-let quiet_oracle : Harness.Scenario.detector_kind =
-  Harness.Scenario.Oracle { detection_delay = 50; fp_per_edge = 0; fp_window = 0; fp_max_len = 1 }
-
-let scenario ?(topology = Cgraph.Topology.Ring 8) ?(seed = 1L) ?(detector = quiet_oracle)
+let scenario ?(topology = Cgraph.Topology.Ring 8) ?(seed = 1L)
+    ?(detector = Harness.Scenario.quiet_oracle)
     ?(algo = Harness.Scenario.Song_pike) ?(crashes = Harness.Scenario.No_crashes)
     ?(workload = Harness.Scenario.default_workload) ?(horizon = 40_000) () : Harness.Scenario.t =
   {
@@ -124,7 +122,7 @@ let lemmas_oracle_fires () =
 let oracles_hold_in_hypothesis () =
   let s =
     scenario
-      ~detector:(Harness.Scenario.Heartbeat { period = 20; initial_timeout = 30; bump = 25 })
+      ~detector:Harness.Scenario.default_heartbeat
       ~crashes:(Harness.Scenario.Crash_at [ (3, 8_000) ])
       ()
   in

@@ -6,7 +6,6 @@ let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
 
-let quiet_oracle = Theorem_cases.quiet_oracle
 let noisy_oracle = Theorem_cases.noisy_oracle
 let scenario = Theorem_cases.scenario
 
@@ -167,7 +166,7 @@ let heartbeat_end_to_end () =
   let s =
     scenario
       ~topology:(Cgraph.Topology.Ring 10)
-      ~detector:(Harness.Scenario.Heartbeat { period = 20; initial_timeout = 30; bump = 25 })
+      ~detector:Harness.Scenario.default_heartbeat
       ~crashes:(Harness.Scenario.Crash_at [ (4, 10_000) ])
       ~horizon:60_000 ()
   in
@@ -179,7 +178,7 @@ let heartbeat_end_to_end () =
 
 let choy_singh_baseline_contrast () =
   let crashes = Harness.Scenario.Crash_at [ (2, 3_000) ] in
-  let ours = Harness.World.run (scenario ~detector:quiet_oracle ~crashes ()) in
+  let ours = Harness.World.run (scenario ~detector:Harness.Scenario.quiet_oracle ~crashes ()) in
   let baseline = Harness.World.run (scenario ~detector:Harness.Scenario.Never ~crashes ()) in
   check bool "ours wait-free" true (Harness.World.starved ours = []);
   check bool "baseline starves" true (Harness.World.starved baseline <> []);
@@ -280,7 +279,7 @@ let ring16_heartbeat () =
   let s =
     scenario
       ~topology:(Cgraph.Topology.Ring 16)
-      ~detector:(Harness.Scenario.Heartbeat { period = 20; initial_timeout = 30; bump = 25 })
+      ~detector:Harness.Scenario.default_heartbeat
       ~crashes:(Harness.Scenario.Crash_at [ (5, 6_000) ])
       ~horizon:20_000 ()
   in

@@ -28,10 +28,10 @@ let typed_findings pass file = pass (typed_graph file)
 let typed_hits pass file =
   List.map (fun (f : Lint.Finding.t) -> (f.rule, f.line)) (typed_findings pass file)
 
-let findings ?rules ?allowlist file = Lint.Pipeline.run ?rules ?allowlist (load file)
+let findings ?rules file = Lint.Pipeline.run ?rules (load file)
 
-let hits ?rules ?allowlist file =
-  List.map (fun (f : Lint.Finding.t) -> (f.rule, f.line)) (findings ?rules ?allowlist file)
+let hits ?rules file =
+  List.map (fun (f : Lint.Finding.t) -> (f.rule, f.line)) (findings ?rules file)
 
 let check_hits name expected actual =
   Alcotest.(check (list (pair string int))) name expected actual
@@ -82,15 +82,6 @@ let test_rule_selection () =
   check_hits "enabled rule still fires"
     [ ("io-in-library", 2); ("io-in-library", 4) ]
     (hits ~rules:[ Lint.Rule.Io_in_library ] (fixture "bad_io_in_library.ml"))
-
-let test_allowlist () =
-  let allowlist =
-    Lint.Allowlist.of_list [ ("io-in-library", fixture "bad_io_in_library.ml") ]
-  in
-  check_hits "allowlisted file is silent" [] (hits ~allowlist (fixture "bad_io_in_library.ml"));
-  check_hits "allowlist is per-rule"
-    [ ("ambient-effects", 3); ("ambient-effects", 5); ("ambient-effects", 7); ("ambient-effects", 9) ]
-    (hits ~allowlist (fixture "bad_ambient_effects.ml"))
 
 let typecheck ~file source =
   match Lint.Cmt_load.typecheck_source ~file source with
@@ -227,25 +218,6 @@ let test_unused_allow () =
        (fun (s : Lint.Suppress.site) -> (s.file, s.line))
        (Lint.Suppress.unused registry ~catalogue:[ "hot-path-alloc" ]))
 
-let test_stale_allowlist_tracking () =
-  (* The driver errors on allowlist entries that suppressed nothing;
-     the tracking it relies on lives in Allowlist. *)
-  let allowlist =
-    Lint.Allowlist.of_list
-      [
-        ("io-in-library", fixture "bad_io_in_library.ml");
-        ("io-in-library", fixture "bad_ambient_effects.ml");
-      ]
-  in
-  ignore (hits ~allowlist (fixture "bad_io_in_library.ml"));
-  ignore (hits ~allowlist (fixture "bad_ambient_effects.ml"));
-  Alcotest.(check (list (pair string string)))
-    "only the entry that suppressed nothing is stale"
-    [ ("io-in-library", fixture "bad_ambient_effects.ml") ]
-    (List.map
-       (fun (e : Lint.Allowlist.entry) -> (e.rule, e.path))
-       (Lint.Allowlist.unused allowlist))
-
 (* The deterministic zone's .cmt artifacts. Under [dune runtest] the
    working directory is the test's build directory and the zone is at
    ../lib; from the repository root, [load_dirs] finds it under
@@ -259,8 +231,7 @@ let load_zone () =
   Alcotest.(check (list string)) "no unreadable cmts" [] (List.map fst res.errors);
   res.units
 
-(* The real tree: every rule is clean over the zone. No allowlist: the
-   zone needs none. *)
+(* The real tree: every rule is clean over the zone. *)
 let test_zone_clean () =
   Alcotest.(check (list string))
     "deterministic zone lints clean" []
@@ -285,7 +256,6 @@ let suite =
     Alcotest.test_case "fixture: exception-swallow" `Quick test_exception_swallow;
     Alcotest.test_case "fixture: [@lint.allow] suppression" `Quick test_suppressed;
     Alcotest.test_case "rule selection (--rules)" `Quick test_rule_selection;
-    Alcotest.test_case "allowlist file semantics" `Quick test_allowlist;
     Alcotest.test_case "sim/rng.ml Random exemption" `Quick test_rng_exemption;
     Alcotest.test_case "parse errors are reported" `Quick test_parse_error;
     Alcotest.test_case "typed fixture: domain-escape" `Quick test_domain_escape;
@@ -293,7 +263,6 @@ let suite =
     Alcotest.test_case "typed fixture: hot-path-alloc" `Quick test_hot_path_alloc;
     Alcotest.test_case "typed fixture: hot-path-optional" `Quick test_hot_path_optional;
     Alcotest.test_case "hygiene: unused [@lint.allow]" `Quick test_unused_allow;
-    Alcotest.test_case "hygiene: stale allowlist tracking" `Quick test_stale_allowlist_tracking;
     Alcotest.test_case "deterministic zone is clean" `Quick test_zone_clean;
     Alcotest.test_case "typed passes clean over the zone" `Quick test_typed_zone_clean;
   ]

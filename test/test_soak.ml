@@ -37,7 +37,7 @@ let soak ~seed ~algo ~detector ~topology ?(crashes = 6) ?(horizon = 150_000) () 
     acks_per_session = 1;
   }
 
-let heartbeat = Harness.Scenario.Heartbeat { period = 20; initial_timeout = 30; bump = 25 }
+let heartbeat = Harness.Scenario.default_heartbeat
 
 let soak_song_pike_heartbeat () =
   let s = soak ~seed:5150L ~algo:Harness.Scenario.Song_pike ~detector:heartbeat
@@ -88,7 +88,7 @@ let matrix_detectors =
   [
     ("heartbeat", heartbeat);
     ( "oracle-quiet",
-      Harness.Scenario.Oracle { detection_delay = 50; fp_per_edge = 0; fp_window = 0; fp_max_len = 1 } );
+      Harness.Scenario.quiet_oracle );
     ( "oracle-noisy",
       Harness.Scenario.Oracle
         { detection_delay = 60; fp_per_edge = 2; fp_window = 8_000; fp_max_len = 150 } );

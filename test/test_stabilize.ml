@@ -47,7 +47,7 @@ let coloring_step_never_creates_conflict =
 (* ---------------------------- Token ring --------------------------- *)
 
 let token_ring_rules () =
-  let p = Stabilize.Token_ring.make ~n:4 ~k:5 () in
+  let p = Stabilize.Token_ring.make ~n:4 () in
   (* Root enabled iff equal to predecessor (pid 3). *)
   check bool "root enabled" true (p.enabled (view 0 2 [| (1, 0); (3, 2) |]));
   check bool "root disabled" false (p.enabled (view 0 2 [| (1, 0); (3, 1) |]));
@@ -59,7 +59,7 @@ let token_ring_rules () =
   check int "follower copies" 3 (p.step (view 2 1 [| (1, 3); (3, 0) |]))
 
 let token_ring_error () =
-  let p = Stabilize.Token_ring.make ~n:4 ~k:5 () in
+  let p = Stabilize.Token_ring.make ~n:4 () in
   let g = Cgraph.Topology.build (Cgraph.Topology.Ring 4) in
   let alive _ = true in
   (* Legitimate: exactly one enabled process. All-equal: only root enabled. *)
@@ -67,8 +67,8 @@ let token_ring_error () =
   check bool "chaotic configuration has error" true (p.error g [| 0; 3; 1; 4 |] alive > 0)
 
 let token_ring_validation () =
-  Alcotest.check_raises "k too small" (Invalid_argument "Token_ring.make: need k >= n")
-    (fun () -> ignore (Stabilize.Token_ring.make ~n:5 ~k:3 ()))
+  Alcotest.check_raises "ring too small" (Invalid_argument "Token_ring.make: n < 3")
+    (fun () -> ignore (Stabilize.Token_ring.make ~n:2 ()))
 
 (* ----------------------------- Matching ---------------------------- *)
 

@@ -114,7 +114,7 @@ let table_csv () =
 
 let table_cells () =
   check Alcotest.string "int" "42" (Stats.Table.cell_int 42);
-  check Alcotest.string "float" "3.14" (Stats.Table.cell_float ~decimals:2 3.14159);
+  check Alcotest.string "float" "3.1" (Stats.Table.cell_float 3.14159);
   check Alcotest.string "bool" "yes" (Stats.Table.cell_bool true);
   check Alcotest.string "time inf" "inf" (Stats.Table.cell_time max_int)
 
@@ -124,15 +124,20 @@ let series_renders () =
     Stats.Series.add_point s ~x:(float_of_int i) ~y:(float_of_int (i * i))
   done;
   Stats.Series.add_series s ~name:"other" [ (0.0, 5.0); (10.0, 5.0) ];
-  let out = Stats.Series.render ~width:40 ~height:8 s in
+  let out = Stats.Series.render s in
+  let contains needle =
+    let nl = String.length needle in
+    let rec go i = i + nl <= String.length out && (String.sub out i nl = needle || go (i + 1)) in
+    go 0
+  in
   check bool "contains legend" true
-    (String.length out > 0
-    && (let contains hay needle =
-          let nl = String.length needle in
-          let rec go i = i + nl <= String.length hay && (String.sub hay i nl = needle || go (i + 1)) in
-          go 0
-        in
-        contains out "[*] y" && contains out "[o] other" && contains out "data:"))
+    (contains "[*] y" && contains "[o] other" && contains "data:");
+  check bool "72-column plot area" true (contains ("  +" ^ String.make 72 '-' ^ "\n"));
+  check int "16 plot rows" 16
+    (List.length
+       (List.filter
+          (fun l -> String.length l = 75 && String.sub l 0 3 = "  |")
+          (String.split_on_char '\n' out)))
 
 let series_csv () =
   let s = Stats.Series.create ~title:"curve" ~x_label:"t" ~y_label:"err" in

@@ -4,13 +4,11 @@
    the seed scan, the soak matrix and the fuzzer share one verdict per
    theorem. *)
 
-let quiet_oracle : Harness.Scenario.detector_kind =
-  Harness.Scenario.Oracle { detection_delay = 50; fp_per_edge = 0; fp_window = 0; fp_max_len = 1 }
-
 let noisy_oracle : Harness.Scenario.detector_kind =
   Harness.Scenario.Oracle { detection_delay = 50; fp_per_edge = 2; fp_window = 6_000; fp_max_len = 200 }
 
-let scenario ?(topology = Cgraph.Topology.Ring 8) ?(seed = 1L) ?(detector = quiet_oracle)
+let scenario ?(topology = Cgraph.Topology.Ring 8) ?(seed = 1L)
+    ?(detector = Harness.Scenario.quiet_oracle)
     ?(algo = Harness.Scenario.Song_pike) ?(crashes = Harness.Scenario.No_crashes)
     ?(workload = Harness.Scenario.default_workload) ?(horizon = 40_000) () : Harness.Scenario.t =
   {
