@@ -11,14 +11,11 @@
      failure);
    - [live_*] — whole-heap measurements, sensitive to what other domains
      retain: advisory as well;
-   - [*_words] — allocation counts from [Gc.allocated_bytes] deltas:
-     deterministic for a fixed code path up to a few words of runtime
-     jitter (the OCaml 5 runtime occasionally performs a small internal
-     allocation inside a measured window), so they must match the
-     baseline within a fixed 64-word slack — real hot-path regressions
-     are at least one word per event or per process, orders of
-     magnitude above the slack (an intended change means regenerating
-     the baseline — that is the allocation-regression gate);
+   - [*_words] — allocation counts (words from [Gc.minor_words] plus
+     major minus promoted, or [Obj.reachable_words]): deterministic for
+     a fixed code path, so exact match required. An intended change
+     means regenerating the baseline — that is the allocation-regression
+     gate;
    - everything else (event/state/case counts, names) — part of the
      determinism contract: exact match required. *)
 
@@ -122,11 +119,15 @@ let advisory key =
 
 let as_float = function Int i -> Some (float_of_int i) | Float f -> Some f | Str _ -> None
 
+(* Advisory keys warn when worse than the baseline by more than this
+   fraction. *)
+let tolerance = 0.25
+
 (* Compare [current] against [baseline]. Advisory keys warn when worse
-   by more than [tolerance] (fractional; default 25%); all other keys
-   must match exactly. Keys present on one side only are warnings (new
-   metrics) or failures (lost metrics). *)
-let compare_metrics ?(tolerance = 0.25) ~baseline ~current () =
+   by more than [tolerance]; all other keys must match exactly. Keys
+   present on one side only are warnings (new metrics) or failures (lost
+   metrics). *)
+let compare_metrics ~baseline ~current =
   let failures = ref [] and warnings = ref [] in
   let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
   let warn fmt = Printf.ksprintf (fun m -> warnings := m :: !warnings) fmt in
@@ -147,19 +148,11 @@ let compare_metrics ?(tolerance = 0.25) ~baseline ~current () =
                   warn "%s: %s -> %s (%.0f%% worse than baseline; advisory)" key
                     (render_value base) (render_value cur) (100.0 *. worse)
             | _ -> ()
-          else
-            let words_within_slack =
-              ends_with ~suffix:"_words" key
-              &&
-              match (as_float base, as_float cur) with
-              | Some b, Some c -> Float.abs (c -. b) <= 64.0
-              | _ -> false
-            in
-            if base <> cur && not words_within_slack then
-              fail
-                "%s: %s -> %s (deterministic metric changed; regenerate the baseline if \
-                 this is intended)"
-                key (render_value base) (render_value cur)))
+          else if base <> cur then
+            fail
+              "%s: %s -> %s (deterministic metric changed; regenerate the baseline if \
+               this is intended)"
+              key (render_value base) (render_value cur)))
     baseline;
   List.iter
     (fun (key, _) ->
@@ -167,6 +160,3 @@ let compare_metrics ?(tolerance = 0.25) ~baseline ~current () =
         warn "%s: new metric not in baseline (regenerate to start tracking it)" key)
     current;
   { failures = List.rev !failures; warnings = List.rev !warnings }
-
-let compare_files ?tolerance ~baseline ~current () =
-  compare_metrics ?tolerance ~baseline:(read baseline) ~current:(read current) ()

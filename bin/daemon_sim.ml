@@ -2,7 +2,7 @@
 
    Subcommands:
      run          one dining scenario, human-readable report
-     experiments  the reproduction suite (E1..E12, F1..F5)
+     experiments  the reproduction suite (E1..E12, F1..F6)
      check        exhaustive model checking of small instances: parallel
                   frontier BFS / DPOR / counterexample replay
      fuzz         property-based fuzzing campaigns with shrinking + replay
@@ -104,9 +104,7 @@ let seeds_arg =
     & info [ "seeds" ] ~docv:"N" ~doc:"Independent seeds per multi-seed batch.")
 
 let resolve_detector = function
-  | `Oracle ->
-      Harness.Scenario.Oracle
-        { detection_delay = 50; fp_per_edge = 2; fp_window = 8_000; fp_max_len = 200 }
+  | `Oracle -> Harness.Scenario.noisy_oracle
   | `Oracle_clean -> Harness.Scenario.quiet_oracle
   | `Heartbeat -> Harness.Scenario.default_heartbeat
   | `Perfect -> Harness.Scenario.Perfect
@@ -232,7 +230,10 @@ let experiments_cmd =
   let ids_arg =
     Arg.(
       value & pos_all string []
-      & info [] ~docv:"ID" ~doc:"Experiment ids (e1..e12, f1..f6); all when omitted.")
+      & info [] ~docv:"ID"
+          ~doc:
+            "Experiment ids (e1..e12, f1..f6); all when omitted. An unknown id exits 2 \
+             before any experiment runs.")
   in
   let csv_arg =
     Arg.(
@@ -255,18 +256,19 @@ let experiments_cmd =
   in
   let go ids csv_dir domains seeds =
     let ctx = { Harness.Experiments.domains; seeds } in
+    (* Every id is checked before anything runs. *)
     let selected =
       if ids = [] then Harness.Experiments.all
       else
-        List.filter_map
+        List.map
           (fun id ->
             match Harness.Experiments.find id with
-            | Some e -> Some e
+            | Some e -> e
             | None ->
                 Printf.eprintf "unknown experiment id %S (known: %s)\n" id
                   (String.concat ", "
                      (List.map (fun (e : Harness.Experiments.t) -> e.id) Harness.Experiments.all));
-                None)
+                exit 2)
           ids
     in
     (match csv_dir with
@@ -277,7 +279,7 @@ let experiments_cmd =
         Printf.printf "### %s — %s (reproduces: %s)\n\n" (String.uppercase_ascii e.id) e.title
           e.claim;
         let artifacts = e.run ctx in
-        List.iter (fun a -> Harness.Experiments.print_artifact a) artifacts;
+        List.iter (Harness.Experiments.print_artifact Format.std_formatter) artifacts;
         match csv_dir with
         | None -> ()
         | Some dir ->

@@ -63,21 +63,17 @@ val create :
     (experiment E11). Creates the dining layer's own network overlay.
     Phase transitions and the ["enter_doorway"] mark go to the engine's
     recorder ({!Sim.Engine.recorder}) when it traces; monitors listen
-    through {!add_listener} and the instance's [add_doorway_listener]
-    instead, which fires at the same point as the mark. *)
+    through the instance's [add_listener] and [add_doorway_listener]
+    instead (see {!instance}); the latter fires at the same point as the
+    mark. Callers drive a process through the instance's
+    [become_hungry] and [stop_eating]. *)
 
-val become_hungry : t -> Types.pid -> unit
-val stop_eating : t -> Types.pid -> unit
-
-val phase : t -> Types.pid -> Types.phase
 val inside_doorway : t -> Types.pid -> bool
 val color : t -> Types.pid -> int
 val holds_fork : t -> Types.pid -> Types.pid -> bool
 val holds_token : t -> Types.pid -> Types.pid -> bool
 val eat_count : t -> Types.pid -> int
 val total_eats : t -> int
-
-val add_listener : t -> (Types.pid -> Types.phase -> unit) -> unit
 
 val check_invariants : t -> unit
 (** Raises {!Types.Invariant_violation} on any violated executable lemma;

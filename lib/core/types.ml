@@ -16,8 +16,6 @@ let message_kind = function
   | Request _ -> "request"
   | Fork -> "fork"
 
-let message_kind_count = 4
-
 let message_kind_index = function Ping -> 0 | Ack -> 1 | Request _ -> 2 | Fork -> 3
 
 let message_kind_name = function

@@ -20,9 +20,6 @@ val message_kind : message -> string
 (** Stable label used for per-kind channel statistics:
     ["ping"], ["ack"], ["request"], ["fork"]. *)
 
-val message_kind_count : int
-(** Number of distinct message kinds (4). *)
-
 val message_kind_index : message -> int
 (** Dense allocation-free kind index (ping 0, ack 1, request 2, fork 3),
     used to index flat per-kind counter arrays on the hot path. *)

@@ -2,11 +2,6 @@ type profile = Sound | Hostile
 
 let profile_name = function Sound -> "sound" | Hostile -> "hostile"
 
-let profile_of_name = function
-  | "sound" -> Some Sound
-  | "hostile" -> Some Hostile
-  | _ -> None
-
 let topology rng : Cgraph.Topology.spec =
   match Sim.Rng.int rng 11 with
   | 0 -> Cgraph.Topology.Ring (4 + Sim.Rng.int rng 7)

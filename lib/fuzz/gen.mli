@@ -18,7 +18,6 @@ type profile =
           exercise the shrinking/replay pipeline on real failures. *)
 
 val profile_name : profile -> string
-val profile_of_name : string -> profile option
 
 val scenario : profile:profile -> campaign_seed:int64 -> case:int -> Harness.Scenario.t
 (** Deterministic in [(profile, campaign_seed, case)]. Generated

@@ -9,8 +9,8 @@
     self-tests aim an oracle at a scenario engineered to violate it and
     assert that it fires).
 
-    The same predicates back [dune runtest] (soak matrix), the fuzzer
-    ({!Campaign}) and [bench fuzz]: an oracle that silently always
+    The same predicates back [dune runtest] (soak matrix) and the fuzzer
+    ({!Campaign}, [daemon_sim fuzz]): an oracle that silently always
     passes cannot hide in one copy while another copy stays honest. *)
 
 type t = {

@@ -15,10 +15,6 @@ type result = {
   actions : string list;  (** Accepted transformations, oldest first. *)
 }
 
-val candidates : Harness.Scenario.t -> (string * Harness.Scenario.t) list
-(** The labelled one-step simplifications of a scenario, most aggressive
-    first. Exposed for tests. *)
-
 val minimize :
   still_failing:(Harness.Scenario.t -> bool) -> Harness.Scenario.t -> result
 (** [minimize ~still_failing s] descends from [s] keeping [still_failing]

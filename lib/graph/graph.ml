@@ -179,13 +179,6 @@ let iter_edges t f =
     done
   done
 
-let fold_vertices t ~init ~f =
-  let acc = ref init in
-  for i = 0 to t.n - 1 do
-    acc := f !acc i
-  done;
-  !acc
-
 let is_connected t =
   let visited = Array.make t.n false in
   (* Explicit stack: recursion would overflow on path-like graphs at
@@ -230,8 +223,6 @@ let distances_from t source =
     done
   done;
   dist
-
-let pp ppf t = Format.fprintf ppf "graph(n=%d, m=%d)" t.n (edge_count t)
 
 let to_dot ?(name = "conflict") ?(vertex_label = string_of_int) ?(vertex_color = fun _ -> None)
     t =

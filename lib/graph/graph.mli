@@ -44,8 +44,6 @@ val iter_edges : t -> (pid -> pid -> unit) -> unit
 (** [iter_edges t f] calls [f u v] once per edge, [u < v], in edge-id
     order (the order of {!edges}). *)
 
-val fold_vertices : t -> init:'a -> f:('a -> pid -> 'a) -> 'a
-
 (** {2 Dense indices}
 
     The graph is stored in compressed sparse row form. Position [s] of
@@ -101,8 +99,6 @@ val distances_from : t -> pid -> int array
 (** BFS hop distances from the given vertex; unreachable vertices get
     [n]. Used e.g. to measure how far from a crash site an effect
     (starvation, delay) spreads. *)
-
-val pp : Format.formatter -> t -> unit
 
 val to_dot :
   ?name:string ->

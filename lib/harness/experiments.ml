@@ -2,8 +2,6 @@ type artifact = Table of Stats.Table.t | Series of Stats.Series.t | Note of stri
 
 type ctx = { domains : int; seeds : int }
 
-let default_ctx () = { domains = Exec.Pool.default_domains (); seeds = 10 }
-
 type t = { id : string; title : string; claim : string; run : ctx -> artifact list }
 
 (* Independent runs of a sweep fan out over a domain pool; rows come back
@@ -13,9 +11,6 @@ let sweep ~domains cases row =
 
 let cell_opt_time = function None -> "-" | Some t -> Stats.Table.cell_time t
 
-let oracle_default =
-  Scenario.Oracle { detection_delay = 50; fp_per_edge = 2; fp_window = 8_000; fp_max_len = 200 }
-
 let psync ~gst = Net.Delay.Partial_synchrony { gst; pre = (1, 100); post = (1, 8) }
 
 let base : Scenario.t =
@@ -23,7 +18,7 @@ let base : Scenario.t =
     Scenario.default with
     name = "exp";
     delay = Net.Delay.Uniform (1, 8);
-    detector = oracle_default;
+    detector = Scenario.noisy_oracle;
     crashes = Scenario.No_crashes;
     check_every = Some 193;
   }
@@ -67,7 +62,7 @@ let e1 (ctx : ctx) =
   let topologies = [ Cgraph.Topology.Ring 12; Cgraph.Topology.Clique 8; Cgraph.Topology.Random_gnp (20, 0.2, 3L) ] in
   let detectors =
     [
-      ("oracle+fp", oracle_default, Net.Delay.Uniform (1, 8));
+      ("oracle+fp", Scenario.noisy_oracle, Net.Delay.Uniform (1, 8));
       ("heartbeat", Scenario.default_heartbeat, psync ~gst:15_000);
     ]
   in
@@ -201,7 +196,7 @@ let e3 (_ : ctx) =
   in
   let cases =
     [
-      ("song-pike", Scenario.Song_pike, oracle_default);
+      ("song-pike", Scenario.Song_pike, Scenario.noisy_oracle);
       ("song-pike", Scenario.Song_pike, Scenario.quiet_oracle);
       ("fork-only", Scenario.Fork_only, Scenario.quiet_oracle);
     ]
@@ -273,7 +268,7 @@ let e4 (ctx : ctx) =
         base with
         name = "e4";
         topology;
-        detector = oracle_default;
+        detector = Scenario.noisy_oracle;
         workload = Scenario.contended_workload;
         crashes = Scenario.Random_crashes { count = 1; from_t = 2_000; to_t = 10_000 };
         horizon = 40_000;
@@ -484,7 +479,7 @@ let e7 (_ : ctx) =
               Stats.Table.cell_int r.outcome.steps_executed;
               Stats.Table.cell_int r.outcome.overlap_races;
             ])
-        [ ("SP+oracle(evp)", oracle_default); ("SP+never(ChoySingh)", Scenario.Never) ];
+        [ ("SP+oracle(evp)", Scenario.noisy_oracle); ("SP+never(ChoySingh)", Scenario.Never) ];
       Stats.Table.add_rule table)
     cases;
   [
@@ -588,7 +583,7 @@ let e9 (_ : ctx) =
   in
   let cases =
     [
-      ("oracle (full evp-P1)", "yes", "yes", oracle_default);
+      ("oracle (full evp-P1)", "yes", "yes", Scenario.noisy_oracle);
       ( "unreliable (accuracy dropped)",
         "yes",
         "no",
@@ -668,9 +663,9 @@ let e10 (ctx : ctx) =
   in
   let cases =
     [
-      (Cgraph.Topology.Ring 10, "oracle+fp", oracle_default);
-      (Cgraph.Topology.Clique 6, "oracle+fp", oracle_default);
-      (Cgraph.Topology.Random_gnp (16, 0.25, 21L), "oracle+fp", oracle_default);
+      (Cgraph.Topology.Ring 10, "oracle+fp", Scenario.noisy_oracle);
+      (Cgraph.Topology.Clique 6, "oracle+fp", Scenario.noisy_oracle);
+      (Cgraph.Topology.Random_gnp (16, 0.25, 21L), "oracle+fp", Scenario.noisy_oracle);
       (Cgraph.Topology.Clique 6, "heartbeat", Scenario.default_heartbeat);
     ]
   in
@@ -1041,7 +1036,7 @@ let f4 (_ : ctx) =
           base with
           name = "f4";
           topology = Cgraph.Topology.Random_gnp (16, 0.25, 5L);
-          detector = oracle_default;
+          detector = Scenario.noisy_oracle;
           crashes = Scenario.Crash_at [ (2, 6_000); (9, 9_000) ];
           horizon = 50_000;
           seed = 61L;
@@ -1165,19 +1160,12 @@ let find id =
   List.find_opt (fun e -> e.id = id) all
 
 (* Report emission goes through a formatter so library code never writes
-   to stdout directly; executables pass the sink (default std_formatter).
-   Each artifact is flushed eagerly so output interleaves correctly with
-   any direct channel writes the caller makes around us. *)
-let print_artifact ?(ppf = Format.std_formatter) artifact =
+   to stdout directly; executables pass the sink. Each artifact is
+   flushed eagerly so output interleaves correctly with any direct
+   channel writes the caller makes around us. *)
+let print_artifact ppf artifact =
   (match artifact with
   | Table t -> Stats.Table.pp ppf t
   | Series s -> Stats.Series.pp ppf s
   | Note n -> Format.fprintf ppf "note: %s\n\n" n);
-  Format.pp_print_flush ppf ()
-
-let run_and_print ?ctx ?(ppf = Format.std_formatter) e =
-  let ctx = match ctx with Some c -> c | None -> default_ctx () in
-  Format.fprintf ppf "### %s — %s (reproduces: %s)\n\n" (String.uppercase_ascii e.id)
-    e.title e.claim;
-  List.iter (print_artifact ~ppf) (e.run ctx);
   Format.pp_print_flush ppf ()

@@ -16,10 +16,6 @@ type ctx = {
   seeds : int;    (** seeds per batch row (E10) *)
 }
 
-val default_ctx : unit -> ctx
-(** [{ domains = Exec.Pool.default_domains (); seeds = 10 }] — the
-    historical sequential suite ran with [seeds = 10]. *)
-
 type t = {
   id : string;       (** "e1" .. "e12", "f1" .. "f6" *)
   title : string;
@@ -33,9 +29,5 @@ val all : t list
 val find : string -> t option
 (** Lookup by case-insensitive id. *)
 
-val run_and_print : ?ctx:ctx -> ?ppf:Format.formatter -> t -> unit
-(** Execute and print all artifacts, with a header naming the claim.
-    [ctx] defaults to {!default_ctx}; [ppf] to [Format.std_formatter] —
-    library code never writes to stdout except through this parameter. *)
-
-val print_artifact : ?ppf:Format.formatter -> artifact -> unit
+val print_artifact : Format.formatter -> artifact -> unit
+(** Print one artifact to the formatter and flush it. *)

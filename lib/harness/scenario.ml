@@ -29,6 +29,10 @@ type t = {
 }
 
 let quiet_oracle = Oracle { detection_delay = 50; fp_per_edge = 0; fp_window = 0; fp_max_len = 1 }
+
+let noisy_oracle =
+  Oracle { detection_delay = 50; fp_per_edge = 2; fp_window = 8_000; fp_max_len = 200 }
+
 let default_heartbeat = Heartbeat { period = 20; initial_timeout = 30; bump = 25 }
 let default_workload = { think = (50, 400); eat = (10, 60) }
 let contended_workload = { think = (0, 0); eat = (10, 40) }

@@ -26,6 +26,11 @@ val quiet_oracle : detector_kind
 (** Scripted ◇P₁ that detects a crash 50 ticks after it and never
     suspects a live process. *)
 
+val noisy_oracle : detector_kind
+(** Scripted ◇P₁ that detects a crash 50 ticks after it and, before
+    t = 8 000, suspects each neighbour falsely up to twice per edge for
+    up to 200 ticks at a time. *)
+
 val default_heartbeat : detector_kind
 (** The heartbeat detector with period 20, initial timeout 30 and
     timeout bump 25. *)

@@ -4,9 +4,6 @@
     classifiers {!Escape}, {!Effects} and {!Hotpath} agree on, and the
     effect classifier {!Sites} and {!Effects} share. *)
 
-val split_dunder : string -> string list
-(** ["Sim__Wheel"] -> [["Sim"; "Wheel"]]; single underscores survive. *)
-
 val normalize_path : Path.t -> string list
 val segments_of_string : string -> string list
 val key_of_segments : string list -> string
@@ -78,8 +75,6 @@ val resolve : t -> unit_name:string -> Path.t -> def option
 (** Resolve a referenced path: local idents by per-unit stamp, global
     paths by exact normalized key, else unique dot-boundary suffix
     match in either direction. *)
-
-val uid_of : unit_name:string -> Ident.t -> string
 
 val free_ident_occurrences :
   Typedtree.expression -> (Ident.t * Typedtree.expression) list

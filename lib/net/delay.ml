@@ -29,10 +29,3 @@ let upper_bound_after t after =
   | Partial_synchrony { gst; pre = _, pre_hi; post = _, post_hi } ->
       if after >= gst then Some (clamp_pos post_hi)
       else Some (clamp_pos (max pre_hi post_hi))
-
-let pp ppf = function
-  | Fixed d -> Format.fprintf ppf "fixed(%d)" d
-  | Uniform (lo, hi) -> Format.fprintf ppf "uniform(%d,%d)" lo hi
-  | Exponential (mean, cap) -> Format.fprintf ppf "exp(%.1f,cap=%d)" mean cap
-  | Partial_synchrony { gst; pre = a, b; post = c, d } ->
-      Format.fprintf ppf "psync(gst=%s,pre=%d..%d,post=%d..%d)" (Sim.Time.to_string gst) a b c d

@@ -25,5 +25,3 @@ val sample : t -> Sim.Rng.t -> now:Sim.Time.t -> int
 val upper_bound_after : t -> Sim.Time.t -> int option
 (** [upper_bound_after t gst']: a bound on delays of messages sent at or
     after [gst'], if the model provides one. *)
-
-val pp : Format.formatter -> t -> unit

@@ -153,6 +153,3 @@ let send t ~src ~dst msg =
   send_slot t ~src slot msg
 
 let stats t = t.stats
-let graph t = t.graph
-let faults t = t.faults
-let engine t = t.engine

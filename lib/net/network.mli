@@ -110,6 +110,3 @@ val send : 'msg t -> src:int -> dst:int -> 'msg -> unit
     channel; no other channels exist), otherwise [Invalid_argument]. *)
 
 val stats : 'msg t -> Link_stats.t
-val graph : 'msg t -> Cgraph.Graph.t
-val faults : 'msg t -> Faults.t
-val engine : 'msg t -> Sim.Engine.t

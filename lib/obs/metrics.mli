@@ -50,6 +50,5 @@ val find : t -> string -> value option
 val dump : t -> (string * value) list
 (** All metrics, sorted by name. *)
 
-val pp_value : Format.formatter -> value -> unit
 val pp : Format.formatter -> t -> unit
 (** One [name value] line per metric, sorted by name. *)

@@ -34,22 +34,6 @@ let subject = function
   | Crash { pid } -> pid
   | Mark { subject; _ } -> subject
 
-let pp ppf r =
-  Format.fprintf ppf "[%6d @%-8d] " r.seq r.time;
-  match r.kind with
-  | Sched { id; at } -> Format.fprintf ppf "sched   ev%d at %d" id at
-  | Fire { id } -> Format.fprintf ppf "fire    ev%d" id
-  | Send { src; dst; tag; deliver_at } ->
-      Format.fprintf ppf "send    %d->%d %s (deliver %d)" src dst tag deliver_at
-  | Deliver { src; dst; tag } -> Format.fprintf ppf "deliver %d->%d %s" src dst tag
-  | Drop { src; dst; tag } -> Format.fprintf ppf "drop    %d->%d %s" src dst tag
-  | Phase { pid; phase } -> Format.fprintf ppf "phase   p%d %s" pid phase
-  | Suspect { observer; target; on } ->
-      Format.fprintf ppf "suspect p%d %s p%d" observer (if on then "suspects" else "clears") target
-  | Crash { pid } -> Format.fprintf ppf "crash   p%d" pid
-  | Mark { subject; tag; detail } ->
-      Format.fprintf ppf "mark    p%d %s%s" subject tag (if detail = "" then "" else " " ^ detail)
-
 (* Rows keep the tags printed traces have always used: phases as
    "eat"/"think", not "eating"/"thinking". *)
 let pp_row ppf r =

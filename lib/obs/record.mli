@@ -42,8 +42,6 @@ val label : kind -> string
 val subject : kind -> int
 (** Process id the record is about, or [-1] for engine-global records. *)
 
-val pp : Format.formatter -> t -> unit
-
 val pp_row : Format.formatter -> t -> unit
 (** The one-line human-readable row [\[time\] pN tag detail] printed by
     [daemon_sim run --trace]: phase tags shortened to ["eat"]/["think"],

@@ -13,7 +13,6 @@ let add a b =
   end
 
 let max = Stdlib.max
-let compare = Int.compare
 
 let pp ppf t = if is_finite t then Format.fprintf ppf "%d" t else Format.pp_print_string ppf "inf"
 let to_string t = Format.asprintf "%a" pp t

@@ -15,7 +15,6 @@ val add : t -> t -> t
 (** Saturating addition: [add t infinity = infinity]. *)
 
 val max : t -> t -> t
-val compare : t -> t -> int
 val is_finite : t -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -46,9 +46,6 @@ val attach :
     lasts 5 to 20 ticks; an enabled process gets hungry 1 to 10 ticks
     after it becomes enabled. *)
 
-val inject_fault : t -> victims:int -> unit
-(** Corrupt the states of [victims] random live processes now. *)
-
 val schedule_faults : t -> at:Sim.Time.t list -> victims:int -> unit
 (** Inject a [victims]-sized transient fault at each listed time. *)
 

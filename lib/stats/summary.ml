@@ -99,7 +99,3 @@ let of_counts counts =
       p99 = interpolate n nth 0.99;
     }
   end
-
-let pp ppf t =
-  Format.fprintf ppf "n=%d mean=%.1f p50=%.1f p95=%.1f p99=%.1f max=%.1f" t.count t.mean t.p50
-    t.p95 t.p99 t.max

@@ -11,9 +11,6 @@ type t = {
   p99 : float;
 }
 
-val empty : t
-(** All-zero summary for an empty sample set. *)
-
 val of_floats : float list -> t
 val of_ints : int list -> t
 
@@ -30,4 +27,3 @@ val percentile : float array -> float -> float
     between closest ranks. The array must be sorted ascending and
     non-empty. *)
 
-val pp : Format.formatter -> t -> unit

@@ -671,9 +671,7 @@ let kind_watermarks_match_reference () =
             name = "e4";
             topology;
             delay = Net.Delay.Uniform (1, 8);
-            detector =
-              Harness.Scenario.Oracle
-                { detection_delay = 50; fp_per_edge = 2; fp_window = 8_000; fp_max_len = 200 };
+            detector = Harness.Scenario.noisy_oracle;
             workload = Harness.Scenario.contended_workload;
             crashes = Harness.Scenario.Random_crashes { count = 1; from_t = 2_000; to_t = 10_000 };
             horizon = 40_000;

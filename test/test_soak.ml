@@ -3,7 +3,7 @@
    are the closest the suite comes to the paper's "every run" claims.
 
    All assertions go through the shared Fuzz.Property oracles — the same
-   predicates backing the fuzzer and `bench fuzz` — so the soak suite,
+   predicates backing the fuzzer and `daemon_sim fuzz` — so the soak suite,
    the campaigns and the negative self-tests cannot drift apart. *)
 
 let check = Alcotest.check
